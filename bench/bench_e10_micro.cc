@@ -141,29 +141,34 @@ void BM_Ed25519VerifyNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_Ed25519VerifyNaive);
 
-// Batch verification of N distinct (key, message, signature) triples via
-// the random-linear-combination equation. items_per_second is the amortized
-// per-signature rate — compare its inverse against BM_Ed25519Verify.
-void BM_Ed25519VerifyBatch(benchmark::State& state) {
+// Verification against a prepared key: VerifyCache's miss path once the
+// key's table exists. Compare with BM_Ed25519Verify.
+void BM_Ed25519VerifyPrepared(benchmark::State& state) {
   Rng rng(14);
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<Ed25519BatchItem> items(n);
-  for (size_t i = 0; i < n; ++i) {
-    Bytes seed = rng.NextBytes(32);
-    items[i].public_key = Ed25519PublicKey(seed);
-    items[i].message = rng.NextBytes(256);
-    items[i].signature = Ed25519Sign(seed, items[i].message);
-  }
+  Bytes seed = rng.NextBytes(32);
+  Bytes msg = rng.NextBytes(256);
+  Bytes sig = Ed25519Sign(seed, msg);
+  auto key = Ed25519PrepareKey(Ed25519PublicKey(seed));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Ed25519VerifyBatch(items));
+    benchmark::DoNotOptimize(Ed25519VerifyPrepared(*key, msg, sig));
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
 }
-BENCHMARK(BM_Ed25519VerifyBatch)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_Ed25519VerifyPrepared);
+
+// The one-off cost of preparing a key: decoding it and building the
+// fixed-base table of -A.
+void BM_Ed25519PrepareKey(benchmark::State& state) {
+  Rng rng(16);
+  Bytes pub = Ed25519PublicKey(rng.NextBytes(32));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Ed25519PrepareKey(pub));
+  }
+}
+BENCHMARK(BM_Ed25519PrepareKey);
 
 // The auditor's steady state: thousands of pledges carrying the same master
-// version token. A warm VerifyCache answers in one SHA-256 + map lookup.
+// version token. A warm VerifyCache answers with one hash-map lookup of the
+// exact (key, message, signature) bytes.
 void BM_VerifyCacheHit(benchmark::State& state) {
   Rng rng(15);
   Bytes seed = rng.NextBytes(32);
@@ -178,6 +183,27 @@ void BM_VerifyCacheHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VerifyCacheHit);
+
+// A VerifyCache miss under a key it has already prepared: the exact-key
+// lookup, the prepared-key verification and the insert (which evicts).
+void BM_VerifyCacheMiss(benchmark::State& state) {
+  Rng rng(17);
+  Bytes seed = rng.NextBytes(32);
+  Bytes pub = Ed25519PublicKey(seed);
+  std::vector<Bytes> msgs, sigs;
+  for (int i = 0; i < 64; ++i) {
+    msgs.push_back(rng.NextBytes(256));
+    sigs.push_back(Ed25519Sign(seed, msgs.back()));
+  }
+  VerifyCache cache(/*capacity=*/32);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        cache.Verify(SignatureScheme::kEd25519, pub, msgs[i], sigs[i]));
+    i = (i + 1) % msgs.size();
+  }
+}
+BENCHMARK(BM_VerifyCacheMiss);
 
 // The slave's per-read crypto (hash result + sign pledge) vs the auditor's
 // (hash only) — the core asymmetry.

@@ -106,6 +106,7 @@ class Auditor : public Node {
   const AuditorMetrics& metrics() const {
     metrics_.sig_cache_hits = verify_cache_.stats().hits;
     metrics_.sig_cache_misses = verify_cache_.stats().misses;
+    metrics_.sig_cache_keys_prepared = verify_cache_.stats().keys_prepared;
     metrics_.sig_cache_evictions = verify_cache_.stats().evictions;
     return metrics_;
   }

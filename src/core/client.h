@@ -110,6 +110,7 @@ class Client : public Node {
   const ClientMetrics& metrics() const {
     metrics_.sig_cache_hits = verify_cache_.stats().hits;
     metrics_.sig_cache_misses = verify_cache_.stats().misses;
+    metrics_.sig_cache_keys_prepared = verify_cache_.stats().keys_prepared;
     return metrics_;
   }
   SimTime effective_max_latency() const {

@@ -74,6 +74,7 @@ class Master : public Node {
   const MasterMetrics& metrics() const {
     metrics_.sig_cache_hits = verify_cache_.stats().hits;
     metrics_.sig_cache_misses = verify_cache_.stats().misses;
+    metrics_.sig_cache_keys_prepared = verify_cache_.stats().keys_prepared;
     return metrics_;
   }
   const Bytes& public_key() const { return signer_.public_key(); }

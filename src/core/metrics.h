@@ -39,6 +39,7 @@ struct ClientMetrics {
   // Verify-dedup cache (mostly version tokens reused across reads).
   uint64_t sig_cache_hits = 0;
   uint64_t sig_cache_misses = 0;
+  uint64_t sig_cache_keys_prepared = 0;  // Ed25519 key tables built
   // Keyspace sharding (src/core/shard.h; all zero unless num_shards > 1).
   uint64_t placement_cache_hits = 0;    // ops planned from the cached map
   uint64_t placement_cache_misses = 0;  // placement fetched from directory
@@ -85,6 +86,7 @@ struct MasterMetrics {
   // Verify-dedup cache (accusation / incriminating-pledge checks).
   uint64_t sig_cache_hits = 0;
   uint64_t sig_cache_misses = 0;
+  uint64_t sig_cache_keys_prepared = 0;  // Ed25519 key tables built
 };
 
 struct SlaveMetrics {
@@ -112,6 +114,7 @@ struct SlaveMetrics {
   // Verify-dedup cache (token adoption checks).
   uint64_t sig_cache_hits = 0;
   uint64_t sig_cache_misses = 0;
+  uint64_t sig_cache_keys_prepared = 0;  // Ed25519 key tables built
 };
 
 struct AuditorMetrics {
@@ -152,6 +155,7 @@ struct AuditorMetrics {
   // Verify-dedup cache (version tokens shared across pledges).
   uint64_t sig_cache_hits = 0;
   uint64_t sig_cache_misses = 0;
+  uint64_t sig_cache_keys_prepared = 0;  // Ed25519 key tables built
   uint64_t sig_cache_evictions = 0;
   // Sampled at finalization: how far behind the head the auditor runs.
   Percentiles version_lag;

@@ -201,18 +201,8 @@ bool VerifyBatchCommit(SignatureScheme scheme, const Bytes& master_public_key,
 bool VerifyPledgeAndToken(SignatureScheme scheme, const Bytes& slave_public_key,
                           const Bytes& master_public_key, const Pledge& pledge,
                           VerifyCache* cache) {
-  if (!SchemeSupportsBatchVerify(scheme)) {
-    return VerifyPledgeSignature(scheme, slave_public_key, pledge, cache) &&
-           VerifyVersionToken(scheme, master_public_key, pledge.token, cache);
-  }
-  std::vector<VerifyItem> items(2);
-  items[0] = {slave_public_key, pledge.SignedBody(), pledge.signature};
-  items[1] = {master_public_key, pledge.token.SignedBody(),
-              pledge.token.signature};
-  std::vector<bool> ok = cache != nullptr
-                             ? cache->VerifyBatch(scheme, items)
-                             : VerifySignatureBatch(scheme, items);
-  return ok[0] && ok[1];
+  return VerifyPledgeSignature(scheme, slave_public_key, pledge, cache) &&
+         VerifyVersionToken(scheme, master_public_key, pledge.token, cache);
 }
 
 }  // namespace sdr

@@ -82,8 +82,8 @@ bool VerifyPledgeSignature(SignatureScheme scheme,
                            VerifyCache* cache);
 
 // Verifies both signatures carried by one pledge — the slave's over the
-// pledge body and the master's over the embedded token — as a single batch
-// when the scheme supports it. Equivalent to the two separate checks.
+// pledge body, then the master's over the embedded token — through the
+// cache when one is given. Equivalent to the two separate checks.
 bool VerifyPledgeAndToken(SignatureScheme scheme, const Bytes& slave_public_key,
                           const Bytes& master_public_key, const Pledge& pledge,
                           VerifyCache* cache);

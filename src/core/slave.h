@@ -84,6 +84,7 @@ class Slave : public Node {
   const SlaveMetrics& metrics() const {
     metrics_.sig_cache_hits = verify_cache_.stats().hits;
     metrics_.sig_cache_misses = verify_cache_.stats().misses;
+    metrics_.sig_cache_keys_prepared = verify_cache_.stats().keys_prepared;
     return metrics_;
   }
   const ServiceQueue& service_queue() const { return *queue_; }

@@ -1,6 +1,5 @@
 #include "src/crypto/ed25519.h"
 
-#include <array>
 #include <cassert>
 #include <cstring>
 
@@ -835,9 +834,32 @@ PrecompPoint ToPrecompAffine(const Point& p) {
   return r;
 }
 
+// Fills table[i][j] = (j+1) * 16^(2i) * p in affine precomputed form: the
+// layout the signed-radix-16 fixed-base multiplications index by digit.
+void BuildRadix16Table(PrecompPoint table[32][8], const Point& p) {
+  std::vector<Point> pts;
+  pts.reserve(32 * 8);
+  Point row = p;  // 16^(2i) * p
+  for (int i = 0; i < 32; ++i) {
+    Point m = row;
+    for (int j = 0; j < 8; ++j) {
+      pts.push_back(m);
+      m = PointAdd(m, row);
+    }
+    for (int k = 0; k < 8; ++k) {
+      row = PointDouble(row);  // advance by 16^2 = 2^8
+    }
+  }
+  BatchNormalize(pts);
+  for (size_t n = 0; n < pts.size(); ++n) {
+    table[n / 8][n % 8] = ToPrecompAffine(pts[n]);
+  }
+}
+
 struct BaseTables {
   // table[i][j] = (j+1) * 16^(2i) * B, for the signed-radix-16 fixed-base
-  // multiplication used by signing and key derivation.
+  // multiplication used by signing, key derivation and prepared-key
+  // verification.
   PrecompPoint table[32][8];
   // odd[j] = (2j+1) * B, for the sliding-window base-point half of the
   // Straus double-scalar multiplication used by verification.
@@ -846,35 +868,18 @@ struct BaseTables {
 
 const BaseTables& GetBaseTables() {
   static const BaseTables t = [] {
-    std::vector<Point> pts;
-    pts.reserve(32 * 8 + 8);
-    Point row = BasePoint();  // 16^(2i) * B
-    for (int i = 0; i < 32; ++i) {
-      Point m = row;
-      for (int j = 0; j < 8; ++j) {
-        pts.push_back(m);
-        m = PointAdd(m, row);
-      }
-      for (int k = 0; k < 8; ++k) {
-        row = PointDouble(row);  // advance by 16^2 = 2^8
-      }
-    }
+    BaseTables bt;
+    BuildRadix16Table(bt.table, BasePoint());
+    std::vector<Point> odd;
     Point b2 = PointDouble(BasePoint());
     Point o = BasePoint();
     for (int j = 0; j < 8; ++j) {
-      pts.push_back(o);
+      odd.push_back(o);
       o = PointAdd(o, b2);
     }
-    BatchNormalize(pts);
-    BaseTables bt;
-    size_t idx = 0;
-    for (int i = 0; i < 32; ++i) {
-      for (int j = 0; j < 8; ++j) {
-        bt.table[i][j] = ToPrecompAffine(pts[idx++]);
-      }
-    }
+    BatchNormalize(odd);
     for (int j = 0; j < 8; ++j) {
-      bt.odd[j] = ToPrecompAffine(pts[idx++]);
+      bt.odd[j] = ToPrecompAffine(odd[j]);
     }
     return bt;
   }();
@@ -900,8 +905,9 @@ void SignedRadix16(int8_t e[64] /* sdrlint:secret */,
 }
 
 // Variable-time digit addition: branches on the digit and indexes the table
-// with it. Only ever fed *public* scalars (the batch-verification
-// combination scalar); secret scalars go through SelectBaseDigit below.
+// with it. Only ever fed *public* scalars (a signature's S and challenge k
+// in prepared-key verification); secret scalars go through SelectBaseDigit
+// below.
 Point AddBaseDigit(const Point& h, const PrecompPoint row[8], int8_t digit) {
   if (digit > 0) {
     return AddPrecomp(h, row[digit - 1]);
@@ -985,24 +991,6 @@ Point ScalarMulBaseCt(const uint8_t a[32] /* sdrlint:secret */) {
   return h;
 }
 
-// Variable-time fixed-base multiplication (zero digits skipped, direct
-// table indexing) for public scalars: the batch-verification combination
-// scalar, never a signing secret.
-Point ScalarMulBaseVartime(const uint8_t a[32]) {
-  const BaseTables& bt = GetBaseTables();
-  int8_t e[64];
-  SignedRadix16(e, a);
-  Point h = PointIdentity();
-  for (int i = 1; i < 64; i += 2) {
-    h = AddBaseDigit(h, bt.table[i / 2], e[i]);
-  }
-  h = PointDouble(PointDouble(PointDouble(PointDouble(h))));
-  for (int i = 0; i < 64; i += 2) {
-    h = AddBaseDigit(h, bt.table[i / 2], e[i]);
-  }
-  return h;
-}
-
 // Width-5 sliding-window recoding: odd digits in [-15, 15], at most one
 // nonzero digit per 5 consecutive positions.
 void Slide(int8_t r[256], const uint8_t a[32]) {
@@ -1081,53 +1069,6 @@ Point DoubleScalarMulBaseVartime(const uint8_t a[32], const Point& big_a,
       r = AddPrecomp(r, bt.odd[bslide[i] / 2]);
     } else if (bslide[i] < 0) {
       r = SubPrecomp(r, bt.odd[(-bslide[i]) / 2]);
-    }
-  }
-  return r;
-}
-
-// One term of a multi-scalar multiplication.
-struct MsmTerm {
-  uint8_t scalar[32];
-  const Point* point;
-};
-
-// sum_i scalar_i * point_i, interleaving all terms over one shared doubling
-// chain. Used by batch verification, where the per-term table build and
-// ~43 window additions amortize far below a full double-scalar
-// multiplication per signature.
-Point MultiScalarMulVartime(const std::vector<MsmTerm>& terms) {
-  const size_t n = terms.size();
-  std::vector<std::array<int8_t, 256>> slides(n);
-  std::vector<std::array<CachedPoint, 8>> tables(n);
-  for (size_t t = 0; t < n; ++t) {
-    Slide(slides[t].data(), terms[t].scalar);
-    OddMultiples(tables[t].data(), *terms[t].point);
-  }
-  int i = 255;
-  for (; i >= 0; --i) {
-    bool any = false;
-    for (size_t t = 0; t < n && !any; ++t) {
-      any = slides[t][i] != 0;
-    }
-    if (any) {
-      break;
-    }
-  }
-  Point r = PointIdentity();
-  for (; i >= 0; --i) {
-    bool any = false;
-    for (size_t t = 0; t < n && !any; ++t) {
-      any = slides[t][i] != 0;
-    }
-    r = any ? PointDouble(r) : PointDoubleP2(r);
-    for (size_t t = 0; t < n; ++t) {
-      int8_t d = slides[t][i];
-      if (d > 0) {
-        r = AddCached(r, tables[t][d / 2]);
-      } else if (d < 0) {
-        r = SubCached(r, tables[t][(-d) / 2]);
-      }
     }
   }
   return r;
@@ -1397,140 +1338,59 @@ bool Ed25519Verify(const Bytes& public_key, const Bytes& message,
   return VerifyNaive(public_key, message, signature);
 }
 
-namespace {
-
-// Per-item state for batch verification.
-struct BatchSlot {
-  bool pre_ok = false;  // sizes, canonical S, decodable A and R
-  Point a_point;
-  Point r_point;
-  uint8_t k[32];
-  uint8_t z[32];  // 128-bit random coefficient, zero-extended
-  const uint8_t* s = nullptr;
+struct Ed25519PreparedKey {
+  Bytes public_key;
+  PrecompPoint neg_a[32][8];  // (j+1) * 16^(2i) * (-A), as BaseTables::table
 };
 
-// Checks sum_{i in idx} z_i (S_i B - R_i - k_i A_i) == identity, i.e.
-// [sum z_i S_i] B == sum z_i R_i + sum (z_i k_i) A_i.
-bool BatchEquationHolds(const std::vector<BatchSlot>& slots,
-                        const std::vector<size_t>& idx) {
-  static const uint8_t kZero[32] = {0};
-  uint8_t c[32] = {0};
-  std::vector<MsmTerm> terms;
-  terms.reserve(2 * idx.size());
-  std::vector<std::array<uint8_t, 32>> zk(idx.size());
-  for (size_t n = 0; n < idx.size(); ++n) {
-    const BatchSlot& slot = slots[idx[n]];
-    ScMulAdd(c, slot.z, slot.s, c);
-    ScMulAdd(zk[n].data(), slot.z, slot.k, kZero);
-    MsmTerm tr;
-    std::memcpy(tr.scalar, slot.z, 32);
-    tr.point = &slot.r_point;
-    terms.push_back(tr);
-    MsmTerm ta;
-    std::memcpy(ta.scalar, zk[n].data(), 32);
-    ta.point = &slot.a_point;
-    terms.push_back(ta);
+std::shared_ptr<const Ed25519PreparedKey> Ed25519PrepareKey(
+    const Bytes& public_key) {
+  Point a_point;
+  if (public_key.size() != kEd25519PublicKeySize ||
+      !PointDecompress(a_point, public_key.data())) {
+    return nullptr;
   }
-  Point lhs = ScalarMulBaseVartime(c);
-  Point rhs = MultiScalarMulVartime(terms);
-  return PointsEqual(lhs, rhs);
+  auto key = std::make_shared<Ed25519PreparedKey>();
+  key->public_key = public_key;
+  BuildRadix16Table(key->neg_a, PointNeg(a_point));
+  return key;
 }
 
-bool SingleVerifySlot(const BatchSlot& slot) {
-  Point neg_a = PointNeg(slot.a_point);
-  Point p = DoubleScalarMulBaseVartime(slot.k, neg_a, slot.s);
-  return PointsEqual(p, slot.r_point);
-}
+bool Ed25519VerifyPrepared(const Ed25519PreparedKey& key, const Bytes& message,
+                           const Bytes& signature) {
+  if (signature.size() != kEd25519SignatureSize ||
+      !ScIsCanonical(signature.data() + 32)) {
+    return false;
+  }
+  if (!g_fast_path) {
+    return VerifyNaive(key.public_key, message, signature);
+  }
+  const uint8_t* r_enc = signature.data();
+  Point r_point;
+  if (!PointDecompress(r_point, r_enc)) {
+    return false;
+  }
+  uint8_t k[32];
+  ChallengeScalar(k, r_enc, key.public_key, message);
 
-// Bisection: a failing combined equation is split until every culprit is
-// pinned down by a direct check.
-void ResolveBatch(const std::vector<BatchSlot>& slots,
-                  const std::vector<size_t>& idx, std::vector<bool>& out) {
-  if (idx.empty()) {
-    return;
+  // [S]B + [k](-A) == R, both halves from radix-16 tables: the odd digits,
+  // times 16, then the even digits. Every digit is public, so zero digits
+  // are skipped and rows indexed directly.
+  int8_t s_digits[64], k_digits[64];
+  SignedRadix16(s_digits, signature.data() + 32);
+  SignedRadix16(k_digits, k);
+  const BaseTables& bt = GetBaseTables();
+  Point h = PointIdentity();
+  for (int i = 1; i < 64; i += 2) {
+    h = AddBaseDigit(h, bt.table[i / 2], s_digits[i]);
+    h = AddBaseDigit(h, key.neg_a[i / 2], k_digits[i]);
   }
-  if (idx.size() == 1) {
-    out[idx[0]] = SingleVerifySlot(slots[idx[0]]);
-    return;
+  h = PointDouble(PointDoubleP2(PointDoubleP2(PointDoubleP2(h))));
+  for (int i = 0; i < 64; i += 2) {
+    h = AddBaseDigit(h, bt.table[i / 2], s_digits[i]);
+    h = AddBaseDigit(h, key.neg_a[i / 2], k_digits[i]);
   }
-  if (BatchEquationHolds(slots, idx)) {
-    for (size_t i : idx) {
-      out[i] = true;
-    }
-    return;
-  }
-  size_t mid = idx.size() / 2;
-  ResolveBatch(slots, std::vector<size_t>(idx.begin(), idx.begin() + mid), out);
-  ResolveBatch(slots, std::vector<size_t>(idx.begin() + mid, idx.end()), out);
-}
-
-}  // namespace
-
-std::vector<bool> Ed25519VerifyBatch(
-    const std::vector<Ed25519BatchItem>& items) {
-  const size_t n = items.size();
-  std::vector<bool> out(n, false);
-  if (n == 0) {
-    return out;
-  }
-  if (!g_fast_path || n == 1) {
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = Ed25519Verify(items[i].public_key, items[i].message,
-                             items[i].signature);
-    }
-    return out;
-  }
-
-  std::vector<BatchSlot> slots(n);
-  std::vector<size_t> idx;
-  idx.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Ed25519BatchItem& it = items[i];
-    BatchSlot& slot = slots[i];
-    if (it.public_key.size() != kEd25519PublicKeySize ||
-        it.signature.size() != kEd25519SignatureSize ||
-        !ScIsCanonical(it.signature.data() + 32) ||
-        !PointDecompress(slot.a_point, it.public_key.data()) ||
-        !PointDecompress(slot.r_point, it.signature.data())) {
-      continue;  // out[i] stays false
-    }
-    slot.s = it.signature.data() + 32;
-    ChallengeScalar(slot.k, it.signature.data(), it.public_key, it.message);
-    slot.pre_ok = true;
-    idx.push_back(i);
-  }
-  if (idx.empty()) {
-    return out;
-  }
-
-  // Deterministic 128-bit coefficients: seeded from every signature and key
-  // in the batch, so no item's coefficient can be chosen independently of
-  // the others. (A real network deployment would use fresh randomness.)
-  Sha512 hs;
-  hs.Update(Bytes{'s', 'd', 'r', '-', 'e', 'd', '2', '5', '5', '1', '9',
-                  '-', 'b', 'a', 't', 'c', 'h'});
-  for (size_t i : idx) {
-    hs.Update(items[i].public_key);
-    hs.Update(items[i].signature);
-    hs.Update(Sha512::Hash(items[i].message));
-  }
-  Bytes seed = hs.Final();
-  for (size_t i : idx) {
-    Sha512 hz;
-    hz.Update(seed);
-    uint8_t le[8];
-    for (int b = 0; b < 8; ++b) {
-      le[b] = (uint8_t)(i >> (8 * b));
-    }
-    hz.Update(le, 8);
-    Bytes z = hz.Final();
-    std::memset(slots[i].z, 0, 32);
-    std::memcpy(slots[i].z, z.data(), 16);
-    slots[i].z[0] |= 1;  // never zero
-  }
-
-  ResolveBatch(slots, idx, out);
-  return out;
+  return PointsEqual(h, r_point);
 }
 
 }  // namespace sdr

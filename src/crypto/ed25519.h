@@ -11,8 +11,8 @@
 // Two code paths produce bit-identical signatures and verdicts:
 //   - the *fast path* (default): a precomputed signed-radix-16 fixed-base
 //     table for signing/key derivation, Straus/Shamir interleaved
-//     double-scalar multiplication for verification, and a random-linear-
-//     combination batch verifier with bisection fallback;
+//     double-scalar multiplication for one-off verification, and per-key
+//     fixed-base tables for verifying repeatedly against a prepared key;
 //   - the *naive path*: the original clarity-first double-and-add ladders,
 //     kept as a cross-checking oracle behind Ed25519SetFastPath(false).
 //
@@ -33,7 +33,7 @@
 #define SDR_SRC_CRYPTO_ED25519_H_
 
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "src/util/bytes.h"
 
@@ -69,21 +69,22 @@ struct Ed25519ExpandedKey {
 Ed25519ExpandedKey Ed25519ExpandKey(const Bytes& seed);
 Bytes Ed25519SignExpanded(const Ed25519ExpandedKey& key, const Bytes& message);
 
-// One (public key, message, signature) triple for batch verification.
-struct Ed25519BatchItem {
-  Bytes public_key;
-  Bytes message;
-  Bytes signature;
-};
+// A public key prepared for repeated verification: decoded once, with a
+// signed-radix-16 fixed-base table of -A (about 30 KB) beside the one for
+// B. A verification against it costs 128 table additions and 4 doublings
+// instead of decompressing A and running a 253-doubling ladder; building
+// it costs about two plain verifications. Immutable once built, so
+// threads may share one.
+struct Ed25519PreparedKey;
 
-// Verifies many signatures at once with a random-linear-combination check:
-// sum_i z_i * (S_i B - R_i - k_i A_i) == identity for random 128-bit z_i,
-// sharing one interleaved multi-scalar multiplication across the batch.
-// When the combined equation fails, the batch is bisected until every
-// culprit is identified, so out[i] always equals Ed25519Verify(item i).
-// Amortized cost per signature is well below a single verification for
-// batches of ~4 or more.
-std::vector<bool> Ed25519VerifyBatch(const std::vector<Ed25519BatchItem>& items);
+// Returns nullptr when public_key is not a decodable 32-byte point, the
+// case in which Ed25519Verify rejects every signature.
+std::shared_ptr<const Ed25519PreparedKey> Ed25519PrepareKey(
+    const Bytes& public_key);
+
+// Same verdict as Ed25519Verify with the key that was prepared.
+bool Ed25519VerifyPrepared(const Ed25519PreparedKey& key, const Bytes& message,
+                           const Bytes& signature);
 
 // Test/bench hook: toggles between the precomputed-table fast path and the
 // original naive ladders (both produce identical bytes). Fast is the

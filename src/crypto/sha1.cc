@@ -1,13 +1,66 @@
 #include "src/crypto/sha1.h"
 
-#include <cstring>
+#include "src/crypto/sha_block.h"
 
 namespace sdr {
 
 namespace {
+
+using sha_internal::LoadBe32;
+
 inline uint32_t Rotl32(uint32_t x, int k) {
   return (x << k) | (x >> (32 - k));
 }
+
+inline uint32_t Choose(uint32_t b, uint32_t c, uint32_t d) {
+  return d ^ (b & (c ^ d));
+}
+inline uint32_t Parity(uint32_t b, uint32_t c, uint32_t d) {
+  return b ^ c ^ d;
+}
+inline uint32_t Majority(uint32_t b, uint32_t c, uint32_t d) {
+  return (b & c) | (d & (b | c));
+}
+
+// Schedule word t. Past the 16 loaded words, W[t] overwrites W[t - 16] in
+// place: the recurrence never looks further back than that.
+inline uint32_t Word(uint32_t w[16], int t) {
+  if (t >= 16) {
+    w[t & 15] = Rotl32(w[(t + 13) & 15] ^ w[(t + 8) & 15] ^ w[(t + 2) & 15] ^
+                           w[t & 15],
+                       1);
+  }
+  return w[t & 15];
+}
+
+// One round with the register roles passed in rotated order, so no value
+// moves between registers from one round to the next.
+template <uint32_t (*F)(uint32_t, uint32_t, uint32_t), uint32_t K>
+inline void Round(uint32_t a, uint32_t& b, uint32_t c, uint32_t d,
+                  uint32_t& e, uint32_t w) {
+  e += Rotl32(a, 5) + F(b, c, d) + K + w;
+  b = Rotl32(b, 30);
+}
+
+// Rounds [t0, t0 + 20): one round function, one constant, no branches.
+// Five rounds bring the roles back to where they started.
+template <uint32_t (*F)(uint32_t, uint32_t, uint32_t), uint32_t K>
+inline void Group(uint32_t v[5], uint32_t w[16], int t0) {
+  uint32_t a = v[0], b = v[1], c = v[2], d = v[3], e = v[4];
+  for (int t = t0; t < t0 + 20; t += 5) {
+    Round<F, K>(a, b, c, d, e, Word(w, t));
+    Round<F, K>(e, a, b, c, d, Word(w, t + 1));
+    Round<F, K>(d, e, a, b, c, Word(w, t + 2));
+    Round<F, K>(c, d, e, a, b, Word(w, t + 3));
+    Round<F, K>(b, c, d, e, a, Word(w, t + 4));
+  }
+  v[0] = a;
+  v[1] = b;
+  v[2] = c;
+  v[3] = d;
+  v[4] = e;
+}
+
 }  // namespace
 
 Sha1::Sha1() {
@@ -19,87 +72,29 @@ Sha1::Sha1() {
 }
 
 void Sha1::ProcessBlock(const uint8_t* block) {
-  uint32_t w[80];
+  uint32_t w[16];
   for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<uint32_t>(block[4 * i]) << 24 |
-           static_cast<uint32_t>(block[4 * i + 1]) << 16 |
-           static_cast<uint32_t>(block[4 * i + 2]) << 8 |
-           static_cast<uint32_t>(block[4 * i + 3]);
+    w[i] = LoadBe32(block + 4 * i);
   }
-  for (int i = 16; i < 80; ++i) {
-    w[i] = Rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
+  uint32_t v[5] = {h_[0], h_[1], h_[2], h_[3], h_[4]};
+  Group<Choose, 0x5a827999u>(v, w, 0);
+  Group<Parity, 0x6ed9eba1u>(v, w, 20);
+  Group<Majority, 0x8f1bbcdcu>(v, w, 40);
+  Group<Parity, 0xca62c1d6u>(v, w, 60);
+  for (int i = 0; i < 5; ++i) {
+    h_[i] += v[i];
   }
-
-  uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int i = 0; i < 80; ++i) {
-    uint32_t f;
-    uint32_t k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5a827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ed9eba1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8f1bbcdcu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xca62c1d6u;
-    }
-    uint32_t temp = Rotl32(a, 5) + f + e + k + w[i];
-    e = d;
-    d = c;
-    c = Rotl32(b, 30);
-    b = a;
-    a = temp;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
 }
 
 void Sha1::Update(const uint8_t* data, size_t len) {
   total_len_ += len;
-  if (buffer_len_ > 0) {
-    size_t take = std::min(len, kBlockSize - buffer_len_);
-    std::memcpy(buffer_ + buffer_len_, data, take);
-    buffer_len_ += take;
-    data += take;
-    len -= take;
-    if (buffer_len_ == kBlockSize) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
-    }
-  }
-  while (len >= kBlockSize) {
-    ProcessBlock(data);
-    data += kBlockSize;
-    len -= kBlockSize;
-  }
-  if (len > 0) {
-    std::memcpy(buffer_, data, len);
-    buffer_len_ = len;
-  }
+  sha_internal::Absorb(buffer_, buffer_len_, data, len,
+                       [this](const uint8_t* block) { ProcessBlock(block); });
 }
 
 Bytes Sha1::Final() {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
-  }
-  uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  // Update() counts these into total_len_, but bit_len is already latched.
-  Update(len_bytes, 8);
-
+  sha_internal::Pad<8>(buffer_, buffer_len_, total_len_,
+                       [this](const uint8_t* block) { ProcessBlock(block); });
   Bytes digest(kDigestSize);
   for (int i = 0; i < 5; ++i) {
     digest[4 * i] = static_cast<uint8_t>(h_[i] >> 24);

@@ -1,7 +1,9 @@
 #include "src/crypto/sha2.h"
 
-#include <algorithm>
+#include <array>
 #include <cstring>
+
+#include "src/crypto/sha_block.h"
 
 namespace sdr {
 
@@ -100,10 +102,11 @@ uint64_t CbrtFrac64(uint32_t prime) {
   return lo;
 }
 
-const uint64_t* BuildK512() {
-  static uint64_t k[80];
-  static bool built = false;
-  if (!built) {
+// Built once, on first use; the static's initialization is thread-safe, so
+// threads hashing for the first time at once do not race on the table.
+const std::array<uint64_t, 80>& K512() {
+  static const std::array<uint64_t, 80> k = [] {
+    std::array<uint64_t, 80> out{};
     int count = 0;
     for (uint32_t n = 2; count < 80; ++n) {
       bool prime = true;
@@ -114,11 +117,23 @@ const uint64_t* BuildK512() {
         }
       }
       if (prime) {
-        k[count++] = CbrtFrac64(n);
+        out[count++] = CbrtFrac64(n);
       }
     }
-    built = true;
-  }
+    return out;
+  }();
+  return k;
+}
+
+// SHA-256's constants: the top 32 bits of the first 64 SHA-512 ones.
+const std::array<uint32_t, 64>& K256() {
+  static const std::array<uint32_t, 64> k = [] {
+    std::array<uint32_t, 64> out{};
+    for (int i = 0; i < 64; ++i) {
+      out[i] = static_cast<uint32_t>(K512()[i] >> 32);
+    }
+    return out;
+  }();
   return k;
 }
 
@@ -132,7 +147,7 @@ inline uint64_t Rotr64(uint64_t x, int n) {
 }  // namespace
 
 const uint64_t* Sha512RoundConstants() {
-  return BuildK512();
+  return K512().data();
 }
 
 // ---------------------------------------------------------------------------
@@ -148,13 +163,10 @@ Sha256::Sha256() {
 }
 
 void Sha256::ProcessBlock(const uint8_t* block) {
-  const uint64_t* k512 = Sha512RoundConstants();
+  const std::array<uint32_t, 64>& k = K256();
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<uint32_t>(block[4 * i]) << 24 |
-           static_cast<uint32_t>(block[4 * i + 1]) << 16 |
-           static_cast<uint32_t>(block[4 * i + 2]) << 8 |
-           static_cast<uint32_t>(block[4 * i + 3]);
+    w[i] = sha_internal::LoadBe32(block + 4 * i);
   }
   for (int i = 16; i < 64; ++i) {
     uint32_t s0 = Rotr32(w[i - 15], 7) ^ Rotr32(w[i - 15], 18) ^ (w[i - 15] >> 3);
@@ -166,8 +178,7 @@ void Sha256::ProcessBlock(const uint8_t* block) {
   for (int i = 0; i < 64; ++i) {
     uint32_t s1 = Rotr32(e, 6) ^ Rotr32(e, 11) ^ Rotr32(e, 25);
     uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t k = static_cast<uint32_t>(k512[i] >> 32);
-    uint32_t temp1 = hh + s1 + ch + k + w[i];
+    uint32_t temp1 = hh + s1 + ch + k[i] + w[i];
     uint32_t s0 = Rotr32(a, 2) ^ Rotr32(a, 13) ^ Rotr32(a, 22);
     uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
     uint32_t temp2 = s0 + maj;
@@ -192,42 +203,13 @@ void Sha256::ProcessBlock(const uint8_t* block) {
 
 void Sha256::Update(const uint8_t* data, size_t len) {
   total_len_ += len;
-  if (buffer_len_ > 0) {
-    size_t take = std::min(len, kBlockSize - buffer_len_);
-    std::memcpy(buffer_ + buffer_len_, data, take);
-    buffer_len_ += take;
-    data += take;
-    len -= take;
-    if (buffer_len_ == kBlockSize) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
-    }
-  }
-  while (len >= kBlockSize) {
-    ProcessBlock(data);
-    data += kBlockSize;
-    len -= kBlockSize;
-  }
-  if (len > 0) {
-    std::memcpy(buffer_, data, len);
-    buffer_len_ = len;
-  }
+  sha_internal::Absorb(buffer_, buffer_len_, data, len,
+                       [this](const uint8_t* block) { ProcessBlock(block); });
 }
 
 Bytes Sha256::Final() {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
-  }
-  uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  Update(len_bytes, 8);
-
+  sha_internal::Pad<8>(buffer_, buffer_len_, total_len_,
+                        [this](const uint8_t* block) { ProcessBlock(block); });
   Bytes digest(kDigestSize);
   for (int i = 0; i < 8; ++i) {
     digest[4 * i] = static_cast<uint8_t>(h_[i] >> 24);
@@ -264,14 +246,10 @@ Sha512::Sha512() {
 }
 
 void Sha512::ProcessBlock(const uint8_t* block) {
-  const uint64_t* k = Sha512RoundConstants();
+  const std::array<uint64_t, 80>& k = K512();
   uint64_t w[80];
   for (int i = 0; i < 16; ++i) {
-    uint64_t v = 0;
-    for (int b = 0; b < 8; ++b) {
-      v = (v << 8) | block[8 * i + b];
-    }
-    w[i] = v;
+    w[i] = sha_internal::LoadBe64(block + 8 * i);
   }
   for (int i = 16; i < 80; ++i) {
     uint64_t s0 = Rotr64(w[i - 15], 1) ^ Rotr64(w[i - 15], 8) ^ (w[i - 15] >> 7);
@@ -308,43 +286,13 @@ void Sha512::ProcessBlock(const uint8_t* block) {
 
 void Sha512::Update(const uint8_t* data, size_t len) {
   total_len_ += len;
-  if (buffer_len_ > 0) {
-    size_t take = std::min(len, kBlockSize - buffer_len_);
-    std::memcpy(buffer_ + buffer_len_, data, take);
-    buffer_len_ += take;
-    data += take;
-    len -= take;
-    if (buffer_len_ == kBlockSize) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
-    }
-  }
-  while (len >= kBlockSize) {
-    ProcessBlock(data);
-    data += kBlockSize;
-    len -= kBlockSize;
-  }
-  if (len > 0) {
-    std::memcpy(buffer_, data, len);
-    buffer_len_ = len;
-  }
+  sha_internal::Absorb(buffer_, buffer_len_, data, len,
+                       [this](const uint8_t* block) { ProcessBlock(block); });
 }
 
 Bytes Sha512::Final() {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  // Pad to 112 mod 128; the 16-byte length field's upper 8 bytes are zero.
-  while (buffer_len_ != 112) {
-    Update(&zero, 1);
-  }
-  uint8_t len_bytes[16] = {0};
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[8 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  Update(len_bytes, 16);
-
+  sha_internal::Pad<16>(buffer_, buffer_len_, total_len_,
+                        [this](const uint8_t* block) { ProcessBlock(block); });
   Bytes digest(kDigestSize);
   for (int i = 0; i < 8; ++i) {
     for (int b = 0; b < 8; ++b) {

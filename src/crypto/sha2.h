@@ -3,7 +3,7 @@
 // baseline.
 //
 // The round constants (fractional parts of cube roots of the first 80
-// primes) are derived at process start by exact integer arithmetic rather
+// primes) are derived on first use by exact integer arithmetic rather
 // than transcribed, and the derivation is cross-checked by the published
 // test vectors in tests/crypto_test.cc.
 #ifndef SDR_SRC_CRYPTO_SHA2_H_

@@ -1,10 +1,10 @@
 #include "src/crypto/signer.h"
 
-#include <algorithm>
+#include <cstdint>
+#include <unordered_map>
 
 #include "src/crypto/ed25519.h"
 #include "src/crypto/hmac.h"
-#include "src/crypto/sha2.h"
 #include "src/util/parallel.h"
 
 namespace sdr {
@@ -70,81 +70,72 @@ bool VerifySignature(SignatureScheme scheme, const Bytes& public_key,
   return false;
 }
 
-bool SchemeSupportsBatchVerify(SignatureScheme scheme) {
-  return scheme == SignatureScheme::kEd25519;
-}
-
-std::vector<bool> VerifySignatureBatch(SignatureScheme scheme,
-                                       const std::vector<VerifyItem>& items) {
-  if (scheme == SignatureScheme::kEd25519) {
-    std::vector<Ed25519BatchItem> batch(items.size());
-    for (size_t i = 0; i < items.size(); ++i) {
-      batch[i].public_key = items[i].public_key;
-      batch[i].message = items[i].message;
-      batch[i].signature = items[i].signature;
-    }
-    return Ed25519VerifyBatch(batch);
-  }
-  std::vector<bool> out(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    out[i] = VerifySignature(scheme, items[i].public_key, items[i].message,
-                             items[i].signature);
-  }
-  return out;
-}
-
-VerifyCache::Key VerifyCache::MakeKey(SignatureScheme scheme,
-                                      const Bytes& public_key,
-                                      const Bytes& message,
-                                      const Bytes& signature) {
+void VerifyCache::AppendKey(std::string& out, SignatureScheme scheme,
+                            const Bytes& public_key, const Bytes& message,
+                            const Bytes& signature) {
   // Length-prefix each field so (key, message) boundaries cannot collide.
-  Sha256 h;
-  uint8_t hdr[1 + 3 * 8];
-  hdr[0] = static_cast<uint8_t>(scheme);
+  char hdr[1 + 3 * 8];
+  hdr[0] = static_cast<char>(scheme);
   auto put_len = [&hdr](int at, uint64_t n) {
     for (int i = 0; i < 8; ++i) {
-      hdr[at + i] = (uint8_t)(n >> (8 * i));
+      hdr[at + i] = static_cast<char>(n >> (8 * i));
     }
   };
   put_len(1, public_key.size());
   put_len(9, message.size());
   put_len(17, signature.size());
-  h.Update(hdr, sizeof(hdr));
-  h.Update(public_key);
-  h.Update(message);
-  h.Update(signature);
-  Bytes digest = h.Final();
-  return Key(reinterpret_cast<const char*>(digest.data()), digest.size());
+  out.reserve(out.size() + sizeof(hdr) + public_key.size() + message.size() +
+              signature.size());
+  out.append(hdr, sizeof(hdr));
+  for (const Bytes* field : {&public_key, &message, &signature}) {
+    out.append(reinterpret_cast<const char*>(field->data()), field->size());
+  }
 }
 
-const bool* VerifyCache::Lookup(const Key& key) {
-  auto it = map_.find(key);
-  if (it == map_.end()) {
+const bool* VerifyCache::Lookup(std::string_view key) {
+  const bool* verdict = verdicts_.Find(key);
+  if (verdict != nullptr) {
+    ++stats_.hits;
+  } else {
     ++stats_.misses;
-    return nullptr;
   }
-  ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return &it->second->second;
+  return verdict;
 }
 
-void VerifyCache::Insert(const Key& key, bool verdict) {
-  if (capacity_ == 0) {
-    return;
-  }
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    it->second->second = verdict;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  if (map_.size() >= capacity_) {
-    map_.erase(lru_.back().first);
-    lru_.pop_back();
+void VerifyCache::Insert(std::string key, bool verdict) {
+  if (verdicts_.Insert(std::move(key), verdict)) {
     ++stats_.evictions;
   }
-  lru_.emplace_front(key, verdict);
-  map_[key] = lru_.begin();
+}
+
+VerifyCache::PreparedKeyPtr VerifyCache::Prepare(SignatureScheme scheme,
+                                                 const Bytes& public_key) {
+  if (scheme != SignatureScheme::kEd25519) {
+    return nullptr;
+  }
+  std::string_view id(reinterpret_cast<const char*>(public_key.data()),
+                      public_key.size());
+  if (PreparedKeyPtr* found = prepared_.Find(id)) {
+    return *found;
+  }
+  PreparedKeyPtr key = Ed25519PrepareKey(public_key);
+  if (key != nullptr) {
+    ++stats_.keys_prepared;
+    prepared_.Insert(std::string(id), key);
+  }
+  return key;
+}
+
+bool VerifyCache::VerifyMiss(SignatureScheme scheme,
+                             const Ed25519PreparedKey* prepared,
+                             const Bytes& public_key, const Bytes& message,
+                             const Bytes& signature) {
+  if (scheme == SignatureScheme::kEd25519) {
+    // No prepared key means an undecodable one, which verifies nothing.
+    return prepared != nullptr &&
+           Ed25519VerifyPrepared(*prepared, message, signature);
+  }
+  return VerifySignature(scheme, public_key, message, signature);
 }
 
 bool VerifyCache::Verify(SignatureScheme scheme, const Bytes& public_key,
@@ -152,93 +143,81 @@ bool VerifyCache::Verify(SignatureScheme scheme, const Bytes& public_key,
   if (scheme == SignatureScheme::kNull) {
     return VerifySignature(scheme, public_key, message, signature);
   }
-  Key key = MakeKey(scheme, public_key, message, signature);
-  if (const bool* cached = Lookup(key)) {
+  key_scratch_.clear();
+  AppendKey(key_scratch_, scheme, public_key, message, signature);
+  if (const bool* cached = Lookup(key_scratch_)) {
     return *cached;
   }
-  bool verdict = VerifySignature(scheme, public_key, message, signature);
-  Insert(key, verdict);
+  PreparedKeyPtr prepared = Prepare(scheme, public_key);
+  bool verdict =
+      VerifyMiss(scheme, prepared.get(), public_key, message, signature);
+  Insert(key_scratch_, verdict);
   return verdict;
 }
 
 std::vector<bool> VerifyCache::VerifyBatch(SignatureScheme scheme,
                                            const std::vector<VerifyItem>& items,
                                            WorkerPool* pool) {
-  if (scheme == SignatureScheme::kNull) {
-    return VerifySignatureBatch(scheme, items);
-  }
   std::vector<bool> out(items.size(), false);
-  std::vector<Key> keys(items.size());
-  if (pool != nullptr && pool->jobs() > 1 && items.size() >= 8) {
-    pool->Run(static_cast<int>(items.size()), [&](int, int i) {
-      keys[i] = MakeKey(scheme, items[i].public_key, items[i].message,
-                        items[i].signature);
-    });
-  } else {
+  if (scheme == SignatureScheme::kNull) {
     for (size_t i = 0; i < items.size(); ++i) {
-      keys[i] = MakeKey(scheme, items[i].public_key, items[i].message,
-                        items[i].signature);
+      out[i] = VerifySignature(scheme, items[i].public_key, items[i].message,
+                               items[i].signature);
     }
+    return out;
   }
-  // item index -> slot in the deduplicated miss list. Duplicates inside one
-  // batch (the same version token on many pledges) are verified once.
-  std::vector<size_t> miss_slot(items.size());
-  std::unordered_map<Key, size_t> pending;
-  std::vector<Key> slot_key;
-  std::vector<size_t> miss_idx;
-  std::vector<VerifyItem> misses;
+  // The deduplicated misses. Duplicates inside one batch (the same version
+  // token on many pledges) are verified once and counted as hits.
+  struct Miss {
+    const VerifyItem* item;
+    std::string key;
+    PreparedKeyPtr prepared;
+    bool verdict = false;
+  };
+  std::vector<Miss> misses;
+  misses.reserve(items.size());  // `pending` views the keys in place
+  std::unordered_map<std::string_view, size_t> pending;
+  constexpr size_t kAnswered = SIZE_MAX;
+  std::vector<size_t> miss_slot(items.size(), kAnswered);
   for (size_t i = 0; i < items.size(); ++i) {
-    auto dup = pending.find(keys[i]);
+    const VerifyItem& item = items[i];
+    std::string key;
+    AppendKey(key, scheme, item.public_key, item.message, item.signature);
+    auto dup = pending.find(key);
     if (dup != pending.end()) {
       ++stats_.hits;
       miss_slot[i] = dup->second;
-      miss_idx.push_back(i);
       continue;
     }
-    if (const bool* cached = Lookup(keys[i])) {
+    if (const bool* cached = Lookup(key)) {
       out[i] = *cached;
       continue;
     }
     miss_slot[i] = misses.size();
-    pending[keys[i]] = misses.size();
-    slot_key.push_back(keys[i]);
-    miss_idx.push_back(i);
-    misses.push_back(items[i]);
+    misses.push_back({&item, std::move(key), Prepare(scheme, item.public_key)});
+    pending.emplace(misses.back().key, miss_slot[i]);
   }
-  if (!misses.empty()) {
-    std::vector<bool> verdicts;
-    if (pool != nullptr && pool->jobs() > 1 && misses.size() >= 2) {
-      // Shard the misses into contiguous per-lane sub-batches. Each lane's
-      // verification is independent; per-item verdicts do not depend on
-      // which sub-batch an item landed in.
-      int lanes = std::min<int>(pool->jobs(), static_cast<int>(misses.size()));
-      size_t per = (misses.size() + lanes - 1) / static_cast<size_t>(lanes);
-      verdicts.resize(misses.size(), false);
-      std::vector<std::vector<bool>> shard(static_cast<size_t>(lanes));
-      pool->Run(lanes, [&](int, int c) {
-        size_t lo = static_cast<size_t>(c) * per;
-        size_t hi = std::min(misses.size(), lo + per);
-        if (lo >= hi) {
-          return;
-        }
-        std::vector<VerifyItem> sub(misses.begin() + lo, misses.begin() + hi);
-        shard[c] = VerifySignatureBatch(scheme, sub);
-      });
-      for (int c = 0; c < lanes; ++c) {
-        size_t lo = static_cast<size_t>(c) * per;
-        for (size_t k = 0; k < shard[c].size(); ++k) {
-          verdicts[lo + k] = shard[c][k];
-        }
-      }
-    } else {
-      verdicts = VerifySignatureBatch(scheme, misses);
+
+  auto verify = [&](int /*lane*/, int slot) {
+    Miss& m = misses[slot];
+    m.verdict = VerifyMiss(scheme, m.prepared.get(), m.item->public_key,
+                           m.item->message, m.item->signature);
+  };
+  const int n = static_cast<int>(misses.size());
+  if (pool != nullptr && pool->jobs() > 1 && n >= 2) {
+    pool->Run(n, verify);
+  } else {
+    for (int slot = 0; slot < n; ++slot) {
+      verify(0, slot);
     }
-    for (size_t i : miss_idx) {
-      out[i] = verdicts[miss_slot[i]];
+  }
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (miss_slot[i] != kAnswered) {
+      out[i] = misses[miss_slot[i]].verdict;
     }
-    for (size_t slot = 0; slot < misses.size(); ++slot) {
-      Insert(slot_key[slot], verdicts[slot]);
-    }
+  }
+  for (Miss& m : misses) {
+    Insert(std::move(m.key), m.verdict);
   }
   return out;
 }

@@ -7,28 +7,29 @@
 // exists for logic-only unit tests. Which mode is in use is part of the
 // cluster configuration and is reported by the benches.
 //
-// Two throughput helpers sit on top of plain VerifySignature:
-//   - VerifySignatureBatch amortizes many verifications into one
-//     random-linear-combination check when the scheme supports it
-//     (SchemeSupportsBatchVerify — currently Ed25519 only);
-//   - VerifyCache deduplicates repeated verifications of the same
-//     (key, message, signature) triple, e.g. one master's version token
-//     attached to thousands of pledges.
+// VerifyCache sits on top of plain VerifySignature. It deduplicates
+// repeated verifications of the same (key, message, signature) triple, e.g.
+// one master's version token attached to thousands of pledges, and checks
+// the rest of its Ed25519 signatures against prepared public keys: each
+// deployment has a few dozen long-lived keys, so the per-key table a
+// prepared key costs is built once and then reused by every verification.
 #ifndef SDR_SRC_CRYPTO_SIGNER_H_
 #define SDR_SRC_CRYPTO_SIGNER_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_map>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/util/bytes.h"
+#include "src/util/lru_map.h"
 #include "src/util/rng.h"
 
 namespace sdr {
 
 struct Ed25519ExpandedKey;
+struct Ed25519PreparedKey;
 class WorkerPool;
 
 enum class SignatureScheme : uint8_t {
@@ -71,28 +72,24 @@ class Signer {
 bool VerifySignature(SignatureScheme scheme, const Bytes& public_key,
                      const Bytes& message, const Bytes& signature);
 
-// One (public key, message, signature) triple for VerifySignatureBatch.
+// One (public key, message, signature) triple for VerifyCache::VerifyBatch.
 struct VerifyItem {
   Bytes public_key;
   Bytes message;
   Bytes signature;
 };
 
-// True when the scheme has a batch verification cheaper than item-by-item
-// verification (currently Ed25519 only).
-bool SchemeSupportsBatchVerify(SignatureScheme scheme);
-
-// Verifies all items; out[i] == VerifySignature(item i) always, but for
-// batch-capable schemes the amortized cost per item is well below a single
-// verification.
-std::vector<bool> VerifySignatureBatch(SignatureScheme scheme,
-                                       const std::vector<VerifyItem>& items);
-
 // A small LRU cache deduplicating repeated verifications of the identical
 // (scheme, public key, message, signature) triple. Both verdicts are
 // cached: a forged signature stays forged no matter how often it is
-// retried. Null-scheme verifications bypass the cache (a map lookup costs
-// more than the check itself).
+// retried. Entries are keyed by the length-prefixed triple itself, compared
+// in full, so two triples share a verdict only when they are equal.
+// Null-scheme verifications bypass the cache (a map lookup costs more than
+// the check itself).
+//
+// Ed25519 misses are verified against prepared public keys (see
+// Ed25519PrepareKey), held in a second LRU of kPreparedKeys entries and
+// built the first time a key is seen.
 //
 // Not thread-safe, by design — each simulated node owns its cache.
 class VerifyCache {
@@ -101,48 +98,59 @@ class VerifyCache {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
+    uint64_t keys_prepared = 0;  // Ed25519 key tables built
   };
 
-  explicit VerifyCache(size_t capacity = 1024) : capacity_(capacity) {}
+  // About 2 MB of prepared-key tables at most.
+  static constexpr size_t kPreparedKeys = 64;
+
+  explicit VerifyCache(size_t capacity = 1024)
+      : verdicts_(capacity), prepared_(kPreparedKeys) {}
 
   // Cached equivalent of VerifySignature.
   bool Verify(SignatureScheme scheme, const Bytes& public_key,
               const Bytes& message, const Bytes& signature);
 
-  // Cached equivalent of VerifySignatureBatch: hits are answered from the
-  // cache, the remaining misses go through one batch verification, and
-  // their verdicts are inserted.
+  // out[i] == Verify(items[i]) for every i. Hits are answered from the
+  // cache and duplicates inside the batch are verified once.
   //
-  // With a WorkerPool the pure-compute phases — cache-key hashing and the
-  // miss verifications (sharded into per-lane sub-batches) — fan out across
-  // its lanes; cache lookups and inserts stay on the calling thread. The
-  // verdict vector is a function of the items alone, so it is byte-identical
-  // at any lane count (sub-batch boundaries cannot change per-item truth:
-  // batch verification reports exact per-item validity).
+  // With a WorkerPool the miss verifications fan out across its lanes.
+  // Prepared keys are looked up or built, and cache lookups and inserts
+  // made, on the calling thread only, so the lanes share nothing mutable.
+  // The verdicts are a function of the items alone, identical at any lane
+  // count.
   std::vector<bool> VerifyBatch(SignatureScheme scheme,
                                 const std::vector<VerifyItem>& items,
                                 WorkerPool* pool = nullptr);
 
   const Stats& stats() const { return stats_; }
-  size_t size() const { return map_.size(); }
-  size_t capacity() const { return capacity_; }
+  size_t size() const { return verdicts_.size(); }
+  size_t capacity() const { return verdicts_.capacity(); }
+  size_t prepared_keys() const { return prepared_.size(); }
 
  private:
-  // Key: SHA-256 over (scheme, public key, message, signature), so entries
-  // are fixed-size regardless of message length.
-  using Key = std::string;
+  using PreparedKeyPtr = std::shared_ptr<const Ed25519PreparedKey>;
 
-  static Key MakeKey(SignatureScheme scheme, const Bytes& public_key,
-                     const Bytes& message, const Bytes& signature);
+  // Appends the length-prefixed (scheme, key, message, signature) bytes.
+  static void AppendKey(std::string& out, SignatureScheme scheme,
+                        const Bytes& public_key, const Bytes& message,
+                        const Bytes& signature);
   // Returns the cached verdict for key, refreshing its LRU position;
   // nullptr on miss. Updates hit/miss counters.
-  const bool* Lookup(const Key& key);
-  void Insert(const Key& key, bool verdict);
+  const bool* Lookup(std::string_view key);
+  void Insert(std::string key, bool verdict);
+  // The prepared key for an Ed25519 public key, built on first use; null
+  // for other schemes and for undecodable keys.
+  PreparedKeyPtr Prepare(SignatureScheme scheme, const Bytes& public_key);
+  // An uncached verification; `prepared` comes from Prepare.
+  static bool VerifyMiss(SignatureScheme scheme,
+                         const Ed25519PreparedKey* prepared,
+                         const Bytes& public_key, const Bytes& message,
+                         const Bytes& signature);
 
-  size_t capacity_;
-  // Most-recently-used at the front.
-  std::list<std::pair<Key, bool>> lru_;
-  std::unordered_map<Key, std::list<std::pair<Key, bool>>::iterator> map_;
+  LruMap<bool> verdicts_;
+  LruMap<PreparedKeyPtr> prepared_;
+  std::string key_scratch_;  // reused by Verify so hits do not allocate
   Stats stats_;
 };
 

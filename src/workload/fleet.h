@@ -73,6 +73,7 @@ class ClientFleet : public Node {
     uint64_t pledges_forwarded = 0;
     uint64_t sig_cache_hits = 0;
     uint64_t sig_cache_misses = 0;
+    uint64_t sig_cache_keys_prepared = 0;
     LatencyHistogram read_rtt_us;
     LatencyHistogram write_rtt_us;
   };
@@ -85,6 +86,7 @@ class ClientFleet : public Node {
   const Metrics& metrics() const {
     metrics_.sig_cache_hits = verify_cache_.stats().hits;
     metrics_.sig_cache_misses = verify_cache_.stats().misses;
+    metrics_.sig_cache_keys_prepared = verify_cache_.stats().keys_prepared;
     return metrics_;
   }
   size_t num_clients() const { return options_.num_clients; }

@@ -2,6 +2,8 @@
 // vectors (FIPS 180 / RFC 4231 / RFC 8032) plus property tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "src/crypto/sha2.h"
 #include "src/crypto/signer.h"
 #include "src/util/bytes.h"
+#include "src/util/parallel.h"
 #include "src/util/rng.h"
 
 namespace sdr {
@@ -83,6 +86,115 @@ TEST(Sha512Test, Fips180Vectors) {
                 "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu")),
             "8e959b75dae313da8cf4f72814fc143f8f7779c6eb9f7fa17299aeadb6889018"
             "501d289e4900f7e4331b99dec4b5433ac7d329eeb6dd26545e96e55b874be909");
+}
+
+// Digests at every padding boundary: where the 0x80 marker and the length
+// field still fit in the last block (55, 111), where they spill into an
+// extra block (56, 112, 119, 120), around whole blocks (63-65, 127, 128),
+// and across many blocks (1400). References from an independent SHA
+// implementation.
+struct BoundaryDigests {
+  size_t length;
+  const char* sha1;
+  const char* sha256;
+  const char* sha512;
+};
+
+constexpr BoundaryDigests kBoundaryDigests[] = {
+    {0, "da39a3ee5e6b4b0d3255bfef95601890afd80709",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce"
+     "47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e"},
+    {1, "5d1be7e9dda1ee8896be5b7e34a85ee16452a7b4",
+     "ca358758f6d27e6cf45272937977a748fd88391db679ceda7dc7bf1f005ee879",
+     "365d11a1dfe610b60efa996136d37ab8afd2715b8c6bc2850dc5e6005b702bb9"
+     "f59b0f306ecb2c43ee44c429967d45843524eb2f7c16aab9bde142ee268b51c6"},
+    {55, "749bbefb28edc4638b28b2b9a9e03ab9a4032b90",
+     "8aa994584139d128848eeebc4e815639ba5ab6e6e39574195a63ac4f14f7c43b",
+     "330eb5e81b4d722cae1e0efbf883efb180c3e346d2b3b797dafc90409583ed35"
+     "af65dc2d7974a353f0c21663e196b60d3ee5a2c70c50b7b3bccdb93a5dbce6bf"},
+    {56, "a5b6e9c29d201c774753ff8e7fb64931656f5e63",
+     "ad574708f75c044c9b85de64cb568ee7711ff4f36448c6242f053ba8f6cc2b63",
+     "1b5b63bfd5420b2dc480abce3dbdb3e19e5f9d4fabffba7764883937eaae878a"
+     "55362c938c141712c44c3076c3fabb2c60814c2994c311c33049a8d6de2a8898"},
+    {63, "d1a454409359fc372b4d22b3cea6488d6ba1be00",
+     "280ed3e8ff1df845b2e7dfe6ac6cee817bef20e783cc65abc41b818b4d2fe076",
+     "b16f76c30db64b5ee1ef166d2d37e13ff6cee9fd88bae9ba283cd58e0a2133b2"
+     "20a76db56279406461f84ce2cffd1d116d38fd9f38fc5df18770a987ff695499"},
+    {64, "39a0d8b645ad85f1f976731ed112ac9455e28b78",
+     "c6ab9724ade5b6a7a1edfffb12f3aa9181351355af8fd08c919952ad211339dd",
+     "4c7aba3659929c4fd87604c532a3b5f174d0626b2d661dbbbfac76c97a49a5a7"
+     "789d2c68324c754f66bf629fa72054f334feaad8b1cf4c885ae03a1e634afc18"},
+    {65, "d0c96e18890114a14716e9686528d2e3fdba8d9e",
+     "788367c73c7ddf4c53f65e68cc0d943e6227ab55b0e78ba63ace822b1c6301c0",
+     "31ad8ce60482e91ec7f83455c280f2dbb4940a400795ae90815bc86891210ebe"
+     "07b51995eb2d123d6a55a79a998e20cc07716aea7848f6c955b4a4bf14ad0b0a"},
+    {111, "b7b42d19ae6be209c36efe0c5dfe5bde4d306c43",
+     "dd1413178fb627f9abbc041ffe39c44aa7aaa0e2e6d2ca5c4528ac7073a2da45",
+     "da780d8338a8a920ceb6892cb4ecbb0cc0c66956269aadd5dd0f48790a00857b"
+     "d975890f3b2955a317738cc7a770820c29f922ffbc22020f1909d594cc987d1b"},
+    {112, "11e920cd4ed45c60c05a916e48a942f9e39c770b",
+     "a65c92dac124062d0ab951a42773cb04fc98d1d4bf8897b176f8cff3509d379e",
+     "053182f7fa4e59f8636e415a77ed4fdc650f0a43834c9d35adf899599c3ab9c4"
+     "153f02ff50bd01888060cd36a6fa12d9db242fc35164c80135613514186d5843"},
+    {119, "562ecf8a430f8e1056e3619bae33628e9a1d0a4e",
+     "3d610547d68216dedf7435a4fb6260353911f6b3fd3f18805ddb8be285d726fe",
+     "c6203c98db894a187e332570d8b0c317766be115afc7afa530e00ef42f2aa749"
+     "2a7a4bba9b81762cf2a635c9bd22bde8fd85868d1214e48ae057cd7b69fdd7ff"},
+    {120, "353f6d2bf0e91aa91b74a2e0b3f297510f7d825f",
+     "1f80156a804cb7862ad113e8200e9d74499723e7c7854d5f48776d3148e09656",
+     "f138c42e1f58da8b1e7a14810a424cbe8b1baa4976b7853f4c9a856609fea684"
+     "a6e9ee070abe81b88f3289b6711687eb751da453942e4eb6e5609212e8b08739"},
+    {127, "bebc42d2d3d1e5fb8ad8895c2dcef2d68a6c279a",
+     "192409cd280e14b743642ad1343fbd3e82d9305de72c078117745a679210cc3d",
+     "a7a75593826fd37d4e60f6101eabb9f8ab1cf4d5319ebc805266d5da8deb5097"
+     "de1a235fc5d9d3d73c50ac100ffc75089fb454674ab61232091bd19cbdc67396"},
+    {128, "0060f2a7e34b6e4d459f560197ef93243732a400",
+     "cc548ca2dec1f6fe4f58b2e27aa9c7521607df1130d140b55a4dad0665302356",
+     "df007a08f3aaae47e0c92ef840ecd43645ae6098c819f2a4a66174ef1cd49e5c"
+     "6dfccf0616895e570b7564af641de5863dff9f89c752913d30cf0ecf678e1635"},
+    {1400, "230bca93b2bc876f1e893a477bc6e29b65f8cbbc",
+     "5af8f01f9fb8310f3815941a0629b40b45dd0b15f380640d02fc3f69073efd8b",
+     "939067d9fbd4a863727b37fcb6377214d2e70d6a9429ed69d652f86a9f86290d"
+     "563b9e27b88ca7197ee52e413bbbcedba00bb3708ad18ed36faab62fde4168c2"},
+};
+
+Bytes BoundaryMessage(size_t n) {
+  Bytes m(n);
+  for (size_t i = 0; i < n; ++i) {
+    m[i] = static_cast<uint8_t>(i * 31 + 7);
+  }
+  return m;
+}
+
+// The digest of m fed one byte per Update.
+template <typename Hash>
+Bytes BytewiseDigest(const Bytes& m) {
+  Hash h;
+  for (uint8_t byte : m) {
+    h.Update(&byte, 1);
+  }
+  return h.Final();
+}
+
+TEST(ShaBoundaryTest, DigestsAtPaddingBoundaries) {
+  for (const BoundaryDigests& want : kBoundaryDigests) {
+    Bytes m = BoundaryMessage(want.length);
+    EXPECT_EQ(HexEncode(Sha1::Hash(m)), want.sha1) << "len " << want.length;
+    EXPECT_EQ(HexEncode(Sha256::Hash(m)), want.sha256) << "len " << want.length;
+    EXPECT_EQ(HexEncode(Sha512::Hash(m)), want.sha512) << "len " << want.length;
+  }
+}
+
+TEST(ShaBoundaryTest, BytewiseUpdateMatchesOneShot) {
+  for (const BoundaryDigests& want : kBoundaryDigests) {
+    Bytes m = BoundaryMessage(want.length);
+    EXPECT_EQ(BytewiseDigest<Sha1>(m), Sha1::Hash(m)) << "len " << want.length;
+    EXPECT_EQ(BytewiseDigest<Sha256>(m), Sha256::Hash(m))
+        << "len " << want.length;
+    EXPECT_EQ(BytewiseDigest<Sha512>(m), Sha512::Hash(m))
+        << "len " << want.length;
+  }
 }
 
 TEST(Sha512Test, DerivedRoundConstantsSpotCheck) {
@@ -275,8 +387,123 @@ TEST(Ed25519Test, ExpandedKeySignsIdentically) {
   }
 }
 
-std::vector<Ed25519BatchItem> MakeBatch(size_t n, Rng& rng) {
-  std::vector<Ed25519BatchItem> items(n);
+// The verdict of the naive reference path, after checking that the fast
+// plain verify and the prepared-key verify (under both paths) agree with it.
+bool AgreedVerdict(const Bytes& pub, const Bytes& msg, const Bytes& sig) {
+  std::shared_ptr<const Ed25519PreparedKey> prepared = Ed25519PrepareKey(pub);
+  bool naive;
+  {
+    FastPathGuard guard(false);
+    naive = Ed25519Verify(pub, msg, sig);
+  }
+  for (bool fast : {true, false}) {
+    FastPathGuard guard(fast);
+    EXPECT_EQ(Ed25519Verify(pub, msg, sig), naive) << "fast=" << fast;
+    EXPECT_EQ(prepared != nullptr && Ed25519VerifyPrepared(*prepared, msg, sig),
+              naive)
+        << "prepared, fast=" << fast;
+  }
+  return naive;
+}
+
+// A little-endian 32-byte field element or scalar with value v.
+Bytes Le32(uint64_t v) {
+  Bytes b(32, 0);
+  for (int i = 0; i < 8; ++i) {
+    b[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+  return b;
+}
+
+TEST(Ed25519PreparedTest, AgreesOnValidAndTamperedSignatures) {
+  Rng rng(22);
+  for (int trial = 0; trial < 6; ++trial) {
+    Bytes seed = rng.NextBytes(kEd25519SeedSize);
+    Bytes pub = Ed25519PublicKey(seed);
+    Bytes msg = rng.NextBytes(rng.NextBounded(200));
+    Bytes sig = Ed25519Sign(seed, msg);
+    EXPECT_TRUE(AgreedVerdict(pub, msg, sig)) << "trial " << trial;
+
+    Bytes bad_r = sig;
+    bad_r[trial] ^= 0x08;
+    EXPECT_FALSE(AgreedVerdict(pub, msg, bad_r)) << "R, trial " << trial;
+    Bytes bad_s = sig;
+    bad_s[32 + trial] ^= 0x08;  // low bytes: S stays canonical
+    EXPECT_FALSE(AgreedVerdict(pub, msg, bad_s)) << "S, trial " << trial;
+    Bytes bad_msg = msg;
+    bad_msg.push_back(static_cast<uint8_t>(trial));
+    EXPECT_FALSE(AgreedVerdict(pub, bad_msg, sig)) << "msg, trial " << trial;
+
+    // S + L names the same scalar but is not canonical: rejected.
+    static const uint8_t kL[32] = {
+        0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7,
+        0xa2, 0xde, 0xf9, 0xde, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10};
+    Bytes s_plus_l = sig;
+    unsigned carry = 0;
+    for (int i = 0; i < 32; ++i) {
+      unsigned sum = sig[32 + i] + kL[i] + carry;
+      s_plus_l[32 + i] = static_cast<uint8_t>(sum);
+      carry = sum >> 8;
+    }
+    EXPECT_FALSE(AgreedVerdict(pub, msg, s_plus_l)) << "S+L, trial " << trial;
+  }
+}
+
+TEST(Ed25519PreparedTest, AgreesOnSmallOrderAndNonCanonicalPoints) {
+  const Bytes identity = Le32(1);  // y = 1
+  Bytes identity_noncanonical = Le32(0);  // y = p + 1
+  identity_noncanonical[0] = 0xee;
+  for (int i = 1; i < 32; ++i) {
+    identity_noncanonical[i] = 0xff;
+  }
+  identity_noncanonical[31] = 0x7f;
+  Bytes order_two = identity_noncanonical;  // y = p - 1, the point (0, -1)
+  order_two[0] = 0xec;
+
+  // With A the identity, [S]B - [k]A == R holds for S = 0 and R the
+  // identity under either encoding of R, whatever the message.
+  for (const Bytes& r : {identity, identity_noncanonical}) {
+    Bytes sig = r;
+    sig.resize(kEd25519SignatureSize, 0);
+    EXPECT_TRUE(AgreedVerdict(identity, ToBytes("any"), sig));
+  }
+  // With A of order two the equation holds exactly when k is even, so the
+  // verdict varies with the message; every path must track it.
+  std::set<bool> seen;
+  for (int i = 0; i < 16; ++i) {
+    Bytes sig = identity;
+    sig.resize(kEd25519SignatureSize, 0);
+    seen.insert(AgreedVerdict(order_two, ToBytes("m" + std::to_string(i)), sig));
+  }
+  EXPECT_EQ(seen.size(), 2u);
+  // A small-order R under a real key is rejected.
+  Rng rng(28);
+  Bytes seed = rng.NextBytes(kEd25519SeedSize);
+  Bytes sig = Ed25519Sign(seed, ToBytes("m"));
+  std::copy(order_two.begin(), order_two.end(), sig.begin());
+  EXPECT_FALSE(AgreedVerdict(Ed25519PublicKey(seed), ToBytes("m"), sig));
+}
+
+TEST(Ed25519PreparedTest, UndecodableKeysPrepareNothing) {
+  Rng rng(29);
+  Bytes seed = rng.NextBytes(kEd25519SeedSize);
+  Bytes sig = Ed25519Sign(seed, ToBytes("m"));
+  EXPECT_EQ(Ed25519PrepareKey(Bytes(16, 1)), nullptr);
+  // Some small y has no x on the curve; find one.
+  int undecodable = 0;
+  for (uint64_t y = 2; y < 40; ++y) {
+    if (Ed25519PrepareKey(Le32(y)) == nullptr) {
+      ++undecodable;
+      EXPECT_FALSE(AgreedVerdict(Le32(y), ToBytes("m"), sig)) << "y=" << y;
+    }
+  }
+  EXPECT_GT(undecodable, 0);
+}
+
+// Signed triples under distinct keys, for the batch tests.
+std::vector<VerifyItem> MakeItems(size_t n, Rng& rng) {
+  std::vector<VerifyItem> items(n);
   for (size_t i = 0; i < n; ++i) {
     Bytes seed = rng.NextBytes(kEd25519SeedSize);
     items[i].public_key = Ed25519PublicKey(seed);
@@ -286,42 +513,49 @@ std::vector<Ed25519BatchItem> MakeBatch(size_t n, Rng& rng) {
   return items;
 }
 
-TEST(Ed25519BatchTest, EmptyAndSingleton) {
+// VerifyBatch on a fresh cache, without and with a worker pool; both must
+// give the same verdicts.
+std::vector<bool> FreshBatch(const std::vector<VerifyItem>& items) {
+  VerifyCache serial;
+  std::vector<bool> out = serial.VerifyBatch(SignatureScheme::kEd25519, items);
+  WorkerPool pool(3);
+  VerifyCache parallel;
+  EXPECT_EQ(parallel.VerifyBatch(SignatureScheme::kEd25519, items, &pool),
+            out);
+  return out;
+}
+
+TEST(VerifyCacheBatchTest, EmptyAndSingleton) {
   Rng rng(22);
-  EXPECT_TRUE(Ed25519VerifyBatch({}).empty());
-  auto items = MakeBatch(1, rng);
-  EXPECT_EQ(Ed25519VerifyBatch(items), std::vector<bool>{true});
+  EXPECT_TRUE(FreshBatch({}).empty());
+  auto items = MakeItems(1, rng);
+  EXPECT_EQ(FreshBatch(items), std::vector<bool>{true});
   items[0].signature[5] ^= 1;
-  EXPECT_EQ(Ed25519VerifyBatch(items), std::vector<bool>{false});
+  EXPECT_EQ(FreshBatch(items), std::vector<bool>{false});
 }
 
-TEST(Ed25519BatchTest, AllGood) {
+TEST(VerifyCacheBatchTest, AllGood) {
   Rng rng(23);
-  auto items = MakeBatch(10, rng);
-  std::vector<bool> ok = Ed25519VerifyBatch(items);
-  ASSERT_EQ(ok.size(), items.size());
-  for (size_t i = 0; i < ok.size(); ++i) {
-    EXPECT_TRUE(ok[i]) << "item " << i;
-  }
+  std::vector<bool> ok = FreshBatch(MakeItems(10, rng));
+  EXPECT_EQ(ok, std::vector<bool>(10, true));
 }
 
-TEST(Ed25519BatchTest, SingleCulpritIdentified) {
-  // One forged signature must flip exactly its own verdict: the combined
-  // equation fails and bisection pins the culprit.
+TEST(VerifyCacheBatchTest, SingleCulpritIdentified) {
+  // One forged signature flips exactly its own verdict.
   Rng rng(24);
   for (size_t culprit : {size_t{0}, size_t{4}, size_t{8}}) {
-    auto items = MakeBatch(9, rng);
+    auto items = MakeItems(9, rng);
     items[culprit].signature[10] ^= 0x04;
-    std::vector<bool> ok = Ed25519VerifyBatch(items);
+    std::vector<bool> ok = FreshBatch(items);
     for (size_t i = 0; i < ok.size(); ++i) {
       EXPECT_EQ(ok[i], i != culprit) << "culprit " << culprit << " item " << i;
     }
   }
 }
 
-TEST(Ed25519BatchTest, ManyCulpritsIdentified) {
+TEST(VerifyCacheBatchTest, ManyCulpritsIdentified) {
   Rng rng(25);
-  auto items = MakeBatch(12, rng);
+  auto items = MakeItems(12, rng);
   std::set<size_t> bad = {1, 2, 7, 11};
   for (size_t i : bad) {
     if (i % 2 == 0) {
@@ -330,7 +564,7 @@ TEST(Ed25519BatchTest, ManyCulpritsIdentified) {
       items[i].signature[40] ^= 0x10;  // tampered signature
     }
   }
-  std::vector<bool> ok = Ed25519VerifyBatch(items);
+  std::vector<bool> ok = FreshBatch(items);
   for (size_t i = 0; i < ok.size(); ++i) {
     EXPECT_EQ(ok[i], bad.count(i) == 0) << "item " << i;
   }
@@ -339,30 +573,75 @@ TEST(Ed25519BatchTest, ManyCulpritsIdentified) {
   for (auto& item : items) {
     item.signature[0] ^= 0xff;
   }
-  for (bool verdict : Ed25519VerifyBatch(items)) {
-    EXPECT_FALSE(verdict);
-  }
+  EXPECT_EQ(FreshBatch(items), std::vector<bool>(items.size(), false));
 }
 
-TEST(Ed25519BatchTest, UndecodableInputsRejectedUpFront) {
+TEST(VerifyCacheBatchTest, UndecodableInputsRejected) {
   Rng rng(26);
-  auto items = MakeBatch(4, rng);
+  auto items = MakeItems(4, rng);
   items[0].public_key.resize(16);                // wrong key size
   items[1].signature[63] |= 0xf0;                // non-canonical S
   items[2].signature.resize(10);                 // wrong signature size
-  std::vector<bool> ok = Ed25519VerifyBatch(items);
-  EXPECT_EQ(ok, (std::vector<bool>{false, false, false, true}));
+  EXPECT_EQ(FreshBatch(items), (std::vector<bool>{false, false, false, true}));
 }
 
-TEST(Ed25519BatchTest, MatchesSingleVerifyOnNaivePath) {
-  // With the fast path off the batch API must fall back to per-item
-  // verification with identical verdicts.
+TEST(VerifyCacheBatchTest, MatchesSingleVerifyOnNaivePath) {
   FastPathGuard guard(false);
   Rng rng(27);
-  auto items = MakeBatch(3, rng);
+  auto items = MakeItems(3, rng);
   items[1].signature[7] ^= 2;
-  std::vector<bool> ok = Ed25519VerifyBatch(items);
-  EXPECT_EQ(ok, (std::vector<bool>{true, false, true}));
+  EXPECT_EQ(FreshBatch(items), (std::vector<bool>{true, false, true}));
+}
+
+TEST(VerifyCacheTest, DifferentMessagesNeverShareAVerdict) {
+  Rng rng(33);
+  KeyPair kp = KeyPair::Generate(SignatureScheme::kEd25519, rng);
+  Signer signer(kp);
+  Bytes m1 = ToBytes("version 1"), m2 = ToBytes("version 2");
+  Bytes sig = signer.Sign(m1);
+  VerifyCache cache;
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_TRUE(cache.Verify(kp.scheme, kp.public_key, m1, sig));
+    EXPECT_FALSE(cache.Verify(kp.scheme, kp.public_key, m2, sig));
+    EXPECT_EQ(cache.VerifyBatch(kp.scheme, {{kp.public_key, m2, sig},
+                                            {kp.public_key, m1, sig}}),
+              (std::vector<bool>{false, true}));
+  }
+  EXPECT_EQ(cache.size(), 2u);
+
+  // Field boundaries are part of the key: an HMAC tag over ("ab", "c")
+  // says nothing about ("a", "bc").
+  Bytes tag = HmacSha256(ToBytes("ab"), ToBytes("c"));
+  EXPECT_TRUE(cache.Verify(SignatureScheme::kHmacSha256, ToBytes("ab"),
+                           ToBytes("c"), tag));
+  EXPECT_FALSE(cache.Verify(SignatureScheme::kHmacSha256, ToBytes("a"),
+                            ToBytes("bc"), tag));
+}
+
+TEST(VerifyCacheTest, PreparedKeysStayBounded) {
+  Rng rng(34);
+  VerifyCache cache;
+  const size_t kKeys = VerifyCache::kPreparedKeys + 8;
+  std::vector<VerifyItem> items = MakeItems(kKeys, rng);
+  for (const VerifyItem& item : items) {
+    EXPECT_TRUE(cache.Verify(SignatureScheme::kEd25519, item.public_key,
+                             item.message, item.signature));
+    EXPECT_LE(cache.prepared_keys(), VerifyCache::kPreparedKeys);
+  }
+  EXPECT_EQ(cache.prepared_keys(), VerifyCache::kPreparedKeys);
+  EXPECT_EQ(cache.stats().keys_prepared, kKeys);
+
+  // A new message under the most recent key reuses its table; one under
+  // the first key, long evicted, builds it again.
+  const VerifyItem& last = items.back();
+  Bytes other = ToBytes("other");
+  EXPECT_FALSE(cache.Verify(SignatureScheme::kEd25519, last.public_key, other,
+                            last.signature));
+  EXPECT_EQ(cache.stats().keys_prepared, kKeys);
+  EXPECT_FALSE(cache.Verify(SignatureScheme::kEd25519, items[0].public_key,
+                            other, items[0].signature));
+  EXPECT_EQ(cache.stats().keys_prepared, kKeys + 1);
+  EXPECT_EQ(cache.prepared_keys(), VerifyCache::kPreparedKeys);
 }
 
 TEST(VerifyCacheTest, HitMissAndNegativeCaching) {

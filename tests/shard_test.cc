@@ -246,5 +246,31 @@ TEST(ShardedChaosTest, InvariantsHoldPerShardAtFourShards) {
   }
 }
 
+TEST(ShardedExclusionTest, LiarOutsideShardZeroIsReportedExcluded) {
+  ClusterConfig config;
+  config.seed = 3;
+  config.num_shards = 4;
+  config.params.scheme = SignatureScheme::kHmacSha256;
+  config.client_mode = Client::LoadMode::kClosedLoop;
+  config.client_think_time = 50 * kMillisecond;
+  config.corpus.n_items = 80;
+  config.mix.n_items = 80;
+  Cluster cluster(config);
+  // The first slave of the last shard lies on every read.
+  const int liar = 3 * cluster.slaves_per_shard();
+  Slave::Behavior lying;
+  lying.lie_probability = 1.0;
+  cluster.slave(liar).SetBehavior(lying);
+  cluster.RunFor(30 * kSecond);
+
+  // Only its own shard's masters exclude it, so a report that asks only
+  // shard 0's masters would call it not excluded.
+  const NodeId id = cluster.slave(liar).id();
+  EXPECT_TRUE(cluster.ExcludedByAnyMaster(id));
+  for (int m = 0; m < cluster.masters_per_shard(); ++m) {
+    EXPECT_FALSE(cluster.master(m).IsExcluded(id)) << "master " << m;
+  }
+}
+
 }  // namespace
 }  // namespace sdr

@@ -28,9 +28,11 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "src/crypto/ct.h"
 #include "src/crypto/ed25519.h"
+#include "src/crypto/signer.h"
 #include "src/util/bytes.h"
 
 using namespace sdr;
@@ -184,22 +186,22 @@ int RunSuite(bool quick) {
     Check(!Ed25519Verify(pub_naive, msg, bad), "tampered signature rejected");
   }
 
-  // Batch verification with an embedded culprit.
+  // Cached batch verification (through prepared keys) with an embedded
+  // culprit.
   Ed25519SetFastPath(true);
-  std::vector<Ed25519BatchItem> items;
+  std::vector<VerifyItem> items;
   for (int i = 0; i < 6; ++i) {
     Bytes seed = SeedFor((uint8_t)(0x80 + i));
     Bytes msg = MessageFor((uint8_t)(0xc0 + i), 24);
-    Ed25519BatchItem item;
-    item.public_key = Ed25519PublicKey(seed);
-    item.message = msg;
-    item.signature = Ed25519Sign(seed, msg);
+    VerifyItem item{Ed25519PublicKey(seed), msg, Ed25519Sign(seed, msg)};
     if (i == 3) {
       item.signature[5] ^= 0xff;  // the culprit
     }
     items.push_back(item);
   }
-  std::vector<bool> verdicts = Ed25519VerifyBatch(items);
+  VerifyCache cache;
+  std::vector<bool> verdicts =
+      cache.VerifyBatch(SignatureScheme::kEd25519, items);
   for (size_t i = 0; i < verdicts.size(); ++i) {
     Check(verdicts[i] == (i != 3), "batch culprit isolation");
   }

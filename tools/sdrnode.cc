@@ -168,7 +168,7 @@ JsonValue NodeReport(const RealEnv& env, const DeploymentPlan& plan,
   root["role"] = NodeKindName(kind);
   root["role_index"] = index;
 
-  uint64_t cache_hits = 0, cache_misses = 0;
+  uint64_t cache_hits = 0, cache_misses = 0, keys_prepared = 0;
   switch (kind) {
     case NodeKind::kDirectory: {
       JsonValue& d = root["directory"];
@@ -189,6 +189,7 @@ JsonValue NodeReport(const RealEnv& env, const DeploymentPlan& plan,
       j["work_units"] = mm.work_units_executed;
       j["sig_cache_hits"] = mm.sig_cache_hits;
       j["sig_cache_misses"] = mm.sig_cache_misses;
+      j["sig_cache_keys_prepared"] = mm.sig_cache_keys_prepared;
       // Which slaves this master has excluded, by node id — sdrcluster
       // asserts the injected liar shows up here.
       JsonValue excluded = JsonValue::Array();
@@ -200,6 +201,7 @@ JsonValue NodeReport(const RealEnv& env, const DeploymentPlan& plan,
       j["excluded_nodes"] = std::move(excluded);
       cache_hits += mm.sig_cache_hits;
       cache_misses += mm.sig_cache_misses;
+      keys_prepared += mm.sig_cache_keys_prepared;
       JsonValue masters = JsonValue::Array();
       masters.Append(std::move(j));
       root["masters"] = std::move(masters);
@@ -226,11 +228,13 @@ JsonValue NodeReport(const RealEnv& env, const DeploymentPlan& plan,
       j["sigs_batch_verified"] = am.sigs_batch_verified;
       j["sig_cache_hits"] = am.sig_cache_hits;
       j["sig_cache_misses"] = am.sig_cache_misses;
+      j["sig_cache_keys_prepared"] = am.sig_cache_keys_prepared;
       j["sig_cache_evictions"] = am.sig_cache_evictions;
       j["version_lag"] = auditor.version_lag();
       j["backlog"] = auditor.backlog();
       cache_hits += am.sig_cache_hits;
       cache_misses += am.sig_cache_misses;
+      keys_prepared += am.sig_cache_keys_prepared;
       JsonValue auditors = JsonValue::Array();
       auditors.Append(std::move(j));
       root["auditors"] = std::move(auditors);
@@ -250,10 +254,12 @@ JsonValue NodeReport(const RealEnv& env, const DeploymentPlan& plan,
       j["work_units"] = sm.work_units_executed;
       j["sig_cache_hits"] = sm.sig_cache_hits;
       j["sig_cache_misses"] = sm.sig_cache_misses;
+      j["sig_cache_keys_prepared"] = sm.sig_cache_keys_prepared;
       // No "excluded" flag here: exclusion is master-side state a slave
       // process cannot observe; read it from the masters' reports.
       cache_hits += sm.sig_cache_hits;
       cache_misses += sm.sig_cache_misses;
+      keys_prepared += sm.sig_cache_keys_prepared;
       JsonValue slaves = JsonValue::Array();
       slaves.Append(std::move(j));
       root["slaves"] = std::move(slaves);
@@ -276,10 +282,12 @@ JsonValue NodeReport(const RealEnv& env, const DeploymentPlan& plan,
       j["bad_read_notices"] = cm.bad_read_notices;
       j["sig_cache_hits"] = cm.sig_cache_hits;
       j["sig_cache_misses"] = cm.sig_cache_misses;
+      j["sig_cache_keys_prepared"] = cm.sig_cache_keys_prepared;
       j["read_latency_p50_us"] = cm.read_latency_us.Median();
       j["read_latency_p99_us"] = cm.read_latency_us.P99();
       cache_hits += cm.sig_cache_hits;
       cache_misses += cm.sig_cache_misses;
+      keys_prepared += cm.sig_cache_keys_prepared;
       JsonValue clients = JsonValue::Array();
       clients.Append(std::move(j));
       root["clients"] = std::move(clients);
@@ -290,6 +298,7 @@ JsonValue NodeReport(const RealEnv& env, const DeploymentPlan& plan,
   JsonValue& vc = root["verify_cache"];
   vc["hits"] = cache_hits;
   vc["misses"] = cache_misses;
+  vc["keys_prepared"] = keys_prepared;
 
   JsonValue& net = root["network"];
   net["messages_sent"] = env.messages_sent();

@@ -165,9 +165,7 @@ void PrintReport(Cluster& cluster) {
                 (unsigned long long)sm.reads_declined_stale,
                 (unsigned long long)sm.lies_told,
                 (unsigned long long)sm.work_units_executed,
-                cluster.master(0).IsExcluded(cluster.slave(s).id()) ||
-                        (cluster.num_masters() > 1 &&
-                         cluster.master(1).IsExcluded(cluster.slave(s).id()))
+                cluster.ExcludedByAnyMaster(cluster.slave(s).id())
                     ? "  [EXCLUDED]"
                     : "");
   }
@@ -289,6 +287,7 @@ JsonValue JsonReport(Cluster& cluster, const ChaosController* controller) {
     f["pledges_forwarded"] = fm.pledges_forwarded;
     f["sig_cache_hits"] = fm.sig_cache_hits;
     f["sig_cache_misses"] = fm.sig_cache_misses;
+    f["sig_cache_keys_prepared"] = fm.sig_cache_keys_prepared;
     f["read_rtt_p50_us"] = fm.read_rtt_us.Median();
     f["read_rtt_p99_us"] = fm.read_rtt_us.P99();
     f["write_rtt_p50_us"] = fm.write_rtt_us.Median();
@@ -304,7 +303,7 @@ JsonValue JsonReport(Cluster& cluster, const ChaosController* controller) {
   const bool scale_out = cluster.num_shards() > 1 ||
                          cluster.config().params.commit_batch > 1;
   JsonValue clients = JsonValue::Array();
-  uint64_t cache_hits = 0, cache_misses = 0;
+  uint64_t cache_hits = 0, cache_misses = 0, keys_prepared = 0;
   for (int c = 0; c < cluster.num_clients(); ++c) {
     const ClientMetrics& cm = cluster.client(c).metrics();
     JsonValue j = JsonValue::Object();
@@ -329,10 +328,12 @@ JsonValue JsonReport(Cluster& cluster, const ChaosController* controller) {
     j["bad_read_notices"] = cm.bad_read_notices;
     j["sig_cache_hits"] = cm.sig_cache_hits;
     j["sig_cache_misses"] = cm.sig_cache_misses;
+    j["sig_cache_keys_prepared"] = cm.sig_cache_keys_prepared;
     j["read_latency_p50_us"] = cm.read_latency_us.Median();
     j["read_latency_p99_us"] = cm.read_latency_us.P99();
     cache_hits += cm.sig_cache_hits;
     cache_misses += cm.sig_cache_misses;
+    keys_prepared += cm.sig_cache_keys_prepared;
     clients.Append(std::move(j));
   }
   root["clients"] = std::move(clients);
@@ -351,8 +352,10 @@ JsonValue JsonReport(Cluster& cluster, const ChaosController* controller) {
     j["work_units"] = mm.work_units_executed;
     j["sig_cache_hits"] = mm.sig_cache_hits;
     j["sig_cache_misses"] = mm.sig_cache_misses;
+    j["sig_cache_keys_prepared"] = mm.sig_cache_keys_prepared;
     cache_hits += mm.sig_cache_hits;
     cache_misses += mm.sig_cache_misses;
+    keys_prepared += mm.sig_cache_keys_prepared;
     masters.Append(std::move(j));
   }
   root["masters"] = std::move(masters);
@@ -371,12 +374,11 @@ JsonValue JsonReport(Cluster& cluster, const ChaosController* controller) {
     j["work_units"] = sm.work_units_executed;
     j["sig_cache_hits"] = sm.sig_cache_hits;
     j["sig_cache_misses"] = sm.sig_cache_misses;
-    j["excluded"] =
-        cluster.master(0).IsExcluded(cluster.slave(s).id()) ||
-        (cluster.num_masters() > 1 &&
-         cluster.master(1).IsExcluded(cluster.slave(s).id()));
+    j["sig_cache_keys_prepared"] = sm.sig_cache_keys_prepared;
+    j["excluded"] = cluster.ExcludedByAnyMaster(cluster.slave(s).id());
     cache_hits += sm.sig_cache_hits;
     cache_misses += sm.sig_cache_misses;
+    keys_prepared += sm.sig_cache_keys_prepared;
     slaves.Append(std::move(j));
   }
   root["slaves"] = std::move(slaves);
@@ -402,11 +404,13 @@ JsonValue JsonReport(Cluster& cluster, const ChaosController* controller) {
     j["sigs_batch_verified"] = am.sigs_batch_verified;
     j["sig_cache_hits"] = am.sig_cache_hits;
     j["sig_cache_misses"] = am.sig_cache_misses;
+    j["sig_cache_keys_prepared"] = am.sig_cache_keys_prepared;
     j["sig_cache_evictions"] = am.sig_cache_evictions;
     j["version_lag"] = cluster.auditor(a).version_lag();
     j["backlog"] = cluster.auditor(a).backlog();
     cache_hits += am.sig_cache_hits;
     cache_misses += am.sig_cache_misses;
+    keys_prepared += am.sig_cache_keys_prepared;
     auditors.Append(std::move(j));
   }
   root["auditors"] = std::move(auditors);
@@ -415,6 +419,7 @@ JsonValue JsonReport(Cluster& cluster, const ChaosController* controller) {
   JsonValue& vc = root["verify_cache"];
   vc["hits"] = cache_hits;
   vc["misses"] = cache_misses;
+  vc["keys_prepared"] = keys_prepared;
 
   JsonValue& net = root["network"];
   net["messages_sent"] = cluster.net().messages_sent();
