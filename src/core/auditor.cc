@@ -281,12 +281,11 @@ void Auditor::EnqueueForVerify(PendingPledge item) {
   }
 }
 
-// Verifies the buffered pledges' signatures (slave over the pledge body,
-// master over the embedded token) in one batch through the verify cache,
-// then routes survivors onward. Pledges whose slave certificate has not
-// been gossiped yet pass through unverified — exactly the pre-batching
-// behaviour, where the signature was only checked before accusing — and
-// the mismatch path re-checks (a cache hit for everything verified here).
+// Admission verifies what the audit bookkeeping rests on: the token, whose
+// version drives future_ parking, in_flight_ and finalization, and with
+// fork checking the version vector. The slave's signature waits for the
+// mismatch path in AuditBatch (see the class comment). Tokens from a
+// master whose key we lack pass through unverified.
 void Auditor::FlushVerifyBatch() {
   if (pending_verify_.empty()) {
     return;
@@ -294,27 +293,24 @@ void Auditor::FlushVerifyBatch() {
   std::deque<PendingPledge> batch = std::move(pending_verify_);
   pending_verify_.clear();
 
-  // item index pairs per verifiable pledge: [slave sig, token sig], plus
-  // an optional third item for a piggybacked version vector.
+  // Item indices per pledge: the token signature, and an optional version
+  // vector signature.
   std::vector<VerifyItem> items;
-  std::vector<int> first_item(batch.size(), -1);
+  std::vector<int> token_item(batch.size(), -1);
   std::vector<int> vv_item(batch.size(), -1);
   for (size_t i = 0; i < batch.size(); ++i) {
     const Pledge& pledge = batch[i].pledge;
-    auto cert = known_slave_certs_.find(pledge.slave);
     auto master_key = options_.master_keys.find(pledge.token.master);
-    if (cert == known_slave_certs_.end() ||
-        master_key == options_.master_keys.end()) {
-      continue;
+    if (master_key != options_.master_keys.end()) {
+      token_item[i] = static_cast<int>(items.size());
+      items.push_back({master_key->second, pledge.token.SignedBody(),
+                       pledge.token.signature});
     }
-    first_item[i] = static_cast<int>(items.size());
-    items.push_back({cert->second.subject_public_key, pledge.SignedBody(),
-                     pledge.signature});
-    items.push_back({master_key->second, pledge.token.SignedBody(),
-                     pledge.token.signature});
     // The vector must name the pledging slave and the pledged version;
     // anything else is ignored (a lone bogus vector proves nothing).
+    auto cert = known_slave_certs_.find(pledge.slave);
     if (options_.params.fork_check_enabled && batch[i].vv.has_value() &&
+        cert != known_slave_certs_.end() &&
         batch[i].vv->slave == pledge.slave &&
         batch[i].vv->content_version == pledge.token.content_version) {
       vv_item[i] = static_cast<int>(items.size());
@@ -336,9 +332,8 @@ void Auditor::FlushVerifyBatch() {
   for (size_t i = 0; i < batch.size(); ++i) {
     PendingPledge& item = batch[i];
     --in_flight_[item.pledge.token.content_version];
-    if (first_item[i] >= 0 &&
-        (!ok[first_item[i]] || !ok[first_item[i] + 1])) {
-      // Forged or tampered: proves nothing, audits nothing.
+    if (token_item[i] >= 0 && !ok[token_item[i]]) {
+      // A forged token: its version is unproven, so audit nothing.
       ++metrics_.pledges_bad_signature;
       if (t != nullptr) {
         t->Instant(TraceRole::kAuditor, id(), "audit.bad_sig", item.trace_id);
@@ -687,25 +682,30 @@ void Auditor::AuditBatch(std::vector<PendingPledge> ready) {
                       mismatch ? 1 : 0);
       }
       if (mismatch) {
-        // Check the signature before accusing: an unsigned "pledge" proves
-        // nothing and forwarding it would let clients frame slaves.
+        // Check the slave's signature before accusing, the only place it
+        // is checked: an unsigned "pledge" proves nothing and forwarding
+        // it would let clients frame slaves.
         auto cert = known_slave_certs_.find(pledge.slave);
         if (cert == known_slave_certs_.end() ||
             !VerifyPledgeSignature(options_.params.scheme,
                                    cert->second.subject_public_key, pledge,
                                    &verify_cache_)) {
           ++metrics_.pledges_bad_signature;
-          return;
+          if (sink != nullptr) {
+            sink->Instant(TraceRole::kAuditor, id(), "audit.bad_sig",
+                          trace_id);
+          }
+        } else {
+          ++metrics_.mismatches_found;
+          if (sink != nullptr) {
+            sink->Instant(TraceRole::kAuditor, id(), "audit.mismatch",
+                          trace_id, static_cast<int64_t>(pledge.slave));
+            sink->Hist(TraceRole::kAuditor, id(), "detection_latency_us")
+                .Record(env()->Now() - pledge.token.timestamp);
+          }
+          RaiseAccusation(pledge, trace_id);
+          NotifyVictim(submitter, pledge, correct_hash, trace_id);
         }
-        ++metrics_.mismatches_found;
-        if (sink != nullptr) {
-          sink->Instant(TraceRole::kAuditor, id(), "audit.mismatch", trace_id,
-                        static_cast<int64_t>(pledge.slave));
-          sink->Hist(TraceRole::kAuditor, id(), "detection_latency_us")
-              .Record(env()->Now() - pledge.token.timestamp);
-        }
-        RaiseAccusation(pledge, trace_id);
-        NotifyVictim(submitter, pledge, correct_hash, trace_id);
       }
       TryFinalizeVersions();
     });

@@ -18,6 +18,13 @@
 //   - it caches results of repeated queries,
 //   - it spreads work over idle periods (it is a background queue).
 //
+// Admission checks only the master's version token (and, with fork
+// checking, the slave's version vector), batched through a verify cache
+// where one token covers every pledge answered under it. The slave's
+// signature over the pledge is checked only on a mismatch, before
+// accusing: a pledge whose hash matches proves nothing whoever signed it,
+// so in the steady state the auditor verifies no slave signatures.
+//
 // The audit pipeline processes admitted pledges in batches:
 //
 //   1. Admission dedup. Pledges in a batch are grouped by
@@ -118,7 +125,7 @@ class Auditor : public Node {
   uint64_t audited_version() const { return audited_version_; }
   // Audits accepted but not yet completed (queued on the simulated CPU),
   // plus pledges parked for not-yet-committed versions or awaiting the
-  // batched signature verification.
+  // batched token verification.
   size_t backlog() const {
     return queue_->depth() + future_.size() + pending_verify_.size();
   }
@@ -155,13 +162,15 @@ class Auditor : public Node {
   void HandleAuditSubmit(NodeId from, BytesView body);
   void GossipAndFinalizeTick();
   void EnqueueForVerify(PendingPledge item);
+  // Verifies the buffered pledges' tokens (and version vectors) and routes
+  // the survivors to future_ or AuditBatch.
   void FlushVerifyBatch();
   // Cross-client fork reconciliation: feed a batch-verified version vector
   // to the detector; divergent chain heads for one (slave, version) become
   // an evidence chain sent to the slave's owning master.
   void ReconcileVv(const VersionVector& vv, const Pledge& pledge,
                    uint64_t trace_id);
-  // Audits a batch of signature-verified pledges at committed versions:
+  // Audits a batch of token-verified pledges at committed versions:
   // dedup -> memo -> pooled re-execution -> deterministic merge -> one
   // ServiceQueue entry per pledge (the comparison closure).
   void AuditBatch(std::vector<PendingPledge> ready);
@@ -205,13 +214,14 @@ class Auditor : public Node {
   // Pledges parked while paused, drained on resume.
   std::deque<PendingPledge> paused_backlog_;
   bool paused_ = false;
-  // Admitted pledges awaiting the batched signature verification. Counted
+  // Admitted pledges awaiting the batched token verification. Counted
   // in in_flight_ so finalization cannot overtake them; flushed at
   // audit_verify_batch_size or after audit_verify_batch_window.
   std::deque<PendingPledge> pending_verify_;
   bool verify_timer_armed_ = false;
   // Deduplicates signature verifications — chiefly the version token, which
-  // is shared by every pledge answered under it.
+  // is shared by every pledge answered under it. Slave pledge signatures
+  // reach it only on the mismatch path.
   VerifyCache verify_cache_;
   // Count of in-flight audits on the service queue for each version — a
   // version cannot finalize while its audits are in flight.

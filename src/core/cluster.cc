@@ -447,6 +447,7 @@ Cluster::Totals Cluster::ComputeTotals() const {
   for (const auto& s : slaves_) {
     t.slave_work_units += s->metrics().work_units_executed;
     t.lies_told += s->metrics().lies_told;
+    t.pledge_signatures_reused += s->metrics().pledge_signatures_reused;
     t.state_update_batches += s->metrics().state_update_batches_received;
   }
   for (const auto& m : masters_) {

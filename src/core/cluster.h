@@ -182,6 +182,7 @@ class Cluster {
     uint64_t slaves_excluded = 0;
     uint64_t auditor_mismatches = 0;
     uint64_t lies_told = 0;
+    uint64_t pledge_signatures_reused = 0;
     // Fork-consistency aggregates (zero unless fork_check_enabled).
     uint64_t forks_detected = 0;
     uint64_t evidence_chains_emitted = 0;

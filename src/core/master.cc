@@ -1,6 +1,7 @@
 #include "src/core/master.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/crypto/sha1.h"
 #include "src/trace/trace.h"
@@ -466,6 +467,11 @@ void Master::GossipTick() {
   for (const auto& [slave_id, state] : my_slaves_) {
     gossip.slave_certs.push_back(state.cert);
   }
+  // Peer exclusions are passed on too, so the group keeps knowing about an
+  // exclusion for as long as any master that heard of it is alive.
+  std::set_union(excluded_.begin(), excluded_.end(), peer_excluded_.begin(),
+                 peer_excluded_.end(),
+                 std::back_inserter(gossip.excluded_slaves));
   broadcast_->Broadcast(
       WithTobType(TobPayloadType::kGossip, gossip.Encode()));
   CheckPeerLiveness();
@@ -489,6 +495,8 @@ void Master::OnTobGossip(const TobGossip& gossip) {
   if (gossip.master == id()) {
     return;
   }
+  peer_excluded_.insert(gossip.excluded_slaves.begin(),
+                        gossip.excluded_slaves.end());
   for (const Certificate& cert : gossip.slave_certs) {
     if (my_slaves_.count(cert.subject) > 0 &&
         my_slaves_[cert.subject].adopted_from != gossip.master) {
@@ -541,7 +549,8 @@ void Master::AdoptOrphanedSlaves(NodeId dead_master) {
   }
   std::vector<NodeId> orphans;
   for (const auto& [slave_id, owner] : slave_owner_) {
-    if (owner == dead_master && excluded_.count(slave_id) == 0) {
+    if (owner == dead_master && excluded_.count(slave_id) == 0 &&
+        peer_excluded_.count(slave_id) == 0) {
       orphans.push_back(slave_id);
     }
   }

@@ -186,7 +186,10 @@ class Master : public Node {
   bool bundle_timer_armed_ = false;
 
   std::map<NodeId, SlaveState> my_slaves_;
-  std::set<NodeId> excluded_;
+  std::set<NodeId> excluded_;  // by this master
+  // Excluded by a peer master, learned from its gossip. Never adopted when
+  // that peer crashes; IsExcluded still reports only this master's own.
+  std::set<NodeId> peer_excluded_;
   // Write dedup: committed (client, request_id) -> version, and requests
   // currently in flight through the broadcast.
   std::map<std::pair<NodeId, uint64_t>, uint64_t> committed_writes_;

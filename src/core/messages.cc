@@ -547,6 +547,14 @@ Bytes TobGossip::Encode() const {
   Writer w;
   w.U32(master);
   EncodeCerts(w, slave_certs);
+  // Optional trailing field, like the version vectors above: a gossip with
+  // no exclusions encodes exactly as before the field existed.
+  if (!excluded_slaves.empty()) {
+    w.U32(static_cast<uint32_t>(excluded_slaves.size()));
+    for (NodeId slave : excluded_slaves) {
+      w.U32(slave);
+    }
+  }
   return w.Take();
 }
 
@@ -555,6 +563,12 @@ Result<TobGossip> TobGossip::Decode(BytesView body) {
   TobGossip m;
   m.master = r.U32();
   m.slave_certs = DecodeCerts(r);
+  if (r.remaining() > 0) {
+    uint32_t n = r.U32();
+    for (uint32_t i = 0; i < n && r.ok(); ++i) {
+      m.excluded_slaves.push_back(r.U32());
+    }
+  }
   return FinishDecode(std::move(m), r);
 }
 

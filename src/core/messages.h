@@ -313,6 +313,9 @@ struct TobWriteBundle {
 struct TobGossip {
   NodeId master = kInvalidNode;
   std::vector<Certificate> slave_certs;
+  // Slaves the gossiper knows to be excluded, by itself or by a peer, so
+  // that no survivor adopts one after the excluding master crashes.
+  std::vector<NodeId> excluded_slaves;
   Bytes Encode() const;
   static Result<TobGossip> Decode(BytesView body);
 };

@@ -111,6 +111,10 @@ struct SlaveMetrics {
   uint64_t state_update_batches_received = 0;
   uint64_t keepalives_received = 0;
   uint64_t work_units_executed = 0;
+  // Pledges whose signature was reused from an identical earlier pledge
+  // body (SignMemo) instead of signed afresh. Host CPU only: the cost
+  // model charges a signature for every read served either way.
+  uint64_t pledge_signatures_reused = 0;
   // Verify-dedup cache (token adoption checks).
   uint64_t sig_cache_hits = 0;
   uint64_t sig_cache_misses = 0;
@@ -126,6 +130,11 @@ struct AuditorMetrics {
   uint64_t pledges_version_pruned = 0;
   // Re-execution of the pledged query failed against the materialized store.
   uint64_t pledges_exec_failed = 0;
+  // Pledges dropped for a bad signature: a forged version token at
+  // admission, or a bad slave signature on a pledge whose hash mismatched
+  // (checked only then, before accusing). A forged slave signature on a
+  // pledge whose hash matches is audited and counted nowhere: it proves
+  // nothing either way.
   uint64_t pledges_bad_signature = 0;
   uint64_t mismatches_found = 0;
   uint64_t accusations_sent = 0;
@@ -149,7 +158,8 @@ struct AuditorMetrics {
   // pool. Counts dispatched work, not thread occupancy, so it is
   // identical at any --audit_jobs value.
   uint64_t audit_workers_busy = 0;
-  // Batched up-front signature verification of submitted pledges.
+  // Batched admission verification: version tokens, plus version vectors
+  // with fork checking. Slave pledge signatures are not counted here.
   uint64_t verify_batches = 0;
   uint64_t sigs_batch_verified = 0;
   // Verify-dedup cache (version tokens shared across pledges).

@@ -106,13 +106,27 @@ Result<Pledge> Pledge::Decode(const Bytes& data) {
   return p;
 }
 
-Pledge MakePledge(const Signer& slave_signer, NodeId slave, const Query& query,
-                  const Bytes& result_sha1, const VersionToken& token) {
+static Pledge UnsignedPledge(NodeId slave, const Query& query,
+                             const Bytes& result_sha1,
+                             const VersionToken& token) {
   Pledge p;
   p.query = query;
   p.result_sha1 = result_sha1;
   p.token = token;
   p.slave = slave;
+  return p;
+}
+
+Pledge MakePledge(const Signer& slave_signer, NodeId slave, const Query& query,
+                  const Bytes& result_sha1, const VersionToken& token) {
+  Pledge p = UnsignedPledge(slave, query, result_sha1, token);
+  p.signature = slave_signer.Sign(p.SignedBody());
+  return p;
+}
+
+Pledge MakePledge(SignMemo& slave_signer, NodeId slave, const Query& query,
+                  const Bytes& result_sha1, const VersionToken& token) {
+  Pledge p = UnsignedPledge(slave, query, result_sha1, token);
   p.signature = slave_signer.Sign(p.SignedBody());
   return p;
 }

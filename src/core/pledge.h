@@ -66,6 +66,10 @@ struct Pledge {
 
 Pledge MakePledge(const Signer& slave_signer, NodeId slave, const Query& query,
                   const Bytes& result_sha1, const VersionToken& token);
+// The same pledge, signed through a memo that reuses the signature of an
+// identical earlier pledge body.
+Pledge MakePledge(SignMemo& slave_signer, NodeId slave, const Query& query,
+                  const Bytes& result_sha1, const VersionToken& token);
 
 // Checks the slave's signature only (token checked separately, since it
 // needs the master key).

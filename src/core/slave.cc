@@ -351,7 +351,7 @@ void Slave::HandleReadRequest(NodeId from, BytesView body) {
     reply.trace_id = trace_id;
     reply.ok = true;
     reply.result = result;
-    reply.pledge = MakePledge(signer_, id(), query, hashed, token);
+    reply.pledge = MakePledge(pledge_signer_, id(), query, hashed, token);
     if (options_.params.fork_check_enabled) {
       if (chain == 1 && !chain1_forked_) {
         chains_[1] = chains_[0];  // the fork copies the honest history

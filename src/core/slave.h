@@ -85,6 +85,7 @@ class Slave : public Node {
     metrics_.sig_cache_hits = verify_cache_.stats().hits;
     metrics_.sig_cache_misses = verify_cache_.stats().misses;
     metrics_.sig_cache_keys_prepared = verify_cache_.stats().keys_prepared;
+    metrics_.pledge_signatures_reused = pledge_signer_.reused();
     return metrics_;
   }
   const ServiceQueue& service_queue() const { return *queue_; }
@@ -104,6 +105,10 @@ class Slave : public Node {
 
   Options options_;
   Signer signer_;
+  // Signs pledges through signer_, reusing the signature of an identical
+  // pledge body. Version-vector commitments sign a fresh chain head every
+  // read, so they go to signer_ directly.
+  SignMemo pledge_signer_{signer_};
   Rng rng_;
 
   DocumentStore store_;

@@ -1,6 +1,7 @@
 #include "src/store/executor.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/crypto/sha1.h"
 
@@ -72,6 +73,19 @@ bool IsLiteralPattern(const std::string& p) {
   return true;
 }
 
+// The rows in [q.range_lo, q.range_hi), "" meaning unbounded. An inverted
+// range (lo past hi) is empty: walking from lower_bound(lo) would never
+// meet lower_bound(hi) and run off the end of the map.
+std::pair<DocumentStore::Map::const_iterator,
+          DocumentStore::Map::const_iterator>
+KeyRange(const DocumentStore& store, const Query& q) {
+  auto end = store.RangeEnd(q.range_hi);
+  if (!q.range_hi.empty() && q.range_hi < q.range_lo) {
+    return {end, end};
+  }
+  return {store.RangeBegin(q.range_lo), end};
+}
+
 }  // namespace
 
 const std::regex* QueryExecutor::CompiledPattern(const std::string& pattern) {
@@ -107,8 +121,7 @@ Result<QueryExecutor::Outcome> QueryExecutor::Execute(
     }
     case QueryKind::kScan: {
       res.type = QueryResult::Type::kRows;
-      auto it = store.RangeBegin(q.range_lo);
-      auto end = store.RangeEnd(q.range_hi);
+      auto [it, end] = KeyRange(store, q);
       for (; it != end; ++it) {
         ++out.cost;
         if (q.limit > 0 && res.rows.size() >= q.limit) {
@@ -134,8 +147,7 @@ Result<QueryExecutor::Outcome> QueryExecutor::Execute(
           return Error(ErrorCode::kParseError, "bad regex: " + q.pattern);
         }
       }
-      auto it = store.RangeBegin(q.range_lo);
-      auto end = store.RangeEnd(q.range_hi);
+      auto [it, end] = KeyRange(store, q);
       for (; it != end; ++it) {
         out.cost += 1 + it->second.size() / 64;
         if (q.limit > 0 && res.rows.size() >= q.limit) {
@@ -156,8 +168,7 @@ Result<QueryExecutor::Outcome> QueryExecutor::Execute(
     case QueryKind::kMax:
     case QueryKind::kAvg: {
       res.type = QueryResult::Type::kScalar;
-      auto it = store.RangeBegin(q.range_lo);
-      auto end = store.RangeEnd(q.range_hi);
+      auto [it, end] = KeyRange(store, q);
       int64_t count = 0;
       int64_t sum = 0;
       int64_t min_v = 0;

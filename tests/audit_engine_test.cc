@@ -7,9 +7,14 @@
 //     cluster with a live write stream, memo hits across finalized
 //     versions yield zero mismatches;
 //   - every simulated output — trace bytes and auditor metrics — is
-//     byte-identical at any --audit_jobs value, on calm and chaotic runs.
+//     byte-identical at any --audit_jobs value, on calm and chaotic runs;
+//   - forged pledges submitted straight to the auditor incriminate no one:
+//     admission checks only the version token, and a slave signature is
+//     checked before any accusation.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "src/chaos/runner.h"
@@ -142,6 +147,128 @@ TEST(AuditEngineTest, OutputsByteIdenticalAcrossWorkerCounts) {
           << (chaotic ? " (chaos)" : " (plain)");
     }
   }
+}
+
+// A malicious client submitting pledges straight to the auditor. It holds
+// one genuine pledge (captured from an accepted read) and tampers with it.
+class ForgedSubmitTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ClusterConfig config = EngineConfig(17);
+    config.num_clients = 1;
+    config.client_mode = Client::LoadMode::kManual;
+    config.params.double_check_probability = 0.0;
+    config.trace.enabled = true;
+    cluster_ = std::make_unique<Cluster>(config);
+    cluster_->RunFor(2 * kSecond);  // setup
+
+    Client& client = cluster_->client(0);
+    auto inner = client.on_accept;
+    client.on_accept = [this, inner](const Query& q, const Pledge& p,
+                                     const QueryResult& r) {
+      accepted_ = p;
+      if (inner) {
+        inner(q, p, r);
+      }
+    };
+    client.on_bad_read = [this](const Query&, uint64_t) { ++bad_reads_; };
+    client.IssueRead(Query::Get("item/00001"));
+    cluster_->RunFor(1 * kSecond);
+    ASSERT_TRUE(accepted_.has_value());
+    genuine_ = *accepted_;
+  }
+
+  // Submits `pledge` as the client would, then lets the audit run.
+  AuditorMetrics Submit(const Pledge& pledge, uint64_t trace_id) {
+    AuditSubmit msg;
+    msg.trace_id = trace_id;
+    msg.pledge = pledge;
+    cluster_->net().Send(cluster_->client(0).id(), cluster_->auditor().id(),
+                         WithType(MsgType::kAuditSubmit, msg.Encode()));
+    cluster_->RunFor(1 * kSecond);
+    return cluster_->auditor().metrics();
+  }
+
+  // How many `name` trace instants the auditor emitted for trace_id.
+  int Instants(const std::string& name, uint64_t trace_id) {
+    int count = 0;
+    TraceSink* sink = cluster_->trace();
+    for (const TraceEvent& e : sink->Events()) {
+      if (e.trace_id == trace_id && sink->name(e.name) == name) {
+        ++count;
+      }
+    }
+    return count;
+  }
+
+  std::unique_ptr<Cluster> cluster_;
+  std::optional<Pledge> accepted_;
+  Pledge genuine_;
+  int bad_reads_ = 0;
+};
+
+TEST_F(ForgedSubmitTest, BadSlaveSignatureWithCorrectHashAccusesNoOne) {
+  AuditorMetrics before = cluster_->auditor().metrics();
+  Pledge forged = genuine_;
+  forged.signature[0] ^= 1;
+  AuditorMetrics after = Submit(forged, 0xF001);
+  // Audited like any other pledge, and it matched: nothing to prove.
+  EXPECT_EQ(after.pledges_audited, before.pledges_audited + 1);
+  EXPECT_EQ(after.pledges_bad_signature, before.pledges_bad_signature);
+  EXPECT_EQ(after.mismatches_found, before.mismatches_found);
+  EXPECT_EQ(after.accusations_sent, before.accusations_sent);
+}
+
+TEST_F(ForgedSubmitTest, BadSlaveSignatureWithWrongHashIsCaughtBeforeAccusing) {
+  AuditorMetrics before = cluster_->auditor().metrics();
+  Pledge forged = genuine_;
+  forged.result_sha1[0] ^= 1;  // the slave's signature no longer covers it
+  AuditorMetrics after = Submit(forged, 0xF002);
+  EXPECT_EQ(after.pledges_audited, before.pledges_audited + 1);
+  EXPECT_EQ(after.pledges_bad_signature, before.pledges_bad_signature + 1);
+  EXPECT_EQ(after.mismatches_found, before.mismatches_found);
+  EXPECT_EQ(after.accusations_sent, before.accusations_sent);
+  EXPECT_EQ(after.bad_read_notices_sent, before.bad_read_notices_sent);
+  EXPECT_EQ(bad_reads_, 0);
+  EXPECT_EQ(Instants("audit.bad_sig", 0xF002), 1);
+  EXPECT_EQ(Instants("accuse", 0xF002), 0);
+}
+
+TEST_F(ForgedSubmitTest, ForgedTokenIsDroppedAtAdmissionAndItsVersionFinalizes) {
+  AuditorMetrics before = cluster_->auditor().metrics();
+  Pledge forged = genuine_;
+  forged.token.signature[0] ^= 1;
+  AuditorMetrics after = Submit(forged, 0xF003);
+  EXPECT_EQ(after.pledges_bad_signature, before.pledges_bad_signature + 1);
+  EXPECT_EQ(after.pledges_audited, before.pledges_audited);
+  EXPECT_EQ(Instants("audit.bad_sig", 0xF003), 1);
+
+  // The dropped pledge must not hold its version open: once a write
+  // commits the next version and the audit window passes, it finalizes.
+  const uint64_t version = forged.token.content_version;
+  bool committed = false;
+  cluster_->client(0).IssueWrite({WriteOp::Put("item/00002", "v2")},
+                                 [&](bool ok, uint64_t) { committed = ok; });
+  cluster_->RunFor(10 * kSecond);
+  ASSERT_TRUE(committed);
+  EXPECT_GT(cluster_->auditor().audited_version(), version);
+}
+
+TEST_F(ForgedSubmitTest, RealLieIsStillAccused) {
+  Slave::Behavior lying;
+  lying.lie_probability = 1.0;
+  for (int s = 0; s < cluster_->num_slaves(); ++s) {
+    cluster_->slave(s).SetBehavior(lying);
+  }
+  AuditorMetrics before = cluster_->auditor().metrics();
+  cluster_->client(0).IssueRead(Query::Get("item/00003"));
+  cluster_->RunFor(2 * kSecond);
+  AuditorMetrics after = cluster_->auditor().metrics();
+  EXPECT_EQ(after.mismatches_found, before.mismatches_found + 1);
+  EXPECT_EQ(after.accusations_sent, before.accusations_sent + 1);
+  EXPECT_EQ(after.bad_read_notices_sent, before.bad_read_notices_sent + 1);
+  EXPECT_EQ(after.pledges_bad_signature, before.pledges_bad_signature);
+  EXPECT_EQ(bad_reads_, 1);
 }
 
 }  // namespace

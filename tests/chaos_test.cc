@@ -4,6 +4,7 @@
 // deliberately broken one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "src/chaos/runner.h"
@@ -429,6 +430,46 @@ TEST(InvariantTest, ExclusionPermanentFiresOnReadAfterExclusion) {
   ASSERT_TRUE(checker.violated());
   EXPECT_NE(checker.violation()->evidence.find("was excluded"),
             std::string::npos);
+}
+
+TEST(InvariantTest, ExclusionSurvivesTheExcludingMastersCrash) {
+  // The excluding master crashes after excluding a liar. The survivor
+  // divides the dead master's slave set among the living, and must leave
+  // the excluded slave out of it: the exclusion reached it by gossip.
+  ClusterConfig config = FastConfig(2);
+  config.params.double_check_probability = 0.5;  // fast catch
+  config.slave_behavior = [](int index) {
+    Slave::Behavior b;
+    if (index == 0) {
+      b.lie_probability = 0.8;
+    }
+    return b;
+  };
+  Cluster cluster(config);
+  const NodeId liar = cluster.slave(0).id();
+  for (int i = 0; i < 60 && !cluster.ExcludedByAnyMaster(liar); ++i) {
+    cluster.RunFor(1 * kSecond);
+  }
+  ASSERT_TRUE(cluster.ExcludedByAnyMaster(liar));
+  ASSERT_EQ(cluster.num_masters(), 2);
+  const int excluder = cluster.master(0).IsExcluded(liar) ? 0 : 1;
+  Master& survivor = cluster.master(1 - excluder);
+  cluster.RunFor(2 * kSecond);  // at least one gossip round
+
+  const NodeId dead = cluster.master(excluder).id();
+  cluster.net().SetNodeUp(dead, false);
+  const SimTime crashed_at = cluster.sim().Now();
+  int liar_reads = 0;
+  cluster.on_accepted_read = [&](const Cluster::AcceptedRead& read) {
+    liar_reads += read.slave == liar ? 1 : 0;
+  };
+  cluster.RunFor(30 * kSecond);
+
+  ASSERT_GT(survivor.dead_masters().count(dead), 0u);
+  EXPECT_GT(survivor.metrics().slave_sets_adopted, 0u);
+  std::vector<NodeId> owned = survivor.my_slave_ids();
+  EXPECT_EQ(std::count(owned.begin(), owned.end(), liar), 0);
+  EXPECT_EQ(liar_reads, 0) << "after the crash at " << crashed_at;
 }
 
 TEST(InvariantTest, AvailabilityFloorFiresWhenAllSlavesCrash) {

@@ -5,6 +5,7 @@
 #include "src/store/executor.h"
 #include "src/store/oplog.h"
 #include "src/store/query.h"
+#include "src/util/rng.h"
 
 namespace sdr {
 namespace {
@@ -127,6 +128,21 @@ TEST(ExecutorTest, ScanRangeAndLimit) {
   auto unbounded = exec.Execute(s, Query::Scan("", ""));
   ASSERT_TRUE(unbounded.ok());
   EXPECT_EQ(unbounded->result.rows.size(), 6u);
+}
+
+TEST(ExecutorTest, InvertedRangeIsEmpty) {
+  // lo past hi: every range query sees no rows rather than walking off the
+  // end of the store.
+  DocumentStore s = MakeCatalog();
+  QueryExecutor exec;
+  for (const Query& q :
+       {Query::Scan("price/", "item/"), Query::Grep("widget", "z", "a"),
+        Query::Aggregate(QueryKind::kCount, "price/002", "price/001")}) {
+    auto out = exec.Execute(s, q);
+    ASSERT_TRUE(out.ok()) << q.ToText();
+    EXPECT_TRUE(out->result.rows.empty()) << q.ToText();
+    EXPECT_EQ(out->result.scalar, 0) << q.ToText();
+  }
 }
 
 TEST(ExecutorTest, GrepMatchesValues) {
@@ -337,6 +353,91 @@ TEST(OpLogTest, SnapshotIntervalBoundsReplay) {
   }
   // Snapshots at 0, 2, 4, 6, 8.
   EXPECT_EQ(log.retained_snapshots(), 5u);
+}
+
+// QueryAffectedBy is the proof the auditor's cross-version memo rides on:
+// a false "unaffected" would let the memo certify a stale result, and a
+// lie would pass the audit. Oracle: when it says "unaffected", executing
+// the query before and after the batch must hash equal.
+TEST(QueryAffectedByTest, UnaffectedImpliesEqualResultHashes) {
+  Rng rng(2024);
+  // A small keyspace with two prefixes, so ranges, limits and batches
+  // overlap often; keys and bounds share the alphabet.
+  auto key = [&rng] {
+    return std::string(rng.NextBool(0.5) ? "a/" : "b/") +
+           std::to_string(rng.NextBounded(12));
+  };
+  auto bound = [&rng, &key] {
+    return rng.NextBool(0.2) ? std::string() : key();
+  };
+  auto value = [&rng] {
+    return rng.NextBool(0.5) ? std::to_string(rng.NextBounded(100))
+                             : "word" + std::to_string(rng.NextBounded(5));
+  };
+  const QueryKind kinds[] = {QueryKind::kGet,   QueryKind::kScan,
+                             QueryKind::kGrep,  QueryKind::kCount,
+                             QueryKind::kSum,   QueryKind::kMin,
+                             QueryKind::kMax,   QueryKind::kAvg};
+  QueryExecutor exec;
+  int unaffected = 0;
+  int affected = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    DocumentStore before;
+    int n = static_cast<int>(rng.NextBounded(16));
+    for (int i = 0; i < n; ++i) {
+      before.Apply(WriteOp::Put(key(), value()));
+    }
+    Query q;
+    QueryKind kind = kinds[rng.NextBounded(8)];
+    switch (kind) {
+      case QueryKind::kGet:
+        q = Query::Get(key());
+        break;
+      case QueryKind::kScan:
+        q = Query::Scan(bound(), bound(),
+                        static_cast<uint32_t>(rng.NextBounded(4)));
+        break;
+      case QueryKind::kGrep:
+        q = Query::Grep(rng.NextBool(0.5) ? "word[0-2]" : "^[0-9]+$",
+                        bound(), bound());
+        break;
+      default:
+        q = Query::Aggregate(kind, bound(), bound());
+        break;
+    }
+    WriteBatch batch;
+    int ops = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int i = 0; i < ops; ++i) {
+      switch (rng.NextBounded(3)) {
+        case 0:
+          batch.push_back(WriteOp::Put(key(), value()));
+          break;
+        case 1:
+          batch.push_back(WriteOp::Delete(key()));
+          break;
+        default:
+          batch.push_back(WriteOp::Append(key(), value()));
+          break;
+      }
+    }
+    DocumentStore after = before;
+    after.ApplyBatch(batch);
+    if (QueryAffectedBy(q, batch)) {
+      ++affected;
+      continue;
+    }
+    ++unaffected;
+    auto old_result = exec.Execute(before, q);
+    auto new_result = exec.Execute(after, q);
+    ASSERT_TRUE(old_result.ok());
+    ASSERT_TRUE(new_result.ok());
+    ASSERT_EQ(old_result->result.Sha1Digest(),
+              new_result->result.Sha1Digest())
+        << "trial " << trial << ": " << q.ToText();
+  }
+  // Both verdicts must be common, or the oracle proves little.
+  EXPECT_GT(unaffected, 500);
+  EXPECT_GT(affected, 500);
 }
 
 }  // namespace

@@ -252,6 +252,7 @@ JsonValue NodeReport(const RealEnv& env, const DeploymentPlan& plan,
       j["lies_told"] = sm.lies_told;
       j["consistent_lies_told"] = sm.consistent_lies_told;
       j["work_units"] = sm.work_units_executed;
+      j["pledge_signatures_reused"] = sm.pledge_signatures_reused;
       j["sig_cache_hits"] = sm.sig_cache_hits;
       j["sig_cache_misses"] = sm.sig_cache_misses;
       j["sig_cache_keys_prepared"] = sm.sig_cache_keys_prepared;

@@ -158,13 +158,14 @@ void PrintReport(Cluster& cluster) {
   for (int s = 0; s < cluster.num_slaves(); ++s) {
     const SlaveMetrics& sm = cluster.slave(s).metrics();
     std::printf("  slave[%d] node%u: v=%llu served=%llu declined=%llu "
-                "lies=%llu work=%llu%s\n",
+                "lies=%llu work=%llu sigs-reused=%llu%s\n",
                 s, cluster.slave(s).id(),
                 (unsigned long long)cluster.slave(s).applied_version(),
                 (unsigned long long)sm.reads_served,
                 (unsigned long long)sm.reads_declined_stale,
                 (unsigned long long)sm.lies_told,
                 (unsigned long long)sm.work_units_executed,
+                (unsigned long long)sm.pledge_signatures_reused,
                 cluster.ExcludedByAnyMaster(cluster.slave(s).id())
                     ? "  [EXCLUDED]"
                     : "");
@@ -224,6 +225,7 @@ JsonValue JsonReport(Cluster& cluster, const ChaosController* controller) {
   t["slaves_excluded"] = totals.slaves_excluded;
   t["auditor_mismatches"] = totals.auditor_mismatches;
   t["lies_told"] = totals.lies_told;
+  t["pledge_signatures_reused"] = totals.pledge_signatures_reused;
   // Fork-consistency counters appear only when the subsystem is on, so
   // disabled-mode artifacts stay byte-identical to pre-forkcheck runs.
   if (cluster.config().params.fork_check_enabled) {
@@ -372,6 +374,7 @@ JsonValue JsonReport(Cluster& cluster, const ChaosController* controller) {
     j["lies_told"] = sm.lies_told;
     j["consistent_lies_told"] = sm.consistent_lies_told;
     j["work_units"] = sm.work_units_executed;
+    j["pledge_signatures_reused"] = sm.pledge_signatures_reused;
     j["sig_cache_hits"] = sm.sig_cache_hits;
     j["sig_cache_misses"] = sm.sig_cache_misses;
     j["sig_cache_keys_prepared"] = sm.sig_cache_keys_prepared;
