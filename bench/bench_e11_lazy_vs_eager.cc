@@ -19,6 +19,7 @@
 #include "bench/bench_util.h"
 #include "src/broadcast/bft_order.h"
 #include "src/core/cluster.h"
+#include "src/trace/histogram.h"
 
 namespace sdr {
 namespace {
@@ -68,7 +69,7 @@ EagerResult RunEager(int n, uint64_t seed) {
   net.StartAll();
 
   const int kWrites = 20;
-  Percentiles latency;
+  LatencyHistogram latency;
   for (int i = 0; i < kWrites; ++i) {
     SimTime start = sim.Now();
     members[1]->bcast().Broadcast(ToBytes("w" + std::to_string(i)));
@@ -88,7 +89,7 @@ EagerResult RunEager(int n, uint64_t seed) {
         break;
       }
     }
-    latency.Add(static_cast<double>(sim.Now() - start));
+    latency.Record(sim.Now() - start);
   }
   uint64_t messages = 0, auths = 0;
   for (const auto& m : members) {
@@ -129,8 +130,8 @@ LazyResult RunLazy(int masters, int slaves_total, uint64_t seed) {
 
   const int kWrites = 20;
   uint64_t messages_before = cluster.net().messages_sent();
-  Percentiles commit_latency;
-  Percentiles sync_latency;
+  LatencyHistogram commit_latency;
+  LatencyHistogram sync_latency;
   for (int i = 0; i < kWrites; ++i) {
     SimTime start = cluster.sim().Now();
     bool committed = false;
@@ -139,7 +140,7 @@ LazyResult RunLazy(int masters, int slaves_total, uint64_t seed) {
         [&](bool ok, uint64_t) { committed = ok; });
     while (!committed && cluster.sim().Step()) {
     }
-    commit_latency.Add(static_cast<double>(cluster.sim().Now() - start));
+    commit_latency.Record(cluster.sim().Now() - start);
     // Run until every slave applied the write.
     uint64_t want = static_cast<uint64_t>(i + 1);
     while (true) {
@@ -156,7 +157,7 @@ LazyResult RunLazy(int masters, int slaves_total, uint64_t seed) {
         break;
       }
     }
-    sync_latency.Add(static_cast<double>(cluster.sim().Now() - start));
+    sync_latency.Record(cluster.sim().Now() - start);
     // Space the writes past the max_latency commit spacing so each write's
     // commit latency reflects the protocol round, not the pacing queue.
     cluster.RunFor(config.params.max_latency);

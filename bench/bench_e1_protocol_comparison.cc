@@ -82,7 +82,6 @@ Outcome RunOurs(const QueryMix& mix, uint64_t seed) {
   cluster.RunFor(kRunFor);
 
   Outcome o;
-  Percentiles all;
   for (int c = 0; c < cluster.num_clients(); ++c) {
     const ClientMetrics& m = cluster.client(c).metrics();
     o.reads += m.reads_accepted;

@@ -67,7 +67,6 @@ Sample Run(SimTime max_latency, double offered_writes_per_sec,
       static_cast<double>(committed) / (static_cast<double>(kRun) / kSecond);
   s.cap_per_sec = static_cast<double>(kSecond) / static_cast<double>(max_latency);
   uint64_t reads = 0;
-  Percentiles wl;
   for (int c = 0; c < cluster.num_clients(); ++c) {
     reads += cluster.client(c).metrics().reads_accepted;
   }

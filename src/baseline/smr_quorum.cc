@@ -109,7 +109,7 @@ void QrClient::HandleMessage(NodeId /*from*/, const Payload& payload) {
       // most f faulty replicas... unless more than f collude.
       read.done = true;
       ++reads_accepted_;
-      latency_us_.Add(static_cast<double>(env()->Now() - read.issued));
+      latency_us_.Record(env()->Now() - read.issued);
       if (on_accept) {
         on_accept(read.query, slot.second);
       }

@@ -19,7 +19,7 @@
 #include "src/core/service_queue.h"
 #include "src/runtime/env.h"
 #include "src/store/executor.h"
-#include "src/util/stats.h"
+#include "src/trace/histogram.h"
 
 namespace sdr {
 
@@ -69,7 +69,7 @@ class QrClient : public Node {
   uint64_t reads_accepted() const { return reads_accepted_; }
   uint64_t wrong_accepted() const { return wrong_accepted_; }
   uint64_t reads_unresolved() const { return reads_unresolved_; }
-  const Percentiles& latency_us() const { return latency_us_; }
+  const LatencyHistogram& latency_us() const { return latency_us_; }
 
   // Ground truth hook: called with the accepted result's hash and the
   // honest hash is compared externally; here we just expose acceptance.
@@ -92,7 +92,7 @@ class QrClient : public Node {
   uint64_t reads_accepted_ = 0;
   uint64_t wrong_accepted_ = 0;
   uint64_t reads_unresolved_ = 0;
-  Percentiles latency_us_;
+  LatencyHistogram latency_us_;
 };
 
 }  // namespace sdr

@@ -254,7 +254,7 @@ void SsClient::HandleMessage(NodeId /*from*/, const Payload& payload) {
     }
     // Executed by a trusted master: accepted as-is.
     ++reads_accepted_;
-    latency_us_.Add(static_cast<double>(env()->Now() - it->second.issued));
+    latency_us_.Record(env()->Now() - it->second.issued);
     Callback cb = std::move(it->second.cb);
     pending_.erase(it);
     if (cb) {
@@ -312,7 +312,7 @@ void SsClient::HandleMessage(NodeId /*from*/, const Payload& payload) {
     return;
   }
   ++reads_accepted_;
-  latency_us_.Add(static_cast<double>(env()->Now() - it->second.issued));
+  latency_us_.Record(env()->Now() - it->second.issued);
   Callback cb = std::move(it->second.cb);
   pending_.erase(it);
   if (cb) {

@@ -24,7 +24,7 @@
 #include "src/merkle/merkle_tree.h"
 #include "src/runtime/env.h"
 #include "src/store/executor.h"
-#include "src/util/stats.h"
+#include "src/trace/histogram.h"
 
 namespace sdr {
 
@@ -131,7 +131,7 @@ class SsClient : public Node {
   uint64_t proof_failures() const { return proof_failures_; }
   uint64_t reads_to_master() const { return reads_to_master_; }
   uint64_t reads_to_slave() const { return reads_to_slave_; }
-  const Percentiles& latency_us() const { return latency_us_; }
+  const LatencyHistogram& latency_us() const { return latency_us_; }
 
  private:
   struct PendingRead {
@@ -147,7 +147,7 @@ class SsClient : public Node {
   uint64_t proof_failures_ = 0;
   uint64_t reads_to_master_ = 0;
   uint64_t reads_to_slave_ = 0;
-  Percentiles latency_us_;
+  LatencyHistogram latency_us_;
 };
 
 }  // namespace sdr

@@ -184,27 +184,31 @@ void TotalOrderBroadcast::DeliverReady() {
 }
 
 void TotalOrderBroadcast::MaybeNackGap() {
+  // A sequencer that took over also knows of the numbers its sync round
+  // adopted, which only the other members may hold.
   uint64_t max_seen = MaxKnownSeq();
+  if (IsSequencer()) {
+    max_seen = std::max(max_seen, next_seq_ - 1);
+  }
   if (max_seen > delivered_seq_ && log_.count(delivered_seq_ + 1) == 0) {
-    // One nack per distinct gap per retransmit window (when enabled).
-    // Jitter-scale gaps close by themselves; a gap from real loss is
-    // re-nacked after the window here, and independently whenever a
-    // sequencer heartbeat shows us behind.
+    // One nack per distinct gap per retransmit window. Jitter-scale gaps
+    // close by themselves; a gap from real loss is re-nacked after the
+    // window by the next arrival or sequencer heartbeat.
     uint64_t want = delivered_seq_ + 1;
-    if (config_.dedup_gap_nacks) {
-      SimTime now = env_->Now();
-      if (want == last_nack_seq_ &&
-          now - last_nack_time_ < config_.retransmit_timeout) {
-        return;
-      }
-      last_nack_seq_ = want;
-      last_nack_time_ = now;
+    SimTime now = env_->Now();
+    if (want == last_nack_seq_ &&
+        now - last_nack_time_ < config_.retransmit_timeout) {
+      return;
     }
+    last_nack_seq_ = want;
+    last_nack_time_ = now;
     Writer w;
     w.U8(kNack);
     w.U64(epoch_);
     w.U64(want);
-    if (!IsSequencer()) {
+    if (IsSequencer()) {
+      SendToAll(w.Take(), /*include_self=*/false);
+    } else {
       send_(sequencer(), w.Take());
     }
   }
@@ -245,13 +249,17 @@ void TotalOrderBroadcast::HandleHeartbeat(NodeId from, Reader& r) {
   }
   AdoptEpoch(epoch);
   last_heard_ = env_->Now();
-  // If the sequencer has ordered messages we have not seen, fetch them.
+  // If the sequencer has ordered messages we have not seen, fetch them;
+  // otherwise re-ask for a hole below what we hold, which no further
+  // arrival may ever trigger.
   if (next_seq > 0 && next_seq - 1 > MaxKnownSeq()) {
     Writer w;
     w.U8(kNack);
     w.U64(epoch_);
     w.U64(delivered_seq_ + 1);
     send_(from, w.Take());
+  } else {
+    MaybeNackGap();
   }
 }
 
@@ -311,6 +319,7 @@ void TotalOrderBroadcast::HeartbeatTick() {
   w.U64(epoch_);
   w.U64(next_seq_);
   SendToAll(w.Take(), /*include_self=*/false);
+  MaybeNackGap();
 }
 
 void TotalOrderBroadcast::RetransmitTick() {

@@ -9,7 +9,10 @@
 //   - one member (the sequencer for the current epoch) assigns a global
 //     sequence number to every submitted message and re-broadcasts it;
 //   - members deliver strictly in sequence order, holding back
-//     out-of-order arrivals and NACKing gaps for retransmission;
+//     out-of-order arrivals and NACKing gaps for retransmission, at most
+//     once per gap per retransmit window (per-arrival re-nacks make the
+//     sequencer re-serve a window per message, a storm quadratic in the
+//     broadcast rate); sequencer heartbeats re-nack a gap that persists;
 //   - origins retransmit unacknowledged submissions (dedup at the
 //     sequencer by (origin, local_id));
 //   - the sequencer heartbeats; silence beyond failure_timeout makes
@@ -44,16 +47,6 @@ class TotalOrderBroadcast {
     SimTime failure_timeout = 1 * kSecond;
     SimTime retransmit_timeout = 300 * kMillisecond;
     SimTime sync_window = 400 * kMillisecond;  // takeover state-sync wait
-    // Ask for a gap at most once per retransmit window instead of on every
-    // arrival behind it (see MaybeNackGap). Off by default: duplicate gap
-    // nacks are visible in network message counts, and classic
-    // single-group configs must stay byte-identical to the original
-    // protocol. The cluster turns this on with any scale-out feature —
-    // at high broadcast rates per-message link jitter reorders the
-    // ordered stream constantly, and re-nacking per arrival makes the
-    // sequencer re-serve a retransmission window per message, a storm
-    // quadratic in the broadcast rate.
-    bool dedup_gap_nacks = false;
   };
 
   using SendFn = std::function<void(NodeId to, const Bytes& payload)>;

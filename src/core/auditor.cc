@@ -88,8 +88,6 @@ void Auditor::GossipAndFinalizeTick() {
   if (!paused_) {
     TryFinalizeVersions();
   }
-  metrics_.backlog_depth.Add(static_cast<double>(queue_->depth()));
-  metrics_.version_lag.Add(static_cast<double>(version_lag()));
 }
 
 void Auditor::SetPaused(bool paused) {

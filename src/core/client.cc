@@ -27,26 +27,18 @@ const Bytes* Client::MasterKey(NodeId master) const {
   return nullptr;
 }
 
-const std::optional<Certificate>& Client::LaneSlaveCert(uint32_t shard) const {
-  static const std::optional<Certificate> kNone;
-  if (!sharded()) {
-    return slave_cert_;
-  }
-  return shard < lanes_.size() ? lanes_[shard].slave_cert : kNone;
+const Client::Lane& Client::LaneFor(uint32_t shard) const {
+  static const Lane kNone;
+  return shard < lanes_.size() ? lanes_[shard] : kNone;
 }
 
-NodeId Client::LaneMaster(uint32_t shard) const {
-  if (!sharded()) {
-    return master_;
+const ShardMap* Client::PlanningMap() {
+  static const ShardMap kOneShard;
+  if (placement_.has_value()) {
+    ++metrics_.placement_cache_hits;
+    return &placement_->map;
   }
-  return shard < lanes_.size() ? lanes_[shard].master : kInvalidNode;
-}
-
-NodeId Client::LaneAuditor(uint32_t shard) const {
-  if (!sharded()) {
-    return auditor_;
-  }
-  return shard < lanes_.size() ? lanes_[shard].auditor : kInvalidNode;
+  return num_lanes() == 1 ? &kOneShard : nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -91,7 +83,7 @@ void Client::HandleDirectoryReply(BytesView body) {
   }
   master_certs_ = std::move(verified);
 
-  if (sharded()) {
+  if (num_lanes() > 1) {
     // The directory only told us *who* the masters are; the signed
     // placement says which shard each serves. Fetch it (a placement-cache
     // miss — every op until the next re-setup plans from the cached copy).
@@ -104,24 +96,12 @@ void Client::HandleDirectoryReply(BytesView body) {
     return;
   }
 
-  // Pick a master; avoid the one that just went silent on us, if any.
+  // One lane: every certified master serves it.
   std::vector<NodeId> candidates;
   for (const Certificate& cert : master_certs_) {
-    if (cert.subject != master_ || master_certs_.size() == 1) {
-      candidates.push_back(cert.subject);
-    }
+    candidates.push_back(cert.subject);
   }
-  if (candidates.empty()) {
-    candidates.push_back(master_certs_[0].subject);
-  }
-  master_ = candidates[rng_.NextBounded(candidates.size())];
-
-  phase_ = Phase::kAwaitHello;
-  setup_nonce_ = rng_.NextBytes(16);
-  ClientHello hello;
-  hello.client_nonce = setup_nonce_;
-  env()->Send(master_,
-              WithType(MsgType::kClientHello, hello.Encode()));
+  OpenLanes({std::move(candidates)});
 }
 
 void Client::HandlePlacementReply(BytesView body) {
@@ -142,34 +122,41 @@ void Client::HandlePlacementReply(BytesView body) {
   }
   placement_ = msg->placement;
 
-  // One lane per shard: pick a certified master for each, avoiding the
-  // lane's previous master (the one that may have just gone silent).
-  std::vector<Lane> lanes(options_.num_shards);
+  // One lane per shard, served by that shard's certified masters.
+  std::vector<std::vector<NodeId>> candidates(options_.num_shards);
   for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    std::vector<NodeId> candidates;
     for (NodeId m : placement_->shard_masters[s]) {
       if (MasterKey(m) != nullptr) {
-        candidates.push_back(m);
+        candidates[s].push_back(m);
       }
     }
-    if (candidates.empty()) {
+    if (candidates[s].empty()) {
       return;  // setup timeout will retry
     }
-    NodeId previous = s < lanes_.size() ? lanes_[s].master : kInvalidNode;
+  }
+  OpenLanes(candidates);
+}
+
+void Client::OpenLanes(const std::vector<std::vector<NodeId>>& candidates) {
+  // A re-setup keeps each lane's slave and auditor until the new hello
+  // reply replaces them, so reads in flight can still complete.
+  lanes_.resize(candidates.size());
+  for (size_t s = 0; s < candidates.size(); ++s) {
+    Lane& lane = lanes_[s];
+    // Avoid the lane's previous master: it may just have gone silent.
     std::vector<NodeId> fresh;
-    for (NodeId m : candidates) {
-      if (m != previous || candidates.size() == 1) {
+    for (NodeId m : candidates[s]) {
+      if (m != lane.master || candidates[s].size() == 1) {
         fresh.push_back(m);
       }
     }
     if (fresh.empty()) {
-      fresh.push_back(candidates[0]);
+      fresh.push_back(candidates[s][0]);
     }
-    lanes[s].master = fresh[rng_.NextBounded(fresh.size())];
-    lanes[s].nonce = rng_.NextBytes(16);
+    lane.master = fresh[rng_.NextBounded(fresh.size())];
+    lane.nonce = rng_.NextBytes(16);
+    lane.ready = false;
   }
-  lanes_ = std::move(lanes);
-
   phase_ = Phase::kAwaitHello;
   for (const Lane& lane : lanes_) {
     ClientHello hello;
@@ -178,7 +165,10 @@ void Client::HandlePlacementReply(BytesView body) {
   }
 }
 
-void Client::HandleShardHelloReply(NodeId from, BytesView body) {
+void Client::HandleHelloReply(NodeId from, BytesView body) {
+  if (phase_ != Phase::kAwaitHello) {
+    return;
+  }
   Lane* lane = nullptr;
   for (Lane& l : lanes_) {
     if (l.master == from && !l.ready) {
@@ -199,6 +189,7 @@ void Client::HandleShardHelloReply(NodeId from, BytesView body) {
                        msg->SignedBody(lane->nonce), msg->signature)) {
     return;
   }
+  // The slave certificate must chain to the master that assigned it.
   if (msg->slave_cert.role != Role::kSlave ||
       !VerifyCertificate(options_.params.scheme, *master_key,
                          msg->slave_cert)) {
@@ -215,53 +206,6 @@ void Client::HandleShardHelloReply(NodeId from, BytesView body) {
   phase_ = Phase::kReady;
   env()->Cancel(setup_timeout_);
   ++metrics_.setups_completed;
-  for (auto& [request_id, read] : reads_) {
-    if (!read.awaiting_double_check) {
-      SendRead(request_id);
-    }
-  }
-  for (auto& [request_id, write] : writes_) {
-    (void)write;
-    SendWrite(request_id);
-  }
-  if (options_.mode != LoadMode::kManual && metrics_.setups_completed == 1) {
-    ScheduleNextOp();
-  }
-}
-
-void Client::HandleHelloReply(NodeId from, BytesView body) {
-  if (phase_ != Phase::kAwaitHello) {
-    return;
-  }
-  if (sharded()) {
-    HandleShardHelloReply(from, body);
-    return;
-  }
-  if (from != master_) {
-    return;
-  }
-  auto msg = ClientHelloReply::Decode(body);
-  if (!msg.ok()) {
-    return;
-  }
-  const Bytes* master_key = MasterKey(master_);
-  if (master_key == nullptr ||
-      !VerifySignature(options_.params.scheme, *master_key,
-                       msg->SignedBody(setup_nonce_), msg->signature)) {
-    return;
-  }
-  // The slave certificate must chain to the master that assigned it.
-  if (msg->slave_cert.role != Role::kSlave ||
-      !VerifyCertificate(options_.params.scheme, *master_key,
-                         msg->slave_cert)) {
-    return;
-  }
-  slave_cert_ = msg->slave_cert;
-  auditor_ = msg->auditor;
-  phase_ = Phase::kReady;
-  env()->Cancel(setup_timeout_);
-  ++metrics_.setups_completed;
-
   // Re-issue anything that was in flight when the old master died.
   for (auto& [request_id, read] : reads_) {
     if (!read.awaiting_double_check) {
@@ -279,17 +223,13 @@ void Client::HandleHelloReply(NodeId from, BytesView body) {
 
 void Client::HandleReassignment(NodeId from, BytesView body) {
   Lane* lane = nullptr;
-  if (sharded()) {
-    for (Lane& l : lanes_) {
-      if (l.master == from) {
-        lane = &l;
-        break;
-      }
+  for (Lane& l : lanes_) {
+    if (l.master == from) {
+      lane = &l;
+      break;
     }
-    if (lane == nullptr) {
-      return;
-    }
-  } else if (from != master_) {
+  }
+  if (lane == nullptr) {
     return;
   }
   auto msg = Reassignment::Decode(body);
@@ -304,16 +244,9 @@ void Client::HandleReassignment(NodeId from, BytesView body) {
                          msg->new_slave_cert)) {
     return;
   }
-  if (lane != nullptr) {
-    lane->slave_cert = msg->new_slave_cert;
-    if (msg->auditor != kInvalidNode) {
-      lane->auditor = msg->auditor;
-    }
-  } else {
-    slave_cert_ = msg->new_slave_cert;
-    if (msg->auditor != kInvalidNode) {
-      auditor_ = msg->auditor;  // the new slave may audit elsewhere
-    }
+  lane->slave_cert = msg->new_slave_cert;
+  if (msg->auditor != kInvalidNode) {
+    lane->auditor = msg->auditor;  // the new slave may audit elsewhere
   }
   ++metrics_.reassignments;
   if (TraceSink* t = env()->trace()) {
@@ -467,17 +400,14 @@ void Client::EmitForkEvidence(const ForkDetector::Conflict& conflict,
   if (on_evidence) {
     on_evidence(chain);
   }
-  // Sharded mode keeps no single "my master" — route the evidence to the
-  // (certified) master that signed the conflicting token, i.e. the one
-  // whose slave group the equivocator belongs to.
-  NodeId target = sharded() ? conflict.first.token.master : master_;
-  if (target == kInvalidNode) {
-    return;
-  }
+  // Route the evidence to the (certified) master that signed the
+  // conflicting token, i.e. the one whose slave group the equivocator
+  // belongs to.
   ForkEvidence msg;
   msg.trace_id = trace_id;
   msg.chain = std::move(chain);
-  env()->Send(target, WithType(MsgType::kForkEvidence, msg.Encode()));
+  env()->Send(conflict.first.token.master,
+              WithType(MsgType::kForkEvidence, msg.Encode()));
 }
 
 void Client::MasterSuspect() {
@@ -495,35 +425,16 @@ void Client::MasterSuspect() {
 // ---------------------------------------------------------------------------
 
 void Client::IssueRead(Query query, ReadCallback cb) {
-  if (sharded()) {
-    IssueShardedRead(std::move(query), std::move(cb));
-    return;
-  }
-  uint64_t request_id = next_request_id_++;
-  PendingRead read;
-  read.query = std::move(query);
-  read.first_issued = env()->Now();
-  read.cb = std::move(cb);
-  read.trace_id = MintTraceId(id(), request_id);
-  if (TraceSink* t = env()->trace()) {
-    t->SpanBegin(TraceRole::kClient, id(), "read", read.trace_id);
-  }
-  reads_.emplace(request_id, std::move(read));
-  ++metrics_.reads_issued;
-  SendRead(request_id);
-}
-
-void Client::IssueShardedRead(Query query, ReadCallback cb) {
-  if (!placement_.has_value()) {
+  const ShardMap* map = PlanningMap();
+  if (map == nullptr) {
     if (cb) {
       cb(false, QueryResult{});
     }
     return;
   }
-  ++metrics_.placement_cache_hits;
-  std::vector<ShardSubquery> plan = PlanShardQuery(placement_->map, query);
+  std::vector<ShardSubquery> plan = PlanShardQuery(*map, query);
   if (plan.size() == 1) {
-    // Single owning shard: a normal read, just routed down that lane.
+    // Single owning shard: a normal read, routed down that lane.
     uint64_t request_id = next_request_id_++;
     PendingRead read;
     read.query = std::move(plan[0].query);
@@ -579,8 +490,7 @@ void Client::IssueShardedRead(Query query, ReadCallback cb) {
 
 void Client::SendRead(uint64_t request_id) {
   auto it = reads_.find(request_id);
-  if (it == reads_.end() ||
-      !LaneSlaveCert(it->second.shard).has_value()) {
+  if (it == reads_.end() || !LaneFor(it->second.shard).slave_cert) {
     return;
   }
   PendingRead& read = it->second;
@@ -596,7 +506,7 @@ void Client::SendRead(uint64_t request_id) {
   msg.request_id = request_id;
   msg.trace_id = read.trace_id;
   msg.query = read.query;
-  env()->Send(LaneSlaveCert(read.shard)->subject,
+  env()->Send(LaneFor(read.shard).slave_cert->subject,
               WithType(MsgType::kReadRequest, msg.Encode()));
   env()->Cancel(read.timeout);
   read.timeout =
@@ -623,12 +533,12 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
   if (it == reads_.end() || it->second.awaiting_double_check) {
     return;
   }
-  const std::optional<Certificate>& lane_cert =
-      LaneSlaveCert(it->second.shard);
-  if (!lane_cert.has_value() || from != lane_cert->subject) {
+  PendingRead& read = it->second;
+  const Lane& lane = LaneFor(read.shard);
+  if (!lane.slave_cert || from != lane.slave_cert->subject) {
     return;  // stale reply from a slave we no longer trust/use
   }
-  PendingRead& read = it->second;
+  const Certificate& slave_cert = *lane.slave_cert;
 
   TraceSink* t = env()->trace();
   if (!msg->ok) {
@@ -642,9 +552,13 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
   }
 
   const Pledge& pledge = msg->pledge;
-
-  // 1. Result hash must match the pledge.
-  if (msg->result.Sha1Digest() != pledge.result_sha1) {
+  // The version token is usually a verify-cache hit: it only changes on
+  // keepalives.
+  ReadVerdict verdict = VerifyRead(
+      options_.params.scheme, msg->result, pledge, slave_cert,
+      MasterKey(pledge.token.master), env()->Now(), effective_max_latency(),
+      &verify_cache_);
+  if (verdict == ReadVerdict::kHashMismatch) {
     ++metrics_.reads_rejected_hash;
     if (t != nullptr) {
       t->Instant(TraceRole::kClient, id(), "read.reject_hash", read.trace_id);
@@ -652,16 +566,8 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
     RetryRead(msg->request_id, 0);
     return;
   }
-  // 2/3. Pledge must be signed by the slave we were assigned and the
-  // version token by a certified master. The two checks run as one batch
-  // through the verify cache: the token is usually a cache hit (it only
-  // changes on keepalives), and for batch-capable schemes a cold pair
-  // shares one combined equation.
-  const Bytes* master_key = MasterKey(pledge.token.master);
-  if (pledge.slave != lane_cert->subject || master_key == nullptr ||
-      !VerifyPledgeAndToken(options_.params.scheme,
-                            lane_cert->subject_public_key, *master_key,
-                            pledge, &verify_cache_)) {
+  if (verdict == ReadVerdict::kWrongSlave ||
+      verdict == ReadVerdict::kBadSignature) {
     ++metrics_.reads_rejected_bad_sig;
     if (t != nullptr) {
       t->Instant(TraceRole::kClient, id(), "read.reject_sig", read.trace_id);
@@ -684,18 +590,18 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
       msg->vv->slave == pledge.slave &&
       msg->vv->content_version == pledge.token.content_version &&
       VerifyVersionVector(options_.params.scheme,
-                          lane_cert->subject_public_key, *msg->vv,
+                          slave_cert.subject_public_key, *msg->vv,
                           &verify_cache_)) {
     AttestedVv avv;
     avv.vv = *msg->vv;
     avv.token = pledge.token;
-    avv.slave_cert = *lane_cert;
+    avv.slave_cert = slave_cert;
     ObserveVv(avv);
   }
 
-  NodeId lane_auditor = LaneAuditor(read.shard);
-  // 4. Freshness: reject results older than (the client's) max_latency.
-  if (!TokenIsFresh(pledge.token, env()->Now(), effective_max_latency())) {
+  NodeId lane_auditor = lane.auditor;
+  // Freshness: reject results older than (the client's) max_latency.
+  if (verdict == ReadVerdict::kStale) {
     if (options_.params.fork_check_enabled &&
         options_.params.audit_enabled && lane_auditor != kInvalidNode) {
       // The reply is too old to accept but its pledge and commitment are
@@ -733,7 +639,7 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
     dc.request_id = msg->request_id;
     dc.trace_id = read.trace_id;
     dc.pledge = pledge;
-    env()->Send(LaneMaster(read.shard),
+    env()->Send(lane.master,
                 WithType(MsgType::kDoubleCheckRequest, dc.Encode()));
     env()->Cancel(read.timeout);
     read.timeout = env()->ScheduleAfter(
@@ -846,8 +752,7 @@ void Client::AcceptRead(uint64_t request_id, const QueryResult& result,
     return;
   }
   ++metrics_.reads_accepted;
-  metrics_.read_latency_us.Add(
-      static_cast<double>(env()->Now() - it->second.first_issued));
+  metrics_.read_latency_us.Record(env()->Now() - it->second.first_issued);
   if (TraceSink* t = env()->trace()) {
     t->Hist(TraceRole::kClient, id(), "read_rtt_us")
         .Record(env()->Now() - it->second.first_issued);
@@ -904,10 +809,9 @@ void Client::AcceptShardSubread(uint64_t request_id,
   for (const Pledge& p : multi.pledges) {
     oldest = std::min(oldest, p.token.timestamp);
   }
-  metrics_.merged_token_age_us.Add(static_cast<double>(env()->Now() - oldest));
+  metrics_.merged_token_age_us.Record(env()->Now() - oldest);
   ++metrics_.reads_accepted;
-  metrics_.read_latency_us.Add(
-      static_cast<double>(env()->Now() - multi.first_issued));
+  metrics_.read_latency_us.Record(env()->Now() - multi.first_issued);
   if (TraceSink* t = env()->trace()) {
     t->Hist(TraceRole::kClient, id(), "read_rtt_us")
         .Record(env()->Now() - multi.first_issued);
@@ -980,36 +884,17 @@ void Client::FailMultiRead(uint64_t parent_id) {
 // ---------------------------------------------------------------------------
 
 void Client::IssueWrite(WriteBatch batch, WriteCallback cb) {
-  if (sharded()) {
-    IssueShardedWrite(std::move(batch), std::move(cb));
-    return;
-  }
-  uint64_t request_id = next_request_id_++;
-  PendingWrite write;
-  write.batch = std::move(batch);
-  write.first_issued = env()->Now();
-  write.cb = std::move(cb);
-  writes_.emplace(request_id, std::move(write));
-  ++metrics_.writes_issued;
-  if (TraceSink* t = env()->trace()) {
-    t->SpanBegin(TraceRole::kClient, id(), "write",
-                 MintTraceId(id(), request_id));
-  }
-  SendWrite(request_id);
-}
-
-void Client::IssueShardedWrite(WriteBatch batch, WriteCallback cb) {
-  if (!placement_.has_value()) {
+  const ShardMap* map = PlanningMap();
+  if (map == nullptr) {
     if (cb) {
       cb(false, 0);
     }
     return;
   }
-  ++metrics_.placement_cache_hits;
   // Split the batch by owning shard (preserving op order within a shard).
   std::map<uint32_t, WriteBatch> by_shard;
   for (WriteOp& op : batch) {
-    by_shard[placement_->map.ShardForKey(op.key)].push_back(std::move(op));
+    by_shard[map->ShardForKey(op.key)].push_back(std::move(op));
   }
   if (by_shard.size() <= 1) {
     uint32_t shard = by_shard.empty() ? 0 : by_shard.begin()->first;
@@ -1067,7 +952,7 @@ void Client::SendWrite(uint64_t request_id) {
   WriteRequest msg;
   msg.request_id = request_id;
   msg.batch = write.batch;
-  env()->Send(LaneMaster(write.shard),
+  env()->Send(LaneFor(write.shard).master,
               WithType(MsgType::kWriteRequest, msg.Encode()));
   env()->Cancel(write.timeout);
   write.timeout =
@@ -1116,8 +1001,7 @@ void Client::HandleWriteReply(BytesView body) {
     }
     if (multi.all_ok) {
       ++metrics_.writes_committed;
-      metrics_.write_latency_us.Add(
-          static_cast<double>(env()->Now() - multi.first_issued));
+      metrics_.write_latency_us.Record(env()->Now() - multi.first_issued);
     } else {
       ++metrics_.writes_rejected;
     }
@@ -1139,8 +1023,7 @@ void Client::HandleWriteReply(BytesView body) {
   }
   if (msg->ok) {
     ++metrics_.writes_committed;
-    metrics_.write_latency_us.Add(
-        static_cast<double>(env()->Now() - it->second.first_issued));
+    metrics_.write_latency_us.Record(env()->Now() - it->second.first_issued);
   } else {
     ++metrics_.writes_rejected;
   }

@@ -12,9 +12,16 @@
 // (immediate discovery, Section 3.5) and retries the read after the master
 // reassigns it to a new slave. A silent master triggers a fresh setup
 // (master crash, Section 3).
+//
+// Keyspace sharding generalises the paper's single group to one protocol
+// lane (master + assigned slave + auditor) per shard. The paper's setup is
+// the one-lane case: lane 0 draws its master from every certified master,
+// with no placement fetch, and every operation is planned against the
+// trivial one-shard map.
 #ifndef SDR_SRC_CORE_CLIENT_H_
 #define SDR_SRC_CORE_CLIENT_H_
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <optional>
@@ -66,11 +73,11 @@ class Client : public Node {
     // used when params.fork_check_enabled.
     std::vector<NodeId> peer_clients;
 
-    // Keyspace sharding (src/core/shard.h). At 1 (or 0) the client runs
-    // the paper's single-group protocol bit-for-bit. Above 1 the setup
+    // Keyspace sharding (src/core/shard.h): one lane per shard. At 1 (or 0)
+    // the client runs the paper's single-group protocol. Above 1 the setup
     // phase additionally fetches the signed shard placement from the
-    // directory, opens one lane (master + assigned slave + auditor) per
-    // shard, and plans every operation against the cached placement map.
+    // directory, and every operation is planned against the cached
+    // placement map.
     uint32_t num_shards = 1;
   };
 
@@ -104,9 +111,11 @@ class Client : public Node {
   std::function<void(const EvidenceChain&)> on_evidence;
 
   bool ready() const { return phase_ == Phase::kReady; }
-  NodeId master() const { return master_; }
-  NodeId assigned_slave() const { return slave_cert_ ? slave_cert_->subject
-                                                     : kInvalidNode; }
+  NodeId master() const { return LaneFor(0).master; }
+  NodeId assigned_slave() const {
+    const std::optional<Certificate>& cert = LaneFor(0).slave_cert;
+    return cert ? cert->subject : kInvalidNode;
+  }
   const ClientMetrics& metrics() const {
     metrics_.sig_cache_hits = verify_cache_.stats().hits;
     metrics_.sig_cache_misses = verify_cache_.stats().misses;
@@ -122,7 +131,7 @@ class Client : public Node {
   enum class Phase {
     kIdle,
     kAwaitDirectory,
-    kAwaitPlacement,  // sharded mode only: waiting for the placement map
+    kAwaitPlacement,  // more than one lane: waiting for the placement map
     kAwaitHello,
     kReady,
   };
@@ -135,8 +144,8 @@ class Client : public Node {
     ReadCallback cb;
     bool awaiting_double_check = false;
     uint64_t trace_id = 0;  // causal id spanning retries and double-checks
-    // Sharded mode: which lane serves this read, and — when it is one leg
-    // of a fanned-out multi-shard read — the parent id and leg index.
+    // Which lane serves this read, and — when it is one leg of a
+    // fanned-out multi-shard read — the parent id and leg index.
     uint32_t shard = 0;
     uint64_t parent = 0;  // 0 = standalone read
     uint32_t leg = 0;
@@ -151,8 +160,8 @@ class Client : public Node {
     uint64_t parent = 0;  // 0 = standalone write
   };
 
-  // One per shard in sharded mode: the paper's per-group client state
-  // (chosen master, assigned slave, auditor) replicated across lanes.
+  // One per shard: the paper's per-group client state (chosen master,
+  // assigned slave, auditor). The paper's single group is lane 0.
   struct Lane {
     NodeId master = kInvalidNode;
     std::optional<Certificate> slave_cert;
@@ -193,17 +202,18 @@ class Client : public Node {
   void HandleHelloReply(NodeId from, BytesView body);
   void HandleReassignment(NodeId from, BytesView body);
   void HandleBadReadNotice(BytesView body);
-
-  // Sharded setup: placement fetch and per-lane hello handshakes.
   void HandlePlacementReply(BytesView body);
-  void HandleShardHelloReply(NodeId from, BytesView body);
+  // Picks each lane's master from its candidates, avoiding the lane's
+  // previous master, and sends the per-lane hellos.
+  void OpenLanes(const std::vector<std::vector<NodeId>>& candidates);
 
-  bool sharded() const { return options_.num_shards > 1; }
-  // Lane-aware accessors; in single-shard mode they return the classic
-  // globals, so the paper's path is untouched.
-  const std::optional<Certificate>& LaneSlaveCert(uint32_t shard) const;
-  NodeId LaneMaster(uint32_t shard) const;
-  NodeId LaneAuditor(uint32_t shard) const;
+  uint32_t num_lanes() const { return std::max(options_.num_shards, 1u); }
+  // The lane serving `shard`; an empty lane before setup has opened it.
+  const Lane& LaneFor(uint32_t shard) const;
+  // The map an operation is planned against: the cached placement
+  // (counted as a placement-cache hit), the trivial map for one lane, or
+  // null while a placement is still missing.
+  const ShardMap* PlanningMap();
 
   // Reads.
   void SendRead(uint64_t request_id);
@@ -214,8 +224,7 @@ class Client : public Node {
                   const Pledge& pledge);
   void FailRead(uint64_t request_id);
 
-  // Sharded reads: planning, fan-out, leg accounting.
-  void IssueShardedRead(Query query, ReadCallback cb);
+  // Multi-shard reads: leg accounting.
   void AcceptShardSubread(uint64_t request_id, const QueryResult& result,
                           const Pledge& pledge);
   void FailMultiRead(uint64_t parent_id);
@@ -223,9 +232,6 @@ class Client : public Node {
   // Writes.
   void SendWrite(uint64_t request_id);
   void HandleWriteReply(BytesView body);
-
-  // Sharded writes: per-shard batch splitting.
-  void IssueShardedWrite(WriteBatch batch, WriteCallback cb);
 
   // Load generation.
   void ScheduleNextOp();
@@ -250,16 +256,12 @@ class Client : public Node {
   Phase phase_ = Phase::kIdle;
 
   std::vector<Certificate> master_certs_;
-  NodeId master_ = kInvalidNode;
-  std::optional<Certificate> slave_cert_;
-  NodeId auditor_ = kInvalidNode;
-  Bytes setup_nonce_;
   EventId setup_timeout_ = 0;
   int setup_attempts_ = 0;
 
-  // Sharded mode: the verified placement (the client-side placement
-  // cache — every op planned from it is a cache hit; every directory
-  // fetch a miss) and one lane per shard.
+  // The verified placement (the client-side placement cache — every op
+  // planned from it is a cache hit; every directory fetch a miss; never
+  // fetched for one lane) and one lane per shard.
   std::optional<ShardPlacement> placement_;
   std::vector<Lane> lanes_;
 

@@ -51,18 +51,6 @@ Cluster::Cluster(ClusterConfig config)
   const int S = num_shards();
   const int M = config_.num_masters;
   const int A = std::max(1, config_.num_auditors);
-  // Scale-out configs drive the broadcast orders of magnitude harder than
-  // the classic roster; without nack dedup the reordered ordered-stream
-  // nack traffic grows quadratically with the write rate, and without
-  // catch-up dedup a loaded slave's delayed batch application triggers
-  // redundant per-version pushes that defeat group commit's signature
-  // amortization. Classic configs keep both knobs off so their message
-  // and signature counts stay byte-identical.
-  const bool scale_out =
-      S > 1 || config_.params.commit_batch > 1 || config_.fleet_clients > 0;
-  if (scale_out) {
-    config_.broadcast.dedup_gap_nacks = true;
-  }
   const NodeId directory_id = 1;
   std::vector<std::vector<NodeId>> shard_master_ids(S);
   std::vector<std::vector<NodeId>> shard_auditor_ids(S);
@@ -173,7 +161,6 @@ Cluster::Cluster(ClusterConfig config)
       opts.master_keys = shard_key_map[sh];
       opts.snapshot_interval = config_.snapshot_interval;
       opts.broadcast = config_.broadcast;
-      opts.dedup_catchup_pushes = scale_out;
       masters_.push_back(std::make_unique<Master>(std::move(opts)));
       got = net_.AddNode(masters_.back().get());
       CheckId(got, shard_master_ids[sh][i]);

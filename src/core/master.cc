@@ -422,7 +422,7 @@ void Master::HandleSlaveAck(NodeId from, BytesView body) {
   // Catch-up: push missing versions (bounded per ack; acks ratchet).
   uint64_t head = oplog_.head_version();
   uint64_t next = msg->applied_version + 1;
-  if (options_.dedup_catchup_pushes && next <= it->second.sent_version &&
+  if (next <= it->second.sent_version &&
       env()->Now() - it->second.sent_time <
           options_.params.keepalive_period) {
     // Everything missing is already in flight — typically a state-update

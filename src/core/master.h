@@ -3,7 +3,9 @@
 //   - serialize writes through the total-order broadcast and commit them
 //     with at least max_latency between consecutive commits (Section 3.1);
 //   - lazily push committed state updates and periodic signed keep-alive
-//     version tokens to their slave set;
+//     version tokens to their slave set, re-pushing versions a slave's
+//     acks show missing unless they were sent within the last keepalive
+//     period (an ack racing an in-flight update re-signs nothing);
 //   - set up clients (verify, assign a slave, hand over its certificate);
 //   - serve probabilistic double-check requests, with greedy-client
 //     policing (Section 3.3);
@@ -49,14 +51,6 @@ class Master : public Node {
     std::set<NodeId> writers;
     uint64_t snapshot_interval = 16;
     TotalOrderBroadcast::Config broadcast;  // group is filled from `group`
-    // Skip ack-driven catch-up pushes for versions already in flight to
-    // the slave (see HandleSlaveAck). Off by default: classic single-group
-    // configs must keep their exact message and signature counts. The
-    // harness turns it on together with any scale-out feature, where a
-    // loaded slave's delayed batch application otherwise triggers
-    // redundant per-version pushes — each costing a signature — that
-    // defeat group commit's amortization.
-    bool dedup_catchup_pushes = false;
   };
 
   explicit Master(Options options);
@@ -101,9 +95,9 @@ class Master : public Node {
   struct SlaveState {
     Certificate cert;
     uint64_t acked_version = 0;
-    // Highest version pushed (or batch-sent) to this slave and when —
-    // read only under Options::dedup_catchup_pushes, to avoid re-signing
-    // versions still in flight when an ack races a state-update batch.
+    // Highest version pushed (or batch-sent) to this slave and when, so
+    // an ack that races a state update does not re-sign versions still in
+    // flight (see HandleSlaveAck).
     uint64_t sent_version = 0;
     SimTime sent_time = 0;
     // The crashed master this slave was adopted from (kInvalidNode if the

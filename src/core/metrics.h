@@ -7,7 +7,7 @@
 #include <string>
 
 #include "src/runtime/env.h"
-#include "src/util/stats.h"
+#include "src/trace/histogram.h"
 
 namespace sdr {
 
@@ -48,11 +48,11 @@ struct ClientMetrics {
   uint64_t shard_subreads_issued = 0;
   uint64_t shard_subreads_accepted = 0;
   uint64_t shard_subwrites_committed = 0;
-  Percentiles read_latency_us;
-  Percentiles write_latency_us;
+  LatencyHistogram read_latency_us;
+  LatencyHistogram write_latency_us;
   // Age of the oldest per-shard token backing a merged multi-shard read —
   // the merged freshness bound (empty unless sharded reads fan out).
-  Percentiles merged_token_age_us;
+  LatencyHistogram merged_token_age_us;
 };
 
 struct MasterMetrics {
@@ -167,9 +167,6 @@ struct AuditorMetrics {
   uint64_t sig_cache_misses = 0;
   uint64_t sig_cache_keys_prepared = 0;  // Ed25519 key tables built
   uint64_t sig_cache_evictions = 0;
-  // Sampled at finalization: how far behind the head the auditor runs.
-  Percentiles version_lag;
-  Percentiles backlog_depth;
 };
 
 }  // namespace sdr

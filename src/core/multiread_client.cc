@@ -1,7 +1,5 @@
 #include "src/core/multiread_client.h"
 
-#include <algorithm>
-
 #include "src/trace/trace.h"
 
 namespace sdr {
@@ -13,23 +11,8 @@ void MultiReadClient::Start() {
   rng_ = Rng(options_.rng_seed ^ (static_cast<uint64_t>(id()) << 32));
 }
 
-const std::vector<Certificate>& MultiReadClient::LaneSlaveCerts(
-    uint32_t shard) const {
-  return sharded() ? options_.shard_lanes[shard].slave_certs
-                   : options_.slave_certs;
-}
-
-NodeId MultiReadClient::LaneMaster(uint32_t shard) const {
-  return sharded() ? options_.shard_lanes[shard].master : options_.master;
-}
-
-NodeId MultiReadClient::LaneAuditor(uint32_t shard) const {
-  return sharded() ? options_.shard_lanes[shard].auditor : options_.auditor;
-}
-
-const Certificate* MultiReadClient::CertFor(uint32_t shard,
-                                            NodeId slave) const {
-  for (const Certificate& cert : LaneSlaveCerts(shard)) {
+const Certificate* MultiReadClient::CertFor(NodeId slave) const {
+  for (const Certificate& cert : options_.slave_certs) {
     if (cert.subject == slave) {
       return &cert;
     }
@@ -38,10 +21,6 @@ const Certificate* MultiReadClient::CertFor(uint32_t shard,
 }
 
 void MultiReadClient::IssueRead(const Query& query, Callback cb) {
-  if (sharded()) {
-    IssueShardedRead(query, std::move(cb));
-    return;
-  }
   uint64_t request_id = next_request_id_++;
   PendingRead read;
   read.query = query;
@@ -66,74 +45,6 @@ void MultiReadClient::IssueRead(const Query& query, Callback cb) {
       options_.params.client_timeout,
       [this, request_id] { Resolve(request_id); });
   pending_.emplace(request_id, std::move(read));
-}
-
-uint64_t MultiReadClient::IssueLeg(uint32_t shard, const Query& query,
-                                   uint64_t parent, uint32_t leg,
-                                   uint64_t trace_id) {
-  uint64_t request_id = next_request_id_++;
-  PendingRead read;
-  read.query = query;
-  read.issued = env()->Now();
-  read.expected = LaneSlaveCerts(shard).size();
-  read.shard = shard;
-  read.parent = parent;
-  read.leg = leg;
-
-  ReadRequest msg;
-  msg.request_id = request_id;
-  // Legs of a fan-out share the parent's causal id; standalone reads get
-  // their own.
-  msg.trace_id = trace_id != 0 ? trace_id : MintTraceId(id(), request_id);
-  msg.query = query;
-  Bytes wire = WithType(MsgType::kReadRequest, msg.Encode());
-  for (const Certificate& cert : LaneSlaveCerts(shard)) {
-    env()->Send(cert.subject, wire);
-  }
-  read.timeout = env()->ScheduleAfter(
-      options_.params.client_timeout,
-      [this, request_id] { Resolve(request_id); });
-  pending_.emplace(request_id, std::move(read));
-  return request_id;
-}
-
-void MultiReadClient::IssueShardedRead(const Query& query, Callback cb) {
-  std::vector<ShardSubquery> plan = PlanShardQuery(*options_.shard_map, query);
-  ++metrics_.reads_issued;
-  if (plan.size() == 1) {
-    // Single owning shard: a classic k-fold read against that shard's
-    // slave set.
-    uint64_t request_id = IssueLeg(plan[0].shard, plan[0].query, 0, 0, 0);
-    auto it = pending_.find(request_id);
-    it->second.cb = std::move(cb);
-    if (TraceSink* t = env()->trace()) {
-      t->SpanBegin(TraceRole::kClient, id(), "read",
-                   MintTraceId(id(), request_id));
-    }
-    return;
-  }
-  ++metrics_.multi_shard_reads;
-  uint64_t parent_id = next_request_id_++;
-  MultiRead multi;
-  multi.query = query;
-  multi.plan = plan;
-  multi.results.resize(plan.size());
-  multi.tokens.resize(plan.size());
-  multi.remaining = plan.size();
-  multi.issued = env()->Now();
-  multi.cb = std::move(cb);
-  if (TraceSink* t = env()->trace()) {
-    t->SpanBegin(TraceRole::kClient, id(), "read",
-                 MintTraceId(id(), parent_id));
-  }
-  auto [mit, inserted] = multireads_.emplace(parent_id, std::move(multi));
-  (void)inserted;
-  for (size_t i = 0; i < plan.size(); ++i) {
-    ++metrics_.shard_legs_issued;
-    mit->second.leg_ids.push_back(
-        IssueLeg(plan[i].shard, plan[i].query, parent_id,
-                 static_cast<uint32_t>(i), MintTraceId(id(), parent_id)));
-  }
 }
 
 void MultiReadClient::HandleMessage(NodeId from, const Payload& payload) {
@@ -187,7 +98,7 @@ void MultiReadClient::HandleReadReply(NodeId from, BytesView body) {
   }
   PendingRead& read = it->second;
 
-  const Certificate* cert = CertFor(read.shard, from);
+  const Certificate* cert = CertFor(from);
   if (cert == nullptr) {
     return;
   }
@@ -200,18 +111,13 @@ void MultiReadClient::HandleReadReply(NodeId from, BytesView body) {
     return;
   }
   const Pledge& pledge = msg->pledge;
-  // Per-reply verification mirrors the base protocol.
-  if (msg->result.Sha1Digest() != pledge.result_sha1 ||
-      pledge.slave != from ||
-      !VerifyPledgeSignature(options_.params.scheme, cert->subject_public_key,
-                             pledge)) {
-    return;
-  }
+  // Per-reply verification is the base protocol's.
   auto master_key = options_.master_keys.find(pledge.token.master);
-  if (master_key == options_.master_keys.end() ||
-      !VerifyVersionToken(options_.params.scheme, master_key->second,
-                          pledge.token) ||
-      !TokenIsFresh(pledge.token, env()->Now(), options_.params.max_latency)) {
+  if (VerifyRead(options_.params.scheme, msg->result, pledge, *cert,
+                 master_key == options_.master_keys.end() ? nullptr
+                                                          : &master_key->second,
+                 env()->Now(), options_.params.max_latency,
+                 nullptr) != ReadVerdict::kAccepted) {
     return;
   }
   read.replies[from] = {msg->result, pledge};
@@ -248,8 +154,7 @@ void MultiReadClient::Resolve(uint64_t request_id) {
   if (unanimous && !rng_.NextBool(options_.params.double_check_probability)) {
     ++metrics_.unanimous;
     const auto& [result, pledge] = read.replies.begin()->second;
-    NodeId auditor = LaneAuditor(read.shard);
-    if (options_.params.audit_enabled && auditor != kInvalidNode) {
+    if (options_.params.audit_enabled && options_.auditor != kInvalidNode) {
       AuditSubmit submit;
       submit.trace_id = MintTraceId(id(), request_id);
       submit.pledge = pledge;
@@ -257,7 +162,7 @@ void MultiReadClient::Resolve(uint64_t request_id) {
         t->Instant(TraceRole::kClient, id(), "pledge.forward",
                    submit.trace_id);
       }
-      env()->Send(auditor,
+      env()->Send(options_.auditor,
                   WithType(MsgType::kAuditSubmit, submit.Encode()));
     }
     Accept(request_id, result, pledge);
@@ -279,7 +184,7 @@ void MultiReadClient::Resolve(uint64_t request_id) {
   dc.request_id = request_id;
   dc.trace_id = MintTraceId(id(), request_id);
   dc.pledge = read.replies.begin()->second.second;
-  env()->Send(LaneMaster(read.shard),
+  env()->Send(options_.master,
               WithType(MsgType::kDoubleCheckRequest, dc.Encode()));
 }
 
@@ -314,7 +219,7 @@ void MultiReadClient::HandleDoubleCheckReply(BytesView body) {
       Accusation accusation;
       accusation.trace_id = msg->trace_id;
       accusation.pledge = reply.second;
-      env()->Send(LaneMaster(read.shard),
+      env()->Send(options_.master,
                   WithType(MsgType::kAccusation, accusation.Encode()));
     } else if (!have_reference) {
       reference = reply.second;
@@ -333,50 +238,6 @@ void MultiReadClient::Accept(uint64_t request_id, const QueryResult& result,
                              const Pledge& pledge) {
   auto it = pending_.find(request_id);
   if (it == pending_.end()) {
-    return;
-  }
-  if (it->second.parent != 0) {
-    // One leg of a multi-shard read: fold into the parent. on_accept
-    // fires per leg — each leg carries its own pledged version, so the
-    // harness validates every shard-local result independently.
-    env()->Cancel(it->second.timeout);
-    ++metrics_.shard_legs_accepted;
-    if (on_accept) {
-      on_accept(it->second.query, pledge.token.content_version, result);
-    }
-    uint64_t parent_id = it->second.parent;
-    uint32_t leg = it->second.leg;
-    pending_.erase(it);
-    auto mit = multireads_.find(parent_id);
-    if (mit == multireads_.end()) {
-      return;
-    }
-    MultiRead& multi = mit->second;
-    multi.results[leg] = result;
-    multi.tokens[leg] = pledge.token;
-    if (--multi.remaining > 0) {
-      return;
-    }
-    QueryResult merged =
-        MergeShardResults(multi.query, multi.plan, multi.results);
-    SimTime oldest = multi.tokens[0].timestamp;
-    for (const VersionToken& token : multi.tokens) {
-      oldest = std::min(oldest, token.timestamp);
-    }
-    metrics_.merged_token_age_us.Add(
-        static_cast<double>(env()->Now() - oldest));
-    ++metrics_.reads_accepted;
-    if (TraceSink* t = env()->trace()) {
-      t->Hist(TraceRole::kClient, id(), "read_rtt_us")
-          .Record(env()->Now() - multi.issued);
-      t->SpanEnd(TraceRole::kClient, id(), "read",
-                 MintTraceId(id(), parent_id), 1);
-    }
-    Callback cb = std::move(multi.cb);
-    multireads_.erase(mit);
-    if (cb) {
-      cb(true, merged);
-    }
     return;
   }
   ++metrics_.reads_accepted;
@@ -402,41 +263,12 @@ void MultiReadClient::Fail(uint64_t request_id, uint64_t trace_id) {
   if (it == pending_.end()) {
     return;
   }
-  if (it->second.parent != 0) {
-    FailMultiRead(it->second.parent);
-    return;
-  }
   ++metrics_.reads_failed;
   if (TraceSink* t = env()->trace()) {
     t->SpanEnd(TraceRole::kClient, id(), "read", trace_id, 0);
   }
   Callback cb = std::move(it->second.cb);
   pending_.erase(it);
-  if (cb) {
-    cb(false, QueryResult{});
-  }
-}
-
-void MultiReadClient::FailMultiRead(uint64_t parent_id) {
-  auto mit = multireads_.find(parent_id);
-  if (mit == multireads_.end()) {
-    return;
-  }
-  // A failed leg fails the merge: cancel and drop the surviving legs.
-  for (uint64_t leg_id : mit->second.leg_ids) {
-    auto lit = pending_.find(leg_id);
-    if (lit != pending_.end()) {
-      env()->Cancel(lit->second.timeout);
-      pending_.erase(lit);
-    }
-  }
-  ++metrics_.reads_failed;
-  if (TraceSink* t = env()->trace()) {
-    t->SpanEnd(TraceRole::kClient, id(), "read",
-               MintTraceId(id(), parent_id), 0);
-  }
-  Callback cb = std::move(mit->second.cb);
-  multireads_.erase(mit);
   if (cb) {
     cb(false, QueryResult{});
   }

@@ -6,18 +6,19 @@
 // automatically double-checks, since at least one of the slaves has to be
 // malicious." A number of malicious slaves would have to collude to pass
 // an incorrect answer; the price is k-fold untrusted execution.
+//
+// The variant runs against the paper's single master group; each reply
+// passes the same VerifyRead checks as the base client's.
 #ifndef SDR_SRC_CORE_MULTIREAD_CLIENT_H_
 #define SDR_SRC_CORE_MULTIREAD_CLIENT_H_
 
 #include <functional>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "src/core/config.h"
 #include "src/core/messages.h"
 #include "src/core/metrics.h"
-#include "src/core/shard.h"
 #include "src/runtime/env.h"
 #include "src/store/executor.h"
 
@@ -34,19 +35,6 @@ class MultiReadClient : public Node {
     NodeId master = kInvalidNode;
     NodeId auditor = kInvalidNode;
     uint64_t rng_seed = 1;
-
-    // Keyspace sharding (src/core/shard.h). When shard_map is set, every
-    // read is planned across shards and each leg fans out to that shard's
-    // own k slaves, with per-leg unanimity and double-checking; the merged
-    // result is released once every leg resolves. Unset = the classic
-    // single-group fields above, untouched.
-    struct ShardLane {
-      std::vector<Certificate> slave_certs;
-      NodeId master = kInvalidNode;
-      NodeId auditor = kInvalidNode;
-    };
-    std::optional<ShardMap> shard_map;
-    std::vector<ShardLane> shard_lanes;  // one per shard_map shard
   };
 
   struct Metrics {
@@ -57,13 +45,6 @@ class MultiReadClient : public Node {
     uint64_t double_checks_sent = 0;
     uint64_t accusations_sent = 0;
     uint64_t reads_failed = 0;
-    // Sharded mode only.
-    uint64_t multi_shard_reads = 0;  // reads planned across >1 shard
-    uint64_t shard_legs_issued = 0;
-    uint64_t shard_legs_accepted = 0;
-    // Age of the oldest per-shard token backing a merged read — the
-    // effective freshness bound of the merge.
-    Percentiles merged_token_age_us;
   };
 
   explicit MultiReadClient(Options options);
@@ -93,23 +74,6 @@ class MultiReadClient : public Node {
     EventId timeout = 0;
     bool double_checking = false;
     Callback cb;
-    // Sharded mode: which shard's slave set this read fans out to, and —
-    // for one leg of a multi-shard read — the parent id and leg index.
-    uint32_t shard = 0;
-    uint64_t parent = 0;  // 0 = standalone read
-    uint32_t leg = 0;
-  };
-  // A read planned across several shards; each leg is a full k-fold
-  // fan-out with its own unanimity check.
-  struct MultiRead {
-    Query query;
-    std::vector<ShardSubquery> plan;
-    std::vector<QueryResult> results;
-    std::vector<VersionToken> tokens;
-    size_t remaining = 0;
-    SimTime issued = 0;
-    std::vector<uint64_t> leg_ids;
-    Callback cb;
   };
 
   void HandleReadReply(NodeId from, BytesView body);
@@ -118,24 +82,12 @@ class MultiReadClient : public Node {
   void Accept(uint64_t request_id, const QueryResult& result,
               const Pledge& pledge);
   void Fail(uint64_t request_id, uint64_t trace_id);
-  void FailMultiRead(uint64_t parent_id);
-  const Certificate* CertFor(uint32_t shard, NodeId slave) const;
-
-  bool sharded() const {
-    return options_.shard_map.has_value() && !options_.shard_lanes.empty();
-  }
-  void IssueShardedRead(const Query& query, Callback cb);
-  uint64_t IssueLeg(uint32_t shard, const Query& query, uint64_t parent,
-                    uint32_t leg, uint64_t trace_id);
-  const std::vector<Certificate>& LaneSlaveCerts(uint32_t shard) const;
-  NodeId LaneMaster(uint32_t shard) const;
-  NodeId LaneAuditor(uint32_t shard) const;
+  const Certificate* CertFor(NodeId slave) const;
 
   Options options_;
   Rng rng_;
   uint64_t next_request_id_ = 1;
   std::map<uint64_t, PendingRead> pending_;
-  std::map<uint64_t, MultiRead> multireads_;
   Metrics metrics_;
 };
 

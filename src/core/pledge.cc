@@ -1,5 +1,7 @@
 #include "src/core/pledge.h"
 
+#include "src/store/executor.h"
+
 namespace sdr {
 
 Bytes VersionToken::SignedBody() const {
@@ -217,6 +219,27 @@ bool VerifyPledgeAndToken(SignatureScheme scheme, const Bytes& slave_public_key,
                           VerifyCache* cache) {
   return VerifyPledgeSignature(scheme, slave_public_key, pledge, cache) &&
          VerifyVersionToken(scheme, master_public_key, pledge.token, cache);
+}
+
+ReadVerdict VerifyRead(SignatureScheme scheme, const QueryResult& result,
+                       const Pledge& pledge, const Certificate& slave_cert,
+                       const Bytes* master_public_key, SimTime now,
+                       SimTime max_latency, VerifyCache* cache) {
+  if (result.Sha1Digest() != pledge.result_sha1) {
+    return ReadVerdict::kHashMismatch;
+  }
+  if (pledge.slave != slave_cert.subject) {
+    return ReadVerdict::kWrongSlave;
+  }
+  if (master_public_key == nullptr ||
+      !VerifyPledgeAndToken(scheme, slave_cert.subject_public_key,
+                            *master_public_key, pledge, cache)) {
+    return ReadVerdict::kBadSignature;
+  }
+  if (!TokenIsFresh(pledge.token, now, max_latency)) {
+    return ReadVerdict::kStale;
+  }
+  return ReadVerdict::kAccepted;
 }
 
 }  // namespace sdr

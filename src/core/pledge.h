@@ -25,6 +25,8 @@
 
 namespace sdr {
 
+struct QueryResult;
+
 struct VersionToken {
   uint64_t content_version = 0;
   SimTime timestamp = 0;   // master clock at signing
@@ -91,6 +93,26 @@ bool VerifyPledgeSignature(SignatureScheme scheme,
 bool VerifyPledgeAndToken(SignatureScheme scheme, const Bytes& slave_public_key,
                           const Bytes& master_public_key, const Pledge& pledge,
                           VerifyCache* cache);
+
+// Outcome of the client-side checks on one read reply (Sections 3.2-3.3),
+// listed in the order VerifyRead applies them.
+enum class ReadVerdict {
+  kAccepted,
+  kHashMismatch,  // the result does not hash to the pledged SHA-1
+  kWrongSlave,    // the pledge names a slave other than the expected one
+  kBadSignature,  // bad pledge or token signature, or uncertified master
+  kStale,         // the token is older than max_latency at `now`
+};
+
+// The paper's read verification, shared by every client: the result hash,
+// the pledging slave, the slave's and the master's signatures (through
+// `cache` when non-null), then freshness. Returns the first failure.
+// `master_public_key` is the certified key of pledge.token.master, or null
+// when that master is not certified.
+ReadVerdict VerifyRead(SignatureScheme scheme, const QueryResult& result,
+                       const Pledge& pledge, const Certificate& slave_cert,
+                       const Bytes* master_public_key, SimTime now,
+                       SimTime max_latency, VerifyCache* cache);
 
 // Group-commit certificate (scale-out, beyond the paper): one master
 // signature covering a contiguous run of committed versions

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace sdr {
 
@@ -25,59 +24,6 @@ double RunningStat::variance() const {
 
 double RunningStat::stddev() const {
   return std::sqrt(variance());
-}
-
-double Percentiles::Quantile(double q) const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  size_t idx = static_cast<size_t>(q * static_cast<double>(samples_.size() - 1) + 0.5);
-  if (idx >= samples_.size()) {
-    idx = samples_.size() - 1;
-  }
-  return samples_[idx];
-}
-
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), counts_(bounds_.size() + 1, 0) {}
-
-void Histogram::Add(double x) {
-  size_t i = 0;
-  while (i < bounds_.size() && x >= bounds_[i]) {
-    ++i;
-  }
-  ++counts_[i];
-  ++total_;
-}
-
-std::string Histogram::Render(int bar_width) const {
-  std::string out;
-  uint64_t max_count = 1;
-  for (uint64_t c : counts_) {
-    max_count = std::max(max_count, c);
-  }
-  char line[160];
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    double lo = i == 0 ? 0.0 : bounds_[i - 1];
-    int bar = static_cast<int>(static_cast<double>(counts_[i]) /
-                               static_cast<double>(max_count) * bar_width);
-    if (i < bounds_.size()) {
-      std::snprintf(line, sizeof(line), "[%10.3g, %10.3g) %8llu |", lo, bounds_[i],
-                    static_cast<unsigned long long>(counts_[i]));
-    } else {
-      std::snprintf(line, sizeof(line), "[%10.3g,        inf) %8llu |", lo,
-                    static_cast<unsigned long long>(counts_[i]));
-    }
-    out += line;
-    out.append(static_cast<size_t>(bar), '#');
-    out.push_back('\n');
-  }
-  return out;
 }
 
 }  // namespace sdr

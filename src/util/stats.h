@@ -1,12 +1,10 @@
-// Streaming and batch statistics used by the benchmark harness and the
-// master's greedy-client detector.
+// Streaming statistics. Latency distributions use LatencyHistogram
+// (src/trace/histogram.h).
 #ifndef SDR_SRC_UTIL_STATS_H_
 #define SDR_SRC_UTIL_STATS_H_
 
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace sdr {
 
@@ -30,46 +28,6 @@ class RunningStat {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-// Batch percentile over collected samples. Samples are sorted on demand.
-class Percentiles {
- public:
-  // Invalidates the sort memo: quantiles stay correct when Add and
-  // Quantile calls interleave.
-  void Add(double x) {
-    samples_.push_back(x);
-    sorted_ = false;
-  }
-  size_t count() const { return samples_.size(); }
-
-  // q in [0, 1]; nearest-rank on the sorted samples. Returns 0 when empty.
-  double Quantile(double q) const;
-
-  double Median() const { return Quantile(0.5); }
-  double P99() const { return Quantile(0.99); }
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
-};
-
-// Fixed-boundary histogram used for printing latency distributions.
-class Histogram {
- public:
-  // Buckets: [0,b0), [b0,b1), ..., [b_{n-1}, inf).
-  explicit Histogram(std::vector<double> bounds);
-
-  void Add(double x);
-  uint64_t total() const { return total_; }
-
-  // Text rendering, one bucket per line with a proportional bar.
-  std::string Render(int bar_width = 40) const;
-
- private:
-  std::vector<double> bounds_;
-  std::vector<uint64_t> counts_;
-  uint64_t total_ = 0;
 };
 
 }  // namespace sdr

@@ -160,13 +160,11 @@ void ClientFleet::HandleReadReply(NodeId from, BytesView body) {
   const Pledge& pledge = msg->pledge;
   const Certificate* cert = SlaveCert(shard, from);
   auto key = options_.master_keys.find(pledge.token.master);
-  if (cert == nullptr || key == options_.master_keys.end() ||
-      pledge.slave != from ||
-      msg->result.Sha1Digest() != pledge.result_sha1 ||
-      !VerifyPledgeAndToken(options_.params.scheme, cert->subject_public_key,
-                            key->second, pledge, &verify_cache_) ||
-      !TokenIsFresh(pledge.token, env()->Now(),
-                    options_.params.max_latency)) {
+  if (cert == nullptr ||
+      VerifyRead(options_.params.scheme, msg->result, pledge, *cert,
+                 key == options_.master_keys.end() ? nullptr : &key->second,
+                 env()->Now(), options_.params.max_latency,
+                 &verify_cache_) != ReadVerdict::kAccepted) {
     FailOp(op_id);
     return;
   }

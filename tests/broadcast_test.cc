@@ -129,6 +129,26 @@ TEST(BroadcastTest, SurvivesMessageLoss) {
   EXPECT_TRUE(h.AllAgree(10));
 }
 
+// A member that misses a message while holding later ones has a hole below
+// the highest sequence number it knows. Once the stream goes quiet no
+// arrival re-asks for it, so the sequencer's heartbeats must. The sweep
+// covers enough loss patterns to lose a gap nack or its retransmission.
+TEST(BroadcastTest, HeartbeatsRecoverHolesAcrossLossSeeds) {
+  std::vector<uint64_t> stalled;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Harness h(3, seed, LinkModel{5 * kMillisecond, 2 * kMillisecond, 0.25});
+    for (int i = 0; i < 10; ++i) {
+      h.members[i % 3]->bcast().Broadcast(ToBytes("op" + std::to_string(i)));
+    }
+    h.sim.RunUntil(30 * kSecond);
+    if (!h.AllAgree(10)) {
+      stalled.push_back(seed);
+    }
+  }
+  EXPECT_TRUE(stalled.empty()) << stalled.size() << " seeds stalled, first "
+                               << stalled.front();
+}
+
 TEST(BroadcastTest, NoDuplicateDeliveryUnderRetransmission) {
   Harness h(3, 4, LinkModel{5 * kMillisecond, 2 * kMillisecond, 0.3});
   h.members[2]->bcast().Broadcast(ToBytes("once"));

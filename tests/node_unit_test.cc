@@ -1,11 +1,13 @@
-// Node-level unit tests that exercise Slave and Auditor logic directly
-// (without a full cluster): out-of-order state updates, ack-driven
+// Node-level unit tests that exercise Slave, Master and Auditor logic
+// directly (without a full cluster): out-of-order state updates, ack-driven
 // catch-up, token adoption rules, and audit finalization gating.
 #include <gtest/gtest.h>
 
 #include "src/core/auditor.h"
+#include "src/core/master.h"
 #include "src/core/pledge.h"
 #include "src/core/slave.h"
+#include "src/runtime/deployment.h"
 #include "src/sim/network.h"
 
 namespace sdr {
@@ -88,6 +90,92 @@ struct SlaveHarness {
   SinkNode client_stub;
   std::unique_ptr<Slave> slave;
 };
+
+// A master built exactly as a real deployment builds one (MasterOptionsFor),
+// wired to stubs standing in for its auditor, its one slave and a client.
+struct MasterHarness {
+  MasterHarness() : sim(1), net(&sim, LinkModel{1 * kMillisecond, 0, 0.0}) {
+    DeploymentConfig config;
+    config.slaves_per_master = 1;
+    config.params.scheme = SignatureScheme::kHmacSha256;
+    plan = BuildDeployment(config);
+    master = std::make_unique<Master>(MasterOptionsFor(plan, 0));
+    // Node ids follow the deployment roster: directory, master, auditor,
+    // slave, client.
+    net.AddNode(&directory_stub);
+    net.AddNode(master.get());
+    net.AddNode(&auditor_stub);
+    net.AddNode(&slave_stub);
+    net.AddNode(&client_stub);
+    EXPECT_EQ(master->id(), plan.master_ids[0]);
+    EXPECT_EQ(slave_stub.id(), plan.slave_ids[0]);
+    master->AddSlave(plan.slave_certs[0]);
+    master->SetBaseContent(plan.base);
+    net.StartAll();
+  }
+
+  void Run(SimTime span) { sim.RunUntil(sim.Now() + span); }
+
+  void Write() {
+    WriteRequest msg;
+    msg.request_id = 1;
+    msg.batch = {WriteOp::Put("k", "v")};
+    net.Send(client_stub.id(), master->id(),
+             WithType(MsgType::kWriteRequest, msg.Encode()));
+  }
+
+  void Ack(uint64_t applied_version) {
+    SlaveAck ack;
+    ack.applied_version = applied_version;
+    net.Send(slave_stub.id(), master->id(),
+             WithType(MsgType::kSlaveAck, ack.Encode()));
+  }
+
+  size_t StateUpdatesToSlave() const {
+    size_t n = 0;
+    for (const auto& [from, payload] : slave_stub.received) {
+      auto type = PeekType(payload);
+      n += type.ok() && *type == MsgType::kStateUpdate ? 1 : 0;
+    }
+    return n;
+  }
+
+  Simulator sim;
+  Network net;
+  DeploymentPlan plan;
+  std::unique_ptr<Master> master;
+  SinkNode directory_stub, auditor_stub, slave_stub, client_stub;
+};
+
+TEST(MasterUnitTest, AckBehindAnInFlightPushDoesNotRePush) {
+  MasterHarness h;
+  h.Write();
+  h.Run(50 * kMillisecond);
+  ASSERT_EQ(h.master->version(), 1u);
+  ASSERT_EQ(h.StateUpdatesToSlave(), 1u);
+  // The slave has not applied version 1 yet, but its push left well within
+  // one keepalive period: re-signing it would only duplicate it.
+  h.Ack(0);
+  h.Run(50 * kMillisecond);
+  EXPECT_EQ(h.StateUpdatesToSlave(), 1u);
+}
+
+TEST(MasterUnitTest, AcksStalledForAKeepaliveTriggerARePush) {
+  MasterHarness h;
+  h.Write();
+  h.Run(50 * kMillisecond);
+  ASSERT_EQ(h.StateUpdatesToSlave(), 1u);
+  // A keepalive period later the slave still reports version 0: the push
+  // was lost, so the master sends it again.
+  h.Run(h.plan.config.params.keepalive_period);
+  h.Ack(0);
+  h.Run(50 * kMillisecond);
+  EXPECT_EQ(h.StateUpdatesToSlave(), 2u);
+  // Once the slave catches up, nothing further is pushed.
+  h.Ack(1);
+  h.Run(50 * kMillisecond);
+  EXPECT_EQ(h.StateUpdatesToSlave(), 2u);
+}
 
 TEST(SlaveUnitTest, BuffersOutOfOrderUpdates) {
   SlaveHarness h;

@@ -4,6 +4,7 @@
 #include "src/core/certificate.h"
 #include "src/core/messages.h"
 #include "src/core/pledge.h"
+#include "src/store/executor.h"
 #include "src/util/rng.h"
 
 namespace sdr {
@@ -156,6 +157,118 @@ TEST(PledgeTest, NonFrameability) {
   forged.signature = client.Sign(forged.SignedBody());  // wrong key
   EXPECT_FALSE(VerifyPledgeSignature(SignatureScheme::kEd25519,
                                      k.slave.public_key, forged));
+}
+
+// One honest read reply as a client sees it: slave 9, certified by master
+// 2, serving a result under a token signed at 10 s; the client checks it at
+// 10.5 s with a 2 s freshness window.
+struct ReadFixture {
+  ReadFixture() : master_signer(k.master), slave_signer(k.slave) {
+    result.type = QueryResult::Type::kScalar;
+    result.scalar = 42;
+    slave_cert =
+        IssueCertificate(master_signer, 9, Role::kSlave, k.slave.public_key);
+    token = MakeVersionToken(master_signer, 2, 5, 10 * kSecond);
+    pledge = MakePledge(slave_signer, 9, Query::Get("item/1"),
+                        result.Sha1Digest(), token);
+  }
+
+  ReadVerdict Verify(const Pledge& p, const QueryResult& r,
+                     const Bytes* master_key, SimTime now,
+                     VerifyCache* cache = nullptr) const {
+    return VerifyRead(SignatureScheme::kEd25519, r, p, slave_cert, master_key,
+                      now, 2 * kSecond, cache);
+  }
+  ReadVerdict Verify(const Pledge& p) const {
+    return Verify(p, result, &k.master.public_key, kNow);
+  }
+
+  static constexpr SimTime kNow = 10 * kSecond + 500 * kMillisecond;
+  Keys k;
+  Signer master_signer;
+  Signer slave_signer;
+  QueryResult result;
+  Certificate slave_cert;
+  VersionToken token;
+  Pledge pledge;
+};
+
+TEST(VerifyReadTest, AcceptsAnHonestReply) {
+  ReadFixture f;
+  EXPECT_EQ(f.Verify(f.pledge), ReadVerdict::kAccepted);
+  VerifyCache cache;
+  EXPECT_EQ(f.Verify(f.pledge, f.result, &f.k.master.public_key,
+                     ReadFixture::kNow, &cache),
+            ReadVerdict::kAccepted);
+  EXPECT_EQ(f.Verify(f.pledge, f.result, &f.k.master.public_key,
+                     ReadFixture::kNow, &cache),
+            ReadVerdict::kAccepted);
+  EXPECT_EQ(cache.stats().hits, 2u);
+}
+
+TEST(VerifyReadTest, RejectsAResultThatDoesNotMatchThePledgedHash) {
+  ReadFixture f;
+  QueryResult other = f.result;
+  other.scalar = 43;
+  EXPECT_EQ(f.Verify(f.pledge, other, &f.k.master.public_key,
+                     ReadFixture::kNow),
+            ReadVerdict::kHashMismatch);
+}
+
+TEST(VerifyReadTest, RejectsAPledgeFromAnotherSlave) {
+  ReadFixture f;
+  KeyPair other_key = KeyPair::Generate(SignatureScheme::kEd25519, f.k.rng);
+  Signer other(other_key);
+  Pledge pledge = MakePledge(other, 10, f.pledge.query, f.pledge.result_sha1,
+                             f.token);
+  EXPECT_EQ(f.Verify(pledge), ReadVerdict::kWrongSlave);
+}
+
+TEST(VerifyReadTest, RejectsATamperedPledgeSignature) {
+  ReadFixture f;
+  Pledge pledge = f.pledge;
+  pledge.signature[0] ^= 0x01;
+  EXPECT_EQ(f.Verify(pledge), ReadVerdict::kBadSignature);
+}
+
+TEST(VerifyReadTest, RejectsATokenFromAnUncertifiedMaster) {
+  ReadFixture f;
+  EXPECT_EQ(f.Verify(f.pledge, f.result, nullptr, ReadFixture::kNow),
+            ReadVerdict::kBadSignature);
+  // Nor does a key other than the signing master's pass.
+  EXPECT_EQ(f.Verify(f.pledge, f.result, &f.k.content.public_key,
+                     ReadFixture::kNow),
+            ReadVerdict::kBadSignature);
+}
+
+TEST(VerifyReadTest, RejectsATamperedToken) {
+  ReadFixture f;
+  // The slave signs over a token whose version was bumped after the master
+  // signed it: the pledge signature holds, the token's does not.
+  VersionToken token = f.token;
+  token.content_version = 6;
+  Pledge pledge = MakePledge(f.slave_signer, 9, f.pledge.query,
+                             f.pledge.result_sha1, token);
+  EXPECT_EQ(f.Verify(pledge), ReadVerdict::kBadSignature);
+}
+
+TEST(VerifyReadTest, RejectsAStaleToken) {
+  ReadFixture f;
+  EXPECT_EQ(f.Verify(f.pledge, f.result, &f.k.master.public_key,
+                     12 * kSecond),
+            ReadVerdict::kAccepted);
+  EXPECT_EQ(f.Verify(f.pledge, f.result, &f.k.master.public_key,
+                     12 * kSecond + 1),
+            ReadVerdict::kStale);
+}
+
+TEST(VerifyReadTest, ReportsTheFirstFailingCheck) {
+  ReadFixture f;
+  QueryResult other = f.result;
+  other.scalar = 43;
+  EXPECT_EQ(f.Verify(f.pledge, other, &f.k.master.public_key,
+                     60 * kSecond),
+            ReadVerdict::kHashMismatch);
 }
 
 TEST(MessagesTest, TypedPayloadRoundTrips) {

@@ -60,6 +60,10 @@ TEST(Histogram, RelativeErrorIsBounded) {
 
 TEST(Histogram, RecordAndQuantiles) {
   LatencyHistogram h;
+  // Every quantile of the empty histogram is 0, out-of-range q included.
+  EXPECT_EQ(h.Median(), 0);
+  EXPECT_EQ(h.Quantile(-0.5), 0);
+  EXPECT_EQ(h.Quantile(2.0), 0);
   for (int64_t v = 1; v <= 1000; ++v) {
     h.Record(v);
   }
@@ -76,6 +80,9 @@ TEST(Histogram, RecordAndQuantiles) {
   EXPECT_LE(h.Quantile(1.0), h.max());
   EXPECT_GE(static_cast<double>(h.Quantile(1.0)),
             static_cast<double>(h.max()) * 0.96);
+  // q outside [0, 1] clamps.
+  EXPECT_EQ(h.Quantile(-1.0), h.Quantile(0.0));
+  EXPECT_EQ(h.Quantile(7.0), h.Quantile(1.0));
 }
 
 TEST(Histogram, NegativeValuesClampToZero) {

@@ -201,63 +201,6 @@ TEST(StatsTest, RunningStatBasics) {
   EXPECT_EQ(s.max(), 9.0);
 }
 
-TEST(StatsTest, PercentilesSorted) {
-  Percentiles p;
-  for (int i = 100; i >= 1; --i) {
-    p.Add(i);
-  }
-  EXPECT_EQ(p.Quantile(0.0), 1.0);
-  EXPECT_EQ(p.Quantile(1.0), 100.0);
-  EXPECT_NEAR(p.Median(), 50.0, 1.0);
-  EXPECT_NEAR(p.P99(), 99.0, 1.0);
-}
-
-TEST(StatsTest, EmptyPercentilesIsZero) {
-  Percentiles p;
-  EXPECT_EQ(p.Median(), 0.0);
-  // Every quantile of the empty set is defined as 0, including the
-  // extremes and out-of-range requests.
-  EXPECT_EQ(p.Quantile(0.0), 0.0);
-  EXPECT_EQ(p.Quantile(1.0), 0.0);
-  EXPECT_EQ(p.Quantile(-0.5), 0.0);
-  EXPECT_EQ(p.Quantile(2.0), 0.0);
-  EXPECT_EQ(p.count(), 0u);
-}
-
-TEST(StatsTest, QuantileClampsOutOfRangeQ) {
-  Percentiles p;
-  p.Add(1.0);
-  p.Add(2.0);
-  p.Add(3.0);
-  EXPECT_EQ(p.Quantile(-1.0), 1.0);
-  EXPECT_EQ(p.Quantile(7.0), 3.0);
-}
-
-TEST(StatsTest, AddAfterQuantileResorts) {
-  // Regression: Quantile memoizes the sort; a later Add must invalidate
-  // the memo or quantiles silently go stale.
-  Percentiles p;
-  p.Add(3.0);
-  p.Add(1.0);
-  p.Add(2.0);
-  EXPECT_EQ(p.Quantile(1.0), 3.0);  // forces the sort
-  p.Add(100.0);
-  p.Add(0.5);
-  EXPECT_EQ(p.Quantile(1.0), 100.0);
-  EXPECT_EQ(p.Quantile(0.0), 0.5);
-}
-
-TEST(StatsTest, HistogramBuckets) {
-  Histogram h({1.0, 10.0, 100.0});
-  h.Add(0.5);
-  h.Add(5.0);
-  h.Add(50.0);
-  h.Add(500.0);
-  EXPECT_EQ(h.total(), 4u);
-  std::string rendered = h.Render();
-  EXPECT_NE(rendered.find("inf"), std::string::npos);
-}
-
 TEST(ResultTest, ValueAndError) {
   Result<int> good(42);
   ASSERT_TRUE(good.ok());

@@ -31,10 +31,10 @@ int main(int argc, char** argv) {
       .Define("clients", "4", "number of clients")
       .Define("shards", "1",
               "keyspace shards (each with its own master group; 1 = the "
-              "paper's single group, byte-identical)")
+              "paper's single group)")
       .Define("commit_batch", "1",
-              "master-side group commit bundle size (1 = byte-identical "
-              "classic path)")
+              "master-side group commit bundle size (1 = the paper's "
+              "one-write-per-commit path)")
       .Define("items", "200", "catalogue size (documents = 3x)")
       .Define("max_latency_ms", "2000", "freshness bound / write spacing")
       .Define("double_check_p", "0.05", "double-check probability")

@@ -473,10 +473,10 @@ int main(int argc, char** argv) {
       .Define("shards", "1",
               "keyspace shards, each with its own master group + slaves + "
               "auditors and an independent version sequence (1 = the "
-              "paper's single group, byte-identical)")
+              "paper's single group)")
       .Define("commit_batch", "1",
               "master-side group commit: writes bundled per broadcast "
-              "(1 = the paper's one-write-per-commit path, byte-identical)")
+              "(1 = the paper's one-write-per-commit path)")
       .Define("commit_window_us", "10000",
               "max time a write waits for its bundle to fill "
               "(with --commit_batch > 1)")
