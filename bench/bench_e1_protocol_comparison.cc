@@ -90,8 +90,9 @@ Outcome RunOurs(const QueryMix& mix, uint64_t seed) {
   o.median_ms = cluster.client(0).metrics().read_latency_us.Median() / 1000.0;
   o.p99_ms = cluster.client(0).metrics().read_latency_us.P99() / 1000.0;
   auto totals = cluster.ComputeTotals();
-  o.trusted_work = totals.master_work_units + totals.auditor_work_units;
-  o.untrusted_work = totals.slave_work_units;
+  o.trusted_work = totals.masters.work_units_executed +
+                   totals.auditors.work_units_executed;
+  o.untrusted_work = totals.slaves.work_units_executed;
   return o;
 }
 

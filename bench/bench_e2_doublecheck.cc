@@ -40,12 +40,14 @@ Sample RunAt(double p, uint64_t seed) {
     Cluster cluster(config);
     cluster.RunFor(60 * kSecond);
     auto t = cluster.ComputeTotals();
-    uint64_t total = t.master_work_units + t.slave_work_units;
+    const uint64_t master_work = t.masters.work_units_executed;
+    uint64_t total = master_work + t.slaves.work_units_executed;
     s.master_share = total == 0 ? 0
-                                : static_cast<double>(t.master_work_units) /
+                                : static_cast<double>(master_work) /
                                       static_cast<double>(total);
+    const uint64_t accepted = t.clients.reads_accepted;
     s.dc_per_100_reads =
-        t.reads_accepted == 0 ? 0 : 100 * t.double_checks_sent / t.reads_accepted;
+        accepted == 0 ? 0 : 100 * t.clients.double_checks_sent / accepted;
   }
   // --- Malicious runs: reads survived by an always-lying slave. ---
   {

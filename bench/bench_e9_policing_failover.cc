@@ -85,7 +85,7 @@ void PartB() {
   Cluster cluster(config);
 
   cluster.RunFor(15 * kSecond);
-  uint64_t accepted_before = cluster.ComputeTotals().reads_accepted;
+  uint64_t accepted_before = cluster.ComputeTotals().clients.reads_accepted;
   int victims = 0;
   for (int c = 0; c < cluster.num_clients(); ++c) {
     if (cluster.client(c).master() == cluster.master(1).id()) {
@@ -114,10 +114,11 @@ void PartB() {
         victims_recovered = false;
       }
     }
-    if (resumed_at < 0 && victims_recovered && t.reads_accepted > last + 5) {
+    if (resumed_at < 0 && victims_recovered &&
+        t.clients.reads_accepted > last + 5) {
       resumed_at = cluster.sim().Now();
     }
-    last = t.reads_accepted;
+    last = t.clients.reads_accepted;
   }
   Row("  slave set divided after %.1f s (survivors adopted %llu sets)",
       adopted_at < 0 ? -1.0 : (static_cast<double>(adopted_at) / kSecond - 15),
@@ -135,7 +136,7 @@ void PartB() {
   auto t = cluster.ComputeTotals();
   Row("  reads accepted: %llu before crash, %llu total after 45s more",
       static_cast<unsigned long long>(accepted_before),
-      static_cast<unsigned long long>(t.reads_accepted));
+      static_cast<unsigned long long>(t.clients.reads_accepted));
   Note("shape: division happens one failure-timeout after the crash; the");
   Note("interruption is bounded by client timeouts + re-setup RTTs.");
 }

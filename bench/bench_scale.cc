@@ -76,7 +76,7 @@ Sample Run(const Shape& shape, uint64_t seed) {
 
   Sample s;
   // One master per shard here, so per-master commits are per-shard unique.
-  uint64_t writes = totals.writes_committed_masters;
+  uint64_t writes = totals.masters.writes_committed;
   s.reads_per_sec = static_cast<double>(fm.reads_accepted) / secs;
   s.writes_per_sec = static_cast<double>(writes) / secs;
   s.events_per_sec = s.reads_per_sec + s.writes_per_sec;
@@ -84,9 +84,9 @@ Sample Run(const Shape& shape, uint64_t seed) {
   s.read_p99_ms = fm.read_rtt_us.P99() / 1000.0;
   s.sigs_per_write =
       writes == 0 ? 0.0
-                  : static_cast<double>(totals.commit_signatures) /
+                  : static_cast<double>(totals.masters.commit_signatures) /
                         static_cast<double>(writes);
-  s.batches = totals.batches_committed;
+  s.batches = totals.masters.batches_committed;
   return s;
 }
 

@@ -55,30 +55,32 @@ int main() {
     if (hour % 2 == 0) {
       std::printf("%6d %8.2f %10llu %10llu %12zu %10llu\n", hour,
                   probe.Multiplier(cluster.sim().Now()),
-                  static_cast<unsigned long long>(totals.reads_accepted -
-                                                  last_reads),
+                  static_cast<unsigned long long>(
+                      totals.clients.reads_accepted - last_reads),
                   static_cast<unsigned long long>(
                       cluster.master(0).metrics().writes_committed),
                   cluster.auditor().backlog(),
                   static_cast<unsigned long long>(
                       cluster.auditor().version_lag()));
     }
-    last_reads = totals.reads_accepted;
+    last_reads = totals.clients.reads_accepted;
   }
 
   auto totals = cluster.ComputeTotals();
   std::printf("\n24h summary:\n");
   std::printf("  reads accepted: %llu   writes committed: %llu  (ratio %.0f:1)\n",
-              static_cast<unsigned long long>(totals.reads_accepted),
+              static_cast<unsigned long long>(totals.clients.reads_accepted),
               static_cast<unsigned long long>(
                   cluster.master(0).metrics().writes_committed),
-              static_cast<double>(totals.reads_accepted) /
+              static_cast<double>(totals.clients.reads_accepted) /
                   std::max<uint64_t>(1,
                                      cluster.master(0).metrics().writes_committed));
   std::printf("  trusted work: %llu units   untrusted work: %llu units\n",
-              static_cast<unsigned long long>(totals.master_work_units +
-                                              totals.auditor_work_units),
-              static_cast<unsigned long long>(totals.slave_work_units));
+              static_cast<unsigned long long>(
+                  totals.masters.work_units_executed +
+                  totals.auditors.work_units_executed),
+              static_cast<unsigned long long>(
+                  totals.slaves.work_units_executed));
   std::printf("  pledges audited: %llu of %llu received (cache hits %llu)\n",
               static_cast<unsigned long long>(
                   cluster.auditor().metrics().pledges_audited),

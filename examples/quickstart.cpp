@@ -77,10 +77,10 @@ int main() {
   std::printf(
       "\nprotocol activity: %llu reads accepted, %llu pledges sent to the "
       "auditor, %llu double-checks, %llu writes committed\n",
-      static_cast<unsigned long long>(totals.reads_accepted),
-      static_cast<unsigned long long>(totals.pledges_forwarded),
-      static_cast<unsigned long long>(totals.double_checks_sent),
-      static_cast<unsigned long long>(totals.writes_committed_clients));
+      static_cast<unsigned long long>(totals.clients.reads_accepted),
+      static_cast<unsigned long long>(totals.clients.pledges_forwarded),
+      static_cast<unsigned long long>(totals.clients.double_checks_sent),
+      static_cast<unsigned long long>(totals.clients.writes_committed));
   std::printf("auditor: %llu pledges received, %llu audited, 0 mismatches\n",
               static_cast<unsigned long long>(
                   cluster.auditor().metrics().pledges_received),

@@ -29,14 +29,9 @@ uint64_t NoWrongReadUndetected::EvidenceTotal(const ChaosContext& ctx) const {
   // auditor re-execution mismatch (delayed discovery; the bad-read notice
   // to the victim is downstream of it and may be lost to a partition, so
   // the mismatch itself is the countable event).
-  uint64_t total = 0;
-  for (int c = 0; c < ctx.cluster->num_clients(); ++c) {
-    total += ctx.cluster->client(c).metrics().double_check_mismatches;
-  }
-  for (int a = 0; a < ctx.cluster->num_auditors(); ++a) {
-    total += ctx.cluster->auditor(a).metrics().mismatches_found;
-  }
-  return total;
+  const Cluster::Totals totals = ctx.cluster->ComputeTotals();
+  return totals.clients.double_check_mismatches +
+         totals.auditors.mismatches_found;
 }
 
 void NoWrongReadUndetected::OnTick(const ChaosContext& ctx) {

@@ -377,11 +377,11 @@ SeedVerdict RunOneSweepSeed(const ClusterConfig& config,
   verdict.seed = config.seed;
   verdict.violations = controller.violations();
   Cluster::Totals totals = cluster.ComputeTotals();
-  verdict.accepted_reads = totals.reads_accepted;
+  verdict.accepted_reads = totals.clients.reads_accepted;
   verdict.accepted_wrong = cluster.accepted_wrong();
-  verdict.double_check_mismatches = totals.double_check_mismatches;
-  verdict.auditor_mismatches = totals.auditor_mismatches;
-  verdict.slaves_excluded = totals.slaves_excluded;
+  verdict.double_check_mismatches = totals.clients.double_check_mismatches;
+  verdict.auditor_mismatches = totals.auditors.mismatches_found;
+  verdict.slaves_excluded = totals.masters.slaves_excluded;
   return verdict;
 }
 

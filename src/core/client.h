@@ -185,8 +185,9 @@ class Client : public Node {
     uint64_t trace_id = 0;
     std::vector<uint64_t> sub_ids;
   };
-  // A write batch split across shards; commits only if every shard-local
-  // sub-batch commits (no cross-shard atomicity — see docs/PERF.md).
+  // A write batch split across shards; reports committed only if every
+  // shard-local sub-batch commits. Shards commit independently, with no
+  // cross-shard atomicity (docs/PROTOCOL.md, "Multi-shard writes").
   struct MultiWrite {
     size_t remaining = 0;
     bool all_ok = true;

@@ -411,45 +411,35 @@ void Cluster::ValidateAcceptedRead(const Query& query, uint64_t version,
 Cluster::Totals Cluster::ComputeTotals() const {
   Totals t;
   for (const auto& c : clients_) {
-    const ClientMetrics& m = c->metrics();
-    t.reads_issued += m.reads_issued;
-    t.reads_accepted += m.reads_accepted;
-    t.reads_rejected_stale += m.reads_rejected_stale;
-    t.retries += m.retries;
-    t.double_checks_sent += m.double_checks_sent;
-    t.double_check_mismatches += m.double_check_mismatches;
-    t.pledges_forwarded += m.pledges_forwarded;
-    t.writes_committed_clients += m.writes_committed;
-    t.forks_detected += m.forks_detected;
-    t.evidence_chains_emitted += m.evidence_chains_emitted;
-    t.vv_exchanges += m.vv_exchanges_sent;
-    t.placement_cache_hits += m.placement_cache_hits;
-    t.placement_cache_misses += m.placement_cache_misses;
-    t.multi_shard_reads += m.multi_shard_reads;
-    t.multi_shard_writes += m.multi_shard_writes;
-    t.shard_subreads_issued += m.shard_subreads_issued;
-    t.shard_subreads_accepted += m.shard_subreads_accepted;
-    t.shard_subwrites_committed += m.shard_subwrites_committed;
-  }
-  for (const auto& s : slaves_) {
-    t.slave_work_units += s->metrics().work_units_executed;
-    t.lies_told += s->metrics().lies_told;
-    t.pledge_signatures_reused += s->metrics().pledge_signatures_reused;
-    t.state_update_batches += s->metrics().state_update_batches_received;
+    Accumulate(t.clients, c->metrics());
   }
   for (const auto& m : masters_) {
-    t.master_work_units += m->metrics().work_units_executed;
-    t.slaves_excluded += m->metrics().slaves_excluded;
-    t.writes_committed_masters += m->metrics().writes_committed;
-    t.writes_batched += m->metrics().writes_batched;
-    t.batches_committed += m->metrics().batches_committed;
-    t.commit_signatures += m->metrics().commit_signatures;
+    Accumulate(t.masters, m->metrics());
+  }
+  for (const auto& s : slaves_) {
+    Accumulate(t.slaves, s->metrics());
   }
   for (const auto& a : auditors_) {
-    t.auditor_work_units += a->metrics().work_units_executed;
-    t.auditor_mismatches += a->metrics().mismatches_found;
-    t.forks_detected += a->metrics().forks_detected;
-    t.evidence_chains_emitted += a->metrics().evidence_chains_emitted;
+    Accumulate(t.auditors, a->metrics());
+  }
+  if (fleet_) {
+    Accumulate(t.fleet, fleet_->metrics());
+  }
+  return t;
+}
+
+Cluster::Totals Cluster::ComputeShardTotals(int shard) const {
+  Totals t;
+  for (int i = 0; i < masters_per_shard(); ++i) {
+    Accumulate(t.masters,
+               masters_[shard * masters_per_shard() + i]->metrics());
+  }
+  for (int i = 0; i < slaves_per_shard(); ++i) {
+    Accumulate(t.slaves, slaves_[shard * slaves_per_shard() + i]->metrics());
+  }
+  for (int i = 0; i < auditors_per_shard(); ++i) {
+    Accumulate(t.auditors,
+               auditors_[shard * auditors_per_shard() + i]->metrics());
   }
   return t;
 }

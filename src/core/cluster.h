@@ -166,42 +166,20 @@ class Cluster {
   uint64_t accepted_wrong() const { return accepted_wrong_; }
   uint64_t accepted_uncheckable() const { return accepted_uncheckable_; }
 
-  // Aggregates across nodes, for benches and quick assertions.
+  // Per-role sums over nodes (src/core/metrics.h Accumulate), for reports,
+  // benches and quick assertions.
   struct Totals {
-    uint64_t reads_issued = 0;
-    uint64_t reads_accepted = 0;
-    uint64_t reads_rejected_stale = 0;
-    uint64_t retries = 0;
-    uint64_t double_checks_sent = 0;
-    uint64_t double_check_mismatches = 0;
-    uint64_t pledges_forwarded = 0;
-    uint64_t writes_committed_clients = 0;
-    uint64_t slave_work_units = 0;
-    uint64_t master_work_units = 0;
-    uint64_t auditor_work_units = 0;
-    uint64_t slaves_excluded = 0;
-    uint64_t auditor_mismatches = 0;
-    uint64_t lies_told = 0;
-    uint64_t pledge_signatures_reused = 0;
-    // Fork-consistency aggregates (zero unless fork_check_enabled).
-    uint64_t forks_detected = 0;
-    uint64_t evidence_chains_emitted = 0;
-    uint64_t vv_exchanges = 0;
-    // Group-commit / sharding aggregates (zero in classic runs).
-    uint64_t writes_committed_masters = 0;
-    uint64_t writes_batched = 0;
-    uint64_t batches_committed = 0;
-    uint64_t state_update_batches = 0;
-    uint64_t commit_signatures = 0;
-    uint64_t placement_cache_hits = 0;
-    uint64_t placement_cache_misses = 0;
-    uint64_t multi_shard_reads = 0;
-    uint64_t multi_shard_writes = 0;
-    uint64_t shard_subreads_issued = 0;
-    uint64_t shard_subreads_accepted = 0;
-    uint64_t shard_subwrites_committed = 0;
+    ClientMetrics clients;
+    MasterMetrics masters;
+    SlaveMetrics slaves;
+    AuditorMetrics auditors;
+    ClientFleet::Metrics fleet;
   };
+  // Every node of each role, the fleet node included.
   Totals ComputeTotals() const;
+  // Shard `shard`'s masters, slaves and auditors; clients and the fleet
+  // span every shard, so those two stay empty.
+  Totals ComputeShardTotals(int shard) const;
 
  private:
   void OnClientAccept(int client_index, const Query& query,

@@ -29,6 +29,7 @@
 
 #include "src/core/config.h"
 #include "src/core/messages.h"
+#include "src/core/metrics.h"
 #include "src/core/shard.h"
 #include "src/runtime/env.h"
 #include "src/store/document_store.h"
@@ -37,6 +38,23 @@
 #include "src/util/rng.h"
 
 namespace sdr {
+
+// ClientFleet::Metrics, declared the way src/core/metrics.h declares the
+// role structs.
+#define SDR_FLEET_METRICS(X)                                                 \
+  X(uint64_t, reads_issued)                                                  \
+  X(uint64_t, reads_accepted)                                                \
+  X(uint64_t, reads_failed)  /* decline, bad check, or timeout */            \
+  X(uint64_t, subreads_sent) /* legs, >= reads_issued when sharded */        \
+  X(uint64_t, writes_issued)                                                 \
+  X(uint64_t, writes_committed)                                              \
+  X(uint64_t, writes_failed)                                                 \
+  X(uint64_t, pledges_forwarded)                                             \
+  X(uint64_t, sig_cache_hits)                                                \
+  X(uint64_t, sig_cache_misses)                                              \
+  X(uint64_t, sig_cache_keys_prepared)                                       \
+  X(LatencyHistogram, read_rtt_us)                                           \
+  X(LatencyHistogram, write_rtt_us)
 
 class ClientFleet : public Node {
  public:
@@ -63,19 +81,7 @@ class ClientFleet : public Node {
   };
 
   struct Metrics {
-    uint64_t reads_issued = 0;
-    uint64_t reads_accepted = 0;
-    uint64_t reads_failed = 0;   // decline, bad check, or timeout
-    uint64_t subreads_sent = 0;  // legs, >= reads_issued when sharded
-    uint64_t writes_issued = 0;
-    uint64_t writes_committed = 0;
-    uint64_t writes_failed = 0;
-    uint64_t pledges_forwarded = 0;
-    uint64_t sig_cache_hits = 0;
-    uint64_t sig_cache_misses = 0;
-    uint64_t sig_cache_keys_prepared = 0;
-    LatencyHistogram read_rtt_us;
-    LatencyHistogram write_rtt_us;
+    SDR_METRICS_STRUCT(Metrics, SDR_FLEET_METRICS)
   };
 
   explicit ClientFleet(Options options);

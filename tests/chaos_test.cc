@@ -309,7 +309,7 @@ TEST(InvariantTest, HonestClusterPassesAllInvariants) {
   for (const Violation& v : controller.violations()) {
     ADD_FAILURE() << v.ToString();
   }
-  EXPECT_GT(cluster.ComputeTotals().reads_accepted, 0u);
+  EXPECT_GT(cluster.ComputeTotals().clients.reads_accepted, 0u);
   // The auditor's paced commits must keep its version numbering aligned
   // with the masters': on a healthy run no forwarded pledge should name a
   // version the auditor has already finalized and pruned.
@@ -336,7 +336,9 @@ TEST(InvariantTest, LyingSlaveIsCaughtByEvidenceNotSilently) {
   // The slave did lie, and the protocol produced evidence and punishment.
   EXPECT_GT(cluster.slave(0).metrics().lies_told, 0u);
   Cluster::Totals totals = cluster.ComputeTotals();
-  EXPECT_GT(totals.double_check_mismatches + totals.auditor_mismatches, 0u);
+  EXPECT_GT(totals.clients.double_check_mismatches +
+                totals.auditors.mismatches_found,
+            0u);
   EXPECT_TRUE(cluster.ExcludedByAnyMaster(cluster.slave(0).id()));
 }
 

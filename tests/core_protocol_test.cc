@@ -26,11 +26,11 @@ TEST(ClusterTest, HonestClusterServesReadsCorrectly) {
   cluster.RunFor(30 * kSecond);
 
   auto totals = cluster.ComputeTotals();
-  EXPECT_GT(totals.reads_accepted, 100u);
+  EXPECT_GT(totals.clients.reads_accepted, 100u);
   EXPECT_EQ(cluster.accepted_wrong(), 0u);
   EXPECT_GT(cluster.accepted_checked(), 0u);
-  EXPECT_EQ(totals.slaves_excluded, 0u);
-  EXPECT_EQ(totals.double_check_mismatches, 0u);
+  EXPECT_EQ(totals.masters.slaves_excluded, 0u);
+  EXPECT_EQ(totals.clients.double_check_mismatches, 0u);
   // Pledges flow to the auditor and audits find nothing.
   EXPECT_GT(cluster.auditor().metrics().pledges_received, 0u);
   EXPECT_EQ(cluster.auditor().metrics().mismatches_found, 0u);
@@ -130,9 +130,9 @@ TEST(ClusterTest, LyingSlaveCaughtRedHandedByDoubleCheck) {
   cluster.RunFor(30 * kSecond);
 
   auto totals = cluster.ComputeTotals();
-  EXPECT_GT(totals.lies_told, 0u);
-  EXPECT_GT(totals.double_check_mismatches, 0u);
-  EXPECT_GE(totals.slaves_excluded, 1u);
+  EXPECT_GT(totals.slaves.lies_told, 0u);
+  EXPECT_GT(totals.clients.double_check_mismatches, 0u);
+  EXPECT_GE(totals.masters.slaves_excluded, 1u);
   // The pledge is irrefutable: with p=1 nothing wrong is ever accepted.
   EXPECT_EQ(cluster.accepted_wrong(), 0u);
   // Clients of the excluded slave were moved to a new slave.
@@ -142,7 +142,7 @@ TEST(ClusterTest, LyingSlaveCaughtRedHandedByDoubleCheck) {
   }
   EXPECT_GT(reassigned, 0u);
   // Service recovered after exclusion.
-  EXPECT_GT(totals.reads_accepted, 50u);
+  EXPECT_GT(totals.clients.reads_accepted, 50u);
 }
 
 TEST(ClusterTest, LyingSlaveEventuallyCaughtByAuditor) {
@@ -160,14 +160,14 @@ TEST(ClusterTest, LyingSlaveEventuallyCaughtByAuditor) {
   cluster.RunFor(60 * kSecond);
 
   auto totals = cluster.ComputeTotals();
-  EXPECT_GT(totals.lies_told, 0u);
+  EXPECT_GT(totals.slaves.lies_told, 0u);
   // Without double-checking, some wrong answers were accepted (the paper's
   // optimistic trade-off)...
   EXPECT_GT(cluster.accepted_wrong(), 0u);
   // ...but the background audit caught the slave and had it excluded.
   EXPECT_GT(cluster.auditor().metrics().mismatches_found, 0u);
   EXPECT_GT(cluster.auditor().metrics().accusations_sent, 0u);
-  EXPECT_GE(totals.slaves_excluded, 1u);
+  EXPECT_GE(totals.masters.slaves_excluded, 1u);
   // After exclusion, no further lies are accepted; wrong accepts stop
   // growing. (Run longer and compare.)
   uint64_t wrong_at_exclusion = cluster.accepted_wrong();
@@ -311,7 +311,8 @@ TEST(ClusterTest, NonSequencerMasterCrashClientsReSetup) {
   auto totals_before = cluster.ComputeTotals();
   cluster.RunFor(20 * kSecond);
   auto totals_after = cluster.ComputeTotals();
-  EXPECT_GT(totals_after.reads_accepted, totals_before.reads_accepted);
+  EXPECT_GT(totals_after.clients.reads_accepted,
+            totals_before.clients.reads_accepted);
   EXPECT_EQ(cluster.accepted_wrong(), 0u);
   for (int c = 0; c < cluster.num_clients(); ++c) {
     EXPECT_NE(cluster.client(c).master(), dead) << c;
@@ -430,7 +431,7 @@ TEST(ClusterTest, MultipleAuditorsSplitThePledgeStream) {
   EXPECT_GT(a0, 0u);
   EXPECT_GT(a1, 0u);
   auto totals = cluster.ComputeTotals();
-  EXPECT_EQ(a0 + a1, totals.pledges_forwarded);
+  EXPECT_EQ(a0 + a1, totals.clients.pledges_forwarded);
   EXPECT_EQ(cluster.accepted_wrong(), 0u);
 }
 
@@ -449,9 +450,9 @@ TEST(ClusterTest, MultipleAuditorsStillCatchLiars) {
   Cluster cluster(config);
   cluster.RunFor(60 * kSecond);
   auto totals = cluster.ComputeTotals();
-  EXPECT_GT(totals.lies_told, 0u);
-  EXPECT_GE(totals.slaves_excluded, 1u);
-  EXPECT_GT(totals.auditor_mismatches, 0u);
+  EXPECT_GT(totals.slaves.lies_told, 0u);
+  EXPECT_GE(totals.masters.slaves_excluded, 1u);
+  EXPECT_GT(totals.auditors.mismatches_found, 0u);
 }
 
 TEST(ClusterTest, DeterministicAcrossIdenticalRuns) {
@@ -460,8 +461,9 @@ TEST(ClusterTest, DeterministicAcrossIdenticalRuns) {
     Cluster cluster(config);
     cluster.RunFor(20 * kSecond);
     auto t = cluster.ComputeTotals();
-    return std::tuple(t.reads_issued, t.reads_accepted, t.double_checks_sent,
-                      t.pledges_forwarded);
+    return std::tuple(t.clients.reads_issued, t.clients.reads_accepted,
+                      t.clients.double_checks_sent,
+                      t.clients.pledges_forwarded);
   };
   EXPECT_EQ(run(99), run(99));
 }

@@ -75,10 +75,10 @@ Outcome RunOnSimEnv(const DeploymentConfig& dc) {
   Outcome out;
   out.liar_node = cluster.slave(kLiarIndex).id();
   auto totals = cluster.ComputeTotals();
-  out.reads_accepted = totals.reads_accepted;
-  out.lies_told = totals.lies_told;
+  out.reads_accepted = totals.clients.reads_accepted;
+  out.lies_told = totals.slaves.lies_told;
   out.detections =
-      totals.auditor_mismatches + totals.double_check_mismatches;
+      totals.auditors.mismatches_found + totals.clients.double_check_mismatches;
   out.liar_excluded = cluster.master(0).IsExcluded(out.liar_node);
   // Permanence: exclusion survives further protocol time.
   cluster.RunFor(10 * kSecond);

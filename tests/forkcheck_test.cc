@@ -532,9 +532,12 @@ TEST(ForkEndToEndTest, EquivocatingSlaveIsDetectedProvenAndExcluded) {
 
   Cluster::Totals totals = cluster.ComputeTotals();
   EXPECT_GT(cluster.slave(1).metrics().equivocations_served, 0u);
-  EXPECT_GT(totals.forks_detected, 0u);
-  EXPECT_GT(totals.evidence_chains_emitted, 0u);
-  EXPECT_GT(totals.vv_exchanges, 0u);
+  EXPECT_GT(totals.clients.forks_detected + totals.auditors.forks_detected,
+            0u);
+  EXPECT_GT(totals.clients.evidence_chains_emitted +
+                totals.auditors.evidence_chains_emitted,
+            0u);
+  EXPECT_GT(totals.clients.vv_exchanges_sent, 0u);
   EXPECT_TRUE(cluster.ExcludedByAnyMaster(cluster.slave(1).id()));
 
   // Every emitted chain is transferable: it verifies against nothing but
@@ -563,11 +566,14 @@ TEST(ForkEndToEndTest, HonestRunWithForkCheckingHasNoFalsePositives) {
     ADD_FAILURE() << v.ToString();
   }
   Cluster::Totals totals = cluster.ComputeTotals();
-  EXPECT_GT(totals.reads_accepted, 0u);
-  EXPECT_GT(totals.vv_exchanges, 0u);  // the machinery ran...
-  EXPECT_EQ(totals.forks_detected, 0u);  // ...and accused no one
-  EXPECT_EQ(totals.evidence_chains_emitted, 0u);
-  EXPECT_EQ(totals.slaves_excluded, 0u);
+  EXPECT_GT(totals.clients.reads_accepted, 0u);
+  EXPECT_GT(totals.clients.vv_exchanges_sent, 0u);  // the machinery ran...
+  // ...and accused no one.
+  EXPECT_EQ(totals.clients.forks_detected, 0u);
+  EXPECT_EQ(totals.auditors.forks_detected, 0u);
+  EXPECT_EQ(totals.clients.evidence_chains_emitted, 0u);
+  EXPECT_EQ(totals.auditors.evidence_chains_emitted, 0u);
+  EXPECT_EQ(totals.masters.slaves_excluded, 0u);
 }
 
 TEST(ForkEndToEndTest, DisabledModeAttachesNothing) {
@@ -576,9 +582,10 @@ TEST(ForkEndToEndTest, DisabledModeAttachesNothing) {
   Cluster cluster(config);
   cluster.RunFor(15 * kSecond);
   Cluster::Totals totals = cluster.ComputeTotals();
-  EXPECT_GT(totals.reads_accepted, 0u);
-  EXPECT_EQ(totals.vv_exchanges, 0u);
-  EXPECT_EQ(totals.forks_detected, 0u);
+  EXPECT_GT(totals.clients.reads_accepted, 0u);
+  EXPECT_EQ(totals.clients.vv_exchanges_sent, 0u);
+  EXPECT_EQ(totals.clients.forks_detected, 0u);
+  EXPECT_EQ(totals.auditors.forks_detected, 0u);
   for (int s = 0; s < cluster.num_slaves(); ++s) {
     EXPECT_EQ(cluster.slave(s).metrics().vvs_attached, 0u);
   }

@@ -26,10 +26,10 @@ TEST_P(SchemeSweep, HonestClusterWorks) {
   cluster.RunFor(20 * kSecond);
 
   auto totals = cluster.ComputeTotals();
-  EXPECT_GT(totals.reads_accepted, 100u);
-  EXPECT_GT(totals.writes_committed_clients, 0u);
+  EXPECT_GT(totals.clients.reads_accepted, 100u);
+  EXPECT_GT(totals.clients.writes_committed, 0u);
   EXPECT_EQ(cluster.accepted_wrong(), 0u);
-  EXPECT_EQ(totals.slaves_excluded, 0u);
+  EXPECT_EQ(totals.masters.slaves_excluded, 0u);
 }
 
 TEST_P(SchemeSweep, LiarCaughtUnderEveryScheme) {
@@ -52,7 +52,7 @@ TEST_P(SchemeSweep, LiarCaughtUnderEveryScheme) {
   };
   Cluster cluster(config);
   cluster.RunFor(30 * kSecond);
-  EXPECT_GE(cluster.ComputeTotals().slaves_excluded, 1u);
+  EXPECT_GE(cluster.ComputeTotals().masters.slaves_excluded, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeSweep,
@@ -93,7 +93,7 @@ TEST_P(ShapeSweep, ClusterServesCorrectlyAtEveryShape) {
   cluster.RunFor(20 * kSecond);
 
   auto totals = cluster.ComputeTotals();
-  EXPECT_GT(totals.reads_accepted, 0u);
+  EXPECT_GT(totals.clients.reads_accepted, 0u);
   EXPECT_EQ(cluster.accepted_wrong(), 0u);
   // All masters converge to the same version.
   for (int m = 1; m < cluster.num_masters(); ++m) {
@@ -206,7 +206,7 @@ TEST(MessageRobustness, RandomBytesNeverCrashNodeDispatch) {
   }
   cluster.RunFor(10 * kSecond);
   auto totals = cluster.ComputeTotals();
-  EXPECT_GT(totals.reads_accepted, 0u);
+  EXPECT_GT(totals.clients.reads_accepted, 0u);
   EXPECT_EQ(cluster.accepted_wrong(), 0u);
 }
 

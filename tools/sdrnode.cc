@@ -168,7 +168,9 @@ JsonValue NodeReport(const RealEnv& env, const DeploymentPlan& plan,
   root["role"] = NodeKindName(kind);
   root["role_index"] = index;
 
-  uint64_t cache_hits = 0, cache_misses = 0, keys_prepared = 0;
+  // The role's one entry, in the array sdrsim --json would hold it in.
+  JsonValue entry;
+  const char* section = nullptr;
   switch (kind) {
     case NodeKind::kDirectory: {
       JsonValue& d = root["directory"];
@@ -177,19 +179,9 @@ JsonValue NodeReport(const RealEnv& env, const DeploymentPlan& plan,
     }
     case NodeKind::kMaster: {
       const Master& master = *roles.master;
-      const MasterMetrics& mm = master.metrics();
-      JsonValue j = JsonValue::Object();
-      j["index"] = index;
-      j["node"] = static_cast<int64_t>(master.id());
-      j["version"] = master.version();
-      j["writes_committed"] = mm.writes_committed;
-      j["double_checks_served"] = mm.double_checks_served;
-      j["double_check_lies_found"] = mm.double_check_lies_found;
-      j["slaves_excluded"] = mm.slaves_excluded;
-      j["work_units"] = mm.work_units_executed;
-      j["sig_cache_hits"] = mm.sig_cache_hits;
-      j["sig_cache_misses"] = mm.sig_cache_misses;
-      j["sig_cache_keys_prepared"] = mm.sig_cache_keys_prepared;
+      section = "masters";
+      entry = NodeMetricsJson(index, master.id(), master.metrics());
+      entry["version"] = master.version();
       // Which slaves this master has excluded, by node id — sdrcluster
       // asserts the injected liar shows up here.
       JsonValue excluded = JsonValue::Array();
@@ -198,108 +190,38 @@ JsonValue NodeReport(const RealEnv& env, const DeploymentPlan& plan,
           excluded.Append(static_cast<int64_t>(slave));
         }
       }
-      j["excluded_nodes"] = std::move(excluded);
-      cache_hits += mm.sig_cache_hits;
-      cache_misses += mm.sig_cache_misses;
-      keys_prepared += mm.sig_cache_keys_prepared;
-      JsonValue masters = JsonValue::Array();
-      masters.Append(std::move(j));
-      root["masters"] = std::move(masters);
+      entry["excluded_nodes"] = std::move(excluded);
       break;
     }
     case NodeKind::kAuditor: {
       const Auditor& auditor = *roles.auditor;
-      const AuditorMetrics& am = auditor.metrics();
-      JsonValue j = JsonValue::Object();
-      j["index"] = index;
-      j["node"] = static_cast<int64_t>(auditor.id());
-      j["pledges_received"] = am.pledges_received;
-      j["pledges_audited"] = am.pledges_audited;
-      j["pledges_version_pruned"] = am.pledges_version_pruned;
-      j["pledges_bad_signature"] = am.pledges_bad_signature;
-      j["mismatches_found"] = am.mismatches_found;
-      j["bad_read_notices_sent"] = am.bad_read_notices_sent;
-      j["cache_hits"] = am.cache_hits;
-      j["pledges_deduped"] = am.pledges_deduped;
-      j["reexec_memo_hits"] = am.reexec_memo_hits;
-      j["reexec_memo_misses"] = am.reexec_memo_misses;
-      j["audit_workers_busy"] = am.audit_workers_busy;
-      j["verify_batches"] = am.verify_batches;
-      j["sigs_batch_verified"] = am.sigs_batch_verified;
-      j["sig_cache_hits"] = am.sig_cache_hits;
-      j["sig_cache_misses"] = am.sig_cache_misses;
-      j["sig_cache_keys_prepared"] = am.sig_cache_keys_prepared;
-      j["sig_cache_evictions"] = am.sig_cache_evictions;
-      j["version_lag"] = auditor.version_lag();
-      j["backlog"] = auditor.backlog();
-      cache_hits += am.sig_cache_hits;
-      cache_misses += am.sig_cache_misses;
-      keys_prepared += am.sig_cache_keys_prepared;
-      JsonValue auditors = JsonValue::Array();
-      auditors.Append(std::move(j));
-      root["auditors"] = std::move(auditors);
+      section = "auditors";
+      entry = NodeMetricsJson(index, auditor.id(), auditor.metrics());
+      entry["version_lag"] = auditor.version_lag();
+      entry["backlog"] = auditor.backlog();
       break;
     }
     case NodeKind::kSlave: {
       const Slave& slave = *roles.slave;
-      const SlaveMetrics& sm = slave.metrics();
-      JsonValue j = JsonValue::Object();
-      j["index"] = index;
-      j["node"] = static_cast<int64_t>(slave.id());
-      j["applied_version"] = slave.applied_version();
-      j["reads_served"] = sm.reads_served;
-      j["reads_declined_stale"] = sm.reads_declined_stale;
-      j["lies_told"] = sm.lies_told;
-      j["consistent_lies_told"] = sm.consistent_lies_told;
-      j["work_units"] = sm.work_units_executed;
-      j["pledge_signatures_reused"] = sm.pledge_signatures_reused;
-      j["sig_cache_hits"] = sm.sig_cache_hits;
-      j["sig_cache_misses"] = sm.sig_cache_misses;
-      j["sig_cache_keys_prepared"] = sm.sig_cache_keys_prepared;
+      section = "slaves";
+      entry = NodeMetricsJson(index, slave.id(), slave.metrics());
+      entry["applied_version"] = slave.applied_version();
       // No "excluded" flag here: exclusion is master-side state a slave
       // process cannot observe; read it from the masters' reports.
-      cache_hits += sm.sig_cache_hits;
-      cache_misses += sm.sig_cache_misses;
-      keys_prepared += sm.sig_cache_keys_prepared;
-      JsonValue slaves = JsonValue::Array();
-      slaves.Append(std::move(j));
-      root["slaves"] = std::move(slaves);
       break;
     }
     case NodeKind::kClient: {
       const Client& client = *roles.client;
-      const ClientMetrics& cm = client.metrics();
-      JsonValue j = JsonValue::Object();
-      j["index"] = index;
-      j["node"] = static_cast<int64_t>(client.id());
-      j["reads_issued"] = cm.reads_issued;
-      j["reads_accepted"] = cm.reads_accepted;
-      j["reads_rejected_stale"] = cm.reads_rejected_stale;
-      j["reads_rejected_bad_sig"] = cm.reads_rejected_bad_sig;
-      j["reads_rejected_hash"] = cm.reads_rejected_hash;
-      j["double_checks_sent"] = cm.double_checks_sent;
-      j["double_check_mismatches"] = cm.double_check_mismatches;
-      j["writes_committed"] = cm.writes_committed;
-      j["bad_read_notices"] = cm.bad_read_notices;
-      j["sig_cache_hits"] = cm.sig_cache_hits;
-      j["sig_cache_misses"] = cm.sig_cache_misses;
-      j["sig_cache_keys_prepared"] = cm.sig_cache_keys_prepared;
-      j["read_latency_p50_us"] = cm.read_latency_us.Median();
-      j["read_latency_p99_us"] = cm.read_latency_us.P99();
-      cache_hits += cm.sig_cache_hits;
-      cache_misses += cm.sig_cache_misses;
-      keys_prepared += cm.sig_cache_keys_prepared;
-      JsonValue clients = JsonValue::Array();
-      clients.Append(std::move(j));
-      root["clients"] = std::move(clients);
+      section = "clients";
+      entry = NodeMetricsJson(index, client.id(), client.metrics());
       break;
     }
   }
-
-  JsonValue& vc = root["verify_cache"];
-  vc["hits"] = cache_hits;
-  vc["misses"] = cache_misses;
-  vc["keys_prepared"] = keys_prepared;
+  if (section != nullptr) {
+    JsonValue entries = JsonValue::Array();
+    entries.Append(std::move(entry));
+    root[section] = std::move(entries);
+  }
 
   JsonValue& net = root["network"];
   net["messages_sent"] = env.messages_sent();

@@ -12,6 +12,7 @@
 //   ./build/tools/sdrsim --grep_weight=0.4 --auditor_cache=false
 #include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "src/chaos/runner.h"
 #include "src/core/cluster.h"
@@ -42,88 +43,86 @@ bool WriteFileString(const std::string& path, const std::string& data) {
   return WriteFileBytes(path, Bytes(data.begin(), data.end()));
 }
 
+// The highest version any master of shard `shard` has committed.
+uint64_t ShardVersion(Cluster& cluster, int shard) {
+  uint64_t version = 0;
+  for (int i = 0; i < cluster.masters_per_shard(); ++i) {
+    const int m = shard * cluster.masters_per_shard() + i;
+    version = std::max(version, cluster.master(m).version());
+  }
+  return version;
+}
+
 void PrintReport(Cluster& cluster) {
   std::printf("\n--- simulation report (t = %.1f virtual seconds) ---\n",
               static_cast<double>(cluster.sim().Now()) / kSecond);
 
-  auto totals = cluster.ComputeTotals();
+  const Cluster::Totals totals = cluster.ComputeTotals();
+  const ClientMetrics& c = totals.clients;
   std::printf("clients:\n");
   std::printf("  reads: issued=%llu accepted=%llu stale-rejected=%llu "
               "retries=%llu\n",
-              (unsigned long long)totals.reads_issued,
-              (unsigned long long)totals.reads_accepted,
-              (unsigned long long)totals.reads_rejected_stale,
-              (unsigned long long)totals.retries);
+              (unsigned long long)c.reads_issued,
+              (unsigned long long)c.reads_accepted,
+              (unsigned long long)c.reads_rejected_stale,
+              (unsigned long long)c.retries);
   std::printf("  double-checks=%llu mismatches(caught red-handed)=%llu\n",
-              (unsigned long long)totals.double_checks_sent,
-              (unsigned long long)totals.double_check_mismatches);
+              (unsigned long long)c.double_checks_sent,
+              (unsigned long long)c.double_check_mismatches);
   std::printf("  writes committed=%llu  pledges forwarded=%llu\n",
-              (unsigned long long)totals.writes_committed_clients,
-              (unsigned long long)totals.pledges_forwarded);
-  if (cluster.config().params.fork_check_enabled) {
-    std::printf("  fork check: vv-exchanges=%llu forks-detected=%llu "
-                "evidence-chains=%llu\n",
-                (unsigned long long)totals.vv_exchanges,
-                (unsigned long long)totals.forks_detected,
-                (unsigned long long)totals.evidence_chains_emitted);
-  }
+              (unsigned long long)c.writes_committed,
+              (unsigned long long)c.pledges_forwarded);
+  std::printf("  fork check: vv-exchanges=%llu forks-detected=%llu "
+              "evidence-chains=%llu\n",
+              (unsigned long long)c.vv_exchanges_sent,
+              (unsigned long long)(c.forks_detected +
+                                   totals.auditors.forks_detected),
+              (unsigned long long)(c.evidence_chains_emitted +
+                                   totals.auditors.evidence_chains_emitted));
   if (cluster.config().track_ground_truth) {
     std::printf("  ground truth: checked=%llu WRONG-ACCEPTED=%llu\n",
                 (unsigned long long)cluster.accepted_checked(),
                 (unsigned long long)cluster.accepted_wrong());
   }
-  std::printf("  read latency: p50=%.1fms p99=%.1fms (client 0)\n",
-              cluster.client(0).metrics().read_latency_us.Median() / 1000.0,
-              cluster.client(0).metrics().read_latency_us.P99() / 1000.0);
+  if (c.read_latency_us.count() > 0) {
+    std::printf("  read latency: p50=%.1fms p99=%.1fms (all clients)\n",
+                c.read_latency_us.Median() / 1000.0,
+                c.read_latency_us.P99() / 1000.0);
+  }
 
-  // Scale-out counters only exist when sharding or group commit is on, so
-  // classic reports stay byte-identical.
-  if (cluster.num_shards() > 1 || cluster.config().params.commit_batch > 1) {
-    std::printf("scale-out:\n");
-    std::printf("  shards=%d  placement cache: hits=%llu misses=%llu\n",
-                cluster.num_shards(),
-                (unsigned long long)totals.placement_cache_hits,
-                (unsigned long long)totals.placement_cache_misses);
-    std::printf("  multi-shard: reads=%llu (legs %llu/%llu) writes=%llu "
-                "(legs committed=%llu)\n",
-                (unsigned long long)totals.multi_shard_reads,
-                (unsigned long long)totals.shard_subreads_accepted,
-                (unsigned long long)totals.shard_subreads_issued,
-                (unsigned long long)totals.multi_shard_writes,
-                (unsigned long long)totals.shard_subwrites_committed);
-    std::printf("  group commit: writes_batched=%llu batches=%llu "
-                "batch-updates=%llu commit-sigs=%llu (sigs/write=%.2f)\n",
-                (unsigned long long)totals.writes_batched,
-                (unsigned long long)totals.batches_committed,
-                (unsigned long long)totals.state_update_batches,
-                (unsigned long long)totals.commit_signatures,
-                totals.writes_committed_masters == 0
-                    ? 0.0
-                    : static_cast<double>(totals.commit_signatures) /
-                          static_cast<double>(totals.writes_committed_masters));
-    for (int sh = 0; sh < cluster.num_shards(); ++sh) {
-      uint64_t version = 0, writes = 0, served = 0, audited = 0;
-      for (int i = 0; i < cluster.masters_per_shard(); ++i) {
-        const Master& m = cluster.master(sh * cluster.masters_per_shard() + i);
-        version = std::max(version, m.version());
-        writes += m.metrics().writes_committed;
-      }
-      for (int i = 0; i < cluster.slaves_per_shard(); ++i) {
-        served += cluster.slave(sh * cluster.slaves_per_shard() + i)
-                      .metrics().reads_served;
-      }
-      for (int i = 0; i < cluster.auditors_per_shard(); ++i) {
-        audited += cluster.auditor(sh * cluster.auditors_per_shard() + i)
-                       .metrics().pledges_audited;
-      }
-      std::printf("  shard[%d]: version=%llu writes=%llu reads-served=%llu "
-                  "audited=%llu\n",
-                  sh, (unsigned long long)version, (unsigned long long)writes,
-                  (unsigned long long)served, (unsigned long long)audited);
-    }
+  std::printf("scale-out:\n");
+  std::printf("  shards=%d  placement cache: hits=%llu misses=%llu\n",
+              cluster.num_shards(),
+              (unsigned long long)c.placement_cache_hits,
+              (unsigned long long)c.placement_cache_misses);
+  std::printf("  multi-shard: reads=%llu (legs %llu/%llu) writes=%llu "
+              "(legs committed=%llu)\n",
+              (unsigned long long)c.multi_shard_reads,
+              (unsigned long long)c.shard_subreads_accepted,
+              (unsigned long long)c.shard_subreads_issued,
+              (unsigned long long)c.multi_shard_writes,
+              (unsigned long long)c.shard_subwrites_committed);
+  std::printf("  group commit: writes_batched=%llu batches=%llu "
+              "batch-updates=%llu commit-sigs=%llu (sigs/write=%.2f)\n",
+              (unsigned long long)totals.masters.writes_batched,
+              (unsigned long long)totals.masters.batches_committed,
+              (unsigned long long)totals.slaves.state_update_batches_received,
+              (unsigned long long)totals.masters.commit_signatures,
+              totals.masters.writes_committed == 0
+                  ? 0.0
+                  : static_cast<double>(totals.masters.commit_signatures) /
+                        static_cast<double>(totals.masters.writes_committed));
+  for (int sh = 0; sh < cluster.num_shards(); ++sh) {
+    const Cluster::Totals st = cluster.ComputeShardTotals(sh);
+    std::printf("  shard[%d]: version=%llu writes=%llu reads-served=%llu "
+                "audited=%llu\n",
+                sh, (unsigned long long)ShardVersion(cluster, sh),
+                (unsigned long long)st.masters.writes_committed,
+                (unsigned long long)st.slaves.reads_served,
+                (unsigned long long)st.auditors.pledges_audited);
   }
   if (ClientFleet* fleet = cluster.fleet()) {
-    const ClientFleet::Metrics& fm = fleet->metrics();
+    const ClientFleet::Metrics& fm = totals.fleet;
     std::printf("fleet: %zu simulated clients\n", fleet->num_clients());
     std::printf("  reads: issued=%llu accepted=%llu failed=%llu legs=%llu\n",
                 (unsigned long long)fm.reads_issued,
@@ -209,91 +208,32 @@ JsonValue JsonReport(Cluster& cluster, const ChaosController* controller) {
       static_cast<double>(cluster.sim().Now()) / kSecond;
   root["seed"] = cluster.config().seed;
 
-  auto totals = cluster.ComputeTotals();
+  const Cluster::Totals totals = cluster.ComputeTotals();
   JsonValue& t = root["totals"];
-  t["reads_issued"] = totals.reads_issued;
-  t["reads_accepted"] = totals.reads_accepted;
-  t["reads_rejected_stale"] = totals.reads_rejected_stale;
-  t["retries"] = totals.retries;
-  t["double_checks_sent"] = totals.double_checks_sent;
-  t["double_check_mismatches"] = totals.double_check_mismatches;
-  t["pledges_forwarded"] = totals.pledges_forwarded;
-  t["writes_committed_clients"] = totals.writes_committed_clients;
-  t["slave_work_units"] = totals.slave_work_units;
-  t["master_work_units"] = totals.master_work_units;
-  t["auditor_work_units"] = totals.auditor_work_units;
-  t["slaves_excluded"] = totals.slaves_excluded;
-  t["auditor_mismatches"] = totals.auditor_mismatches;
-  t["lies_told"] = totals.lies_told;
-  t["pledge_signatures_reused"] = totals.pledge_signatures_reused;
-  // Fork-consistency counters appear only when the subsystem is on, so
-  // disabled-mode artifacts stay byte-identical to pre-forkcheck runs.
-  if (cluster.config().params.fork_check_enabled) {
-    t["forks_detected"] = totals.forks_detected;
-    t["evidence_chains_emitted"] = totals.evidence_chains_emitted;
-    t["vv_exchanges"] = totals.vv_exchanges;
+  t["clients"] = MetricsJson(totals.clients);
+  t["masters"] = MetricsJson(totals.masters);
+  t["slaves"] = MetricsJson(totals.slaves);
+  t["auditors"] = MetricsJson(totals.auditors);
+  t["fleet"] = MetricsJson(totals.fleet);
+
+  JsonValue shards = JsonValue::Array();
+  for (int sh = 0; sh < cluster.num_shards(); ++sh) {
+    const Cluster::Totals st = cluster.ComputeShardTotals(sh);
+    JsonValue j = JsonValue::Object();
+    j["index"] = sh;
+    j["version"] = ShardVersion(cluster, sh);
+    j["masters"] = MetricsJson(st.masters);
+    j["slaves"] = MetricsJson(st.slaves);
+    j["auditors"] = MetricsJson(st.auditors);
+    shards.Append(std::move(j));
   }
-  // Scale-out counters appear only when sharding or group commit is on,
-  // so classic artifacts stay byte-identical to pre-scale-out runs.
-  if (cluster.num_shards() > 1 || cluster.config().params.commit_batch > 1) {
-    t["writes_committed_masters"] = totals.writes_committed_masters;
-    t["writes_batched"] = totals.writes_batched;
-    t["batches_committed"] = totals.batches_committed;
-    t["state_update_batches"] = totals.state_update_batches;
-    t["commit_signatures"] = totals.commit_signatures;
-    t["placement_cache_hits"] = totals.placement_cache_hits;
-    t["placement_cache_misses"] = totals.placement_cache_misses;
-    t["multi_shard_reads"] = totals.multi_shard_reads;
-    t["multi_shard_writes"] = totals.multi_shard_writes;
-    t["shard_subreads_issued"] = totals.shard_subreads_issued;
-    t["shard_subreads_accepted"] = totals.shard_subreads_accepted;
-    t["shard_subwrites_committed"] = totals.shard_subwrites_committed;
-    JsonValue shards = JsonValue::Array();
-    for (int sh = 0; sh < cluster.num_shards(); ++sh) {
-      uint64_t version = 0, writes = 0, served = 0, audited = 0;
-      for (int i = 0; i < cluster.masters_per_shard(); ++i) {
-        const Master& m =
-            cluster.master(sh * cluster.masters_per_shard() + i);
-        version = std::max(version, m.version());
-        writes += m.metrics().writes_committed;
-      }
-      for (int i = 0; i < cluster.slaves_per_shard(); ++i) {
-        served += cluster.slave(sh * cluster.slaves_per_shard() + i)
-                      .metrics().reads_served;
-      }
-      for (int i = 0; i < cluster.auditors_per_shard(); ++i) {
-        audited += cluster.auditor(sh * cluster.auditors_per_shard() + i)
-                       .metrics().pledges_audited;
-      }
-      JsonValue j = JsonValue::Object();
-      j["index"] = sh;
-      j["version"] = version;
-      j["writes_committed"] = writes;
-      j["reads_served"] = served;
-      j["pledges_audited"] = audited;
-      shards.Append(std::move(j));
-    }
-    root["shards"] = std::move(shards);
-  }
+  root["shards"] = std::move(shards);
+
   if (ClientFleet* fleet = cluster.fleet()) {
-    const ClientFleet::Metrics& fm = fleet->metrics();
-    JsonValue& f = root["fleet"];
+    JsonValue f = MetricsJson(totals.fleet);
+    f["node"] = static_cast<int64_t>(fleet->id());
     f["num_clients"] = fleet->num_clients();
-    f["reads_issued"] = fm.reads_issued;
-    f["reads_accepted"] = fm.reads_accepted;
-    f["reads_failed"] = fm.reads_failed;
-    f["subreads_sent"] = fm.subreads_sent;
-    f["writes_issued"] = fm.writes_issued;
-    f["writes_committed"] = fm.writes_committed;
-    f["writes_failed"] = fm.writes_failed;
-    f["pledges_forwarded"] = fm.pledges_forwarded;
-    f["sig_cache_hits"] = fm.sig_cache_hits;
-    f["sig_cache_misses"] = fm.sig_cache_misses;
-    f["sig_cache_keys_prepared"] = fm.sig_cache_keys_prepared;
-    f["read_rtt_p50_us"] = fm.read_rtt_us.Median();
-    f["read_rtt_p99_us"] = fm.read_rtt_us.P99();
-    f["write_rtt_p50_us"] = fm.write_rtt_us.Median();
-    f["write_rtt_p99_us"] = fm.write_rtt_us.P99();
+    root["fleet"] = std::move(f);
   }
   if (cluster.config().track_ground_truth) {
     JsonValue& g = root["ground_truth"];
@@ -302,127 +242,42 @@ JsonValue JsonReport(Cluster& cluster, const ChaosController* controller) {
     g["accepted_uncheckable"] = cluster.accepted_uncheckable();
   }
 
-  const bool scale_out = cluster.num_shards() > 1 ||
-                         cluster.config().params.commit_batch > 1;
+  // One entry per node: its whole metrics struct plus node state.
   JsonValue clients = JsonValue::Array();
-  uint64_t cache_hits = 0, cache_misses = 0, keys_prepared = 0;
-  for (int c = 0; c < cluster.num_clients(); ++c) {
-    const ClientMetrics& cm = cluster.client(c).metrics();
-    JsonValue j = JsonValue::Object();
-    j["index"] = c;
-    j["node"] = (int64_t)cluster.client(c).id();
-    if (scale_out) {
-      j["placement_cache_hits"] = cm.placement_cache_hits;
-      j["placement_cache_misses"] = cm.placement_cache_misses;
-      j["multi_shard_reads"] = cm.multi_shard_reads;
-      j["multi_shard_writes"] = cm.multi_shard_writes;
-      j["merged_token_age_p50_us"] = cm.merged_token_age_us.Median();
-      j["merged_token_age_p99_us"] = cm.merged_token_age_us.P99();
-    }
-    j["reads_issued"] = cm.reads_issued;
-    j["reads_accepted"] = cm.reads_accepted;
-    j["reads_rejected_stale"] = cm.reads_rejected_stale;
-    j["reads_rejected_bad_sig"] = cm.reads_rejected_bad_sig;
-    j["reads_rejected_hash"] = cm.reads_rejected_hash;
-    j["double_checks_sent"] = cm.double_checks_sent;
-    j["double_check_mismatches"] = cm.double_check_mismatches;
-    j["writes_committed"] = cm.writes_committed;
-    j["bad_read_notices"] = cm.bad_read_notices;
-    j["sig_cache_hits"] = cm.sig_cache_hits;
-    j["sig_cache_misses"] = cm.sig_cache_misses;
-    j["sig_cache_keys_prepared"] = cm.sig_cache_keys_prepared;
-    j["read_latency_p50_us"] = cm.read_latency_us.Median();
-    j["read_latency_p99_us"] = cm.read_latency_us.P99();
-    cache_hits += cm.sig_cache_hits;
-    cache_misses += cm.sig_cache_misses;
-    keys_prepared += cm.sig_cache_keys_prepared;
-    clients.Append(std::move(j));
+  for (int i = 0; i < cluster.num_clients(); ++i) {
+    const Client& client = cluster.client(i);
+    clients.Append(NodeMetricsJson(i, client.id(), client.metrics()));
   }
   root["clients"] = std::move(clients);
 
   JsonValue masters = JsonValue::Array();
-  for (int m = 0; m < cluster.num_masters(); ++m) {
-    const MasterMetrics& mm = cluster.master(m).metrics();
-    JsonValue j = JsonValue::Object();
-    j["index"] = m;
-    j["node"] = (int64_t)cluster.master(m).id();
-    j["version"] = cluster.master(m).version();
-    j["writes_committed"] = mm.writes_committed;
-    j["double_checks_served"] = mm.double_checks_served;
-    j["double_check_lies_found"] = mm.double_check_lies_found;
-    j["slaves_excluded"] = mm.slaves_excluded;
-    j["work_units"] = mm.work_units_executed;
-    j["sig_cache_hits"] = mm.sig_cache_hits;
-    j["sig_cache_misses"] = mm.sig_cache_misses;
-    j["sig_cache_keys_prepared"] = mm.sig_cache_keys_prepared;
-    cache_hits += mm.sig_cache_hits;
-    cache_misses += mm.sig_cache_misses;
-    keys_prepared += mm.sig_cache_keys_prepared;
+  for (int i = 0; i < cluster.num_masters(); ++i) {
+    const Master& master = cluster.master(i);
+    JsonValue j = NodeMetricsJson(i, master.id(), master.metrics());
+    j["version"] = master.version();
     masters.Append(std::move(j));
   }
   root["masters"] = std::move(masters);
 
   JsonValue slaves = JsonValue::Array();
-  for (int s = 0; s < cluster.num_slaves(); ++s) {
-    const SlaveMetrics& sm = cluster.slave(s).metrics();
-    JsonValue j = JsonValue::Object();
-    j["index"] = s;
-    j["node"] = (int64_t)cluster.slave(s).id();
-    j["applied_version"] = cluster.slave(s).applied_version();
-    j["reads_served"] = sm.reads_served;
-    j["reads_declined_stale"] = sm.reads_declined_stale;
-    j["lies_told"] = sm.lies_told;
-    j["consistent_lies_told"] = sm.consistent_lies_told;
-    j["work_units"] = sm.work_units_executed;
-    j["pledge_signatures_reused"] = sm.pledge_signatures_reused;
-    j["sig_cache_hits"] = sm.sig_cache_hits;
-    j["sig_cache_misses"] = sm.sig_cache_misses;
-    j["sig_cache_keys_prepared"] = sm.sig_cache_keys_prepared;
-    j["excluded"] = cluster.ExcludedByAnyMaster(cluster.slave(s).id());
-    cache_hits += sm.sig_cache_hits;
-    cache_misses += sm.sig_cache_misses;
-    keys_prepared += sm.sig_cache_keys_prepared;
+  for (int i = 0; i < cluster.num_slaves(); ++i) {
+    const Slave& slave = cluster.slave(i);
+    JsonValue j = NodeMetricsJson(i, slave.id(), slave.metrics());
+    j["applied_version"] = slave.applied_version();
+    j["excluded"] = cluster.ExcludedByAnyMaster(slave.id());
     slaves.Append(std::move(j));
   }
   root["slaves"] = std::move(slaves);
 
   JsonValue auditors = JsonValue::Array();
-  for (int a = 0; a < cluster.num_auditors(); ++a) {
-    const AuditorMetrics& am = cluster.auditor(a).metrics();
-    JsonValue j = JsonValue::Object();
-    j["index"] = a;
-    j["node"] = (int64_t)cluster.auditor(a).id();
-    j["pledges_received"] = am.pledges_received;
-    j["pledges_audited"] = am.pledges_audited;
-    j["pledges_version_pruned"] = am.pledges_version_pruned;
-    j["pledges_bad_signature"] = am.pledges_bad_signature;
-    j["mismatches_found"] = am.mismatches_found;
-    j["bad_read_notices_sent"] = am.bad_read_notices_sent;
-    j["cache_hits"] = am.cache_hits;
-    j["pledges_deduped"] = am.pledges_deduped;
-    j["reexec_memo_hits"] = am.reexec_memo_hits;
-    j["reexec_memo_misses"] = am.reexec_memo_misses;
-    j["audit_workers_busy"] = am.audit_workers_busy;
-    j["verify_batches"] = am.verify_batches;
-    j["sigs_batch_verified"] = am.sigs_batch_verified;
-    j["sig_cache_hits"] = am.sig_cache_hits;
-    j["sig_cache_misses"] = am.sig_cache_misses;
-    j["sig_cache_keys_prepared"] = am.sig_cache_keys_prepared;
-    j["sig_cache_evictions"] = am.sig_cache_evictions;
-    j["version_lag"] = cluster.auditor(a).version_lag();
-    j["backlog"] = cluster.auditor(a).backlog();
-    cache_hits += am.sig_cache_hits;
-    cache_misses += am.sig_cache_misses;
-    keys_prepared += am.sig_cache_keys_prepared;
+  for (int i = 0; i < cluster.num_auditors(); ++i) {
+    const Auditor& auditor = cluster.auditor(i);
+    JsonValue j = NodeMetricsJson(i, auditor.id(), auditor.metrics());
+    j["version_lag"] = auditor.version_lag();
+    j["backlog"] = auditor.backlog();
     auditors.Append(std::move(j));
   }
   root["auditors"] = std::move(auditors);
-
-  // Aggregate view of the VerifyCache across every role.
-  JsonValue& vc = root["verify_cache"];
-  vc["hits"] = cache_hits;
-  vc["misses"] = cache_misses;
-  vc["keys_prepared"] = keys_prepared;
 
   JsonValue& net = root["network"];
   net["messages_sent"] = cluster.net().messages_sent();
@@ -621,6 +476,11 @@ int main(int argc, char** argv) {
   }
   Scenario scenario = std::move(parsed).value();
 
+  // Every explicitly set flag except the host-only audit_jobs: the report
+  // alone reproduces the run and is the same at any job count.
+  auto echoed_flags = flags.NonDefault();
+  std::erase_if(echoed_flags,
+                [](const auto& flag) { return flag.first == "audit_jobs"; });
   const bool emit_json = flags.GetBool("json");
   if (!emit_json) {
     std::printf("sdrsim: %d masters, %d auditors, %d slaves, %d clients, "
@@ -629,14 +489,9 @@ int main(int argc, char** argv) {
                 config.num_masters * config.slaves_per_master,
                 config.num_clients, scheme.c_str(),
                 static_cast<long long>(flags.GetInt("seconds")));
-    // Echo the seed and every explicitly-set flag so the report alone is
-    // enough to reproduce the run.
     std::printf("seed: %llu\n",
                 static_cast<unsigned long long>(config.seed));
-    for (const auto& [name, value] : flags.NonDefault()) {
-      if (name == "audit_jobs") {
-        continue;  // host-only knob; keep the report jobs-invariant
-      }
+    for (const auto& [name, value] : echoed_flags) {
       std::printf("  --%s=%s\n", name.c_str(), value.c_str());
     }
   }
@@ -689,10 +544,7 @@ int main(int argc, char** argv) {
     JsonValue root = JsonReport(cluster, scenario.empty() ? nullptr
                                                           : &controller);
     JsonValue fl = JsonValue::Object();
-    for (const auto& [name, value] : flags.NonDefault()) {
-      if (name == "audit_jobs") {
-        continue;  // host-only knob; keep the artifact jobs-invariant
-      }
+    for (const auto& [name, value] : echoed_flags) {
       fl[name] = value;
     }
     root["flags"] = std::move(fl);
