@@ -405,8 +405,4 @@ void TotalOrderBroadcast::FinishTakeover() {
                  << " took over as sequencer, next_seq=" << next_seq_;
 }
 
-void TotalOrderBroadcast::PruneLogBelow(uint64_t seq) {
-  log_.erase(log_.begin(), log_.lower_bound(std::min(seq, delivered_seq_ + 1)));
-}
-
 }  // namespace sdr

@@ -74,10 +74,6 @@ class TotalOrderBroadcast {
   uint64_t delivered_seq() const { return delivered_seq_; }
   size_t pending_submissions() const { return pending_.size(); }
 
-  // Drops ordered-log entries with seq < `seq` (they can no longer be
-  // fetched for retransmission).
-  void PruneLogBelow(uint64_t seq);
-
  private:
   enum MsgType : uint8_t {
     kSubmit = 1,

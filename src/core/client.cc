@@ -624,13 +624,16 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
     return;
   }
 
+  // VerifyRead accepts only a well-formed encoding, so the rows parse.
+  QueryResult result = *QueryResult::Decode(msg->result);
+
   // Probabilistic checking: greedy clients double-check everything.
   bool double_check =
       options_.greedy ||
       rng_.NextBool(options_.params.double_check_probability);
   if (double_check) {
     read.awaiting_double_check = true;
-    double_checking_[msg->request_id] = {msg->result, pledge};
+    double_checking_[msg->request_id] = {std::move(result), pledge};
     ++metrics_.double_checks_sent;
     if (t != nullptr) {
       t->Instant(TraceRole::kClient, id(), "dc.send", read.trace_id);
@@ -676,7 +679,7 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
     env()->Send(lane_auditor,
                 WithType(MsgType::kAuditSubmit, submit.Encode()));
   }
-  AcceptRead(msg->request_id, msg->result, pledge);
+  AcceptRead(msg->request_id, result, pledge);
 }
 
 void Client::HandleDoubleCheckReply(BytesView body) {

@@ -646,17 +646,17 @@ void Master::HandleDoubleCheck(NodeId from, BytesView body) {
   metrics_.work_units_executed += outcome->cost;
   ++metrics_.double_checks_served;
 
-  Bytes correct_hash = outcome->result.Sha1Digest();
-  bool matches = correct_hash == pledge.result_sha1;
+  Bytes correct_result = outcome->result.Encode();
+  bool matches = Sha1::Hash(correct_result) == pledge.result_sha1;
 
   if (TraceSink* t = env()->trace()) {
     t->Instant(TraceRole::kMaster, id(), "dc.serve", msg->trace_id,
                matches ? 1 : 0);
   }
-  SimTime service_time = options_.cost.ExecuteTime(
-      outcome->cost, outcome->result.Encode().size());
+  SimTime service_time =
+      options_.cost.ExecuteTime(outcome->cost, correct_result.size());
   queue_->Enqueue(service_time, [this, from, reply, matches,
-                                 result = std::move(outcome->result),
+                                 result = std::move(correct_result),
                                  pledge]() mutable {
     reply.served = true;
     reply.matches = matches;

@@ -29,16 +29,6 @@ std::vector<Certificate> DecodeCerts(Reader& r) {
   return certs;
 }
 
-void EncodeResult(Writer& w, const QueryResult& result) {
-  w.Blob(result.Encode());
-}
-
-QueryResult DecodeResult(Reader& r) {
-  Bytes enc = r.Blob();
-  auto res = QueryResult::Decode(enc);
-  return res.ok() ? *res : QueryResult{};
-}
-
 // Optional trailing version vector (fork checking). Writing nothing when
 // absent keeps disabled-mode encodings byte-identical to the fork-unaware
 // wire format; the decoder keys off the remaining byte count, which only
@@ -73,6 +63,11 @@ std::vector<AttestedVv> DecodeAvvs(Reader& r) {
   return entries;
 }
 }  // namespace
+
+const Bytes& EmptyResultEncoding() {
+  static const Bytes kEmpty = QueryResult{}.Encode();
+  return kEmpty;
+}
 
 Result<MsgType> PeekType(BytesView payload) {
   if (payload.empty()) {
@@ -197,7 +192,7 @@ Bytes ReadReply::Encode() const {
   w.U64(request_id);
   w.U64(trace_id);
   w.Bool(ok);
-  EncodeResult(w, result);
+  w.Blob(result);
   pledge.EncodeTo(w);
   EncodeOptionalVv(w, vv);
   return w.Take();
@@ -209,7 +204,7 @@ Result<ReadReply> ReadReply::Decode(BytesView body) {
   m.request_id = r.U64();
   m.trace_id = r.U64();
   m.ok = r.Bool();
-  m.result = DecodeResult(r);
+  m.result = r.Blob();
   m.pledge = Pledge::DecodeFrom(r);
   m.vv = DecodeOptionalVv(r);
   return FinishDecode(std::move(m), r);
@@ -272,7 +267,7 @@ Bytes DoubleCheckReply::Encode() const {
   w.U64(trace_id);
   w.Bool(served);
   w.Bool(matches);
-  EncodeResult(w, correct_result);
+  w.Blob(correct_result);
   return w.Take();
 }
 
@@ -283,7 +278,7 @@ Result<DoubleCheckReply> DoubleCheckReply::Decode(BytesView body) {
   m.trace_id = r.U64();
   m.served = r.Bool();
   m.matches = r.Bool();
-  m.correct_result = DecodeResult(r);
+  m.correct_result = r.Blob();
   return FinishDecode(std::move(m), r);
 }
 

@@ -115,6 +115,10 @@ struct ClientHelloReply {
   static Result<ClientHelloReply> Decode(BytesView body);
 };
 
+// The canonical encoding of an empty QueryResult. Replies that carry no
+// answer (a declined read, an unserved double-check) carry this.
+const Bytes& EmptyResultEncoding();
+
 struct ReadRequest {
   uint64_t request_id = 0;
   // Causal trace id for the observability subsystem (src/trace/). Minted
@@ -131,7 +135,10 @@ struct ReadReply {
   uint64_t request_id = 0;
   uint64_t trace_id = 0;    // echoed from the request
   bool ok = false;          // false: slave declined (e.g. stale, excluded)
-  QueryResult result;
+  // The result's canonical QueryResult encoding, exactly the bytes the
+  // pledge hashes. Readers hash these bytes as received and parse rows
+  // only once a read is accepted.
+  Bytes result = EmptyResultEncoding();
   Pledge pledge;
   // Fork-consistency commitment for the pledged version; attached only
   // when fork checking is enabled (optional trailing field, so disabled
@@ -170,7 +177,8 @@ struct DoubleCheckReply {
   uint64_t trace_id = 0;
   bool served = false;   // false: quota exceeded / version unavailable
   bool matches = false;  // master's hash == pledge hash
-  QueryResult correct_result;  // master's result (when served)
+  // The master's canonical result encoding (when served).
+  Bytes correct_result = EmptyResultEncoding();
   Bytes Encode() const;
   static Result<DoubleCheckReply> Decode(BytesView body);
 };

@@ -144,9 +144,10 @@ struct MasterMetrics {
   X(uint64_t, state_update_batches_received)                                 \
   X(uint64_t, keepalives_received)                                           \
   X(uint64_t, work_units_executed)                                           \
-  /* Pledges whose signature was reused from an identical earlier pledge     \
-     body (SignMemo) instead of signed afresh. Host CPU only: the cost       \
-     model charges a signature for every read served either way. */          \
+  /* Reads served from the slave's memo of honest reads: same version,       \
+     same token, same query, so no execution, encoding, hashing or           \
+     signing. Host CPU only: the cost model (and work_units_executed)        \
+     charges a hit like a miss. Lies are never served from the memo. */      \
   X(uint64_t, pledge_signatures_reused)                                      \
   /* Verify-dedup cache (token adoption checks). */                          \
   X(uint64_t, sig_cache_hits)                                                \

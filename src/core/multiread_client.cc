@@ -1,5 +1,6 @@
 #include "src/core/multiread_client.h"
 
+#include "src/crypto/sha1.h"
 #include "src/trace/trace.h"
 
 namespace sdr {
@@ -120,7 +121,8 @@ void MultiReadClient::HandleReadReply(NodeId from, BytesView body) {
                  nullptr) != ReadVerdict::kAccepted) {
     return;
   }
-  read.replies[from] = {msg->result, pledge};
+  // VerifyRead accepts only a well-formed encoding, so the rows parse.
+  read.replies[from] = {*QueryResult::Decode(msg->result), pledge};
   if (read.replies.size() + read.declines >= read.expected) {
     env()->Cancel(read.timeout);
     Resolve(msg->request_id);
@@ -205,8 +207,14 @@ void MultiReadClient::HandleDoubleCheckReply(BytesView body) {
     return;
   }
   // The master's answer is the truth. Accuse every slave whose pledge
-  // disagrees with it — their own signatures convict them.
-  Bytes correct_hash = msg->correct_result.Sha1Digest();
+  // disagrees with it — their own signatures convict them. Bytes that are
+  // no result at all convict nobody.
+  auto correct_result = QueryResult::Decode(msg->correct_result);
+  if (!correct_result.ok()) {
+    Fail(msg->request_id, msg->trace_id);
+    return;
+  }
+  Bytes correct_hash = Sha1::Hash(msg->correct_result);
   Pledge reference;
   bool have_reference = false;
   for (const auto& [slave, reply] : read.replies) {
@@ -231,7 +239,7 @@ void MultiReadClient::HandleDoubleCheckReply(BytesView body) {
     // result with the first pledge's version.
     reference = read.replies.begin()->second.second;
   }
-  Accept(msg->request_id, msg->correct_result, reference);
+  Accept(msg->request_id, *correct_result, reference);
 }
 
 void MultiReadClient::Accept(uint64_t request_id, const QueryResult& result,

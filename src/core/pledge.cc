@@ -1,5 +1,6 @@
 #include "src/core/pledge.h"
 
+#include "src/crypto/sha1.h"
 #include "src/store/executor.h"
 
 namespace sdr {
@@ -108,27 +109,13 @@ Result<Pledge> Pledge::Decode(const Bytes& data) {
   return p;
 }
 
-static Pledge UnsignedPledge(NodeId slave, const Query& query,
-                             const Bytes& result_sha1,
-                             const VersionToken& token) {
+Pledge MakePledge(const Signer& slave_signer, NodeId slave, const Query& query,
+                  const Bytes& result_sha1, const VersionToken& token) {
   Pledge p;
   p.query = query;
   p.result_sha1 = result_sha1;
   p.token = token;
   p.slave = slave;
-  return p;
-}
-
-Pledge MakePledge(const Signer& slave_signer, NodeId slave, const Query& query,
-                  const Bytes& result_sha1, const VersionToken& token) {
-  Pledge p = UnsignedPledge(slave, query, result_sha1, token);
-  p.signature = slave_signer.Sign(p.SignedBody());
-  return p;
-}
-
-Pledge MakePledge(SignMemo& slave_signer, NodeId slave, const Query& query,
-                  const Bytes& result_sha1, const VersionToken& token) {
-  Pledge p = UnsignedPledge(slave, query, result_sha1, token);
   p.signature = slave_signer.Sign(p.SignedBody());
   return p;
 }
@@ -221,11 +208,12 @@ bool VerifyPledgeAndToken(SignatureScheme scheme, const Bytes& slave_public_key,
          VerifyVersionToken(scheme, master_public_key, pledge.token, cache);
 }
 
-ReadVerdict VerifyRead(SignatureScheme scheme, const QueryResult& result,
+ReadVerdict VerifyRead(SignatureScheme scheme, BytesView result,
                        const Pledge& pledge, const Certificate& slave_cert,
                        const Bytes* master_public_key, SimTime now,
                        SimTime max_latency, VerifyCache* cache) {
-  if (result.Sha1Digest() != pledge.result_sha1) {
+  if (!QueryResult::WellFormed(result) ||
+      Sha1::Hash(result) != pledge.result_sha1) {
     return ReadVerdict::kHashMismatch;
   }
   if (pledge.slave != slave_cert.subject) {

@@ -25,8 +25,6 @@
 
 namespace sdr {
 
-struct QueryResult;
-
 struct VersionToken {
   uint64_t content_version = 0;
   SimTime timestamp = 0;   // master clock at signing
@@ -68,10 +66,6 @@ struct Pledge {
 
 Pledge MakePledge(const Signer& slave_signer, NodeId slave, const Query& query,
                   const Bytes& result_sha1, const VersionToken& token);
-// The same pledge, signed through a memo that reuses the signature of an
-// identical earlier pledge body.
-Pledge MakePledge(SignMemo& slave_signer, NodeId slave, const Query& query,
-                  const Bytes& result_sha1, const VersionToken& token);
 
 // Checks the slave's signature only (token checked separately, since it
 // needs the master key).
@@ -98,7 +92,8 @@ bool VerifyPledgeAndToken(SignatureScheme scheme, const Bytes& slave_public_key,
 // listed in the order VerifyRead applies them.
 enum class ReadVerdict {
   kAccepted,
-  kHashMismatch,  // the result does not hash to the pledged SHA-1
+  kHashMismatch,  // the result is malformed or does not hash to the
+                  // pledged SHA-1
   kWrongSlave,    // the pledge names a slave other than the expected one
   kBadSignature,  // bad pledge or token signature, or uncertified master
   kStale,         // the token is older than max_latency at `now`
@@ -107,9 +102,12 @@ enum class ReadVerdict {
 // The paper's read verification, shared by every client: the result hash,
 // the pledging slave, the slave's and the master's signatures (through
 // `cache` when non-null), then freshness. Returns the first failure.
-// `master_public_key` is the certified key of pledge.token.master, or null
-// when that master is not certified.
-ReadVerdict VerifyRead(SignatureScheme scheme, const QueryResult& result,
+// `result` is the canonical result encoding as received: it is hashed as
+// is, and only a well-formed encoding (QueryResult::WellFormed) can pass,
+// so an accepted result always parses. `master_public_key` is the
+// certified key of pledge.token.master, or null when that master is not
+// certified.
+ReadVerdict VerifyRead(SignatureScheme scheme, BytesView result,
                        const Pledge& pledge, const Certificate& slave_cert,
                        const Bytes* master_public_key, SimTime now,
                        SimTime max_latency, VerifyCache* cache);

@@ -34,11 +34,4 @@ void ServiceQueue::Enqueue(SimTime service_time, InlineFunction<void()> done) {
   });
 }
 
-double ServiceQueue::UtilizationSince(SimTime start, SimTime now) const {
-  if (now <= start) {
-    return 0.0;
-  }
-  return static_cast<double>(busy_time_) / static_cast<double>(now - start);
-}
-
 }  // namespace sdr

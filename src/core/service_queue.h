@@ -40,8 +40,6 @@ class ServiceQueue {
   // Earliest time a new job could start.
   SimTime busy_until() const;
 
-  double UtilizationSince(SimTime start, SimTime now) const;
-
  private:
   Env* env_;
   double speed_;

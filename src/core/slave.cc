@@ -6,6 +6,12 @@
 
 namespace sdr {
 
+namespace {
+std::string_view AsKey(const Bytes& key) {
+  return {reinterpret_cast<const char*>(key.data()), key.size()};
+}
+}  // namespace
+
 Slave::Slave(Options options)
     : options_(std::move(options)),
       signer_(options_.key_pair),
@@ -18,6 +24,16 @@ void Slave::Start() {
 
 void Slave::SetBaseContent(const DocumentStore& base) {
   store_ = base;
+  // Entries answered from the old content must go.
+  memo_ = LruMap<ServedRead>(kMemoCapacity);
+}
+
+Bytes Slave::MemoKey(const Query& query) const {
+  Writer w;
+  w.U64(applied_version_);
+  w.Blob(token_->signature);
+  query.EncodeTo(w);
+  return w.Take();
 }
 
 void Slave::HandleMessage(NodeId from, const Payload& payload) {
@@ -252,60 +268,99 @@ void Slave::HandleReadRequest(NodeId from, BytesView body) {
     ++metrics_.stale_serves;
   }
 
-  auto outcome = executor_.Execute(*exec_store, msg->query);
-  if (!outcome.ok()) {
-    ReadReply reply;
-    reply.request_id = msg->request_id;
-    reply.trace_id = msg->trace_id;
-    reply.ok = false;
-    env()->Send(from,
-                WithType(MsgType::kReadReply, reply.Encode()));
-    return;
+  // Honest reads of the slave's own store go through the memo; a read
+  // answered from a fork or lag view never touches it.
+  const bool memoizable = exec_store == &store_;
+  Bytes memo_key;
+  ServedRead served;
+  bool hit = false;
+  if (memoizable) {
+    memo_key = MemoKey(msg->query);
+    if (const ServedRead* entry = memo_.Find(AsKey(memo_key))) {
+      served = *entry;
+      hit = true;
+    }
+  }
+  if (!hit) {
+    auto outcome = executor_.Execute(*exec_store, msg->query);
+    if (!outcome.ok()) {
+      ReadReply reply;
+      reply.request_id = msg->request_id;
+      reply.trace_id = msg->trace_id;
+      reply.ok = false;
+      env()->Send(from,
+                  WithType(MsgType::kReadReply, reply.Encode()));
+      return;
+    }
+    served.result = outcome->result.Encode();
+    served.result_sha1 = Sha1::Hash(served.result);
+    served.cost = outcome->cost;
   }
 
-  QueryResult result = std::move(outcome->result);
-  bool lied_consistently = false;
-  if (options_.behavior.lie_probability > 0.0 &&
-      rng_.NextBool(options_.behavior.lie_probability)) {
-    // The paper's threat: a wrong answer with an internally consistent
-    // pledge. Corrupt the result, then hash the corrupted bytes.
+  // Lie decisions draw from rng_ in a fixed order: the consistent lie
+  // first, the inconsistent one only if the first did not fire.
+  const bool consistent_lie =
+      options_.behavior.lie_probability > 0.0 &&
+      rng_.NextBool(options_.behavior.lie_probability);
+  const bool lied =
+      consistent_lie ||
+      (options_.behavior.inconsistent_lie_probability > 0.0 &&
+       rng_.NextBool(options_.behavior.inconsistent_lie_probability));
+  if (lied) {
+    // A lie corrupts a decoded copy of the honest result. Its bytes and its
+    // pledge are made fresh and never enter the memo.
+    QueryResult result = *QueryResult::Decode(served.result);
     if (result.type == QueryResult::Type::kScalar) {
       result.scalar += 1;
-    } else if (!result.rows.empty()) {
+    } else if (consistent_lie && !result.rows.empty()) {
       result.rows[0].second += "\x01";
     } else {
       result.rows.emplace_back("phantom", "entry");
     }
-    lied_consistently = true;
+    served.result = result.Encode();
     ++metrics_.lies_told;
-    ++metrics_.consistent_lies_told;
+    if (consistent_lie) {
+      // The paper's threat: a wrong answer with an internally consistent
+      // pledge, which hashes the corrupted bytes. The clumsy (inconsistent)
+      // lie keeps the honest hash, so clients catch it at the hash check
+      // without any master involvement.
+      served.result_sha1 = Sha1::Hash(served.result);
+      ++metrics_.consistent_lies_told;
+    }
     if (t != nullptr) {
-      t->Instant(TraceRole::kSlave, id(), "slave.lie.consistent",
+      t->Instant(TraceRole::kSlave, id(),
+                 consistent_lie ? "slave.lie.consistent"
+                                : "slave.lie.inconsistent",
                  msg->trace_id);
     }
   }
 
-  Bytes hashed = result.Sha1Digest();
-  if (!lied_consistently &&
-      options_.behavior.inconsistent_lie_probability > 0.0 &&
-      rng_.NextBool(options_.behavior.inconsistent_lie_probability)) {
-    // Clumsy lie: corrupt the result after hashing; clients catch this at
-    // the hash check without any master involvement.
-    if (result.type == QueryResult::Type::kScalar) {
-      result.scalar += 1;
-    } else {
-      result.rows.emplace_back("phantom", "entry");
-    }
-    ++metrics_.lies_told;
-    if (t != nullptr) {
-      t->Instant(TraceRole::kSlave, id(), "slave.lie.inconsistent",
-                 msg->trace_id);
+  // The pledge binds the token held now, so a state update arriving while
+  // the read waits in the queue cannot skew it.
+  Pledge pledge;
+  pledge.query = std::move(msg->query);
+  pledge.result_sha1 = served.result_sha1;
+  pledge.token = *token_;
+  pledge.slave = id();
+  const bool reused = hit && !lied;
+  if (reused) {
+    pledge.signature = std::move(served.signature);
+  } else {
+    pledge.signature = signer_.Sign(pledge.SignedBody());
+    if (memoizable && !lied &&
+        served.result.size() <= kMemoMaxResultBytes) {
+      served.signature = pledge.signature;
+      memo_.Insert(std::string(AsKey(memo_key)), served);
     }
   }
 
-  metrics_.work_units_executed += outcome->cost;
+  // The simulated cost is charged on a memo hit as on a miss: execution,
+  // hashing and signing, so simulated latencies and capacity stay those
+  // of the protocol as specified. A hit saves only host CPU, which is what
+  // a real deployment (sdrnode) spends.
+  metrics_.work_units_executed += served.cost;
   SimTime service_time =
-      options_.cost.ExecuteTime(outcome->cost, result.Encode().size()) +
+      options_.cost.ExecuteTime(served.cost, served.result.size()) +
       options_.cost.SignTime();
 
   SimTime hold_until = 0;
@@ -335,34 +390,32 @@ void Slave::HandleReadRequest(NodeId from, BytesView body) {
     service_time += options_.cost.SignTime();  // the commitment signature
   }
 
-  // Capture everything needed — including the token the result was computed
-  // under — so a state update arriving mid-service cannot skew the pledge;
-  // the reply leaves when the simulated CPU has produced and signed it.
+  // The reply leaves when the simulated CPU has produced and signed it.
   if (t != nullptr) {
     t->SpanBegin(TraceRole::kSlave, id(), "slave.serve", msg->trace_id);
   }
   queue_->Enqueue(service_time, [this, from, request_id = msg->request_id,
-                                 trace_id = msg->trace_id, query = msg->query,
-                                 result = std::move(result),
-                                 hashed = std::move(hashed), token = *token_,
-                                 chain, hold_until] {
+                                 trace_id = msg->trace_id,
+                                 result = std::move(served.result),
+                                 pledge = std::move(pledge), reused, chain,
+                                 hold_until]() mutable {
     ReadReply reply;
     reply.request_id = request_id;
     reply.trace_id = trace_id;
     reply.ok = true;
-    reply.result = result;
-    reply.pledge = MakePledge(pledge_signer_, id(), query, hashed, token);
+    reply.result = std::move(result);
+    reply.pledge = std::move(pledge);
     if (options_.params.fork_check_enabled) {
       if (chain == 1 && !chain1_forked_) {
         chains_[1] = chains_[0];  // the fork copies the honest history
         chain1_forked_ = true;
       }
-      reply.vv = chains_[chain].ExtendAndCommit(signer_, id(),
-                                                token.content_version,
-                                                reply.pledge);
+      reply.vv = chains_[chain].ExtendAndCommit(
+          signer_, id(), reply.pledge.token.content_version, reply.pledge);
       ++metrics_.vvs_attached;
     }
     ++metrics_.reads_served;
+    metrics_.pledge_signatures_reused += reused ? 1 : 0;
     Payload payload = WithType(MsgType::kReadReply, reply.Encode());
     SimTime now = env()->Now();
     if (hold_until > now) {

@@ -105,9 +105,9 @@ Bytes Sha1::Final() {
   return digest;
 }
 
-Bytes Sha1::Hash(const Bytes& data) {
+Bytes Sha1::Hash(BytesView data) {
   Sha1 h;
-  h.Update(data);
+  h.Update(data.data(), data.size());
   return h.Final();
 }
 

@@ -27,7 +27,7 @@ class Sha1 {
   // after Final().
   Bytes Final();
 
-  static Bytes Hash(const Bytes& data);
+  static Bytes Hash(BytesView data);
   static Bytes Hash(std::string_view data);
 
  private:

@@ -57,21 +57,6 @@ Bytes Signer::Sign(const Bytes& message) const {
   return Bytes();
 }
 
-Bytes SignMemo::Sign(const Bytes& message) {
-  if (signer_.scheme() == SignatureScheme::kNull) {
-    return signer_.Sign(message);
-  }
-  std::string_view key(reinterpret_cast<const char*>(message.data()),
-                       message.size());
-  if (const Bytes* signature = memo_.Find(key)) {
-    ++reused_;
-    return *signature;
-  }
-  Bytes signature = signer_.Sign(message);
-  memo_.Insert(std::string(key), signature);
-  return signature;
-}
-
 bool VerifySignature(SignatureScheme scheme, const Bytes& public_key,
                      const Bytes& message, const Bytes& signature) {
   switch (scheme) {

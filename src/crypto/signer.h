@@ -68,43 +68,6 @@ class Signer {
   mutable std::shared_ptr<Ed25519ExpandedKey> expanded_;  // lazy, Ed25519 only
 };
 
-// Signs through a bounded LRU memo of recently signed messages, handing
-// back the stored signature when the same message is signed again.
-// Ed25519 (RFC 8032) and HMAC are deterministic, so a reused signature is
-// byte-identical to a fresh one: the memo saves host CPU and changes no
-// output. Entries are keyed by the exact message bytes and compared in
-// full, so only an identical message can reuse a signature. The null
-// scheme bypasses the memo (signing costs nothing).
-//
-// A slave signs one pledge per read, and every read of a popular query
-// under the same version token has an identical pledge body.
-//
-// Not thread-safe; borrows `signer`, which must outlive the memo.
-class SignMemo {
- public:
-  // A pledge body can repeat only while its version token lives (one
-  // keep-alive period), so the reuse ceiling is set by reads per slave per
-  // token. On 4-shard, 100k-client sdrsim fleet runs 256 entries reach it
-  // (40% of pledges reused at a 250 ms keep-alive, 71% at the default) and
-  // 64 fall short; 1024 leaves 4x headroom for busier slaves at about
-  // 0.4 MB per slave (a ~170-byte body plus its signature and LRU nodes).
-  static constexpr size_t kCapacity = 1024;
-
-  explicit SignMemo(const Signer& signer, size_t capacity = kCapacity)
-      : signer_(signer), memo_(capacity) {}
-
-  // Equal to signer.Sign(message).
-  Bytes Sign(const Bytes& message);
-
-  uint64_t reused() const { return reused_; }
-  size_t size() const { return memo_.size(); }
-
- private:
-  const Signer& signer_;
-  LruMap<Bytes> memo_;
-  uint64_t reused_ = 0;  // signatures answered from the memo
-};
-
 // Verifies signatures against a public key.
 bool VerifySignature(SignatureScheme scheme, const Bytes& public_key,
                      const Bytes& message, const Bytes& signature);

@@ -78,10 +78,6 @@ class Network {
   void ClearPartitions();
   // Number of currently partitioned node pairs (0 = fully connected).
   size_t active_partitions() const { return partitions_.size(); }
-  bool IsPartitioned(NodeId a, NodeId b) const {
-    auto key = std::minmax(a, b);
-    return partitions_.count({key.first, key.second}) > 0;
-  }
 
   // Traffic counters (for benches: bytes on the wire per protocol).
   uint64_t messages_sent() const { return messages_sent_; }

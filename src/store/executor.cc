@@ -20,10 +20,11 @@ Bytes QueryResult::Encode() const {
   return w.Take();
 }
 
-Result<QueryResult> QueryResult::Decode(const Bytes& data) {
+Result<QueryResult> QueryResult::Decode(BytesView data) {
   Reader r(data);
   QueryResult res;
-  res.type = static_cast<Type>(r.U8());
+  uint8_t type = r.U8();
+  res.type = static_cast<Type>(type);
   uint32_t n = r.U32();
   res.rows.reserve(std::min<uint32_t>(n, 4096));
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
@@ -33,10 +34,23 @@ Result<QueryResult> QueryResult::Decode(const Bytes& data) {
   }
   res.scalar = r.I64();
   res.empty_aggregate = r.Bool();
-  if (!r.Done()) {
+  if (!r.Done() || type > static_cast<uint8_t>(Type::kScalar)) {
     return Error(ErrorCode::kCorrupt, "bad result encoding");
   }
   return res;
+}
+
+bool QueryResult::WellFormed(BytesView data) {
+  Reader r(data);
+  uint8_t type = r.U8();
+  uint32_t n = r.U32();
+  for (uint32_t i = 0; i < n && r.ok(); ++i) {
+    r.BlobView();
+    r.BlobView();
+  }
+  r.I64();
+  r.Bool();
+  return r.Done() && type <= static_cast<uint8_t>(Type::kScalar);
 }
 
 Bytes QueryResult::Sha1Digest() const {

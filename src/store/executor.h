@@ -42,7 +42,13 @@ struct QueryResult {
   bool empty_aggregate = false;
 
   Bytes Encode() const;
-  static Result<QueryResult> Decode(const Bytes& data);
+  static Result<QueryResult> Decode(BytesView data);
+  // True when `data` is exactly an encoding Encode() can produce: the type
+  // is known, every length fits, bools are 0 or 1, nothing trails. Walks
+  // the bytes without allocating; Decode succeeds on exactly these inputs.
+  // Readers hash the bytes they received, so this is what keeps two
+  // different byte strings from standing for one result.
+  static bool WellFormed(BytesView data);
 
   // SHA-1 of the canonical encoding — the digest embedded in pledges.
   Bytes Sha1Digest() const;

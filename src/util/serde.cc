@@ -107,6 +107,16 @@ Bytes Reader::Blob() {
   return Raw(len);
 }
 
+BytesView Reader::BlobView() {
+  uint32_t len = U32();
+  if (!Need(len)) {
+    return BytesView();
+  }
+  BytesView out(data_ + pos_, len);
+  pos_ += len;
+  return out;
+}
+
 std::string Reader::BlobString() {
   Bytes b = Blob();
   return std::string(b.begin(), b.end());

@@ -76,6 +76,8 @@ class Reader {
 
   Bytes Blob();
   std::string BlobString();
+  // The next blob as a view into the buffer, without copying it out.
+  BytesView BlobView();
 
   // Reads exactly `len` raw bytes.
   Bytes Raw(size_t len);

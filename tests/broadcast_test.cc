@@ -248,19 +248,5 @@ TEST(BroadcastTest, PartitionHealsAndMembersCatchUp) {
   }
 }
 
-TEST(BroadcastTest, PruneKeepsProtocolFunctional) {
-  Harness h(3, 10, LinkModel{5 * kMillisecond, 0, 0.0});
-  for (int i = 0; i < 5; ++i) {
-    h.members[0]->bcast().Broadcast(ToBytes("a" + std::to_string(i)));
-  }
-  h.sim.RunUntil(2 * kSecond);
-  for (auto& m : h.members) {
-    m->bcast().PruneLogBelow(6);
-  }
-  h.members[1]->bcast().Broadcast(ToBytes("post-prune"));
-  h.sim.RunUntil(4 * kSecond);
-  EXPECT_TRUE(h.AllAgree(6));
-}
-
 }  // namespace
 }  // namespace sdr

@@ -290,8 +290,11 @@ TEST(ChaosControllerTest, PartitionAndHealAllReflectInTheNetwork) {
 
   cluster.RunFor(4 * kSecond);
   EXPECT_EQ(cluster.net().active_partitions(), 2u);  // one per master
-  EXPECT_TRUE(cluster.net().IsPartitioned(cluster.slave(0).id(),
-                                          cluster.master(0).id()));
+  // A message across the cut is dropped as partitioned.
+  uint64_t dropped = cluster.net().messages_dropped_partition();
+  cluster.net().Send(cluster.slave(0).id(), cluster.master(0).id(),
+                     ToBytes("x"));
+  EXPECT_EQ(cluster.net().messages_dropped_partition(), dropped + 1);
   cluster.RunFor(4 * kSecond);
   EXPECT_EQ(cluster.net().active_partitions(), 0u);
 }

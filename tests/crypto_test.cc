@@ -750,71 +750,5 @@ TEST(SignerTest, HmacTamperDetected) {
       VerifySignature(SignatureScheme::kHmacSha256, kp.public_key, other, sig));
 }
 
-TEST(SignMemoTest, ReusedSignatureEqualsAFreshOne) {
-  Rng rng(13);
-  for (SignatureScheme scheme :
-       {SignatureScheme::kEd25519, SignatureScheme::kHmacSha256}) {
-    Signer signer(KeyPair::Generate(scheme, rng));
-    SignMemo memo(signer, 8);
-    Bytes msg = ToBytes("pledge body");
-    Bytes first = memo.Sign(msg);
-    Bytes second = memo.Sign(msg);
-    EXPECT_EQ(memo.reused(), 1u) << SignatureSchemeName(scheme);
-    EXPECT_EQ(first, signer.Sign(msg)) << SignatureSchemeName(scheme);
-    EXPECT_EQ(second, signer.Sign(msg)) << SignatureSchemeName(scheme);
-  }
-}
-
-TEST(SignMemoTest, DistinctMessagesGetTheirOwnSignatures) {
-  Rng rng(14);
-  for (SignatureScheme scheme :
-       {SignatureScheme::kEd25519, SignatureScheme::kHmacSha256}) {
-    Signer signer(KeyPair::Generate(scheme, rng));
-    SignMemo memo(signer, 64);
-    // Messages differing in one byte, in length only, or as prefixes of
-    // one another must never share an entry.
-    std::vector<Bytes> messages = {ToBytes("body-a"), ToBytes("body-b"),
-                                   ToBytes("body-"), ToBytes("body-aa"),
-                                   Bytes(), Bytes(1, 0)};
-    std::set<Bytes> signatures;
-    for (int round = 0; round < 2; ++round) {
-      for (const Bytes& msg : messages) {
-        Bytes sig = memo.Sign(msg);
-        EXPECT_EQ(sig, signer.Sign(msg)) << SignatureSchemeName(scheme);
-        signatures.insert(sig);
-      }
-    }
-    EXPECT_EQ(signatures.size(), messages.size());
-    EXPECT_EQ(memo.reused(), messages.size());  // the whole second round
-  }
-}
-
-TEST(SignMemoTest, StaysBoundedAndEvictsLeastRecentlyUsed) {
-  Rng rng(15);
-  Signer signer(KeyPair::Generate(SignatureScheme::kHmacSha256, rng));
-  SignMemo memo(signer, 4);
-  for (int i = 0; i < 100; ++i) {
-    Bytes msg = ToBytes("body-" + std::to_string(i));
-    EXPECT_EQ(memo.Sign(msg), signer.Sign(msg));
-    EXPECT_LE(memo.size(), 4u);
-  }
-  EXPECT_EQ(memo.reused(), 0u);
-  memo.Sign(ToBytes("body-99"));  // still held
-  EXPECT_EQ(memo.reused(), 1u);
-  memo.Sign(ToBytes("body-0"));  // long evicted: signed afresh
-  EXPECT_EQ(memo.reused(), 1u);
-}
-
-TEST(SignMemoTest, NullSchemeBypassesTheMemo) {
-  Rng rng(16);
-  Signer signer(KeyPair::Generate(SignatureScheme::kNull, rng));
-  SignMemo memo(signer);
-  Bytes msg = ToBytes("pledge body");
-  EXPECT_EQ(memo.Sign(msg), signer.Sign(msg));
-  EXPECT_EQ(memo.Sign(msg), signer.Sign(msg));
-  EXPECT_EQ(memo.size(), 0u);
-  EXPECT_EQ(memo.reused(), 0u);
-}
-
 }  // namespace
 }  // namespace sdr

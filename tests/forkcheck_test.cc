@@ -364,13 +364,19 @@ TEST(EvidenceBundleTest, SerdeRoundTripAndTruncation) {
 // Wire format: the optional trailing vv and the fork messages.
 // ---------------------------------------------------------------------------
 
+QueryResult SampleResult() {
+  QueryResult result;
+  result.type = QueryResult::Type::kScalar;
+  result.scalar = 42;
+  return result;
+}
+
 ReadReply SampleReply(ForkFixture& f) {
   ReadReply reply;
   reply.request_id = 77;
   reply.trace_id = 0x800000001;
   reply.ok = true;
-  reply.result.type = QueryResult::Type::kScalar;
-  reply.result.scalar = 42;
+  reply.result = SampleResult().Encode();
   reply.pledge = f.MintPledge(3, "k");
   return reply;
 }
@@ -387,7 +393,7 @@ TEST(ForkWireTest, ReadReplyWithoutVvIsForkUnawareAndRoundTrips) {
   manual.U64(reply.request_id);
   manual.U64(reply.trace_id);
   manual.Bool(reply.ok);
-  manual.Blob(reply.result.Encode());  // results ride as one length-prefixed blob
+  manual.Blob(SampleResult().Encode());  // one length-prefixed blob
   reply.pledge.EncodeTo(manual);
   EXPECT_EQ(plain, manual.Take());
 

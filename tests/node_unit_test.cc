@@ -3,12 +3,20 @@
 // catch-up, token adoption rules, and audit finalization gating.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "src/core/auditor.h"
+#include "src/core/client.h"
+#include "src/core/directory.h"
 #include "src/core/master.h"
 #include "src/core/pledge.h"
 #include "src/core/slave.h"
+#include "src/crypto/sha1.h"
 #include "src/runtime/deployment.h"
 #include "src/sim/network.h"
+#include "src/workload/workload.h"
 
 namespace sdr {
 namespace {
@@ -32,14 +40,16 @@ struct SlaveHarness {
     opts.params.scheme = SignatureScheme::kHmacSha256;
     opts.params.max_latency = 2 * kSecond;
     opts.behavior = behavior;
-    opts.key_pair = KeyPair::Generate(SignatureScheme::kHmacSha256, rng);
+    slave_key = KeyPair::Generate(SignatureScheme::kHmacSha256, rng);
+    opts.key_pair = slave_key;
     opts.master_keys = {{master_stub.id() + 1, master_key.public_key}};
     // The master id used in tokens is master_stub.id()+1? No — use the
     // stub's id so acks route back to it.
     opts.master_keys = {{master_stub.id(), master_key.public_key}};
     slave = std::make_unique<Slave>(opts);
     net.AddNode(slave.get());
-    net.AddNode(&client_stub);
+    net.AddNode(&client_stub);  // odd id: the set a forked slave targets
+    net.AddNode(&client_even);
     net.StartAll();
   }
 
@@ -66,28 +76,37 @@ struct SlaveHarness {
     sim.RunUntilIdle();
   }
 
-  // Issues a read from the client stub and returns the decoded reply.
-  Result<ReadReply> Read(const Query& query) {
-    client_stub.received.clear();
+  void SendRead(SinkNode& client, const Query& query) {
     ReadRequest msg;
     msg.request_id = 7;
     msg.query = query;
-    net.Send(client_stub.id(), slave->id(),
+    net.Send(client.id(), slave->id(),
              WithType(MsgType::kReadRequest, msg.Encode()));
+  }
+
+  // Issues a read from `client` and returns the decoded reply.
+  Result<ReadReply> ReadFrom(SinkNode& client, const Query& query) {
+    client.received.clear();
+    SendRead(client, query);
     sim.RunUntilIdle();
-    if (client_stub.received.empty()) {
+    if (client.received.empty()) {
       return Error(ErrorCode::kUnavailable, "no reply");
     }
-    const Bytes& payload = client_stub.received.back().second;
+    const Bytes& payload = client.received.back().second;
     return ReadReply::Decode(Bytes(payload.begin() + 1, payload.end()));
+  }
+  Result<ReadReply> Read(const Query& query) {
+    return ReadFrom(client_stub, query);
   }
 
   Simulator sim;
   Network net;
   Rng rng;
   KeyPair master_key;
+  KeyPair slave_key;
   SinkNode master_stub;
   SinkNode client_stub;
+  SinkNode client_even;
   std::unique_ptr<Slave> slave;
 };
 
@@ -269,7 +288,401 @@ TEST(SlaveUnitTest, PledgeBindsTokenAtExecutionTime) {
   EXPECT_TRUE(VerifyPledgeSignature(SignatureScheme::kHmacSha256,
                                     h.slave->public_key(), reply->pledge));
   // Result hash matches.
-  EXPECT_EQ(reply->result.Sha1Digest(), reply->pledge.result_sha1);
+  EXPECT_EQ(Sha1::Hash(reply->result), reply->pledge.result_sha1);
+}
+
+TEST(SlaveUnitTest, ServedMemoIsBounded) {
+  SlaveHarness h;
+  DocumentStore base;
+  base.ApplyBatch(
+      {WriteOp::Put("big", std::string(Slave::kMemoMaxResultBytes, 'x'))});
+  h.slave->SetBaseContent(base);
+  h.SendKeepAlive(0);
+  auto reused = [&h] { return h.slave->metrics().pledge_signatures_reused; };
+  // A result over the size bound is served but never kept.
+  ASSERT_TRUE(h.Read(Query::Get("big"))->ok);
+  ASSERT_TRUE(h.Read(Query::Get("big"))->ok);
+  EXPECT_EQ(reused(), 0u);
+  // Small results are kept, kMemoCapacity of them, least recently used
+  // evicted first. All requests land at once, well inside one token.
+  for (size_t i = 0; i <= Slave::kMemoCapacity; ++i) {
+    h.SendRead(h.client_stub, Query::Get("key" + std::to_string(i)));
+  }
+  h.sim.RunUntilIdle();
+  EXPECT_EQ(reused(), 0u);
+  ASSERT_TRUE(
+      h.Read(Query::Get("key" + std::to_string(Slave::kMemoCapacity)))->ok);
+  EXPECT_EQ(reused(), 1u);
+  ASSERT_TRUE(h.Read(Query::Get("key0"))->ok);  // evicted: served afresh
+  EXPECT_EQ(reused(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The served-read memo against an unoptimized oracle. A seeded stream of
+// reads (many of them repeats), state updates, batched updates, updates
+// whose token the slave cannot adopt, keep-alives and behavior toggles
+// drives one slave. Every reply is checked against a shadow DocumentStore
+// per version, a fresh execution at the version the reply must come from,
+// and a plain Signer::Sign.
+// ---------------------------------------------------------------------------
+
+class MemoOracle {
+ public:
+  MemoOracle(const Slave::Behavior& attack, uint64_t seed)
+      : attack_(attack), rng_(seed), slave_signer_(h_.slave_key) {
+    DocumentStore base;
+    for (int i = 0; i < kKeys; ++i) {
+      base.ApplyBatch({WriteOp::Put(Key(i), std::to_string(10 + i))});
+    }
+    h_.slave->SetBaseContent(base);
+    h_.slave->SetBehavior(attack_);
+    history_.push_back(base);
+    batches_.emplace_back();
+    h_.SendKeepAlive(0);
+  }
+
+  void Run(int steps) {
+    for (int i = 0; i < steps && !::testing::Test::HasFatalFailure(); ++i) {
+      uint64_t roll = rng_.NextBounded(100);
+      if (roll < 35) {
+        const auto& queries = Queries();
+        Read(rng_.NextBool(0.5), queries[rng_.NextBounded(queries.size())]);
+      } else if (roll < 55) {
+        Read(rng_.NextBool(0.5), last_query_);  // a repeat, from either set
+      } else if (roll < 65) {
+        Send(MsgType::kKeepAlive, KeepAlive{Token(master_version())}.Encode());
+      } else if (roll < 75) {
+        Updates(/*adoptable_token=*/true);
+      } else if (roll < 82) {
+        Updates(/*adoptable_token=*/false);
+      } else if (roll < 90) {
+        BatchedUpdate();
+      } else if (roll < 95) {
+        attacking_ = !attacking_;
+        h_.slave->SetBehavior(attacking_ ? attack_ : Slave::Behavior{});
+      } else {
+        h_.sim.RunUntil(h_.sim.Now() + 400 * kMillisecond);  // tokens age
+      }
+    }
+  }
+
+  uint64_t replies_checked() const { return replies_checked_; }
+  uint64_t memo_hits() const { return memo_hits_; }
+  uint64_t lies() const { return lies_; }
+
+ private:
+  static constexpr int kKeys = 6;
+  static std::string Key(uint64_t i) { return "k" + std::to_string(i); }
+  static const std::vector<Query>& Queries() {
+    static const std::vector<Query> kQueries = {
+        Query::Get("k0"),
+        Query::Get("k1"),
+        Query::Get("k2"),
+        Query::Get("absent"),
+        Query::Scan("k0", "k9"),
+        Query::Scan("k1", "k5", 2),
+        Query::Grep("1"),
+        Query::Aggregate(QueryKind::kCount),
+        Query::Aggregate(QueryKind::kSum, "k0", "k3"),
+        Query::Grep("("),  // invalid: declined after the view is chosen
+    };
+    return kQueries;
+  }
+
+  uint64_t master_version() const { return history_.size() - 1; }
+
+  VersionToken Token(uint64_t version) { return h_.Token(version); }
+
+  void Send(MsgType type, const Bytes& body) {
+    h_.net.Send(h_.master_stub.id(), h_.slave->id(), WithType(type, body));
+    h_.sim.RunUntilIdle();
+  }
+
+  void NewVersion() {
+    WriteBatch batch;
+    for (uint64_t n = 1 + rng_.NextBounded(2); n > 0; --n) {
+      std::string key = Key(rng_.NextBounded(kKeys));
+      batch.push_back(rng_.NextBool(0.2)
+                          ? WriteOp::Delete(key)
+                          : WriteOp::Put(key, std::to_string(
+                                                  rng_.NextBounded(100))));
+    }
+    DocumentStore next = history_.back();
+    next.ApplyBatch(batch);
+    history_.push_back(std::move(next));
+    batches_.push_back(std::move(batch));
+  }
+
+  // The slave keeps a lag view of the content before each version it
+  // applies under stale_pledge.
+  void AfterApply(uint64_t applied_before) {
+    uint64_t applied = h_.slave->applied_version();
+    if (applied > applied_before && h_.slave->behavior().stale_pledge) {
+      lag_ = applied - 1;
+    }
+  }
+
+  // One new version, then every version the slave lacks, one update each
+  // (a master's catch-up push). Without an adoptable token the content
+  // advances while the slave keeps its old token, so only the applied
+  // version tells the old answers from the new.
+  void Updates(bool adoptable_token) {
+    NewVersion();
+    uint64_t before = h_.slave->applied_version();
+    for (uint64_t v = before + 1; v <= master_version(); ++v) {
+      StateUpdate update;
+      update.version = v;
+      update.batch = batches_[v];
+      update.token = Token(adoptable_token ? v : v - 1);
+      Send(MsgType::kStateUpdate, update.Encode());
+    }
+    AfterApply(before);
+  }
+
+  void BatchedUpdate() {
+    for (uint64_t n = 1 + rng_.NextBounded(3); n > 0; --n) {
+      NewVersion();
+    }
+    uint64_t before = h_.slave->applied_version();
+    StateUpdateBatch msg;
+    msg.first_version = before + 1;
+    Sha1 digest;
+    for (uint64_t v = before + 1; v <= master_version(); ++v) {
+      msg.batches.push_back(batches_[v]);
+      Writer w;
+      EncodeBatch(w, batches_[v]);
+      digest.Update(w.Take());
+    }
+    msg.token = Token(master_version());
+    msg.commit = MakeBatchCommit(Signer(h_.master_key), h_.master_stub.id(),
+                                 msg.first_version, master_version(),
+                                 digest.Final(), h_.sim.Now());
+    Send(MsgType::kStateUpdateBatch, msg.Encode());
+    AfterApply(before);
+  }
+
+  void Read(bool odd_client, const Query& query) {
+    last_query_ = query;
+    const SlaveMetrics before = h_.slave->metrics();
+    auto reply =
+        h_.ReadFrom(odd_client ? h_.client_stub : h_.client_even, query);
+    const SlaveMetrics after = h_.slave->metrics();
+    ASSERT_TRUE(reply.ok());
+    if (after.reads_declined_stale > before.reads_declined_stale) {
+      EXPECT_FALSE(reply->ok);  // declined before any view is chosen
+      return;
+    }
+    // The view this read must be answered from, as Slave::Behavior
+    // documents it: the targeted (odd) set reads a view frozen at its
+    // first read since the fork began; under stale_pledge everyone reads
+    // the content before the last version applied.
+    const Slave::Behavior& b = h_.slave->behavior();
+    const bool fork_active = b.fork_views || b.split_serve;
+    if (!fork_active) {
+      fork_.reset();
+    }
+    if (!b.stale_pledge) {
+      lag_.reset();
+    }
+    const uint64_t applied = h_.slave->applied_version();
+    uint64_t served = applied;
+    bool from_view = false;
+    if (fork_active && odd_client) {
+      if (!fork_.has_value()) {
+        fork_ = applied;
+      }
+      served = *fork_;
+      from_view = true;
+    } else if (!fork_active && b.stale_pledge && lag_.has_value()) {
+      served = *lag_;
+      from_view = true;
+    }
+    const uint64_t reused =
+        after.pledge_signatures_reused - before.pledge_signatures_reused;
+    const uint64_t lied = after.lies_told - before.lies_told;
+    auto fresh = QueryExecutor().Execute(history_[served], query);
+    if (!fresh.ok()) {
+      EXPECT_FALSE(reply->ok);
+      EXPECT_EQ(reused, 0u);
+      return;
+    }
+    ASSERT_TRUE(reply->ok);
+    ++replies_checked_;
+    const Bytes truth = fresh->result.Encode();
+    const Pledge& pledge = reply->pledge;
+    EXPECT_EQ(pledge.query, query);
+    EXPECT_EQ(pledge.slave, h_.slave->id());
+    // A memoized signature is exactly a fresh one.
+    EXPECT_EQ(pledge.signature, slave_signer_.Sign(pledge.SignedBody()));
+    if (from_view) {
+      EXPECT_EQ(reused, 0u) << "a fork or lag view was served from the memo";
+    }
+    if (lied == 0) {
+      EXPECT_EQ(reply->result, truth)
+          << "honest reply differs from a fresh execution at version "
+          << served << " (applied " << applied << ")";
+      EXPECT_EQ(pledge.result_sha1, Sha1::Hash(reply->result));
+      memo_hits_ += reused;
+      return;
+    }
+    ++lies_;
+    EXPECT_EQ(reused, 0u) << "a lie was served from the memo";
+    EXPECT_NE(reply->result, truth);
+    const bool consistent =
+        after.consistent_lies_told > before.consistent_lies_told;
+    EXPECT_EQ(pledge.result_sha1,
+              Sha1::Hash(consistent ? reply->result : truth));
+  }
+
+  SlaveHarness h_;
+  const Slave::Behavior attack_;
+  bool attacking_ = true;
+  Rng rng_;
+  Signer slave_signer_;
+  std::vector<DocumentStore> history_;  // content at each version
+  std::vector<WriteBatch> batches_;     // batches_[v] makes version v
+  std::optional<uint64_t> fork_;        // version of the frozen fork view
+  std::optional<uint64_t> lag_;         // version of the lag view
+  Query last_query_ = Query::Get("k0");
+  uint64_t replies_checked_ = 0;
+  uint64_t memo_hits_ = 0;
+  uint64_t lies_ = 0;
+};
+
+TEST(SlaveMemoOracleTest, EveryReplyMatchesAFreshExecution) {
+  struct Case {
+    const char* name;
+    Slave::Behavior behavior;
+  };
+  std::vector<Case> cases(7);
+  cases[0].name = "honest";
+  cases[1].name = "consistent_lies";
+  cases[1].behavior.lie_probability = 0.3;
+  cases[2].name = "inconsistent_lies";
+  cases[2].behavior.inconsistent_lie_probability = 0.3;
+  cases[3].name = "stale_pledge";
+  cases[3].behavior.stale_pledge = true;
+  cases[4].name = "fork_views";
+  cases[4].behavior.fork_views = true;
+  cases[5].name = "split_serve";
+  cases[5].behavior.split_serve = true;
+  cases[6].name = "ignore_updates";
+  cases[6].behavior.ignore_updates = true;
+  cases[6].behavior.serve_despite_stale = true;
+  for (const Case& c : cases) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(std::string(c.name) + " seed " + std::to_string(seed));
+      MemoOracle oracle(c.behavior, seed);
+      oracle.Run(600);
+      EXPECT_GT(oracle.replies_checked(), 100u);
+      EXPECT_GT(oracle.memo_hits(), 10u);
+      if (c.behavior.lie_probability > 0 ||
+          c.behavior.inconsistent_lie_probability > 0) {
+        EXPECT_GT(oracle.lies(), 10u);
+      }
+    }
+  }
+}
+
+// A slave that answers every read with a non-canonical encoding of the
+// honest result (a different one each time) and pledges the SHA-1 of
+// exactly those bytes under a valid token and its own key.
+class NonCanonicalSlave : public Node {
+ public:
+  NonCanonicalSlave(const KeyPair& key, DocumentStore base)
+      : signer_(key), store_(std::move(base)) {}
+
+  void HandleMessage(NodeId from, const Payload& payload) override {
+    auto type = PeekType(payload);
+    BytesView body = BytesView(payload).substr(1);
+    if (!type.ok()) {
+      return;
+    }
+    if (*type == MsgType::kKeepAlive) {
+      auto msg = KeepAlive::Decode(body);
+      if (msg.ok()) {
+        token_ = msg->token;
+      }
+    } else if (*type == MsgType::kReadRequest && token_.has_value()) {
+      auto msg = ReadRequest::Decode(body);
+      auto outcome = QueryExecutor().Execute(store_, msg->query);
+      Bytes bytes = outcome->result.Encode();
+      switch (served_++ % 4) {
+        case 0:
+          bytes.push_back(0);  // a trailing byte
+          break;
+        case 1:
+          bytes[0] = 3;  // an unknown result type
+          break;
+        case 2:
+          bytes.back() = 2;  // a bool that is neither 0 nor 1
+          break;
+        default:
+          bytes[1] += 1;  // one row more than the bytes hold
+          break;
+      }
+      ReadReply reply;
+      reply.request_id = msg->request_id;
+      reply.trace_id = msg->trace_id;
+      reply.ok = true;
+      reply.pledge = MakePledge(signer_, id(), msg->query, Sha1::Hash(bytes),
+                                *token_);
+      reply.result = std::move(bytes);
+      env()->Send(from, WithType(MsgType::kReadReply, reply.Encode()));
+    }
+  }
+
+  uint64_t served() const { return served_; }
+
+ private:
+  Signer signer_;
+  DocumentStore store_;
+  std::optional<VersionToken> token_;
+  uint64_t served_ = 0;
+};
+
+TEST(ClientUnitTest, NeverDeliversAResultPledgedOverNonCanonicalBytes) {
+  Simulator sim(1);
+  Network net(&sim, LinkModel{1 * kMillisecond, 0, 0.0});
+  DeploymentConfig config;
+  config.slaves_per_master = 1;
+  config.params.scheme = SignatureScheme::kHmacSha256;
+  DeploymentPlan plan = BuildDeployment(config);
+  Directory directory;
+  directory.Publish(plan.content.content_public_key, plan.master_certs);
+  Master master(MasterOptionsFor(plan, 0));
+  master.AddSlave(plan.slave_certs[0]);
+  master.SetBaseContent(plan.base);
+  SinkNode auditor;
+  NonCanonicalSlave slave(plan.slave_keys[0], plan.base);
+  Client client(ClientOptionsFor(plan, 0, Client::LoadMode::kManual));
+  // Node ids follow the deployment roster.
+  net.AddNode(&directory);
+  net.AddNode(&master);
+  net.AddNode(&auditor);
+  net.AddNode(&slave);
+  net.AddNode(&client);
+  ASSERT_EQ(slave.id(), plan.slave_ids[0]);
+  ASSERT_EQ(client.id(), plan.client_ids[0]);
+  net.StartAll();
+  sim.RunUntil(sim.Now() + 2 * config.params.keepalive_period);
+  ASSERT_TRUE(client.ready());
+  ASSERT_EQ(client.assigned_slave(), slave.id());
+
+  int delivered = 0;
+  int failed = 0;
+  client.on_accept = [&delivered](const Query&, const Pledge&,
+                                  const QueryResult&) { ++delivered; };
+  client.IssueRead(Query::Get(ItemKey(0)),
+                   [&failed](bool accepted, const QueryResult&) {
+                     failed += accepted ? 0 : 1;
+                   });
+  sim.RunUntil(sim.Now() + 10 * kSecond);
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(failed, 1);  // every retry was rejected, then the read failed
+  EXPECT_GE(slave.served(), 4u);  // each kind of non-canonical bytes
+  EXPECT_EQ(client.metrics().reads_rejected_hash, slave.served());
+  EXPECT_EQ(client.metrics().reads_accepted, 0u);
 }
 
 TEST(SlaveUnitTest, DropBehaviorTimesOutRequests) {

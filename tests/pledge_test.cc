@@ -4,6 +4,7 @@
 #include "src/core/certificate.h"
 #include "src/core/messages.h"
 #include "src/core/pledge.h"
+#include "src/crypto/sha1.h"
 #include "src/store/executor.h"
 #include "src/util/rng.h"
 
@@ -176,8 +177,8 @@ struct ReadFixture {
   ReadVerdict Verify(const Pledge& p, const QueryResult& r,
                      const Bytes* master_key, SimTime now,
                      VerifyCache* cache = nullptr) const {
-    return VerifyRead(SignatureScheme::kEd25519, r, p, slave_cert, master_key,
-                      now, 2 * kSecond, cache);
+    return VerifyRead(SignatureScheme::kEd25519, r.Encode(), p, slave_cert,
+                      master_key, now, 2 * kSecond, cache);
   }
   ReadVerdict Verify(const Pledge& p) const {
     return Verify(p, result, &k.master.public_key, kNow);
@@ -269,6 +270,38 @@ TEST(VerifyReadTest, ReportsTheFirstFailingCheck) {
   EXPECT_EQ(f.Verify(f.pledge, other, &f.k.master.public_key,
                      60 * kSecond),
             ReadVerdict::kHashMismatch);
+}
+
+// Byte strings no QueryResult::Encode produces, each one edit away from
+// the canonical encoding of `result`.
+std::vector<Bytes> NonCanonicalEncodings(const QueryResult& result) {
+  const Bytes canonical = result.Encode();
+  std::vector<Bytes> out(6, canonical);
+  out[0].push_back(0);  // a trailing byte
+  out[1][0] = 3;        // an unknown result type
+  out[2].back() = 2;    // a bool that is neither 0 nor 1
+  out[3][1] += 1;       // one row more than the bytes hold
+  out[4].pop_back();    // truncated
+  out[5].clear();       // nothing at all
+  return out;
+}
+
+TEST(VerifyReadTest, RejectsResultBytesThatAreNotACanonicalEncoding) {
+  ReadFixture f;
+  EXPECT_TRUE(QueryResult::WellFormed(f.result.Encode()));
+  for (const Bytes& bytes : NonCanonicalEncodings(f.result)) {
+    SCOPED_TRACE(HexEncode(bytes));
+    EXPECT_FALSE(QueryResult::WellFormed(bytes));
+    EXPECT_FALSE(QueryResult::Decode(bytes).ok());
+    // Pledged faithfully: the hash is of exactly these bytes and both
+    // signatures hold, so only the well-formedness check rejects it.
+    Pledge pledge = MakePledge(f.slave_signer, 9, f.pledge.query,
+                               Sha1::Hash(bytes), f.token);
+    EXPECT_EQ(VerifyRead(SignatureScheme::kEd25519, bytes, pledge,
+                         f.slave_cert, &f.k.master.public_key,
+                         ReadFixture::kNow, 2 * kSecond, nullptr),
+              ReadVerdict::kHashMismatch);
+  }
 }
 
 TEST(MessagesTest, TypedPayloadRoundTrips) {

@@ -4,6 +4,10 @@
 // under a range of cluster shapes.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "src/core/cluster.h"
 
 namespace sdr {
@@ -131,8 +135,10 @@ TEST(MessageRobustness, TruncationsNeverCrashDecoders) {
     ReadReply m;
     m.request_id = 1;
     m.ok = true;
-    m.result.type = QueryResult::Type::kRows;
-    m.result.rows = {{"k", "v"}};
+    QueryResult result;
+    result.type = QueryResult::Type::kRows;
+    result.rows = {{"k", "v"}};
+    m.result = result.Encode();
     m.pledge = pledge;
     bodies.push_back(m.Encode());
   }
@@ -208,6 +214,171 @@ TEST(MessageRobustness, RandomBytesNeverCrashNodeDispatch) {
   auto totals = cluster.ComputeTotals();
   EXPECT_GT(totals.clients.reads_accepted, 0u);
   EXPECT_EQ(cluster.accepted_wrong(), 0u);
+}
+
+// Keeps every frame it receives.
+class FrameSink : public Node {
+ public:
+  void HandleMessage(NodeId from, const Payload& payload) override {
+    frames.emplace_back(from, payload.ToBytes());
+  }
+  std::vector<std::pair<NodeId, Bytes>> frames;
+};
+
+// One to four random edits: bit flips, byte overwrites, truncation,
+// insertion, a length-like u32 planted anywhere, or a splice with the tail
+// of another frame.
+Bytes Mutate(Bytes b, Rng& rng, const std::vector<Bytes>& corpus) {
+  for (uint64_t edits = 1 + rng.NextBounded(4); edits > 0; --edits) {
+    const size_t pos = b.empty() ? 0 : rng.NextBounded(b.size());
+    switch (rng.NextBounded(6)) {
+      case 0:
+        if (!b.empty()) {
+          b[pos] ^= static_cast<uint8_t>(1u << rng.NextBounded(8));
+        }
+        break;
+      case 1:
+        if (!b.empty()) {
+          b[pos] = static_cast<uint8_t>(rng.NextBounded(256));
+        }
+        break;
+      case 2:
+        b.resize(pos);
+        break;
+      case 3:
+        b.insert(b.begin() + static_cast<long>(pos),
+                 static_cast<uint8_t>(rng.NextBounded(256)));
+        break;
+      case 4: {
+        const uint32_t values[] = {0, 1, 0x7fffffff, 0xffffffff,
+                                   static_cast<uint32_t>(b.size())};
+        uint32_t v = values[rng.NextBounded(5)];
+        for (size_t i = 0; i < 4 && pos + i < b.size(); ++i) {
+          b[pos + i] = static_cast<uint8_t>(v >> (8 * i));
+        }
+        break;
+      }
+      default: {
+        const Bytes& other = corpus[rng.NextBounded(corpus.size())];
+        size_t from = rng.NextBounded(other.size() + 1);
+        b.resize(pos);
+        b.insert(b.end(), other.begin() + static_cast<long>(from),
+                 other.end());
+        break;
+      }
+    }
+  }
+  return b;
+}
+
+// Seeded mutations of ReadReply and DoubleCheckReply frames captured from
+// a cluster run with lying slaves: no decoder may crash, and any reply
+// VerifyRead accepts must parse as a result.
+TEST(MessageRobustness, MutatedReadRepliesNeverPassUnparsable) {
+  ClusterConfig config;
+  config.seed = 56;
+  config.corpus.n_items = 40;
+  config.params.scheme = SignatureScheme::kHmacSha256;
+  config.params.exclusion_enabled = false;  // the liars keep serving
+  config.client_mode = Client::LoadMode::kClosedLoop;
+  config.slave_behavior = [](int index) {
+    Slave::Behavior b;
+    b.lie_probability = index == 0 ? 0.3 : 0.0;
+    b.inconsistent_lie_probability = index == 1 ? 0.3 : 0.0;
+    return b;
+  };
+  Cluster cluster(config);
+  FrameSink sink;
+  cluster.net().AddNode(&sink);
+  cluster.RunFor(2 * kSecond);
+
+  // Capture: reads of every slave, then a double-check of every pledge.
+  Rng rng(57);
+  QueryMix mix;
+  mix.n_items = config.corpus.n_items;
+  uint64_t request_id = 1;
+  for (int round = 0; round < 10; ++round) {
+    for (int s = 0; s < cluster.num_slaves(); ++s) {
+      ReadRequest req;
+      req.request_id = request_id++;
+      req.query = mix.Generate(rng);
+      cluster.net().Send(sink.id(), cluster.slave(s).id(),
+                         WithType(MsgType::kReadRequest, req.Encode()));
+    }
+  }
+  cluster.RunFor(500 * kMillisecond);
+  std::vector<Pledge> pledges;
+  for (const auto& [from, frame] : sink.frames) {
+    auto reply = ReadReply::Decode(BytesView(frame).substr(1));
+    if (reply.ok() && reply->ok) {
+      pledges.push_back(reply->pledge);
+    }
+  }
+  ASSERT_GT(pledges.size(), 20u);
+  for (size_t i = 0; i < pledges.size(); ++i) {
+    DoubleCheckRequest dc;
+    dc.request_id = request_id++;
+    dc.pledge = pledges[i];
+    cluster.net().Send(sink.id(), cluster.master(i % 2).id(),
+                       WithType(MsgType::kDoubleCheckRequest, dc.Encode()));
+  }
+  cluster.RunFor(500 * kMillisecond);
+
+  std::map<NodeId, Certificate> certs;
+  for (int s = 0; s < cluster.num_slaves(); ++s) {
+    Certificate& cert = certs[cluster.slave(s).id()];
+    cert.subject = cluster.slave(s).id();
+    cert.subject_public_key = cluster.slave(s).public_key();
+  }
+  std::map<NodeId, Bytes> master_keys;
+  for (int m = 0; m < cluster.num_masters(); ++m) {
+    master_keys[cluster.master(m).id()] = cluster.master(m).public_key();
+  }
+  std::vector<Bytes> corpus;
+  std::vector<NodeId> senders;
+  size_t mismatches = 0;
+  for (const auto& [from, frame] : sink.frames) {
+    auto type = PeekType(frame);
+    ASSERT_TRUE(type.ok());
+    Bytes body(frame.begin() + 1, frame.end());
+    if (*type == MsgType::kDoubleCheckReply) {
+      auto dc = DoubleCheckReply::Decode(body);
+      ASSERT_TRUE(dc.ok());
+      mismatches += dc->served && !dc->matches ? 1 : 0;
+    }
+    corpus.push_back(std::move(body));
+    senders.push_back(from);
+  }
+  EXPECT_GT(mismatches, 0u);  // the corpus holds caught lies too
+
+  uint64_t accepted = 0;
+  uint64_t double_checks_decoded = 0;
+  for (int i = 0; i < 50000; ++i) {
+    size_t pick = rng.NextBounded(corpus.size());
+    Bytes body = Mutate(corpus[pick], rng, corpus);
+    auto reply = ReadReply::Decode(body);
+    auto cert = certs.find(senders[pick]);
+    if (reply.ok() && reply->ok && cert != certs.end()) {
+      auto key = master_keys.find(reply->pledge.token.master);
+      ReadVerdict verdict = VerifyRead(
+          config.params.scheme, reply->result, reply->pledge, cert->second,
+          key == master_keys.end() ? nullptr : &key->second,
+          reply->pledge.token.timestamp, config.params.max_latency, nullptr);
+      if (verdict == ReadVerdict::kAccepted) {
+        ++accepted;
+        EXPECT_TRUE(QueryResult::Decode(reply->result).ok());
+      }
+    }
+    auto dc = DoubleCheckReply::Decode(body);
+    if (dc.ok()) {
+      ++double_checks_decoded;
+      (void)QueryResult::Decode(dc->correct_result);
+    }
+  }
+  // Edits to unsigned fields (request and trace ids) keep a reply valid,
+  // so the check above is not vacuous.
+  EXPECT_GT(accepted, 50u);
+  EXPECT_GT(double_checks_decoded, 50u);
 }
 
 }  // namespace

@@ -55,15 +55,6 @@ TEST(ServiceQueueTest, SpeedScalesServiceTime) {
   EXPECT_EQ(slow_done, 1);
 }
 
-TEST(ServiceQueueTest, UtilizationTracksBusyFraction) {
-  Simulator sim(1);
-  SimEnv env(&sim, nullptr, 1);
-  ServiceQueue q(&env, 1.0);
-  q.Enqueue(250, [] {});
-  sim.RunUntil(1000);
-  EXPECT_NEAR(q.UtilizationSince(0, sim.Now()), 0.25, 1e-9);
-}
-
 TEST(ServiceQueueTest, ZeroCostJobStillTakesMinimumTick) {
   Simulator sim(1);
   SimEnv env(&sim, nullptr, 1);

@@ -323,8 +323,10 @@ TEST(NetworkTest, ClearPartitionsHealsEverything) {
   net.SetPartitioned(ida, idb, true);
   net.SetPartitioned(ida, idc, true);
   EXPECT_EQ(net.active_partitions(), 2u);
-  EXPECT_TRUE(net.IsPartitioned(ida, idb));
-  EXPECT_TRUE(net.IsPartitioned(idb, ida));  // normalized pair
+  // Both directions of a partitioned pair drop.
+  net.Send(ida, idb, ToBytes("dropped"));
+  net.Send(idb, ida, ToBytes("dropped"));
+  EXPECT_EQ(net.messages_dropped_partition(), 2u);
   net.ClearPartitions();
   EXPECT_EQ(net.active_partitions(), 0u);
   net.Send(ida, idb, ToBytes("x"));

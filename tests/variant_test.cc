@@ -120,6 +120,67 @@ TEST(MultiReadTest, DeclinedSlaveDoesNotStallReads) {
   EXPECT_LT(h.cluster->sim().Now() - start, 2 * kSecond);
 }
 
+// Stands in for the master: keeps the double-check requests it gets.
+class MasterStub : public Node {
+ public:
+  void HandleMessage(NodeId /*from*/, const Payload& payload) override {
+    received.push_back(payload.ToBytes());
+  }
+  std::vector<Bytes> received;
+};
+
+TEST(MultiReadTest, MalformedDoubleCheckResultFailsTheReadAndAccusesNoOne) {
+  ClusterConfig config;
+  config.seed = 7;
+  config.num_masters = 1;
+  config.slaves_per_master = 2;
+  config.num_clients = 0;
+  config.corpus.n_items = 60;
+  config.params.scheme = SignatureScheme::kHmacSha256;
+  config.track_ground_truth = false;
+  Cluster cluster(config);
+  MasterStub master_stub;
+  cluster.net().AddNode(&master_stub);
+
+  MultiReadClient::Options opts;
+  opts.params = config.params;
+  opts.params.double_check_probability = 1.0;
+  opts.slave_certs = cluster.master(0).my_slave_certs();
+  opts.master_keys = {
+      {cluster.master(0).id(), cluster.master(0).public_key()}};
+  opts.master = master_stub.id();  // every read double-checks with the stub
+  opts.auditor = cluster.auditor().id();
+  MultiReadClient client(opts);
+  cluster.net().AddNode(&client);
+  client.Start();
+  cluster.RunFor(2 * kSecond);  // arm keep-alives
+
+  int failed = 0;
+  client.IssueRead(Query::Get(ItemKey(1)),
+                   [&failed](bool ok, const QueryResult&) {
+                     failed += ok ? 0 : 1;
+                   });
+  cluster.RunFor(200 * kMillisecond);
+  ASSERT_EQ(master_stub.received.size(), 1u);
+  auto dc = DoubleCheckRequest::Decode(
+      BytesView(master_stub.received[0]).substr(1));
+  ASSERT_TRUE(dc.ok());
+  // A served, mismatching reply whose result is not a result encoding
+  // (one trailing byte): it must convict no slave.
+  DoubleCheckReply reply;
+  reply.request_id = dc->request_id;
+  reply.trace_id = dc->trace_id;
+  reply.served = true;
+  reply.correct_result.push_back(0);
+  cluster.net().Send(master_stub.id(), client.id(),
+                     WithType(MsgType::kDoubleCheckReply, reply.Encode()));
+  cluster.RunFor(200 * kMillisecond);
+  EXPECT_EQ(failed, 1);
+  EXPECT_EQ(client.metrics().reads_failed, 1u);
+  EXPECT_EQ(client.metrics().accusations_sent, 0u);
+  EXPECT_EQ(master_stub.received.size(), 1u);  // no accusation sent
+}
+
 TEST(SecurityLevelTest, SensitiveReadsNeverAcceptLies) {
   // p=1.0 (the "execute only on trusted hosts" end of the dial): with every
   // slave lying and exclusion disabled, the sensitive client still never
