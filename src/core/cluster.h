@@ -1,14 +1,13 @@
 // The cluster harness: builds a full deployment — directory, masters,
-// auditor, slaves, clients — on the simulated network, wires up keys and
-// certificates the way the content owner would, installs the initial
-// content, and (optionally) validates every client-accepted read against
-// ground truth. This is the entry point examples, integration tests and
-// benchmarks use.
+// auditor, slaves, clients — on the simulated network from the same
+// DeploymentPlan real processes use (src/runtime/deployment.h), adds the
+// optional client fleet, and (optionally) validates every client-accepted
+// read against ground truth. This is the entry point examples, integration
+// tests and benchmarks use.
 #ifndef SDR_SRC_CORE_CLUSTER_H_
 #define SDR_SRC_CORE_CLUSTER_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -18,6 +17,7 @@
 #include "src/core/master.h"
 #include "src/core/shard.h"
 #include "src/core/slave.h"
+#include "src/runtime/deployment.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
 #include "src/trace/trace.h"
@@ -35,20 +35,14 @@ struct TraceConfig {
   bool sim_spans = false;     // wrap every simulator event in a span (verbose)
 };
 
-struct ClusterConfig {
-  uint64_t seed = 1;
-  int num_masters = 2;       // serving masters (auditors are additional)
-  int num_auditors = 1;      // Section 3.4: "add extra auditors" to scale
-  int slaves_per_master = 2;
-  int num_clients = 4;
-
-  // Keyspace sharding (src/core/shard.h). 1 = the paper's single group,
-  // bit-for-bit. Above 1 the cluster builds one independent group
-  // (num_masters masters + num_auditors auditors + their slaves) per
-  // shard, splits the corpus by a directory-published signed placement,
-  // and every client runs in sharded (multi-lane) mode. All counts above
-  // are per shard.
-  int num_shards = 1;
+// The roster half (counts, shards, keys' root seed, corpus, protocol and
+// cost parameters, slave behaviour, auditor settings) is the
+// DeploymentConfig the plan is built from; the rest is simulation only.
+struct ClusterConfig : DeploymentConfig {
+  ClusterConfig() {
+    num_masters = 2;
+    num_clients = 4;
+  }
 
   // Simulated-client fleet (src/workload/fleet.h): one multiplexing node,
   // appended last in the roster, modeling `fleet_clients` open-loop
@@ -57,39 +51,18 @@ struct ClusterConfig {
   double fleet_reads_per_second = 1.0;
   double fleet_write_fraction = 0.0;
 
-  ProtocolParams params;
-  CostModel cost;
   LinkModel default_link = LinkModel{5 * kMillisecond, 2 * kMillisecond, 0.0};
 
-  CorpusConfig corpus;
-  QueryMix mix;
-  WriteGen write_gen;
-
-  // Template applied to every client (directory/content/query sources are
-  // filled in by the cluster); customize per client via tweak_client.
+  // The simulated load shape, applied on top of ClientOptionsFor (think
+  // time and write fraction are in DeploymentConfig); customize per client
+  // via tweak_client.
   Client::LoadMode client_mode = Client::LoadMode::kManual;
-  SimTime client_think_time = 100 * kMillisecond;
   double client_reads_per_second = 2.0;
-  double client_write_fraction = 0.0;
   std::function<double(SimTime)> client_rate_multiplier;
   std::function<void(int index, Client::Options&)> tweak_client;
 
-  // Behaviour by global slave index (default honest).
-  std::function<Slave::Behavior(int index)> slave_behavior;
-
   // Validate accepted reads against ground truth (costs host CPU).
   bool track_ground_truth = true;
-
-  // The auditor's result cache (Section 3.4 "query optimization"); E5
-  // ablates it.
-  bool auditor_use_cache = true;
-
-  // Host worker lanes for the auditor's re-execution engine. Purely a
-  // host-CPU knob: every simulated output is byte-identical at any value.
-  int audit_jobs = 1;
-
-  uint64_t snapshot_interval = 16;
-  TotalOrderBroadcast::Config broadcast;
 
   TraceConfig trace;
 };
@@ -140,19 +113,18 @@ class Cluster {
   // Sharding topology. The flat accessors above stay valid in sharded
   // runs: nodes are laid out shard-major, so shard s owns masters
   // [s*masters_per_shard, ...), auditors and slaves likewise.
-  int num_shards() const { return std::max(1, config_.num_shards); }
-  int masters_per_shard() const { return config_.num_masters; }
-  int auditors_per_shard() const { return std::max(1, config_.num_auditors); }
-  int slaves_per_shard() const {
-    return config_.num_masters * config_.slaves_per_master;
-  }
+  int num_shards() const { return plan_.num_shards(); }
+  int masters_per_shard() const { return plan_.masters_per_shard(); }
+  int auditors_per_shard() const { return plan_.auditors_per_shard(); }
+  int slaves_per_shard() const { return plan_.slaves_per_shard(); }
   // Which shard a (master) node serves; 0 for unknown ids.
   int shard_of_master(NodeId master) const;
-  const ShardMap& shard_map() const { return shard_map_; }
+  // Trivial (one shard, no boundaries) unless config.num_shards > 1.
+  const ShardMap& shard_map() const { return plan_.shard_map; }
   // Null unless config.fleet_clients > 0.
   ClientFleet* fleet() { return fleet_.get(); }
 
-  const ContentIdentity& content() const { return content_; }
+  const ContentIdentity& content() const { return plan_.content; }
   const ClusterConfig& config() const { return config_; }
 
   // Every fork-evidence chain assembled anywhere in the cluster (clients
@@ -201,7 +173,8 @@ class Cluster {
   // every node, so it sits next to sim_ above the node containers.
   std::unique_ptr<TraceSink> trace_sink_;
   Network net_;
-  ContentIdentity content_;
+  // Built from sim_'s stream after net_'s fork.
+  DeploymentPlan plan_;
 
   std::unique_ptr<Directory> directory_;
   std::vector<std::unique_ptr<Master>> masters_;
@@ -209,10 +182,6 @@ class Cluster {
   std::vector<std::unique_ptr<Slave>> slaves_;
   std::vector<std::unique_ptr<Client>> clients_;
   std::unique_ptr<ClientFleet> fleet_;
-
-  // Trivial (one shard, no boundaries) unless config.num_shards > 1.
-  ShardMap shard_map_;
-  std::map<NodeId, int> shard_of_master_;
 
   QueryExecutor truth_executor_;
   uint64_t accepted_checked_ = 0;

@@ -25,11 +25,9 @@ void ServiceQueue::Enqueue(SimTime service_time, InlineFunction<void()> done) {
     }
   }
   busy_until_ = start + scaled;
-  busy_time_ += scaled;
   ++depth_;
   env_->ScheduleAt(busy_until_, [this, done = std::move(done)]() mutable {
     --depth_;
-    ++jobs_completed_;
     done();
   });
 }

@@ -33,10 +33,6 @@ class ServiceQueue {
   // Jobs accepted but not yet completed.
   size_t depth() const { return depth_; }
 
-  // Virtual time this server has spent busy (for utilization).
-  SimTime busy_time() const { return busy_time_; }
-  uint64_t jobs_completed() const { return jobs_completed_; }
-
   // Earliest time a new job could start.
   SimTime busy_until() const;
 
@@ -46,9 +42,7 @@ class ServiceQueue {
   TraceRole trace_role_ = TraceRole::kNone;
   uint32_t trace_node_ = 0;
   SimTime busy_until_ = 0;
-  SimTime busy_time_ = 0;
   size_t depth_ = 0;
-  uint64_t jobs_completed_ = 0;
 };
 
 }  // namespace sdr

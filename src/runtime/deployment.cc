@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "src/util/logging.h"
+
 namespace sdr {
 
 const char* NodeKindName(NodeKind kind) {
@@ -19,6 +21,22 @@ const char* NodeKindName(NodeKind kind) {
       return "client";
   }
   return "unknown";
+}
+
+TraceRole TraceRoleOf(NodeKind kind) {
+  switch (kind) {
+    case NodeKind::kDirectory:
+      return TraceRole::kDirectory;
+    case NodeKind::kMaster:
+      return TraceRole::kMaster;
+    case NodeKind::kAuditor:
+      return TraceRole::kAuditor;
+    case NodeKind::kSlave:
+      return TraceRole::kSlave;
+    case NodeKind::kClient:
+      return TraceRole::kClient;
+  }
+  return TraceRole::kNone;
 }
 
 NodeKind DeploymentPlan::KindOf(NodeId id) const {
@@ -57,91 +75,139 @@ int DeploymentPlan::RoleIndexOf(NodeId id) const {
 }
 
 DeploymentPlan BuildDeployment(const DeploymentConfig& config) {
+  Rng root(config.seed);
+  return BuildDeployment(config, root);
+}
+
+DeploymentPlan BuildDeployment(const DeploymentConfig& config, Rng& root) {
   DeploymentPlan plan;
   plan.config = config;
+  const int S = plan.num_shards();
+  const int M = config.num_masters;
+  const int A = std::max(1, config.num_auditors);
+  const SignatureScheme scheme = config.params.scheme;
 
-  // Key derivation mirrors the simulator Cluster's order (content key,
-  // master keys, auditor keys, then slave keys interleaved with nothing
-  // else) so the derivation is auditable against cluster.cc.
-  Rng root(config.seed);
+  NodeId next = 2;  // the directory is id 1
+  auto take_ids = [&next](std::vector<NodeId>& ids, int n) {
+    for (int i = 0; i < n; ++i) {
+      ids.push_back(next++);
+    }
+  };
+  take_ids(plan.master_ids, S * M);
+  take_ids(plan.auditor_ids, S * A);
+  take_ids(plan.slave_ids, S * M * config.slaves_per_master);
+  take_ids(plan.client_ids, config.num_clients);
+
+  // Draw order: content key, every master key, every auditor key (all
+  // shard-major), the corpus fork, then every slave key. One content key
+  // certifies every shard's masters, so verification stays rooted in the
+  // single content identity.
   Rng key_rng = root.Fork();
-
-  KeyPair content_key = KeyPair::Generate(config.params.scheme, key_rng);
+  KeyPair content_key = KeyPair::Generate(scheme, key_rng);
   Signer owner(content_key);
-  plan.content.scheme = config.params.scheme;
+  plan.content.scheme = scheme;
   plan.content.content_public_key = content_key.public_key;
 
-  plan.directory_id = 1;
-  for (int i = 0; i < config.num_masters; ++i) {
-    plan.master_ids.push_back(static_cast<NodeId>(2 + i));
-  }
-  int num_auditors = config.num_auditors < 1 ? 1 : config.num_auditors;
-  for (int i = 0; i < num_auditors; ++i) {
-    plan.auditor_ids.push_back(
-        static_cast<NodeId>(2 + config.num_masters + i));
-  }
-  NodeId next = static_cast<NodeId>(2 + config.num_masters + num_auditors);
-  for (int i = 0; i < config.num_masters * config.slaves_per_master; ++i) {
-    plan.slave_ids.push_back(next++);
-  }
-  for (int i = 0; i < config.num_clients; ++i) {
-    plan.client_ids.push_back(next++);
-  }
-
-  for (int i = 0; i < config.num_masters; ++i) {
-    plan.master_keys.push_back(
-        KeyPair::Generate(config.params.scheme, key_rng));
-    plan.master_key_map[plan.master_ids[i]] =
-        plan.master_keys.back().public_key;
+  plan.shard_master_keys.resize(S);
+  plan.shard_master_certs.resize(S);
+  for (int m = 0; m < S * M; ++m) {
+    const NodeId id = plan.master_ids[m];
+    plan.master_keys.push_back(KeyPair::Generate(scheme, key_rng));
+    const Bytes& key = plan.master_keys.back().public_key;
+    plan.master_key_map[id] = key;
+    plan.shard_master_keys[m / M][id] = key;
     plan.master_certs.push_back(
-        IssueCertificate(owner, plan.master_ids[i], Role::kMaster,
-                         plan.master_keys.back().public_key));
+        IssueCertificate(owner, id, Role::kMaster, key));
+    plan.shard_master_certs[m / M].push_back(plan.master_certs.back());
   }
-  for (int i = 0; i < num_auditors; ++i) {
-    plan.auditor_keys.push_back(
-        KeyPair::Generate(config.params.scheme, key_rng));
+  for (int a = 0; a < S * A; ++a) {
+    plan.auditor_keys.push_back(KeyPair::Generate(scheme, key_rng));
   }
 
   Rng corpus_rng = root.Fork();
   plan.base = BuildCatalogCorpus(config.corpus, corpus_rng);
+  if (S > 1) {
+    std::vector<std::string> corpus_keys;
+    corpus_keys.reserve(plan.base.data().size());
+    for (const auto& [key, value] : plan.base.data()) {
+      corpus_keys.push_back(key);
+    }
+    plan.shard_map =
+        BuildShardMap(std::move(corpus_keys), static_cast<uint32_t>(S));
+    if (plan.shard_map.num_shards() != static_cast<uint32_t>(S)) {
+      SDR_LOG(kError) << "corpus too small to split into " << S << " shards";
+      std::abort();
+    }
+    plan.shard_base.resize(S);
+    for (const auto& [key, value] : plan.base.data()) {
+      plan.shard_base[plan.shard_map.ShardForKey(key)].Apply(
+          WriteOp::Put(key, value));
+    }
+    std::vector<std::vector<NodeId>> shard_masters(S);
+    for (int m = 0; m < S * M; ++m) {
+      shard_masters[m / M].push_back(plan.master_ids[m]);
+    }
+    plan.placement = MakeShardPlacement(owner, 1, plan.shard_map,
+                                        std::move(shard_masters));
+  }
 
-  for (size_t s = 0; s < plan.slave_ids.size(); ++s) {
-    plan.slave_keys.push_back(
-        KeyPair::Generate(config.params.scheme, key_rng));
-    int owner_master = plan.OwnerMasterOf(static_cast<int>(s));
-    Signer master_signer(plan.master_keys[owner_master]);
-    plan.slave_certs.push_back(
-        IssueCertificate(master_signer, plan.slave_ids[s], Role::kSlave,
-                         plan.slave_keys.back().public_key));
+  for (int m = 0; m < S * M; ++m) {
+    Signer master_signer(plan.master_keys[m]);
+    for (int k = 0; k < config.slaves_per_master; ++k) {
+      const NodeId id = plan.slave_ids[plan.slave_keys.size()];
+      plan.slave_keys.push_back(KeyPair::Generate(scheme, key_rng));
+      plan.slave_certs.push_back(
+          IssueCertificate(master_signer, id, Role::kSlave,
+                           plan.slave_keys.back().public_key));
+    }
   }
   return plan;
 }
 
+namespace {
+
+// Shard `shard`'s total-order group: its masters, then its auditors.
+std::vector<NodeId> ShardGroup(const DeploymentPlan& plan, int shard) {
+  const int M = plan.masters_per_shard();
+  const int A = plan.auditors_per_shard();
+  std::vector<NodeId> group(plan.master_ids.begin() + shard * M,
+                            plan.master_ids.begin() + (shard + 1) * M);
+  group.insert(group.end(), plan.auditor_ids.begin() + shard * A,
+               plan.auditor_ids.begin() + (shard + 1) * A);
+  return group;
+}
+
+}  // namespace
+
 Master::Options MasterOptionsFor(const DeploymentPlan& plan, int index) {
+  const int shard = index / plan.masters_per_shard();
+  const int A = plan.auditors_per_shard();
   Master::Options opts;
   opts.params = plan.config.params;
   opts.cost = plan.config.cost;
   opts.key_pair = plan.master_keys[index];
   opts.content = plan.content;
-  opts.group = plan.master_ids;
-  for (NodeId a : plan.auditor_ids) {
-    opts.group.push_back(a);
-  }
-  opts.auditors = plan.auditor_ids;
-  opts.master_keys = plan.master_key_map;
+  opts.group = ShardGroup(plan, shard);
+  opts.auditors.assign(plan.auditor_ids.begin() + shard * A,
+                       plan.auditor_ids.begin() + (shard + 1) * A);
+  opts.master_keys = plan.shard_master_keys[shard];
+  opts.snapshot_interval = plan.config.snapshot_interval;
+  opts.broadcast = plan.config.broadcast;
   return opts;
 }
 
 Auditor::Options AuditorOptionsFor(const DeploymentPlan& plan, int index) {
+  const int shard = index / plan.auditors_per_shard();
   Auditor::Options opts;
   opts.params = plan.config.params;
   opts.cost = plan.config.cost;
   opts.key_pair = plan.auditor_keys[index];
-  opts.group = plan.master_ids;
-  for (NodeId a : plan.auditor_ids) {
-    opts.group.push_back(a);
-  }
-  opts.master_keys = plan.master_key_map;
+  opts.group = ShardGroup(plan, shard);
+  opts.master_keys = plan.shard_master_keys[shard];
+  opts.master_certs = plan.shard_master_certs[shard];
+  opts.snapshot_interval = plan.config.snapshot_interval;
+  opts.broadcast = plan.config.broadcast;
+  opts.use_result_cache = plan.config.auditor_use_cache;
   opts.audit_jobs = plan.config.audit_jobs;
   return opts;
 }
@@ -153,6 +219,9 @@ Slave::Options SlaveOptionsFor(const DeploymentPlan& plan, int slave_index) {
   opts.key_pair = plan.slave_keys[slave_index];
   opts.master_keys = plan.master_key_map;
   opts.rng_seed = plan.config.seed * 1000003 + slave_index;
+  if (plan.config.slave_behavior) {
+    opts.behavior = plan.config.slave_behavior(slave_index);
+  }
   return opts;
 }
 
@@ -162,6 +231,7 @@ Client::Options ClientOptionsFor(const DeploymentPlan& plan, int client_index,
   opts.params = plan.config.params;
   opts.content = plan.content;
   opts.directory = plan.directory_id;
+  opts.num_shards = static_cast<uint32_t>(plan.num_shards());
   opts.mode = mode;
   opts.think_time = plan.config.client_think_time;
   opts.write_fraction = plan.config.client_write_fraction;
@@ -172,7 +242,61 @@ Client::Options ClientOptionsFor(const DeploymentPlan& plan, int client_index,
   WriteGen write_gen = plan.config.write_gen;
   write_gen.n_items = plan.config.corpus.n_items;
   opts.write_source = [write_gen](Rng& rng) { return write_gen.Generate(rng); };
+  opts.peer_clients = plan.client_ids;
   return opts;
+}
+
+PlanNode BuildPlanNode(const DeploymentPlan& plan, NodeId id,
+                       const std::function<void(Node*)>& attach) {
+  PlanNode built;
+  const int index = plan.RoleIndexOf(id);
+  switch (plan.KindOf(id)) {
+    case NodeKind::kDirectory:
+      built.directory = std::make_unique<Directory>();
+      built.node = built.directory.get();
+      attach(built.node);
+      built.directory->Publish(plan.content.content_public_key,
+                               plan.master_certs);
+      if (plan.placement.has_value()) {
+        built.directory->PublishPlacement(plan.content.content_public_key,
+                                          *plan.placement);
+      }
+      break;
+    case NodeKind::kMaster: {
+      built.master = std::make_unique<Master>(MasterOptionsFor(plan, index));
+      built.node = built.master.get();
+      attach(built.node);
+      // AddSlave records this master as the owner, so it needs the id.
+      const int P = plan.config.slaves_per_master;
+      for (int s = index * P; s < (index + 1) * P; ++s) {
+        built.master->AddSlave(plan.slave_certs[s]);
+      }
+      built.master->SetBaseContent(
+          plan.BaseFor(index / plan.masters_per_shard()));
+      break;
+    }
+    case NodeKind::kAuditor:
+      built.auditor = std::make_unique<Auditor>(AuditorOptionsFor(plan, index));
+      built.node = built.auditor.get();
+      attach(built.node);
+      built.auditor->SetBaseContent(
+          plan.BaseFor(index / plan.auditors_per_shard()));
+      break;
+    case NodeKind::kSlave:
+      built.slave = std::make_unique<Slave>(SlaveOptionsFor(plan, index));
+      built.node = built.slave.get();
+      attach(built.node);
+      built.slave->SetBaseContent(
+          plan.BaseFor(index / plan.slaves_per_shard()));
+      break;
+    case NodeKind::kClient:
+      built.client = std::make_unique<Client>(
+          ClientOptionsFor(plan, index, Client::LoadMode::kClosedLoop));
+      built.node = built.client.get();
+      attach(built.node);
+      break;
+  }
+  return built;
 }
 
 namespace {

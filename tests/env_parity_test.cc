@@ -27,7 +27,7 @@ namespace {
 // 2 clients, slave 0 lies on every read.
 constexpr int kLiarIndex = 0;
 
-DeploymentConfig ParityConfig(uint64_t seed) {
+DeploymentConfig ParityConfig(uint64_t seed, bool with_liar) {
   DeploymentConfig dc;
   dc.seed = seed;
   dc.num_masters = 1;
@@ -38,6 +38,15 @@ DeploymentConfig ParityConfig(uint64_t seed) {
   dc.client_think_time = 25 * kMillisecond;
   dc.client_write_fraction = 0.05;
   dc.params.double_check_probability = 0.1;
+  if (with_liar) {
+    dc.slave_behavior = [](int index) {
+      Slave::Behavior b;
+      if (index == kLiarIndex) {
+        b.lie_probability = 1.0;
+      }
+      return b;
+    };
+  }
   return dc;
 }
 
@@ -51,23 +60,8 @@ struct Outcome {
 
 Outcome RunOnSimEnv(const DeploymentConfig& dc) {
   ClusterConfig config;
-  config.seed = dc.seed;
-  config.num_masters = dc.num_masters;
-  config.num_auditors = dc.num_auditors;
-  config.slaves_per_master = dc.slaves_per_master;
-  config.num_clients = dc.num_clients;
-  config.corpus = dc.corpus;
-  config.params = dc.params;
+  static_cast<DeploymentConfig&>(config) = dc;
   config.client_mode = Client::LoadMode::kClosedLoop;
-  config.client_think_time = dc.client_think_time;
-  config.client_write_fraction = dc.client_write_fraction;
-  config.slave_behavior = [](int index) {
-    Slave::Behavior b;
-    if (index == kLiarIndex) {
-      b.lie_probability = 1.0;
-    }
-    return b;
-  };
 
   Cluster cluster(config);
   cluster.RunFor(30 * kSecond);
@@ -91,27 +85,19 @@ Outcome RunOnSimEnv(const DeploymentConfig& dc) {
 // env (own port, own thread), wired full-mesh over 127.0.0.1 — the same
 // topology sdrcluster launches as separate processes, shrunk into one test
 // binary so role objects stay inspectable after the run.
-Outcome RunOnRealEnv(const DeploymentConfig& dc, bool with_liar,
-                     int run_seconds) {
+Outcome RunOnRealEnv(const DeploymentConfig& dc, int run_seconds) {
   DeploymentPlan plan = BuildDeployment(dc);
   const NodeId liar_node = plan.slave_ids[kLiarIndex];
 
   struct RealNode {
     std::unique_ptr<RealEnv> env;
-    std::unique_ptr<Directory> directory;
-    std::unique_ptr<Master> master;
-    std::unique_ptr<Auditor> auditor;
-    std::unique_ptr<Slave> slave;
-    std::unique_ptr<Client> client;
-    Node* node = nullptr;
+    PlanNode role;
   };
 
   std::vector<NodeId> roster;
-  roster.push_back(plan.directory_id);
-  for (NodeId id : plan.master_ids) roster.push_back(id);
-  for (NodeId id : plan.auditor_ids) roster.push_back(id);
-  for (NodeId id : plan.slave_ids) roster.push_back(id);
-  for (NodeId id : plan.client_ids) roster.push_back(id);
+  for (int id = 1; id <= plan.num_nodes(); ++id) {
+    roster.push_back(static_cast<NodeId>(id));
+  }
 
   timespec epoch_ts;
   clock_gettime(CLOCK_REALTIME, &epoch_ts);
@@ -132,50 +118,8 @@ Outcome RunOnRealEnv(const DeploymentConfig& dc, bool with_liar,
       eopts.start_delay = 300 * kMillisecond;
     }
     rn.env = std::make_unique<RealEnv>(eopts);
-
-    switch (plan.KindOf(id)) {
-      case NodeKind::kDirectory:
-        rn.directory = std::make_unique<Directory>();
-        rn.directory->Publish(plan.content.content_public_key,
-                              plan.master_certs);
-        rn.node = rn.directory.get();
-        break;
-      case NodeKind::kMaster: {
-        int index = plan.RoleIndexOf(id);
-        rn.master = std::make_unique<Master>(MasterOptionsFor(plan, index));
-        for (size_t s = 0; s < plan.slave_ids.size(); ++s) {
-          if (plan.OwnerMasterOf(static_cast<int>(s)) == index) {
-            rn.master->AddSlave(plan.slave_certs[s]);
-          }
-        }
-        rn.master->SetBaseContent(plan.base);
-        rn.node = rn.master.get();
-        break;
-      }
-      case NodeKind::kAuditor:
-        rn.auditor = std::make_unique<Auditor>(
-            AuditorOptionsFor(plan, plan.RoleIndexOf(id)));
-        rn.auditor->SetBaseContent(plan.base);
-        rn.node = rn.auditor.get();
-        break;
-      case NodeKind::kSlave: {
-        int index = plan.RoleIndexOf(id);
-        Slave::Options sopts = SlaveOptionsFor(plan, index);
-        if (with_liar && index == kLiarIndex) {
-          sopts.behavior.lie_probability = 1.0;
-        }
-        rn.slave = std::make_unique<Slave>(std::move(sopts));
-        rn.slave->SetBaseContent(plan.base);
-        rn.node = rn.slave.get();
-        break;
-      }
-      case NodeKind::kClient:
-        rn.client = std::make_unique<Client>(ClientOptionsFor(
-            plan, plan.RoleIndexOf(id), Client::LoadMode::kClosedLoop));
-        rn.node = rn.client.get();
-        break;
-    }
-    rn.env->Attach(rn.node, id);
+    rn.role = BuildPlanNode(plan, id,
+                            [&rn, id](Node* node) { rn.env->Attach(node, id); });
   }
 
   // Full mesh over loopback: ports are known post-construction.
@@ -208,32 +152,32 @@ Outcome RunOnRealEnv(const DeploymentConfig& dc, bool with_liar,
   Outcome out;
   out.liar_node = liar_node;
   for (RealNode& rn : nodes) {
-    if (rn.client != nullptr) {
-      const ClientMetrics& cm = rn.client->metrics();
+    if (rn.role.client != nullptr) {
+      const ClientMetrics& cm = rn.role.client->metrics();
       out.reads_accepted += cm.reads_accepted;
       out.detections += cm.double_check_mismatches;
     }
-    if (rn.slave != nullptr) {
-      out.lies_told += rn.slave->metrics().lies_told;
+    if (rn.role.slave != nullptr) {
+      out.lies_told += rn.role.slave->metrics().lies_told;
     }
-    if (rn.auditor != nullptr) {
-      out.detections += rn.auditor->metrics().mismatches_found;
+    if (rn.role.auditor != nullptr) {
+      out.detections += rn.role.auditor->metrics().mismatches_found;
     }
-    if (rn.master != nullptr) {
+    if (rn.role.master != nullptr) {
       out.liar_excluded =
-          out.liar_excluded || rn.master->IsExcluded(liar_node);
+          out.liar_excluded || rn.role.master->IsExcluded(liar_node);
     }
   }
   return out;
 }
 
 TEST(EnvParityTest, SameWorkloadSameOutcomesOnBothSubstrates) {
-  DeploymentConfig dc = ParityConfig(11);
+  DeploymentConfig dc = ParityConfig(11, /*with_liar=*/true);
 
   Outcome sim = RunOnSimEnv(dc);
-  Outcome real = RunOnRealEnv(dc, /*with_liar=*/true, /*run_seconds=*/8);
+  Outcome real = RunOnRealEnv(dc, /*run_seconds=*/8);
 
-  // Both substrates agree on who the liar is (same roster derivation).
+  // Both substrates agree on who the liar is (same roster ids).
   EXPECT_EQ(sim.liar_node, real.liar_node);
 
   // Outcome 1: the cluster made verified progress.
@@ -255,7 +199,7 @@ TEST(EnvParityTest, HonestClusterStaysCleanOnRealEnv) {
   // Same shape, nobody lies: reads flow, nothing is detected, nobody is
   // excluded — the false-positive side of parity.
   Outcome real =
-      RunOnRealEnv(ParityConfig(12), /*with_liar=*/false, /*run_seconds=*/4);
+      RunOnRealEnv(ParityConfig(12, /*with_liar=*/false), /*run_seconds=*/4);
   EXPECT_GT(real.reads_accepted, 0u);
   EXPECT_EQ(real.lies_told, 0u);
   EXPECT_EQ(real.detections, 0u);

@@ -1,6 +1,7 @@
 // Unit tests for the runtime subsystem: TimerQueue semantics (which must
 // mirror the simulator's event queue exactly), the reconnect backoff
-// schedule, the node-config grammar, deployment provisioning, and RealEnv
+// schedule, the node-config grammar, deployment provisioning (and the
+// simulator's Cluster being built from it), and RealEnv
 // itself on loopback TCP — including the shared-epoch clock that makes
 // freshness timestamps comparable across processes.
 #include <gtest/gtest.h>
@@ -10,6 +11,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/cluster.h"
+#include "src/core/messages.h"
+#include "src/forkcheck/fork.h"
 #include "src/runtime/deployment.h"
 #include "src/runtime/real_env.h"
 #include "src/runtime/timer_queue.h"
@@ -166,7 +170,7 @@ TEST(NodeConfigTest, RejectsUnknownKeysAndMissingNodeId) {
 
 // --- Deployment provisioning ---
 
-TEST(DeploymentTest, RosterLayoutMatchesClusterConvention) {
+TEST(DeploymentTest, RosterIsRoleMajorThenShardMajor) {
   DeploymentConfig dc;
   dc.num_masters = 2;
   dc.num_auditors = 1;
@@ -191,6 +195,167 @@ TEST(DeploymentTest, RosterLayoutMatchesClusterConvention) {
   EXPECT_EQ(plan.RoleIndexOf(10), 1);
   EXPECT_EQ(plan.OwnerMasterOf(0), 0);
   EXPECT_EQ(plan.OwnerMasterOf(3), 1);
+  EXPECT_FALSE(plan.placement.has_value());
+
+  // Two shards: each role stays one contiguous id range, shard 0 first;
+  // the counts (clients aside) are per shard.
+  dc.num_shards = 2;
+  DeploymentPlan sharded = BuildDeployment(dc);
+  EXPECT_EQ(sharded.master_ids, (std::vector<NodeId>{2, 3, 4, 5}));
+  EXPECT_EQ(sharded.auditor_ids, (std::vector<NodeId>{6, 7}));
+  EXPECT_EQ(sharded.slave_ids,
+            (std::vector<NodeId>{8, 9, 10, 11, 12, 13, 14, 15}));
+  EXPECT_EQ(sharded.client_ids, (std::vector<NodeId>{16, 17, 18}));
+  EXPECT_EQ(sharded.RoleIndexOf(7), 1);   // shard 1's auditor
+  EXPECT_EQ(sharded.OwnerMasterOf(5), 2);  // shard 1's first master
+  ASSERT_TRUE(sharded.placement.has_value());
+  EXPECT_EQ(sharded.placement->shard_masters,
+            (std::vector<std::vector<NodeId>>{{2, 3}, {4, 5}}));
+  size_t items = 0;
+  for (int shard = 0; shard < 2; ++shard) {
+    items += sharded.BaseFor(shard).data().size();
+  }
+  EXPECT_EQ(items, sharded.base.data().size());
+}
+
+// Records every message delivered to it, and sends on demand.
+class ProbeNode : public Node {
+ public:
+  void HandleMessage(NodeId, const Payload& payload) override {
+    received.push_back(payload.ToBytes());
+  }
+  void Send(NodeId to, MsgType type, const Bytes& body) {
+    env()->Send(to, WithType(type, body));
+  }
+  std::vector<Bytes> received;
+};
+
+// The simulator's Cluster builds every node from the plan rooted at its own
+// stream: Rng(seed), after the one fork its Network takes.
+TEST(DeploymentTest, ClusterIsBuiltFromItsPlan) {
+  for (int shards : {1, 4}) {
+    for (uint64_t seed : {1u, 23u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " seed=" + std::to_string(seed));
+      ClusterConfig config;
+      config.seed = seed;
+      config.num_shards = shards;
+      Cluster cluster(config);
+      Rng root(seed);
+      root.Fork();  // the Network's
+      const DeploymentPlan plan = BuildDeployment(config, root);
+
+      EXPECT_EQ(cluster.content().content_public_key,
+                plan.content.content_public_key);
+      EXPECT_EQ(cluster.directory().id(), plan.directory_id);
+      ASSERT_EQ(cluster.num_masters(), static_cast<int>(plan.master_ids.size()));
+      const int per_master = config.slaves_per_master;
+      for (int i = 0; i < cluster.num_masters(); ++i) {
+        EXPECT_EQ(cluster.master(i).id(), plan.master_ids[i]);
+        EXPECT_EQ(cluster.master(i).public_key(),
+                  plan.master_keys[i].public_key);
+        EXPECT_EQ(cluster.master(i).my_slave_certs(),
+                  std::vector<Certificate>(
+                      plan.slave_certs.begin() + i * per_master,
+                      plan.slave_certs.begin() + (i + 1) * per_master));
+      }
+      // Auditors sign nothing, so only their ids are observable.
+      ASSERT_EQ(cluster.num_auditors(),
+                static_cast<int>(plan.auditor_ids.size()));
+      for (int i = 0; i < cluster.num_auditors(); ++i) {
+        EXPECT_EQ(cluster.auditor(i).id(), plan.auditor_ids[i]);
+      }
+      ASSERT_EQ(cluster.num_slaves(), static_cast<int>(plan.slave_ids.size()));
+      for (int i = 0; i < cluster.num_slaves(); ++i) {
+        EXPECT_EQ(cluster.slave(i).id(), plan.slave_ids[i]);
+        EXPECT_EQ(cluster.slave(i).public_key(), plan.slave_keys[i].public_key);
+      }
+      ASSERT_EQ(cluster.num_clients(), static_cast<int>(plan.client_ids.size()));
+      for (int i = 0; i < cluster.num_clients(); ++i) {
+        EXPECT_EQ(cluster.client(i).id(), plan.client_ids[i]);
+      }
+
+      // The directory serves the plan's master certificates and placement.
+      ProbeNode probe;
+      cluster.net().AddNode(&probe);
+      DirectoryLookup lookup;
+      lookup.content_public_key = plan.content.content_public_key;
+      probe.Send(plan.directory_id, MsgType::kDirectoryLookup,
+                 lookup.Encode());
+      PlacementQuery query;
+      query.content_public_key = plan.content.content_public_key;
+      probe.Send(plan.directory_id, MsgType::kPlacementQuery, query.Encode());
+      cluster.RunFor(1 * kSecond);
+      ASSERT_EQ(probe.received.size(), 2u);
+      for (const Bytes& reply : probe.received) {
+        BytesView body = BytesView(reply).substr(1);
+        if (static_cast<MsgType>(reply[0]) == MsgType::kDirectoryLookupReply) {
+          auto certs = DirectoryLookupReply::Decode(body);
+          ASSERT_TRUE(certs.ok());
+          EXPECT_EQ(certs->master_certs, plan.master_certs);
+        } else {
+          ASSERT_EQ(static_cast<MsgType>(reply[0]), MsgType::kPlacementReply);
+          auto placement = PlacementReply::Decode(body);
+          ASSERT_TRUE(placement.ok());
+          ASSERT_EQ(placement->found, shards > 1);
+          if (shards > 1) {
+            EXPECT_EQ(placement->placement, *plan.placement);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Each shard's auditor roots the evidence it emits in the content key, and
+// every client knows the shard count and its gossip peers.
+TEST(DeploymentTest, FactoriesWireAuditorsAndClientsForTheirShard) {
+  DeploymentConfig dc;
+  dc.seed = 5;
+  dc.num_shards = 2;
+  dc.num_clients = 3;
+  DeploymentPlan plan = BuildDeployment(dc);
+
+  // Slave 0 (shard 0) forks its pledge chain after one shared pledge.
+  const NodeId master = plan.master_ids[0];
+  const NodeId slave = plan.slave_ids[0];
+  Signer master_signer(plan.master_keys[0]);
+  Signer slave_signer(plan.slave_keys[0]);
+  auto pledge = [&](uint64_t version, uint8_t digest) {
+    return MakePledge(slave_signer, slave, Query::Get(ItemKey(0)),
+                      Bytes(20, digest),
+                      MakeVersionToken(master_signer, master, version, 0));
+  };
+  auto attest = [&](const VersionVector& vv, uint64_t version) {
+    AttestedVv avv;
+    avv.vv = vv;
+    avv.token = MakeVersionToken(master_signer, master, version, 0);
+    avv.slave_cert = plan.slave_certs[0];
+    return avv;
+  };
+  PledgeChain a;
+  PledgeChain b;
+  const Pledge shared = pledge(1, 1);
+  a.ExtendAndCommit(slave_signer, slave, 1, shared);
+  b.ExtendAndCommit(slave_signer, slave, 1, shared);
+  const VersionVector vva = a.ExtendAndCommit(slave_signer, slave, 2, pledge(2, 2));
+  const VersionVector vvb = b.ExtendAndCommit(slave_signer, slave, 2, pledge(2, 3));
+  EvidenceChain chain = MakeEvidenceChain(attest(vva, 2), attest(vvb, 2),
+                                          AuditorOptionsFor(plan, 0).master_certs);
+  std::string why;
+  EXPECT_TRUE(VerifyEvidenceChain(plan.content.scheme,
+                                  plan.content.content_public_key, chain, &why))
+      << why;
+  // Shard 1's auditor holds only shard 1's master certificates.
+  EXPECT_EQ(AuditorOptionsFor(plan, 1).master_certs,
+            std::vector<Certificate>{plan.master_certs[1]});
+
+  for (int c = 0; c < dc.num_clients; ++c) {
+    Client::Options opts =
+        ClientOptionsFor(plan, c, Client::LoadMode::kClosedLoop);
+    EXPECT_EQ(opts.num_shards, 2u);
+    EXPECT_EQ(opts.peer_clients, plan.client_ids);
+  }
 }
 
 TEST(DeploymentTest, SameSeedDerivesIdenticalKeysAcrossProcesses) {

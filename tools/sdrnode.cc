@@ -79,87 +79,12 @@ bool WriteFileString(const std::string& path, const std::string& data) {
   return n == data.size();
 }
 
-TraceRole TraceRoleFor(NodeKind kind) {
-  switch (kind) {
-    case NodeKind::kDirectory:
-      return TraceRole::kDirectory;
-    case NodeKind::kMaster:
-      return TraceRole::kMaster;
-    case NodeKind::kAuditor:
-      return TraceRole::kAuditor;
-    case NodeKind::kSlave:
-      return TraceRole::kSlave;
-    case NodeKind::kClient:
-      return TraceRole::kClient;
-  }
-  return TraceRole::kNone;
-}
-
-// The one role this process runs. Exactly one pointer is non-null.
-struct RoleSet {
-  std::unique_ptr<Directory> directory;
-  std::unique_ptr<Master> master;
-  std::unique_ptr<Auditor> auditor;
-  std::unique_ptr<Slave> slave;
-  std::unique_ptr<Client> client;
-  Node* node = nullptr;
-};
-
-RoleSet BuildRole(const DeploymentPlan& plan, const NodeConfig& config,
-                  NodeKind kind, int index) {
-  RoleSet roles;
-  switch (kind) {
-    case NodeKind::kDirectory: {
-      roles.directory = std::make_unique<Directory>();
-      roles.directory->Publish(plan.content.content_public_key,
-                               plan.master_certs);
-      roles.node = roles.directory.get();
-      break;
-    }
-    case NodeKind::kMaster: {
-      roles.master = std::make_unique<Master>(MasterOptionsFor(plan, index));
-      for (size_t s = 0; s < plan.slave_ids.size(); ++s) {
-        if (plan.OwnerMasterOf(static_cast<int>(s)) == index) {
-          roles.master->AddSlave(plan.slave_certs[s]);
-        }
-      }
-      roles.master->SetBaseContent(plan.base);
-      roles.node = roles.master.get();
-      break;
-    }
-    case NodeKind::kAuditor: {
-      roles.auditor =
-          std::make_unique<Auditor>(AuditorOptionsFor(plan, index));
-      roles.auditor->SetBaseContent(plan.base);
-      roles.node = roles.auditor.get();
-      break;
-    }
-    case NodeKind::kSlave: {
-      Slave::Options opts = SlaveOptionsFor(plan, index);
-      if (config.liar_index == index) {
-        opts.behavior.lie_probability = config.lie_probability;
-      }
-      roles.slave = std::make_unique<Slave>(std::move(opts));
-      roles.slave->SetBaseContent(plan.base);
-      roles.node = roles.slave.get();
-      break;
-    }
-    case NodeKind::kClient: {
-      roles.client = std::make_unique<Client>(
-          ClientOptionsFor(plan, index, Client::LoadMode::kClosedLoop));
-      roles.node = roles.client.get();
-      break;
-    }
-  }
-  return roles;
-}
-
 // Single-node report in the sdrsim --json shape: the same top-level
 // sections and the same per-role field names, with the role arrays holding
 // just this process's entry. Keys emit sorted (JsonValue is map-backed) so
 // the dump is byte-stable for given counter values.
 JsonValue NodeReport(const RealEnv& env, const DeploymentPlan& plan,
-                     NodeKind kind, int index, const RoleSet& roles,
+                     NodeKind kind, int index, const PlanNode& roles,
                      const TraceSink* sink) {
   JsonValue root = JsonValue::Object();
   root["wall_seconds"] = static_cast<double>(env.Now()) / kSecond;
@@ -276,6 +201,17 @@ int main(int argc, char** argv) {
   }
   NodeConfig config = std::move(parsed).value();
 
+  if (config.liar_index >= 0) {
+    const int liar = config.liar_index;
+    const double p = config.lie_probability;
+    config.deployment.slave_behavior = [liar, p](int index) {
+      Slave::Behavior b;
+      if (index == liar) {
+        b.lie_probability = p;
+      }
+      return b;
+    };
+  }
   DeploymentPlan plan = BuildDeployment(config.deployment);
   if (config.node_id >= static_cast<NodeId>(plan.num_nodes() + 1)) {
     std::fprintf(stderr, "sdrnode: node_id %u outside the %d-node roster\n",
@@ -295,8 +231,8 @@ int main(int argc, char** argv) {
   eopts.start_delay = config.start_delay_ms * kMillisecond;
   RealEnv env(eopts);
 
-  RoleSet roles = BuildRole(plan, config, kind, index);
-  env.Attach(roles.node, config.node_id);
+  PlanNode roles = BuildPlanNode(
+      plan, config.node_id, [&](Node* node) { env.Attach(node, config.node_id); });
   for (const auto& peer : config.peers) {
     env.AddPeer(peer.id, peer.host, peer.port);
   }
@@ -306,7 +242,7 @@ int main(int argc, char** argv) {
     TraceSink::Options topts;
     topts.capacity = static_cast<size_t>(flags.GetInt("trace_capacity"));
     sink = std::make_unique<TraceSink>(&env, topts);
-    sink->RegisterNode(config.node_id, TraceRoleFor(kind),
+    sink->RegisterNode(config.node_id, TraceRoleOf(kind),
                        std::string(NodeKindName(kind)) + "[" +
                            std::to_string(index) + "]");
     env.set_trace(sink.get());
