@@ -20,9 +20,9 @@ struct Sample {
   double write_latency_ms = 0;
   double reads_per_sec = 0;
   // Commit-path signatures per committed write, summed across the group
-  // (each replica master signs one state-update token per owned slave per
-  // write), and the same cost projected under group commit at batch 8:
-  // one token + one batch certificate per bundle per master (see
+  // (each replica master signs one head token + one batch certificate per
+  // commit, here one write each), and the same cost projected under group
+  // commit at batch 8, where a commit carries 8 writes (see
   // ProtocolParams::commit_batch), i.e. 2 * masters / batch.
   double sigs_per_write = 0;
   double sigs_per_write_batch8 = 0;

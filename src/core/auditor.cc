@@ -135,7 +135,6 @@ void Auditor::HandleMessage(NodeId from, const Payload& payload) {
     case MsgType::kDoubleCheckReply:
     case MsgType::kAccusation:
     case MsgType::kReassignment:
-    case MsgType::kStateUpdate:
     case MsgType::kKeepAlive:
     case MsgType::kSlaveAck:
     case MsgType::kBadReadNotice:
@@ -156,15 +155,6 @@ void Auditor::OnDelivered(uint64_t /*seq*/, NodeId /*origin*/,
   }
   BytesView body = BytesView(payload).substr(1);
   switch (*type) {
-    case TobPayloadType::kWrite: {
-      auto write = TobWrite::Decode(body);
-      if (!write.ok()) {
-        return;
-      }
-      commit_queue_.push_back({std::move(write->batch)});
-      PumpCommitQueue();
-      break;
-    }
     case TobPayloadType::kWriteBundle: {
       auto bundle = TobWriteBundle::Decode(body);
       if (!bundle.ok() || bundle->writes.empty()) {

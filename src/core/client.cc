@@ -1128,7 +1128,6 @@ void Client::HandleMessage(NodeId from, const Payload& payload) {
     case MsgType::kWriteRequest:
     case MsgType::kDoubleCheckRequest:
     case MsgType::kAccusation:
-    case MsgType::kStateUpdate:
     case MsgType::kStateUpdateBatch:
     case MsgType::kKeepAlive:
     case MsgType::kSlaveAck:

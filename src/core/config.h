@@ -81,14 +81,15 @@ struct ProtocolParams {
   uint32_t vv_gossip_fanout = 2;
 
   // ---- Master-side group commit (scale-out, beyond the paper) ----
-  // commit_batch <= 1 keeps the paper's one-write-per-commit path
-  // bit-for-bit: no new wire messages, timers or counters. With
-  // commit_batch > 1, the origin master accumulates up to commit_batch
+  // The bundle size. The origin master accumulates up to commit_batch
   // writes (or for commit_window, whichever fills first) and broadcasts
-  // them as one ordered bundle; the commit side applies the bundle under
-  // one head token plus one BatchCommit certificate, so the per-write
-  // signing cost drops by ~the bundle size while commits stay spaced
-  // >= max_latency apart and the inconsistency-window bound is unchanged.
+  // them as one ordered bundle; every master commits the bundle as one
+  // unit and pushes it to its slaves as one certified run (one head token
+  // plus one BatchCommit certificate). commit_batch = 1 commits each write
+  // alone, the paper's one-write-per-commit pacing, at two signatures per
+  // write; larger bundles divide that cost by about the bundle size while
+  // commits stay spaced >= max_latency apart and the inconsistency-window
+  // bound is unchanged.
   uint32_t commit_batch = 1;
   SimTime commit_window = 10 * kMillisecond;
 

@@ -50,7 +50,7 @@ void Master::Start() {
 }
 
 void Master::AddSlave(const Certificate& cert) {
-  my_slaves_[cert.subject] = SlaveState{cert, 0};
+  my_slaves_[cert.subject] = SlaveState{cert};
   slave_owner_[cert.subject] = id();
   known_slave_certs_[cert.subject] = cert;
 }
@@ -100,7 +100,6 @@ void Master::HandleMessage(NodeId from, const Payload& payload) {
     case MsgType::kWriteReply:
     case MsgType::kDoubleCheckReply:
     case MsgType::kReassignment:
-    case MsgType::kStateUpdate:
     case MsgType::kKeepAlive:
     case MsgType::kAuditSubmit:
     case MsgType::kBadReadNotice:
@@ -201,10 +200,6 @@ void Master::HandleWriteRequest(NodeId from, BytesView body) {
   write.client = from;
   write.request_id = msg->request_id;
   write.batch = std::move(msg->batch);
-  if (!batching()) {
-    broadcast_->Broadcast(WithTobType(TobPayloadType::kWrite, write.Encode()));
-    return;
-  }
   bundle_.push_back(std::move(write));
   if (bundle_.size() >= options_.params.commit_batch) {
     FlushBundle();
@@ -221,18 +216,9 @@ void Master::FlushBundle() {
   if (bundle_.empty()) {
     return;
   }
-  if (bundle_.size() == 1) {
-    // A lone write (window expired before a second arrived) needs no
-    // bundle framing; it commits on the paper's per-write path.
-    broadcast_->Broadcast(
-        WithTobType(TobPayloadType::kWrite, bundle_[0].Encode()));
-    bundle_.clear();
-    return;
-  }
   TobWriteBundle bundle;
   bundle.writes = std::move(bundle_);
   bundle_.clear();
-  metrics_.writes_batched += bundle.writes.size();
   broadcast_->Broadcast(
       WithTobType(TobPayloadType::kWriteBundle, bundle.Encode()));
 }
@@ -245,13 +231,6 @@ void Master::OnDelivered(uint64_t /*seq*/, NodeId /*origin*/,
   }
   BytesView body = BytesView(payload).substr(1);
   switch (*type) {
-    case TobPayloadType::kWrite: {
-      auto write = TobWrite::Decode(body);
-      if (write.ok()) {
-        OnTobWrite(*write);
-      }
-      break;
-    }
     case TobPayloadType::kGossip: {
       auto gossip = TobGossip::Decode(body);
       if (gossip.ok()) {
@@ -269,16 +248,11 @@ void Master::OnDelivered(uint64_t /*seq*/, NodeId /*origin*/,
   }
 }
 
-void Master::OnTobWrite(const TobWrite& write) {
-  commit_queue_.push_back(CommitUnit{{write}});
-  PumpCommitQueue();
-}
-
 void Master::OnTobWriteBundle(TobWriteBundle bundle) {
   if (bundle.writes.empty()) {
     return;
   }
-  commit_queue_.push_back(CommitUnit{std::move(bundle.writes)});
+  commit_queue_.push_back(std::move(bundle.writes));
   PumpCommitQueue();
 }
 
@@ -288,13 +262,8 @@ void Master::PumpCommitQueue() {
   }
   SimTime earliest = last_commit_time_ + options_.params.max_latency;
   if (env()->Now() >= earliest) {
-    CommitUnit unit = std::move(commit_queue_.front());
+    CommitBundle(commit_queue_.front());
     commit_queue_.pop_front();
-    if (unit.writes.size() == 1) {
-      CommitWrite(unit.writes[0]);
-    } else {
-      CommitBundle(unit.writes);
-    }
     PumpCommitQueue();
     return;
   }
@@ -303,34 +272,6 @@ void Master::PumpCommitQueue() {
     commit_timer_armed_ = false;
     PumpCommitQueue();
   });
-}
-
-void Master::CommitWrite(const TobWrite& write) {
-  uint64_t version = oplog_.head_version() + 1;
-  metrics_.work_units_executed += write.batch.size();
-  oplog_.Append(version, write.batch);
-  last_commit_time_ = env()->Now();
-  ++metrics_.writes_committed;
-  if (TraceSink* t = env()->trace()) {
-    t->Instant(TraceRole::kMaster, id(), "write.commit", kNoTrace,
-               static_cast<int64_t>(version));
-  }
-
-  if (write.origin_master == id()) {
-    pending_writes_.erase({write.client, write.request_id});
-    committed_writes_[{write.client, write.request_id}] = version;
-    WriteReply reply;
-    reply.request_id = write.request_id;
-    reply.ok = true;
-    reply.committed_version = version;
-    env()->Send(write.client,
-                WithType(MsgType::kWriteReply, reply.Encode()));
-  }
-
-  // Lazy state propagation: updates go out only after the commit.
-  for (const auto& [slave_id, state] : my_slaves_) {
-    PushStateUpdate(slave_id, version);
-  }
 }
 
 void Master::CommitBundle(const std::vector<TobWrite>& writes) {
@@ -360,53 +301,37 @@ void Master::CommitBundle(const std::vector<TobWrite>& writes) {
   last_commit_time_ = env()->Now();
   ++metrics_.batches_committed;
 
-  // One token plus one certificate cover the whole run — the signing cost
-  // the bundle amortizes (vs one token signature per slave per write).
-  StateUpdateBatch update;
-  update.first_version = first_version;
-  update.batches.reserve(writes.size());
-  Sha1 digest;
-  for (uint64_t v = first_version; v <= last_version; ++v) {
-    const WriteBatch* batch = oplog_.BatchFor(v);
-    Writer w;
-    EncodeBatch(w, *batch);
-    digest.Update(w.Take());
-    update.batches.push_back(*batch);
+  // Lazy state propagation: one certified run goes out after the commit,
+  // in one shared buffer for the whole fan-out like the keep-alive path.
+  // A master without slaves has no one to sign it for.
+  if (my_slaves_.empty()) {
+    return;
   }
-  update.token = CurrentToken();
-  ++metrics_.commit_signatures;
-  update.commit = MakeBatchCommit(signer_, id(), first_version, last_version,
-                                  digest.Final(), env()->Now());
-  ++metrics_.commit_signatures;
-
-  // One shared buffer for the whole fan-out, like the keep-alive path.
-  Payload wire = WithType(MsgType::kStateUpdateBatch, update.Encode());
+  Payload wire = CertifiedRun(first_version, last_version);
   for (auto& [slave_id, state] : my_slaves_) {
-    ++metrics_.state_update_batches_sent;
-    state.sent_version = std::max(state.sent_version, last_version);
-    state.sent_time = env()->Now();
-    env()->Send(slave_id, wire);
+    PushRun(slave_id, state, wire, last_version);
   }
 }
 
-void Master::PushStateUpdate(NodeId slave, uint64_t version) {
-  const WriteBatch* batch = oplog_.BatchFor(version);
-  if (batch == nullptr) {
-    return;
+Payload Master::CertifiedRun(uint64_t first_version, uint64_t last_version) {
+  StateUpdateBatch update;
+  update.first_version = first_version;
+  for (uint64_t v = first_version; v <= last_version; ++v) {
+    update.batches.push_back(*oplog_.BatchFor(v));
   }
-  auto it = my_slaves_.find(slave);
-  if (it != my_slaves_.end()) {
-    it->second.sent_version = std::max(it->second.sent_version, version);
-    it->second.sent_time = env()->Now();
-  }
-  StateUpdate update;
-  update.version = version;
-  update.batch = *batch;
   update.token = CurrentToken();
-  ++metrics_.commit_signatures;
+  update.commit = MakeBatchCommit(signer_, id(), first_version, last_version,
+                                  update.BatchesSha1(), env()->Now());
+  metrics_.commit_signatures += 2;
+  return WithType(MsgType::kStateUpdateBatch, update.Encode());
+}
+
+void Master::PushRun(NodeId slave, SlaveState& state, const Payload& wire,
+                     uint64_t last_version) {
   ++metrics_.state_updates_sent;
-  env()->Send(slave,
-              WithType(MsgType::kStateUpdate, update.Encode()));
+  state.sent_version = std::max(state.sent_version, last_version);
+  state.sent_time = env()->Now();
+  env()->Send(slave, wire);
 }
 
 void Master::HandleSlaveAck(NodeId from, BytesView body) {
@@ -418,23 +343,24 @@ void Master::HandleSlaveAck(NodeId from, BytesView body) {
   if (it == my_slaves_.end()) {
     return;
   }
-  it->second.acked_version = msg->applied_version;
-  // Catch-up: push missing versions (bounded per ack; acks ratchet).
+  // Catch-up: the next missing versions, at most 8 per ack, as one
+  // certified run. The ack is unsigned, so at most two signatures per ack.
   uint64_t head = oplog_.head_version();
+  if (msg->applied_version >= head) {
+    return;
+  }
   uint64_t next = msg->applied_version + 1;
   if (next <= it->second.sent_version &&
       env()->Now() - it->second.sent_time <
           options_.params.keepalive_period) {
-    // Everything missing is already in flight — typically a state-update
-    // batch waiting behind the slave's read queue — and re-signing it per
-    // version here defeats group commit's amortization. A genuinely lost
-    // update is re-pushed once the slave's acks have stalled for a
-    // keepalive period.
+    // Everything missing is already in flight — typically a state update
+    // waiting behind the slave's read queue — and re-signing it here
+    // defeats group commit's amortization. A genuinely lost update is
+    // re-pushed once the slave's acks have stalled for a keepalive period.
     return;
   }
-  for (int i = 0; i < 8 && next <= head; ++i, ++next) {
-    PushStateUpdate(from, next);
-  }
+  uint64_t last = std::min(head, next + 7);
+  PushRun(from, it->second, CertifiedRun(next, last), last);
 }
 
 void Master::SendKeepAlives() {

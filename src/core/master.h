@@ -2,9 +2,10 @@
 // owner (paper Section 2). Masters
 //   - serialize writes through the total-order broadcast and commit them
 //     with at least max_latency between consecutive commits (Section 3.1);
-//   - lazily push committed state updates and periodic signed keep-alive
-//     version tokens to their slave set, re-pushing versions a slave's
-//     acks show missing unless they were sent within the last keepalive
+//   - lazily push each commit to their slave set as one certified run of
+//     versions (head token + BatchCommit), plus periodic signed keep-alive
+//     version tokens, re-pushing versions a slave's acks show missing as
+//     one certified run unless they were sent within the last keepalive
 //     period (an ack racing an in-flight update re-signs nothing);
 //   - set up clients (verify, assign a slave, hand over its certificate);
 //   - serve probabilistic double-check requests, with greedy-client
@@ -94,10 +95,9 @@ class Master : public Node {
  private:
   struct SlaveState {
     Certificate cert;
-    uint64_t acked_version = 0;
-    // Highest version pushed (or batch-sent) to this slave and when, so
-    // an ack that races a state update does not re-sign versions still in
-    // flight (see HandleSlaveAck).
+    // Highest version pushed to this slave and when, so an ack that races
+    // a state update does not re-sign versions still in flight (see
+    // HandleSlaveAck).
     uint64_t sent_version = 0;
     SimTime sent_time = 0;
     // The crashed master this slave was adopted from (kInvalidNode if the
@@ -119,25 +119,26 @@ class Master : public Node {
 
   // Total-order deliveries.
   void OnDelivered(uint64_t seq, NodeId origin, const Bytes& payload);
-  void OnTobWrite(const TobWrite& write);
   void OnTobWriteBundle(TobWriteBundle bundle);
   void OnTobGossip(const TobGossip& gossip);
 
-  // Write pipeline: delivered writes queue up and commit spaced by
-  // max_latency. With group commit (commit_batch > 1) a whole bundle
-  // occupies one commit slot, so throughput rises to commit_batch /
-  // max_latency while the inconsistency-window bound is untouched.
+  // Write pipeline: delivered bundles queue up and commit spaced by
+  // max_latency. A whole bundle occupies one commit slot, so throughput
+  // rises to commit_batch / max_latency while the inconsistency-window
+  // bound is untouched.
   void PumpCommitQueue();
-  void CommitWrite(const TobWrite& write);
   void CommitBundle(const std::vector<TobWrite>& writes);
 
-  // Group commit, origin side: accumulate until commit_batch writes or
-  // commit_window elapse, then broadcast one bundle.
-  bool batching() const { return options_.params.commit_batch > 1; }
+  // Origin side: accumulate until commit_batch writes or commit_window
+  // elapse, then broadcast one bundle.
   void FlushBundle();
 
-  // Slave management.
-  void PushStateUpdate(NodeId slave, uint64_t version);
+  // Slave management. CertifiedRun builds the one state-update message
+  // for versions [first_version, last_version] (two signatures: the head
+  // token and the BatchCommit); PushRun sends it to one slave.
+  Payload CertifiedRun(uint64_t first_version, uint64_t last_version);
+  void PushRun(NodeId slave, SlaveState& state, const Payload& wire,
+               uint64_t last_version);
   void SendKeepAlives();
   void GossipTick();
   void CheckPeerLiveness();
@@ -169,14 +170,10 @@ class Master : public Node {
   OpLog oplog_;
   QueryExecutor executor_;
   SimTime last_commit_time_;
-  // One queue entry per commit slot: a single write on the paper's path,
-  // a whole bundle under group commit.
-  struct CommitUnit {
-    std::vector<TobWrite> writes;
-  };
-  std::deque<CommitUnit> commit_queue_;
+  // One queue entry per commit slot: a delivered bundle.
+  std::deque<std::vector<TobWrite>> commit_queue_;
   bool commit_timer_armed_ = false;
-  std::vector<TobWrite> bundle_;  // origin-side accumulation (batching)
+  std::vector<TobWrite> bundle_;  // origin-side accumulation
   bool bundle_timer_armed_ = false;
 
   std::map<NodeId, SlaveState> my_slaves_;

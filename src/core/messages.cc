@@ -1,5 +1,7 @@
 #include "src/core/messages.h"
 
+#include "src/crypto/sha1.h"
+
 namespace sdr {
 
 namespace {
@@ -330,23 +332,6 @@ Result<Reassignment> Reassignment::Decode(BytesView body) {
   return FinishDecode(std::move(m), r);
 }
 
-Bytes StateUpdate::Encode() const {
-  Writer w;
-  w.U64(version);
-  EncodeBatch(w, batch);
-  token.EncodeTo(w);
-  return w.Take();
-}
-
-Result<StateUpdate> StateUpdate::Decode(BytesView body) {
-  Reader r(body);
-  StateUpdate m;
-  m.version = r.U64();
-  m.batch = DecodeBatch(r);
-  m.token = VersionToken::DecodeFrom(r);
-  return FinishDecode(std::move(m), r);
-}
-
 Bytes KeepAlive::Encode() const {
   Writer w;
   token.EncodeTo(w);
@@ -463,6 +448,16 @@ Result<PlacementReply> PlacementReply::Decode(BytesView body) {
   m.found = r.Bool();
   m.placement = ShardPlacement::DecodeFrom(r);
   return FinishDecode(std::move(m), r);
+}
+
+Bytes StateUpdateBatch::BatchesSha1() const {
+  Sha1 digest;
+  for (const WriteBatch& batch : batches) {
+    Writer w;
+    EncodeBatch(w, batch);
+    digest.Update(w.Take());
+  }
+  return digest.Final();
 }
 
 Bytes StateUpdateBatch::Encode() const {

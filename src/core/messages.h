@@ -42,8 +42,9 @@ enum class MsgType : uint8_t {
   // Corrective action.
   kAccusation = 11,     // client or auditor -> master, carries the pledge
   kReassignment = 12,   // master -> client: new slave assignment
-  // State propagation (master -> slave).
-  kStateUpdate = 13,
+  // State propagation (master -> slave). 13 stays unassigned, so a frame
+  // of the retired unsigned per-version update is never read as another
+  // message.
   kKeepAlive = 14,
   kSlaveAck = 15,       // slave -> master: highest applied version
   // Auditing.
@@ -59,8 +60,8 @@ enum class MsgType : uint8_t {
   // Keyspace sharding (src/core/shard.h, beyond the paper).
   kPlacementQuery = 21,  // client -> directory: which shards serve a content
   kPlacementReply = 22,  // directory -> client: signed ShardPlacement
-  // Group commit (master -> slave): one certificate + one token cover a
-  // contiguous run of versions.
+  // State propagation (master -> slave): one certificate + one token cover
+  // a contiguous run of versions. The only way content reaches a slave.
   kStateUpdateBatch = 23,
 };
 
@@ -70,9 +71,9 @@ enum class MsgType : uint8_t {
 // the same ordered stream the masters use.
 // sdrlint:protocol-enum
 enum class TobPayloadType : uint8_t {
-  kWrite = 1,   // a client write to be committed by every master
+  // 1 stays unassigned (the retired lone-write payload).
   kGossip = 2,  // a master's current slave set (liveness + crash recovery)
-  kWriteBundle = 3,  // group commit: N client writes under one broadcast
+  kWriteBundle = 3,  // 1..commit_batch client writes, committed as one unit
 };
 
 // Returns the MsgType of a payload, or kCorrupt error when empty.
@@ -203,14 +204,6 @@ struct Reassignment {
   static Result<Reassignment> Decode(BytesView body);
 };
 
-struct StateUpdate {
-  uint64_t version = 0;
-  WriteBatch batch;
-  VersionToken token;
-  Bytes Encode() const;
-  static Result<StateUpdate> Decode(BytesView body);
-};
-
 struct KeepAlive {
   VersionToken token;
   Bytes Encode() const;
@@ -280,16 +273,19 @@ struct PlacementReply {
   static Result<PlacementReply> Decode(BytesView body);
 };
 
-// Group commit's state propagation: batches for versions
+// State propagation: batches for versions
 // [first_version, first_version + batches.size() - 1], one head token and
-// one BatchCommit certificate instead of per-version signatures. The slave
-// decomposes it into buffered per-version updates, so its apply path (and
-// everything downstream — pledges, audits, fork chains) is unchanged.
+// one BatchCommit certificate over the run. A commit of 1..commit_batch
+// writes and an ack-driven catch-up both travel as one of these; a slave
+// applies no batch the certificate does not cover.
 struct StateUpdateBatch {
   uint64_t first_version = 0;
   std::vector<WriteBatch> batches;
-  VersionToken token;  // covers the last version of the run
+  VersionToken token;  // covers the master's head when it was sent
   BatchCommit commit;
+  // SHA-1 over the batches' canonical encodings in version order: what
+  // commit.batches_sha1 must equal.
+  Bytes BatchesSha1() const;
   Bytes Encode() const;
   static Result<StateUpdateBatch> Decode(BytesView body);
 };
@@ -308,10 +304,11 @@ struct TobWrite {
   static Result<TobWrite> Decode(BytesView body);
 };
 
-// Group commit: the origin master accumulates client writes for a window
-// or count and broadcasts them as one ordered unit, amortizing broadcast
-// and signature cost over the bundle. Commit order within the bundle is
-// its vector order.
+// Every write is broadcast in a bundle: the origin master accumulates
+// client writes until commit_batch of them or commit_window elapses and
+// broadcasts them as one ordered unit, amortizing broadcast and signature
+// cost over the bundle. Commit order within the bundle is its vector
+// order; a bundle of one is a normal bundle.
 struct TobWriteBundle {
   std::vector<TobWrite> writes;
   Bytes Encode() const;

@@ -100,17 +100,16 @@ struct ClientMetrics {
   /* Fork-consistency evidence (src/forkcheck/; zero unless enabled). */     \
   X(uint64_t, fork_evidence_received)                                        \
   X(uint64_t, fork_evidence_confirmed)                                       \
+  /* State-update messages (certified runs) sent: one per slave per          \
+     commit, plus one per ack-driven catch-up. */                            \
   X(uint64_t, state_updates_sent)                                            \
   X(uint64_t, keepalives_sent)                                               \
   X(uint64_t, slave_sets_adopted) /* from crashed peers */                   \
   X(uint64_t, work_units_executed)                                           \
-  /* Group commit (all zero unless commit_batch > 1). */                     \
-  X(uint64_t, writes_batched)    /* writes that rode a bundle broadcast */   \
-  X(uint64_t, batches_committed) /* bundles applied on the commit path */    \
-  X(uint64_t, state_update_batches_sent)                                     \
-  /* Signatures produced on the commit/state-propagation path (tokens for    \
-     state updates + batch certificates; keepalives excluded). The           \
-     per-write signing cost group commit amortizes is                        \
+  X(uint64_t, batches_committed) /* commits: one per bundle of writes */     \
+  /* Signatures produced on the commit/state-propagation path: a head        \
+     token plus a BatchCommit per commit and per catch-up; keepalives        \
+     excluded. The per-write signing cost group commit amortizes is          \
      commit_signatures / writes_committed. */                                \
   X(uint64_t, commit_signatures)                                             \
   /* Verify-dedup cache (accusation / incriminating-pledge checks). */       \
@@ -139,9 +138,7 @@ struct MasterMetrics {
   X(uint64_t, equivocations_served)                                          \
   X(uint64_t, honest_serves_forked)                                          \
   X(uint64_t, stale_serves) /* reads answered from a lagged view */          \
-  X(uint64_t, state_updates_applied)                                         \
-  /* Group commit (zero unless the master batches). */                       \
-  X(uint64_t, state_update_batches_received)                                 \
+  X(uint64_t, state_updates_applied) /* versions applied */                  \
   X(uint64_t, keepalives_received)                                           \
   X(uint64_t, work_units_executed)                                           \
   /* Reads served from the slave's memo of honest reads: same version,       \

@@ -73,7 +73,6 @@ void MultiReadClient::HandleMessage(NodeId from, const Payload& payload) {
     case MsgType::kDoubleCheckRequest:
     case MsgType::kAccusation:
     case MsgType::kReassignment:
-    case MsgType::kStateUpdate:
     case MsgType::kKeepAlive:
     case MsgType::kSlaveAck:
     case MsgType::kAuditSubmit:

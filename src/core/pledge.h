@@ -112,15 +112,14 @@ ReadVerdict VerifyRead(SignatureScheme scheme, BytesView result,
                        const Bytes* master_public_key, SimTime now,
                        SimTime max_latency, VerifyCache* cache);
 
-// Group-commit certificate (scale-out, beyond the paper): one master
-// signature covering a contiguous run of committed versions
-// [first_version, last_version]. batches_sha1 binds the certificate to the
-// exact write batches (SHA-1 over their canonical encodings in version
-// order), so a slave applying a batched state update holds the same
-// irrefutable evidence of what the master committed as it would from
-// per-version tokens, at 1/N the signing cost. Pledges are unchanged —
-// they still embed the head VersionToken — which is why auditing, fork
-// checking and the chaos invariants work identically in batched mode.
+// State-update certificate (beyond the paper): one master signature
+// covering a contiguous run of committed versions [first_version,
+// last_version]. batches_sha1 binds the certificate to the exact write
+// batches (SHA-1 over their canonical encodings in version order), so a
+// slave applies only content a master committed, and one signature covers
+// a run of any length. Pledges are unchanged — they still embed the head
+// VersionToken — so auditing, fork checking and the chaos invariants do
+// not depend on how versions were grouped into runs.
 struct BatchCommit {
   NodeId master = kInvalidNode;
   uint64_t first_version = 0;

@@ -43,9 +43,6 @@ void Slave::HandleMessage(NodeId from, const Payload& payload) {
   }
   BytesView body = BytesView(payload).substr(1);
   switch (*type) {
-    case MsgType::kStateUpdate:
-      HandleStateUpdate(from, body);
-      break;
     case MsgType::kStateUpdateBatch:
       HandleStateUpdateBatch(from, body);
       break;
@@ -96,24 +93,6 @@ void Slave::MaybeAdoptToken(const VersionToken& token) {
   }
 }
 
-void Slave::HandleStateUpdate(NodeId from, BytesView body) {
-  auto msg = StateUpdate::Decode(body);
-  if (!msg.ok()) {
-    return;
-  }
-  if (options_.behavior.ignore_updates) {
-    // Malicious/stuck replica: swallow the update. (It may still adopt
-    // keep-alive tokens for its stale version via serve_despite_stale.)
-    return;
-  }
-  if (msg->version > applied_version_) {
-    buffered_updates_[msg->version] = *msg;
-    ApplyBuffered();
-  }
-  MaybeAdoptToken(msg->token);
-  AckTo(from);
-}
-
 void Slave::ApplyBuffered() {
   auto it = buffered_updates_.find(applied_version_ + 1);
   while (it != buffered_updates_.end()) {
@@ -146,36 +125,21 @@ void Slave::HandleStateUpdateBatch(NodeId from, BytesView body) {
   if (key == options_.master_keys.end() || msg->batches.empty() ||
       msg->commit.first_version != msg->first_version ||
       msg->commit.last_version !=
-          msg->first_version + msg->batches.size() - 1) {
-    return;
-  }
-  Sha1 digest;
-  for (const WriteBatch& batch : msg->batches) {
-    Writer w;
-    EncodeBatch(w, batch);
-    digest.Update(w.Take());
-  }
-  if (digest.Final() != msg->commit.batches_sha1 ||
+          msg->first_version + msg->batches.size() - 1 ||
+      msg->BatchesSha1() != msg->commit.batches_sha1 ||
       !VerifyBatchCommit(options_.params.scheme, key->second, msg->commit,
                          &verify_cache_)) {
     return;
   }
-  ++metrics_.state_update_batches_received;
-  // Decompose into per-version updates so the apply path — lag views,
-  // buffering across gaps, token adoption at the head — is the one the
-  // unbatched protocol already exercises. The head token rides on every
-  // decomposed update but only becomes adoptable once the last version of
-  // the run is applied (MaybeAdoptToken's content_version check).
+  // Buffer every version not yet applied, so gaps wait for their run. The
+  // head token rides on each but only becomes adoptable once the last
+  // version of the run is applied (MaybeAdoptToken's content_version check).
   for (size_t i = 0; i < msg->batches.size(); ++i) {
     uint64_t version = msg->first_version + i;
-    if (version <= applied_version_) {
-      continue;
+    if (version > applied_version_) {
+      buffered_updates_[version] =
+          BufferedVersion{std::move(msg->batches[i]), msg->token};
     }
-    StateUpdate update;
-    update.version = version;
-    update.batch = msg->batches[i];
-    update.token = msg->token;
-    buffered_updates_[version] = std::move(update);
   }
   ApplyBuffered();
   MaybeAdoptToken(msg->token);

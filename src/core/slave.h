@@ -103,9 +103,8 @@ class Slave : public Node {
   const DocumentStore& store() const { return store_; }
 
  private:
-  void HandleStateUpdate(NodeId from, BytesView body);
-  // Group commit: one verified BatchCommit certificate admits a whole run
-  // of versions, decomposed into the per-version apply path.
+  // One verified BatchCommit certificate admits a whole run of versions;
+  // nothing else changes the store after SetBaseContent.
   void HandleStateUpdateBatch(NodeId from, BytesView body);
   void HandleKeepAlive(NodeId from, BytesView body);
   void HandleReadRequest(NodeId from, BytesView body);
@@ -139,7 +138,13 @@ class Slave : public Node {
   DocumentStore store_;
   QueryExecutor executor_;
   uint64_t applied_version_ = 0;
-  std::map<uint64_t, StateUpdate> buffered_updates_;
+  // Certified versions waiting for a gap below them to fill, each with the
+  // head token of the run it came in.
+  struct BufferedVersion {
+    WriteBatch batch;
+    VersionToken token;
+  };
+  std::map<uint64_t, BufferedVersion> buffered_updates_;
   std::optional<VersionToken> token_;
   std::unique_ptr<ServiceQueue> queue_;
 

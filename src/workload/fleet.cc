@@ -265,7 +265,6 @@ void ClientFleet::HandleMessage(NodeId from, const Payload& payload) {
     case MsgType::kDoubleCheckReply:
     case MsgType::kAccusation:
     case MsgType::kReassignment:
-    case MsgType::kStateUpdate:
     case MsgType::kStateUpdateBatch:
     case MsgType::kKeepAlive:
     case MsgType::kSlaveAck:

@@ -17,6 +17,7 @@
 #include "src/runtime/deployment.h"
 #include "src/sim/network.h"
 #include "src/workload/workload.h"
+#include "tests/mutate.h"
 
 namespace sdr {
 namespace {
@@ -58,14 +59,29 @@ struct SlaveHarness {
     return MakeVersionToken(signer, master_stub.id(), version, sim.Now());
   }
 
-  void SendUpdate(uint64_t version, WriteBatch batch) {
-    StateUpdate update;
-    update.version = version;
-    update.batch = std::move(batch);
-    update.token = Token(version);
-    net.Send(master_stub.id(), slave->id(),
-             WithType(MsgType::kStateUpdate, update.Encode()));
+  // The frame a master sends for versions [first, first + batches.size()
+  // - 1]: the batches under one BatchCommit, with a token for
+  // `token_version`.
+  Bytes CertifiedRun(uint64_t first, std::vector<WriteBatch> batches,
+                     uint64_t token_version) {
+    StateUpdateBatch msg;
+    msg.first_version = first;
+    msg.batches = std::move(batches);
+    msg.token = Token(token_version);
+    msg.commit = MakeBatchCommit(Signer(master_key), master_stub.id(), first,
+                                 first + msg.batches.size() - 1,
+                                 msg.BatchesSha1(), sim.Now());
+    return WithType(MsgType::kStateUpdateBatch, msg.Encode());
+  }
+
+  void SendFrame(NodeId from, const Bytes& frame) {
+    net.Send(from, slave->id(), frame);
     sim.RunUntilIdle();
+  }
+
+  void SendUpdate(uint64_t version, WriteBatch batch) {
+    SendFrame(master_stub.id(), CertifiedRun(version, {std::move(batch)},
+                                             version));
   }
 
   void SendKeepAlive(uint64_t version) {
@@ -113,8 +129,8 @@ struct SlaveHarness {
 // A master built exactly as a real deployment builds one (MasterOptionsFor),
 // wired to stubs standing in for its auditor, its one slave and a client.
 struct MasterHarness {
-  MasterHarness() : sim(1), net(&sim, LinkModel{1 * kMillisecond, 0, 0.0}) {
-    DeploymentConfig config;
+  explicit MasterHarness(DeploymentConfig config = {})
+      : sim(1), net(&sim, LinkModel{1 * kMillisecond, 0, 0.0}) {
     config.slaves_per_master = 1;
     config.params.scheme = SignatureScheme::kHmacSha256;
     plan = BuildDeployment(config);
@@ -135,10 +151,11 @@ struct MasterHarness {
 
   void Run(SimTime span) { sim.RunUntil(sim.Now() + span); }
 
-  void Write() {
+  void Write(uint64_t request_id = 1,
+             WriteBatch batch = {WriteOp::Put("k", "v")}) {
     WriteRequest msg;
-    msg.request_id = 1;
-    msg.batch = {WriteOp::Put("k", "v")};
+    msg.request_id = request_id;
+    msg.batch = std::move(batch);
     net.Send(client_stub.id(), master->id(),
              WithType(MsgType::kWriteRequest, msg.Encode()));
   }
@@ -150,14 +167,18 @@ struct MasterHarness {
              WithType(MsgType::kSlaveAck, ack.Encode()));
   }
 
-  size_t StateUpdatesToSlave() const {
-    size_t n = 0;
+  // Every state-update frame the slave stub has received, in order.
+  std::vector<Bytes> StateUpdateFrames() const {
+    std::vector<Bytes> frames;
     for (const auto& [from, payload] : slave_stub.received) {
       auto type = PeekType(payload);
-      n += type.ok() && *type == MsgType::kStateUpdate ? 1 : 0;
+      if (type.ok() && *type == MsgType::kStateUpdateBatch) {
+        frames.push_back(payload);
+      }
     }
-    return n;
+    return frames;
   }
+  size_t StateUpdatesToSlave() const { return StateUpdateFrames().size(); }
 
   Simulator sim;
   Network net;
@@ -194,6 +215,115 @@ TEST(MasterUnitTest, AcksStalledForAKeepaliveTriggerARePush) {
   h.Ack(1);
   h.Run(50 * kMillisecond);
   EXPECT_EQ(h.StateUpdatesToSlave(), 2u);
+}
+
+TEST(MasterUnitTest, StalledCatchUpIsOneCertifiedRun) {
+  MasterHarness h;
+  const ProtocolParams& params = h.plan.config.params;
+  for (uint64_t i = 1; i <= 3; ++i) {
+    h.Write(i, {WriteOp::Put("k" + std::to_string(i), "v")});
+  }
+  h.Run(2 * params.max_latency + 50 * kMillisecond);
+  ASSERT_EQ(h.master->version(), 3u);
+  ASSERT_EQ(h.StateUpdatesToSlave(), 3u);
+  // All three pushes were lost: a keepalive later the slave acks version 0.
+  h.Run(params.keepalive_period);
+  const uint64_t signatures = h.master->metrics().commit_signatures;
+  h.Ack(0);
+  h.Run(50 * kMillisecond);
+  std::vector<Bytes> frames = h.StateUpdateFrames();
+  ASSERT_EQ(frames.size(), 4u);
+  EXPECT_EQ(h.master->metrics().commit_signatures, signatures + 2);
+  auto run = StateUpdateBatch::Decode(BytesView(frames.back()).substr(1));
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run->first_version, 1u);
+  ASSERT_EQ(run->batches.size(), 3u);
+  for (uint64_t v = 1; v <= 3; ++v) {
+    EXPECT_EQ(run->batches[v - 1], *h.master->oplog().BatchFor(v));
+  }
+  EXPECT_EQ(run->token.content_version, 3u);
+  EXPECT_EQ(run->commit.first_version, 1u);
+  EXPECT_EQ(run->commit.last_version, 3u);
+  EXPECT_EQ(run->commit.batches_sha1, run->BatchesSha1());
+  EXPECT_TRUE(VerifyBatchCommit(params.scheme, h.master->public_key(),
+                                run->commit, nullptr));
+}
+
+// Certified runs captured from a plan-built master (six commits, then two
+// catch-ups after stalled acks) under seeded mutation, each mutant fed to a
+// fresh slave after a genuine prefix: nothing may crash, and whatever the
+// slave applies must be exactly the master's content at that version.
+TEST(SlaveRobustness, MutatedStateUpdatesNeverCorruptTheStore) {
+  DeploymentConfig config;
+  config.corpus.n_items = 10;
+  MasterHarness h(config);
+  const ProtocolParams& params = h.plan.config.params;
+  for (uint64_t i = 1; i <= 6; ++i) {
+    WriteBatch batch = {
+        WriteOp::Put("k" + std::to_string(i), std::string(i, 'v'))};
+    if (i > 2) {
+      batch.push_back(WriteOp::Delete("k" + std::to_string(i - 2)));
+    }
+    h.Write(i, std::move(batch));
+  }
+  h.Run(5 * params.max_latency + 50 * kMillisecond);
+  ASSERT_EQ(h.master->version(), 6u);
+  h.Run(params.keepalive_period);
+  h.Ack(0);  // versions 1-6 in one run
+  h.Run(params.keepalive_period + 50 * kMillisecond);
+  h.Ack(3);  // versions 4-6
+  h.Run(50 * kMillisecond);
+  const std::vector<Bytes> frames = h.StateUpdateFrames();
+  ASSERT_EQ(frames.size(), 8u);
+  std::vector<Bytes> bodies;
+  for (const Bytes& frame : frames) {
+    bodies.emplace_back(frame.begin() + 1, frame.end());
+  }
+  std::vector<Bytes> truth;  // content fingerprint at each version
+  for (uint64_t v = 0; v <= 6; ++v) {
+    truth.push_back(h.master->oplog().MaterializeAt(v)->Fingerprint());
+  }
+
+  Rng rng(61);
+  uint64_t applied_by_mutant = 0;
+  for (int i = 0; i < 20000 && !::testing::Test::HasFailure(); ++i) {
+    Simulator sim(1);
+    Network net(&sim, LinkModel{1 * kMillisecond, 0, 0.0});
+    SinkNode master_stub;
+    Slave slave(SlaveOptionsFor(h.plan, 0));
+    net.AddNode(&master_stub);
+    net.AddNode(&slave);
+    slave.SetBaseContent(h.plan.base);
+    net.StartAll();
+    auto deliver = [&](const Bytes& frame) {
+      net.Send(master_stub.id(), slave.id(), frame);
+      sim.RunUntilIdle();
+    };
+    auto store_matches_master = [&] {
+      ASSERT_LE(slave.applied_version(), 6u);
+      EXPECT_EQ(slave.store().Fingerprint(), truth[slave.applied_version()])
+          << "mutant " << i << " at version " << slave.applied_version();
+    };
+    const size_t prefix = rng.NextBounded(7);  // genuine commits first
+    for (size_t f = 0; f < prefix; ++f) {
+      deliver(frames[f]);
+    }
+    const uint64_t before = slave.applied_version();
+    deliver(WithType(MsgType::kStateUpdateBatch,
+                     Mutate(bodies[rng.NextBounded(bodies.size())], rng,
+                            bodies)));
+    applied_by_mutant += slave.applied_version() > before ? 1 : 0;
+    store_matches_master();
+    // No mutant can stall the genuine stream that follows it.
+    for (size_t f = prefix; f < 6; ++f) {
+      deliver(frames[f]);
+    }
+    EXPECT_EQ(slave.applied_version(), 6u);
+    store_matches_master();
+  }
+  // Edits to the unsigned token leave the certified batches intact, so
+  // some mutants do apply and the check above is not vacuous.
+  EXPECT_GT(applied_by_mutant, 100u);
 }
 
 TEST(SlaveUnitTest, BuffersOutOfOrderUpdates) {
@@ -274,6 +404,62 @@ TEST(SlaveUnitTest, IgnoreUpdatesBehaviorStaysStale) {
   h.SendUpdate(1, {WriteOp::Put("a", "1")});
   EXPECT_EQ(h.slave->applied_version(), 0u);
   EXPECT_FALSE(h.slave->store().Get("a").has_value());
+}
+
+TEST(SlaveUnitTest, UncertifiedUpdatesNeverTouchTheStore) {
+  SlaveHarness h;
+  const NodeId attacker = h.client_stub.id();
+  auto untouched = [&h](const char* frame) {
+    SCOPED_TRACE(frame);
+    EXPECT_EQ(h.slave->applied_version(), 0u);
+    EXPECT_FALSE(h.slave->store().Get("x").has_value());
+  };
+  // Message type 13 in its retired per-version encoding (version, batch,
+  // token), with a token no master signed.
+  {
+    Writer w;
+    w.U64(1);
+    EncodeBatch(w, {WriteOp::Put("x", "forged")});
+    VersionToken token;
+    token.master = h.master_stub.id();
+    token.content_version = 1;
+    token.timestamp = h.sim.Now();
+    token.signature = Bytes(32, 0xab);
+    token.EncodeTo(w);
+    Bytes frame = w.Take();
+    frame.insert(frame.begin(), 13);
+    h.SendFrame(attacker, frame);
+    untouched("type 13");
+  }
+  // A genuine certificate with a different batch spliced under it.
+  {
+    Bytes genuine = h.CertifiedRun(1, {{WriteOp::Put("x", "real")}}, 1);
+    auto msg = StateUpdateBatch::Decode(BytesView(genuine).substr(1));
+    ASSERT_TRUE(msg.ok());
+    msg->batches[0] = {WriteOp::Put("x", "forged")};
+    h.SendFrame(attacker, WithType(MsgType::kStateUpdateBatch, msg->Encode()));
+    untouched("spliced batch");
+  }
+  // A well-formed run certified by a key the slave does not know.
+  {
+    Rng rng(99);
+    Signer rogue(KeyPair::Generate(SignatureScheme::kHmacSha256, rng));
+    StateUpdateBatch msg;
+    msg.first_version = 1;
+    msg.batches = {{WriteOp::Put("x", "forged")}};
+    msg.token =
+        MakeVersionToken(rogue, h.master_stub.id(), 1, h.sim.Now());
+    msg.commit = MakeBatchCommit(rogue, h.master_stub.id(), 1, 1,
+                                 msg.BatchesSha1(), h.sim.Now());
+    h.SendFrame(attacker, WithType(MsgType::kStateUpdateBatch, msg.Encode()));
+    untouched("unknown key");
+  }
+  // The master's genuine version-1 token is useless to a slave at
+  // version 0: it keeps declining rather than vouch for forged content.
+  h.SendKeepAlive(1);
+  auto reply = h.Read(Query::Get("x"));
+  ASSERT_TRUE(reply.ok());
+  EXPECT_FALSE(reply->ok);
 }
 
 TEST(SlaveUnitTest, PledgeBindsTokenAtExecutionTime) {
@@ -394,8 +580,7 @@ class MemoOracle {
   VersionToken Token(uint64_t version) { return h_.Token(version); }
 
   void Send(MsgType type, const Bytes& body) {
-    h_.net.Send(h_.master_stub.id(), h_.slave->id(), WithType(type, body));
-    h_.sim.RunUntilIdle();
+    h_.SendFrame(h_.master_stub.id(), WithType(type, body));
   }
 
   void NewVersion() {
@@ -430,11 +615,9 @@ class MemoOracle {
     NewVersion();
     uint64_t before = h_.slave->applied_version();
     for (uint64_t v = before + 1; v <= master_version(); ++v) {
-      StateUpdate update;
-      update.version = v;
-      update.batch = batches_[v];
-      update.token = Token(adoptable_token ? v : v - 1);
-      Send(MsgType::kStateUpdate, update.Encode());
+      h_.SendFrame(h_.master_stub.id(),
+                   h_.CertifiedRun(v, {batches_[v]},
+                                   adoptable_token ? v : v - 1));
     }
     AfterApply(before);
   }
@@ -444,20 +627,10 @@ class MemoOracle {
       NewVersion();
     }
     uint64_t before = h_.slave->applied_version();
-    StateUpdateBatch msg;
-    msg.first_version = before + 1;
-    Sha1 digest;
-    for (uint64_t v = before + 1; v <= master_version(); ++v) {
-      msg.batches.push_back(batches_[v]);
-      Writer w;
-      EncodeBatch(w, batches_[v]);
-      digest.Update(w.Take());
-    }
-    msg.token = Token(master_version());
-    msg.commit = MakeBatchCommit(Signer(h_.master_key), h_.master_stub.id(),
-                                 msg.first_version, master_version(),
-                                 digest.Final(), h_.sim.Now());
-    Send(MsgType::kStateUpdateBatch, msg.Encode());
+    std::vector<WriteBatch> run(
+        batches_.begin() + static_cast<long>(before) + 1, batches_.end());
+    h_.SendFrame(h_.master_stub.id(),
+                 h_.CertifiedRun(before + 1, std::move(run), master_version()));
     AfterApply(before);
   }
 

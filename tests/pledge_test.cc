@@ -324,15 +324,18 @@ TEST(MessagesTest, TypedPayloadRoundTrips) {
   EXPECT_EQ(rr2->query, rr.query);
 
   VersionToken token = MakeVersionToken(master, 2, 3, 99);
-  StateUpdate su;
-  su.version = 3;
-  su.batch = {WriteOp::Put("k", "v")};
+  StateUpdateBatch su;
+  su.first_version = 2;
+  su.batches = {{WriteOp::Put("k", "v")}, {WriteOp::Delete("j")}};
   su.token = token;
-  auto su2 = StateUpdate::Decode(su.Encode());
+  su.commit = MakeBatchCommit(master, 2, 2, 3, su.BatchesSha1(), 99);
+  auto su2 = StateUpdateBatch::Decode(su.Encode());
   ASSERT_TRUE(su2.ok());
-  EXPECT_EQ(su2->version, 3u);
-  EXPECT_EQ(su2->batch, su.batch);
+  EXPECT_EQ(su2->first_version, 2u);
+  EXPECT_EQ(su2->batches, su.batches);
   EXPECT_EQ(su2->token, token);
+  EXPECT_EQ(su2->commit, su.commit);
+  EXPECT_EQ(su2->BatchesSha1(), su.commit.batches_sha1);
 
   Pledge pledge =
       MakePledge(slave_signer, 9, Query::Get("k"), Bytes(20, 1), token);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/core/cluster.h"
+#include "tests/mutate.h"
 
 namespace sdr {
 namespace {
@@ -143,10 +144,11 @@ TEST(MessageRobustness, TruncationsNeverCrashDecoders) {
     bodies.push_back(m.Encode());
   }
   {
-    StateUpdate m;
-    m.version = 2;
-    m.batch = {WriteOp::Put("a", "b")};
+    StateUpdateBatch m;
+    m.first_version = 2;
+    m.batches = {{WriteOp::Put("a", "b")}, {WriteOp::Delete("c")}};
     m.token = token;
+    m.commit = MakeBatchCommit(signer, 2, 2, 3, m.BatchesSha1(), 99);
     bodies.push_back(m.Encode());
   }
   {
@@ -175,7 +177,7 @@ TEST(MessageRobustness, TruncationsNeverCrashDecoders) {
       // Any of the decoders may be called on any payload; none may crash
       // and none may accept a strict prefix of a valid encoding.
       EXPECT_FALSE(ReadReply::Decode(truncated).ok());
-      EXPECT_FALSE(StateUpdate::Decode(truncated).ok());
+      EXPECT_FALSE(StateUpdateBatch::Decode(truncated).ok());
       EXPECT_FALSE(DoubleCheckReply::Decode(truncated).ok());
       EXPECT_FALSE(BadReadNotice::Decode(truncated).ok());
       EXPECT_FALSE(Reassignment::Decode(truncated).ok());
@@ -224,52 +226,6 @@ class FrameSink : public Node {
   }
   std::vector<std::pair<NodeId, Bytes>> frames;
 };
-
-// One to four random edits: bit flips, byte overwrites, truncation,
-// insertion, a length-like u32 planted anywhere, or a splice with the tail
-// of another frame.
-Bytes Mutate(Bytes b, Rng& rng, const std::vector<Bytes>& corpus) {
-  for (uint64_t edits = 1 + rng.NextBounded(4); edits > 0; --edits) {
-    const size_t pos = b.empty() ? 0 : rng.NextBounded(b.size());
-    switch (rng.NextBounded(6)) {
-      case 0:
-        if (!b.empty()) {
-          b[pos] ^= static_cast<uint8_t>(1u << rng.NextBounded(8));
-        }
-        break;
-      case 1:
-        if (!b.empty()) {
-          b[pos] = static_cast<uint8_t>(rng.NextBounded(256));
-        }
-        break;
-      case 2:
-        b.resize(pos);
-        break;
-      case 3:
-        b.insert(b.begin() + static_cast<long>(pos),
-                 static_cast<uint8_t>(rng.NextBounded(256)));
-        break;
-      case 4: {
-        const uint32_t values[] = {0, 1, 0x7fffffff, 0xffffffff,
-                                   static_cast<uint32_t>(b.size())};
-        uint32_t v = values[rng.NextBounded(5)];
-        for (size_t i = 0; i < 4 && pos + i < b.size(); ++i) {
-          b[pos + i] = static_cast<uint8_t>(v >> (8 * i));
-        }
-        break;
-      }
-      default: {
-        const Bytes& other = corpus[rng.NextBounded(corpus.size())];
-        size_t from = rng.NextBounded(other.size() + 1);
-        b.resize(pos);
-        b.insert(b.end(), other.begin() + static_cast<long>(from),
-                 other.end());
-        break;
-      }
-    }
-  }
-  return b;
-}
 
 // Seeded mutations of ReadReply and DoubleCheckReply frames captured from
 // a cluster run with lying slaves: no decoder may crash, and any reply

@@ -102,11 +102,10 @@ void PrintReport(Cluster& cluster) {
               (unsigned long long)c.shard_subreads_issued,
               (unsigned long long)c.multi_shard_writes,
               (unsigned long long)c.shard_subwrites_committed);
-  std::printf("  group commit: writes_batched=%llu batches=%llu "
-              "batch-updates=%llu commit-sigs=%llu (sigs/write=%.2f)\n",
-              (unsigned long long)totals.masters.writes_batched,
+  std::printf("  group commit: batches=%llu state-updates=%llu "
+              "commit-sigs=%llu (sigs/write=%.2f)\n",
               (unsigned long long)totals.masters.batches_committed,
-              (unsigned long long)totals.slaves.state_update_batches_received,
+              (unsigned long long)totals.masters.state_updates_sent,
               (unsigned long long)totals.masters.commit_signatures,
               totals.masters.writes_committed == 0
                   ? 0.0
