@@ -38,7 +38,7 @@ int main() {
   for (int c = 0; c < cluster.num_clients(); ++c) {
     std::printf("client %d: master=node%u slave=node%u\n", c,
                 cluster.client(c).master(),
-                cluster.client(c).assigned_slave());
+                cluster.client(c).read_set().front().cert.subject);
   }
 
   // A write: sent to the client's master, totally ordered across the

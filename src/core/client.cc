@@ -1,7 +1,9 @@
 #include "src/core/client.h"
 
 #include <algorithm>
+#include <bit>
 
+#include "src/crypto/sha1.h"
 #include "src/trace/trace.h"
 #include "src/util/logging.h"
 
@@ -154,6 +156,7 @@ void Client::OpenLanes(const std::vector<std::vector<NodeId>>& candidates) {
       fresh.push_back(candidates[s][0]);
     }
     lane.master = fresh[rng_.NextBounded(fresh.size())];
+    lane.seq = 0;  // the new master numbers its own sets
     lane.nonce = rng_.NextBytes(16);
     lane.ready = false;
   }
@@ -189,14 +192,9 @@ void Client::HandleHelloReply(NodeId from, BytesView body) {
                        msg->SignedBody(lane->nonce), msg->signature)) {
     return;
   }
-  // The slave certificate must chain to the master that assigned it.
-  if (msg->slave_cert.role != Role::kSlave ||
-      !VerifyCertificate(options_.params.scheme, *master_key,
-                         msg->slave_cert)) {
+  if (!AdoptReadSet(*lane, msg->seq, msg->slaves, *master_key)) {
     return;
   }
-  lane->slave_cert = msg->slave_cert;
-  lane->auditor = msg->auditor;
   lane->ready = true;
   for (const Lane& l : lanes_) {
     if (!l.ready) {
@@ -240,20 +238,34 @@ void Client::HandleReassignment(NodeId from, BytesView body) {
   if (master_key == nullptr ||
       !VerifySignature(options_.params.scheme, *master_key, msg->SignedBody(),
                        msg->signature) ||
-      !VerifyCertificate(options_.params.scheme, *master_key,
-                         msg->new_slave_cert)) {
+      !AdoptReadSet(*lane, msg->seq, msg->slaves, *master_key)) {
     return;
-  }
-  lane->slave_cert = msg->new_slave_cert;
-  if (msg->auditor != kInvalidNode) {
-    lane->auditor = msg->auditor;  // the new slave may audit elsewhere
   }
   ++metrics_.reassignments;
   if (TraceSink* t = env()->trace()) {
     t->Instant(TraceRole::kClient, id(), "reassigned", msg->trace_id,
                static_cast<int64_t>(msg->excluded_slave));
   }
-  // Outstanding reads retry toward the new slave on their next attempt.
+  // Outstanding reads retry toward the new set on their next attempt.
+}
+
+bool Client::AdoptReadSet(Lane& lane, uint64_t seq,
+                          const std::vector<AssignedSlave>& slaves,
+                          const Bytes& master_key) {
+  // Sets signed in quick succession may arrive out of order.
+  if (seq <= lane.seq || slaves.empty() || slaves.size() > 64) {
+    return false;  // 64: PendingRead::replied has one bit per member
+  }
+  // Every certificate must chain to the master that assigned it.
+  for (const AssignedSlave& s : slaves) {
+    if (s.cert.role != Role::kSlave ||
+        !VerifyCertificate(options_.params.scheme, master_key, s.cert)) {
+      return false;
+    }
+  }
+  lane.slaves = slaves;
+  lane.seq = seq;
+  return true;
 }
 
 void Client::HandleBadReadNotice(BytesView body) {
@@ -490,7 +502,7 @@ void Client::IssueRead(Query query, ReadCallback cb) {
 
 void Client::SendRead(uint64_t request_id) {
   auto it = reads_.find(request_id);
-  if (it == reads_.end() || !LaneFor(it->second.shard).slave_cert) {
+  if (it == reads_.end() || LaneFor(it->second.shard).slaves.empty()) {
     return;
   }
   PendingRead& read = it->second;
@@ -502,17 +514,27 @@ void Client::SendRead(uint64_t request_id) {
                  read.attempts);
     }
   }
+  read.replied = 0;
+  read.retry_delay = 0;
+  read.held.clear();
+  read.disagreement = false;
   ReadRequest msg;
   msg.request_id = request_id;
   msg.trace_id = read.trace_id;
   msg.query = read.query;
-  env()->Send(LaneFor(read.shard).slave_cert->subject,
-              WithType(MsgType::kReadRequest, msg.Encode()));
+  const Payload wire = WithType(MsgType::kReadRequest, msg.Encode());
+  for (const AssignedSlave& slave : LaneFor(read.shard).slaves) {
+    env()->Send(slave.cert.subject, wire);
+  }
   env()->Cancel(read.timeout);
   read.timeout =
       env()->ScheduleAfter(options_.params.client_timeout, [this, request_id] {
         auto it = reads_.find(request_id);
         if (it == reads_.end() || it->second.awaiting_double_check) {
+          return;
+        }
+        if (!it->second.held.empty()) {
+          ResolveFanout(request_id);  // settle on the answers in hand
           return;
         }
         if (it->second.attempts > options_.max_read_retries) {
@@ -535,27 +557,62 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
   }
   PendingRead& read = it->second;
   const Lane& lane = LaneFor(read.shard);
-  if (!lane.slave_cert || from != lane.slave_cert->subject) {
-    return;  // stale reply from a slave we no longer trust/use
+  size_t member = 0;
+  while (member < lane.slaves.size() &&
+         lane.slaves[member].cert.subject != from) {
+    ++member;
   }
-  const Certificate& slave_cert = *lane.slave_cert;
+  if (member == lane.slaves.size() ||
+      (read.replied & (uint64_t{1} << member)) != 0) {
+    return;  // a slave we no longer use, or a repeat within this attempt
+  }
+  read.replied |= uint64_t{1} << member;
+  const AssignedSlave& slave = lane.slaves[member];
+  std::optional<QueryResult> result = CheckReply(read, slave, *msg);
+  const bool complete =
+      static_cast<size_t>(std::popcount(read.replied)) == lane.slaves.size();
+  if (!result.has_value()) {
+    if (complete) {
+      if (read.held.empty()) {
+        RetryRead(msg->request_id, read.retry_delay);
+      } else {
+        ResolveFanout(msg->request_id);
+      }
+    }
+    return;
+  }
+  HeldReply answer{std::move(*result), std::move(msg->pledge),
+                   std::move(msg->vv), slave.auditor};
+  if (complete && read.held.empty()) {
+    // The only answer (always so at a fan-out of 1): the base path.
+    SettleRead(msg->request_id, read, std::move(answer));
+    return;
+  }
+  read.held.push_back(std::move(answer));
+  if (complete) {
+    ResolveFanout(msg->request_id);
+  }
+}
 
+std::optional<QueryResult> Client::CheckReply(PendingRead& read,
+                                              const AssignedSlave& slave,
+                                              const ReadReply& msg) {
   TraceSink* t = env()->trace();
-  if (!msg->ok) {
+  if (!msg.ok) {
     // Honest decline (slave out of sync). Back off and retry.
     ++metrics_.reads_failed_declined;
     if (t != nullptr) {
       t->Instant(TraceRole::kClient, id(), "read.declined", read.trace_id);
     }
-    RetryRead(msg->request_id, options_.retry_backoff);
-    return;
+    read.retry_delay = std::max(read.retry_delay, options_.retry_backoff);
+    return std::nullopt;
   }
 
-  const Pledge& pledge = msg->pledge;
+  const Pledge& pledge = msg.pledge;
   // The version token is usually a verify-cache hit: it only changes on
   // keepalives.
   ReadVerdict verdict = VerifyRead(
-      options_.params.scheme, msg->result, pledge, slave_cert,
+      options_.params.scheme, msg.result, pledge, slave.cert,
       MasterKey(pledge.token.master), env()->Now(), effective_max_latency(),
       &verify_cache_);
   if (verdict == ReadVerdict::kHashMismatch) {
@@ -563,8 +620,7 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
     if (t != nullptr) {
       t->Instant(TraceRole::kClient, id(), "read.reject_hash", read.trace_id);
     }
-    RetryRead(msg->request_id, 0);
-    return;
+    return std::nullopt;
   }
   if (verdict == ReadVerdict::kWrongSlave ||
       verdict == ReadVerdict::kBadSignature) {
@@ -572,8 +628,7 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
     if (t != nullptr) {
       t->Instant(TraceRole::kClient, id(), "read.reject_sig", read.trace_id);
     }
-    RetryRead(msg->request_id, 0);
-    return;
+    return std::nullopt;
   }
   // Fork-consistency: ingest the slave's signed version-vector commitment.
   // It must name the pledging slave and the pledged version; its signature
@@ -586,24 +641,23 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
   // fresh enough to accept, and a slow-serving equivocator (split_serve)
   // must not be able to keep its commitments out of the detection pool by
   // straddling the freshness deadline.
-  if (options_.params.fork_check_enabled && msg->vv.has_value() &&
-      msg->vv->slave == pledge.slave &&
-      msg->vv->content_version == pledge.token.content_version &&
+  if (options_.params.fork_check_enabled && msg.vv.has_value() &&
+      msg.vv->slave == pledge.slave &&
+      msg.vv->content_version == pledge.token.content_version &&
       VerifyVersionVector(options_.params.scheme,
-                          slave_cert.subject_public_key, *msg->vv,
+                          slave.cert.subject_public_key, *msg.vv,
                           &verify_cache_)) {
     AttestedVv avv;
-    avv.vv = *msg->vv;
+    avv.vv = *msg.vv;
     avv.token = pledge.token;
-    avv.slave_cert = slave_cert;
+    avv.slave_cert = slave.cert;
     ObserveVv(avv);
   }
 
-  NodeId lane_auditor = lane.auditor;
   // Freshness: reject results older than (the client's) max_latency.
   if (verdict == ReadVerdict::kStale) {
     if (options_.params.fork_check_enabled &&
-        options_.params.audit_enabled && lane_auditor != kInvalidNode) {
+        options_.params.audit_enabled && slave.auditor != kInvalidNode) {
       // The reply is too old to accept but its pledge and commitment are
       // signature-verified facts; forwarding them keeps the auditor's
       // cross-client chain reconciliation complete even when an
@@ -611,75 +665,114 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
       AuditSubmit submit;
       submit.trace_id = read.trace_id;
       submit.pledge = pledge;
-      submit.vv = msg->vv;
+      submit.vv = msg.vv;
       ++metrics_.pledges_forwarded;
-      env()->Send(lane_auditor,
+      env()->Send(slave.auditor,
                   WithType(MsgType::kAuditSubmit, submit.Encode()));
     }
     ++metrics_.reads_rejected_stale;
     if (t != nullptr) {
       t->Instant(TraceRole::kClient, id(), "read.reject_stale", read.trace_id);
     }
-    RetryRead(msg->request_id, options_.retry_backoff);
+    read.retry_delay = std::max(read.retry_delay, options_.retry_backoff);
+    return std::nullopt;
+  }
+  // VerifyRead accepts only a well-formed encoding, so the rows parse.
+  return *QueryResult::Decode(msg.result);
+}
+
+void Client::ResolveFanout(uint64_t request_id) {
+  auto it = reads_.find(request_id);
+  if (it == reads_.end()) {
     return;
   }
+  PendingRead& read = it->second;
+  env()->Cancel(read.timeout);
+  std::vector<HeldReply>& held = read.held;
+  bool agree = true;
+  for (const HeldReply& h : held) {
+    agree = agree && h.pledge.result_sha1 == held[0].pledge.result_sha1;
+  }
+  if (agree) {
+    HeldReply first = std::move(held[0]);
+    held.erase(held.begin());
+    SettleRead(request_id, read, std::move(first));
+    return;
+  }
+  // "If not all answers match, the client automatically double-checks,
+  // since at least one of the slaves has to be malicious" (Section 4).
+  ++metrics_.fanout_disagreements;
+  if (TraceSink* t = env()->trace()) {
+    t->Instant(TraceRole::kClient, id(), "fanout.disagree", read.trace_id,
+               static_cast<int64_t>(held.size()));
+  }
+  read.disagreement = true;
+  SendDoubleCheck(request_id, read);
+}
 
-  // VerifyRead accepts only a well-formed encoding, so the rows parse.
-  QueryResult result = *QueryResult::Decode(msg->result);
-
+void Client::SettleRead(uint64_t request_id, PendingRead& read,
+                        HeldReply answer) {
   // Probabilistic checking: greedy clients double-check everything.
   bool double_check =
       options_.greedy ||
       rng_.NextBool(options_.params.double_check_probability);
   if (double_check) {
-    read.awaiting_double_check = true;
-    double_checking_[msg->request_id] = {std::move(result), pledge};
-    ++metrics_.double_checks_sent;
-    if (t != nullptr) {
-      t->Instant(TraceRole::kClient, id(), "dc.send", read.trace_id);
-    }
-    DoubleCheckRequest dc;
-    dc.request_id = msg->request_id;
-    dc.trace_id = read.trace_id;
-    dc.pledge = pledge;
-    env()->Send(lane.master,
-                WithType(MsgType::kDoubleCheckRequest, dc.Encode()));
-    env()->Cancel(read.timeout);
-    read.timeout = env()->ScheduleAfter(
-        options_.params.client_timeout, [this, request_id = msg->request_id] {
-          // Master silent on a double-check: treat the (already verified)
-          // read as accepted and re-setup toward a live master.
-          auto dc = double_checking_.find(request_id);
-          if (dc == double_checking_.end()) {
-            return;
-          }
-          auto copy = dc->second;
-          double_checking_.erase(dc);
-          AcceptRead(request_id, copy.first, copy.second);
-          MasterSuspect();
-        });
+    read.held.insert(read.held.begin(), std::move(answer));
+    SendDoubleCheck(request_id, read);
     return;
   }
 
   // No double-check: forward the pledge to the auditor, then accept
   // ("clients accept read results only after they have forwarded the
   // corresponding pledges to the auditor", Section 3.4).
-  if (options_.params.audit_enabled && lane_auditor != kInvalidNode) {
+  if (options_.params.audit_enabled && answer.auditor != kInvalidNode) {
     AuditSubmit submit;
     submit.trace_id = read.trace_id;
-    submit.pledge = pledge;
+    submit.pledge = answer.pledge;
     // Piggyback the slave's vector so the auditor can reconcile chain
     // heads across clients (nullopt — and absent on the wire — unless
     // fork checking is on).
-    submit.vv = msg->vv;
+    submit.vv = std::move(answer.vv);
     ++metrics_.pledges_forwarded;
-    if (t != nullptr) {
+    if (TraceSink* t = env()->trace()) {
       t->Instant(TraceRole::kClient, id(), "pledge.forward", read.trace_id);
     }
-    env()->Send(lane_auditor,
+    env()->Send(answer.auditor,
                 WithType(MsgType::kAuditSubmit, submit.Encode()));
   }
-  AcceptRead(msg->request_id, result, pledge);
+  AcceptRead(request_id, answer.result, answer.pledge);
+}
+
+void Client::SendDoubleCheck(uint64_t request_id, PendingRead& read) {
+  read.awaiting_double_check = true;
+  ++metrics_.double_checks_sent;
+  if (TraceSink* t = env()->trace()) {
+    t->Instant(TraceRole::kClient, id(), "dc.send", read.trace_id);
+  }
+  DoubleCheckRequest dc;
+  dc.request_id = request_id;
+  dc.trace_id = read.trace_id;
+  dc.pledge = read.held[0].pledge;
+  env()->Send(LaneFor(read.shard).master,
+              WithType(MsgType::kDoubleCheckRequest, dc.Encode()));
+  env()->Cancel(read.timeout);
+  read.timeout =
+      env()->ScheduleAfter(options_.params.client_timeout, [this, request_id] {
+        auto it = reads_.find(request_id);
+        if (it == reads_.end() || !it->second.awaiting_double_check) {
+          return;
+        }
+        // Master silent on a double-check: an agreed (already verified)
+        // answer is accepted, a disagreement retried; either way re-setup
+        // toward a live master.
+        it->second.awaiting_double_check = false;
+        if (it->second.disagreement) {
+          RetryRead(request_id, options_.retry_backoff);
+        } else {
+          AcceptHeld(request_id, 0);
+        }
+        MasterSuspect();
+      });
 }
 
 void Client::HandleDoubleCheckReply(BytesView body) {
@@ -687,43 +780,87 @@ void Client::HandleDoubleCheckReply(BytesView body) {
   if (!msg.ok()) {
     return;
   }
-  auto dc = double_checking_.find(msg->request_id);
-  if (dc == double_checking_.end()) {
+  auto it = reads_.find(msg->request_id);
+  if (it == reads_.end() || !it->second.awaiting_double_check) {
     return;
   }
-  auto [result, pledge] = dc->second;
-  double_checking_.erase(dc);
-
-  auto read_it = reads_.find(msg->request_id);
-  if (read_it == reads_.end()) {
-    return;
-  }
-  read_it->second.awaiting_double_check = false;
-  env()->Cancel(read_it->second.timeout);
+  PendingRead& read = it->second;
+  read.awaiting_double_check = false;
+  env()->Cancel(read.timeout);
 
   TraceSink* t = env()->trace();
   if (!msg->served) {
-    // Quota-throttled (or version unavailable). The read itself passed all
-    // client-side checks; accept it.
+    // Quota-throttled (or version unavailable). Agreed answers passed all
+    // client-side checks and are accepted; a disagreement is not settled
+    // without the master.
     ++metrics_.double_checks_unserved;
     if (t != nullptr) {
       t->Instant(TraceRole::kClient, id(), "dc.unserved", msg->trace_id);
     }
-    AcceptRead(msg->request_id, result, pledge);
+    if (read.disagreement) {
+      RetryRead(msg->request_id, options_.retry_backoff);
+    } else {
+      AcceptHeld(msg->request_id, 0);
+    }
     return;
   }
-  if (msg->matches) {
-    AcceptRead(msg->request_id, result, pledge);
+  if (msg->matches && !read.disagreement) {
+    AcceptHeld(msg->request_id, 0);
     return;
   }
-  // Caught red-handed (immediate discovery): the master has the pledge from
-  // the double-check request and will exclude the slave and reassign us;
-  // retry the read, which will land on the new slave.
-  ++metrics_.double_check_mismatches;
-  if (t != nullptr) {
-    t->Instant(TraceRole::kClient, id(), "dc.mismatch", msg->trace_id);
+  if (!msg->matches) {
+    // Caught red-handed (immediate discovery): the master has the pledge
+    // from the double-check request and will exclude the slave and
+    // reassign us.
+    ++metrics_.double_check_mismatches;
+    if (t != nullptr) {
+      t->Instant(TraceRole::kClient, id(), "dc.mismatch", msg->trace_id);
+    }
   }
-  RetryRead(msg->request_id, options_.retry_backoff);
+  // Every other held pledge is judged against the master's result: each
+  // that signs a different hash is its slave's own conviction. Bytes that
+  // are no result at all convict nobody.
+  size_t match = read.held.size();
+  if (read.held.size() > 1) {
+    if (!QueryResult::Decode(msg->correct_result).ok()) {
+      FailRead(msg->request_id);
+      return;
+    }
+    const Bytes correct_sha1 = Sha1::Hash(msg->correct_result);
+    for (size_t i = 0; i < read.held.size(); ++i) {
+      const Pledge& pledge = read.held[i].pledge;
+      if (pledge.result_sha1 == correct_sha1) {
+        match = std::min(match, i);
+      } else if (i > 0) {
+        ++metrics_.accusations_sent;
+        if (t != nullptr) {
+          t->Instant(TraceRole::kClient, id(), "accuse", msg->trace_id,
+                     static_cast<int64_t>(pledge.slave));
+        }
+        Accusation accusation;
+        accusation.trace_id = msg->trace_id;
+        accusation.pledge = pledge;
+        env()->Send(LaneFor(read.shard).master,
+                    WithType(MsgType::kAccusation, accusation.Encode()));
+      }
+    }
+  }
+  if (match < read.held.size()) {
+    AcceptHeld(msg->request_id, match);
+  } else {
+    // No held answer is the master's: retry, landing on the new set.
+    RetryRead(msg->request_id, options_.retry_backoff);
+  }
+}
+
+void Client::AcceptHeld(uint64_t request_id, size_t index) {
+  auto it = reads_.find(request_id);
+  if (it == reads_.end()) {
+    return;
+  }
+  // AcceptRead erases the read, and with it the held answers.
+  HeldReply answer = std::move(it->second.held[index]);
+  AcceptRead(request_id, answer.result, answer.pledge);
 }
 
 void Client::RetryRead(uint64_t request_id, SimTime delay) {
@@ -845,7 +982,6 @@ void Client::FailRead(uint64_t request_id) {
   env()->Cancel(it->second.timeout);
   ReadCallback cb = std::move(it->second.cb);
   reads_.erase(it);
-  double_checking_.erase(request_id);
   if (cb) {
     cb(false, QueryResult{});
   }
@@ -867,7 +1003,6 @@ void Client::FailMultiRead(uint64_t parent_id) {
       env()->Cancel(sit->second.timeout);
       reads_.erase(sit);
     }
-    double_checking_.erase(sub_id);
   }
   if (TraceSink* t = env()->trace()) {
     t->SpanEnd(TraceRole::kClient, id(), "read", mit->second.trace_id, 0);

@@ -1,6 +1,6 @@
 // The client (paper Sections 2, 3.2, 3.3): performs the setup phase
 // through the directory and one master, then issues reads to its assigned
-// slave and writes to its master. For every read it
+// read set and writes to its master. For every read it
 //   - checks the result hash against the pledge,
 //   - verifies the slave's pledge signature and the master's version-token
 //     signature,
@@ -13,8 +13,17 @@
 // reassigns it to a new slave. A silent master triggers a fresh setup
 // (master crash, Section 3).
 //
+// The read set is the master's assignment: one slave in the paper's base
+// protocol, read_fanout slaves in its Section 4 variant. Every read goes to
+// the whole set and resolves when each member has answered or the timeout
+// fires. Verified answers that agree take the base path above; answers
+// that disagree force a double-check, after which the client accuses every
+// other pledge the master's result convicts and accepts only an answer
+// whose own pledge matches that result. A disagreement is never accepted
+// on an unserved double-check or a silent master.
+//
 // Keyspace sharding generalises the paper's single group to one protocol
-// lane (master + assigned slave + auditor) per shard. The paper's setup is
+// lane (master + assigned read set) per shard. The paper's setup is
 // the one-lane case: lane 0 draws its master from every certified master,
 // with no placement fetch, and every operation is planned against the
 // trivial one-shard map.
@@ -112,9 +121,9 @@ class Client : public Node {
 
   bool ready() const { return phase_ == Phase::kReady; }
   NodeId master() const { return LaneFor(0).master; }
-  NodeId assigned_slave() const {
-    const std::optional<Certificate>& cert = LaneFor(0).slave_cert;
-    return cert ? cert->subject : kInvalidNode;
+  // Lane 0's read set, in the master's order.
+  const std::vector<AssignedSlave>& read_set() const {
+    return LaneFor(0).slaves;
   }
   const ClientMetrics& metrics() const {
     metrics_.sig_cache_hits = verify_cache_.stats().hits;
@@ -136,6 +145,14 @@ class Client : public Node {
     kReady,
   };
 
+  // A verified answer from one read-set member, held until the read
+  // resolves, with the auditor its pledge goes to.
+  struct HeldReply {
+    QueryResult result;
+    Pledge pledge;
+    std::optional<VersionVector> vv;
+    NodeId auditor = kInvalidNode;
+  };
   struct PendingRead {
     Query query;
     SimTime first_issued = 0;
@@ -143,6 +160,14 @@ class Client : public Node {
     EventId timeout = 0;
     ReadCallback cb;
     bool awaiting_double_check = false;
+    // The current attempt: which read-set members have replied (bit i =
+    // member i), the longest back-off a non-answer asked for, and the
+    // verified answers in hand. While a double-check is out, held[0] is
+    // the pledge it carries. A fan-out of 1 holds an answer only then.
+    uint64_t replied = 0;
+    SimTime retry_delay = 0;
+    std::vector<HeldReply> held;
+    bool disagreement = false;  // the held answers differ
     uint64_t trace_id = 0;  // causal id spanning retries and double-checks
     // Which lane serves this read, and — when it is one leg of a
     // fanned-out multi-shard read — the parent id and leg index.
@@ -160,12 +185,12 @@ class Client : public Node {
     uint64_t parent = 0;  // 0 = standalone write
   };
 
-  // One per shard: the paper's per-group client state (chosen master,
-  // assigned slave, auditor). The paper's single group is lane 0.
+  // One per shard: the paper's per-group client state (chosen master and
+  // the read set it assigned). The paper's single group is lane 0.
   struct Lane {
     NodeId master = kInvalidNode;
-    std::optional<Certificate> slave_cert;
-    NodeId auditor = kInvalidNode;
+    std::vector<AssignedSlave> slaves;
+    uint64_t seq = 0;   // of the adopted read set; 0 = none from `master`
     Bytes nonce;        // hello nonce for this lane's setup exchange
     bool ready = false;
   };
@@ -207,6 +232,12 @@ class Client : public Node {
   // Picks each lane's master from its candidates, avoiding the lane's
   // previous master, and sends the per-lane hellos.
   void OpenLanes(const std::vector<std::vector<NodeId>>& candidates);
+  // Adopts a read set signed by `master_key` if it is newer than the
+  // lane's, non-empty, fits the `replied` mask and every member is a slave
+  // certified by that master.
+  bool AdoptReadSet(Lane& lane, uint64_t seq,
+                    const std::vector<AssignedSlave>& slaves,
+                    const Bytes& master_key);
 
   uint32_t num_lanes() const { return std::max(options_.num_shards, 1u); }
   // The lane serving `shard`; an empty lane before setup has opened it.
@@ -219,7 +250,20 @@ class Client : public Node {
   // Reads.
   void SendRead(uint64_t request_id);
   void HandleReadReply(NodeId from, BytesView body);
+  // Runs one reply through VerifyRead; a verified answer's decoded result,
+  // or nullopt for a non-answer (counted, and its back-off recorded).
+  std::optional<QueryResult> CheckReply(PendingRead& read,
+                                        const AssignedSlave& slave,
+                                        const ReadReply& msg);
+  // Every member has answered or the timeout fired: settle the held
+  // answers if they agree, else double-check the first.
+  void ResolveFanout(uint64_t request_id);
+  // The base path for an agreed answer: the sampled (or greedy)
+  // double-check, or forward the pledge to its auditor and accept.
+  void SettleRead(uint64_t request_id, PendingRead& read, HeldReply answer);
+  void SendDoubleCheck(uint64_t request_id, PendingRead& read);
   void HandleDoubleCheckReply(BytesView body);
+  void AcceptHeld(uint64_t request_id, size_t index);
   void RetryRead(uint64_t request_id, SimTime delay);
   void AcceptRead(uint64_t request_id, const QueryResult& result,
                   const Pledge& pledge);
@@ -271,8 +315,6 @@ class Client : public Node {
   std::map<uint64_t, PendingWrite> writes_;
   std::map<uint64_t, MultiRead> multireads_;
   std::map<uint64_t, MultiWrite> multiwrites_;
-  // Reads accepted pending their double-check verdict: request_id -> result.
-  std::map<uint64_t, std::pair<QueryResult, Pledge>> double_checking_;
 
   // Fork-consistency state: divergence detector over everything this
   // client has seen (own replies + gossip) and the freshest attested

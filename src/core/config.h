@@ -31,6 +31,13 @@ struct ProtocolParams {
   // (1.0 = audit everything; lower = sampling fallback, Section 3.4).
   double audit_sample_fraction = 1.0;
 
+  // How many slaves each client's read set holds (Section 4's multi-slave
+  // variant). The master assigns min(read_fanout, live) slaves at setup;
+  // every read goes to all of them, and a disagreement forces a
+  // double-check, so a wrong answer passes only if the whole set colludes.
+  // 1 is the paper's base protocol.
+  uint32_t read_fanout = 1;
+
   // Whether clients forward pledges to the auditor at all.
   bool audit_enabled = true;
 

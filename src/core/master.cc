@@ -115,28 +115,44 @@ void Master::HandleMessage(NodeId from, const Payload& payload) {
 // Client setup (Section 2, setup phase).
 // ---------------------------------------------------------------------------
 
-NodeId Master::PickSlaveFor(NodeId client) {
-  (void)client;
-  // Least-loaded live slave; the paper suggests "the one closest to the
-  // client", which in the simulator degenerates to load balancing.
-  NodeId best = kInvalidNode;
-  size_t best_load = SIZE_MAX;
-  for (const auto& [slave_id, state] : my_slaves_) {
-    if (excluded_.count(slave_id) > 0) {
-      continue;
-    }
-    size_t load = 0;
-    for (const auto& [c, s] : client_slave_) {
-      if (s == slave_id) {
-        ++load;
+void Master::PickSlavesFor(std::vector<NodeId>& set) const {
+  // Least-loaded live slaves, ties to the lowest id; the paper suggests
+  // "the one closest to the client", which in the simulator degenerates to
+  // load balancing. A slave's load is the number of read sets holding it.
+  const size_t want = std::max<uint32_t>(options_.params.read_fanout, 1);
+  while (set.size() < want) {
+    NodeId best = kInvalidNode;
+    size_t best_load = SIZE_MAX;
+    for (const auto& [slave_id, state] : my_slaves_) {
+      if (excluded_.count(slave_id) > 0 ||
+          std::find(set.begin(), set.end(), slave_id) != set.end()) {
+        continue;
+      }
+      size_t load = 0;
+      for (const auto& [c, assigned] : client_slaves_) {
+        load += static_cast<size_t>(
+            std::count(assigned.begin(), assigned.end(), slave_id));
+      }
+      if (load < best_load) {
+        best_load = load;
+        best = slave_id;
       }
     }
-    if (load < best_load) {
-      best_load = load;
-      best = slave_id;
+    if (best == kInvalidNode) {
+      return;  // fewer live slaves than the fan-out: the set stays short
     }
+    set.push_back(best);
   }
-  return best;
+}
+
+std::vector<AssignedSlave> Master::AssignmentOf(
+    const std::vector<NodeId>& set) {
+  std::vector<AssignedSlave> members;
+  members.reserve(set.size());
+  for (NodeId slave : set) {
+    members.push_back({my_slaves_[slave].cert, AuditorFor(slave)});
+  }
+  return members;
 }
 
 void Master::HandleClientHello(NodeId from, BytesView body) {
@@ -144,18 +160,18 @@ void Master::HandleClientHello(NodeId from, BytesView body) {
   if (!msg.ok()) {
     return;
   }
-  NodeId slave = PickSlaveFor(from);
-  if (slave == kInvalidNode) {
+  std::vector<NodeId> set;
+  PickSlavesFor(set);
+  if (set.empty()) {
     // No live slaves; silence makes the client retry elsewhere.
     return;
   }
-  client_slave_[from] = slave;
-
   ClientHelloReply reply;
   reply.server_nonce = rng_.NextBytes(16);
-  reply.slave_cert = my_slaves_[slave].cert;
-  reply.auditor = AuditorFor(slave);
+  reply.seq = ++assignment_seq_;
+  reply.slaves = AssignmentOf(set);
   reply.signature = signer_.Sign(reply.SignedBody(msg->client_nonce));
+  client_slaves_[from] = std::move(set);
   env()->Send(from,
               WithType(MsgType::kClientHelloReply, reply.Encode()));
 }
@@ -734,29 +750,33 @@ void Master::RemoveSlaveAndReassignClients(NodeId slave, bool excluded,
   my_slaves_.erase(slave);
 
   std::vector<NodeId> affected;
-  for (const auto& [client, assigned] : client_slave_) {
-    if (assigned == slave) {
+  for (const auto& [client, assigned] : client_slaves_) {
+    if (std::find(assigned.begin(), assigned.end(), slave) != assigned.end()) {
       affected.push_back(client);
     }
   }
   for (NodeId client : affected) {
-    NodeId replacement = PickSlaveFor(client);
-    if (replacement == kInvalidNode) {
-      client_slave_.erase(client);
+    // The client keeps the rest of its set; the gap is filled from slaves
+    // not already in it, or the set shrinks when none is left.
+    std::vector<NodeId> set = client_slaves_[client];
+    set.erase(std::find(set.begin(), set.end(), slave));
+    PickSlavesFor(set);
+    if (set.empty()) {
+      client_slaves_.erase(client);
       continue;
     }
-    client_slave_[client] = replacement;
     ++metrics_.clients_reassigned;
     if (TraceSink* t = env()->trace()) {
       t->Instant(TraceRole::kMaster, id(), "reassign", trace_id,
                  static_cast<int64_t>(client));
     }
     Reassignment msg;
-    msg.new_slave_cert = my_slaves_[replacement].cert;
-    msg.auditor = AuditorFor(replacement);
+    msg.seq = ++assignment_seq_;
+    msg.slaves = AssignmentOf(set);
     msg.excluded_slave = excluded ? slave : kInvalidNode;
     msg.trace_id = trace_id;
     msg.signature = signer_.Sign(msg.SignedBody());
+    client_slaves_[client] = std::move(set);
     env()->Send(client,
                 WithType(MsgType::kReassignment, msg.Encode()));
   }

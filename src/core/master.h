@@ -7,7 +7,8 @@
 //     version tokens, re-pushing versions a slave's acks show missing as
 //     one certified run unless they were sent within the last keepalive
 //     period (an ack racing an in-flight update re-signs nothing);
-//   - set up clients (verify, assign a slave, hand over its certificate);
+//   - set up clients (verify, assign a read set of slaves, hand over their
+//     certificates);
 //   - serve probabilistic double-check requests, with greedy-client
 //     policing (Section 3.3);
 //   - take corrective action on incriminating pledges: verify the proof,
@@ -89,7 +90,7 @@ class Master : public Node {
   }
   bool IsExcluded(NodeId slave) const { return excluded_.count(slave) > 0; }
   const ServiceQueue& service_queue() const { return *queue_; }
-  size_t assigned_clients() const { return client_slave_.size(); }
+  size_t assigned_clients() const { return client_slaves_.size(); }
   const std::set<NodeId>& dead_masters() const { return dead_masters_; }
 
  private:
@@ -156,7 +157,10 @@ class Master : public Node {
   void ExcludeSlave(NodeId slave, uint64_t trace_id = 0);
   void RemoveSlaveAndReassignClients(NodeId slave, bool excluded,
                                      uint64_t trace_id = 0);
-  NodeId PickSlaveFor(NodeId client);
+  // Fills `set` up to read_fanout members (see the .cc for the policy).
+  void PickSlavesFor(std::vector<NodeId>& set) const;
+  // The signed form of a read set: each member's certificate and auditor.
+  std::vector<AssignedSlave> AssignmentOf(const std::vector<NodeId>& set);
 
   // Greedy-client policing: token bucket per client.
   bool AllowDoubleCheck(NodeId client);
@@ -185,7 +189,8 @@ class Master : public Node {
   // currently in flight through the broadcast.
   std::map<std::pair<NodeId, uint64_t>, uint64_t> committed_writes_;
   std::set<std::pair<NodeId, uint64_t>> pending_writes_;
-  std::map<NodeId, NodeId> client_slave_;      // client -> assigned slave
+  std::map<NodeId, std::vector<NodeId>> client_slaves_;  // client -> read set
+  uint64_t assignment_seq_ = 0;  // the last read set signed, hello or move
   std::map<NodeId, NodeId> slave_owner_;       // global gossip view
   std::map<NodeId, Certificate> known_slave_certs_;  // global gossip view
   std::map<NodeId, SimTime> peer_last_gossip_;

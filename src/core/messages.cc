@@ -31,6 +31,25 @@ std::vector<Certificate> DecodeCerts(Reader& r) {
   return certs;
 }
 
+void EncodeSlaveSet(Writer& w, const std::vector<AssignedSlave>& slaves) {
+  w.U32(static_cast<uint32_t>(slaves.size()));
+  for (const AssignedSlave& s : slaves) {
+    s.EncodeTo(w);
+  }
+}
+
+// A master never signs an empty read set; both decoders reject one, which
+// also keeps them prefix-hostile.
+std::vector<AssignedSlave> DecodeSlaveSet(Reader& r) {
+  uint32_t n = r.U32();
+  std::vector<AssignedSlave> slaves;
+  slaves.reserve(std::min<uint32_t>(n, 256));
+  for (uint32_t i = 0; i < n && r.ok(); ++i) {
+    slaves.push_back(AssignedSlave::DecodeFrom(r));
+  }
+  return slaves;
+}
+
 // Optional trailing version vector (fork checking). Writing nothing when
 // absent keeps disabled-mode encodings byte-identical to the fork-unaware
 // wire format; the decoder keys off the remaining byte count, which only
@@ -143,21 +162,33 @@ Result<ClientHello> ClientHello::Decode(BytesView body) {
   return FinishDecode(std::move(m), r);
 }
 
+void AssignedSlave::EncodeTo(Writer& w) const {
+  cert.EncodeTo(w);
+  w.U32(auditor);
+}
+
+AssignedSlave AssignedSlave::DecodeFrom(Reader& r) {
+  AssignedSlave m;
+  m.cert = Certificate::DecodeFrom(r);
+  m.auditor = r.U32();
+  return m;
+}
+
 Bytes ClientHelloReply::SignedBody(const Bytes& client_nonce) const {
   Writer w;
-  w.Blob(std::string_view("sdr-hello-v1"));
+  w.Blob(std::string_view("sdr-hello-v2"));
   w.Blob(client_nonce);
   w.Blob(server_nonce);
-  slave_cert.EncodeTo(w);
-  w.U32(auditor);
+  w.U64(seq);
+  EncodeSlaveSet(w, slaves);
   return w.Take();
 }
 
 Bytes ClientHelloReply::Encode() const {
   Writer w;
   w.Blob(server_nonce);
-  slave_cert.EncodeTo(w);
-  w.U32(auditor);
+  w.U64(seq);
+  EncodeSlaveSet(w, slaves);
   w.Blob(signature);
   return w.Take();
 }
@@ -166,9 +197,12 @@ Result<ClientHelloReply> ClientHelloReply::Decode(BytesView body) {
   Reader r(body);
   ClientHelloReply m;
   m.server_nonce = r.Blob();
-  m.slave_cert = Certificate::DecodeFrom(r);
-  m.auditor = r.U32();
+  m.seq = r.U64();
+  m.slaves = DecodeSlaveSet(r);
   m.signature = r.Blob();
+  if (m.slaves.empty()) {
+    return Error(ErrorCode::kCorrupt, "empty read set");
+  }
   return FinishDecode(std::move(m), r);
 }
 
@@ -301,9 +335,9 @@ Result<Accusation> Accusation::Decode(BytesView body) {
 
 Bytes Reassignment::SignedBody() const {
   Writer w;
-  w.Blob(std::string_view("sdr-reassign-v1"));
-  new_slave_cert.EncodeTo(w);
-  w.U32(auditor);
+  w.Blob(std::string_view("sdr-reassign-v2"));
+  w.U64(seq);
+  EncodeSlaveSet(w, slaves);
   w.U32(excluded_slave);
   return w.Take();
 }
@@ -314,8 +348,8 @@ Bytes Reassignment::Encode() const {
   // outside SignedBody(): the trace id is observability metadata, not a
   // protocol commitment, so it must not invalidate signatures.
   w.U64(trace_id);
-  new_slave_cert.EncodeTo(w);
-  w.U32(auditor);
+  w.U64(seq);
+  EncodeSlaveSet(w, slaves);
   w.U32(excluded_slave);
   w.Blob(signature);
   return w.Take();
@@ -325,10 +359,13 @@ Result<Reassignment> Reassignment::Decode(BytesView body) {
   Reader r(body);
   Reassignment m;
   m.trace_id = r.U64();
-  m.new_slave_cert = Certificate::DecodeFrom(r);
-  m.auditor = r.U32();
+  m.seq = r.U64();
+  m.slaves = DecodeSlaveSet(r);
   m.excluded_slave = r.U32();
   m.signature = r.Blob();
+  if (m.slaves.empty()) {
+    return Error(ErrorCode::kCorrupt, "empty read set");
+  }
   return FinishDecode(std::move(m), r);
 }
 

@@ -102,13 +102,27 @@ struct ClientHello {
   static Result<ClientHello> Decode(BytesView body);
 };
 
+// One member of a client's assigned read set: the slave's certificate and
+// the auditor its pledges go to.
+struct AssignedSlave {
+  Certificate cert;
+  NodeId auditor = kInvalidNode;
+
+  bool operator==(const AssignedSlave&) const = default;
+  void EncodeTo(Writer& w) const;
+  static AssignedSlave DecodeFrom(Reader& r);
+};
+
 // The master's handshake reply: signed over (client_nonce || server_nonce ||
-// assignment payload); the payload is the slave certificate plus the id of
-// the auditor to forward pledges to.
+// assignment); the assignment is the read set, one member per slave the
+// client sends each read to (ProtocolParams::read_fanout of them, fewer if
+// fewer slaves are live), and its sequence number.
 struct ClientHelloReply {
   Bytes server_nonce;
-  Certificate slave_cert;
-  NodeId auditor = kInvalidNode;
+  // The master numbers every read set it signs, hello or reassignment, so
+  // a client never adopts an older set over a newer one.
+  uint64_t seq = 0;
+  std::vector<AssignedSlave> slaves;
   Bytes signature;
 
   Bytes SignedBody(const Bytes& client_nonce) const;
@@ -191,10 +205,10 @@ struct Accusation {
   static Result<Accusation> Decode(BytesView body);
 };
 
+// The client's whole new read set after a slave left it.
 struct Reassignment {
-  Certificate new_slave_cert;
-  // The auditor responsible for the new slave's pledges.
-  NodeId auditor = kInvalidNode;
+  uint64_t seq = 0;  // as in ClientHelloReply
+  std::vector<AssignedSlave> slaves;
   NodeId excluded_slave = kInvalidNode;  // kInvalidNode: master-initiated move
   uint64_t trace_id = 0;  // evidence chain that triggered the exclusion
   Bytes signature;        // master's, over the body (trace_id excluded)

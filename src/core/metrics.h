@@ -47,6 +47,9 @@ namespace sdr {
   X(uint64_t, double_checks_sent)                                            \
   X(uint64_t, double_check_mismatches) /* caught a lie red-handed */         \
   X(uint64_t, double_checks_unserved)  /* quota-throttled by the master */   \
+  /* Read fan-out (ProtocolParams::read_fanout; zero at a fan-out of 1). */  \
+  X(uint64_t, fanout_disagreements) /* read-set answers differed */          \
+  X(uint64_t, accusations_sent)     /* held pledges the master convicted */  \
   X(uint64_t, pledges_forwarded)       /* to the auditor */                  \
   X(uint64_t, writes_issued)                                                 \
   X(uint64_t, writes_committed)                                              \

@@ -43,7 +43,7 @@ TEST(ClusterTest, AllClientsCompleteSetupAndGetDistinctSlaves) {
   cluster.RunFor(5 * kSecond);
   for (int c = 0; c < cluster.num_clients(); ++c) {
     EXPECT_TRUE(cluster.client(c).ready()) << c;
-    EXPECT_NE(cluster.client(c).assigned_slave(), kInvalidNode);
+    EXPECT_EQ(cluster.client(c).read_set().size(), 1u);
   }
 }
 
@@ -269,7 +269,7 @@ TEST(ClusterTest, ForgedAccusationCannotFrameInnocentSlave) {
 
   // A malicious client fabricates an "incriminating" pledge with a wrong
   // hash but cannot produce the slave's signature.
-  NodeId victim = cluster.client(0).assigned_slave();
+  NodeId victim = cluster.client(0).read_set().front().cert.subject;
   Pledge forged;
   forged.query = Query::Get("item/00001");
   forged.result_sha1 = Bytes(20, 0xee);

@@ -840,7 +840,8 @@ TEST(ClientUnitTest, NeverDeliversAResultPledgedOverNonCanonicalBytes) {
   net.StartAll();
   sim.RunUntil(sim.Now() + 2 * config.params.keepalive_period);
   ASSERT_TRUE(client.ready());
-  ASSERT_EQ(client.assigned_slave(), slave.id());
+  ASSERT_EQ(client.read_set().size(), 1u);
+  ASSERT_EQ(client.read_set()[0].cert.subject, slave.id());
 
   int delivered = 0;
   int failed = 0;
@@ -856,6 +857,168 @@ TEST(ClientUnitTest, NeverDeliversAResultPledgedOverNonCanonicalBytes) {
   EXPECT_GE(slave.served(), 4u);  // each kind of non-canonical bytes
   EXPECT_EQ(client.metrics().reads_rejected_hash, slave.served());
   EXPECT_EQ(client.metrics().reads_accepted, 0u);
+}
+
+// A client wired as in a k=3 deployment with four slaves, whose master's
+// roster slot is a stub: the test delivers "master" frames itself. Each
+// world is fresh, so the client's hello nonce is the same every time.
+struct AssignmentWorld {
+  explicit AssignmentWorld(const DeploymentPlan& plan)
+      : sim(1),
+        net(&sim, LinkModel{1 * kMillisecond, 0, 0.0}),
+        client(ClientOptionsFor(plan, 0, Client::LoadMode::kManual)) {
+    directory.Publish(plan.content.content_public_key, plan.master_certs);
+    net.AddNode(&directory);
+    net.AddNode(&master_stub);
+    net.AddNode(&auditor_stub);
+    for (SinkNode& slave : slave_stubs) {
+      net.AddNode(&slave);
+    }
+    net.AddNode(&client);
+    net.StartAll();
+    Run();  // directory lookup, then the hello to the master stub
+  }
+
+  void Run() { sim.RunUntil(sim.Now() + 5 * kMillisecond); }
+  void Deliver(const Bytes& frame) {
+    net.Send(master_stub.id(), client.id(), frame);
+    Run();
+  }
+
+  Simulator sim;
+  Network net;
+  Directory directory;
+  SinkNode master_stub, auditor_stub;
+  SinkNode slave_stubs[4];
+  Client client;
+};
+
+Bytes FirstFrameOfType(const SinkNode& node, MsgType type) {
+  for (const auto& [from, payload] : node.received) {
+    auto t = PeekType(payload);
+    if (t.ok() && *t == type) {
+      return payload;
+    }
+  }
+  return {};
+}
+
+// Genuine assignment frames from a plan-built master: the hello reply for
+// the AssignmentWorld client's nonce, and the two reassignments that follow
+// excluding the first, then the second member of that set.
+struct CapturedAssignments {
+  DeploymentPlan plan;
+  Bytes hello_reply;
+  std::vector<AssignedSlave> hello_set;
+  std::vector<Bytes> moves;
+  std::vector<std::vector<AssignedSlave>> move_sets;
+};
+
+CapturedAssignments CaptureAssignments() {
+  CapturedAssignments c;
+  DeploymentConfig config;
+  config.slaves_per_master = 4;
+  config.params.scheme = SignatureScheme::kHmacSha256;
+  config.params.read_fanout = 3;
+  c.plan = BuildDeployment(config);
+
+  // The master is added after the roster: it answers the client's hello
+  // (relayed from the stub) to a capture node, then excludes slaves of
+  // that read set on forged-result pledges they signed.
+  AssignmentWorld world(c.plan);
+  Master master(MasterOptionsFor(c.plan, 0));
+  SinkNode capture;
+  world.net.AddNode(&master);
+  world.net.AddNode(&capture);
+  for (const Certificate& cert : c.plan.slave_certs) {
+    master.AddSlave(cert);
+  }
+  master.SetBaseContent(c.plan.base);
+  master.Start();
+  world.net.Send(capture.id(), master.id(),
+                 FirstFrameOfType(world.master_stub, MsgType::kClientHello));
+  world.Run();
+  c.hello_reply = FirstFrameOfType(capture, MsgType::kClientHelloReply);
+  c.hello_set =
+      ClientHelloReply::Decode(BytesView(c.hello_reply).substr(1))->slaves;
+
+  VersionToken token = MakeVersionToken(Signer(c.plan.master_keys[0]),
+                                        c.plan.master_ids[0], 0,
+                                        world.sim.Now());
+  for (size_t i = 0; i < 2; ++i) {
+    const NodeId liar = c.hello_set[i].cert.subject;
+    Accusation accusation;
+    accusation.pledge =
+        MakePledge(Signer(c.plan.slave_keys[c.plan.RoleIndexOf(liar)]), liar,
+                   Query::Get(ItemKey(0)), Bytes(20, 0xee), token);
+    capture.received.clear();
+    world.net.Send(capture.id(), master.id(),
+                   WithType(MsgType::kAccusation, accusation.Encode()));
+    world.Run();
+    EXPECT_TRUE(master.IsExcluded(liar));
+    c.moves.push_back(FirstFrameOfType(capture, MsgType::kReassignment));
+    c.move_sets.push_back(
+        Reassignment::Decode(BytesView(c.moves.back()).substr(1))->slaves);
+  }
+  return c;
+}
+
+TEST(ClientUnitTest, ANewerReadSetWinsOverAnOlderOneArrivingLate) {
+  const CapturedAssignments c = CaptureAssignments();
+  ASSERT_EQ(c.hello_set.size(), 3u);
+  ASSERT_EQ(c.move_sets[0].size(), 3u);  // the fourth slave fills the gap
+  ASSERT_EQ(c.move_sets[1].size(), 2u);  // none left: the set shrinks
+  for (bool reordered : {false, true}) {
+    AssignmentWorld world(c.plan);
+    world.Deliver(c.hello_reply);
+    ASSERT_TRUE(world.client.ready());
+    EXPECT_EQ(world.client.read_set(), c.hello_set);
+    world.Deliver(c.moves[reordered ? 1 : 0]);
+    world.Deliver(c.moves[reordered ? 0 : 1]);
+    EXPECT_EQ(world.client.read_set(), c.move_sets[1]) << reordered;
+    EXPECT_EQ(world.client.metrics().reassignments, reordered ? 1u : 2u);
+  }
+}
+
+TEST(ClientRobustness, MutatedAssignmentsAdoptOnlyTheSignedSet) {
+  const CapturedAssignments c = CaptureAssignments();
+  const std::vector<Bytes> frames = {c.hello_reply, c.moves[0]};
+  const std::vector<std::vector<AssignedSlave>> signed_sets = {
+      c.hello_set, c.move_sets[0]};
+  std::vector<Bytes> bodies;
+  for (const Bytes& frame : frames) {
+    bodies.emplace_back(frame.begin() + 1, frame.end());
+  }
+  Rng rng(67);
+  uint64_t adopted = 0;
+  for (int i = 0; i < 20000 && !::testing::Test::HasFailure(); ++i) {
+    const size_t which = rng.NextBounded(frames.size());
+    const Bytes mutant =
+        WithType(static_cast<MsgType>(frames[which][0]),
+                 Mutate(bodies[which], rng, bodies));
+
+    AssignmentWorld setting_up(c.plan);
+    setting_up.Deliver(mutant);
+    if (!setting_up.client.read_set().empty()) {
+      ++adopted;
+      EXPECT_EQ(setting_up.client.read_set(), signed_sets[which])
+          << "mutant " << i << " during setup";
+    }
+
+    AssignmentWorld ready(c.plan);
+    ready.Deliver(c.hello_reply);
+    ASSERT_TRUE(ready.client.ready());
+    ready.Deliver(mutant);
+    EXPECT_TRUE(ready.client.ready());
+    if (ready.client.read_set() != c.hello_set) {
+      ++adopted;
+      EXPECT_EQ(ready.client.read_set(), c.move_sets[0])
+          << "mutant " << i << " when ready";
+    }
+  }
+  // Edits to the reassignment's unsigned trace id leave its signed set
+  // intact, so some mutants are adopted and the checks are not vacuous.
+  EXPECT_GT(adopted, 50u);
 }
 
 TEST(SlaveUnitTest, DropBehaviorTimesOutRequests) {

@@ -1,6 +1,9 @@
 // Unit tests for certificates, version tokens, pledges and wire messages.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "src/core/certificate.h"
 #include "src/core/messages.h"
 #include "src/core/pledge.h"
@@ -377,31 +380,88 @@ TEST(MessagesTest, PeekTypeOnEmptyFails) {
   EXPECT_FALSE(PeekTobType(Bytes{}).ok());
 }
 
+// A 3-member read set, and every edit to it that must break the master's
+// signature over it: swap a member for another slave, drop one, add one,
+// reorder, or change a member's auditor.
+std::vector<AssignedSlave> ThreeMemberSet(Signer& master, const Keys& k) {
+  std::vector<AssignedSlave> set;
+  for (NodeId slave : {9u, 10u, 11u}) {
+    set.push_back({IssueCertificate(master, slave, Role::kSlave,
+                                    k.slave.public_key),
+                   4});
+  }
+  return set;
+}
+
+std::vector<std::vector<AssignedSlave>> EditedSets(
+    Signer& master, const Keys& k, const std::vector<AssignedSlave>& set) {
+  AssignedSlave other{
+      IssueCertificate(master, 12, Role::kSlave, k.slave.public_key), 4};
+  std::vector<std::vector<AssignedSlave>> edited(5, set);
+  edited[0][1] = other;                                // swapped
+  edited[1].pop_back();                                // dropped
+  edited[2].push_back(other);                          // added
+  std::swap(edited[3][0], edited[3][2]);               // reordered
+  edited[4][2].auditor = 5;                            // redirected
+  return edited;
+}
+
 TEST(ClientHelloReplyTest, SignatureCoversAssignment) {
   Keys k;
   Signer master(k.master);
-  Signer owner(k.content);
   ClientHelloReply reply;
   reply.server_nonce = Bytes(16, 0x11);
-  reply.slave_cert = IssueCertificate(master, 9, Role::kSlave,
-                                      k.slave.public_key);
-  reply.auditor = 4;
+  reply.seq = 3;
+  reply.slaves = ThreeMemberSet(master, k);
   Bytes nonce(16, 0x22);
   reply.signature = master.Sign(reply.SignedBody(nonce));
+  auto verifies = [&](const ClientHelloReply& r, const Bytes& n) {
+    return VerifySignature(SignatureScheme::kEd25519, k.master.public_key,
+                           r.SignedBody(n), reply.signature);
+  };
 
-  EXPECT_TRUE(VerifySignature(SignatureScheme::kEd25519, k.master.public_key,
-                              reply.SignedBody(nonce), reply.signature));
-  // A different auditor id (redirection attack) breaks the signature.
-  ClientHelloReply redirected = reply;
-  redirected.auditor = 5;
-  EXPECT_FALSE(VerifySignature(SignatureScheme::kEd25519, k.master.public_key,
-                               redirected.SignedBody(nonce),
-                               redirected.signature));
+  EXPECT_TRUE(verifies(reply, nonce));
+  for (const std::vector<AssignedSlave>& set :
+       EditedSets(master, k, reply.slaves)) {
+    ClientHelloReply edited = reply;
+    edited.slaves = set;
+    EXPECT_FALSE(verifies(edited, nonce));
+  }
+  ClientHelloReply renumbered = reply;
+  renumbered.seq = 4;
+  EXPECT_FALSE(verifies(renumbered, nonce));
   // A replayed reply fails for a fresh nonce.
-  Bytes other_nonce(16, 0x33);
-  EXPECT_FALSE(VerifySignature(SignatureScheme::kEd25519, k.master.public_key,
-                               reply.SignedBody(other_nonce),
-                               reply.signature));
+  EXPECT_FALSE(verifies(reply, Bytes(16, 0x33)));
+}
+
+TEST(ReassignmentTest, SignatureCoversAssignment) {
+  Keys k;
+  Signer master(k.master);
+  Reassignment msg;
+  msg.seq = 3;
+  msg.slaves = ThreeMemberSet(master, k);
+  msg.excluded_slave = 8;
+  msg.trace_id = 77;
+  msg.signature = master.Sign(msg.SignedBody());
+  auto verifies = [&](const Reassignment& m) {
+    return VerifySignature(SignatureScheme::kEd25519, k.master.public_key,
+                           m.SignedBody(), msg.signature);
+  };
+
+  EXPECT_TRUE(verifies(msg));
+  for (const std::vector<AssignedSlave>& set :
+       EditedSets(master, k, msg.slaves)) {
+    Reassignment edited = msg;
+    edited.slaves = set;
+    EXPECT_FALSE(verifies(edited));
+  }
+  Reassignment renumbered = msg;
+  renumbered.seq = 4;
+  EXPECT_FALSE(verifies(renumbered));
+  // The trace id is observability metadata outside the signature.
+  Reassignment retraced = msg;
+  retraced.trace_id = 78;
+  EXPECT_TRUE(verifies(retraced));
 }
 
 }  // namespace

@@ -164,10 +164,25 @@ TEST(MessageRobustness, TruncationsNeverCrashDecoders) {
     m.correct_sha1 = Bytes(20, 2);
     bodies.push_back(m.Encode());
   }
+  std::vector<AssignedSlave> read_set;
+  for (NodeId slave : {9u, 10u, 11u}) {
+    read_set.push_back(
+        {IssueCertificate(signer, slave, Role::kSlave, kp.public_key), 4});
+  }
+  {
+    ClientHelloReply m;
+    m.server_nonce = Bytes(16, 3);
+    m.seq = 1;
+    m.slaves = read_set;
+    m.signature = signer.Sign(m.SignedBody(Bytes(16, 4)));
+    bodies.push_back(m.Encode());
+  }
   {
     Reassignment m;
-    m.new_slave_cert = IssueCertificate(signer, 9, Role::kSlave, kp.public_key);
-    m.auditor = 4;
+    m.seq = 2;
+    m.slaves = read_set;
+    m.excluded_slave = 8;
+    m.signature = signer.Sign(m.SignedBody());
     bodies.push_back(m.Encode());
   }
 
@@ -181,6 +196,7 @@ TEST(MessageRobustness, TruncationsNeverCrashDecoders) {
       EXPECT_FALSE(DoubleCheckReply::Decode(truncated).ok());
       EXPECT_FALSE(BadReadNotice::Decode(truncated).ok());
       EXPECT_FALSE(Reassignment::Decode(truncated).ok());
+      EXPECT_FALSE(ClientHelloReply::Decode(truncated).ok());
     }
   }
 }

@@ -1,6 +1,6 @@
 // Scale-out tests: shard-map construction and placement serialization,
 // rebalance determinism, group-commit pledge equivalence, multi-shard
-// multiread freshness-token merging, non-atomic multi-shard writes, the
+// read freshness-token merging, non-atomic multi-shard writes, the
 // chaos invariants at --shards=4, and per-role totals over every node.
 #include <gtest/gtest.h>
 
@@ -171,7 +171,7 @@ TEST(GroupCommitTest, BatchedPledgesVerifyIdenticallyToUnbatched) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-shard multiread freshness-token merge.
+// Multi-shard read freshness-token merge.
 // ---------------------------------------------------------------------------
 
 TEST(ShardedClusterTest, MultiShardReadMergesResultsAndFreshTokens) {
