@@ -2,8 +2,9 @@
 //
 // Claims:
 //   - sending each read to k slaves forces malicious slaves to *collude*:
-//     any disagreement triggers a mandatory double-check, so a wrong
-//     answer passes only if every queried slave lies identically;
+//     any disagreement triggers a mandatory double-check, so when every
+//     queried slave answers in time a wrong answer passes only if all of
+//     them lie identically (here honest slaves always answer in time);
 //   - the cost is k-fold execution on untrusted resources ("more computing
 //     resources are needed ... but these resources need not be trusted").
 //

@@ -192,7 +192,10 @@ void Client::HandleHelloReply(NodeId from, BytesView body) {
                        msg->SignedBody(lane->nonce), msg->signature)) {
     return;
   }
-  if (!AdoptReadSet(*lane, msg->seq, msg->slaves, *master_key)) {
+  // The nonce makes the reply fresh, but a reassignment this master signed
+  // after it may have overtaken it; that newer set stays.
+  if ((lane->seq == 0 || msg->seq > lane->seq) &&
+      !AdoptReadSet(*lane, msg->seq, msg->slaves, *master_key)) {
     return;
   }
   lane->ready = true;
@@ -206,7 +209,7 @@ void Client::HandleHelloReply(NodeId from, BytesView body) {
   ++metrics_.setups_completed;
   // Re-issue anything that was in flight when the old master died.
   for (auto& [request_id, read] : reads_) {
-    if (!read.awaiting_double_check) {
+    if (read.stage != PendingRead::Stage::kAwaitDoubleCheck) {
       SendRead(request_id);
     }
   }
@@ -231,7 +234,8 @@ void Client::HandleReassignment(NodeId from, BytesView body) {
     return;
   }
   auto msg = Reassignment::Decode(body);
-  if (!msg.ok()) {
+  // Sets signed in quick succession may arrive out of order.
+  if (!msg.ok() || msg->seq <= lane->seq) {
     return;
   }
   const Bytes* master_key = MasterKey(from);
@@ -246,14 +250,26 @@ void Client::HandleReassignment(NodeId from, BytesView body) {
     t->Instant(TraceRole::kClient, id(), "reassigned", msg->trace_id,
                static_cast<int64_t>(msg->excluded_slave));
   }
-  // Outstanding reads retry toward the new set on their next attempt.
+  if (phase_ != Phase::kReady) {
+    return;  // the hello reply re-issues every read
+  }
+  // The replies in hand were counted by position in the old set, and some
+  // may come from the slave just excluded: restart each attempt out to
+  // the new set. Reads backing off send there when they retry, and a
+  // double-check in flight is settled by the master.
+  const uint32_t shard = static_cast<uint32_t>(lane - lanes_.data());
+  for (auto& [request_id, read] : reads_) {
+    if (read.shard == shard &&
+        read.stage == PendingRead::Stage::kAwaitReplies) {
+      StartAttempt(request_id, read);
+    }
+  }
 }
 
 bool Client::AdoptReadSet(Lane& lane, uint64_t seq,
                           const std::vector<AssignedSlave>& slaves,
                           const Bytes& master_key) {
-  // Sets signed in quick succession may arrive out of order.
-  if (seq <= lane.seq || slaves.empty() || slaves.size() > 64) {
+  if (slaves.empty() || slaves.size() > 64) {
     return false;  // 64: PendingRead::replied has one bit per member
   }
   // Every certificate must chain to the master that assigned it.
@@ -514,6 +530,11 @@ void Client::SendRead(uint64_t request_id) {
                  read.attempts);
     }
   }
+  StartAttempt(request_id, read);
+}
+
+void Client::StartAttempt(uint64_t request_id, PendingRead& read) {
+  read.stage = PendingRead::Stage::kAwaitReplies;
   read.replied = 0;
   read.retry_delay = 0;
   read.held.clear();
@@ -530,7 +551,8 @@ void Client::SendRead(uint64_t request_id) {
   read.timeout =
       env()->ScheduleAfter(options_.params.client_timeout, [this, request_id] {
         auto it = reads_.find(request_id);
-        if (it == reads_.end() || it->second.awaiting_double_check) {
+        if (it == reads_.end() ||
+            it->second.stage != PendingRead::Stage::kAwaitReplies) {
           return;
         }
         if (!it->second.held.empty()) {
@@ -552,7 +574,8 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
     return;
   }
   auto it = reads_.find(msg->request_id);
-  if (it == reads_.end() || it->second.awaiting_double_check) {
+  if (it == reads_.end() ||
+      it->second.stage != PendingRead::Stage::kAwaitReplies) {
     return;
   }
   PendingRead& read = it->second;
@@ -744,7 +767,7 @@ void Client::SettleRead(uint64_t request_id, PendingRead& read,
 }
 
 void Client::SendDoubleCheck(uint64_t request_id, PendingRead& read) {
-  read.awaiting_double_check = true;
+  read.stage = PendingRead::Stage::kAwaitDoubleCheck;
   ++metrics_.double_checks_sent;
   if (TraceSink* t = env()->trace()) {
     t->Instant(TraceRole::kClient, id(), "dc.send", read.trace_id);
@@ -759,13 +782,13 @@ void Client::SendDoubleCheck(uint64_t request_id, PendingRead& read) {
   read.timeout =
       env()->ScheduleAfter(options_.params.client_timeout, [this, request_id] {
         auto it = reads_.find(request_id);
-        if (it == reads_.end() || !it->second.awaiting_double_check) {
+        if (it == reads_.end() ||
+            it->second.stage != PendingRead::Stage::kAwaitDoubleCheck) {
           return;
         }
         // Master silent on a double-check: an agreed (already verified)
         // answer is accepted, a disagreement retried; either way re-setup
         // toward a live master.
-        it->second.awaiting_double_check = false;
         if (it->second.disagreement) {
           RetryRead(request_id, options_.retry_backoff);
         } else {
@@ -781,11 +804,11 @@ void Client::HandleDoubleCheckReply(BytesView body) {
     return;
   }
   auto it = reads_.find(msg->request_id);
-  if (it == reads_.end() || !it->second.awaiting_double_check) {
+  if (it == reads_.end() ||
+      it->second.stage != PendingRead::Stage::kAwaitDoubleCheck) {
     return;
   }
   PendingRead& read = it->second;
-  read.awaiting_double_check = false;
   env()->Cancel(read.timeout);
 
   TraceSink* t = env()->trace();
@@ -822,7 +845,7 @@ void Client::HandleDoubleCheckReply(BytesView body) {
   // are no result at all convict nobody.
   size_t match = read.held.size();
   if (read.held.size() > 1) {
-    if (!QueryResult::Decode(msg->correct_result).ok()) {
+    if (!QueryResult::WellFormed(msg->correct_result)) {
       FailRead(msg->request_id);
       return;
     }
@@ -858,6 +881,10 @@ void Client::AcceptHeld(uint64_t request_id, size_t index) {
   if (it == reads_.end()) {
     return;
   }
+  if (index >= it->second.held.size()) {
+    FailRead(request_id);  // unreachable: every caller holds the answer
+    return;
+  }
   // AcceptRead erases the read, and with it the held answers.
   HeldReply answer = std::move(it->second.held[index]);
   AcceptRead(request_id, answer.result, answer.pledge);
@@ -873,12 +900,18 @@ void Client::RetryRead(uint64_t request_id, SimTime delay) {
     FailRead(request_id);
     return;
   }
-  env()->Cancel(it->second.timeout);
+  PendingRead& read = it->second;
+  env()->Cancel(read.timeout);
   if (delay <= 0) {
     SendRead(request_id);
-  } else {
-    env()->ScheduleAfter(delay, [this, request_id] { SendRead(request_id); });
+    return;
   }
+  // The failed attempt is over: replies that straggle in while backing
+  // off are ignored, and nothing of it is held.
+  read.stage = PendingRead::Stage::kBackoff;
+  read.held.clear();
+  read.timeout =
+      env()->ScheduleAfter(delay, [this, request_id] { SendRead(request_id); });
 }
 
 void Client::AcceptRead(uint64_t request_id, const QueryResult& result,

@@ -20,7 +20,10 @@
 // that disagree force a double-check, after which the client accuses every
 // other pledge the master's result convicts and accepts only an answer
 // whose own pledge matches that result. A disagreement is never accepted
-// on an unserved double-check or a silent master.
+// on an unserved double-check or a silent master. Answers are compared
+// only among the members that gave a verified answer in time: a member
+// that declines or stays silent leaves the read to the base protocol's
+// checks.
 //
 // Keyspace sharding generalises the paper's single group to one protocol
 // lane (master + assigned read set) per shard. The paper's setup is
@@ -154,16 +157,24 @@ class Client : public Node {
     NodeId auditor = kInvalidNode;
   };
   struct PendingRead {
+    enum class Stage {
+      kAwaitReplies,      // the current attempt is out to the read set
+      kBackoff,           // a retry is scheduled; late replies are ignored
+      kAwaitDoubleCheck,  // held[0] is out to the master
+    };
     Query query;
     SimTime first_issued = 0;
     int attempts = 0;
+    // The attempt's reply timeout, the scheduled retry while backing off,
+    // or the double-check's timeout.
     EventId timeout = 0;
     ReadCallback cb;
-    bool awaiting_double_check = false;
-    // The current attempt: which read-set members have replied (bit i =
-    // member i), the longest back-off a non-answer asked for, and the
-    // verified answers in hand. While a double-check is out, held[0] is
-    // the pledge it carries. A fan-out of 1 holds an answer only then.
+    Stage stage = Stage::kAwaitReplies;
+    // The current attempt: which members of the lane's read set have
+    // replied (bit i = member i), the longest back-off a non-answer asked
+    // for, and the verified answers in hand. Adopting a new read set
+    // restarts the attempt. While a double-check is out, held[0] is the
+    // pledge it carries. A fan-out of 1 holds an answer only then.
     uint64_t replied = 0;
     SimTime retry_delay = 0;
     std::vector<HeldReply> held;
@@ -232,9 +243,9 @@ class Client : public Node {
   // Picks each lane's master from its candidates, avoiding the lane's
   // previous master, and sends the per-lane hellos.
   void OpenLanes(const std::vector<std::vector<NodeId>>& candidates);
-  // Adopts a read set signed by `master_key` if it is newer than the
-  // lane's, non-empty, fits the `replied` mask and every member is a slave
-  // certified by that master.
+  // Adopts a read set signed by `master_key` if it is non-empty, fits the
+  // `replied` mask and every member is a slave certified by that master.
+  // The callers check that the set is newer than the lane's.
   bool AdoptReadSet(Lane& lane, uint64_t seq,
                     const std::vector<AssignedSlave>& slaves,
                     const Bytes& master_key);
@@ -247,8 +258,10 @@ class Client : public Node {
   // null while a placement is still missing.
   const ShardMap* PlanningMap();
 
-  // Reads.
+  // Reads. SendRead counts a new attempt and starts it; StartAttempt
+  // sends the read to the lane's whole read set and arms the timeout.
   void SendRead(uint64_t request_id);
+  void StartAttempt(uint64_t request_id, PendingRead& read);
   void HandleReadReply(NodeId from, BytesView body);
   // Runs one reply through VerifyRead; a verified answer's decoded result,
   // or nullopt for a non-answer (counted, and its back-off recorded).
@@ -264,6 +277,7 @@ class Client : public Node {
   void SendDoubleCheck(uint64_t request_id, PendingRead& read);
   void HandleDoubleCheckReply(BytesView body);
   void AcceptHeld(uint64_t request_id, size_t index);
+  // Ends the current attempt and schedules the next one.
   void RetryRead(uint64_t request_id, SimTime delay);
   void AcceptRead(uint64_t request_id, const QueryResult& result,
                   const Pledge& pledge);

@@ -34,8 +34,9 @@ struct ProtocolParams {
   // How many slaves each client's read set holds (Section 4's multi-slave
   // variant). The master assigns min(read_fanout, live) slaves at setup;
   // every read goes to all of them, and a disagreement forces a
-  // double-check, so a wrong answer passes only if the whole set colludes.
-  // 1 is the paper's base protocol.
+  // double-check, so a wrong answer passes the comparison only if every
+  // member that answers in time lies identically. 1 is the paper's base
+  // protocol.
   uint32_t read_fanout = 1;
 
   // Whether clients forward pledges to the auditor at all.

@@ -1021,6 +1021,164 @@ TEST(ClientRobustness, MutatedAssignmentsAdoptOnlyTheSignedSet) {
   EXPECT_GT(adopted, 50u);
 }
 
+TEST(ClientUnitTest, AReassignmentOvertakingTheHelloReplyKeepsTheNewerSet) {
+  const CapturedAssignments c = CaptureAssignments();
+  AssignmentWorld world(c.plan);
+  world.Deliver(c.moves[0]);
+  world.Deliver(c.hello_reply);
+  EXPECT_TRUE(world.client.ready());
+  EXPECT_EQ(world.client.metrics().setups_completed, 1u);
+  EXPECT_EQ(world.client.read_set(), c.move_sets[0]);
+}
+
+// Drives one read of an AssignmentWorld client by hand: the test plays
+// every slave of the read set and the master.
+struct ReadDriver {
+  ReadDriver(const CapturedAssignments& c, AssignmentWorld& world)
+      : c(c), world(world) {
+    world.Deliver(c.hello_reply);
+    EXPECT_TRUE(world.client.ready());
+    world.client.IssueRead(query, [this](bool ok, const QueryResult& r) {
+      (ok ? accepted : failed).push_back(r);
+    });
+    world.Run();
+  }
+
+  // The ReadRequest frames `slave` has been sent so far.
+  size_t RequestsTo(NodeId slave) const {
+    size_t n = 0;
+    for (const SinkNode& stub : world.slave_stubs) {
+      for (const auto& [from, payload] : stub.received) {
+        auto t = PeekType(payload);
+        n += stub.id() == slave && t.ok() && *t == MsgType::kReadRequest;
+      }
+    }
+    return n;
+  }
+  uint64_t request_id() const {
+    for (const SinkNode& stub : world.slave_stubs) {
+      const Bytes frame = FirstFrameOfType(stub, MsgType::kReadRequest);
+      if (!frame.empty()) {
+        return ReadRequest::Decode(BytesView(frame).substr(1))->request_id;
+      }
+    }
+    return 0;
+  }
+
+  // `slave` answers with `result` under a fresh token and its own pledge.
+  void Answer(NodeId slave, const QueryResult& result) {
+    const Bytes bytes = result.Encode();
+    ReadReply reply;
+    reply.request_id = request_id();
+    reply.ok = true;
+    reply.pledge = MakePledge(
+        Signer(c.plan.slave_keys[c.plan.RoleIndexOf(slave)]), slave, query,
+        Sha1::Hash(bytes),
+        MakeVersionToken(Signer(c.plan.master_keys[0]), c.plan.master_ids[0],
+                         0, world.sim.Now()));
+    reply.result = bytes;
+    world.net.Send(slave, world.client.id(),
+                   WithType(MsgType::kReadReply, reply.Encode()));
+    world.Run();
+  }
+
+  // The master answers the client's double-check: served, with `correct`.
+  void MasterAnswers(const QueryResult& correct, bool matches) {
+    DoubleCheckReply reply;
+    reply.request_id = request_id();
+    reply.served = true;
+    reply.matches = matches;
+    reply.correct_result = correct.Encode();
+    world.Deliver(WithType(MsgType::kDoubleCheckReply, reply.Encode()));
+  }
+
+  size_t double_checks() const {
+    size_t n = 0;
+    for (const auto& [from, payload] : world.master_stub.received) {
+      auto t = PeekType(payload);
+      n += t.ok() && *t == MsgType::kDoubleCheckRequest;
+    }
+    return n;
+  }
+
+  void RunFor(SimTime d) { world.sim.RunUntil(world.sim.Now() + d); }
+
+  const CapturedAssignments& c;
+  AssignmentWorld& world;
+  const Query query = Query::Get(ItemKey(0));
+  const QueryResult honest{QueryResult::Type::kRows, {{"item", "honest"}}};
+  const QueryResult lie{QueryResult::Type::kRows, {{"item", "lie"}}};
+  const QueryResult other_lie{QueryResult::Type::kRows, {{"item", "other"}}};
+  std::vector<QueryResult> accepted, failed;
+};
+
+TEST(ClientUnitTest, AReassignmentRestartsTheReadOnTheNewSet) {
+  // The two slaves the master goes on to exclude answer with one lie; the
+  // set without them arrives before the honest member's answer. The lies
+  // in hand came from the old set and must not settle the read.
+  const CapturedAssignments c = CaptureAssignments();
+  AssignmentWorld world(c.plan);
+  ReadDriver read(c, world);
+  const NodeId liar_a = c.hello_set[0].cert.subject;
+  const NodeId liar_b = c.hello_set[1].cert.subject;
+  const NodeId honest_c = c.hello_set[2].cert.subject;
+  const std::vector<AssignedSlave>& new_set = c.move_sets[1];
+  ASSERT_EQ(new_set.size(), 2u);
+  ASSERT_EQ(new_set[0].cert.subject, honest_c);
+  const NodeId newcomer = new_set[1].cert.subject;
+  read.Answer(liar_a, read.lie);
+  read.Answer(liar_b, read.lie);
+  world.Deliver(c.moves[1]);
+  ASSERT_EQ(world.client.read_set(), new_set);
+  // The restart sends the read to the whole new set, the newcomer too,
+  // and is no retry.
+  EXPECT_EQ(read.RequestsTo(honest_c), 2u);
+  EXPECT_EQ(read.RequestsTo(newcomer), 1u);
+  EXPECT_EQ(world.client.metrics().retries, 0u);
+  read.Answer(honest_c, read.honest);
+  read.Answer(newcomer, read.honest);
+  // A sampled double-check of the agreed answer goes unanswered by the
+  // stub master; the answer is then accepted.
+  read.RunFor(2 * ProtocolParams{}.client_timeout);
+  ASSERT_EQ(read.accepted.size(), 1u);
+  EXPECT_EQ(read.accepted[0], read.honest);
+  EXPECT_EQ(world.client.metrics().fanout_disagreements, 0u);
+}
+
+TEST(ClientUnitTest, RepliesStragglingInDuringABackoffAreIgnored) {
+  // Two members disagree and the third is slow. At the timeout the client
+  // double-checks; the master's result matches neither, so the read backs
+  // off to retry. The slow member's reply to the failed attempt lands in
+  // the back-off and must not reopen it.
+  const CapturedAssignments c = CaptureAssignments();
+  AssignmentWorld world(c.plan);
+  ReadDriver read(c, world);
+  const NodeId a = c.hello_set[0].cert.subject;
+  const NodeId b = c.hello_set[1].cert.subject;
+  const NodeId slow = c.hello_set[2].cert.subject;
+  read.Answer(a, read.lie);
+  read.Answer(b, read.other_lie);
+  read.RunFor(ProtocolParams{}.client_timeout);
+  ASSERT_EQ(read.double_checks(), 1u);
+  read.MasterAnswers(read.honest, /*matches=*/false);
+  EXPECT_EQ(world.client.metrics().accusations_sent, 1u);
+  read.Answer(slow, read.honest);  // inside the 200 ms back-off
+  EXPECT_EQ(read.double_checks(), 1u);
+  EXPECT_EQ(read.RequestsTo(slow), 1u);
+  read.RunFor(250 * kMillisecond);  // the back-off ends: attempt 2 is out
+  EXPECT_EQ(read.RequestsTo(slow), 2u);
+  // A stray double-check reply now belongs to no double-check in flight.
+  read.MasterAnswers(read.honest, /*matches=*/true);
+  EXPECT_TRUE(read.accepted.empty());
+  EXPECT_TRUE(read.failed.empty());
+  for (const AssignedSlave& member : c.hello_set) {
+    read.Answer(member.cert.subject, read.honest);
+  }
+  read.RunFor(2 * ProtocolParams{}.client_timeout);
+  ASSERT_EQ(read.accepted.size(), 1u);
+  EXPECT_EQ(read.accepted[0], read.honest);
+}
+
 TEST(SlaveUnitTest, DropBehaviorTimesOutRequests) {
   Slave::Behavior b;
   b.drop_probability = 1.0;
