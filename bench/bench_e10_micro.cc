@@ -16,6 +16,7 @@
 #include "src/crypto/hmac.h"
 #include "src/crypto/sha1.h"
 #include "src/crypto/sha2.h"
+#include "src/crypto/sha_kernels.h"
 #include "src/merkle/merkle_tree.h"
 #include "src/store/executor.h"
 #include "src/util/rng.h"
@@ -66,6 +67,58 @@ void BM_HmacSha256(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HmacSha256);
+
+// HMAC-SHA256 over a real pledge's signed body: the E4 (HMAC) cluster's
+// per-pledge signature and verification cost.
+void BM_HmacSha256Pledge(benchmark::State& state) {
+  Rng rng(14);
+  Bytes key = rng.NextBytes(32);
+  Signer master(KeyPair::Generate(SignatureScheme::kHmacSha256, rng));
+  Signer slave(KeyPair::Generate(SignatureScheme::kHmacSha256, rng));
+  Pledge pledge =
+      MakePledge(slave, 9, Query::Get("item/00001"),
+                 Sha1::Hash(rng.NextBytes(1024)),
+                 MakeVersionToken(master, 2, 5, 1000));
+  Bytes body = pledge.SignedBody();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(HmacSha256(key, body));
+  }
+  state.counters["bytes"] = static_cast<double>(body.size());
+}
+BENCHMARK(BM_HmacSha256Pledge);
+
+// One compression kernel on a run of whole 64-byte blocks, the way Update
+// hands it a message's blocks; one row per kernel and size. The dispatcher
+// uses the SHA-NI kernels wherever the CPU has them (sha_kernels.h).
+// Sha1Kernel and Sha256Kernel are the same pointer type.
+void BM_ShaKernel(benchmark::State& state, sha_internal::Sha256Kernel kernel,
+                  bool needs_ni) {
+  if (needs_ni && !sha_internal::CpuHasShaNi()) {
+    state.SkipWithError("this CPU has no SHA-NI");
+    return;
+  }
+  Rng rng(15);
+  Bytes data = rng.NextBytes(static_cast<size_t>(state.range(0)));
+  uint32_t h[8] = {};  // room for either state
+  for (auto _ : state) {
+    kernel(h, data.data(), data.size() / 64);
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK_CAPTURE(BM_ShaKernel, sha1_portable, sha_internal::Sha1Portable,
+                  false)
+    ->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK_CAPTURE(BM_ShaKernel, sha256_portable, sha_internal::Sha256Portable,
+                  false)
+    ->Arg(64)->Arg(1024)->Arg(16384);
+#ifdef SDR_SHA_NI
+BENCHMARK_CAPTURE(BM_ShaKernel, sha1_ni, sha_internal::Sha1Ni, true)
+    ->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK_CAPTURE(BM_ShaKernel, sha256_ni, sha_internal::Sha256Ni, true)
+    ->Arg(64)->Arg(1024)->Arg(16384);
+#endif
 
 // Runs the body with the Ed25519 fast path toggled to `fast`, restoring the
 // previous setting afterwards. Benchmarks run sequentially, so flipping the

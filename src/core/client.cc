@@ -193,9 +193,13 @@ void Client::HandleHelloReply(NodeId from, BytesView body) {
     return;
   }
   // The nonce makes the reply fresh, but a reassignment this master signed
-  // after it may have overtaken it; that newer set stays.
+  // after it may have overtaken it; that newer set stays. If the newer set
+  // is empty, the lane stays unready and the setup timeout starts over.
   if ((lane->seq == 0 || msg->seq > lane->seq) &&
       !AdoptReadSet(*lane, msg->seq, msg->slaves, *master_key)) {
+    return;
+  }
+  if (lane->slaves.empty()) {
     return;
   }
   lane->ready = true;
@@ -241,8 +245,14 @@ void Client::HandleReassignment(NodeId from, BytesView body) {
   const Bytes* master_key = MasterKey(from);
   if (master_key == nullptr ||
       !VerifySignature(options_.params.scheme, *master_key, msg->SignedBody(),
-                       msg->signature) ||
-      !AdoptReadSet(*lane, msg->seq, msg->slaves, *master_key)) {
+                       msg->signature)) {
+    return;
+  }
+  const bool emptied = msg->slaves.empty();
+  if (emptied) {
+    lane->slaves.clear();
+    lane->seq = msg->seq;
+  } else if (!AdoptReadSet(*lane, msg->seq, msg->slaves, *master_key)) {
     return;
   }
   ++metrics_.reassignments;
@@ -256,13 +266,23 @@ void Client::HandleReassignment(NodeId from, BytesView body) {
   // The replies in hand were counted by position in the old set, and some
   // may come from the slave just excluded: restart each attempt out to
   // the new set. Reads backing off send there when they retry, and a
-  // double-check in flight is settled by the master.
+  // double-check in flight is settled by the master. With no set left,
+  // each attempt is parked instead (no send, no timeout) until the hello
+  // reply of a new setup, possibly with another master, re-issues it.
   const uint32_t shard = static_cast<uint32_t>(lane - lanes_.data());
   for (auto& [request_id, read] : reads_) {
     if (read.shard == shard &&
         read.stage == PendingRead::Stage::kAwaitReplies) {
-      StartAttempt(request_id, read);
+      if (emptied) {
+        env()->Cancel(read.timeout);
+      } else {
+        StartAttempt(request_id, read);
+      }
     }
+  }
+  if (emptied) {
+    phase_ = Phase::kIdle;
+    BeginSetup();
   }
 }
 

@@ -632,10 +632,16 @@ void Master::HandleAccusation(NodeId /*from*/, BytesView body) {
     t->Instant(TraceRole::kMaster, id(), "accusation.recv", msg->trace_id,
                static_cast<int64_t>(msg->pledge.slave));
   }
-  if (ProcessIncriminatingPledge(msg->pledge, msg->trace_id)) {
-    ++metrics_.accusations_confirmed;
-  } else {
-    ++metrics_.accusations_unfounded;
+  switch (ProcessIncriminatingPledge(msg->pledge, msg->trace_id)) {
+    case Incrimination::kConfirmed:
+      ++metrics_.accusations_confirmed;
+      break;
+    case Incrimination::kRepeat:
+      ++metrics_.accusations_repeat;
+      break;
+    case Incrimination::kUnfounded:
+      ++metrics_.accusations_unfounded;
+      break;
   }
 }
 
@@ -676,18 +682,18 @@ void Master::HandleForkEvidence(NodeId /*from*/, BytesView body) {
   }
 }
 
-bool Master::ProcessIncriminatingPledge(const Pledge& pledge,
-                                        uint64_t trace_id) {
+Master::Incrimination Master::ProcessIncriminatingPledge(
+    const Pledge& pledge, uint64_t trace_id) {
   // 1. The pledge must really be signed by the slave — otherwise anyone
   //    could frame an innocent server.
   auto cert_it = known_slave_certs_.find(pledge.slave);
   if (cert_it == known_slave_certs_.end()) {
-    return false;
+    return Incrimination::kUnfounded;
   }
   if (!VerifyPledgeSignature(options_.params.scheme,
                              cert_it->second.subject_public_key, pledge,
                              &verify_cache_)) {
-    return false;
+    return Incrimination::kUnfounded;
   }
   // 2. The embedded version token must be genuine — otherwise the "wrong"
   //    answer might just be an answer to a different version.
@@ -695,30 +701,31 @@ bool Master::ProcessIncriminatingPledge(const Pledge& pledge,
   if (master_key == options_.master_keys.end() ||
       !VerifyVersionToken(options_.params.scheme, master_key->second,
                           pledge.token, &verify_cache_)) {
-    return false;
+    return Incrimination::kUnfounded;
   }
   // 3. Re-execute at the pledged version and compare.
   auto at_version = oplog_.MaterializeAt(pledge.token.content_version);
   if (!at_version.ok()) {
-    return false;
+    return Incrimination::kUnfounded;
   }
   auto outcome = executor_.Execute(*at_version, pledge.query);
   if (!outcome.ok()) {
-    return false;
+    return Incrimination::kUnfounded;
   }
   metrics_.work_units_executed += outcome->cost;
   if (outcome->result.Sha1Digest() == pledge.result_sha1) {
-    return false;  // pledge checks out; nothing to punish
+    return Incrimination::kUnfounded;  // the pledge checks out
   }
   // Guilty. If it is ours, exclude; otherwise hand the proof to its owner.
   if (!options_.params.exclusion_enabled) {
-    return true;  // proof confirmed, punishment disabled by configuration
+    return Incrimination::kConfirmed;  // punishment disabled by configuration
+  }
+  if (excluded_.count(pledge.slave) > 0) {
+    return Incrimination::kRepeat;
   }
   if (my_slaves_.count(pledge.slave) > 0) {
-    if (excluded_.count(pledge.slave) == 0) {
-      ExcludeSlave(pledge.slave, trace_id);
-    }
-    return true;
+    ExcludeSlave(pledge.slave, trace_id);
+    return Incrimination::kConfirmed;
   }
   auto owner = slave_owner_.find(pledge.slave);
   if (owner != slave_owner_.end() && owner->second != id()) {
@@ -727,9 +734,9 @@ bool Master::ProcessIncriminatingPledge(const Pledge& pledge,
     fwd.pledge = pledge;
     env()->Send(owner->second,
                 WithType(MsgType::kAccusation, fwd.Encode()));
-    return true;
+    return Incrimination::kConfirmed;
   }
-  return false;
+  return Incrimination::kUnfounded;
 }
 
 void Master::ExcludeSlave(NodeId slave, uint64_t trace_id) {
@@ -757,14 +764,11 @@ void Master::RemoveSlaveAndReassignClients(NodeId slave, bool excluded,
   }
   for (NodeId client : affected) {
     // The client keeps the rest of its set; the gap is filled from slaves
-    // not already in it, or the set shrinks when none is left.
+    // not already in it, or the set shrinks when none is left. An empty
+    // set is still signed and sent: it tells the client to set up again.
     std::vector<NodeId> set = client_slaves_[client];
     set.erase(std::find(set.begin(), set.end(), slave));
     PickSlavesFor(set);
-    if (set.empty()) {
-      client_slaves_.erase(client);
-      continue;
-    }
     ++metrics_.clients_reassigned;
     if (TraceSink* t = env()->trace()) {
       t->Instant(TraceRole::kMaster, id(), "reassign", trace_id,
@@ -776,7 +780,11 @@ void Master::RemoveSlaveAndReassignClients(NodeId slave, bool excluded,
     msg.excluded_slave = excluded ? slave : kInvalidNode;
     msg.trace_id = trace_id;
     msg.signature = signer_.Sign(msg.SignedBody());
-    client_slaves_[client] = std::move(set);
+    if (set.empty()) {
+      client_slaves_.erase(client);
+    } else {
+      client_slaves_[client] = std::move(set);
+    }
     env()->Send(client,
                 WithType(MsgType::kReassignment, msg.Encode()));
   }

@@ -146,14 +146,21 @@ class Master : public Node {
   void AdoptOrphanedSlaves(NodeId dead_master);
   VersionToken CurrentToken();
 
-  // Corrective action (Section 3.5): returns true when the pledge proves
-  // the slave guilty and the exclusion was executed.
   NodeId AuditorFor(NodeId slave) const;
+  // Corrective action (Section 3.5). What a pledge offered as proof of a
+  // lie turned out to be:
+  //   kConfirmed: it proves the slave guilty, and the slave was excluded
+  //     (or the proof sent to its owner, or exclusion is off);
+  //   kRepeat: it proves guilty a slave this master had already excluded;
+  //   kUnfounded: it proves nothing (bad signature or token, or the pledged
+  //     hash is the true one).
   // `trace_id` is the causal chain the incriminating pledge arrived on
   // (0 when untraced); it is threaded through to the exclusion verdict and
   // the resulting Reassignment messages so sdrtrace can show the full
   // evidence path.
-  bool ProcessIncriminatingPledge(const Pledge& pledge, uint64_t trace_id = 0);
+  enum class Incrimination { kConfirmed, kRepeat, kUnfounded };
+  Incrimination ProcessIncriminatingPledge(const Pledge& pledge,
+                                           uint64_t trace_id = 0);
   void ExcludeSlave(NodeId slave, uint64_t trace_id = 0);
   void RemoveSlaveAndReassignClients(NodeId slave, bool excluded,
                                      uint64_t trace_id = 0);

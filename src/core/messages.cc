@@ -38,8 +38,6 @@ void EncodeSlaveSet(Writer& w, const std::vector<AssignedSlave>& slaves) {
   }
 }
 
-// A master never signs an empty read set; both decoders reject one, which
-// also keeps them prefix-hostile.
 std::vector<AssignedSlave> DecodeSlaveSet(Reader& r) {
   uint32_t n = r.U32();
   std::vector<AssignedSlave> slaves;
@@ -200,6 +198,7 @@ Result<ClientHelloReply> ClientHelloReply::Decode(BytesView body) {
   m.seq = r.U64();
   m.slaves = DecodeSlaveSet(r);
   m.signature = r.Blob();
+  // A master never opens a client with an empty read set.
   if (m.slaves.empty()) {
     return Error(ErrorCode::kCorrupt, "empty read set");
   }
@@ -363,9 +362,6 @@ Result<Reassignment> Reassignment::Decode(BytesView body) {
   m.slaves = DecodeSlaveSet(r);
   m.excluded_slave = r.U32();
   m.signature = r.Blob();
-  if (m.slaves.empty()) {
-    return Error(ErrorCode::kCorrupt, "empty read set");
-  }
   return FinishDecode(std::move(m), r);
 }
 

@@ -205,7 +205,9 @@ struct Accusation {
   static Result<Accusation> Decode(BytesView body);
 };
 
-// The client's whole new read set after a slave left it.
+// The client's whole new read set after a slave left it. An empty set
+// means the master has no live slave left for the client, which then sets
+// up again.
 struct Reassignment {
   uint64_t seq = 0;  // as in ClientHelloReply
   std::vector<AssignedSlave> slaves;

@@ -97,6 +97,8 @@ struct ClientMetrics {
   X(uint64_t, double_check_lies_found)                                       \
   X(uint64_t, accusations_received)                                          \
   X(uint64_t, accusations_confirmed)                                         \
+  /* Guilty pledges against a slave this master had already excluded. */    \
+  X(uint64_t, accusations_repeat)                                            \
   X(uint64_t, accusations_unfounded)                                         \
   X(uint64_t, slaves_excluded)                                               \
   X(uint64_t, clients_reassigned)                                            \

@@ -1,6 +1,9 @@
 #include "src/crypto/sha1.h"
 
+#include <cstring>
+
 #include "src/crypto/sha_block.h"
+#include "src/crypto/sha_kernels.h"
 
 namespace sdr {
 
@@ -63,38 +66,55 @@ inline void Group(uint32_t v[5], uint32_t w[16], int t0) {
 
 }  // namespace
 
-Sha1::Sha1() {
-  h_[0] = 0x67452301u;
-  h_[1] = 0xefcdab89u;
-  h_[2] = 0x98badcfeu;
-  h_[3] = 0x10325476u;
-  h_[4] = 0xc3d2e1f0u;
+namespace sha_internal {
+
+void Sha1Portable(uint32_t state[5], const uint8_t* data, size_t n_blocks) {
+  for (; n_blocks > 0; --n_blocks, data += Sha1::kBlockSize) {
+    uint32_t w[16];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = LoadBe32(data + 4 * i);
+    }
+    uint32_t v[5] = {state[0], state[1], state[2], state[3], state[4]};
+    Group<Choose, 0x5a827999u>(v, w, 0);
+    Group<Parity, 0x6ed9eba1u>(v, w, 20);
+    Group<Majority, 0x8f1bbcdcu>(v, w, 40);
+    Group<Parity, 0xca62c1d6u>(v, w, 60);
+    for (int i = 0; i < 5; ++i) {
+      state[i] += v[i];
+    }
+  }
 }
 
-void Sha1::ProcessBlock(const uint8_t* block) {
-  uint32_t w[16];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = LoadBe32(block + 4 * i);
-  }
-  uint32_t v[5] = {h_[0], h_[1], h_[2], h_[3], h_[4]};
-  Group<Choose, 0x5a827999u>(v, w, 0);
-  Group<Parity, 0x6ed9eba1u>(v, w, 20);
-  Group<Majority, 0x8f1bbcdcu>(v, w, 40);
-  Group<Parity, 0xca62c1d6u>(v, w, 60);
-  for (int i = 0; i < 5; ++i) {
-    h_[i] += v[i];
-  }
+Sha1Kernel Sha1Compress() {
+#ifdef SDR_SHA_NI
+  static const Sha1Kernel kernel = CpuHasShaNi() ? Sha1Ni : Sha1Portable;
+  return kernel;
+#else
+  return Sha1Portable;
+#endif
+}
+
+}  // namespace sha_internal
+
+Sha1::Sha1() {
+  std::memcpy(h_, sha_internal::kSha1Init, sizeof(h_));
 }
 
 void Sha1::Update(const uint8_t* data, size_t len) {
   total_len_ += len;
+  const sha_internal::Sha1Kernel compress = sha_internal::Sha1Compress();
   sha_internal::Absorb(buffer_, buffer_len_, data, len,
-                       [this](const uint8_t* block) { ProcessBlock(block); });
+                       [this, compress](const uint8_t* blocks, size_t n) {
+                         compress(h_, blocks, n);
+                       });
 }
 
 Bytes Sha1::Final() {
+  const sha_internal::Sha1Kernel compress = sha_internal::Sha1Compress();
   sha_internal::Pad<8>(buffer_, buffer_len_, total_len_,
-                       [this](const uint8_t* block) { ProcessBlock(block); });
+                       [this, compress](const uint8_t* blocks, size_t n) {
+                         compress(h_, blocks, n);
+                       });
   Bytes digest(kDigestSize);
   for (int i = 0; i < 5; ++i) {
     digest[4 * i] = static_cast<uint8_t>(h_[i] >> 24);

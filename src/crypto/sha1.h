@@ -31,8 +31,6 @@ class Sha1 {
   static Bytes Hash(std::string_view data);
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   uint32_t h_[5];
   uint8_t buffer_[kBlockSize];
   size_t buffer_len_ = 0;

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "src/crypto/sha_block.h"
+#include "src/crypto/sha_kernels.h"
 
 namespace sdr {
 
@@ -155,61 +156,85 @@ const uint64_t* Sha512RoundConstants() {
 // ---------------------------------------------------------------------------
 
 Sha256::Sha256() {
-  static constexpr uint32_t kInit[8] = {
-      0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
-      0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u,
-  };
-  std::memcpy(h_, kInit, sizeof(h_));
+  std::memcpy(h_, sha_internal::kSha256Init, sizeof(h_));
 }
 
-void Sha256::ProcessBlock(const uint8_t* block) {
-  const std::array<uint32_t, 64>& k = K256();
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = sha_internal::LoadBe32(block + 4 * i);
-  }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr32(w[i - 15], 7) ^ Rotr32(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr32(w[i - 2], 17) ^ Rotr32(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  uint32_t e = h_[4], f = h_[5], g = h_[6], hh = h_[7];
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr32(e, 6) ^ Rotr32(e, 11) ^ Rotr32(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = hh + s1 + ch + k[i] + w[i];
-    uint32_t s0 = Rotr32(a, 2) ^ Rotr32(a, 13) ^ Rotr32(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    hh = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += hh;
+namespace sha_internal {
+
+const uint32_t* Sha256RoundConstants() {
+  return K256().data();
 }
+
+void Sha256Portable(uint32_t state[8], const uint8_t* data, size_t n_blocks) {
+  const std::array<uint32_t, 64>& k = K256();
+  for (; n_blocks > 0; --n_blocks, data += Sha256::kBlockSize) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = LoadBe32(data + 4 * i);
+    }
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 =
+          Rotr32(w[i - 15], 7) ^ Rotr32(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 =
+          Rotr32(w[i - 2], 17) ^ Rotr32(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], hh = state[7];
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = Rotr32(e, 6) ^ Rotr32(e, 11) ^ Rotr32(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t temp1 = hh + s1 + ch + k[i] + w[i];
+      uint32_t s0 = Rotr32(a, 2) ^ Rotr32(a, 13) ^ Rotr32(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t temp2 = s0 + maj;
+      hh = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += hh;
+  }
+}
+
+Sha256Kernel Sha256Compress() {
+#ifdef SDR_SHA_NI
+  static const Sha256Kernel kernel =
+      CpuHasShaNi() ? Sha256Ni : Sha256Portable;
+  return kernel;
+#else
+  return Sha256Portable;
+#endif
+}
+
+}  // namespace sha_internal
 
 void Sha256::Update(const uint8_t* data, size_t len) {
   total_len_ += len;
+  const sha_internal::Sha256Kernel compress = sha_internal::Sha256Compress();
   sha_internal::Absorb(buffer_, buffer_len_, data, len,
-                       [this](const uint8_t* block) { ProcessBlock(block); });
+                       [this, compress](const uint8_t* blocks, size_t n) {
+                         compress(h_, blocks, n);
+                       });
 }
 
 Bytes Sha256::Final() {
+  const sha_internal::Sha256Kernel compress = sha_internal::Sha256Compress();
   sha_internal::Pad<8>(buffer_, buffer_len_, total_len_,
-                        [this](const uint8_t* block) { ProcessBlock(block); });
+                       [this, compress](const uint8_t* blocks, size_t n) {
+                         compress(h_, blocks, n);
+                       });
   Bytes digest(kDigestSize);
   for (int i = 0; i < 8; ++i) {
     digest[4 * i] = static_cast<uint8_t>(h_[i] >> 24);
@@ -287,12 +312,18 @@ void Sha512::ProcessBlock(const uint8_t* block) {
 void Sha512::Update(const uint8_t* data, size_t len) {
   total_len_ += len;
   sha_internal::Absorb(buffer_, buffer_len_, data, len,
-                       [this](const uint8_t* block) { ProcessBlock(block); });
+                       [this](const uint8_t* blocks, size_t n) {
+                         for (; n > 0; --n, blocks += kBlockSize) {
+                           ProcessBlock(blocks);
+                         }
+                       });
 }
 
 Bytes Sha512::Final() {
   sha_internal::Pad<16>(buffer_, buffer_len_, total_len_,
-                        [this](const uint8_t* block) { ProcessBlock(block); });
+                        [this](const uint8_t* block, size_t) {
+                          ProcessBlock(block);
+                        });
   Bytes digest(kDigestSize);
   for (int i = 0; i < 8; ++i) {
     for (int b = 0; b < 8; ++b) {

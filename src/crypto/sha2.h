@@ -35,8 +35,6 @@ class Sha256 {
   static Bytes Hash(std::string_view data);
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   uint32_t h_[8];
   uint8_t buffer_[kBlockSize];
   size_t buffer_len_ = 0;

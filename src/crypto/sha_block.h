@@ -1,7 +1,8 @@
 // Block buffering and final padding shared by SHA-1, SHA-256 and SHA-512
-// (FIPS 180-4 §5.1): whole blocks go straight to the compression function,
-// a partial block waits in the buffer, and Final appends 0x80, zeros and
-// the big-endian bit length a block at a time.
+// (FIPS 180-4 §5.1): each run of whole blocks goes straight to the
+// compression function in one call, a partial block waits in the buffer,
+// and Final appends 0x80, zeros and the big-endian bit length a block at a
+// time.
 #ifndef SDR_SRC_CRYPTO_SHA_BLOCK_H_
 #define SDR_SRC_CRYPTO_SHA_BLOCK_H_
 
@@ -21,8 +22,8 @@ inline uint64_t LoadBe64(const uint8_t* p) {
   return static_cast<uint64_t>(LoadBe32(p)) << 32 | LoadBe32(p + 4);
 }
 
-// Feeds data through compress(block) block by block, carrying a partial
-// block over in buffer[0, buffer_len).
+// Feeds data through compress(blocks, n_blocks), carrying a partial block
+// over in buffer[0, buffer_len). The whole blocks of data go in one call.
 template <size_t kBlock, typename Compress>
 void Absorb(uint8_t (&buffer)[kBlock], size_t& buffer_len, const uint8_t* data,
             size_t len, Compress&& compress) {
@@ -38,11 +39,14 @@ void Absorb(uint8_t (&buffer)[kBlock], size_t& buffer_len, const uint8_t* data,
     if (buffer_len < kBlock) {
       return;
     }
-    compress(buffer);
+    compress(buffer, 1);
     buffer_len = 0;
   }
-  for (; len >= kBlock; data += kBlock, len -= kBlock) {
-    compress(data);
+  const size_t n_blocks = len / kBlock;
+  if (n_blocks > 0) {
+    compress(data, n_blocks);
+    data += n_blocks * kBlock;
+    len -= n_blocks * kBlock;
   }
   std::memcpy(buffer, data, len);
   buffer_len = len;
@@ -56,7 +60,7 @@ void Pad(uint8_t (&buffer)[kBlock], size_t buffer_len, uint64_t total_len,
   buffer[buffer_len++] = 0x80;
   if (buffer_len > kBlock - kLenBytes) {
     std::memset(buffer + buffer_len, 0, kBlock - buffer_len);
-    compress(buffer);
+    compress(buffer, 1);
     buffer_len = 0;
   }
   std::memset(buffer + buffer_len, 0, kBlock - 8 - buffer_len);
@@ -64,7 +68,7 @@ void Pad(uint8_t (&buffer)[kBlock], size_t buffer_len, uint64_t total_len,
   for (int i = 0; i < 8; ++i) {
     buffer[kBlock - 1 - i] = static_cast<uint8_t>(bits >> (8 * i));
   }
-  compress(buffer);
+  compress(buffer, 1);
 }
 
 }  // namespace sdr::sha_internal

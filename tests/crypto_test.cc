@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iostream>
 #include <memory>
 #include <set>
 #include <string>
@@ -12,6 +13,8 @@
 #include "src/crypto/hmac.h"
 #include "src/crypto/sha1.h"
 #include "src/crypto/sha2.h"
+#include "src/crypto/sha_block.h"
+#include "src/crypto/sha_kernels.h"
 #include "src/crypto/signer.h"
 #include "src/util/bytes.h"
 #include "src/util/parallel.h"
@@ -223,6 +226,261 @@ TEST(HmacTest, LongKeyIsHashed) {
   Bytes mac = HmacSha256(long_key, m);
   EXPECT_EQ(mac.size(), 32u);
   EXPECT_NE(mac, HmacSha256(ToBytes("a"), m));
+}
+
+// ---------------------------------------------------------------------------
+// SHA-1 and SHA-256 compression kernels. The portable kernels are the
+// oracle: the SHA-NI ones must agree with them on every length, on runs of
+// many blocks and on any split into Updates, and both must reproduce the
+// published vectors. The SHA-NI cases skip on a CPU without SHA-NI.
+// ---------------------------------------------------------------------------
+
+using sha_internal::Sha1Kernel;
+using sha_internal::Sha256Kernel;
+
+// The digest of m through one kernel, fed as Updates that end at each of
+// cuts (ascending, within m), with sha_block.h's buffering and padding.
+// Sha1Kernel and Sha256Kernel are the same pointer type.
+template <size_t kWords>
+Bytes KernelDigest(Sha1Kernel kernel, const uint32_t (&iv)[kWords],
+                   const Bytes& m, const std::vector<size_t>& cuts = {}) {
+  uint32_t state[kWords];
+  std::copy(iv, iv + kWords, state);
+  uint8_t buffer[64];
+  size_t buffer_len = 0;
+  auto compress = [&](const uint8_t* blocks, size_t n) {
+    kernel(state, blocks, n);
+  };
+  size_t pos = 0;
+  for (size_t cut : cuts) {
+    sha_internal::Absorb(buffer, buffer_len, m.data() + pos, cut - pos,
+                         compress);
+    pos = cut;
+  }
+  sha_internal::Absorb(buffer, buffer_len, m.data() + pos, m.size() - pos,
+                       compress);
+  sha_internal::Pad<8>(buffer, buffer_len, m.size(), compress);
+  Bytes digest(4 * kWords);
+  for (size_t i = 0; i < kWords; ++i) {
+    for (size_t b = 0; b < 4; ++b) {
+      digest[4 * i + b] = static_cast<uint8_t>(state[i] >> (24 - 8 * b));
+    }
+  }
+  return digest;
+}
+
+Bytes Sha1With(Sha1Kernel kernel, const Bytes& m,
+               const std::vector<size_t>& cuts = {}) {
+  return KernelDigest(kernel, sha_internal::kSha1Init, m, cuts);
+}
+
+Bytes Sha256With(Sha256Kernel kernel, const Bytes& m,
+                 const std::vector<size_t>& cuts = {}) {
+  return KernelDigest(kernel, sha_internal::kSha256Init, m, cuts);
+}
+
+// RFC 2104 HMAC-SHA256 through one kernel.
+Bytes HmacSha256With(Sha256Kernel kernel, Bytes key, const Bytes& m) {
+  if (key.size() > 64) {
+    key = Sha256With(kernel, key);
+  }
+  key.resize(64, 0);
+  Bytes inner(key), outer(key);
+  for (size_t i = 0; i < 64; ++i) {
+    inner[i] ^= 0x36;
+    outer[i] ^= 0x5c;
+  }
+  inner.insert(inner.end(), m.begin(), m.end());
+  Bytes inner_digest = Sha256With(kernel, inner);
+  outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+  return Sha256With(kernel, outer);
+}
+
+// Random ascending cut points within [0, len].
+std::vector<size_t> RandomCuts(Rng& rng, size_t len) {
+  std::vector<size_t> cuts(rng.NextBounded(5));
+  for (size_t& cut : cuts) {
+    cut = rng.NextBounded(len + 1);
+  }
+  std::sort(cuts.begin(), cuts.end());
+  return cuts;
+}
+
+struct KernelPair {
+  const char* name;
+  Sha1Kernel sha1;
+  Sha256Kernel sha256;
+};
+
+const KernelPair kPortableKernels = {"portable", sha_internal::Sha1Portable,
+                                     sha_internal::Sha256Portable};
+#ifdef SDR_SHA_NI
+const KernelPair kNiKernels = {"sha_ni", sha_internal::Sha1Ni,
+                               sha_internal::Sha256Ni};
+#endif
+
+// The SHA-NI kernels when this CPU can run them, else null (and the
+// calling test skips).
+const KernelPair* NiKernels() {
+#ifdef SDR_SHA_NI
+  if (sha_internal::CpuHasShaNi()) {
+    return &kNiKernels;
+  }
+#endif
+  return nullptr;
+}
+
+class ShaKernelTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    if (std::string(GetParam()) == "portable") {
+      k_ = &kPortableKernels;
+    } else if ((k_ = NiKernels()) == nullptr) {
+      GTEST_SKIP() << "this CPU (or build) has no SHA-NI";
+    }
+  }
+  const KernelPair* k_ = nullptr;
+};
+
+TEST_P(ShaKernelTest, Fips180Vectors) {
+  EXPECT_EQ(HexEncode(Sha1With(k_->sha1, ToBytes(""))),
+            "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+  EXPECT_EQ(HexEncode(Sha1With(k_->sha1, ToBytes("abc"))),
+            "a9993e364706816aba3e25717850c26c9cd0d89d");
+  EXPECT_EQ(HexEncode(Sha1With(
+                k_->sha1,
+                ToBytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopn"
+                        "opq"))),
+            "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
+  EXPECT_EQ(HexEncode(Sha256With(k_->sha256, ToBytes(""))),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(HexEncode(Sha256With(k_->sha256, ToBytes("abc"))),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(HexEncode(Sha256With(
+                k_->sha256,
+                ToBytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopn"
+                        "opq"))),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  const Bytes million_a(1000000, 'a');
+  EXPECT_EQ(HexEncode(Sha1With(k_->sha1, million_a)),
+            "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+  EXPECT_EQ(HexEncode(Sha256With(k_->sha256, million_a)),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST_P(ShaKernelTest, PaddingBoundaryVectors) {
+  for (const BoundaryDigests& want : kBoundaryDigests) {
+    Bytes m = BoundaryMessage(want.length);
+    EXPECT_EQ(HexEncode(Sha1With(k_->sha1, m)), want.sha1)
+        << "len " << want.length;
+    EXPECT_EQ(HexEncode(Sha256With(k_->sha256, m)), want.sha256)
+        << "len " << want.length;
+  }
+}
+
+TEST_P(ShaKernelTest, Rfc4231Vectors) {
+  // Test cases 1, 2 and 6 (a 131-byte key, hashed first).
+  EXPECT_EQ(HexEncode(HmacSha256With(k_->sha256, Bytes(20, 0x0b),
+                                     ToBytes("Hi There"))),
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+  EXPECT_EQ(HexEncode(HmacSha256With(k_->sha256, ToBytes("Jefe"),
+                                     ToBytes("what do ya want for nothing?"))),
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+  EXPECT_EQ(
+      HexEncode(HmacSha256With(
+          k_->sha256, Bytes(131, 0xaa),
+          ToBytes("Test Using Larger Than Block-Size Key - Hash Key First"))),
+      "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, ShaKernelTest,
+                         ::testing::Values("portable", "sha_ni"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
+
+TEST(ShaKernelOracleTest, NiMatchesPortableOnEveryLength) {
+  const KernelPair* ni = NiKernels();
+  if (ni == nullptr) {
+    GTEST_SKIP() << "this CPU (or build) has no SHA-NI";
+  }
+  Rng rng(21);
+  const Bytes data = rng.NextBytes(1500);
+  for (size_t len = 0; len <= data.size(); ++len) {
+    const Bytes m(data.begin(), data.begin() + static_cast<long>(len));
+    const Bytes sha1 = Sha1With(sha_internal::Sha1Portable, m);
+    const Bytes sha256 = Sha256With(sha_internal::Sha256Portable, m);
+    ASSERT_EQ(Sha1With(ni->sha1, m), sha1) << "len " << len;
+    ASSERT_EQ(Sha256With(ni->sha256, m), sha256) << "len " << len;
+    const std::vector<size_t> cuts = RandomCuts(rng, len);
+    ASSERT_EQ(Sha1With(ni->sha1, m, cuts), sha1) << "split len " << len;
+    ASSERT_EQ(Sha256With(ni->sha256, m, cuts), sha256) << "split len " << len;
+  }
+}
+
+TEST(ShaKernelOracleTest, NiRunOfBlocksMatchesPortableBlockByBlock) {
+  const KernelPair* ni = NiKernels();
+  if (ni == nullptr) {
+    GTEST_SKIP() << "this CPU (or build) has no SHA-NI";
+  }
+  Rng rng(22);
+  for (size_t n_blocks = 1; n_blocks <= 40; ++n_blocks) {
+    const Bytes data = rng.NextBytes(64 * n_blocks);
+    uint32_t portable1[5], run1[5], portable256[8], run256[8];
+    for (int i = 0; i < 5; ++i) {
+      portable1[i] = run1[i] = static_cast<uint32_t>(rng.Next());
+    }
+    for (int i = 0; i < 8; ++i) {
+      portable256[i] = run256[i] = static_cast<uint32_t>(rng.Next());
+    }
+    for (size_t b = 0; b < n_blocks; ++b) {
+      sha_internal::Sha1Portable(portable1, data.data() + 64 * b, 1);
+      sha_internal::Sha256Portable(portable256, data.data() + 64 * b, 1);
+    }
+    ni->sha1(run1, data.data(), n_blocks);
+    ni->sha256(run256, data.data(), n_blocks);
+    EXPECT_TRUE(std::equal(run1, run1 + 5, portable1)) << n_blocks;
+    EXPECT_TRUE(std::equal(run256, run256 + 8, portable256)) << n_blocks;
+  }
+}
+
+// Sha1 and Sha256 hash through whichever kernel the dispatcher chose; on
+// every host their digests must be the portable kernel's, split or not.
+TEST(ShaKernelOracleTest, DispatchedHashMatchesPortable) {
+  Rng rng(23);
+  const Bytes data = rng.NextBytes(1500);
+  for (size_t len = 0; len <= data.size(); len += 7) {
+    const Bytes m(data.begin(), data.begin() + static_cast<long>(len));
+    Sha1 sha1;
+    Sha256 sha256;
+    size_t pos = 0;
+    for (size_t cut : RandomCuts(rng, len)) {
+      sha1.Update(m.data() + pos, cut - pos);
+      sha256.Update(m.data() + pos, cut - pos);
+      pos = cut;
+    }
+    sha1.Update(m.data() + pos, len - pos);
+    sha256.Update(m.data() + pos, len - pos);
+    ASSERT_EQ(sha1.Final(), Sha1With(sha_internal::Sha1Portable, m))
+        << "len " << len;
+    ASSERT_EQ(sha256.Final(), Sha256With(sha_internal::Sha256Portable, m))
+        << "len " << len;
+  }
+}
+
+// Logs the kernels the dispatcher chose (CI checks the line against
+// /proc/cpuinfo) and holds the rule: SHA-NI exactly when the CPU has it.
+TEST(ShaDispatchTest, ChoosesShaNiExactlyWhenTheCpuHasIt) {
+  const bool ni = sha_internal::CpuHasShaNi();
+  const bool sha1_ni =
+      sha_internal::Sha1Compress() != &sha_internal::Sha1Portable;
+  const bool sha256_ni =
+      sha_internal::Sha256Compress() != &sha_internal::Sha256Portable;
+  std::cout << "SHA kernels: sha1=" << (sha1_ni ? "sha_ni" : "portable")
+            << " sha256=" << (sha256_ni ? "sha_ni" : "portable")
+            << " (cpuid sha_ni=" << (ni ? "yes" : "no") << ")" << std::endl;
+  EXPECT_EQ(sha1_ni, ni);
+  EXPECT_EQ(sha256_ni, ni);
 }
 
 struct Rfc8032Vector {

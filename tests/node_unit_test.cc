@@ -249,6 +249,42 @@ TEST(MasterUnitTest, StalledCatchUpIsOneCertifiedRun) {
                                 run->commit, nullptr));
 }
 
+// A pledge against the harness's slave for ItemKey(0) whose hash is no
+// execution's, signed by `signer` under a genuine token.
+Accusation ForgedAccusation(const MasterHarness& h, const Signer& signer) {
+  Accusation accusation;
+  accusation.pledge = MakePledge(
+      signer, h.slave_stub.id(), Query::Get(ItemKey(0)), Bytes(20, 0xee),
+      MakeVersionToken(Signer(h.plan.master_keys[0]), h.plan.master_ids[0],
+                       0, h.sim.Now()));
+  return accusation;
+}
+
+TEST(MasterUnitTest, AccusationsAreConfirmedRepeatedOrUnfounded) {
+  MasterHarness h;
+  auto accuse = [&h](const Signer& signer) {
+    h.net.Send(h.auditor_stub.id(), h.master->id(),
+               WithType(MsgType::kAccusation,
+                        ForgedAccusation(h, signer).Encode()));
+    h.Run(50 * kMillisecond);
+  };
+  const Signer slave(h.plan.slave_keys[0]);
+  // The first proof excludes the slave; proving the same slave guilty
+  // again is a repeat, not an unfounded accusation.
+  accuse(slave);
+  EXPECT_TRUE(h.master->IsExcluded(h.slave_stub.id()));
+  accuse(slave);
+  accuse(slave);
+  // A pledge the slave never signed proves nothing.
+  accuse(Signer(h.plan.master_keys[0]));
+  const MasterMetrics& m = h.master->metrics();
+  EXPECT_EQ(m.accusations_received, 4u);
+  EXPECT_EQ(m.accusations_confirmed, 1u);
+  EXPECT_EQ(m.accusations_repeat, 2u);
+  EXPECT_EQ(m.accusations_unfounded, 1u);
+  EXPECT_EQ(m.slaves_excluded, 1u);
+}
+
 // Certified runs captured from a plan-built master (six commits, then two
 // catch-ups after stalled acks) under seeded mutation, each mutant fed to a
 // fresh slave after a genuine prefix: nothing may crash, and whatever the
@@ -904,8 +940,9 @@ Bytes FirstFrameOfType(const SinkNode& node, MsgType type) {
 }
 
 // Genuine assignment frames from a plan-built master: the hello reply for
-// the AssignmentWorld client's nonce, and the two reassignments that follow
-// excluding the first, then the second member of that set.
+// the AssignmentWorld client's nonce, and the four reassignments that
+// follow as the first member of the current set is excluded each time:
+// [A B C] -> [B C D] -> [C D] -> [D] -> [].
 struct CapturedAssignments {
   DeploymentPlan plan;
   Bytes hello_reply;
@@ -945,8 +982,9 @@ CapturedAssignments CaptureAssignments() {
   VersionToken token = MakeVersionToken(Signer(c.plan.master_keys[0]),
                                         c.plan.master_ids[0], 0,
                                         world.sim.Now());
-  for (size_t i = 0; i < 2; ++i) {
-    const NodeId liar = c.hello_set[i].cert.subject;
+  for (size_t i = 0; i < 4; ++i) {
+    const NodeId liar =
+        (i == 0 ? c.hello_set : c.move_sets.back())[0].cert.subject;
     Accusation accusation;
     accusation.pledge =
         MakePledge(Signer(c.plan.slave_keys[c.plan.RoleIndexOf(liar)]), liar,
@@ -1177,6 +1215,49 @@ TEST(ClientUnitTest, RepliesStragglingInDuringABackoffAreIgnored) {
   read.RunFor(2 * ProtocolParams{}.client_timeout);
   ASSERT_EQ(read.accepted.size(), 1u);
   EXPECT_EQ(read.accepted[0], read.honest);
+}
+
+TEST(ClientUnitTest, AnEmptiedReadSetParksTheReadAndSetsUpAgain) {
+  // Every member the client was ever given is excluded in turn. The empty
+  // set's reassignment must stop the read going to excluded slaves and
+  // start a new setup; the read then waits for a set, and no attempt of it
+  // times out or fails.
+  const CapturedAssignments c = CaptureAssignments();
+  ASSERT_EQ(c.move_sets.size(), 4u);
+  ASSERT_TRUE(c.move_sets[3].empty());
+  AssignmentWorld world(c.plan);
+  ReadDriver read(c, world);
+  auto hellos = [&world] {
+    size_t n = 0;
+    for (const auto& [from, payload] : world.master_stub.received) {
+      auto t = PeekType(payload);
+      n += t.ok() && *t == MsgType::kClientHello;
+    }
+    return n;
+  };
+  ASSERT_EQ(hellos(), 1u);
+  for (const Bytes& move : c.moves) {
+    world.Deliver(move);
+  }
+  EXPECT_EQ(world.client.metrics().reassignments, 4u);
+  EXPECT_TRUE(world.client.read_set().empty());
+  EXPECT_FALSE(world.client.ready());
+  EXPECT_EQ(hellos(), 2u);  // a new setup, via the directory
+  size_t requests = 0;
+  for (const SinkNode& stub : world.slave_stubs) {
+    requests += read.RequestsTo(stub.id());
+  }
+  read.RunFor(5 * ProtocolParams{}.client_timeout);
+  size_t later = 0;
+  for (const SinkNode& stub : world.slave_stubs) {
+    later += read.RequestsTo(stub.id());
+  }
+  EXPECT_EQ(later, requests);
+  EXPECT_EQ(world.client.metrics().reads_timed_out, 0u);
+  EXPECT_TRUE(read.accepted.empty());
+  EXPECT_TRUE(read.failed.empty());
+  // The stub master never answers, so setup keeps starting over.
+  EXPECT_GT(hellos(), 2u);
 }
 
 TEST(SlaveUnitTest, DropBehaviorTimesOutRequests) {

@@ -464,5 +464,24 @@ TEST(ReassignmentTest, SignatureCoversAssignment) {
   EXPECT_TRUE(verifies(retraced));
 }
 
+TEST(ReassignmentTest, AnEmptySetDecodesButAnEmptyHelloReplyDoesNot) {
+  Keys k;
+  Signer master(k.master);
+  Reassignment emptied;
+  emptied.seq = 5;
+  emptied.excluded_slave = 8;
+  emptied.signature = master.Sign(emptied.SignedBody());
+  auto decoded = Reassignment::Decode(emptied.Encode());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_TRUE(decoded->slaves.empty());
+  EXPECT_EQ(decoded->seq, 5u);
+
+  ClientHelloReply reply;
+  reply.server_nonce = Bytes(16, 1);
+  reply.seq = 5;
+  reply.signature = master.Sign(reply.SignedBody(Bytes(16, 2)));
+  EXPECT_FALSE(ClientHelloReply::Decode(reply.Encode()).ok());
+}
+
 }  // namespace
 }  // namespace sdr

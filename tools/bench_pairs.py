@@ -49,12 +49,14 @@ def run_once(tree, build_dir, workload, seed, seconds):
 
 def host_fingerprint():
     model = ""
+    flags = []
     try:
         with open("/proc/cpuinfo") as f:
             for line in f:
-                if line.startswith("model name"):
+                if line.startswith("model name") and not model:
                     model = line.split(":", 1)[1].strip()
-                    break
+                elif line.startswith("flags") and not flags:
+                    flags = line.split(":", 1)[1].split()
     except OSError:
         pass
     try:
@@ -62,7 +64,10 @@ def host_fingerprint():
                              text=True).stdout.splitlines()[0]
     except (OSError, IndexError):
         cxx = ""
-    return {"nproc": os.cpu_count(), "cpu_model": model, "compiler": cxx,
+    # SHA-1 and SHA-256 run on SHA-NI only where the CPU has it, so host
+    # costs from CPUs with and without it do not compare.
+    return {"nproc": os.cpu_count(), "cpu_model": model,
+            "sha_ni": "sha_ni" in flags, "compiler": cxx,
             "build_type": "Release", "kernel": platform.release()}
 
 
