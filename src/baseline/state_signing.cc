@@ -93,7 +93,7 @@ void SsMaster::RefreshRoot() {
   w.U8(kSsStateUpdate);
   EncodeRoot(w, root);
   // An empty batch refreshes the timestamp only.
-  EncodeBatch(w, WriteBatch{});
+  WirePut(w, WriteBatch{});
   Bytes wire = w.Take();
   for (NodeId slave : slaves_) {
     env()->Send(slave, wire);
@@ -113,7 +113,7 @@ void SsMaster::CommitWrite(const WriteBatch& batch) {
   Writer w;
   w.U8(kSsStateUpdate);
   EncodeRoot(w, root);
-  EncodeBatch(w, batch);
+  WirePut(w, batch);
   Bytes wire = w.Take();
   for (NodeId slave : slaves_) {
     env()->Send(slave, wire);
@@ -171,7 +171,7 @@ void SsSlave::HandleMessage(NodeId from, const Payload& payload) {
   uint8_t tag = r.U8();
   if (tag == kSsStateUpdate) {
     SignedRoot root = DecodeRoot(r);
-    WriteBatch batch = DecodeBatch(r);
+    WriteBatch batch = WireRead<WriteBatch>(r);
     if (!r.Done()) {
       return;
     }

@@ -14,31 +14,6 @@ const char* RoleName(Role role) {
   return "?";
 }
 
-Bytes Certificate::SignedBody() const {
-  Writer w;
-  w.Blob(std::string_view("sdr-cert-v1"));
-  w.U32(subject);
-  w.U8(static_cast<uint8_t>(role));
-  w.Blob(subject_public_key);
-  return w.Take();
-}
-
-void Certificate::EncodeTo(Writer& w) const {
-  w.U32(subject);
-  w.U8(static_cast<uint8_t>(role));
-  w.Blob(subject_public_key);
-  w.Blob(signature);
-}
-
-Certificate Certificate::DecodeFrom(Reader& r) {
-  Certificate c;
-  c.subject = r.U32();
-  c.role = static_cast<Role>(r.U8());
-  c.subject_public_key = r.Blob();
-  c.signature = r.Blob();
-  return c;
-}
-
 Certificate IssueCertificate(const Signer& issuer, NodeId subject, Role role,
                              const Bytes& subject_public_key) {
   Certificate cert;

@@ -29,6 +29,7 @@ enum class Role : uint8_t {
 };
 
 const char* RoleName(Role role);
+constexpr Role WireEnumLast(Role) { return Role::kAuditor; }
 
 struct Certificate {
   NodeId subject = kInvalidNode;  // contact address in the simulator
@@ -36,11 +37,8 @@ struct Certificate {
   Bytes subject_public_key;
   Bytes signature;  // by the issuer over the body
 
-  // Canonical signed body (everything but the signature).
-  Bytes SignedBody() const;
-
-  void EncodeTo(Writer& w) const;
-  static Certificate DecodeFrom(Reader& r);
+  SDR_WIRE_FIELDS(Certificate, subject, role, subject_public_key, signature)
+  Bytes SignedBody() const { return WireSignedBody(*this, "sdr-cert-v1"); }
 
   bool operator==(const Certificate&) const = default;
 };

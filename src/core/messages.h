@@ -1,7 +1,16 @@
 // Wire messages of the replication protocol. Every network payload is one
-// byte of MsgType followed by the message body. Encoding helpers keep the
-// node implementations readable; decoding returns Result so corrupt or
-// truncated payloads are rejected rather than trusted.
+// byte of MsgType followed by the message body. Decoding returns Result so
+// corrupt or truncated payloads are rejected rather than trusted.
+//
+// To add a message: give it the next free MsgType, declare its fields, and
+// end the struct with SDR_WIRE_FIELDS(Name, field, ...) listing them in
+// wire order (src/util/serde.h). That one line is its Encode, Decode,
+// EncodeTo and DecodeFrom; a signed message adds
+//   Bytes SignedBody() const { return WireSignedBody(*this, "sdr-...-v1"); }
+// with a fresh domain tag, and every listed field but `signature` and
+// `trace_id` is signed. Add a golden instance to tests/wire_golden.h (the
+// decoder mutation suite picks it up from there) and handle the type in
+// every switch over MsgType.
 #ifndef SDR_SRC_CORE_MESSAGES_H_
 #define SDR_SRC_CORE_MESSAGES_H_
 
@@ -86,20 +95,17 @@ Bytes WithType(MsgType type, const Bytes& body);
 
 struct DirectoryLookup {
   Bytes content_public_key;
-  Bytes Encode() const;
-  static Result<DirectoryLookup> Decode(BytesView body);
+  SDR_WIRE_FIELDS(DirectoryLookup, content_public_key)
 };
 
 struct DirectoryLookupReply {
   std::vector<Certificate> master_certs;
-  Bytes Encode() const;
-  static Result<DirectoryLookupReply> Decode(BytesView body);
+  SDR_WIRE_FIELDS(DirectoryLookupReply, master_certs)
 };
 
 struct ClientHello {
   Bytes client_nonce;
-  Bytes Encode() const;
-  static Result<ClientHello> Decode(BytesView body);
+  SDR_WIRE_FIELDS(ClientHello, client_nonce)
 };
 
 // One member of a client's assigned read set: the slave's certificate and
@@ -109,8 +115,7 @@ struct AssignedSlave {
   NodeId auditor = kInvalidNode;
 
   bool operator==(const AssignedSlave&) const = default;
-  void EncodeTo(Writer& w) const;
-  static AssignedSlave DecodeFrom(Reader& r);
+  SDR_WIRE_FIELDS(AssignedSlave, cert, auditor)
 };
 
 // The master's handshake reply: signed over (client_nonce || server_nonce ||
@@ -125,9 +130,12 @@ struct ClientHelloReply {
   std::vector<AssignedSlave> slaves;
   Bytes signature;
 
-  Bytes SignedBody(const Bytes& client_nonce) const;
-  Bytes Encode() const;
-  static Result<ClientHelloReply> Decode(BytesView body);
+  SDR_WIRE_FIELDS(ClientHelloReply, server_nonce, seq, slaves, signature)
+  Bytes SignedBody(const Bytes& client_nonce) const {
+    return WireSignedBody(*this, "sdr-hello-v2", client_nonce);
+  }
+  // A master never opens a client with an empty read set.
+  bool WireValid() const { return !slaves.empty(); }
 };
 
 // The canonical encoding of an empty QueryResult. Replies that carry no
@@ -142,8 +150,7 @@ struct ReadRequest {
   // nodes. Always carried (0 = untraced), never part of any signed body.
   uint64_t trace_id = 0;
   Query query;
-  Bytes Encode() const;
-  static Result<ReadRequest> Decode(BytesView body);
+  SDR_WIRE_FIELDS(ReadRequest, request_id, trace_id, query)
 };
 
 struct ReadReply {
@@ -159,15 +166,14 @@ struct ReadReply {
   // when fork checking is enabled (optional trailing field, so disabled
   // encodings are byte-identical to the fork-unaware wire format).
   std::optional<VersionVector> vv;
-  Bytes Encode() const;
-  static Result<ReadReply> Decode(BytesView body);
+  SDR_WIRE_FIELDS(ReadReply, request_id, trace_id, ok, result, pledge,
+                  WireTrailing(vv))
 };
 
 struct WriteRequest {
   uint64_t request_id = 0;
   WriteBatch batch;
-  Bytes Encode() const;
-  static Result<WriteRequest> Decode(BytesView body);
+  SDR_WIRE_FIELDS(WriteRequest, request_id, batch)
 };
 
 struct WriteReply {
@@ -175,16 +181,14 @@ struct WriteReply {
   bool ok = false;
   uint64_t committed_version = 0;
   uint8_t error_code = 0;  // ErrorCode when !ok
-  Bytes Encode() const;
-  static Result<WriteReply> Decode(BytesView body);
+  SDR_WIRE_FIELDS(WriteReply, request_id, ok, committed_version, error_code)
 };
 
 struct DoubleCheckRequest {
   uint64_t request_id = 0;
   uint64_t trace_id = 0;
   Pledge pledge;
-  Bytes Encode() const;
-  static Result<DoubleCheckRequest> Decode(BytesView body);
+  SDR_WIRE_FIELDS(DoubleCheckRequest, request_id, trace_id, pledge)
 };
 
 struct DoubleCheckReply {
@@ -194,15 +198,14 @@ struct DoubleCheckReply {
   bool matches = false;  // master's hash == pledge hash
   // The master's canonical result encoding (when served).
   Bytes correct_result = EmptyResultEncoding();
-  Bytes Encode() const;
-  static Result<DoubleCheckReply> Decode(BytesView body);
+  SDR_WIRE_FIELDS(DoubleCheckReply, request_id, trace_id, served, matches,
+                  correct_result)
 };
 
 struct Accusation {
   uint64_t trace_id = 0;
   Pledge pledge;
-  Bytes Encode() const;
-  static Result<Accusation> Decode(BytesView body);
+  SDR_WIRE_FIELDS(Accusation, trace_id, pledge)
 };
 
 // The client's whole new read set after a slave left it. An empty set
@@ -215,21 +218,19 @@ struct Reassignment {
   uint64_t trace_id = 0;  // evidence chain that triggered the exclusion
   Bytes signature;        // master's, over the body (trace_id excluded)
 
-  Bytes SignedBody() const;
-  Bytes Encode() const;
-  static Result<Reassignment> Decode(BytesView body);
+  SDR_WIRE_FIELDS(Reassignment, trace_id, seq, slaves, excluded_slave,
+                  signature)
+  Bytes SignedBody() const { return WireSignedBody(*this, "sdr-reassign-v2"); }
 };
 
 struct KeepAlive {
   VersionToken token;
-  Bytes Encode() const;
-  static Result<KeepAlive> Decode(BytesView body);
+  SDR_WIRE_FIELDS(KeepAlive, token)
 };
 
 struct SlaveAck {
   uint64_t applied_version = 0;
-  Bytes Encode() const;
-  static Result<SlaveAck> Decode(BytesView body);
+  SDR_WIRE_FIELDS(SlaveAck, applied_version)
 };
 
 struct AuditSubmit {
@@ -239,8 +240,7 @@ struct AuditSubmit {
   // so the auditor can reconcile chain heads across client sets that never
   // gossip with each other. Optional trailing field like ReadReply::vv.
   std::optional<VersionVector> vv;
-  Bytes Encode() const;
-  static Result<AuditSubmit> Decode(BytesView body);
+  SDR_WIRE_FIELDS(AuditSubmit, trace_id, pledge, WireTrailing(vv))
 };
 
 // "In some applications, the harm may be undone, by rolling back the
@@ -251,8 +251,7 @@ struct BadReadNotice {
   uint64_t trace_id = 0;
   Pledge pledge;
   Bytes correct_sha1;
-  Bytes Encode() const;
-  static Result<BadReadNotice> Decode(BytesView body);
+  SDR_WIRE_FIELDS(BadReadNotice, trace_id, pledge, correct_sha1)
 };
 
 // Client <-> client fork-consistency gossip: the sender's latest attested
@@ -260,8 +259,7 @@ struct BadReadNotice {
 struct VvExchange {
   NodeId origin = kInvalidNode;
   std::vector<AttestedVv> entries;
-  Bytes Encode() const;
-  static Result<VvExchange> Decode(BytesView body);
+  SDR_WIRE_FIELDS(VvExchange, origin, entries)
 };
 
 // A transferable equivocation proof en route to a master (which verifies
@@ -269,8 +267,7 @@ struct VvExchange {
 struct ForkEvidence {
   uint64_t trace_id = 0;
   EvidenceChain chain;
-  Bytes Encode() const;
-  static Result<ForkEvidence> Decode(BytesView body);
+  SDR_WIRE_FIELDS(ForkEvidence, trace_id, chain)
 };
 
 // Asks the directory for the shard placement of a content. Sent once per
@@ -278,15 +275,13 @@ struct ForkEvidence {
 // cache) until a master suspicion forces a re-setup.
 struct PlacementQuery {
   Bytes content_public_key;
-  Bytes Encode() const;
-  static Result<PlacementQuery> Decode(BytesView body);
+  SDR_WIRE_FIELDS(PlacementQuery, content_public_key)
 };
 
 struct PlacementReply {
   bool found = false;  // false: content is unsharded (or unknown)
   ShardPlacement placement;
-  Bytes Encode() const;
-  static Result<PlacementReply> Decode(BytesView body);
+  SDR_WIRE_FIELDS(PlacementReply, found, placement)
 };
 
 // State propagation: batches for versions
@@ -302,8 +297,7 @@ struct StateUpdateBatch {
   // SHA-1 over the batches' canonical encodings in version order: what
   // commit.batches_sha1 must equal.
   Bytes BatchesSha1() const;
-  Bytes Encode() const;
-  static Result<StateUpdateBatch> Decode(BytesView body);
+  SDR_WIRE_FIELDS(StateUpdateBatch, first_version, batches, token, commit)
 };
 
 // ---- Total-order broadcast inner payloads ----------------------------------
@@ -316,8 +310,7 @@ struct TobWrite {
   NodeId client = kInvalidNode;         // for the reply
   uint64_t request_id = 0;
   WriteBatch batch;
-  Bytes Encode() const;
-  static Result<TobWrite> Decode(BytesView body);
+  SDR_WIRE_FIELDS(TobWrite, origin_master, client, request_id, batch)
 };
 
 // Every write is broadcast in a bundle: the origin master accumulates
@@ -327,8 +320,7 @@ struct TobWrite {
 // order; a bundle of one is a normal bundle.
 struct TobWriteBundle {
   std::vector<TobWrite> writes;
-  Bytes Encode() const;
-  static Result<TobWriteBundle> Decode(BytesView body);
+  SDR_WIRE_FIELDS(TobWriteBundle, writes)
 };
 
 struct TobGossip {
@@ -337,8 +329,8 @@ struct TobGossip {
   // Slaves the gossiper knows to be excluded, by itself or by a peer, so
   // that no survivor adopts one after the excluding master crashes.
   std::vector<NodeId> excluded_slaves;
-  Bytes Encode() const;
-  static Result<TobGossip> Decode(BytesView body);
+  SDR_WIRE_FIELDS(TobGossip, master, slave_certs,
+                  WireTrailing(excluded_slaves))
 };
 
 }  // namespace sdr

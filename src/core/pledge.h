@@ -31,9 +31,8 @@ struct VersionToken {
   NodeId master = kInvalidNode;
   Bytes signature;         // by the master key
 
-  Bytes SignedBody() const;
-  void EncodeTo(Writer& w) const;
-  static VersionToken DecodeFrom(Reader& r);
+  SDR_WIRE_FIELDS(VersionToken, content_version, timestamp, master, signature)
+  Bytes SignedBody() const { return WireSignedBody(*this, "sdr-vtok-v1"); }
 
   bool operator==(const VersionToken&) const = default;
 };
@@ -55,11 +54,11 @@ struct Pledge {
   NodeId slave = kInvalidNode;
   Bytes signature;     // by the slave key, over everything above
 
-  Bytes SignedBody() const;
-  Bytes Encode() const;
-  static Result<Pledge> Decode(const Bytes& data);
-  void EncodeTo(Writer& w) const;
-  static Pledge DecodeFrom(Reader& r);
+  // The token, including the master's signature, is part of the signed
+  // body: it pins exactly which version the slave claims to have answered
+  // at.
+  SDR_WIRE_FIELDS(Pledge, query, result_sha1, token, slave, signature)
+  Bytes SignedBody() const { return WireSignedBody(*this, "sdr-pledge-v1"); }
 
   bool operator==(const Pledge&) const = default;
 };
@@ -128,9 +127,9 @@ struct BatchCommit {
   SimTime timestamp = 0;  // master clock at signing
   Bytes signature;        // by the master key
 
-  Bytes SignedBody() const;
-  void EncodeTo(Writer& w) const;
-  static BatchCommit DecodeFrom(Reader& r);
+  SDR_WIRE_FIELDS(BatchCommit, master, first_version, last_version,
+                  batches_sha1, timestamp, signature)
+  Bytes SignedBody() const { return WireSignedBody(*this, "sdr-bcom-v1"); }
 
   bool operator==(const BatchCommit&) const = default;
 };

@@ -34,24 +34,6 @@ std::string ShardMap::ShardHi(uint32_t shard) const {
   return shard + 1 >= num_shards() ? std::string() : boundaries[shard];
 }
 
-void ShardMap::EncodeTo(Writer& w) const {
-  w.U32(static_cast<uint32_t>(boundaries.size()));
-  for (const std::string& b : boundaries) {
-    w.Blob(std::string_view(b));
-  }
-}
-
-ShardMap ShardMap::DecodeFrom(Reader& r) {
-  ShardMap m;
-  uint32_t n = r.U32();
-  m.boundaries.reserve(std::min<uint32_t>(n, 256));
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    Bytes b = r.Blob();
-    m.boundaries.emplace_back(b.begin(), b.end());
-  }
-  return m;
-}
-
 ShardMap BuildShardMap(std::vector<std::string> keys, uint32_t num_shards) {
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
@@ -69,68 +51,6 @@ ShardMap BuildShardMap(std::vector<std::string> keys, uint32_t num_shards) {
     }
   }
   return map;
-}
-
-Bytes ShardPlacement::SignedBody() const {
-  Writer w;
-  w.Blob(std::string_view("sdr-place-v1"));
-  w.U64(generation);
-  map.EncodeTo(w);
-  w.U32(static_cast<uint32_t>(shard_masters.size()));
-  for (const std::vector<NodeId>& masters : shard_masters) {
-    w.U32(static_cast<uint32_t>(masters.size()));
-    for (NodeId m : masters) {
-      w.U32(m);
-    }
-  }
-  return w.Take();
-}
-
-void ShardPlacement::EncodeTo(Writer& w) const {
-  w.U64(generation);
-  map.EncodeTo(w);
-  w.U32(static_cast<uint32_t>(shard_masters.size()));
-  for (const std::vector<NodeId>& masters : shard_masters) {
-    w.U32(static_cast<uint32_t>(masters.size()));
-    for (NodeId m : masters) {
-      w.U32(m);
-    }
-  }
-  w.Blob(signature);
-}
-
-ShardPlacement ShardPlacement::DecodeFrom(Reader& r) {
-  ShardPlacement p;
-  p.generation = r.U64();
-  p.map = ShardMap::DecodeFrom(r);
-  uint32_t shards = r.U32();
-  p.shard_masters.reserve(std::min<uint32_t>(shards, 256));
-  for (uint32_t s = 0; s < shards && r.ok(); ++s) {
-    uint32_t n = r.U32();
-    std::vector<NodeId> masters;
-    masters.reserve(std::min<uint32_t>(n, 256));
-    for (uint32_t i = 0; i < n && r.ok(); ++i) {
-      masters.push_back(r.U32());
-    }
-    p.shard_masters.push_back(std::move(masters));
-  }
-  p.signature = r.Blob();
-  return p;
-}
-
-Bytes ShardPlacement::Encode() const {
-  Writer w;
-  EncodeTo(w);
-  return w.Take();
-}
-
-Result<ShardPlacement> ShardPlacement::Decode(BytesView data) {
-  Reader r(data);
-  ShardPlacement p = DecodeFrom(r);
-  if (!r.Done()) {
-    return Error(ErrorCode::kCorrupt, "bad placement encoding");
-  }
-  return p;
 }
 
 ShardPlacement MakeShardPlacement(const Signer& content_signer,

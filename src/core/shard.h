@@ -57,8 +57,7 @@ struct ShardMap {
   std::string ShardLo(uint32_t shard) const;
   std::string ShardHi(uint32_t shard) const;
 
-  void EncodeTo(Writer& w) const;
-  static ShardMap DecodeFrom(Reader& r);
+  SDR_WIRE_FIELDS(ShardMap, boundaries)
 
   bool operator==(const ShardMap&) const = default;
 };
@@ -79,11 +78,8 @@ struct ShardPlacement {
   std::vector<std::vector<NodeId>> shard_masters;
   Bytes signature;  // by the content key, over SignedBody()
 
-  Bytes SignedBody() const;
-  void EncodeTo(Writer& w) const;
-  static ShardPlacement DecodeFrom(Reader& r);
-  Bytes Encode() const;
-  static Result<ShardPlacement> Decode(BytesView data);
+  SDR_WIRE_FIELDS(ShardPlacement, generation, map, shard_masters, signature)
+  Bytes SignedBody() const { return WireSignedBody(*this, "sdr-place-v1"); }
 
   bool operator==(const ShardPlacement&) const = default;
 };

@@ -39,6 +39,10 @@ enum class SignatureScheme : uint8_t {
 };
 
 const char* SignatureSchemeName(SignatureScheme scheme);
+// The highest scheme a decoder accepts (src/util/serde.h).
+constexpr SignatureScheme WireEnumLast(SignatureScheme) {
+  return SignatureScheme::kNull;
+}
 
 // A key pair under one of the schemes. For kEd25519 `private_key` is the
 // 32-byte seed and `public_key` the compressed point; for kHmacSha256 both

@@ -15,70 +15,7 @@ bool Fail(std::string* why, const char* reason) {
   return false;
 }
 
-void EncodeChainCerts(Writer& w, const std::vector<Certificate>& certs) {
-  w.U32(static_cast<uint32_t>(certs.size()));
-  for (const Certificate& c : certs) {
-    c.EncodeTo(w);
-  }
-}
-
-std::vector<Certificate> DecodeChainCerts(Reader& r) {
-  uint32_t n = r.U32();
-  std::vector<Certificate> certs;
-  certs.reserve(std::min<uint32_t>(n, 256));
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    certs.push_back(Certificate::DecodeFrom(r));
-  }
-  return certs;
-}
-
-void EncodeChains(Writer& w, const std::vector<EvidenceChain>& chains) {
-  w.U32(static_cast<uint32_t>(chains.size()));
-  for (const EvidenceChain& c : chains) {
-    c.EncodeTo(w);
-  }
-}
-
-std::vector<EvidenceChain> DecodeChains(Reader& r) {
-  uint32_t n = r.U32();
-  std::vector<EvidenceChain> chains;
-  chains.reserve(std::min<uint32_t>(n, 256));
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    chains.push_back(EvidenceChain::DecodeFrom(r));
-  }
-  return chains;
-}
-
 }  // namespace
-
-Bytes VersionVector::SignedBody() const {
-  Writer w;
-  w.Reserve(4 + 10 + 4 + 8 + 8 + 4 + head_sha1.size());
-  w.Blob(std::string_view("sdr-vv-v1"));
-  w.U32(slave);
-  w.U64(content_version);
-  w.U64(chain_length);
-  w.Blob(head_sha1);
-  return w.Take();
-}
-
-void VersionVector::EncodeTo(Writer& w) const {
-  w.U32(slave);
-  w.U64(content_version);
-  w.U64(chain_length);
-  w.Blob(head_sha1);
-  w.Blob(signature);
-}
-
-VersionVector VersionVector::DecodeFrom(Reader& r) {
-  VersionVector v;
-  v.slave = r.U32();
-  v.content_version = r.U64();
-  v.chain_length = r.U64();
-  v.head_sha1 = r.Blob();
-  v.signature = r.Blob();
-  return v;
-}
 
 VersionVector MakeVersionVector(const Signer& slave_signer, NodeId slave,
                                 uint64_t content_version,
@@ -105,20 +42,6 @@ bool VerifyVersionVector(SignatureScheme scheme, const Bytes& slave_public_key,
   }
   return cache->Verify(scheme, slave_public_key, vv.SignedBody(),
                        vv.signature);
-}
-
-void AttestedVv::EncodeTo(Writer& w) const {
-  vv.EncodeTo(w);
-  token.EncodeTo(w);
-  slave_cert.EncodeTo(w);
-}
-
-AttestedVv AttestedVv::DecodeFrom(Reader& r) {
-  AttestedVv a;
-  a.vv = VersionVector::DecodeFrom(r);
-  a.token = VersionToken::DecodeFrom(r);
-  a.slave_cert = Certificate::DecodeFrom(r);
-  return a;
 }
 
 PledgeChain::PledgeChain() : head_(Sha1::kDigestSize, 0) {}
@@ -194,35 +117,6 @@ size_t ForkDetector::tracked() const {
     n += history.size();
   }
   return n;
-}
-
-void EvidenceChain::EncodeTo(Writer& w) const {
-  a.EncodeTo(w);
-  b.EncodeTo(w);
-  EncodeChainCerts(w, master_certs);
-}
-
-EvidenceChain EvidenceChain::DecodeFrom(Reader& r) {
-  EvidenceChain c;
-  c.a = AttestedVv::DecodeFrom(r);
-  c.b = AttestedVv::DecodeFrom(r);
-  c.master_certs = DecodeChainCerts(r);
-  return c;
-}
-
-Bytes EvidenceChain::Encode() const {
-  Writer w;
-  EncodeTo(w);
-  return w.Take();
-}
-
-Result<EvidenceChain> EvidenceChain::Decode(BytesView body) {
-  Reader r(body);
-  EvidenceChain c = DecodeFrom(r);
-  if (!r.Done()) {
-    return Error(ErrorCode::kCorrupt, "bad evidence chain encoding");
-  }
-  return c;
 }
 
 EvidenceChain MakeEvidenceChain(const AttestedVv& a, const AttestedVv& b,
@@ -306,26 +200,6 @@ bool VerifyEvidenceChain(SignatureScheme scheme,
     why->clear();
   }
   return true;
-}
-
-Bytes EvidenceBundle::Encode() const {
-  Writer w;
-  w.U8(static_cast<uint8_t>(scheme));
-  w.Blob(content_public_key);
-  EncodeChains(w, chains);
-  return w.Take();
-}
-
-Result<EvidenceBundle> EvidenceBundle::Decode(BytesView body) {
-  Reader r(body);
-  EvidenceBundle m;
-  m.scheme = static_cast<SignatureScheme>(r.U8());
-  m.content_public_key = r.Blob();
-  m.chains = DecodeChains(r);
-  if (!r.Done()) {
-    return Error(ErrorCode::kCorrupt, "bad evidence bundle encoding");
-  }
-  return m;
 }
 
 }  // namespace sdr

@@ -58,9 +58,9 @@ struct VersionVector {
   Bytes head_sha1;  // pledge-chain head after this commitment's pledge
   Bytes signature;  // slave's, over SignedBody()
 
-  Bytes SignedBody() const;
-  void EncodeTo(Writer& w) const;
-  static VersionVector DecodeFrom(Reader& r);
+  SDR_WIRE_FIELDS(VersionVector, slave, content_version, chain_length,
+                  head_sha1, signature)
+  Bytes SignedBody() const { return WireSignedBody(*this, "sdr-vv-v1"); }
 };
 
 VersionVector MakeVersionVector(const Signer& slave_signer, NodeId slave,
@@ -93,8 +93,7 @@ struct AttestedVv {
   VersionToken token;
   Certificate slave_cert;
 
-  void EncodeTo(Writer& w) const;
-  static AttestedVv DecodeFrom(Reader& r);
+  SDR_WIRE_FIELDS(AttestedVv, vv, token, slave_cert)
 };
 
 // The slave-side running hash chain over issued pledges. Each served read
@@ -156,10 +155,7 @@ struct EvidenceChain {
   AttestedVv b;
   std::vector<Certificate> master_certs;  // issued by the content owner
 
-  void EncodeTo(Writer& w) const;
-  static EvidenceChain DecodeFrom(Reader& r);
-  Bytes Encode() const;
-  static Result<EvidenceChain> Decode(BytesView body);
+  SDR_WIRE_FIELDS(EvidenceChain, a, b, master_certs)
 };
 
 EvidenceChain MakeEvidenceChain(const AttestedVv& a, const AttestedVv& b,
@@ -183,8 +179,7 @@ struct EvidenceBundle {
   Bytes content_public_key;
   std::vector<EvidenceChain> chains;
 
-  Bytes Encode() const;
-  static Result<EvidenceBundle> Decode(BytesView body);
+  SDR_WIRE_FIELDS(EvidenceBundle, scheme, content_public_key, chains)
 };
 
 }  // namespace sdr

@@ -4,38 +4,6 @@
 
 namespace sdr {
 
-void WriteOp::EncodeTo(Writer& w) const {
-  w.U8(static_cast<uint8_t>(kind));
-  w.Blob(key);
-  w.Blob(value);
-}
-
-WriteOp WriteOp::DecodeFrom(Reader& r) {
-  WriteOp op;
-  op.kind = static_cast<Kind>(r.U8());
-  op.key = r.BlobString();
-  op.value = r.BlobString();
-  return op;
-}
-
-void EncodeBatch(Writer& w, const WriteBatch& batch) {
-  w.U32(static_cast<uint32_t>(batch.size()));
-  for (const WriteOp& op : batch) {
-    op.EncodeTo(w);
-  }
-}
-
-WriteBatch DecodeBatch(Reader& r) {
-  uint32_t n = r.U32();
-  WriteBatch batch;
-  // Cap reservation: a corrupt length must not allocate unboundedly.
-  batch.reserve(std::min<uint32_t>(n, 1024));
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    batch.push_back(WriteOp::DecodeFrom(r));
-  }
-  return batch;
-}
-
 bool DocumentStore::Apply(const WriteOp& op) {
   switch (op.kind) {
     case WriteOp::Kind::kPut:

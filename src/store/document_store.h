@@ -34,16 +34,16 @@ struct WriteOp {
     return {Kind::kAppend, std::move(key), std::move(value)};
   }
 
-  void EncodeTo(Writer& w) const;
-  static WriteOp DecodeFrom(Reader& r);
+  SDR_WIRE_FIELDS(WriteOp, kind, key, value)
+  friend constexpr Kind WireEnumLast(Kind) { return Kind::kAppend; }
 
   bool operator==(const WriteOp&) const = default;
 };
 
 using WriteBatch = std::vector<WriteOp>;
-
-void EncodeBatch(Writer& w, const WriteBatch& batch);
-WriteBatch DecodeBatch(Reader& r);
+// A batch decoded off the wire reserves room for at most this many ops.
+template <>
+inline constexpr uint32_t kWireReserveCap<WriteOp> = 1024;
 
 // In-memory ordered document store. Deterministic iteration order (std::map)
 // keeps query results canonical across replicas.

@@ -7,39 +7,6 @@
 
 namespace sdr {
 
-Bytes QueryResult::Encode() const {
-  Writer w;
-  w.U8(static_cast<uint8_t>(type));
-  w.U32(static_cast<uint32_t>(rows.size()));
-  for (const auto& [key, value] : rows) {
-    w.Blob(key);
-    w.Blob(value);
-  }
-  w.I64(scalar);
-  w.Bool(empty_aggregate);
-  return w.Take();
-}
-
-Result<QueryResult> QueryResult::Decode(BytesView data) {
-  Reader r(data);
-  QueryResult res;
-  uint8_t type = r.U8();
-  res.type = static_cast<Type>(type);
-  uint32_t n = r.U32();
-  res.rows.reserve(std::min<uint32_t>(n, 4096));
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    std::string k = r.BlobString();
-    std::string v = r.BlobString();
-    res.rows.emplace_back(std::move(k), std::move(v));
-  }
-  res.scalar = r.I64();
-  res.empty_aggregate = r.Bool();
-  if (!r.Done() || type > static_cast<uint8_t>(Type::kScalar)) {
-    return Error(ErrorCode::kCorrupt, "bad result encoding");
-  }
-  return res;
-}
-
 bool QueryResult::WellFormed(BytesView data) {
   Reader r(data);
   uint8_t type = r.U8();

@@ -29,8 +29,14 @@
 
 namespace sdr {
 
+// A result decoded off the wire reserves room for at most this many rows.
+template <>
+inline constexpr uint32_t kWireReserveCap<std::pair<std::string, std::string>> =
+    4096;
+
 struct QueryResult {
   enum class Type : uint8_t { kNone = 0, kRows = 1, kScalar = 2 };
+  friend constexpr Type WireEnumLast(Type) { return Type::kScalar; }
 
   Type type = Type::kNone;
   // kRows: matching key/value pairs in key order.
@@ -41,8 +47,7 @@ struct QueryResult {
   // True when a scalar aggregate had no input rows (empty MIN/MAX/AVG).
   bool empty_aggregate = false;
 
-  Bytes Encode() const;
-  static Result<QueryResult> Decode(BytesView data);
+  SDR_WIRE_FIELDS(QueryResult, type, rows, scalar, empty_aggregate)
   // True when `data` is exactly an encoding Encode() can produce: the type
   // is known, every length fits, bools are 0 or 1, nothing trails. Walks
   // the bytes without allocating; Decode succeeds on exactly these inputs.

@@ -60,44 +60,6 @@ Query Query::Aggregate(QueryKind kind, std::string lo, std::string hi) {
   return q;
 }
 
-void Query::EncodeTo(Writer& w) const {
-  w.U8(static_cast<uint8_t>(kind));
-  w.Blob(key);
-  w.Blob(range_lo);
-  w.Blob(range_hi);
-  w.Blob(pattern);
-  w.U32(limit);
-}
-
-Bytes Query::Encode() const {
-  Writer w;
-  EncodeTo(w);
-  return w.Take();
-}
-
-Query Query::DecodeFrom(Reader& r) {
-  Query q;
-  q.kind = static_cast<QueryKind>(r.U8());
-  q.key = r.BlobString();
-  q.range_lo = r.BlobString();
-  q.range_hi = r.BlobString();
-  q.pattern = r.BlobString();
-  q.limit = r.U32();
-  return q;
-}
-
-Result<Query> Query::Decode(const Bytes& data) {
-  Reader r(data);
-  Query q = DecodeFrom(r);
-  if (!r.Done()) {
-    return Error(ErrorCode::kCorrupt, "bad query encoding");
-  }
-  if (static_cast<uint8_t>(q.kind) > static_cast<uint8_t>(QueryKind::kAvg)) {
-    return Error(ErrorCode::kCorrupt, "unknown query kind");
-  }
-  return q;
-}
-
 namespace {
 // Tokens are space-separated; "*" denotes the empty (unbounded) range end.
 std::vector<std::string> Tokenize(const std::string& text) {

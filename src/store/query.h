@@ -36,6 +36,7 @@ enum class QueryKind : uint8_t {
 };
 
 const char* QueryKindName(QueryKind kind);
+constexpr QueryKind WireEnumLast(QueryKind) { return QueryKind::kAvg; }
 
 struct Query {
   QueryKind kind = QueryKind::kGet;
@@ -53,10 +54,7 @@ struct Query {
                          std::string hi = "");
 
   // Canonical binary encoding (hashed into pledges — must be deterministic).
-  void EncodeTo(Writer& w) const;
-  Bytes Encode() const;
-  static Query DecodeFrom(Reader& r);
-  static Result<Query> Decode(const Bytes& data);
+  SDR_WIRE_FIELDS(Query, kind, key, range_lo, range_hi, pattern, limit)
 
   // Human-readable round-trippable text form.
   std::string ToText() const;

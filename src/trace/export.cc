@@ -127,8 +127,9 @@ Result<TraceData> DecodeTrace(const Bytes& buf) {
 
   uint64_t event_count = r.U64();
   // Each event is 32 bytes on the wire; reject counts that cannot fit the
-  // remaining buffer before reserving memory for them.
-  if (r.ok() && event_count * 32 > r.remaining()) {
+  // remaining buffer before reserving memory for them (dividing, since
+  // event_count * 32 can wrap).
+  if (r.ok() && event_count > r.remaining() / 32) {
     return Error(ErrorCode::kCorrupt, "trace event count exceeds file size");
   }
   data.events.reserve(static_cast<size_t>(event_count));

@@ -1,16 +1,21 @@
 // Minimal binary serialization: little-endian fixed-width integers and
-// length-prefixed byte strings. All protocol messages, pledges and
-// certificates are serialized with this so that hashes and signatures are
-// computed over a canonical encoding.
+// length-prefixed byte strings, and the field-list codec built on them.
+// All protocol messages, pledges and certificates are serialized with this
+// so that hashes and signatures are computed over a canonical encoding.
 #ifndef SDR_SRC_UTIL_SERDE_H_
 #define SDR_SRC_UTIL_SERDE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/util/bytes.h"
+#include "src/util/result.h"
 
 namespace sdr {
 
@@ -83,6 +88,9 @@ class Reader {
   Bytes Raw(size_t len);
 
   bool ok() const { return ok_; }
+  // Marks the buffer corrupt: the bytes were in bounds but not a value the
+  // writer emits (an unknown enumerator, say).
+  void Fail() { ok_ = false; }
   // True when the whole buffer has been consumed and no error occurred.
   bool Done() const { return ok_ && pos_ == size_; }
   size_t remaining() const { return ok_ ? size_ - pos_ : 0; }
@@ -95,6 +103,319 @@ class Reader {
   size_t pos_ = 0;
   bool ok_ = true;
 };
+
+
+// ---- Field-list codec ------------------------------------------------------
+//
+// A wire type declares its fields once, in wire order, with one line:
+//
+//   struct VersionToken {
+//     uint64_t content_version = 0;
+//     ...
+//     SDR_WIRE_FIELDS(VersionToken, content_version, timestamp, master,
+//                     signature)
+//   };
+//
+// That list is the type's wire format. The macro defines Encode(),
+// Decode(BytesView), EncodeTo(Writer&) and DecodeFrom(Reader&), all of
+// which walk the list; WireSignedBody() walks it for SignedBody(). A field
+// is one of:
+//   - an unsigned integer, int64_t or bool (one byte, 0 or 1): fixed width,
+//     little-endian;
+//   - an enum over uint8_t: one byte, range-checked on decode against
+//     WireEnumLast(E), which the enum's header defines;
+//   - Bytes or std::string: u32 length, then the bytes;
+//   - std::pair: first, then second;
+//   - a type with its own SDR_WIRE_FIELDS: its fields, with no prefix;
+//   - std::vector<T>: u32 count, then the elements. For a count read off
+//     the wire a decoder reserves at most kWireReserveCap<T> elements, so a
+//     hostile count cannot allocate unboundedly;
+//   - WireTrailing(f), f a std::optional or std::vector: written only when
+//     present (has a value, is non-empty) and read only when bytes remain.
+//     It may only be the last field, and only of a type that is never
+//     nested in another. A present but empty value is corrupt, so every
+//     encoding a decoder accepts is the one its value re-encodes to.
+// A decoder stops at the first out-of-bounds read, and a top-level Decode
+// requires that the value consumed the whole buffer.
+
+#define SDR_WIRE_FIELDS(Type, ...)                                           \
+  template <typename SdrVisit>                                               \
+  void WireFields(SdrVisit&& sdr_visit) {                                    \
+    sdr_visit(__VA_ARGS__);                                                  \
+  }                                                                          \
+  template <typename SdrVisit>                                               \
+  void WireFields(SdrVisit&& sdr_visit) const {                              \
+    sdr_visit(__VA_ARGS__);                                                  \
+  }                                                                          \
+  ::sdr::Bytes Encode() const { return ::sdr::WireEncode(*this); }           \
+  static ::sdr::Result<Type> Decode(::sdr::BytesView body) {                 \
+    return ::sdr::WireDecode<Type>(body);                                    \
+  }                                                                          \
+  void EncodeTo(::sdr::Writer& w) const { ::sdr::WirePut(w, *this); }        \
+  static Type DecodeFrom(::sdr::Reader& r) {                                 \
+    return ::sdr::WireRead<Type>(r);                                         \
+  }
+
+// Reservation cap for decoded lists of T; raised for write batches and
+// result rows, which run longer (document_store.h, executor.h).
+template <typename T>
+inline constexpr uint32_t kWireReserveCap = 256;
+
+template <typename T>
+struct WireTrailingField {
+  T& field;
+};
+
+template <typename T>
+WireTrailingField<T> WireTrailing(T& field) {
+  return {field};
+}
+
+namespace wire_internal {
+
+template <typename T>
+inline constexpr bool kIsVector = false;
+template <typename T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+template <typename T>
+inline constexpr bool kIsPair = false;
+template <typename A, typename B>
+inline constexpr bool kIsPair<std::pair<A, B>> = true;
+
+template <typename T>
+inline constexpr bool kIsTrailing = false;
+template <typename T>
+inline constexpr bool kIsTrailing<WireTrailingField<T>> = true;
+
+template <typename T>
+inline constexpr bool kIsInteger =
+    std::is_same_v<T, uint8_t> || std::is_same_v<T, uint16_t> ||
+    std::is_same_v<T, uint32_t> || std::is_same_v<T, uint64_t> ||
+    std::is_same_v<T, int64_t> || std::is_same_v<T, bool>;
+
+template <typename... Fields>
+constexpr bool TrailingOnlyLast() {
+  constexpr bool trailing[] = {kIsTrailing<std::remove_cvref_t<Fields>>...,
+                               false};
+  for (size_t i = 0; i + 1 < sizeof...(Fields); ++i) {
+    if (trailing[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+template <typename T>
+bool Present(const std::optional<T>& v) {
+  return v.has_value();
+}
+template <typename T>
+bool Present(const std::vector<T>& v) {
+  return !v.empty();
+}
+
+template <typename T>
+T& Emplace(std::optional<T>& v) {
+  return v.emplace();
+}
+template <typename T>
+std::vector<T>& Emplace(std::vector<T>& v) {
+  return v;
+}
+
+template <typename T>
+const T& Value(const std::optional<T>& v) {
+  return *v;
+}
+template <typename T>
+const std::vector<T>& Value(const std::vector<T>& v) {
+  return v;
+}
+
+}  // namespace wire_internal
+
+// Exact encoded size of `v`, walking the same list as WirePut.
+template <typename T>
+size_t WireSize(const T& v) {
+  using namespace wire_internal;
+  if constexpr (std::is_enum_v<T> || kIsInteger<T>) {
+    return sizeof(T);
+  } else if constexpr (std::is_same_v<T, Bytes> ||
+                       std::is_same_v<T, std::string>) {
+    return 4 + v.size();
+  } else if constexpr (kIsPair<T>) {
+    return WireSize(v.first) + WireSize(v.second);
+  } else if constexpr (kIsVector<T>) {
+    size_t n = 4;
+    for (const auto& e : v) {
+      n += WireSize(e);
+    }
+    return n;
+  } else if constexpr (kIsTrailing<T>) {
+    return Present(v.field) ? WireSize(Value(v.field)) : 0;
+  } else {
+    size_t n = 0;
+    v.WireFields([&n](const auto&... f) { n = (WireSize(f) + ... + 0); });
+    return n;
+  }
+}
+
+template <typename T>
+void WirePut(Writer& w, const T& v) {
+  using namespace wire_internal;
+  if constexpr (std::is_same_v<T, bool>) {
+    w.Bool(v);
+  } else if constexpr (std::is_enum_v<T>) {
+    static_assert(std::is_same_v<std::underlying_type_t<T>, uint8_t>);
+    w.U8(static_cast<uint8_t>(v));
+  } else if constexpr (std::is_same_v<T, uint8_t>) {
+    w.U8(v);
+  } else if constexpr (std::is_same_v<T, uint16_t>) {
+    w.U16(v);
+  } else if constexpr (std::is_same_v<T, uint32_t>) {
+    w.U32(v);
+  } else if constexpr (std::is_same_v<T, uint64_t>) {
+    w.U64(v);
+  } else if constexpr (std::is_same_v<T, int64_t>) {
+    w.I64(v);
+  } else if constexpr (std::is_same_v<T, Bytes>) {
+    w.Blob(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    w.Blob(std::string_view(v));
+  } else if constexpr (kIsPair<T>) {
+    WirePut(w, v.first);
+    WirePut(w, v.second);
+  } else if constexpr (kIsVector<T>) {
+    w.U32(static_cast<uint32_t>(v.size()));
+    for (const auto& e : v) {
+      WirePut(w, e);
+    }
+  } else if constexpr (kIsTrailing<T>) {
+    if (Present(v.field)) {
+      WirePut(w, Value(v.field));
+    }
+  } else {
+    v.WireFields([&w](const auto&... f) {
+      static_assert(TrailingOnlyLast<decltype(f)...>(),
+                    "a trailing field must be the last field");
+      (WirePut(w, f), ...);
+    });
+  }
+}
+
+template <typename T>
+void WireGet(Reader& r, T& v) {
+  using namespace wire_internal;
+  if constexpr (std::is_same_v<T, bool>) {
+    v = r.Bool();
+  } else if constexpr (std::is_enum_v<T>) {
+    uint8_t raw = r.U8();
+    if (raw > static_cast<uint8_t>(WireEnumLast(T{}))) {
+      r.Fail();
+    } else {
+      v = static_cast<T>(raw);
+    }
+  } else if constexpr (std::is_same_v<T, uint8_t>) {
+    v = r.U8();
+  } else if constexpr (std::is_same_v<T, uint16_t>) {
+    v = r.U16();
+  } else if constexpr (std::is_same_v<T, uint32_t>) {
+    v = r.U32();
+  } else if constexpr (std::is_same_v<T, uint64_t>) {
+    v = r.U64();
+  } else if constexpr (std::is_same_v<T, int64_t>) {
+    v = r.I64();
+  } else if constexpr (std::is_same_v<T, Bytes>) {
+    v = r.Blob();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v = r.BlobString();
+  } else if constexpr (kIsPair<T>) {
+    WireGet(r, v.first);
+    WireGet(r, v.second);
+  } else if constexpr (kIsVector<T>) {
+    using Element = typename T::value_type;
+    uint32_t n = r.U32();
+    v.clear();
+    v.reserve(std::min(n, kWireReserveCap<Element>));
+    for (uint32_t i = 0; i < n && r.ok(); ++i) {
+      WireGet(r, v.emplace_back());
+    }
+  } else if constexpr (kIsTrailing<T>) {
+    if (r.remaining() > 0) {
+      WireGet(r, Emplace(v.field));
+      if (!Present(v.field)) {
+        r.Fail();
+      }
+    }
+  } else {
+    v.WireFields([&r](auto&&... f) { (WireGet(r, f), ...); });
+  }
+}
+
+template <typename T>
+T WireRead(Reader& r) {
+  T v{};
+  WireGet(r, v);
+  return v;
+}
+
+template <typename T>
+Bytes WireEncode(const T& v) {
+  Writer w;
+  w.Reserve(WireSize(v));
+  WirePut(w, v);
+  return w.Take();
+}
+
+// Decodes a whole buffer. A type may add a check of its own that the
+// format alone cannot express, as `bool WireValid() const`.
+template <typename T>
+Result<T> WireDecode(BytesView body) {
+  Reader r(body);
+  T v = WireRead<T>(r);
+  if (!r.Done()) {
+    return Error(ErrorCode::kCorrupt, "bad wire encoding");
+  }
+  if constexpr (requires { v.WireValid(); }) {
+    if (!v.WireValid()) {
+      return Error(ErrorCode::kCorrupt, "invalid wire value");
+    }
+  }
+  return v;
+}
+
+// The bytes a signature covers: the length-prefixed domain tag, then
+// `prefix` (values the signer binds in but does not send, such as the
+// client's nonce), then every field of `v` in wire order except the
+// signature itself and the trace id, which is observability metadata and
+// no protocol commitment. So a field added to the list is signed unless
+// it is one of those two.
+template <typename T, typename... Prefix>
+Bytes WireSignedBody(const T& v, std::string_view tag,
+                     const Prefix&... prefix) {
+  auto is_signed = [&v](const auto& field) {
+    const void* p = &field;
+    if constexpr (requires { v.trace_id; }) {
+      if (p == &v.trace_id) {
+        return false;
+      }
+    }
+    return p != &v.signature;
+  };
+  size_t n = 4 + tag.size() + (WireSize(prefix) + ... + 0);
+  v.WireFields([&](const auto&... f) {
+    ((n += is_signed(f) ? WireSize(f) : 0), ...);
+  });
+  Writer w;
+  w.Reserve(n);
+  w.Blob(tag);
+  (WirePut(w, prefix), ...);
+  v.WireFields([&](const auto&... f) {
+    ((is_signed(f) ? WirePut(w, f) : void()), ...);
+  });
+  return w.Take();
+}
 
 }  // namespace sdr
 

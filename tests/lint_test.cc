@@ -932,6 +932,9 @@ TEST(Classify, DomainsMatchTheRuleCatalogue) {
   EXPECT_TRUE(ClassifyPath("src/core/messages.h").r4);
   EXPECT_TRUE(ClassifyPath("src/core/pledge.cc").r4);
   EXPECT_FALSE(ClassifyPath("src/core/slave.cc").r4);
+  EXPECT_TRUE(ClassifyPath("src/merkle/merkle_tree.cc").r4);
+  EXPECT_TRUE(ClassifyPath("src/trace/export.cc").r8);
+  EXPECT_TRUE(ClassifyPath("src/baseline/state_signing.cc").r8);
   EXPECT_TRUE(ClassifyPath("src/chaos/runner.cc").r1);
   EXPECT_TRUE(ClassifyPath("src/trace/export.cc").r1);
   EXPECT_FALSE(ClassifyPath("tools/sdrsim.cc").r1);

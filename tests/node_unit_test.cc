@@ -455,7 +455,7 @@ TEST(SlaveUnitTest, UncertifiedUpdatesNeverTouchTheStore) {
   {
     Writer w;
     w.U64(1);
-    EncodeBatch(w, {WriteOp::Put("x", "forged")});
+    WirePut(w, WriteBatch{WriteOp::Put("x", "forged")});
     VersionToken token;
     token.master = h.master_stub.id();
     token.content_version = 1;

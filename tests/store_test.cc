@@ -59,9 +59,9 @@ TEST(WriteOpTest, BatchSerdeRoundTrip) {
   WriteBatch batch = {WriteOp::Put("a", "1"), WriteOp::Delete("b"),
                       WriteOp::Append("c", "x")};
   Writer w;
-  EncodeBatch(w, batch);
+  WirePut(w, batch);
   Reader r(w.bytes());
-  WriteBatch decoded = DecodeBatch(r);
+  WriteBatch decoded = WireRead<WriteBatch>(r);
   EXPECT_TRUE(r.Done());
   EXPECT_EQ(decoded, batch);
 }

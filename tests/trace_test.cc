@@ -268,6 +268,22 @@ TEST(TraceExport, DecodeRejectsCorruptInput) {
   }
 }
 
+TEST(TraceExport, DecodeRejectsAnEventCountThatOverflows) {
+  // Magic and version of a real file, no names or nodes, then 2^59 events
+  // (2^59 * 32 bytes wraps to 0) over 12 bytes of payload.
+  Bytes head = EncodeTrace(TraceData{});
+  Writer w;
+  w.Raw(head.data(), 6);
+  w.U32(0);
+  w.U32(0);
+  w.U64(uint64_t{1} << 59);
+  w.Raw(Bytes(12, 0));
+  ASSERT_EQ(w.bytes().size(), 34u);
+  auto decoded = DecodeTrace(w.bytes());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code(), ErrorCode::kCorrupt);
+}
+
 TEST(TraceExport, ChromeJsonGolden) {
   // A hand-built sink with one span, one instant, and one counter must
   // serialize to exactly this document (byte-stable contract).

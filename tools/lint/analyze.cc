@@ -585,15 +585,19 @@ FileClass ClassifyPath(const std::string& path) {
            has("src/trace/")) &&
           !has("util/rng");
   fc.r4 = has("src/core/messages.") || has("src/core/pledge.") ||
-          has("src/core/shard.");
+          has("src/core/shard.") || has("src/merkle/") ||
+          has("src/trace/export.") || has("src/baseline/");
   fc.r5 = has("src/crypto/");
   // R8 analyzes Encode/Decode bodies statement-by-statement, so it runs
   // only where bodies follow the linear `w.Op(field)` / `m.f = r.Op()`
-  // idiom: the wire-message and store serde files.
+  // idiom: the wire-message and store serde files, and the codecs still
+  // written by hand (Merkle proofs, the trace file, the baselines).
   fc.r8 = has("src/core/messages.") || has("src/core/pledge.") ||
           has("src/core/certificate.") || has("src/store/query.") ||
           has("src/store/document_store.") || has("src/store/executor.") ||
-          has("src/forkcheck/") || has("src/core/shard.");
+          has("src/forkcheck/") || has("src/core/shard.") ||
+          has("src/merkle/") || has("src/trace/export.") ||
+          has("src/baseline/");
   return fc;
 }
 

@@ -28,9 +28,11 @@
 //                         enumerator and carry no `default:`, so a new
 //                         message type or fault kind fails the lint instead
 //                         of being silently dropped.
-//   R4 serde pairing    — every Encode/EncodeTo in src/core/messages.* and
-//                         src/core/pledge.* has a matching Decode/DecodeFrom
-//                         for the same struct in the same file.
+//   R4 serde pairing    — every hand-written Encode/EncodeTo (the protocol
+//                         files, src/merkle, src/trace/export, src/baseline)
+//                         has a matching Decode/DecodeFrom for the same
+//                         struct in the same file. Wire types declared with
+//                         SDR_WIRE_FIELDS have one codec and nothing to pair.
 //   R5 constant-time    — in src/crypto, values tagged `// sdrlint:secret`
 //                         must not reach branch conditions, ==/!= compares,
 //                         memcmp, or array subscripts; `// sdrlint:public`
@@ -120,7 +122,7 @@ struct FileClass {
   bool r1 = false;  // determinism domain: src/sim, src/core, src/chaos
   bool r2 = true;   // everywhere
   bool r3 = true;   // everywhere
-  bool r4 = false;  // serde files: src/core/{messages,pledge,shard}.*
+  bool r4 = false;  // hand-written serde files; see ClassifyPath
   bool r5 = false;  // src/crypto
   bool r6 = true;   // everywhere (annotation-driven)
   bool r7 = true;   // everywhere (BytesView/Payload lifetime)
