@@ -8,9 +8,9 @@
 // EncodeTo and DecodeFrom; a signed message adds
 //   Bytes SignedBody() const { return WireSignedBody(*this, "sdr-...-v1"); }
 // with a fresh domain tag, and every listed field but `signature` and
-// `trace_id` is signed. Add a golden instance to tests/wire_golden.h (the
-// decoder mutation suite picks it up from there) and handle the type in
-// every switch over MsgType.
+// `trace_id` is signed. Add the type and a golden instance of it to
+// tests/wire_golden.h, which the decoder mutation suite also reads, and
+// handle the type in every switch over MsgType.
 #ifndef SDR_SRC_CORE_MESSAGES_H_
 #define SDR_SRC_CORE_MESSAGES_H_
 

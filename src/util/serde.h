@@ -206,30 +206,23 @@ constexpr bool TrailingOnlyLast() {
   return true;
 }
 
+// What a trailing field puts on the wire, or null when it is absent.
 template <typename T>
-bool Present(const std::optional<T>& v) {
-  return v.has_value();
+const T* TrailingValue(const std::optional<T>& v) {
+  return v ? &*v : nullptr;
 }
 template <typename T>
-bool Present(const std::vector<T>& v) {
-  return !v.empty();
+const std::vector<T>* TrailingValue(const std::vector<T>& v) {
+  return v.empty() ? nullptr : &v;
 }
 
+// Where a decoder reads a trailing field's value into.
 template <typename T>
 T& Emplace(std::optional<T>& v) {
   return v.emplace();
 }
 template <typename T>
 std::vector<T>& Emplace(std::vector<T>& v) {
-  return v;
-}
-
-template <typename T>
-const T& Value(const std::optional<T>& v) {
-  return *v;
-}
-template <typename T>
-const std::vector<T>& Value(const std::vector<T>& v) {
   return v;
 }
 
@@ -253,7 +246,8 @@ size_t WireSize(const T& v) {
     }
     return n;
   } else if constexpr (kIsTrailing<T>) {
-    return Present(v.field) ? WireSize(Value(v.field)) : 0;
+    const auto* value = TrailingValue(v.field);
+    return value != nullptr ? WireSize(*value) : 0;
   } else {
     size_t n = 0;
     v.WireFields([&n](const auto&... f) { n = (WireSize(f) + ... + 0); });
@@ -292,8 +286,8 @@ void WirePut(Writer& w, const T& v) {
       WirePut(w, e);
     }
   } else if constexpr (kIsTrailing<T>) {
-    if (Present(v.field)) {
-      WirePut(w, Value(v.field));
+    if (const auto* value = TrailingValue(v.field)) {
+      WirePut(w, *value);
     }
   } else {
     v.WireFields([&w](const auto&... f) {
@@ -344,7 +338,7 @@ void WireGet(Reader& r, T& v) {
   } else if constexpr (kIsTrailing<T>) {
     if (r.remaining() > 0) {
       WireGet(r, Emplace(v.field));
-      if (!Present(v.field)) {
+      if (TrailingValue(v.field) == nullptr) {
         r.Fail();
       }
     }
