@@ -13,6 +13,7 @@
 
 #include "src/core/pledge.h"
 #include "src/crypto/ed25519.h"
+#include "src/crypto/ed25519_kernels.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/sha1.h"
 #include "src/crypto/sha2.h"
@@ -119,6 +120,57 @@ BENCHMARK_CAPTURE(BM_ShaKernel, sha1_ni, sha_internal::Sha1Ni, true)
 BENCHMARK_CAPTURE(BM_ShaKernel, sha256_ni, sha_internal::Sha256Ni, true)
     ->Arg(64)->Arg(1024)->Arg(16384);
 #endif
+
+// Ed25519's arithmetic kernels, each beside the naive kernel it replaced
+// (ed25519_kernels.h): a 64-byte hash reduced mod L, S = r + k*a mod L, and
+// a field inversion.
+template <void (*Reduce)(uint8_t*, const uint8_t*, size_t)>
+void BM_ScReduce64(benchmark::State& state) {
+  Rng rng(18);
+  Bytes in = rng.NextBytes(64);
+  uint8_t out[32];
+  for (auto _ : state) {
+    Reduce(out, in.data(), in.size());
+    in[0] ^= out[0];  // chain the calls
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_ScReduce64<ed25519_internal::ScReduceBytesBarrett>)
+    ->Name("BM_ScReduce64_barrett");
+BENCHMARK(BM_ScReduce64<ed25519_internal::ScReduceBytesNaive>)
+    ->Name("BM_ScReduce64_naive");
+
+template <void (*MulAdd)(uint8_t*, const uint8_t*, const uint8_t*,
+                         const uint8_t*)>
+void BM_ScMulAdd(benchmark::State& state) {
+  Rng rng(19);
+  Bytes a = rng.NextBytes(32), b = rng.NextBytes(32), c = rng.NextBytes(32);
+  uint8_t out[32];
+  for (auto _ : state) {
+    MulAdd(out, a.data(), b.data(), c.data());
+    c[0] ^= out[0];
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_ScMulAdd<ed25519_internal::ScMulAddBarrett>)
+    ->Name("BM_ScMulAdd_barrett");
+BENCHMARK(BM_ScMulAdd<ed25519_internal::ScMulAddNaive>)
+    ->Name("BM_ScMulAdd_naive");
+
+template <ed25519_internal::Fe (*Invert)(const ed25519_internal::Fe&)>
+void BM_FeInvert(benchmark::State& state) {
+  ed25519_internal::Fe a{{0x1234567890abcULL, 0x7edcba9876543ULL,
+                          0x13579bdf02468ULL, 0x2468ace13579bULL,
+                          0x0f0f0f0f0f0f0ULL}};
+  for (auto _ : state) {
+    a = Invert(a);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FeInvert<ed25519_internal::FeInvertSafegcd>)
+    ->Name("BM_FeInvert_safegcd");
+BENCHMARK(BM_FeInvert<ed25519_internal::FeInvertFermat>)
+    ->Name("BM_FeInvert_fermat");
 
 // Runs the body with the Ed25519 fast path toggled to `fast`, restoring the
 // previous setting afterwards. Benchmarks run sequentially, so flipping the

@@ -4,9 +4,12 @@
 #include <cstring>
 
 #include "src/crypto/ct.h"
+#include "src/crypto/ed25519_kernels.h"
 #include "src/crypto/sha2.h"
 
 namespace sdr {
+
+using namespace ed25519_internal;
 
 namespace {
 
@@ -15,10 +18,6 @@ bool g_fast_path = true;
 // ---------------------------------------------------------------------------
 // Field arithmetic mod p = 2^255 - 19. Elements are 5 limbs of 51 bits.
 // ---------------------------------------------------------------------------
-
-struct Fe {
-  uint64_t v[5];
-};
 
 constexpr uint64_t kMask51 = (1ULL << 51) - 1;
 
@@ -158,8 +157,8 @@ Fe FeFromBytes(const uint8_t s[32]) {
   return r;
 }
 
-// Fully reduces to [0, p) and serializes little-endian.
-void FeToBytes(uint8_t out[32], const Fe& a) {
+// Fully reduces a to [0, p) and packs it into four little-endian words.
+void FeFreeze(uint64_t w[4], const Fe& a) {
   Fe t = a;
   FeCarry(t);
   // Freeze: compute t mod p exactly. Add 19, propagate, then drop bit 255
@@ -177,16 +176,262 @@ void FeToBytes(uint8_t out[32], const Fe& a) {
   }
   t.v[4] &= kMask51;  // discard bit 255 (subtracts 2^255, completing -p)
 
-  // Pack the 5x51-bit limbs into four little-endian words.
-  uint64_t w[4];
   w[0] = t.v[0] | (t.v[1] << 51);
   w[1] = (t.v[1] >> 13) | (t.v[2] << 38);
   w[2] = (t.v[2] >> 26) | (t.v[3] << 25);
   w[3] = (t.v[3] >> 39) | (t.v[4] << 12);
+}
+
+// base^e where e is given as 32 little-endian bytes.
+Fe FePow(const Fe& base, const uint8_t e[32]) {
+  Fe result = FeOne();
+  bool started = false;
+  for (int bit = 255; bit >= 0; --bit) {
+    if (started) {
+      result = FeSq(result);
+    }
+    if ((e[bit / 8] >> (bit % 8)) & 1) {
+      result = started ? FeMul(result, base) : base;
+      started = true;
+    }
+  }
+  return started ? result : FeOne();
+}
+
+Fe FeSqN(Fe x, int n) {
+  for (int i = 0; i < n; ++i) {
+    x = FeSq(x);
+  }
+  return x;
+}
+
+// ---- Inversion by safegcd --------------------------------------------------
+//
+// Bernstein and Yang, "Fast constant-time gcd computation and modular
+// inversion" (2019), in the shape of libsecp256k1's modinv64: numbers are 5
+// signed 62-bit limbs, and 10 batches of 59 divsteps each (590, enough for
+// any 256-bit input) run with fixed iteration counts, every decision taken
+// by mask arithmetic. Each batch multiplies a 2x2 transition matrix, scaled
+// by 2^62, into (f, g) and into the Bezout coefficients (d, e) mod p.
+
+struct Signed62 {
+  int64_t v[5];
+};
+
+// The transition matrix of one batch: [u v; q r], scaled by 2^62.
+struct Trans2x2 {
+  int64_t u, v, q, r;
+};
+
+using i128 = __int128;
+
+constexpr uint64_t kMask62 = UINT64_MAX >> 2;
+constexpr Signed62 kP62 = {{-19, 0, 0, 0, 128}};  // 2^255 - 19
+constexpr uint64_t kPInv62 = 0x39435e50d79435e5ULL;  // p^-1 mod 2^62
+
+// 59 divsteps on the low 64 bits of f and g. zeta = -(delta + 1/2) tracks
+// the divstep's delta. Returns the new zeta; t receives the matrix.
+int64_t Divsteps59(int64_t zeta /* sdrlint:secret */,
+                   uint64_t f0 /* sdrlint:secret */,
+                   uint64_t g0 /* sdrlint:secret */, Trans2x2& t) {
+  // The matrix starts as the identity times 8, so that after 59 doublings
+  // it is scaled by 2^62. Held unsigned so the shifts are defined.
+  uint64_t u = 8, v = 0, q = 0, r = 8;
+  uint64_t f = f0, g = g0;
+  for (int i = 3; i < 62; ++i) {
+    // All-ones when zeta < 0 (delta > 0), and when g is odd.
+    const uint64_t mask_zeta = (uint64_t)(zeta >> 63);
+    const uint64_t mask_odd = 0 - (g & 1);
+    // g += ±f (and its row), negated when delta > 0, applied when g odd.
+    const uint64_t x = (f ^ mask_zeta) - mask_zeta;
+    const uint64_t y = (u ^ mask_zeta) - mask_zeta;
+    const uint64_t z = (v ^ mask_zeta) - mask_zeta;
+    g += x & mask_odd;
+    q += y & mask_odd;
+    r += z & mask_odd;
+    // When both hold, swap: zeta becomes -zeta - 2 and f takes the old g.
+    const uint64_t mask_swap = mask_zeta & mask_odd;
+    zeta = (zeta ^ (int64_t)mask_swap) - 1;
+    f += g & mask_swap;
+    u += q & mask_swap;
+    v += r & mask_swap;
+    g >>= 1;
+    u <<= 1;
+    v <<= 1;
+  }
+  t.u = (int64_t)u;
+  t.v = (int64_t)v;
+  t.q = (int64_t)q;
+  t.r = (int64_t)r;
+  return zeta;
+}
+
+// (d, e) = t * (d, e) / 2^62 mod p. Adds the multiple of p that makes the
+// low 62 bits vanish before the shift; inputs and outputs lie in (-2p, p).
+void UpdateDe(Signed62& d /* sdrlint:secret */,
+              Signed62& e /* sdrlint:secret */, const Trans2x2& t) {
+  const int64_t d0 = d.v[0], d1 = d.v[1], d2 = d.v[2], d3 = d.v[3],
+                d4 = d.v[4];
+  const int64_t e0 = e.v[0], e1 = e.v[1], e2 = e.v[2], e3 = e.v[3],
+                e4 = e.v[4];
+  const int64_t u = t.u, v = t.v, q = t.q, r = t.r;
+  // Start md, me with the (u, q), (v, r) columns of negative inputs, which
+  // keeps the outputs in range.
+  const int64_t sd = d4 >> 63, se = e4 >> 63;
+  int64_t md = (u & sd) + (v & se);
+  int64_t me = (q & sd) + (r & se);
+  i128 cd = (i128)u * d0 + (i128)v * e0;
+  i128 ce = (i128)q * d0 + (i128)r * e0;
+  md -= (int64_t)((kPInv62 * (uint64_t)cd + (uint64_t)md) & kMask62);
+  me -= (int64_t)((kPInv62 * (uint64_t)ce + (uint64_t)me) & kMask62);
+  cd += (i128)kP62.v[0] * md;
+  ce += (i128)kP62.v[0] * me;
+  cd >>= 62;  // the low 62 bits are now zero
+  ce >>= 62;
+  // p's limbs 1 to 3 are zero, so only limb 4 adds md and me again.
+  cd += (i128)u * d1 + (i128)v * e1;
+  ce += (i128)q * d1 + (i128)r * e1;
+  d.v[0] = (int64_t)((uint64_t)cd & kMask62);
+  e.v[0] = (int64_t)((uint64_t)ce & kMask62);
+  cd >>= 62;
+  ce >>= 62;
+  cd += (i128)u * d2 + (i128)v * e2;
+  ce += (i128)q * d2 + (i128)r * e2;
+  d.v[1] = (int64_t)((uint64_t)cd & kMask62);
+  e.v[1] = (int64_t)((uint64_t)ce & kMask62);
+  cd >>= 62;
+  ce >>= 62;
+  cd += (i128)u * d3 + (i128)v * e3;
+  ce += (i128)q * d3 + (i128)r * e3;
+  d.v[2] = (int64_t)((uint64_t)cd & kMask62);
+  e.v[2] = (int64_t)((uint64_t)ce & kMask62);
+  cd >>= 62;
+  ce >>= 62;
+  cd += (i128)u * d4 + (i128)v * e4 + (i128)kP62.v[4] * md;
+  ce += (i128)q * d4 + (i128)r * e4 + (i128)kP62.v[4] * me;
+  d.v[3] = (int64_t)((uint64_t)cd & kMask62);
+  e.v[3] = (int64_t)((uint64_t)ce & kMask62);
+  cd >>= 62;
+  ce >>= 62;
+  d.v[4] = (int64_t)cd;
+  e.v[4] = (int64_t)ce;
+}
+
+// (f, g) = t * (f, g) / 2^62, exactly (the low 62 bits are zero by
+// construction of t).
+void UpdateFg(Signed62& f /* sdrlint:secret */,
+              Signed62& g /* sdrlint:secret */, const Trans2x2& t) {
+  const int64_t u = t.u, v = t.v, q = t.q, r = t.r;
+  i128 cf = (i128)u * f.v[0] + (i128)v * g.v[0];
+  i128 cg = (i128)q * f.v[0] + (i128)r * g.v[0];
+  cf >>= 62;
+  cg >>= 62;
+  for (int i = 1; i < 5; ++i) {
+    cf += (i128)u * f.v[i] + (i128)v * g.v[i];
+    cg += (i128)q * f.v[i] + (i128)r * g.v[i];
+    f.v[i - 1] = (int64_t)((uint64_t)cf & kMask62);
+    g.v[i - 1] = (int64_t)((uint64_t)cg & kMask62);
+    cf >>= 62;
+    cg >>= 62;
+  }
+  f.v[4] = (int64_t)cf;
+  g.v[4] = (int64_t)cg;
+}
+
+// Adds p to r while r < 0, negates it when sign < 0, and carries: takes r
+// from (-2p, p) to [0, p).
+void Normalize62(Signed62& r /* sdrlint:secret */,
+                 int64_t sign /* sdrlint:secret */) {
+  const int64_t m62 = (int64_t)kMask62;
+  int64_t r0 = r.v[0], r1 = r.v[1], r2 = r.v[2], r3 = r.v[3], r4 = r.v[4];
+  int64_t cond_add = r4 >> 63;
+  r0 += kP62.v[0] & cond_add;
+  r4 += kP62.v[4] & cond_add;
+  const int64_t cond_negate = sign >> 63;
+  r0 = (r0 ^ cond_negate) - cond_negate;
+  r1 = (r1 ^ cond_negate) - cond_negate;
+  r2 = (r2 ^ cond_negate) - cond_negate;
+  r3 = (r3 ^ cond_negate) - cond_negate;
+  r4 = (r4 ^ cond_negate) - cond_negate;
+  r1 += r0 >> 62;
+  r0 &= m62;
+  r2 += r1 >> 62;
+  r1 &= m62;
+  r3 += r2 >> 62;
+  r2 &= m62;
+  r4 += r3 >> 62;
+  r3 &= m62;
+  cond_add = r4 >> 63;
+  r0 += kP62.v[0] & cond_add;
+  r4 += kP62.v[4] & cond_add;
+  r1 += r0 >> 62;
+  r0 &= m62;
+  r2 += r1 >> 62;
+  r1 &= m62;
+  r3 += r2 >> 62;
+  r2 &= m62;
+  r4 += r3 >> 62;
+  r3 &= m62;
+  r = Signed62{{r0, r1, r2, r3, r4}};
+}
+
+}  // namespace
+
+namespace ed25519_internal {
+
+void FeToBytes(uint8_t out[32], const Fe& a) {
+  uint64_t w[4];
+  FeFreeze(w, a);
   for (int i = 0; i < 32; ++i) {
     out[i] = (uint8_t)(w[i / 8] >> (8 * (i % 8)));
   }
 }
+
+// a^(p-2) = a^(2^255 - 21), by the generic square-and-multiply: the naive
+// path's inversion, a faithful cost and correctness baseline for safegcd.
+Fe FeInvertFermat(const Fe& a) {
+  static const uint8_t kPrimeMinus2[32] = {
+      0xeb, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f};
+  return FePow(a, kPrimeMinus2);
+}
+
+Fe FeInvertSafegcd(const Fe& a /* sdrlint:secret */) {
+  // g = a in [0, p), f = p, and (d, e) = (0, 1): the invariants d*a = f and
+  // e*a = g (mod p, up to the common 2^-62 scalings UpdateDe removes).
+  uint64_t w[4];  // sdrlint:secret
+  FeFreeze(w, a);
+  Signed62 g{{(int64_t)(w[0] & kMask62),
+              (int64_t)(((w[0] >> 62) | (w[1] << 2)) & kMask62),
+              (int64_t)(((w[1] >> 60) | (w[2] << 4)) & kMask62),
+              (int64_t)(((w[2] >> 58) | (w[3] << 6)) & kMask62),
+              (int64_t)(w[3] >> 56)}};
+  Signed62 f = kP62;
+  Signed62 d{{0, 0, 0, 0, 0}};
+  Signed62 e{{1, 0, 0, 0, 0}};
+  int64_t zeta = -1;  // delta = 1/2
+  for (int i = 0; i < 10; ++i) {
+    Trans2x2 t;
+    zeta = Divsteps59(zeta, (uint64_t)f.v[0], (uint64_t)g.v[0], t);
+    UpdateDe(d, e, t);
+    UpdateFg(f, g, t);
+  }
+  // Now g = 0 and f = ±gcd(a, p) = ±1 (f = p when a = 0, and d = 0), so d
+  // is ±1/a: take f's sign off it.
+  Normalize62(d, f.v[4]);
+  const uint64_t x0 = (uint64_t)d.v[0] | ((uint64_t)d.v[1] << 62);
+  const uint64_t x1 = ((uint64_t)d.v[1] >> 2) | ((uint64_t)d.v[2] << 60);
+  const uint64_t x2 = ((uint64_t)d.v[2] >> 4) | ((uint64_t)d.v[3] << 58);
+  const uint64_t x3 = ((uint64_t)d.v[3] >> 6) | ((uint64_t)d.v[4] << 56);
+  return Fe{{x0 & kMask51, ((x0 >> 51) | (x1 << 13)) & kMask51,
+             ((x1 >> 38) | (x2 << 26)) & kMask51,
+             ((x2 >> 25) | (x3 << 39)) & kMask51, x3 >> 12}};
+}
+
+}  // namespace ed25519_internal
+
+namespace {
 
 bool FeIsNegative(const Fe& a) {
   uint8_t s[32];
@@ -213,36 +458,25 @@ Fe FeNeg(const Fe& a) {
   return FeSub(FeZero(), a);
 }
 
-// base^e where e is given as 32 little-endian bytes.
-Fe FePow(const Fe& base, const uint8_t e[32]) {
-  Fe result = FeOne();
-  bool started = false;
-  for (int bit = 255; bit >= 0; --bit) {
-    if (started) {
-      result = FeSq(result);
-    }
-    if ((e[bit / 8] >> (bit % 8)) & 1) {
-      result = started ? FeMul(result, base) : base;
-      started = true;
-    }
-  }
-  return started ? result : FeOne();
+Fe FeInvert(const Fe& a) {
+  return g_fast_path ? FeInvertSafegcd(a) : FeInvertFermat(a);
 }
 
-Fe FeSqN(Fe x, int n) {
-  for (int i = 0; i < n; ++i) {
-    x = FeSq(x);
+// a^((p-5)/8) = a^(2^252 - 3), the square root's power in point
+// decompression. The fast path's addition chain (ref10) spends 252
+// squarings and 11 multiplications, against ~500 field operations for the
+// generic FePow: (2^250 - 1) * 2^2 + 1 = 2^252 - 3.
+Fe FePow2523(const Fe& z) {
+  if (!g_fast_path) {
+    static const uint8_t kP58[32] = {
+        0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f};
+    return FePow(z, kP58);
   }
-  return x;
-}
-
-// Shared addition-chain ladder (ref10): computes z^(2^250 - 1) and z^11,
-// from which both exponents below are two steps away. 252 squarings and 11
-// multiplications, against ~500 field operations for the generic FePow.
-void FePowLadder(const Fe& z, Fe& z2_250_0, Fe& z11) {
   Fe z2 = FeSq(z);
   Fe z9 = FeMul(FeSq(FeSq(z2)), z);
-  z11 = FeMul(z9, z2);
+  Fe z11 = FeMul(z9, z2);
   Fe z2_5_0 = FeMul(FeSq(z11), z9);
   Fe z2_10_0 = FeMul(FeSqN(z2_5_0, 5), z2_5_0);
   Fe z2_20_0 = FeMul(FeSqN(z2_10_0, 10), z2_10_0);
@@ -250,38 +484,8 @@ void FePowLadder(const Fe& z, Fe& z2_250_0, Fe& z11) {
   Fe z2_50_0 = FeMul(FeSqN(z2_40_0, 10), z2_10_0);
   Fe z2_100_0 = FeMul(FeSqN(z2_50_0, 50), z2_50_0);
   Fe z2_200_0 = FeMul(FeSqN(z2_100_0, 100), z2_100_0);
-  z2_250_0 = FeMul(FeSqN(z2_200_0, 50), z2_50_0);
-}
-
-// a^(p-2) = a^(2^255 - 21): (2^250 - 1) * 2^5 + 11 = 2^255 - 21.
-//
-// The naive path keeps the original generic square-and-multiply so it stays
-// a faithful cost (and correctness) baseline for the addition chain.
-Fe FeInvert(const Fe& a) {
-  if (!g_fast_path) {
-    static const uint8_t kPrimeMinus2[32] = {
-        0xeb, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f};
-    return FePow(a, kPrimeMinus2);
-  }
-  Fe z2_250_0, z11;
-  FePowLadder(a, z2_250_0, z11);
-  return FeMul(FeSqN(z2_250_0, 5), z11);
-}
-
-// a^((p-5)/8) = a^(2^252 - 3): (2^250 - 1) * 2^2 + 1 = 2^252 - 3.
-Fe FePow2523(const Fe& a) {
-  if (!g_fast_path) {
-    static const uint8_t kP58[32] = {
-        0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f};
-    return FePow(a, kP58);
-  }
-  Fe z2_250_0, z11;
-  FePowLadder(a, z2_250_0, z11);
-  return FeMul(FeSqN(z2_250_0, 2), a);
+  Fe z2_250_0 = FeMul(FeSqN(z2_200_0, 50), z2_50_0);
+  return FeMul(FeSqN(z2_250_0, 2), z);
 }
 
 // Lazily derived curve constants.
@@ -387,7 +591,7 @@ Point PointDouble(const Point& p) {
 
 // Doubling that skips the extended coordinate T (one multiplication saved).
 // Valid whenever the result is consumed only by another doubling or a
-// projective comparison — in a sliding-window ladder that is every position
+// compression — in a sliding-window ladder that is every position
 // where no window addition fires, i.e. most of them.
 Point PointDoubleP2(const Point& p) {
   Fe xx = FeSq(p.x);
@@ -516,16 +720,6 @@ Point PointScalarMul(const Point& p, const uint8_t scalar[32] /* sdrlint:secret 
   return r;
 }
 
-void PointCompress(uint8_t out[32], const Point& p) {
-  Fe zinv = FeInvert(p.z);
-  Fe x = FeMul(p.x, zinv);
-  Fe y = FeMul(p.y, zinv);
-  FeToBytes(out, y);
-  if (FeIsNegative(x)) {
-    out[31] |= 0x80;
-  }
-}
-
 // Compression with an externally supplied 1/Z, for sharing one field
 // inversion across several compressions.
 void CompressWithZInv(uint8_t out[32], const Point& p, const Fe& zinv) {
@@ -537,13 +731,26 @@ void CompressWithZInv(uint8_t out[32], const Point& p, const Fe& zinv) {
   }
 }
 
-// True when p and q are the same curve point. The projective cross-check
-// X1 Z2 == X2 Z1, Y1 Z2 == Y2 Z1 costs four multiplications instead of the
-// inversion a compress-and-compare would need; for valid points it is
-// equivalent to comparing canonical encodings.
-bool PointsEqual(const Point& p, const Point& q) {
-  return FeEqual(FeMul(p.x, q.z), FeMul(q.x, p.z)) &&
-         FeEqual(FeMul(p.y, q.z), FeMul(q.y, p.z));
+void PointCompress(uint8_t out[32], const Point& p) {
+  CompressWithZInv(out, p, FeInvert(p.z));
+}
+
+// True when p is the point r_enc decodes to, without decoding it: compare
+// p's canonical encoding with r_enc after reducing r_enc's y mod p and
+// keeping its sign bit. Decoding r_enc yields y mod p and the x whose
+// parity is the sign bit, and fails when no x exists or the x would be -0
+// (x = 0 with the sign bit set). Both failures make the encodings differ,
+// as does any other point, so the verdict is exactly decode-then-compare's.
+// One inversion replaces decoding's 2^252 - 3 power.
+bool EncodesPoint(const Point& p, const uint8_t r_enc[32]) {
+  uint8_t want[32];
+  FeToBytes(want, FeFromBytes(r_enc));
+  want[31] |= r_enc[31] & 0x80;
+  uint8_t got[32];
+  PointCompress(got, p);
+  // sdrlint:public — canonical encodings of a public point and of the
+  // signature's R.
+  return std::memcmp(got, want, 32) == 0;
 }
 
 // Decompresses a point; returns false for invalid encodings.
@@ -601,31 +808,22 @@ const Point& BasePoint() {
 
 // ---------------------------------------------------------------------------
 // Scalar arithmetic mod L = 2^252 + 27742317777372353535851937790883648493.
-// Scalars are handled as little-endian byte arrays. The fast path reduces
-// with byte-limb folding (2^256 = -16c mod L); the naive path keeps the
+// Scalars travel as little-endian byte arrays and are reduced on 64-bit
+// words. The fast path uses Barrett reduction; the naive path keeps the
 // original binary long division as a reference.
 // ---------------------------------------------------------------------------
-
-// L, little-endian.
-constexpr uint8_t kLBytes[32] = {
-    0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7,
-    0xa2, 0xde, 0xf9, 0xde, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10};
 
 struct U256L {
   uint64_t w[4] = {0, 0, 0, 0};
 };
 
-const U256L& OrderL() {
-  static const U256L l = [] {
-    U256L v;
-    for (int i = 0; i < 32; ++i) {
-      v.w[i / 8] |= (uint64_t)kLBytes[i] << (8 * (i % 8));
-    }
-    return v;
-  }();
-  return l;
-}
+constexpr U256L kOrderL{
+    {0x5812631a5cf5d3edULL, 0x14def9dea2f79cd6ULL, 0, 0x1000000000000000ULL}};
+
+// mu = floor(2^512 / L), Barrett's estimate of the reciprocal.
+constexpr uint64_t kMuL[5] = {0xed9ce5a30a2c131bULL, 0x2106215d086329a7ULL,
+                              0xffffffffffffffebULL, 0xffffffffffffffffULL,
+                              0xf};
 
 int CmpL(const U256L& a, const U256L& b) {
   for (int i = 3; i >= 0; --i) {
@@ -646,10 +844,84 @@ void SubL(U256L& a, const U256L& b) {
   }
 }
 
-// Naive reduction of a little-endian byte string (up to 64 bytes) mod L:
-// binary long division over a 4-limb accumulator.
+// Loads n little-endian 64-bit words from 8n bytes.
+void LoadWords(uint64_t* w, const uint8_t* in, int n) {
+  for (int i = 0; i < n; ++i) {
+    uint64_t word = 0;
+    for (int b = 7; b >= 0; --b) {
+      word = (word << 8) | in[8 * i + b];
+    }
+    w[i] = word;
+  }
+}
+
+void StoreWords(uint8_t out[32], const uint64_t w[4]) {
+  for (int i = 0; i < 32; ++i) {
+    out[i] = (uint8_t)(w[i / 8] >> (8 * (i % 8)));
+  }
+}
+
+// r -= L when r >= L, chosen by the subtraction's borrow as a mask.
+void CondSubL(uint64_t r[4] /* sdrlint:secret */) {
+  uint64_t t[4];
+  uint64_t borrow = 0;
+  for (int i = 0; i < 4; ++i) {
+    const u128 diff = (u128)r[i] - kOrderL.w[i] - borrow;
+    t[i] = (uint64_t)diff;
+    borrow = (uint64_t)(diff >> 64) & 1;
+  }
+  const uint64_t keep = 0 - borrow;  // all-ones when r < L
+  for (int i = 0; i < 4; ++i) {
+    r[i] = (r[i] & keep) | (t[i] & ~keep);
+  }
+}
+
+// Writes x mod L for x < 2^512 in eight little-endian words, canonically.
+// Barrett (HAC 14.42, base 2^64, k = 4): q = floor(floor(x / 2^192) * mu /
+// 2^320). Then x / L - q < 1 + (2^512 / L - mu) + 2^-60, and 2^512 / L -
+// mu is about 0.225, so q falls short of floor(x / L) by at most 1: x - q*L,
+// taken mod 2^320, lies in [0, 2L) and one conditional subtraction
+// finishes.
+void BarrettReduce(uint8_t out[32], const uint64_t x[8] /* sdrlint:secret */) {
+  uint64_t qmu[10] = {0};  // floor(x / 2^192) * mu
+  for (int i = 0; i < 5; ++i) {
+    u128 carry = 0;
+    for (int j = 0; j < 5; ++j) {
+      const u128 t = (u128)x[3 + i] * kMuL[j] + qmu[i + j] + (uint64_t)carry;
+      qmu[i + j] = (uint64_t)t;
+      carry = t >> 64;
+    }
+    qmu[i + 5] = (uint64_t)carry;
+  }
+  const uint64_t* q = qmu + 5;
+  uint64_t ql[5] = {0};  // q * L mod 2^320
+  for (int i = 0; i < 5; ++i) {
+    u128 carry = 0;
+    for (int j = 0; i + j < 5; ++j) {
+      const uint64_t lj = j < 4 ? kOrderL.w[j] : 0;
+      const u128 t = (u128)q[i] * lj + ql[i + j] + (uint64_t)carry;
+      ql[i + j] = (uint64_t)t;
+      carry = t >> 64;
+    }
+  }
+  // r < 2L < 2^254, so its fifth word is zero and four words hold it.
+  uint64_t r[4];
+  uint64_t borrow = 0;
+  for (int i = 0; i < 4; ++i) {
+    const u128 diff = (u128)x[i] - ql[i] - borrow;
+    r[i] = (uint64_t)diff;
+    borrow = (uint64_t)(diff >> 64) & 1;
+  }
+  CondSubL(r);
+  StoreWords(out, r);
+}
+
+}  // namespace
+
+namespace ed25519_internal {
+
+// Binary long division over a 4-limb accumulator.
 void ScReduceBytesNaive(uint8_t out[32], const uint8_t* in, size_t len) {
-  const U256L& l = OrderL();
   U256L r;
   for (size_t i = len; i-- > 0;) {
     for (int bit = 7; bit >= 0; --bit) {
@@ -663,87 +935,33 @@ void ScReduceBytesNaive(uint8_t out[32], const uint8_t* in, size_t len) {
       r.w[0] |= (in[i] >> bit) & 1;
       // After one doubling of a value < L (< 2^253), r < 2^254: no limb
       // overflow, and at most one subtraction restores r < L.
-      if (carry != 0 || CmpL(r, l) >= 0) {
-        SubL(r, l);
+      if (carry != 0 || CmpL(r, kOrderL) >= 0) {
+        SubL(r, kOrderL);
       }
     }
   }
-  std::memset(out, 0, 32);
-  for (int i = 0; i < 32; ++i) {
-    out[i] = (uint8_t)(r.w[i / 8] >> (8 * (i % 8)));
-  }
+  StoreWords(out, r.w);
 }
 
-// Fast reduction mod L over 64 signed byte-limbs (limbs may hold partial
-// products far above 255). Folds the top half with 2^256 = -16c (mod L),
-// c = L - 2^252, then squeezes the remaining high nibble of limb 31 and
-// fixes up the final borrow. Output is canonical ([0, L)).
-void ReduceModL(uint8_t out[32], int64_t x[64]) {
-  for (int i = 63; i >= 32; --i) {
-    int64_t carry = 0;
-    const int64_t xi = x[i];
-    int j;
-    for (j = i - 32; j < i - 12; ++j) {
-      x[j] += carry - 16 * xi * (int64_t)kLBytes[j - (i - 32)];
-      carry = (x[j] + 128) >> 8;
-      x[j] -= carry << 8;
-    }
-    x[j] += carry;
-    x[i] = 0;
+void ScReduceBytesBarrett(uint8_t out[32],
+                          const uint8_t* in /* sdrlint:secret */,
+                          size_t len) {
+  const size_t n = len < 64 ? len : 64;
+  uint8_t padded[64] = {0};  // sdrlint:secret
+  for (size_t i = 0; i < n; ++i) {
+    padded[i] = in[i];
   }
-  int64_t carry = 0;
-  for (int j = 0; j < 32; ++j) {
-    // Note: x[31] is re-read each iteration; the j == 31 step folds its own
-    // high nibble via L's top byte (0x10).
-    x[j] += carry - (x[31] >> 4) * (int64_t)kLBytes[j];
-    carry = x[j] >> 8;
-    x[j] &= 255;
-  }
-  for (int j = 0; j < 32; ++j) {
-    x[j] -= carry * (int64_t)kLBytes[j];
-  }
-  for (int i = 0; i < 32; ++i) {
-    x[i + 1] += x[i] >> 8;
-    out[i] = (uint8_t)(x[i] & 255);
-  }
+  uint64_t x[8];  // sdrlint:secret
+  LoadWords(x, padded, 8);
+  BarrettReduce(out, x);
 }
 
-// Reduces a little-endian byte string (up to 64 bytes) mod L.
-void ScReduceBytes(uint8_t out[32], const uint8_t* in, size_t len) {
-  if (g_fast_path) {
-    int64_t x[64] = {0};
-    for (size_t i = 0; i < len && i < 64; ++i) {
-      x[i] = in[i];
-    }
-    ReduceModL(out, x);
-    return;
-  }
-  ScReduceBytesNaive(out, in, len);
-}
-
-// out = (a*b + c) mod L; a, b, c are 32-byte little-endian scalars (a and b
-// need not be reduced).
-void ScMulAdd(uint8_t out[32], const uint8_t a[32], const uint8_t b[32],
-              const uint8_t c[32]) {
-  if (g_fast_path) {
-    int64_t x[64] = {0};
-    for (int i = 0; i < 32; ++i) {
-      x[i] = c[i];
-    }
-    for (int i = 0; i < 32; ++i) {
-      for (int j = 0; j < 32; ++j) {
-        x[i + j] += (int64_t)a[i] * (int64_t)b[j];
-      }
-    }
-    ReduceModL(out, x);
-    return;
-  }
-  // Naive: 64-bit limb schoolbook product, then binary reduction.
+// 64-bit limb schoolbook product, then binary reduction.
+void ScMulAddNaive(uint8_t out[32], const uint8_t a[32], const uint8_t b[32],
+                   const uint8_t c[32]) {
   uint64_t al[4] = {0}, bl[4] = {0};
-  for (int i = 0; i < 32; ++i) {
-    al[i / 8] |= (uint64_t)a[i] << (8 * (i % 8));
-    bl[i / 8] |= (uint64_t)b[i] << (8 * (i % 8));
-  }
+  LoadWords(al, a, 4);
+  LoadWords(bl, b, 4);
   uint64_t prod[8] = {0};
   for (int i = 0; i < 4; ++i) {
     unsigned __int128 carry = 0;
@@ -758,9 +976,7 @@ void ScMulAdd(uint8_t out[32], const uint8_t a[32], const uint8_t b[32],
   // Add c (256-bit) into the 512-bit product.
   unsigned __int128 carry = 0;
   uint64_t cl[4] = {0};
-  for (int i = 0; i < 32; ++i) {
-    cl[i / 8] |= (uint64_t)c[i] << (8 * (i % 8));
-  }
+  LoadWords(cl, c, 4);
   for (int i = 0; i < 4; ++i) {
     unsigned __int128 cur = (unsigned __int128)prod[i] + cl[i] + (uint64_t)carry;
     prod[i] = (uint64_t)cur;
@@ -778,13 +994,54 @@ void ScMulAdd(uint8_t out[32], const uint8_t a[32], const uint8_t b[32],
   ScReduceBytesNaive(out, prod_bytes, 64);
 }
 
+// a*b + c <= (2^256 - 1)^2 + 2^256 - 1 < 2^512: one Barrett reduction.
+void ScMulAddBarrett(uint8_t out[32], const uint8_t a[32] /* sdrlint:secret */,
+                     const uint8_t b[32] /* sdrlint:secret */,
+                     const uint8_t c[32] /* sdrlint:secret */) {
+  uint64_t al[4], bl[4], x[8] = {0};  // sdrlint:secret
+  LoadWords(al, a, 4);
+  LoadWords(bl, b, 4);
+  LoadWords(x, c, 4);
+  for (int i = 0; i < 4; ++i) {
+    u128 carry = 0;
+    for (int j = 0; j < 4; ++j) {
+      const u128 t = (u128)al[i] * bl[j] + x[i + j] + (uint64_t)carry;
+      x[i + j] = (uint64_t)t;
+      carry = t >> 64;
+    }
+    x[i + 4] = (uint64_t)carry;  // rows before i stop at word i + 3
+  }
+  BarrettReduce(out, x);
+}
+
+}  // namespace ed25519_internal
+
+namespace {
+
+// Reduces a little-endian byte string (up to 64 bytes) mod L.
+void ScReduceBytes(uint8_t out[32], const uint8_t* in, size_t len) {
+  if (g_fast_path) {
+    ScReduceBytesBarrett(out, in, len);
+  } else {
+    ScReduceBytesNaive(out, in, len);
+  }
+}
+
+// out = (a*b + c) mod L.
+void ScMulAdd(uint8_t out[32], const uint8_t a[32], const uint8_t b[32],
+              const uint8_t c[32]) {
+  if (g_fast_path) {
+    ScMulAddBarrett(out, a, b, c);
+  } else {
+    ScMulAddNaive(out, a, b, c);
+  }
+}
+
 // True when s (little-endian 32 bytes) < L; rejects malleable signatures.
 bool ScIsCanonical(const uint8_t s[32]) {
   U256L v;
-  for (int i = 0; i < 32; ++i) {
-    v.w[i / 8] |= (uint64_t)s[i] << (8 * (i % 8));
-  }
-  return CmpL(v, OrderL()) < 0;
+  LoadWords(v.w, s, 4);
+  return CmpL(v, kOrderL) < 0;
 }
 
 void ClampScalar(uint8_t a[32]) {
@@ -1054,7 +1311,7 @@ Point DoubleScalarMulBaseVartime(const uint8_t a[32], const Point& big_a,
   Point r = PointIdentity();
   for (; i >= 0; --i) {
     // Only an addition reads r.t, so add-free positions take the cheaper
-    // doubling. The final r feeds a projective compare, never an addition.
+    // doubling. The final r is only compressed, never added to.
     if (aslide[i] == 0 && bslide[i] == 0) {
       r = PointDoubleP2(r);
       continue;
@@ -1240,9 +1497,8 @@ bool VerifyFast(const Bytes& public_key, const Bytes& message,
                 const Bytes& signature) {
   const uint8_t* r_enc = signature.data();
   const uint8_t* s = signature.data() + 32;
-  Point a_point, r_point;
-  if (!PointDecompress(a_point, public_key.data()) ||
-      !PointDecompress(r_point, r_enc)) {
+  Point a_point;
+  if (!PointDecompress(a_point, public_key.data())) {
     return false;
   }
 
@@ -1250,11 +1506,9 @@ bool VerifyFast(const Bytes& public_key, const Bytes& message,
   ChallengeScalar(k, r_enc, public_key, message);
 
   // Check [S]B - [k]A == R with one interleaved double-scalar loop.
-  // Comparing against the decompressed R as a point (not the raw bytes)
-  // keeps the naive path's acceptance of non-canonical R encodings.
   Point neg_a = PointNeg(a_point);
   Point p = DoubleScalarMulBaseVartime(k, neg_a, s);
-  return PointsEqual(p, r_point);
+  return EncodesPoint(p, r_enc);
 }
 
 }  // namespace
@@ -1366,10 +1620,6 @@ bool Ed25519VerifyPrepared(const Ed25519PreparedKey& key, const Bytes& message,
     return VerifyNaive(key.public_key, message, signature);
   }
   const uint8_t* r_enc = signature.data();
-  Point r_point;
-  if (!PointDecompress(r_point, r_enc)) {
-    return false;
-  }
   uint8_t k[32];
   ChallengeScalar(k, r_enc, key.public_key, message);
 
@@ -1390,7 +1640,7 @@ bool Ed25519VerifyPrepared(const Ed25519PreparedKey& key, const Bytes& message,
     h = AddBaseDigit(h, bt.table[i / 2], s_digits[i]);
     h = AddBaseDigit(h, key.neg_a[i / 2], k_digits[i]);
   }
-  return PointsEqual(h, r_point);
+  return EncodesPoint(h, r_enc);
 }
 
 }  // namespace sdr

@@ -217,17 +217,16 @@ void RealEnv::FlushPeer(Peer& peer) {
   UpdateEpollOut(peer);
 }
 
-void RealEnv::UpdateEpollOut(const Peer& peer) {
-  if (peer.fd < 0) {
+void RealEnv::UpdateEpollOut(Peer& peer) {
+  const bool want = peer.connecting || peer.out_off < peer.out.size();
+  if (peer.fd < 0 || want == peer.epoll_out) {
     return;
   }
   epoll_event ev{};
-  ev.events = EPOLLIN;
-  if (peer.connecting || peer.out_off < peer.out.size()) {
-    ev.events |= EPOLLOUT;
-  }
+  ev.events = EPOLLIN | (want ? static_cast<uint32_t>(EPOLLOUT) : 0u);
   ev.data.fd = peer.fd;
   epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, peer.fd, &ev);
+  peer.epoll_out = want;
 }
 
 void RealEnv::DialPeer(Peer& peer) {
@@ -260,6 +259,7 @@ void RealEnv::DialPeer(Peer& peer) {
   ev.events = EPOLLIN | (peer.connecting ? static_cast<uint32_t>(EPOLLOUT) : 0u);
   ev.data.fd = fd;
   epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+  peer.epoll_out = peer.connecting;
   if (!peer.connecting) {
     OnDialResult(peer, true);
   }
@@ -278,6 +278,7 @@ void RealEnv::OnDialResult(Peer& peer, bool ok) {
     peer.fd = -1;
   }
   peer.connecting = false;
+  peer.epoll_out = false;
   peer.out.clear();
   peer.out_off = 0;
   ScheduleRedial(peer);
@@ -352,8 +353,13 @@ void RealEnv::ReadInbound(Inbound& conn) {
       conn.in.insert(conn.in.end(), chunk, chunk + n);
       if (!DrainFrames(conn.in)) {
         n = 0;  // corrupt stream: fall through to close
+      } else if (static_cast<size_t>(n) == sizeof(chunk)) {
+        continue;  // a full chunk: more may be queued
       } else {
-        continue;
+        // A short read emptied the socket. epoll is level-triggered, so
+        // anything arriving later is reported again; skip the recv that
+        // would only return EAGAIN.
+        return;
       }
     }
     if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {

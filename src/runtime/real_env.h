@@ -115,6 +115,7 @@ class RealEnv final : public Env {
     uint16_t port = 0;
     int fd = -1;              // outbound socket, -1 while down
     bool connecting = false;  // non-blocking connect in flight
+    bool epoll_out = false;   // EPOLLOUT is in fd's registered interest
     int attempts = 0;         // consecutive failed dials
     EventId redial_timer = 0;
     Bytes out;                // unflushed outbound bytes
@@ -136,7 +137,9 @@ class RealEnv final : public Env {
   // Consumes complete frames from `buf`, delivering each to the node.
   // Returns false when the stream is corrupt (oversized frame).
   bool DrainFrames(Bytes& buf);
-  void UpdateEpollOut(const Peer& peer);
+  // Registers EPOLLOUT interest exactly while a connect is in flight or
+  // bytes wait in `out`; issues EPOLL_CTL_MOD only when that changes.
+  void UpdateEpollOut(Peer& peer);
   void PumpEpoll(int timeout_ms);
   int TimeoutUntilNextTimer() const;
 

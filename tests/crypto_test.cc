@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/crypto/ed25519.h"
+#include "src/crypto/ed25519_kernels.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/sha1.h"
 #include "src/crypto/sha2.h"
@@ -645,6 +646,146 @@ TEST(Ed25519Test, ExpandedKeySignsIdentically) {
   }
 }
 
+// ---- Kernel oracles ---------------------------------------------------------
+// Each fast Ed25519 kernel against the naive kernel it replaced: the
+// safegcd inversion against Fermat's a^(p-2), and the Barrett scalar
+// reductions against binary long division.
+
+using ed25519_internal::Fe;
+
+constexpr uint64_t kLimb51 = (1ULL << 51) - 1;
+
+Bytes FeBytes(const Fe& a) {
+  Bytes out(32);
+  ed25519_internal::FeToBytes(out.data(), a);
+  return out;
+}
+
+TEST(Ed25519KernelTest, SafegcdInverseMatchesFermat) {
+  const uint64_t m = kLimb51;
+  std::vector<Fe> cases = {
+      Fe{{0, 0, 0, 0, 0}},                  // 0
+      Fe{{1, 0, 0, 0, 0}},                  // 1
+      Fe{{m - 19, m, m, m, m}},             // p - 1
+      Fe{{m - 18, m, m, m, m}},             // p
+      Fe{{m - 17, m, m, m, m}},             // p + 1
+      Fe{{m, m, m, m, m}},                  // 2^255 - 1
+      Fe{{2 * (m - 18), 2 * m, 2 * m, 2 * m, 2 * m}},  // 2p, unreduced limbs
+      Fe{{1ULL << 51, 0, 0, 0, 0}},         // 2^51 held in limb 0
+  };
+  // The largest limbs a kernel accepts.
+  cases.push_back(Fe{{(1ULL << 54) - 1, (1ULL << 54) - 1, (1ULL << 54) - 1,
+                      (1ULL << 54) - 1, (1ULL << 54) - 1}});
+  Rng rng(30);
+  for (int i = 0; i < 1000; ++i) {
+    // Half canonical-width limbs, half non-canonical ones above 2^51.
+    const uint64_t width = i % 2 == 0 ? 51 : 54;
+    Fe a;
+    for (uint64_t& limb : a.v) {
+      limb = rng.Next() >> (64 - width);
+    }
+    cases.push_back(a);
+  }
+  for (size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(FeBytes(ed25519_internal::FeInvertSafegcd(cases[i])),
+              FeBytes(ed25519_internal::FeInvertFermat(cases[i])))
+        << "case " << i << ": " << HexEncode(FeBytes(cases[i]));
+  }
+  // 0 has no inverse; both kernels return 0 for it, however it is written.
+  for (size_t i : {0, 3, 6}) {
+    EXPECT_EQ(FeBytes(ed25519_internal::FeInvertSafegcd(cases[i])),
+              Bytes(32, 0));
+  }
+}
+
+// L, little-endian.
+const Bytes& OrderLBytes() {
+  static const Bytes l = {0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58,
+                          0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde, 0x14,
+                          0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                          0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10};
+  return l;
+}
+
+// q * L + r for 32-byte little-endian q and r, as 64 bytes.
+Bytes TimesLPlus(const Bytes& q, const Bytes& r) {
+  std::vector<unsigned> columns(64, 0);
+  for (int i = 0; i < 32; ++i) {
+    columns[i] += r[i];
+    for (int j = 0; j < 32; ++j) {
+      columns[i + j] += q[i] * OrderLBytes()[j];
+    }
+  }
+  Bytes out(64);
+  unsigned carry = 0;
+  for (int i = 0; i < 64; ++i) {
+    const unsigned cur = columns[i] + carry;
+    out[i] = static_cast<uint8_t>(cur);
+    carry = cur >> 8;
+  }
+  return out;
+}
+
+// L + delta as 32 bytes, for small delta in [-1, 1].
+Bytes OrderLPlus(int delta) {
+  Bytes l = OrderLBytes();
+  l[0] = static_cast<uint8_t>(l[0] + delta);  // 0xed +- 1: no carry
+  return l;
+}
+
+TEST(Ed25519KernelTest, BarrettReductionMatchesLongDivision) {
+  std::vector<Bytes> inputs = {
+      Bytes(),          Bytes(32, 0),     Bytes(64, 0),    OrderLPlus(-1),
+      OrderLPlus(0),    OrderLPlus(1),    Bytes(32, 0xff), Bytes(64, 0xff),
+  };
+  Rng rng(31);
+  for (int i = 0; i < 400; ++i) {
+    inputs.push_back(rng.NextBytes(32));
+    inputs.push_back(rng.NextBytes(64));
+    inputs.push_back(rng.NextBytes(rng.NextBounded(65)));
+    // Multiples of L and the largest remainders, where Barrett's quotient
+    // estimate is tightest.
+    const Bytes q = rng.NextBytes(32);
+    inputs.push_back(TimesLPlus(q, Bytes(32, 0)));
+    inputs.push_back(TimesLPlus(q, OrderLPlus(-1)));
+  }
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    uint8_t fast[32], naive[32];
+    ed25519_internal::ScReduceBytesBarrett(fast, inputs[i].data(),
+                                           inputs[i].size());
+    ed25519_internal::ScReduceBytesNaive(naive, inputs[i].data(),
+                                         inputs[i].size());
+    EXPECT_EQ(Bytes(fast, fast + 32), Bytes(naive, naive + 32))
+        << "input " << i << ": " << HexEncode(inputs[i]);
+  }
+}
+
+TEST(Ed25519KernelTest, BarrettMulAddMatchesLongDivision) {
+  const Bytes zero(32, 0), ones(32, 0xff);
+  std::vector<std::vector<Bytes>> cases = {
+      {zero, zero, zero},
+      {ones, ones, ones},  // the largest a*b + c, just under 2^512
+      {OrderLPlus(-1), OrderLPlus(-1), OrderLPlus(-1)},
+      {OrderLPlus(0), ones, OrderLPlus(0)},
+      {ones, zero, OrderLPlus(1)},
+  };
+  Rng rng(32);
+  for (int i = 0; i < 400; ++i) {
+    cases.push_back({rng.NextBytes(32), rng.NextBytes(32), rng.NextBytes(32)});
+  }
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const std::vector<Bytes>& c = cases[i];
+    uint8_t fast[32], naive[32];
+    ed25519_internal::ScMulAddBarrett(fast, c[0].data(), c[1].data(),
+                                      c[2].data());
+    ed25519_internal::ScMulAddNaive(naive, c[0].data(), c[1].data(),
+                                    c[2].data());
+    EXPECT_EQ(Bytes(fast, fast + 32), Bytes(naive, naive + 32))
+        << "case " << i << ": " << HexEncode(c[0]) << " * " << HexEncode(c[1])
+        << " + " << HexEncode(c[2]);
+  }
+}
+
 // The verdict of the naive reference path, after checking that the fast
 // plain verify and the prepared-key verify (under both paths) agree with it.
 bool AgreedVerdict(const Bytes& pub, const Bytes& msg, const Bytes& sig) {
@@ -738,9 +879,44 @@ TEST(Ed25519PreparedTest, AgreesOnSmallOrderAndNonCanonicalPoints) {
   // A small-order R under a real key is rejected.
   Rng rng(28);
   Bytes seed = rng.NextBytes(kEd25519SeedSize);
-  Bytes sig = Ed25519Sign(seed, ToBytes("m"));
+  const Bytes real_pub = Ed25519PublicKey(seed);
+  const Bytes real_sig = Ed25519Sign(seed, ToBytes("m"));
+  Bytes sig = real_sig;
   std::copy(order_two.begin(), order_two.end(), sig.begin());
-  EXPECT_FALSE(AgreedVerdict(Ed25519PublicKey(seed), ToBytes("m"), sig));
+  EXPECT_FALSE(AgreedVerdict(real_pub, ToBytes("m"), sig));
+
+  // Every R whose y lies in [p, 2^255), with either sign bit. Decoding
+  // reduces y mod p, so these name points with y in [0, 18] or nothing;
+  // the fast paths compare R's encoding without decoding it. With S = 0,
+  // [S]B - [k]A is the identity under the identity key, and one of the
+  // order-four points (+-sqrt(-1), 0) under a key of order four when k is
+  // odd: y = p names both of those, one per sign bit.
+  const Bytes order_four = Le32(0);
+  int accepted_identity = 0, accepted_order_four = 0;
+  for (int j = 0; j < 19; ++j) {
+    for (uint8_t sign : {0x00, 0x80}) {
+      Bytes r = identity_noncanonical;  // y = p + 1
+      r[0] = static_cast<uint8_t>(0xed + j);  // y = p + j
+      r[31] |= sign;
+      for (int m = 0; m < 4; ++m) {
+        const Bytes msg = ToBytes("m" + std::to_string(m));
+        Bytes zero_s = r;
+        zero_s.resize(kEd25519SignatureSize, 0);
+        const bool identity_ok = AgreedVerdict(identity, msg, zero_s);
+        EXPECT_EQ(identity_ok, j == 1 && sign == 0) << "y = p + " << j;
+        accepted_identity += identity_ok;
+        const bool order_four_ok = AgreedVerdict(order_four, msg, zero_s);
+        EXPECT_TRUE(!order_four_ok || j == 0 || j == 1) << "y = p + " << j;
+        accepted_order_four += order_four_ok;
+      }
+      Bytes real_s = real_sig;
+      std::copy(r.begin(), r.end(), real_s.begin());
+      EXPECT_FALSE(AgreedVerdict(real_pub, ToBytes("m"), real_s))
+          << "y = p + " << j;
+    }
+  }
+  EXPECT_EQ(accepted_identity, 4);
+  EXPECT_GT(accepted_order_four, 0);
 }
 
 TEST(Ed25519PreparedTest, UndecodableKeysPrepareNothing) {

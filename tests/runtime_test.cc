@@ -467,6 +467,87 @@ TEST(RealEnvTest, LoopbackRoundTripBetweenTwoProcsWorthOfEnvs) {
   EXPECT_GT(env1.bytes_sent(), 0u);
 }
 
+// Records every payload it is handed, in arrival order.
+class SinkNode : public Node {
+ public:
+  void Start() override {}
+  void HandleMessage(NodeId, const Payload& payload) override {
+    payloads_.emplace_back(payload.data(), payload.data() + payload.size());
+    received_.fetch_add(1, std::memory_order_release);
+  }
+  int received() const { return received_.load(std::memory_order_acquire); }
+  const std::vector<Bytes>& payloads() const { return payloads_; }
+
+ private:
+  std::vector<Bytes> payloads_;
+  std::atomic<int> received_{0};
+};
+
+// Frame i of the burst: its index, then a pattern that depends on i.
+Bytes BurstFrame(int i, size_t size) {
+  Bytes frame(size);
+  for (size_t j = 0; j < size; ++j) {
+    frame[j] = static_cast<uint8_t>(i * 31 + j * 7);
+  }
+  frame[0] = static_cast<uint8_t>(i);
+  frame[1] = static_cast<uint8_t>(i >> 8);
+  return frame;
+}
+
+// A burst larger than the loopback socket buffers, sent while the receiver
+// is not reading yet: send() stops at EAGAIN, the rest waits in the
+// sender's buffer, and EPOLLOUT resumes it once the receiver drains. Every
+// frame, including one far above the 64 KiB read chunk, must arrive intact
+// and in order.
+TEST(RealEnvTest, BurstThatFillsTheSocketBufferArrivesInOrder) {
+  RealEnv::Options opts;
+  RealEnv sender(opts);
+  RealEnv receiver(opts);
+  PingNode sender_node(2);
+  SinkNode sink;
+  sender.Attach(&sender_node, 1);
+  receiver.Attach(&sink, 2);
+  sender.AddPeer(2, "127.0.0.1", receiver.listen_port());
+
+  constexpr int kFrames = 300;
+  constexpr int kLargeFrame = 150;
+  auto frame_size = [](int i) -> size_t {
+    return i == kLargeFrame ? (6u << 20) : 20000 + (i * 997) % 8192;
+  };
+  std::atomic<bool> burst_sent{false};
+  sender.ScheduleAfter(50 * kMillisecond, [&] {
+    for (int i = 0; i < kFrames; ++i) {
+      sender.Send(2, Payload(BurstFrame(i, frame_size(i))));
+    }
+    burst_sent.store(true, std::memory_order_release);
+  });
+  std::thread sending([&] { sender.Run(); });
+  // The receiver's listener accepts in the kernel, so the connection is up;
+  // its loop starts only after the whole burst was handed to the sender.
+  for (int spin = 0; spin < 500 && !burst_sent.load(std::memory_order_acquire);
+       ++spin) {
+    timespec ts{0, 10 * 1000 * 1000};
+    nanosleep(&ts, nullptr);
+  }
+  ASSERT_TRUE(burst_sent.load(std::memory_order_acquire));
+  std::thread receiving([&] { receiver.Run(); });
+  for (int spin = 0; spin < 1000 && sink.received() < kFrames; ++spin) {
+    timespec ts{0, 10 * 1000 * 1000};
+    nanosleep(&ts, nullptr);
+  }
+  sender.RequestStop();
+  receiver.RequestStop();
+  sending.join();
+  receiving.join();
+
+  EXPECT_EQ(sender.messages_dropped(), 0u);
+  EXPECT_EQ(sender.reconnects(), 0u);
+  ASSERT_EQ(sink.payloads().size(), static_cast<size_t>(kFrames));
+  for (int i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(sink.payloads()[i], BurstFrame(i, frame_size(i))) << "frame " << i;
+  }
+}
+
 TEST(RealEnvTest, SendToUnknownPeerDropsAndCounts) {
   RealEnv env((RealEnv::Options()));
   PingNode node(0);
