@@ -876,7 +876,8 @@ void CondSubL(uint64_t r[4] /* sdrlint:secret */) {
   }
 }
 
-// Writes x mod L for x < 2^512 in eight little-endian words, canonically.
+// Writes x mod L, canonically, for x < 2^512 given as eight little-endian
+// words.
 // Barrett (HAC 14.42, base 2^64, k = 4): q = floor(floor(x / 2^192) * mu /
 // 2^320). Then x / L - q < 1 + (2^512 / L - mu) + 2^-60, and 2^512 / L -
 // mu is about 0.225, so q falls short of floor(x / L) by at most 1: x - q*L,
@@ -988,9 +989,8 @@ void ScMulAddNaive(uint8_t out[32], const uint8_t a[32], const uint8_t b[32],
     carry = cur >> 64;
   }
   uint8_t prod_bytes[64];
-  for (int i = 0; i < 64; ++i) {
-    prod_bytes[i] = (uint8_t)(prod[i / 8] >> (8 * (i % 8)));
-  }
+  StoreWords(prod_bytes, prod);
+  StoreWords(prod_bytes + 32, prod + 4);
   ScReduceBytesNaive(out, prod_bytes, 64);
 }
 

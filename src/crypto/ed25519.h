@@ -1,11 +1,13 @@
 // Ed25519 signatures (RFC 8032), implemented from scratch:
 //   - field arithmetic mod p = 2^255 - 19 (5 x 51-bit limbs, __int128 mul,
-//     dedicated squaring)
+//     dedicated squaring, constant-time safegcd inversion on the fast
+//     path)
 //   - twisted Edwards point arithmetic in extended coordinates with the
 //     unified add-2008-hwcd-3 formulas plus a dedicated doubling and mixed
 //     additions against precomputed (y+x, y-x, 2dxy) points
-//   - scalar arithmetic mod the group order L (byte-limb folding reduction
-//     on the fast path, binary long division on the reference path)
+//   - scalar arithmetic mod the group order L (Barrett reduction on 64-bit
+//     words on the fast path, binary long division on the reference path;
+//     both kernels of each pair are in ed25519_kernels.h)
 //   - SHA-512 from src/crypto/sha2.h
 //
 // Two code paths produce bit-identical signatures and verdicts:

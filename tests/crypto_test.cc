@@ -834,14 +834,10 @@ TEST(Ed25519PreparedTest, AgreesOnValidAndTamperedSignatures) {
     EXPECT_FALSE(AgreedVerdict(pub, bad_msg, sig)) << "msg, trial " << trial;
 
     // S + L names the same scalar but is not canonical: rejected.
-    static const uint8_t kL[32] = {
-        0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7,
-        0xa2, 0xde, 0xf9, 0xde, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10};
     Bytes s_plus_l = sig;
     unsigned carry = 0;
     for (int i = 0; i < 32; ++i) {
-      unsigned sum = sig[32 + i] + kL[i] + carry;
+      unsigned sum = sig[32 + i] + OrderLBytes()[i] + carry;
       s_plus_l[32 + i] = static_cast<uint8_t>(sum);
       carry = sum >> 8;
     }

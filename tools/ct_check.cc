@@ -13,7 +13,8 @@
 // design (the published points A and R, the signature scalar S).
 //
 // Modes:
-//   ct_check            taint check of fast-path keygen + sign (the CI
+//   ct_check            taint check of fast-path keygen + sign, and of the
+//                       scalar and inversion kernels on their own (the CI
 //                       MSan gate). In a non-MSan build the taint calls
 //                       are no-ops and the run degrades to a functional
 //                       smoke check; the banner says which one you got.
@@ -32,6 +33,7 @@
 
 #include "src/crypto/ct.h"
 #include "src/crypto/ed25519.h"
+#include "src/crypto/ed25519_kernels.h"
 #include "src/crypto/signer.h"
 #include "src/util/bytes.h"
 
@@ -68,11 +70,57 @@ Bytes MessageFor(uint8_t tag, size_t len) {
 // Taint mode: the actual constant-time check.
 // ---------------------------------------------------------------------------
 
+// Each fast arithmetic kernel on tainted input of its own. Signing reaches
+// the scalar kernels with secrets but hands the inversion only the public
+// Z of a declassified point, so this is where safegcd sees a secret. The
+// outputs must carry the taint (the check is not vacuous) and, once
+// declassified, equal the naive kernels' on the same clean input.
+void TaintKernels(uint8_t round) {
+  namespace ei = ed25519_internal;
+  const Bytes clean = MessageFor(round, 96);
+
+  Bytes wide(clean.begin(), clean.begin() + 64);
+  CtClassify(wide.data(), wide.size());
+  uint8_t got[32], want[32];
+  ei::ScReduceBytesBarrett(got, wide.data(), wide.size());
+  ei::ScReduceBytesNaive(want, clean.data(), 64);
+  Check(!CtTaintActive() || CtIsTainted(got, 32), "reduced scalar carries taint");
+  CtDeclassify(got, 32);
+  Check(Bytes(got, got + 32) == Bytes(want, want + 32), "tainted ScReduceBytes");
+
+  Bytes abc = clean;
+  CtClassify(abc.data(), abc.size());
+  ei::ScMulAddBarrett(got, abc.data(), abc.data() + 32, abc.data() + 64);
+  ei::ScMulAddNaive(want, clean.data(), clean.data() + 32, clean.data() + 64);
+  Check(!CtTaintActive() || CtIsTainted(got, 32), "r + k*a carries taint");
+  CtDeclassify(got, 32);
+  Check(Bytes(got, got + 32) == Bytes(want, want + 32), "tainted ScMulAdd");
+
+  ei::Fe fe;
+  for (int i = 0; i < 5; ++i) {
+    fe.v[i] = ((uint64_t)clean[8 * i] << 40 | (uint64_t)clean[8 * i + 1] << 20 |
+               clean[8 * i + 2]) & ((1ULL << 51) - 1);
+  }
+  Bytes fe_want(32), fe_got(32);
+  ei::FeToBytes(fe_want.data(), ei::FeInvertFermat(fe));
+  CtClassify(&fe, sizeof(fe));
+  ei::Fe inv = ei::FeInvertSafegcd(fe);
+  Check(!CtTaintActive() || CtIsTainted(&inv, sizeof(inv)),
+        "inverse carries taint");
+  CtDeclassify(&inv, sizeof(inv));
+  ei::FeToBytes(fe_got.data(), inv);
+  Check(fe_got == fe_want, "tainted FeInvert");
+}
+
 int RunTaint() {
   std::printf("ct_check: taint harness %s\n",
               CtTaintActive() ? "ACTIVE (MemorySanitizer)"
                               : "inactive (plain build; functional smoke only)");
   Ed25519SetFastPath(true);
+
+  for (uint8_t round = 0; round < 4; ++round) {
+    TaintKernels(round);
+  }
 
   for (uint8_t round = 0; round < 4; ++round) {
     const Bytes clean_seed = SeedFor(round);
@@ -117,7 +165,7 @@ int RunTaint() {
   if (g_failures == 0) {
     std::printf(
         "ct_check: PASS — no secret-dependent branch or index in fast-path "
-        "keygen/sign%s\n",
+        "keygen/sign or its arithmetic kernels%s\n",
         CtTaintActive() ? "" : " (functional only; rerun under MSan)");
   }
   return g_failures == 0 ? 0 : 1;
