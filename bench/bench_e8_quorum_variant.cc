@@ -16,8 +16,10 @@
 // rather than time reads out.
 // Exits 1 if any row with fewer colluders than k accepts a wrong answer or
 // excludes a number of slaves other than its colluders, if any row counts
-// an accusation as unfounded (no row has a framing peer), or if any read
-// times out after the row's last exclusion.
+// an accusation as unfounded (no row has a framing peer), or if a read
+// times out after the row's last exclusion while a slave is left to serve
+// it. Where every slave is excluded, reads must instead keep failing: each
+// is parked and fails once setup has timed out for its retry budget.
 #include <optional>
 #include <vector>
 
@@ -169,14 +171,20 @@ int main(int argc, char** argv) {
     if (s.unfounded != 0) {
       violation(cell, "counted an accusation as unfounded");
     }
-    if (s.late_timeouts != 0) {
+    const bool none_left =
+        s.excluded == static_cast<uint64_t>(cell.k * cell.masters);
+    if (!none_left && s.late_timeouts != 0) {
       violation(cell, "timed out a read after its last exclusion");
+    }
+    if (none_left && s.late_timeouts == 0) {
+      violation(cell, "left a read parked after its last exclusion");
     }
   }
   Note("shape: with any honest slave in the set, disagreement forces a");
   Note("double-check and liars are excluded (wrong=0 unless ALL k collude);");
   Note("slave work grows with the honest members left in the set --");
   Note("cheap untrusted resources. A set that empties sends the client");
-  Note("back to setup, so no read times out on excluded slaves.");
+  Note("back to setup, so no read times out on excluded slaves; with no");
+  Note("slave left at all, parked reads fail (lateTO) and the loop goes on.");
   return violations == 0 ? 0 : 1;
 }

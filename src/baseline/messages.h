@@ -1,0 +1,32 @@
+// Wire messages the two related-work baselines share. Each payload is the
+// baseline's own message-type byte, then one of these field lists
+// (WireEncodeTagged), so the baselines need no codec of their own.
+#ifndef SDR_SRC_BASELINE_MESSAGES_H_
+#define SDR_SRC_BASELINE_MESSAGES_H_
+
+#include <cstdint>
+
+#include "src/store/query.h"
+#include "src/util/bytes.h"
+#include "src/util/serde.h"
+
+namespace sdr {
+
+// A query sent for execution: to the state-signing master (every query but
+// a point read) or to each SMR replica of the quorum.
+struct BaselineRead {
+  uint64_t request_id = 0;
+  Query query;
+  SDR_WIRE_FIELDS(BaselineRead, request_id, query)
+};
+
+// The executor's answer: the result's canonical QueryResult encoding.
+struct BaselineReadReply {
+  uint64_t request_id = 0;
+  Bytes result;
+  SDR_WIRE_FIELDS(BaselineReadReply, request_id, result)
+};
+
+}  // namespace sdr
+
+#endif  // SDR_SRC_BASELINE_MESSAGES_H_

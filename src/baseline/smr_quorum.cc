@@ -20,16 +20,11 @@ void QrReplica::SetContent(const DocumentStore& content) {
 }
 
 void QrReplica::HandleMessage(NodeId from, const Payload& payload) {
-  Reader r(payload);
-  if (r.U8() != kQrRead) {
+  auto msg = WireDecodeTagged<BaselineRead>(kQrRead, payload.view());
+  if (!msg.ok()) {
     return;
   }
-  uint64_t request_id = r.U64();
-  Query query = Query::DecodeFrom(r);
-  if (!r.Done()) {
-    return;
-  }
-  auto outcome = executor_.Execute(store_, query);
+  auto outcome = executor_.Execute(store_, msg->query);
   if (!outcome.ok()) {
     return;
   }
@@ -49,13 +44,11 @@ void QrReplica::HandleMessage(NodeId from, const Payload& payload) {
 
   SimTime service_time =
       options_.cost.ExecuteTime(outcome->cost, result.Encode().size());
-  queue_->Enqueue(service_time, [this, from, request_id,
+  queue_->Enqueue(service_time, [this, from, request_id = msg->request_id,
                                  result = std::move(result)] {
-    Writer w;
-    w.U8(kQrReadReply);
-    w.U64(request_id);
-    w.Blob(result.Encode());
-    env()->Send(from, w.Take());
+    env()->Send(from, WireEncodeTagged(kQrReadReply,
+                                       BaselineReadReply{request_id,
+                                                         result.Encode()}));
   });
 }
 
@@ -71,34 +64,25 @@ void QrClient::IssueRead(const Query& query, Callback cb) {
   read.cb = std::move(cb);
   pending_.emplace(request_id, std::move(read));
 
-  Writer w;
-  w.U8(kQrRead);
-  w.U64(request_id);
-  query.EncodeTo(w);
-  Bytes wire = w.Take();
+  Bytes wire = WireEncodeTagged(kQrRead, BaselineRead{request_id, query});
   for (int i = 0; i < pending_[request_id].quorum_size; ++i) {
     env()->Send(options_.replicas[i], wire);
   }
 }
 
 void QrClient::HandleMessage(NodeId /*from*/, const Payload& payload) {
-  Reader r(payload);
-  if (r.U8() != kQrReadReply) {
+  auto msg = WireDecodeTagged<BaselineReadReply>(kQrReadReply, payload.view());
+  if (!msg.ok()) {
     return;
   }
-  uint64_t request_id = r.U64();
-  Bytes result_enc = r.Blob();
-  if (!r.Done()) {
-    return;
-  }
-  auto it = pending_.find(request_id);
+  auto it = pending_.find(msg->request_id);
   if (it == pending_.end() || it->second.done) {
     return;
   }
   PendingRead& read = it->second;
   ++read.replies;
 
-  auto result = QueryResult::Decode(result_enc);
+  auto result = QueryResult::Decode(msg->result);
   if (result.ok()) {
     Bytes digest = result->Sha1Digest();
     auto& slot = read.votes[digest];

@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/baseline/messages.h"
 #include "src/core/config.h"
 #include "src/core/service_queue.h"
 #include "src/runtime/env.h"

@@ -13,15 +13,6 @@ enum SsMsg : uint8_t {
 };
 }  // namespace
 
-Bytes SignedRoot::SignedBody() const {
-  Writer w;
-  w.Blob(std::string_view("sdr-ssroot-v1"));
-  w.Blob(root);
-  w.U64(version);
-  w.I64(timestamp);
-  return w.Take();
-}
-
 SignedRoot MakeSignedRoot(const Signer& signer, const Bytes& root,
                           uint64_t version, SimTime now) {
   SignedRoot sr;
@@ -36,22 +27,6 @@ bool VerifySignedRoot(SignatureScheme scheme, const Bytes& public_key,
                       const SignedRoot& root) {
   return VerifySignature(scheme, public_key, root.SignedBody(),
                          root.signature);
-}
-
-static void EncodeRoot(Writer& w, const SignedRoot& root) {
-  w.Blob(root.root);
-  w.U64(root.version);
-  w.I64(root.timestamp);
-  w.Blob(root.signature);
-}
-
-static SignedRoot DecodeRoot(Reader& r) {
-  SignedRoot root;
-  root.root = r.Blob();
-  root.version = r.U64();
-  root.timestamp = r.I64();
-  root.signature = r.Blob();
-  return root;
 }
 
 // ---------------------------------------------------------------------------
@@ -87,14 +62,11 @@ void SsMaster::AddSlave(NodeId slave) {
 }
 
 void SsMaster::RefreshRoot() {
-  SignedRoot root =
-      MakeSignedRoot(signer_, tree_.root(), version_, env()->Now());
-  Writer w;
-  w.U8(kSsStateUpdate);
-  EncodeRoot(w, root);
   // An empty batch refreshes the timestamp only.
-  WirePut(w, WriteBatch{});
-  Bytes wire = w.Take();
+  Bytes wire = WireEncodeTagged(
+      kSsStateUpdate,
+      SsStateUpdate{
+          MakeSignedRoot(signer_, tree_.root(), version_, env()->Now()), {}});
   for (NodeId slave : slaves_) {
     env()->Send(slave, wire);
   }
@@ -108,30 +80,22 @@ void SsMaster::CommitWrite(const WriteBatch& batch) {
   tree_ = MerkleTree::Build(store_);
   work_units_ += store_.size();
 
-  SignedRoot root =
-      MakeSignedRoot(signer_, tree_.root(), version_, env()->Now());
-  Writer w;
-  w.U8(kSsStateUpdate);
-  EncodeRoot(w, root);
-  WirePut(w, batch);
-  Bytes wire = w.Take();
+  Bytes wire = WireEncodeTagged(
+      kSsStateUpdate,
+      SsStateUpdate{
+          MakeSignedRoot(signer_, tree_.root(), version_, env()->Now()),
+          batch});
   for (NodeId slave : slaves_) {
     env()->Send(slave, wire);
   }
 }
 
 void SsMaster::HandleMessage(NodeId from, const Payload& payload) {
-  Reader r(payload);
-  uint8_t tag = r.U8();
-  if (tag != kSsDynRead) {
+  auto msg = WireDecodeTagged<BaselineRead>(kSsDynRead, payload.view());
+  if (!msg.ok()) {
     return;
   }
-  uint64_t request_id = r.U64();
-  Query query = Query::DecodeFrom(r);
-  if (!r.Done()) {
-    return;
-  }
-  auto outcome = executor_.Execute(store_, query);
+  auto outcome = executor_.Execute(store_, msg->query);
   if (!outcome.ok()) {
     return;
   }
@@ -139,14 +103,12 @@ void SsMaster::HandleMessage(NodeId from, const Payload& payload) {
   ++dynamic_queries_served_;
   SimTime service_time = options_.cost.ExecuteTime(
       outcome->cost, outcome->result.Encode().size());
-  queue_->Enqueue(service_time,
-                  [this, from, request_id, result = outcome->result] {
-                    Writer w;
-                    w.U8(kSsDynReadReply);
-                    w.U64(request_id);
-                    w.Blob(result.Encode());
-                    env()->Send(from, w.Take());
-                  });
+  queue_->Enqueue(service_time, [this, from, request_id = msg->request_id,
+                                 result = outcome->result] {
+    env()->Send(from, WireEncodeTagged(kSsDynReadReply,
+                                       BaselineReadReply{request_id,
+                                                         result.Encode()}));
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -167,49 +129,37 @@ void SsSlave::SetContent(const DocumentStore& content,
 }
 
 void SsSlave::HandleMessage(NodeId from, const Payload& payload) {
-  Reader r(payload);
-  uint8_t tag = r.U8();
-  if (tag == kSsStateUpdate) {
-    SignedRoot root = DecodeRoot(r);
-    WriteBatch batch = WireRead<WriteBatch>(r);
-    if (!r.Done()) {
-      return;
-    }
-    if (!batch.empty()) {
-      store_.ApplyBatch(batch);
+  if (auto update = WireDecodeTagged<SsStateUpdate>(kSsStateUpdate,
+                                                     payload.view());
+      update.ok()) {
+    if (!update->batch.empty()) {
+      store_.ApplyBatch(update->batch);
       tree_ = MerkleTree::Build(store_);
       work_units_ += store_.size();
     }
-    if (!root_.has_value() || root.timestamp > root_->timestamp) {
-      root_ = root;
+    if (!root_.has_value() || update->root.timestamp > root_->timestamp) {
+      root_ = std::move(update->root);
     }
     return;
   }
-  if (tag != kSsPointRead) {
-    return;
-  }
-  uint64_t request_id = r.U64();
-  std::string key = r.BlobString();
-  if (!r.Done() || !root_.has_value()) {
+  auto msg = WireDecodeTagged<SsPointRead>(kSsPointRead, payload.view());
+  if (!msg.ok() || !root_.has_value()) {
     return;
   }
   ++point_reads_served_;
   work_units_ += 1;
-  auto proof = tree_.Prove(key);
+  std::optional<Bytes> proof;
+  if (auto p = tree_.Prove(msg->key)) {
+    proof = p->Encode();
+  }
   // Proof generation: one execute unit plus hashing along the path — cheap,
   // and crucially there is NO signature on the hot path.
   SimTime service_time = options_.cost.ExecuteTime(1, 64);
-  queue_->Enqueue(service_time, [this, from, request_id,
+  queue_->Enqueue(service_time, [this, from, request_id = msg->request_id,
                                  proof = std::move(proof)] {
-    Writer w;
-    w.U8(kSsPointReadReply);
-    w.U64(request_id);
-    w.Bool(proof.has_value());
-    if (proof.has_value()) {
-      w.Blob(proof->Encode());
-    }
-    EncodeRoot(w, *root_);
-    env()->Send(from, w.Take());
+    env()->Send(from, WireEncodeTagged(kSsPointReadReply,
+                                       SsPointReadReply{request_id, proof,
+                                                        *root_}));
   });
 }
 
@@ -224,31 +174,21 @@ void SsClient::IssueRead(const Query& query, Callback cb) {
   pending_[request_id] = PendingRead{query, env()->Now(), std::move(cb)};
   if (query.kind == QueryKind::kGet) {
     ++reads_to_slave_;
-    Writer w;
-    w.U8(kSsPointRead);
-    w.U64(request_id);
-    w.Blob(query.key);
-    env()->Send(options_.slave, w.Take());
+    env()->Send(options_.slave,
+                WireEncodeTagged(kSsPointRead,
+                                 SsPointRead{request_id, query.key}));
   } else {
     ++reads_to_master_;
-    Writer w;
-    w.U8(kSsDynRead);
-    w.U64(request_id);
-    query.EncodeTo(w);
-    env()->Send(options_.master, w.Take());
+    env()->Send(options_.master,
+                WireEncodeTagged(kSsDynRead, BaselineRead{request_id, query}));
   }
 }
 
 void SsClient::HandleMessage(NodeId /*from*/, const Payload& payload) {
-  Reader r(payload);
-  uint8_t tag = r.U8();
-  if (tag == kSsDynReadReply) {
-    uint64_t request_id = r.U64();
-    Bytes result_enc = r.Blob();
-    if (!r.Done()) {
-      return;
-    }
-    auto it = pending_.find(request_id);
+  if (auto reply = WireDecodeTagged<BaselineReadReply>(kSsDynReadReply,
+                                                        payload.view());
+      reply.ok()) {
+    auto it = pending_.find(reply->request_id);
     if (it == pending_.end()) {
       return;
     }
@@ -262,20 +202,13 @@ void SsClient::HandleMessage(NodeId /*from*/, const Payload& payload) {
     }
     return;
   }
-  if (tag != kSsPointReadReply) {
+  auto msg =
+      WireDecodeTagged<SsPointReadReply>(kSsPointReadReply, payload.view());
+  if (!msg.ok()) {
     return;
   }
-  uint64_t request_id = r.U64();
-  bool found = r.Bool();
-  Bytes proof_enc;
-  if (found) {
-    proof_enc = r.Blob();
-  }
-  SignedRoot root = DecodeRoot(r);
-  if (!r.Done()) {
-    return;
-  }
-  auto it = pending_.find(request_id);
+  const SignedRoot& root = msg->root;
+  auto it = pending_.find(msg->request_id);
   if (it == pending_.end()) {
     return;
   }
@@ -287,7 +220,7 @@ void SsClient::HandleMessage(NodeId /*from*/, const Payload& payload) {
     pending_.erase(it);
     return;
   }
-  if (!found) {
+  if (!msg->proof.has_value()) {
     // Absence is unverifiable in this baseline: escalate to the trusted
     // master as a dynamic read.
     Query query = it->second.query;
@@ -297,15 +230,12 @@ void SsClient::HandleMessage(NodeId /*from*/, const Payload& payload) {
     ++reads_to_master_;
     uint64_t new_id = next_request_id_++;
     pending_[new_id] = PendingRead{query, issued, std::move(cb)};
-    Writer w;
-    w.U8(kSsDynRead);
-    w.U64(new_id);
-    query.EncodeTo(w);
-    env()->Send(options_.master, w.Take());
+    env()->Send(options_.master,
+                WireEncodeTagged(kSsDynRead, BaselineRead{new_id, query}));
     return;
   }
-  auto proof = MerkleTree::Proof::Decode(proof_enc);
-  if (!proof.has_value() || proof->key != it->second.query.key ||
+  auto proof = MerkleTree::Proof::Decode(*msg->proof);
+  if (!proof.ok() || proof->key != it->second.query.key ||
       !MerkleTree::VerifyProof(*proof, root.root)) {
     ++proof_failures_;
     pending_.erase(it);

@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 
+#include "src/baseline/messages.h"
 #include "src/core/config.h"
 #include "src/core/service_queue.h"
 #include "src/merkle/merkle_tree.h"
@@ -35,7 +36,32 @@ struct SignedRoot {
   SimTime timestamp = 0;
   Bytes signature;
 
-  Bytes SignedBody() const;
+  SDR_WIRE_FIELDS(SignedRoot, root, version, timestamp, signature)
+  Bytes SignedBody() const { return WireSignedBody(*this, "sdr-ssroot-v1"); }
+};
+
+// Client -> slave: a point read of `key`.
+struct SsPointRead {
+  uint64_t request_id = 0;
+  std::string key;
+  SDR_WIRE_FIELDS(SsPointRead, request_id, key)
+};
+
+// Slave -> client: the encoded MerkleTree::Proof of the key, absent when
+// the key is not stored, and the root it verifies against.
+struct SsPointReadReply {
+  uint64_t request_id = 0;
+  std::optional<Bytes> proof;
+  SignedRoot root;
+  SDR_WIRE_FIELDS(SsPointReadReply, request_id, proof, root)
+};
+
+// Master -> slave: a freshly signed root and the write batch it covers
+// (empty when the master only refreshes the root's timestamp).
+struct SsStateUpdate {
+  SignedRoot root;
+  WriteBatch batch;
+  SDR_WIRE_FIELDS(SsStateUpdate, root, batch)
 };
 
 SignedRoot MakeSignedRoot(const Signer& signer, const Bytes& root,

@@ -36,19 +36,15 @@ void BftOrderBroadcast::SendToAll(const Bytes& payload) {
 void BftOrderBroadcast::Broadcast(Bytes payload) {
   uint64_t local_id = next_local_id_++;
   pending_[local_id] = payload;
+  SubmitRequest(local_id, payload);
+}
 
-  Writer w;
-  w.U8(kRequest);
-  w.U32(owner_->id());
-  w.U64(local_id);
-  w.Blob(payload);
+void BftOrderBroadcast::SubmitRequest(uint64_t local_id, const Bytes& payload) {
+  Request msg{owner_->id(), local_id, payload};
   if (IsPrimary()) {
-    Bytes wire = w.Take();
-    Reader r(wire);
-    r.U8();
-    HandleRequest(owner_->id(), r);
+    HandleRequest(msg);
   } else {
-    SendTo(primary(), w.Take());
+    SendTo(primary(), WireEncodeTagged(kRequest, msg));
   }
 }
 
@@ -57,34 +53,41 @@ void BftOrderBroadcast::OnMessage(NodeId from, BytesView payload) {
     return;
   }
   ++auth_ops_;  // verify the sender's authenticator
-  Reader r(payload);
-  uint8_t type = r.U8();
-  switch (type) {
+  if (payload.empty()) {
+    return;
+  }
+  const BytesView body = payload.substr(1);
+  switch (payload[0]) {
     case kRequest:
-      HandleRequest(from, r);
+      if (auto msg = Request::Decode(body); msg.ok()) {
+        HandleRequest(*msg);
+      }
       break;
     case kPrePrepare:
-      HandlePrePrepare(r);
+      if (auto msg = PrePrepare::Decode(body); msg.ok()) {
+        HandlePrePrepare(*msg);
+      }
       break;
     case kPrepare:
-      HandlePrepare(from, r);
+      if (auto msg = Vote::Decode(body); msg.ok()) {
+        HandlePrepare(from, msg->seq);
+      }
       break;
     case kCommit:
-      HandleCommit(from, r);
+      if (auto msg = Vote::Decode(body); msg.ok()) {
+        HandleCommit(from, msg->seq);
+      }
       break;
     default:
       break;
   }
 }
 
-void BftOrderBroadcast::HandleRequest(NodeId /*from*/, Reader& r) {
-  NodeId origin = r.U32();
-  uint64_t local_id = r.U64();
-  Bytes payload = r.Blob();
-  if (!r.ok() || !IsPrimary()) {
+void BftOrderBroadcast::HandleRequest(const Request& msg) {
+  if (!IsPrimary()) {
     return;
   }
-  auto key = std::make_pair(origin, local_id);
+  auto key = std::make_pair(msg.origin, msg.local_id);
   uint64_t seq;
   auto it = assigned_.find(key);
   if (it != assigned_.end()) {
@@ -93,48 +96,32 @@ void BftOrderBroadcast::HandleRequest(NodeId /*from*/, Reader& r) {
     seq = next_seq_++;
     assigned_[key] = seq;
     Instance& inst = instances_[seq];
-    inst.origin = origin;
-    inst.payload = payload;
+    inst.origin = msg.origin;
+    inst.payload = msg.payload;
     inst.have_preprepare = true;
   }
-  if (origin == owner_->id()) {
-    pending_.erase(local_id);  // the primary's own request is now ordered
+  if (msg.origin == owner_->id()) {
+    pending_.erase(msg.local_id);  // the primary's own request is now ordered
   }
-  Writer w;
-  w.U8(kPrePrepare);
-  w.U64(seq);
-  w.U32(origin);
-  w.U64(local_id);
-  w.Blob(payload);
-  SendToAll(w.Take());
+  SendToAll(WireEncodeTagged(
+      kPrePrepare, PrePrepare{seq, msg.origin, msg.local_id, msg.payload}));
   MaybeProgress(seq);
 }
 
-void BftOrderBroadcast::HandlePrePrepare(Reader& r) {
-  uint64_t seq = r.U64();
-  NodeId origin = r.U32();
-  uint64_t local_id = r.U64();
-  Bytes payload = r.Blob();
-  if (!r.ok()) {
-    return;
+void BftOrderBroadcast::HandlePrePrepare(const PrePrepare& msg) {
+  if (msg.origin == owner_->id()) {
+    pending_.erase(msg.local_id);
   }
-  if (origin == owner_->id()) {
-    pending_.erase(local_id);
-  }
-  Instance& inst = instances_[seq];
+  Instance& inst = instances_[msg.seq];
   if (!inst.have_preprepare) {
-    inst.origin = origin;
-    inst.payload = std::move(payload);
+    inst.origin = msg.origin;
+    inst.payload = msg.payload;
     inst.have_preprepare = true;
   }
-  MaybeProgress(seq);
+  MaybeProgress(msg.seq);
 }
 
-void BftOrderBroadcast::HandlePrepare(NodeId from, Reader& r) {
-  uint64_t seq = r.U64();
-  if (!r.ok()) {
-    return;
-  }
+void BftOrderBroadcast::HandlePrepare(NodeId from, uint64_t seq) {
   Instance& inst = instances_[seq];
   inst.prepares.insert(from);
   if (inst.delivered) {
@@ -144,11 +131,7 @@ void BftOrderBroadcast::HandlePrepare(NodeId from, Reader& r) {
   MaybeProgress(seq);
 }
 
-void BftOrderBroadcast::HandleCommit(NodeId from, Reader& r) {
-  uint64_t seq = r.U64();
-  if (!r.ok()) {
-    return;
-  }
+void BftOrderBroadcast::HandleCommit(NodeId from, uint64_t seq) {
   Instance& inst = instances_[seq];
   inst.commits.insert(from);
   // Commits never trigger help replies — that would let two delivered
@@ -167,18 +150,10 @@ void BftOrderBroadcast::HelpLaggard(NodeId peer, uint64_t seq) {
   // a reply itself — so helped exchanges always terminate.
   const Instance& inst = instances_[seq];
   if (IsPrimary() && inst.have_preprepare) {
-    Writer w;
-    w.U8(kPrePrepare);
-    w.U64(seq);
-    w.U32(inst.origin);
-    w.U64(0);
-    w.Blob(inst.payload);
-    SendTo(peer, w.Take());
+    SendTo(peer, WireEncodeTagged(
+                     kPrePrepare, PrePrepare{seq, inst.origin, 0, inst.payload}));
   }
-  Writer wc;
-  wc.U8(kCommit);
-  wc.U64(seq);
-  SendTo(peer, wc.Take());
+  SendTo(peer, WireEncodeTagged(kCommit, Vote{seq}));
 }
 
 void BftOrderBroadcast::MaybeProgress(uint64_t seq) {
@@ -191,20 +166,14 @@ void BftOrderBroadcast::MaybeProgress(uint64_t seq) {
   if (!inst.sent_prepare) {
     inst.sent_prepare = true;
     inst.prepares.insert(owner_->id());
-    Writer w;
-    w.U8(kPrepare);
-    w.U64(seq);
-    SendToAll(w.Take());
+    SendToAll(WireEncodeTagged(kPrepare, Vote{seq}));
   }
   // Commit phase: prepared == pre-prepare + 2f matching prepares.
   if (!inst.sent_commit &&
       static_cast<int>(inst.prepares.size()) >= 2 * f() + 1) {
     inst.sent_commit = true;
     inst.commits.insert(owner_->id());
-    Writer w;
-    w.U8(kCommit);
-    w.U64(seq);
-    SendToAll(w.Take());
+    SendToAll(WireEncodeTagged(kCommit, Vote{seq}));
   }
   // Committed: 2f+1 commits. Deliver in sequence order.
   if (!inst.delivered && static_cast<int>(inst.commits.size()) >= quorum()) {
@@ -236,25 +205,14 @@ void BftOrderBroadcast::RetransmitTick() {
       continue;
     }
     if (IsPrimary() && inst.have_preprepare) {
-      Writer w;
-      w.U8(kPrePrepare);
-      w.U64(seq);
-      w.U32(inst.origin);
-      w.U64(0);  // local_id only matters for the origin's dedup bookkeeping
-      w.Blob(inst.payload);
-      SendToAll(w.Take());
+      SendToAll(WireEncodeTagged(
+          kPrePrepare, PrePrepare{seq, inst.origin, 0, inst.payload}));
     }
     if (inst.sent_prepare) {
-      Writer w;
-      w.U8(kPrepare);
-      w.U64(seq);
-      SendToAll(w.Take());
+      SendToAll(WireEncodeTagged(kPrepare, Vote{seq}));
     }
     if (inst.sent_commit) {
-      Writer w;
-      w.U8(kCommit);
-      w.U64(seq);
-      SendToAll(w.Take());
+      SendToAll(WireEncodeTagged(kCommit, Vote{seq}));
     }
   }
 
@@ -262,19 +220,7 @@ void BftOrderBroadcast::RetransmitTick() {
   std::vector<std::pair<uint64_t, Bytes>> snapshot(pending_.begin(),
                                                    pending_.end());
   for (const auto& [local_id, payload] : snapshot) {
-    Writer w;
-    w.U8(kRequest);
-    w.U32(owner_->id());
-    w.U64(local_id);
-    w.Blob(payload);
-    if (IsPrimary()) {
-      Bytes wire = w.Take();
-      Reader r(wire);
-      r.U8();
-      HandleRequest(owner_->id(), r);
-    } else {
-      SendTo(primary(), w.Take());
-    }
+    SubmitRequest(local_id, payload);
   }
 }
 

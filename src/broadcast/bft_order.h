@@ -60,14 +60,37 @@ class BftOrderBroadcast {
   uint64_t protocol_messages_sent() const { return messages_sent_; }
   uint64_t authenticators_computed() const { return auth_ops_; }
 
- private:
+  // The wire messages: a MsgType byte, then the message's field list.
   enum MsgType : uint8_t {
-    kRequest = 1,     // member -> primary
-    kPrePrepare = 2,  // primary -> all
-    kPrepare = 3,     // all -> all
-    kCommit = 4,      // all -> all
+    kRequest = 1,     // member -> primary: Request
+    kPrePrepare = 2,  // primary -> all: PrePrepare
+    kPrepare = 3,     // all -> all: Vote
+    kCommit = 4,      // all -> all: Vote
   };
 
+  struct Request {
+    NodeId origin = kInvalidNode;
+    uint64_t local_id = 0;  // the origin's dedup id
+    Bytes payload;
+    SDR_WIRE_FIELDS(Request, origin, local_id, payload)
+  };
+
+  struct PrePrepare {
+    uint64_t seq = 0;
+    NodeId origin = kInvalidNode;
+    // Only the origin's own bookkeeping reads it; retransmissions send 0.
+    uint64_t local_id = 0;
+    Bytes payload;
+    SDR_WIRE_FIELDS(PrePrepare, seq, origin, local_id, payload)
+  };
+
+  // A prepare or a commit for instance `seq`.
+  struct Vote {
+    uint64_t seq = 0;
+    SDR_WIRE_FIELDS(Vote, seq)
+  };
+
+ private:
   struct Instance {
     NodeId origin = kInvalidNode;
     Bytes payload;
@@ -81,10 +104,11 @@ class BftOrderBroadcast {
 
   void SendToAll(const Bytes& payload);
   void SendTo(NodeId to, const Bytes& payload);
-  void HandleRequest(NodeId from, Reader& r);
-  void HandlePrePrepare(Reader& r);
-  void HandlePrepare(NodeId from, Reader& r);
-  void HandleCommit(NodeId from, Reader& r);
+  void SubmitRequest(uint64_t local_id, const Bytes& payload);
+  void HandleRequest(const Request& msg);
+  void HandlePrePrepare(const PrePrepare& msg);
+  void HandlePrepare(NodeId from, uint64_t seq);
+  void HandleCommit(NodeId from, uint64_t seq);
   void MaybeProgress(uint64_t seq);
   void HelpLaggard(NodeId peer, uint64_t seq);
   void DeliverReady();

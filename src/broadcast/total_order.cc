@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "src/util/logging.h"
-#include "src/util/serde.h"
 
 namespace sdr {
 
@@ -53,44 +52,54 @@ uint64_t TotalOrderBroadcast::Broadcast(Bytes payload) {
   if (IsSequencer()) {
     OrderAndSend(owner_->id(), local_id, payload);
   } else {
-    Writer w;
-    w.U8(kSubmit);
-    w.U64(epoch_);
-    w.U32(owner_->id());
-    w.U64(local_id);
-    w.Blob(payload);
-    send_(sequencer(), w.Take());
+    SendSubmit(local_id, payload);
   }
   return local_id;
 }
 
+void TotalOrderBroadcast::SendSubmit(uint64_t local_id, const Bytes& payload) {
+  send_(sequencer(), WireEncodeTagged(kSubmit, Submit{epoch_, owner_->id(),
+                                                      local_id, payload}));
+}
+
 void TotalOrderBroadcast::OnMessage(NodeId from, BytesView payload) {
-  if (!Active()) {
+  if (!Active() || payload.empty()) {
     return;
   }
-  Reader r(payload);
-  uint8_t type = r.U8();
-  switch (type) {
+  const BytesView body = payload.substr(1);
+  switch (payload[0]) {
     case kSubmit:
-      HandleSubmit(from, r);
+      if (auto msg = Submit::Decode(body); msg.ok()) {
+        HandleSubmit(*msg);
+      }
       break;
     case kOrdered:
-      HandleOrdered(r);
+      if (auto msg = Ordered::Decode(body); msg.ok()) {
+        HandleOrdered(*msg);
+      }
       break;
     case kNack:
-      HandleNack(from, r);
+      if (auto msg = Nack::Decode(body); msg.ok()) {
+        HandleNack(from, *msg);
+      }
       break;
     case kHeartbeat:
-      HandleHeartbeat(from, r);
+      if (auto msg = Heartbeat::Decode(body); msg.ok()) {
+        HandleHeartbeat(from, *msg);
+      }
       break;
     case kNewEpoch:
-      HandleNewEpoch(from, r);
+      if (auto msg = NewEpoch::Decode(body); msg.ok()) {
+        HandleNewEpoch(from, *msg);
+      }
       break;
     case kSyncInfo:
-      HandleSyncInfo(r);
+      if (auto msg = SyncInfo::Decode(body); msg.ok()) {
+        HandleSyncInfo(*msg);
+      }
       break;
     default:
-      SDR_LOG(kWarn) << "broadcast: unknown message type " << int(type);
+      SDR_LOG(kWarn) << "broadcast: unknown message type " << int(payload[0]);
   }
 }
 
@@ -102,16 +111,8 @@ void TotalOrderBroadcast::AdoptEpoch(uint64_t epoch) {
   }
 }
 
-void TotalOrderBroadcast::HandleSubmit(NodeId from, Reader& r) {
-  uint64_t epoch = r.U64();
-  NodeId origin = r.U32();
-  uint64_t local_id = r.U64();
-  Bytes payload = r.Blob();
-  if (!r.ok()) {
-    return;
-  }
-  (void)from;
-  AdoptEpoch(epoch);
+void TotalOrderBroadcast::HandleSubmit(const Submit& msg) {
+  AdoptEpoch(msg.epoch);
   if (!IsSequencer()) {
     // Misrouted (stale sequencer view at the origin); the origin's
     // retransmit timer will redirect to the current sequencer.
@@ -121,62 +122,47 @@ void TotalOrderBroadcast::HandleSubmit(NodeId from, Reader& r) {
     // Defer ordering until takeover sync completes; the origin retransmits.
     return;
   }
-  OrderAndSend(origin, local_id, payload);
+  OrderAndSend(msg.origin, msg.local_id, msg.payload);
 }
 
 void TotalOrderBroadcast::OrderAndSend(NodeId origin, uint64_t local_id,
                                        const Bytes& payload) {
+  Ordered msg{epoch_, 0, origin, local_id, payload};
   auto key = std::make_pair(origin, local_id);
   auto it = assigned_.find(key);
-  uint64_t seq;
   if (it != assigned_.end()) {
-    seq = it->second;  // duplicate submit: re-announce the same ordering
+    msg.seq = it->second;  // duplicate submit: re-announce the same ordering
   } else {
-    seq = next_seq_++;
-    assigned_[key] = seq;
-    StoreOrdered(seq, OrderedMsg{origin, local_id, payload});
+    msg.seq = next_seq_++;
+    assigned_[key] = msg.seq;
+    StoreOrdered(msg);
     DeliverReady();
   }
-  Writer w;
-  w.U8(kOrdered);
-  w.U64(epoch_);
-  w.U64(seq);
-  w.U32(origin);
-  w.U64(local_id);
-  w.Blob(payload);
-  SendToAll(w.Take(), /*include_self=*/false);
+  SendToAll(WireEncodeTagged(kOrdered, msg), /*include_self=*/false);
 }
 
-void TotalOrderBroadcast::HandleOrdered(Reader& r) {
-  uint64_t epoch = r.U64();
-  uint64_t seq = r.U64();
-  NodeId origin = r.U32();
-  uint64_t local_id = r.U64();
-  Bytes payload = r.Blob();
-  if (!r.ok()) {
-    return;
-  }
-  AdoptEpoch(epoch);
+void TotalOrderBroadcast::HandleOrdered(const Ordered& msg) {
+  AdoptEpoch(msg.epoch);
   last_heard_ = env_->Now();
-  StoreOrdered(seq, OrderedMsg{origin, local_id, payload});
+  StoreOrdered(msg);
   DeliverReady();
   MaybeNackGap();
 }
 
-void TotalOrderBroadcast::StoreOrdered(uint64_t seq, OrderedMsg msg) {
-  if (seq <= delivered_seq_ || log_.count(seq) > 0) {
+void TotalOrderBroadcast::StoreOrdered(const Ordered& msg) {
+  if (msg.seq <= delivered_seq_ || log_.count(msg.seq) > 0) {
     return;  // duplicate
   }
   if (msg.origin == owner_->id()) {
     pending_.erase(msg.local_id);
   }
-  log_.emplace(seq, std::move(msg));
+  log_.emplace(msg.seq, msg);
 }
 
 void TotalOrderBroadcast::DeliverReady() {
   auto it = log_.find(delivered_seq_ + 1);
   while (it != log_.end()) {
-    const OrderedMsg& msg = it->second;
+    const Ordered& msg = it->second;
     ++delivered_seq_;
     deliver_(delivered_seq_, msg.origin, msg.payload);
     it = log_.find(delivered_seq_ + 1);
@@ -202,102 +188,67 @@ void TotalOrderBroadcast::MaybeNackGap() {
     }
     last_nack_seq_ = want;
     last_nack_time_ = now;
-    Writer w;
-    w.U8(kNack);
-    w.U64(epoch_);
-    w.U64(want);
+    Bytes nack = WireEncodeTagged(kNack, Nack{epoch_, want});
     if (IsSequencer()) {
-      SendToAll(w.Take(), /*include_self=*/false);
+      SendToAll(nack, /*include_self=*/false);
     } else {
-      send_(sequencer(), w.Take());
+      send_(sequencer(), nack);
     }
   }
 }
 
-void TotalOrderBroadcast::HandleNack(NodeId from, Reader& r) {
-  uint64_t epoch = r.U64();
-  uint64_t from_seq = r.U64();
-  if (!r.ok()) {
-    return;
-  }
-  AdoptEpoch(epoch);
+void TotalOrderBroadcast::HandleNack(NodeId from, const Nack& msg) {
+  AdoptEpoch(msg.epoch);
   // Serve from our log regardless of role: during takeover the new
   // sequencer may be the one asking.
   constexpr uint64_t kMaxBatch = 64;
   uint64_t served = 0;
-  for (auto it = log_.lower_bound(from_seq);
+  for (auto it = log_.lower_bound(msg.from_seq);
        it != log_.end() && served < kMaxBatch; ++it, ++served) {
-    Writer w;
-    w.U8(kOrdered);
-    w.U64(epoch_);
-    w.U64(it->first);
-    w.U32(it->second.origin);
-    w.U64(it->second.local_id);
-    w.Blob(it->second.payload);
-    send_(from, w.Take());
+    Ordered resend = it->second;
+    resend.epoch = epoch_;
+    send_(from, WireEncodeTagged(kOrdered, resend));
   }
 }
 
-void TotalOrderBroadcast::HandleHeartbeat(NodeId from, Reader& r) {
-  uint64_t epoch = r.U64();
-  uint64_t next_seq = r.U64();
-  if (!r.ok()) {
-    return;
-  }
-  if (epoch < epoch_) {
+void TotalOrderBroadcast::HandleHeartbeat(NodeId from, const Heartbeat& msg) {
+  if (msg.epoch < epoch_) {
     return;  // stale sequencer; ignore
   }
-  AdoptEpoch(epoch);
+  AdoptEpoch(msg.epoch);
   last_heard_ = env_->Now();
   // If the sequencer has ordered messages we have not seen, fetch them;
   // otherwise re-ask for a hole below what we hold, which no further
   // arrival may ever trigger.
-  if (next_seq > 0 && next_seq - 1 > MaxKnownSeq()) {
-    Writer w;
-    w.U8(kNack);
-    w.U64(epoch_);
-    w.U64(delivered_seq_ + 1);
-    send_(from, w.Take());
+  if (msg.next_seq > 0 && msg.next_seq - 1 > MaxKnownSeq()) {
+    send_(from, WireEncodeTagged(kNack, Nack{epoch_, delivered_seq_ + 1}));
   } else {
     MaybeNackGap();
   }
 }
 
-void TotalOrderBroadcast::HandleNewEpoch(NodeId from, Reader& r) {
-  uint64_t epoch = r.U64();
-  if (!r.ok()) {
+void TotalOrderBroadcast::HandleNewEpoch(NodeId from, const NewEpoch& msg) {
+  if (msg.epoch <= epoch_ && from != sequencer()) {
     return;
   }
-  if (epoch <= epoch_ && from != sequencer()) {
-    return;
-  }
-  AdoptEpoch(epoch);
+  AdoptEpoch(msg.epoch);
   // Tell the new sequencer how much of the sequence we know so it can
   // resume numbering above everything already ordered.
-  Writer w;
-  w.U8(kSyncInfo);
-  w.U64(epoch_);
-  w.U64(MaxKnownSeq());
-  send_(from, w.Take());
+  send_(from, WireEncodeTagged(kSyncInfo, SyncInfo{epoch_, MaxKnownSeq()}));
 }
 
-void TotalOrderBroadcast::HandleSyncInfo(Reader& r) {
-  uint64_t epoch = r.U64();
-  uint64_t max_seq = r.U64();
-  if (!r.ok() || epoch != epoch_ || !IsSequencer()) {
+void TotalOrderBroadcast::HandleSyncInfo(const SyncInfo& msg) {
+  if (msg.epoch != epoch_ || !IsSequencer()) {
     return;
   }
   ++sync_responses_;
-  sync_max_seq_ = std::max(sync_max_seq_, max_seq);
+  sync_max_seq_ = std::max(sync_max_seq_, msg.max_seq);
   // Fetch anything they know that we lack; kNack doubles as a fetch.
-  if (max_seq > MaxKnownSeq()) {
+  if (msg.max_seq > MaxKnownSeq()) {
     // We cannot address the sender here (no from in scope); members also
     // push via NACK service. Conservatively re-request from everyone.
-    Writer w;
-    w.U8(kNack);
-    w.U64(epoch_);
-    w.U64(delivered_seq_ + 1);
-    SendToAll(w.Take(), /*include_self=*/false);
+    SendToAll(WireEncodeTagged(kNack, Nack{epoch_, delivered_seq_ + 1}),
+              /*include_self=*/false);
   }
 }
 
@@ -314,11 +265,8 @@ void TotalOrderBroadcast::HeartbeatTick() {
   if (!Active() || !IsSequencer() || syncing_) {
     return;
   }
-  Writer w;
-  w.U8(kHeartbeat);
-  w.U64(epoch_);
-  w.U64(next_seq_);
-  SendToAll(w.Take(), /*include_self=*/false);
+  SendToAll(WireEncodeTagged(kHeartbeat, Heartbeat{epoch_, next_seq_}),
+            /*include_self=*/false);
   MaybeNackGap();
 }
 
@@ -332,18 +280,10 @@ void TotalOrderBroadcast::RetransmitTick() {
   std::vector<std::pair<uint64_t, Bytes>> snapshot(pending_.begin(),
                                                    pending_.end());
   for (const auto& [local_id, payload] : snapshot) {
-    Writer w;
-    w.U8(kSubmit);
-    w.U64(epoch_);
-    w.U32(owner_->id());
-    w.U64(local_id);
-    w.Blob(payload);
-    if (IsSequencer()) {
-      if (!syncing_) {
-        OrderAndSend(owner_->id(), local_id, payload);
-      }
-    } else {
-      send_(sequencer(), w.Take());
+    if (!IsSequencer()) {
+      SendSubmit(local_id, payload);
+    } else if (!syncing_) {
+      OrderAndSend(owner_->id(), local_id, payload);
     }
   }
 }
@@ -374,10 +314,8 @@ void TotalOrderBroadcast::AnnounceEpoch() {
   if (!Active() || !IsSequencer() || !syncing_) {
     return;
   }
-  Writer w;
-  w.U8(kNewEpoch);
-  w.U64(epoch_);
-  SendToAll(w.Take(), /*include_self=*/false);
+  SendToAll(WireEncodeTagged(kNewEpoch, NewEpoch{epoch_}),
+            /*include_self=*/false);
   env_->ScheduleAfter(config_.sync_window, [this, epoch = epoch_] {
     if (epoch != epoch_ || !IsSequencer() || !syncing_) {
       return;

@@ -74,7 +74,9 @@ class TotalOrderBroadcast {
   uint64_t delivered_seq() const { return delivered_seq_; }
   size_t pending_submissions() const { return pending_.size(); }
 
- private:
+  // The wire messages. Each payload is its MsgType byte, then the
+  // message's field list (WireEncodeTagged); a body that does not decode
+  // whole is dropped.
   enum MsgType : uint8_t {
     kSubmit = 1,
     kOrdered = 2,
@@ -84,22 +86,65 @@ class TotalOrderBroadcast {
     kSyncInfo = 6,
   };
 
-  struct OrderedMsg {
-    NodeId origin;
-    uint64_t local_id;
+  // Origin -> sequencer: order this payload (retransmitted until ordered).
+  struct Submit {
+    uint64_t epoch = 0;
+    NodeId origin = kInvalidNode;
+    uint64_t local_id = 0;  // the origin's dedup id
     Bytes payload;
+    SDR_WIRE_FIELDS(Submit, epoch, origin, local_id, payload)
   };
 
+  // Sequencer -> members: the payload's sequence number. Also the reply
+  // to a nack, from any member's log.
+  struct Ordered {
+    uint64_t epoch = 0;
+    uint64_t seq = 0;
+    NodeId origin = kInvalidNode;
+    uint64_t local_id = 0;
+    Bytes payload;
+    SDR_WIRE_FIELDS(Ordered, epoch, seq, origin, local_id, payload)
+  };
+
+  // Asks for the ordered messages from `from_seq` on.
+  struct Nack {
+    uint64_t epoch = 0;
+    uint64_t from_seq = 0;
+    SDR_WIRE_FIELDS(Nack, epoch, from_seq)
+  };
+
+  // Sequencer -> members: alive, and the next number it will assign.
+  struct Heartbeat {
+    uint64_t epoch = 0;
+    uint64_t next_seq = 0;
+    SDR_WIRE_FIELDS(Heartbeat, epoch, next_seq)
+  };
+
+  // A member taking over as the epoch's sequencer.
+  struct NewEpoch {
+    uint64_t epoch = 0;
+    SDR_WIRE_FIELDS(NewEpoch, epoch)
+  };
+
+  // The reply to NewEpoch: the highest sequence number the member knows.
+  struct SyncInfo {
+    uint64_t epoch = 0;
+    uint64_t max_seq = 0;
+    SDR_WIRE_FIELDS(SyncInfo, epoch, max_seq)
+  };
+
+ private:
   void SendToAll(const Bytes& payload, bool include_self);
+  void SendSubmit(uint64_t local_id, const Bytes& payload);
   void AdoptEpoch(uint64_t epoch);
-  void HandleSubmit(NodeId from, Reader& r);
-  void HandleOrdered(Reader& r);
-  void HandleNack(NodeId from, Reader& r);
-  void HandleHeartbeat(NodeId from, Reader& r);
-  void HandleNewEpoch(NodeId from, Reader& r);
-  void HandleSyncInfo(Reader& r);
+  void HandleSubmit(const Submit& msg);
+  void HandleOrdered(const Ordered& msg);
+  void HandleNack(NodeId from, const Nack& msg);
+  void HandleHeartbeat(NodeId from, const Heartbeat& msg);
+  void HandleNewEpoch(NodeId from, const NewEpoch& msg);
+  void HandleSyncInfo(const SyncInfo& msg);
   void OrderAndSend(NodeId origin, uint64_t local_id, const Bytes& payload);
-  void StoreOrdered(uint64_t seq, OrderedMsg msg);
+  void StoreOrdered(const Ordered& msg);
   void DeliverReady();
   void MaybeNackGap();
   void HeartbeatTick();
@@ -124,8 +169,8 @@ class TotalOrderBroadcast {
 
   // Sequencer dedup: (origin, local_id) -> assigned seq.
   std::map<std::pair<NodeId, uint64_t>, uint64_t> assigned_;
-  // All ordered messages seen (also serves retransmissions).
-  std::map<uint64_t, OrderedMsg> log_;
+  // All ordered messages seen, by seq (also serves retransmissions).
+  std::map<uint64_t, Ordered> log_;
   // Our unacknowledged submissions.
   uint64_t next_local_id_ = 1;
   std::map<uint64_t, Bytes> pending_;

@@ -57,9 +57,27 @@ void Client::BeginSetup() {
   env()->Cancel(setup_timeout_);
   setup_timeout_ = env()->ScheduleAfter(options_.params.client_timeout, [this] {
     if (phase_ != Phase::kReady) {
+      FailParkedReads();
       BeginSetup();
     }
   });
+}
+
+void Client::FailParkedReads() {
+  // A read parked on a lane with no read set has no timeout of its own:
+  // each setup timeout that passes counts as one of its attempts.
+  std::vector<uint64_t> out_of_retries;
+  for (auto& [request_id, read] : reads_) {
+    if (read.stage != PendingRead::Stage::kAwaitDoubleCheck &&
+        LaneFor(read.shard).slaves.empty() &&
+        ++read.attempts > options_.max_read_retries) {
+      out_of_retries.push_back(request_id);
+    }
+  }
+  for (uint64_t request_id : out_of_retries) {
+    ++metrics_.reads_timed_out;
+    FailRead(request_id);
+  }
 }
 
 void Client::HandleDirectoryReply(BytesView body) {
@@ -268,7 +286,8 @@ void Client::HandleReassignment(NodeId from, BytesView body) {
   // the new set. Reads backing off send there when they retry, and a
   // double-check in flight is settled by the master. With no set left,
   // each attempt is parked instead (no send, no timeout) until the hello
-  // reply of a new setup, possibly with another master, re-issues it.
+  // reply of a new setup, possibly with another master, re-issues it, or
+  // the setup timeouts spend its retries (FailParkedReads).
   const uint32_t shard = static_cast<uint32_t>(lane - lanes_.data());
   for (auto& [request_id, read] : reads_) {
     if (read.shard == shard &&
@@ -865,7 +884,7 @@ void Client::HandleDoubleCheckReply(BytesView body) {
   // are no result at all convict nobody.
   size_t match = read.held.size();
   if (read.held.size() > 1) {
-    if (!QueryResult::WellFormed(msg->correct_result)) {
+    if (!WireWellFormed<QueryResult>(msg->correct_result)) {
       FailRead(msg->request_id);
       return;
     }

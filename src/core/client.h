@@ -282,6 +282,10 @@ class Client : public Node {
   void AcceptRead(uint64_t request_id, const QueryResult& result,
                   const Pledge& pledge);
   void FailRead(uint64_t request_id);
+  // Counts a setup timeout as an attempt of every parked read, and fails
+  // those past max_read_retries, so a lane left without slaves cannot
+  // stall the closed loop.
+  void FailParkedReads();
 
   // Multi-shard reads: leg accounting.
   void AcceptShardSubread(uint64_t request_id, const QueryResult& result,

@@ -97,7 +97,7 @@ ReadVerdict VerifyRead(SignatureScheme scheme, BytesView result,
                        const Pledge& pledge, const Certificate& slave_cert,
                        const Bytes* master_public_key, SimTime now,
                        SimTime max_latency, VerifyCache* cache) {
-  if (!QueryResult::WellFormed(result) ||
+  if (!WireWellFormed<QueryResult>(result) ||
       Sha1::Hash(result) != pledge.result_sha1) {
     return ReadVerdict::kHashMismatch;
   }

@@ -102,8 +102,8 @@ enum class ReadVerdict {
 // the pledging slave, the slave's and the master's signatures (through
 // `cache` when non-null), then freshness. Returns the first failure.
 // `result` is the canonical result encoding as received: it is hashed as
-// is, and only a well-formed encoding (QueryResult::WellFormed) can pass,
-// so an accepted result always parses. `master_public_key` is the
+// is, and only a well-formed encoding (WireWellFormed<QueryResult>) can
+// pass, so an accepted result always parses. `master_public_key` is the
 // certified key of pledge.token.master, or null when that master is not
 // certified.
 ReadVerdict VerifyRead(SignatureScheme scheme, BytesView result,

@@ -83,13 +83,12 @@ std::optional<MerkleTree::Proof> MerkleTree::Prove(
     if (pos % 2 == 0) {
       if (pos + 1 < level.size()) {
         step.sibling = level[pos + 1];
-        step.sibling_on_left = false;
       } else {
-        step.promoted = true;
+        step.flags = StepFlags::kPromoted;
       }
     } else {
+      step.flags = StepFlags::kSiblingOnLeft;
       step.sibling = level[pos - 1];
-      step.sibling_on_left = true;
     }
     proof.steps.push_back(std::move(step));
     pos /= 2;
@@ -100,49 +99,13 @@ std::optional<MerkleTree::Proof> MerkleTree::Prove(
 bool MerkleTree::VerifyProof(const Proof& proof, const Bytes& root) {
   Bytes h = LeafHash(proof.key, proof.value);
   for (const ProofStep& step : proof.steps) {
-    if (step.promoted) {
+    if (step.promoted()) {
       continue;
     }
-    h = step.sibling_on_left ? InternalHash(step.sibling, h)
-                             : InternalHash(h, step.sibling);
+    h = step.sibling_on_left() ? InternalHash(step.sibling, h)
+                               : InternalHash(h, step.sibling);
   }
   return h == root;
-}
-
-Bytes MerkleTree::Proof::Encode() const {
-  Writer w;
-  w.Blob(key);
-  w.Blob(value);
-  w.U32(static_cast<uint32_t>(steps.size()));
-  for (const ProofStep& s : steps) {
-    w.U8(static_cast<uint8_t>((s.sibling_on_left ? 1 : 0) |
-                              (s.promoted ? 2 : 0)));
-    w.Blob(s.sibling);
-  }
-  return w.Take();
-}
-
-std::optional<MerkleTree::Proof> MerkleTree::Proof::Decode(const Bytes& data) {
-  Reader r(data);
-  Proof p;
-  p.key = r.BlobString();
-  p.value = r.BlobString();
-  uint32_t n = r.U32();
-  if (n > 64) {
-    return std::nullopt;  // deeper than any 2^64-leaf tree: corrupt
-  }
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    ProofStep s;
-    uint8_t flags = r.U8();
-    s.sibling_on_left = (flags & 1) != 0;
-    s.promoted = (flags & 2) != 0;
-    s.sibling = r.Blob();
-    p.steps.push_back(std::move(s));
-  }
-  if (!r.Done()) {
-    return std::nullopt;
-  }
-  return p;
 }
 
 }  // namespace sdr

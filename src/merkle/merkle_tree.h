@@ -15,18 +15,35 @@
 
 #include "src/store/document_store.h"
 #include "src/util/bytes.h"
+#include "src/util/serde.h"
 
 namespace sdr {
 
 class MerkleTree {
  public:
-  struct ProofStep {
-    Bytes sibling;
-    bool sibling_on_left = false;
-    // True when this level had no sibling (odd promotion) — no hash folded.
-    bool promoted = false;
+  // One level of a proof: where the sibling hash sits, or that the level
+  // had none (odd promotion, no hash folded). One byte on the wire; bit 0
+  // is "sibling on the left", bit 1 "promoted".
+  enum class StepFlags : uint8_t {
+    kSiblingOnRight = 0,
+    kSiblingOnLeft = 1,
+    kPromoted = 2,
+    kPromotedOnLeft = 3,
+  };
+  friend constexpr StepFlags WireEnumLast(StepFlags) {
+    return StepFlags::kPromotedOnLeft;
+  }
 
+  struct ProofStep {
+    StepFlags flags = StepFlags::kSiblingOnRight;
+    Bytes sibling;
+
+    bool sibling_on_left() const {
+      return (static_cast<uint8_t>(flags) & 1) != 0;
+    }
+    bool promoted() const { return (static_cast<uint8_t>(flags) & 2) != 0; }
     bool operator==(const ProofStep&) const = default;
+    SDR_WIRE_FIELDS(ProofStep, flags, sibling)
   };
 
   // A membership proof for (key, value) against a root.
@@ -35,8 +52,9 @@ class MerkleTree {
     std::string value;
     std::vector<ProofStep> steps;
 
-    Bytes Encode() const;
-    static std::optional<Proof> Decode(const Bytes& data);
+    SDR_WIRE_FIELDS(Proof, key, value, steps)
+    // Deeper than any 2^64-leaf tree is corrupt.
+    bool WireValid() const { return steps.size() <= 64; }
   };
 
   // Builds the tree for the current store contents.

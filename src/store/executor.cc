@@ -7,19 +7,6 @@
 
 namespace sdr {
 
-bool QueryResult::WellFormed(BytesView data) {
-  Reader r(data);
-  uint8_t type = r.U8();
-  uint32_t n = r.U32();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    r.BlobView();
-    r.BlobView();
-  }
-  r.I64();
-  r.Bool();
-  return r.Done() && type <= static_cast<uint8_t>(Type::kScalar);
-}
-
 Bytes QueryResult::Sha1Digest() const {
   return Sha1::Hash(Encode());
 }

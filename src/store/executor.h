@@ -47,13 +47,10 @@ struct QueryResult {
   // True when a scalar aggregate had no input rows (empty MIN/MAX/AVG).
   bool empty_aggregate = false;
 
+  // Readers hash the result bytes they received and check them with
+  // WireWellFormed<QueryResult>, which accepts exactly what Decode does, so
+  // two different byte strings never stand for one result.
   SDR_WIRE_FIELDS(QueryResult, type, rows, scalar, empty_aggregate)
-  // True when `data` is exactly an encoding Encode() can produce: the type
-  // is known, every length fits, bools are 0 or 1, nothing trails. Walks
-  // the bytes without allocating; Decode succeeds on exactly these inputs.
-  // Readers hash the bytes they received, so this is what keeps two
-  // different byte strings from standing for one result.
-  static bool WellFormed(BytesView data);
 
   // SHA-1 of the canonical encoding — the digest embedded in pledges.
   Bytes Sha1Digest() const;

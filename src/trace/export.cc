@@ -1,15 +1,11 @@
 #include "src/trace/export.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
-#include "src/util/serde.h"
-
 namespace sdr {
 namespace {
-
-constexpr uint32_t kTraceMagic = 0x54524453;  // "SDRT" little-endian
-constexpr uint16_t kTraceVersion = 1;
 
 std::string HexTraceId(TraceId id) {
   char buf[19];
@@ -44,137 +40,83 @@ TraceData Snapshot(const TraceSink& sink) {
   return data;
 }
 
-Bytes EncodeTrace(const TraceData& data) {
-  Writer w;
-  w.U32(kTraceMagic);
-  w.U16(kTraceVersion);
-
-  w.U32(static_cast<uint32_t>(data.names.size()));
-  for (const std::string& name : data.names) {
-    w.Blob(name);
+bool TraceFile::WireValid() const {
+  if (magic != kMagic || version != kVersion) {
+    return false;
   }
-
-  w.U32(static_cast<uint32_t>(data.nodes.size()));
-  for (const auto& [node, info] : data.nodes) {
-    w.U32(node);
-    w.U8(static_cast<uint8_t>(info.role));
-    w.Blob(info.label);
-  }
-
-  w.U64(data.events.size());
-  w.Reserve(data.events.size() * 32);
-  for (const TraceEvent& ev : data.events) {
-    w.I64(ev.time);
-    w.U64(ev.trace_id);
-    w.I64(ev.value);
-    w.U32(ev.node);
-    w.U16(ev.name);
-    w.U8(static_cast<uint8_t>(ev.type));
-    w.U8(static_cast<uint8_t>(ev.role));
-  }
-
-  w.U32(static_cast<uint32_t>(data.histograms.size()));
-  for (const TraceData::HistEntry& entry : data.histograms) {
-    w.U16(entry.name);
-    w.U8(static_cast<uint8_t>(entry.role));
-    w.U32(entry.node);
-    w.U64(entry.hist.count());
-    w.I64(entry.hist.min());
-    w.I64(entry.hist.max());
-    w.Double(entry.hist.sum());
-    // Sparse buckets: only non-zero (index, count) pairs.
-    const std::vector<uint64_t>& buckets = entry.hist.buckets();
-    uint32_t nonzero = 0;
-    for (uint64_t c : buckets) {
-      nonzero += (c != 0) ? 1 : 0;
+  for (size_t i = 1; i < nodes.size(); ++i) {
+    if (nodes[i - 1].id >= nodes[i].id) {
+      return false;
     }
-    w.U32(nonzero);
-    for (size_t i = 0; i < buckets.size(); ++i) {
-      if (buckets[i] != 0) {
-        w.U32(static_cast<uint32_t>(i));
-        w.U64(buckets[i]);
+  }
+  for (const HistRecord& h : histograms) {
+    uint64_t total = 0;
+    for (size_t i = 0; i < h.buckets.size(); ++i) {
+      const auto [index, n] = h.buckets[i];
+      if (index > kMaxBucket || n == 0 || n > h.count - total ||
+          (i > 0 && h.buckets[i - 1].first >= index)) {
+        return false;
       }
+      total += n;
+    }
+    if (total != h.count) {
+      return false;
     }
   }
-
-  w.U64(data.dropped);
-  return w.Take();
+  return true;
 }
 
-Result<TraceData> DecodeTrace(const Bytes& buf) {
-  Reader r(buf);
-  if (r.U32() != kTraceMagic) {
-    return Error(ErrorCode::kCorrupt, "not an SDRT trace file");
+Bytes EncodeTrace(const TraceData& data) {
+  TraceFile file;
+  file.names = data.names;
+  for (const auto& [node, info] : data.nodes) {
+    file.nodes.push_back({node, info.role, info.label});
   }
-  if (r.U16() != kTraceVersion) {
-    return Error(ErrorCode::kCorrupt, "unsupported trace version");
+  file.events = data.events;
+  for (const TraceData::HistEntry& entry : data.histograms) {
+    const LatencyHistogram& hist = entry.hist;
+    TraceFile::HistRecord record{entry.name, entry.role, entry.node,
+                                 hist.count(), hist.min(), hist.max(),
+                                 hist.sum(), {}};
+    for (size_t i = 0; i < hist.buckets().size(); ++i) {
+      if (hist.buckets()[i] != 0) {
+        record.buckets.emplace_back(static_cast<uint32_t>(i),
+                                    hist.buckets()[i]);
+      }
+    }
+    file.histograms.push_back(std::move(record));
+  }
+  file.dropped = data.dropped;
+  return file.Encode();
+}
+
+Result<TraceData> DecodeTrace(BytesView buf) {
+  auto file = TraceFile::Decode(buf);
+  if (!file.ok()) {
+    const Bytes header = TraceFile{}.Encode();  // magic, version, then empty
+    if (buf.size() < 6 || !std::equal(buf.begin(), buf.begin() + 6,
+                                      header.begin())) {
+      return Error(ErrorCode::kCorrupt, "not an SDRT v2 trace file");
+    }
+    return file.error();
   }
   TraceData data;
-
-  uint32_t name_count = r.U32();
-  for (uint32_t i = 0; r.ok() && i < name_count; ++i) {
-    data.names.push_back(r.BlobString());
+  data.names = std::move(file->names);
+  for (TraceFile::NodeRecord& node : file->nodes) {
+    data.nodes.emplace_hint(data.nodes.end(), node.id,
+                            TraceSink::NodeInfo{node.role,
+                                                std::move(node.label)});
   }
-
-  uint32_t node_count = r.U32();
-  for (uint32_t i = 0; r.ok() && i < node_count; ++i) {
-    uint32_t node = r.U32();
-    TraceSink::NodeInfo info;
-    info.role = static_cast<TraceRole>(r.U8());
-    info.label = r.BlobString();
-    data.nodes.emplace(node, std::move(info));
-  }
-
-  uint64_t event_count = r.U64();
-  // Each event is 32 bytes on the wire; reject counts that cannot fit the
-  // remaining buffer before reserving memory for them (dividing, since
-  // event_count * 32 can wrap).
-  if (r.ok() && event_count > r.remaining() / 32) {
-    return Error(ErrorCode::kCorrupt, "trace event count exceeds file size");
-  }
-  data.events.reserve(static_cast<size_t>(event_count));
-  for (uint64_t i = 0; r.ok() && i < event_count; ++i) {
-    TraceEvent ev;
-    ev.time = r.I64();
-    ev.trace_id = r.U64();
-    ev.value = r.I64();
-    ev.node = r.U32();
-    ev.name = r.U16();
-    ev.type = static_cast<TraceEventType>(r.U8());
-    ev.role = static_cast<TraceRole>(r.U8());
-    data.events.push_back(ev);
-  }
-
-  uint32_t hist_count = r.U32();
-  for (uint32_t i = 0; r.ok() && i < hist_count; ++i) {
-    TraceData::HistEntry entry;
-    entry.name = r.U16();
-    entry.role = static_cast<TraceRole>(r.U8());
-    entry.node = r.U32();
-    uint64_t count = r.U64();
-    int64_t min = r.I64();
-    int64_t max = r.I64();
-    double sum = r.Double();
-    uint32_t nonzero = r.U32();
-    for (uint32_t b = 0; r.ok() && b < nonzero; ++b) {
-      uint32_t index = r.U32();
-      uint64_t bucket_count = r.U64();
-      if (index > (1u << 20)) {
-        return Error(ErrorCode::kCorrupt, "histogram bucket index too large");
-      }
-      entry.hist.AddBucketCount(index, bucket_count);
+  data.events = std::move(file->events);
+  for (const TraceFile::HistRecord& record : file->histograms) {
+    TraceData::HistEntry entry{record.name, record.role, record.node, {}};
+    for (const auto& [index, n] : record.buckets) {
+      entry.hist.AddBucketCount(index, n);
     }
-    if (entry.hist.count() != count) {
-      return Error(ErrorCode::kCorrupt, "histogram count mismatch");
-    }
-    entry.hist.SetStats(min, max, sum);
+    entry.hist.SetStats(record.min, record.max, record.sum);
     data.histograms.push_back(std::move(entry));
   }
-
-  data.dropped = r.U64();
-  if (!r.Done()) {
-    return Error(ErrorCode::kCorrupt, "trailing or truncated trace data");
-  }
+  data.dropped = file->dropped;
   return data;
 }
 

@@ -43,13 +43,54 @@ struct TraceData {
 
 TraceData Snapshot(const TraceSink& sink);
 
-// Binary format "SDRT": string table, node registry, fixed-width events,
-// sparse histogram buckets. Byte-stable for equal sink contents.
+// The binary trace file "SDRT", version 2: magic and version, the string
+// table, the node registry, fixed-width events, sparse histogram buckets
+// and the dropped-event count, as one field list. Byte-stable for equal
+// sink contents; WireValid admits only what EncodeTrace writes.
+struct TraceFile {
+  static constexpr uint32_t kMagic = 0x54524453;  // "SDRT" little-endian
+  static constexpr uint16_t kVersion = 2;
+  static constexpr uint32_t kMaxBucket = 1u << 20;
+
+  struct NodeRecord {
+    uint32_t id = 0;
+    TraceRole role = TraceRole::kNone;
+    std::string label;
+    SDR_WIRE_FIELDS(NodeRecord, id, role, label)
+  };
+  struct HistRecord {
+    uint16_t name = 0;
+    TraceRole role = TraceRole::kNone;
+    uint32_t node = 0;
+    uint64_t count = 0;
+    int64_t min = 0;
+    int64_t max = 0;
+    double sum = 0.0;
+    // (index, count) of the non-zero buckets, indexes ascending; the
+    // counts add up to `count`.
+    std::vector<std::pair<uint32_t, uint64_t>> buckets;
+    SDR_WIRE_FIELDS(HistRecord, name, role, node, count, min, max, sum,
+                    buckets)
+  };
+
+  uint32_t magic = kMagic;
+  uint16_t version = kVersion;
+  std::vector<std::string> names;
+  std::vector<NodeRecord> nodes;  // ids strictly ascending
+  std::vector<TraceEvent> events;
+  std::vector<HistRecord> histograms;
+  uint64_t dropped = 0;
+
+  SDR_WIRE_FIELDS(TraceFile, magic, version, names, nodes, events,
+                  histograms, dropped)
+  bool WireValid() const;
+};
+
 Bytes EncodeTrace(const TraceData& data);
 inline Bytes EncodeTrace(const TraceSink& sink) {
   return EncodeTrace(Snapshot(sink));
 }
-Result<TraceData> DecodeTrace(const Bytes& buf);
+Result<TraceData> DecodeTrace(BytesView buf);
 
 // Chrome trace_event JSON (https://docs.google.com/document/d/1CvAClvFfyA5R-
 // PhYUmn5OOQtYMH4h6I0nSsKchNAySU): one process per registered node, spans as

@@ -23,6 +23,7 @@
 
 #include "src/runtime/env.h"
 #include "src/trace/histogram.h"
+#include "src/util/serde.h"
 
 namespace sdr {
 
@@ -43,6 +44,9 @@ enum class TraceEventType : uint8_t {
   kInstant = 2,
   kCounter = 3,
 };
+constexpr TraceEventType WireEnumLast(TraceEventType) {
+  return TraceEventType::kCounter;
+}
 
 enum class TraceRole : uint8_t {
   kNone = 0,
@@ -54,6 +58,7 @@ enum class TraceRole : uint8_t {
   kSim = 6,
   kChaos = 7,
 };
+constexpr TraceRole WireEnumLast(TraceRole) { return TraceRole::kChaos; }
 
 const char* TraceRoleName(TraceRole role);
 
@@ -67,6 +72,9 @@ struct TraceEvent {
   uint16_t name = 0;  // interned; resolve via TraceSink::name()
   TraceEventType type = TraceEventType::kInstant;
   TraceRole role = TraceRole::kNone;
+
+  // A fixed 32-byte record in the trace file.
+  SDR_WIRE_FIELDS(TraceEvent, time, trace_id, value, node, name, type, role)
 };
 
 // Ring-buffered event sink plus per-(name, role, node) latency histograms.

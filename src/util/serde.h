@@ -120,12 +120,13 @@ class Reader {
 // Decode(BytesView), EncodeTo(Writer&) and DecodeFrom(Reader&), all of
 // which walk the list; WireSignedBody() walks it for SignedBody(). A field
 // is one of:
-//   - an unsigned integer, int64_t or bool (one byte, 0 or 1): fixed width,
-//     little-endian;
+//   - an unsigned integer, int64_t, double (its IEEE-754 bits) or bool (one
+//     byte, 0 or 1): fixed width, little-endian;
 //   - an enum over uint8_t: one byte, range-checked on decode against
 //     WireEnumLast(E), which the enum's header defines;
 //   - Bytes or std::string: u32 length, then the bytes;
 //   - std::pair: first, then second;
+//   - std::optional<T>: a bool, then the value when it is true;
 //   - a type with its own SDR_WIRE_FIELDS: its fields, with no prefix;
 //   - std::vector<T>: u32 count, then the elements. For a count read off
 //     the wire a decoder reserves at most kWireReserveCap<T> elements, so a
@@ -136,7 +137,9 @@ class Reader {
 //     nested in another. A present but empty value is corrupt, so every
 //     encoding a decoder accepts is the one its value re-encodes to.
 // A decoder stops at the first out-of-bounds read, and a top-level Decode
-// requires that the value consumed the whole buffer.
+// requires that the value consumed the whole buffer. Reader appears only in
+// this codec: sdrlint's R4 flags it anywhere else, so no decoder can drift
+// from the list its encoder walks.
 
 #define SDR_WIRE_FIELDS(Type, ...)                                           \
   template <typename SdrVisit>                                               \
@@ -184,15 +187,21 @@ template <typename A, typename B>
 inline constexpr bool kIsPair<std::pair<A, B>> = true;
 
 template <typename T>
+inline constexpr bool kIsOptional = false;
+template <typename T>
+inline constexpr bool kIsOptional<std::optional<T>> = true;
+
+template <typename T>
 inline constexpr bool kIsTrailing = false;
 template <typename T>
 inline constexpr bool kIsTrailing<WireTrailingField<T>> = true;
 
 template <typename T>
-inline constexpr bool kIsInteger =
+inline constexpr bool kIsFixedWidth =
     std::is_same_v<T, uint8_t> || std::is_same_v<T, uint16_t> ||
     std::is_same_v<T, uint32_t> || std::is_same_v<T, uint64_t> ||
-    std::is_same_v<T, int64_t> || std::is_same_v<T, bool>;
+    std::is_same_v<T, int64_t> || std::is_same_v<T, bool> ||
+    std::is_same_v<T, double>;
 
 template <typename... Fields>
 constexpr bool TrailingOnlyLast() {
@@ -232,13 +241,15 @@ std::vector<T>& Emplace(std::vector<T>& v) {
 template <typename T>
 size_t WireSize(const T& v) {
   using namespace wire_internal;
-  if constexpr (std::is_enum_v<T> || kIsInteger<T>) {
+  if constexpr (std::is_enum_v<T> || kIsFixedWidth<T>) {
     return sizeof(T);
   } else if constexpr (std::is_same_v<T, Bytes> ||
                        std::is_same_v<T, std::string>) {
     return 4 + v.size();
   } else if constexpr (kIsPair<T>) {
     return WireSize(v.first) + WireSize(v.second);
+  } else if constexpr (kIsOptional<T>) {
+    return 1 + (v ? WireSize(*v) : 0);
   } else if constexpr (kIsVector<T>) {
     size_t n = 4;
     for (const auto& e : v) {
@@ -273,6 +284,8 @@ void WirePut(Writer& w, const T& v) {
     w.U64(v);
   } else if constexpr (std::is_same_v<T, int64_t>) {
     w.I64(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    w.Double(v);
   } else if constexpr (std::is_same_v<T, Bytes>) {
     w.Blob(v);
   } else if constexpr (std::is_same_v<T, std::string>) {
@@ -280,6 +293,11 @@ void WirePut(Writer& w, const T& v) {
   } else if constexpr (kIsPair<T>) {
     WirePut(w, v.first);
     WirePut(w, v.second);
+  } else if constexpr (kIsOptional<T>) {
+    w.Bool(v.has_value());
+    if (v) {
+      WirePut(w, *v);
+    }
   } else if constexpr (kIsVector<T>) {
     w.U32(static_cast<uint32_t>(v.size()));
     for (const auto& e : v) {
@@ -320,6 +338,8 @@ void WireGet(Reader& r, T& v) {
     v = r.U64();
   } else if constexpr (std::is_same_v<T, int64_t>) {
     v = r.I64();
+  } else if constexpr (std::is_same_v<T, double>) {
+    v = r.Double();
   } else if constexpr (std::is_same_v<T, Bytes>) {
     v = r.Blob();
   } else if constexpr (std::is_same_v<T, std::string>) {
@@ -327,6 +347,11 @@ void WireGet(Reader& r, T& v) {
   } else if constexpr (kIsPair<T>) {
     WireGet(r, v.first);
     WireGet(r, v.second);
+  } else if constexpr (kIsOptional<T>) {
+    v.reset();
+    if (r.Bool()) {
+      WireGet(r, v.emplace());
+    }
   } else if constexpr (kIsVector<T>) {
     using Element = typename T::value_type;
     uint32_t n = r.U32();
@@ -377,6 +402,72 @@ Result<T> WireDecode(BytesView body) {
     }
   }
   return v;
+}
+
+// `tag`, then `v`: a message whose type byte leads it. The receiver
+// dispatches on the byte and decodes the rest as T.
+template <typename T>
+Bytes WireEncodeTagged(uint8_t tag, const T& v) {
+  Writer w;
+  w.Reserve(1 + WireSize(v));
+  w.U8(tag);
+  WirePut(w, v);
+  return w.Take();
+}
+
+// The body of a tagged message decoded as T, when its first byte is `tag`.
+template <typename T>
+Result<T> WireDecodeTagged(uint8_t tag, BytesView payload) {
+  if (payload.empty() || payload[0] != tag) {
+    return Error(ErrorCode::kCorrupt, "unexpected message type");
+  }
+  return WireDecode<T>(payload.substr(1));
+}
+
+// Walks one encoded T without building it: the same checks as WireGet,
+// with blobs read as views, so nothing is allocated. A struct's field
+// types come from one value-initialized instance.
+template <typename T>
+void WireSkip(Reader& r) {
+  using namespace wire_internal;
+  if constexpr (std::is_same_v<T, Bytes> || std::is_same_v<T, std::string>) {
+    r.BlobView();
+  } else if constexpr (std::is_enum_v<T> || kIsFixedWidth<T>) {
+    T v{};
+    WireGet(r, v);
+  } else if constexpr (kIsPair<T>) {
+    WireSkip<typename T::first_type>(r);
+    WireSkip<typename T::second_type>(r);
+  } else if constexpr (kIsOptional<T>) {
+    if (r.Bool()) {
+      WireSkip<typename T::value_type>(r);
+    }
+  } else if constexpr (kIsVector<T>) {
+    uint32_t n = r.U32();
+    for (uint32_t i = 0; i < n && r.ok(); ++i) {
+      WireSkip<typename T::value_type>(r);
+    }
+  } else {
+    static_assert(!requires(const T& v) { v.WireValid(); },
+                  "WireValid needs the decoded value: use WireDecode");
+    static const T kShape{};
+    kShape.WireFields([&r](const auto&... f) {
+      static_assert(!(kIsTrailing<std::remove_cvref_t<decltype(f)>> || ...),
+                    "a trailing field needs the decoded value");
+      (WireSkip<std::remove_cvref_t<decltype(f)>>(r), ...);
+    });
+  }
+}
+
+// True when `data` is exactly an encoding of some T: the bytes a T decodes
+// from, checked without allocating. Readers that hash the bytes they
+// received and parse them later (a result under a pledge) check them with
+// this.
+template <typename T>
+bool WireWellFormed(BytesView data) {
+  Reader r(data);
+  WireSkip<T>(r);
+  return r.Done();
 }
 
 // The bytes a signature covers: the length-prefixed domain tag, then

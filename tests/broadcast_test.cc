@@ -20,6 +20,7 @@ class MemberNode : public Node {
     bcast_ = std::make_unique<TotalOrderBroadcast>(
         env(), this, std::move(config),
         [this](NodeId to, const Bytes& payload) {
+          ++sent;
           env()->Send(to, payload);
         },
         [this](uint64_t seq, NodeId origin, const Bytes& payload) {
@@ -41,6 +42,7 @@ class MemberNode : public Node {
 
   TotalOrderBroadcast& bcast() { return *bcast_; }
   std::vector<Delivery> delivered;
+  size_t sent = 0;
 
  private:
   std::unique_ptr<TotalOrderBroadcast> bcast_;
@@ -194,6 +196,40 @@ TEST(BroadcastTest, MessagePendingAtCrashIsNotLostBySurvivingOrigin) {
   EXPECT_EQ(ToString(h.members[1]->delivered[0].payload), "persistent");
   ASSERT_GE(h.members[2]->delivered.size(), 1u);
   EXPECT_EQ(h.members[1]->bcast().pending_submissions(), 0u);
+}
+
+TEST(BroadcastTest, MessagesWithATrailingByteAreDropped) {
+  // Each message below would change the sequencer's state or make it send
+  // (a delivery, a new epoch, a reply); with one byte more than its field
+  // list it must do neither.
+  Harness h(3, 12, LinkModel{5 * kMillisecond, 2 * kMillisecond, 0.0});
+  h.members[1]->bcast().Broadcast(ToBytes("w1"));
+  h.sim.RunUntil(1 * kSecond);
+  using B = TotalOrderBroadcast;
+  MemberNode& sequencer = *h.members[0];
+  ASSERT_TRUE(sequencer.bcast().IsSequencer());
+  ASSERT_EQ(sequencer.bcast().delivered_seq(), 1u);
+  const NodeId peer = h.members[1]->id();
+  const Bytes frames[] = {
+      WireEncodeTagged(B::kSubmit, B::Submit{0, peer, 9, ToBytes("x")}),
+      WireEncodeTagged(B::kOrdered, B::Ordered{0, 2, peer, 9, ToBytes("x")}),
+      WireEncodeTagged(B::kNack, B::Nack{0, 1}),
+      WireEncodeTagged(B::kHeartbeat, B::Heartbeat{0, 9}),
+      WireEncodeTagged(B::kNewEpoch, B::NewEpoch{1}),
+      WireEncodeTagged(B::kSyncInfo, B::SyncInfo{0, 9}),
+  };
+  for (Bytes frame : frames) {
+    SCOPED_TRACE(int(frame[0]));
+    frame.push_back(0);
+    const size_t sent = sequencer.sent;
+    sequencer.bcast().OnMessage(peer, frame);
+    EXPECT_EQ(sequencer.bcast().epoch(), 0u);
+    EXPECT_EQ(sequencer.bcast().delivered_seq(), 1u);
+    EXPECT_EQ(sequencer.sent, sent);
+  }
+  // Without the extra byte the first of them is ordered and delivered.
+  sequencer.bcast().OnMessage(peer, frames[0]);
+  EXPECT_EQ(sequencer.bcast().delivered_seq(), 2u);
 }
 
 TEST(BroadcastTest, DeterministicUnderSeed) {

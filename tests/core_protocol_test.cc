@@ -468,6 +468,42 @@ TEST(ClusterTest, DeterministicAcrossIdenticalRuns) {
   EXPECT_EQ(run(99), run(99));
 }
 
+TEST(ClusterTest, ReadsParkedAfterTheLastExclusionFail) {
+  // One master whose every slave lies: the auditor convicts both, the last
+  // exclusion empties the client's read set, and no master has a slave
+  // left to assign. The read in flight then is parked, and so is every
+  // read issued later; each must fail once setup has timed out for its
+  // retry budget, so the closed loop goes on instead of waiting for ever.
+  ClusterConfig config = SmallConfig(21);
+  config.num_masters = 1;
+  config.num_clients = 1;
+  config.client_think_time = 1 * kMillisecond;
+  config.slave_behavior = [](int) {
+    Slave::Behavior b;
+    b.lie_probability = 1.0;
+    return b;
+  };
+  Cluster cluster(config);
+  cluster.RunFor(20 * kSecond);
+  ASSERT_EQ(cluster.ComputeTotals().masters.slaves_excluded, 2u);
+  Client& client = cluster.client(0);
+  ASSERT_TRUE(client.read_set().empty());
+  ASSERT_FALSE(client.ready());
+  const uint64_t timed_out = client.metrics().reads_timed_out;
+  cluster.RunFor(40 * kSecond);
+  EXPECT_EQ(client.metrics().reads_timed_out, timed_out + 1);
+  // A read issued now parks too, and fails the same way.
+  bool settled = false;
+  client.IssueRead(Query::Get("missing"),
+                   [&settled](bool accepted, const QueryResult&) {
+                     EXPECT_FALSE(accepted);
+                     settled = true;
+                   });
+  cluster.RunFor(40 * kSecond);
+  EXPECT_TRUE(settled);
+  EXPECT_EQ(client.metrics().reads_timed_out, timed_out + 2);
+}
+
 TEST(ClusterTest, ClientChosenFreshnessRelaxation) {
   // A client with a relaxed freshness bound tolerates results an aggressive
   // client rejects (Section 3.2 variant).

@@ -11,16 +11,12 @@ namespace sdr::lint {
 namespace {
 
 // Two-pass drive, same as the CLI: index the fixture (optionally on top of
-// a pre-seeded index, e.g. enums or serde bodies from "another file"), then
-// run the per-file rules plus the index-wide rules (R8).
+// a pre-seeded index, e.g. enums from "another file"), then run the
+// per-file rules.
 std::vector<Finding> Lint(const std::string& path, const std::string& src,
                           SymbolIndex index = {}) {
   IndexSource(path, src, index);
-  std::vector<Finding> fs = AnalyzeSource(path, src, ClassifyPath(path), index);
-  for (const Finding& f : AnalyzeIndex(index)) {
-    fs.push_back(f);
-  }
-  return fs;
+  return AnalyzeSource(path, src, ClassifyPath(path), index);
 }
 
 int CountRule(const std::vector<Finding>& fs, const std::string& rule) {
@@ -295,40 +291,76 @@ TEST(R3, SuppressedByAllowOnSwitchLine) {
 }
 
 // ---------------------------------------------------------------------------
-// R4 — serde pairing
+// R4 — one codec
 // ---------------------------------------------------------------------------
 
-TEST(R4, FiresOnEncodeWithoutDecode) {
-  auto fs = Lint("src/core/messages.h",
-                "struct Ping {\n"
-                "  void Encode(Buf& out) const;\n"
-                "};\n");
-  EXPECT_EQ(CountRule(fs, "R4"), 1);
+// A hand-written decoder (the shape the retired R8 compared field by field)
+// is a finding wherever it lives outside the codec.
+TEST(R4, FiresOnAHandWrittenDecoder) {
+  const std::string src =
+      "void Ping::Encode(Writer& w) const {\n"
+      "  w.U32(seq);\n"
+      "  w.Blob(body);\n"
+      "}\n"
+      "Ping Ping::Decode(Reader& r) {\n"
+      "  Ping m;\n"
+      "  m.body = r.Blob();\n"
+      "  m.seq = r.U32();\n"
+      "  return m;\n"
+      "}\n";
+  for (const char* path : {"src/core/messages.cc", "src/merkle/merkle.cc",
+                           "src/baseline/state_signing.cc",
+                           "src/trace/export.cc", "tools/sdrtrace.cc"}) {
+    auto fs = Lint(path, src);
+    ASSERT_EQ(CountRule(fs, "R4"), 1) << path;
+    EXPECT_EQ(fs[0].line, 5) << path;
+  }
 }
 
-TEST(R4, CleanWhenPaired) {
-  auto fs = Lint("src/core/messages.h",
-                "struct Ping {\n"
-                "  void Encode(Buf& out) const;\n"
-                "  static Ping Decode(Reader& in);\n"
-                "};\n"
-                "struct Token {\n"
-                "  void EncodeTo(Buf& out) const;\n"
-                "  static Token DecodeFrom(Reader& in);\n"
-                "};\n");
+TEST(R4, FiresOnEveryReaderUse) {
+  auto fs = Lint("src/broadcast/total_order.cc",
+                 "void Tob::OnMessage(BytesView payload) {\n"
+                 "  Reader r(payload);\n"
+                 "  Handle(r);\n"
+                 "}\n"
+                 "void Tob::Handle(Reader& r) { epoch_ = r.U64(); }\n");
+  EXPECT_EQ(CountRule(fs, "R4"), 2);
+}
+
+TEST(R4, WriterOnlyByteBuildersAreClean) {
+  // A hash preimage has no decoder that could drift from it.
+  auto fs = Lint("src/core/slave.cc",
+                 "Bytes Slave::MemoKey(const Query& q) const {\n"
+                 "  Writer w;\n"
+                 "  q.EncodeTo(w);\n"
+                 "  w.U64(version_);\n"
+                 "  return w.Take();\n"
+                 "}\n");
   EXPECT_EQ(CountRule(fs, "R4"), 0);
 }
 
-TEST(R4, SeesOutOfLineDefinitions) {
-  auto fs = Lint("src/core/messages.cc",
-                "void Ping::Encode(Buf& out) const { out.PutU8(1); }\n"
-                "Ping Ping::Decode(Reader& in) { return {}; }\n");
+TEST(R4, TheCodecItselfIsExempt) {
+  const std::string src = "bool Reader::Need(size_t n) { return n > 0; }\n";
+  for (const char* path :
+       {"src/util/serde.h", "src/util/serde.cc", "/repo/src/util/serde.cc"}) {
+    EXPECT_EQ(CountRule(Lint(path, src), "R4"), 0) << path;
+  }
+  for (const char* path : {"src/util/serde_extra.cc", "src/util/bytes.h"}) {
+    EXPECT_EQ(CountRule(Lint(path, src), "R4"), 1) << path;
+  }
+}
+
+TEST(R4, CommentsStringsAndOtherIdentifiersDoNotCount) {
+  auto fs = Lint("src/core/client.cc",
+                 "// Reader is the codec's.\n"
+                 "const char* kName = \"Reader\";\n"
+                 "struct ReaderState { int reader = 0; };\n");
   EXPECT_EQ(CountRule(fs, "R4"), 0);
 }
 
-TEST(R4, OnlyAppliesToSerdeFiles) {
-  auto fs = Lint("src/core/master.cc",
-                "struct Scratch { void Encode(Buf& out) const; };\n");
+TEST(R4, SuppressedByAllow) {
+  auto fs = Lint("tests/fixture.cc",
+                 "Reader r(buf);  // sdrlint:allow(R4 a test of Reader)\n");
   EXPECT_EQ(CountRule(fs, "R4"), 0);
 }
 
@@ -583,219 +615,6 @@ TEST(R7, SuppressedByAllow) {
 }
 
 // ---------------------------------------------------------------------------
-// R8 — serde field-order symmetry
-// ---------------------------------------------------------------------------
-
-TEST(R8, FiresOnSwappedFieldOrder) {
-  auto fs = Lint("src/core/messages.cc",
-                 "void Ping::Encode(Writer& w) const {\n"
-                 "  w.U32(seq);\n"
-                 "  w.Blob(body);\n"
-                 "}\n"
-                 "Ping Ping::Decode(Reader& r) {\n"
-                 "  Ping m;\n"
-                 "  m.body = r.Blob();\n"
-                 "  m.seq = r.U32();\n"
-                 "  return m;\n"
-                 "}\n");
-  ASSERT_GE(CountRule(fs, "R8"), 1);
-  bool named = false;
-  for (const Finding& f : fs) {
-    named |= f.rule == "R8" && f.message.find("seq") != std::string::npos &&
-             f.message.find("body") != std::string::npos;
-  }
-  EXPECT_TRUE(named);
-}
-
-TEST(R8, CleanWhenSequencesMatch) {
-  auto fs = Lint("src/core/messages.cc",
-                 "void Ping::Encode(Writer& w) const {\n"
-                 "  w.U32(seq);\n"
-                 "  w.Blob(body);\n"
-                 "}\n"
-                 "Ping Ping::Decode(Reader& r) {\n"
-                 "  Ping m;\n"
-                 "  m.seq = r.U32();\n"
-                 "  m.body = r.Blob();\n"
-                 "  return m;\n"
-                 "}\n");
-  EXPECT_EQ(CountRule(fs, "R8"), 0);
-}
-
-TEST(R8, PairsEncodeAndDecodeAcrossFiles) {
-  // Encode inline in the header, Decode out-of-line in the .cc — the
-  // symbol index spans both translation units.
-  SymbolIndex index;
-  IndexSource("src/core/messages.h",
-              "struct Ack {\n"
-              "  void Encode(Writer& w) const {\n"
-              "    w.U64(version);\n"
-              "    w.Blob(sig);\n"
-              "  }\n"
-              "};\n",
-              index);
-  auto fs = Lint("src/core/messages.cc",
-                 "Ack Ack::Decode(Reader& r) {\n"
-                 "  Ack m;\n"
-                 "  m.sig = r.Blob();\n"
-                 "  m.version = r.U64();\n"
-                 "  return m;\n"
-                 "}\n",
-                 index);
-  EXPECT_GE(CountRule(fs, "R8"), 1);
-}
-
-TEST(R8, AsymmetricStepCountFires) {
-  auto fs = Lint("src/core/messages.cc",
-                 "void Ping::Encode(Writer& w) const {\n"
-                 "  w.U32(seq);\n"
-                 "  w.Blob(body);\n"
-                 "}\n"
-                 "Ping Ping::Decode(Reader& r) {\n"
-                 "  Ping m;\n"
-                 "  m.seq = r.U32();\n"
-                 "  return m;\n"
-                 "}\n");
-  ASSERT_EQ(CountRule(fs, "R8"), 1);
-  EXPECT_NE(fs[0].message.find("2"), std::string::npos);
-}
-
-TEST(R8, DecodeIntoLocalsDoesNotFalselyMismatch) {
-  // Loop-style serde reads counts into locals; the field name is not
-  // recoverable, so only the op sequence is compared.
-  auto fs = Lint("src/core/messages.cc",
-                 "void Batch::Encode(Writer& w) const {\n"
-                 "  w.U32(static_cast<uint32_t>(certs.size()));\n"
-                 "  w.Blob(tail);\n"
-                 "}\n"
-                 "Batch Batch::Decode(Reader& r) {\n"
-                 "  Batch m;\n"
-                 "  uint32_t n = r.U32();\n"
-                 "  m.tail = r.Blob();\n"
-                 "  return m;\n"
-                 "}\n");
-  EXPECT_EQ(CountRule(fs, "R8"), 0);
-}
-
-TEST(R8, VersionVectorShapedSerdeIsCleanWhenSymmetric) {
-  // The forkcheck wire shape: scalars then two blobs, one of them the
-  // signature last — the order every commitment-like struct must keep.
-  auto fs = Lint("src/forkcheck/vv_like.cc",
-                 "void Vv::EncodeTo(Writer& w) const {\n"
-                 "  w.U32(slave);\n"
-                 "  w.U64(content_version);\n"
-                 "  w.U64(chain_length);\n"
-                 "  w.Blob(head_sha1);\n"
-                 "  w.Blob(signature);\n"
-                 "}\n"
-                 "Vv Vv::DecodeFrom(Reader& r) {\n"
-                 "  Vv v;\n"
-                 "  v.slave = r.U32();\n"
-                 "  v.content_version = r.U64();\n"
-                 "  v.chain_length = r.U64();\n"
-                 "  v.head_sha1 = r.Blob();\n"
-                 "  v.signature = r.Blob();\n"
-                 "  return v;\n"
-                 "}\n");
-  EXPECT_EQ(CountRule(fs, "R8"), 0);
-}
-
-TEST(R8, VersionVectorShapedSerdeFiresWhenDecodeSwapsBlobs) {
-  // Swapping the two trailing blobs type-checks (both are Bytes) and even
-  // round-trips in isolation — only the cross-function sequence diff
-  // catches that signatures would be verified against hashes.
-  auto fs = Lint("src/forkcheck/vv_like.cc",
-                 "void Vv::EncodeTo(Writer& w) const {\n"
-                 "  w.U32(slave);\n"
-                 "  w.U64(content_version);\n"
-                 "  w.U64(chain_length);\n"
-                 "  w.Blob(head_sha1);\n"
-                 "  w.Blob(signature);\n"
-                 "}\n"
-                 "Vv Vv::DecodeFrom(Reader& r) {\n"
-                 "  Vv v;\n"
-                 "  v.slave = r.U32();\n"
-                 "  v.content_version = r.U64();\n"
-                 "  v.chain_length = r.U64();\n"
-                 "  v.signature = r.Blob();\n"
-                 "  v.head_sha1 = r.Blob();\n"
-                 "  return v;\n"
-                 "}\n");
-  ASSERT_GE(CountRule(fs, "R8"), 1);
-  bool named = false;
-  for (const Finding& f : fs) {
-    named |= f.rule == "R8" &&
-             f.message.find("head_sha1") != std::string::npos &&
-             f.message.find("signature") != std::string::npos;
-  }
-  EXPECT_TRUE(named);
-}
-
-TEST(R8, SuppressedByAllowOnEitherBody) {
-  auto fs = Lint("src/core/messages.cc",
-                 "void Ping::Encode(Writer& w) const {\n"
-                 "  w.U32(seq);\n"
-                 "  w.Blob(body);\n"
-                 "}\n"
-                 "// sdrlint:allow(R8 legacy wire order, migration tracked)\n"
-                 "Ping Ping::Decode(Reader& r) {\n"
-                 "  Ping m;\n"
-                 "  m.body = r.Blob();\n"
-                 "  m.seq = r.U32();\n"
-                 "  return m;\n"
-                 "}\n");
-  EXPECT_EQ(CountRule(fs, "R8"), 0);
-}
-
-// The shard-map serialization (placement query/response, batch commit
-// certificate) lives in src/core/shard.*, which joined the R4/R8 domains
-// with keyspace sharding.
-
-TEST(R4, AppliesToShardSerdeFiles) {
-  auto fs = Lint("src/core/shard.h",
-                 "struct PlacementQuery {\n"
-                 "  void Encode(Buf& out) const;\n"
-                 "};\n");
-  EXPECT_EQ(CountRule(fs, "R4"), 1);
-}
-
-TEST(R8, PlacementResponseShapedSerdeIsCleanWhenSymmetric) {
-  auto fs = Lint("src/core/shard.cc",
-                 "void PlacementResponse::Encode(Writer& w) const {\n"
-                 "  w.U64(epoch);\n"
-                 "  w.U32(num_shards);\n"
-                 "  w.Blob(map);\n"
-                 "}\n"
-                 "PlacementResponse PlacementResponse::Decode(Reader& r) {\n"
-                 "  PlacementResponse m;\n"
-                 "  m.epoch = r.U64();\n"
-                 "  m.num_shards = r.U32();\n"
-                 "  m.map = r.Blob();\n"
-                 "  return m;\n"
-                 "}\n");
-  EXPECT_EQ(CountRule(fs, "R8"), 0);
-}
-
-TEST(R8, BatchCommitShapedSerdeFiresWhenDecodeSwapsBlobs) {
-  auto fs = Lint("src/core/shard.cc",
-                 "void BatchCert::Encode(Writer& w) const {\n"
-                 "  w.U64(first_version);\n"
-                 "  w.U64(last_version);\n"
-                 "  w.Blob(digest);\n"
-                 "  w.Blob(sig);\n"
-                 "}\n"
-                 "BatchCert BatchCert::Decode(Reader& r) {\n"
-                 "  BatchCert m;\n"
-                 "  m.first_version = r.U64();\n"
-                 "  m.last_version = r.U64();\n"
-                 "  m.sig = r.Blob();\n"
-                 "  m.digest = r.Blob();\n"
-                 "  return m;\n"
-                 "}\n");
-  ASSERT_GE(CountRule(fs, "R8"), 1);
-}
-
-// ---------------------------------------------------------------------------
 // Baseline and report
 // ---------------------------------------------------------------------------
 
@@ -812,7 +631,7 @@ TEST(Baseline, RoundTripsThroughJsonFile) {
   std::vector<Finding> fs = {
       {"R6", "src/a.cc", 3, "unguarded"},
       {"R6", "src/a.cc", 9, "unguarded"},  // duplicate key, count 2
-      {"R8", "src/b.cc", 1, "swapped"},
+      {"R4", "src/b.cc", 1, "hand decoder"},
   };
   const std::string path = testing::TempDir() + "/sdrlint_baseline.json";
   {
@@ -833,21 +652,21 @@ TEST(Baseline, LoadFailsOnMissingFile) {
 
 TEST(Baseline, DiffSplitsFreshSuppressedAndFixed) {
   Finding known{"R6", "src/a.cc", 3, "unguarded"};
-  Finding fresh{"R8", "src/b.cc", 1, "swapped"};
+  Finding fresh{"R4", "src/b.cc", 1, "hand decoder"};
   std::map<std::string, int> baseline;
   baseline[FindingKey(known)] = 2;  // one was fixed since the baseline
   BaselineDiff diff = DiffAgainstBaseline({known, fresh}, baseline);
   ASSERT_EQ(diff.suppressed.size(), 1u);
   EXPECT_EQ(diff.suppressed[0].rule, "R6");
   ASSERT_EQ(diff.fresh.size(), 1u);
-  EXPECT_EQ(diff.fresh[0].rule, "R8");
+  EXPECT_EQ(diff.fresh[0].rule, "R4");
   ASSERT_EQ(diff.fixed.size(), 1u);
   EXPECT_EQ(diff.fixed[0], FindingKey(known));
 }
 
 TEST(Report, JsonCarriesPerRuleCountsAndBaselineStatus) {
   Finding known{"R6", "src/a.cc", 3, "unguarded"};
-  Finding fresh{"R8", "src/b.cc", 1, "swapped"};
+  Finding fresh{"R4", "src/b.cc", 1, "hand decoder"};
   std::map<std::string, int> baseline;
   baseline[FindingKey(known)] = 1;
   BaselineDiff diff = DiffAgainstBaseline({known, fresh}, baseline);
@@ -855,7 +674,7 @@ TEST(Report, JsonCarriesPerRuleCountsAndBaselineStatus) {
   EXPECT_NE(json.find("\"files_scanned\": 42"), std::string::npos);
   EXPECT_NE(json.find("\"per_rule\""), std::string::npos);
   EXPECT_NE(json.find("\"R6\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"R8\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"R4\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"status\": \"fresh\""), std::string::npos);
   EXPECT_NE(json.find("\"status\": \"baseline\""), std::string::npos);
 }
@@ -929,12 +748,6 @@ TEST(HotPath, WallClockInChaosDomainStillFires) {
 TEST(Classify, DomainsMatchTheRuleCatalogue) {
   EXPECT_TRUE(ClassifyPath("src/crypto/ed25519.cc").r5);
   EXPECT_FALSE(ClassifyPath("src/core/master.cc").r5);
-  EXPECT_TRUE(ClassifyPath("src/core/messages.h").r4);
-  EXPECT_TRUE(ClassifyPath("src/core/pledge.cc").r4);
-  EXPECT_FALSE(ClassifyPath("src/core/slave.cc").r4);
-  EXPECT_TRUE(ClassifyPath("src/merkle/merkle_tree.cc").r4);
-  EXPECT_TRUE(ClassifyPath("src/trace/export.cc").r8);
-  EXPECT_TRUE(ClassifyPath("src/baseline/state_signing.cc").r8);
   EXPECT_TRUE(ClassifyPath("src/chaos/runner.cc").r1);
   EXPECT_TRUE(ClassifyPath("src/trace/export.cc").r1);
   EXPECT_FALSE(ClassifyPath("tools/sdrsim.cc").r1);

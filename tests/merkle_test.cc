@@ -100,7 +100,7 @@ TEST(MerkleTest, ProofSerdeRoundTrip) {
   auto proof = tree.Prove("k0012");  // last key in an odd tree
   ASSERT_TRUE(proof.has_value());
   auto decoded = MerkleTree::Proof::Decode(proof->Encode());
-  ASSERT_TRUE(decoded.has_value());
+  ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->key, proof->key);
   EXPECT_EQ(decoded->value, proof->value);
   EXPECT_EQ(decoded->steps, proof->steps);
@@ -108,7 +108,18 @@ TEST(MerkleTest, ProofSerdeRoundTrip) {
 }
 
 TEST(MerkleTest, ProofDecodeRejectsGarbage) {
-  EXPECT_FALSE(MerkleTree::Proof::Decode(Bytes{1, 2, 3}).has_value());
+  EXPECT_FALSE(MerkleTree::Proof::Decode(Bytes{1, 2, 3}).ok());
+  // A flags byte beyond the four a step can have: it once decoded to the
+  // flags of its low two bits and re-encoded differently.
+  DocumentStore s = StoreWithN(5);
+  auto proof = MerkleTree::Build(s).Prove("k0001");
+  ASSERT_TRUE(proof.has_value());
+  Bytes bytes = proof->Encode();
+  const size_t first_flags =
+      4 + proof->key.size() + 4 + proof->value.size() + 4;
+  ASSERT_EQ(bytes[first_flags], 1);  // the sibling of k0001 is on the left
+  bytes[first_flags] = 0xfd;
+  EXPECT_FALSE(MerkleTree::Proof::Decode(bytes).ok());
 }
 
 TEST(MerkleTest, RandomizedContentAllProofsVerify) {

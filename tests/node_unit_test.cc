@@ -1220,8 +1220,8 @@ TEST(ClientUnitTest, RepliesStragglingInDuringABackoffAreIgnored) {
 TEST(ClientUnitTest, AnEmptiedReadSetParksTheReadAndSetsUpAgain) {
   // Every member the client was ever given is excluded in turn. The empty
   // set's reassignment must stop the read going to excluded slaves and
-  // start a new setup; the read then waits for a set, and no attempt of it
-  // times out or fails.
+  // start a new setup; the read then waits for a set, and within its retry
+  // budget no attempt of it times out or fails.
   const CapturedAssignments c = CaptureAssignments();
   ASSERT_EQ(c.move_sets.size(), 4u);
   ASSERT_TRUE(c.move_sets[3].empty());

@@ -291,10 +291,10 @@ std::vector<Bytes> NonCanonicalEncodings(const QueryResult& result) {
 
 TEST(VerifyReadTest, RejectsResultBytesThatAreNotACanonicalEncoding) {
   ReadFixture f;
-  EXPECT_TRUE(QueryResult::WellFormed(f.result.Encode()));
+  EXPECT_TRUE(WireWellFormed<QueryResult>(f.result.Encode()));
   for (const Bytes& bytes : NonCanonicalEncodings(f.result)) {
     SCOPED_TRACE(HexEncode(bytes));
-    EXPECT_FALSE(QueryResult::WellFormed(bytes));
+    EXPECT_FALSE(WireWellFormed<QueryResult>(bytes));
     EXPECT_FALSE(QueryResult::Decode(bytes).ok());
     // Pledged faithfully: the hash is of exactly these bytes and both
     // signatures hold, so only the well-formedness check rejects it.

@@ -266,22 +266,70 @@ TEST(TraceExport, DecodeRejectsCorruptInput) {
     Bytes truncated(good.begin(), good.begin() + static_cast<long>(cut));
     EXPECT_FALSE(DecodeTrace(truncated).ok()) << "cut=" << cut;
   }
+
+  // Edits of a small file that each decode to a value re-encoding to other
+  // bytes, or to no value EncodeTrace writes: all must be rejected.
+  TraceData small;
+  small.names = {"", "read"};
+  small.nodes[1] = TraceSink::NodeInfo{TraceRole::kClient, "a"};
+  small.nodes[2] = TraceSink::NodeInfo{TraceRole::kSlave, "b"};
+  TraceData::HistEntry entry;
+  entry.name = 1;
+  entry.role = TraceRole::kClient;
+  entry.node = 1;
+  for (int64_t v : {3, 3, 40}) {
+    entry.hist.Record(v);  // two buckets: 3 (count 2), then 40's (count 1)
+  }
+  small.histograms = {entry};
+  const Bytes base = EncodeTrace(small);
+  ASSERT_TRUE(DecodeTrace(base).ok());
+  auto put = [](Bytes b, size_t at, uint64_t v, size_t width) {
+    for (size_t i = 0; i < width; ++i) {
+      b[at + i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+    return b;
+  };
+  // Header, then the names "" and "read", then the node count.
+  const size_t first_node = 6 + 4 + 4 + 8 + 4;
+  const size_t node_size = 4 + 1 + 5;  // id, role, label "a"
+  // From the end: dropped (8), then the last histogram's two
+  // (index u32, count u64) pairs, the pair count, sum, max, min and count.
+  const size_t end = base.size();
+  const size_t hist_count = end - 68;
+  const size_t first_pair = end - 32;
+  Bytes swapped = base;
+  std::rotate(swapped.begin() + static_cast<long>(first_pair),
+              swapped.begin() + static_cast<long>(first_pair + 12),
+              swapped.begin() + static_cast<long>(end - 8));
+  const std::pair<const char*, Bytes> hostile[] = {
+      {"duplicate node id", put(base, first_node + node_size, 1, 4)},
+      {"role byte 200", put(base, first_node + 4, 200, 1)},
+      {"bucket with count 0",
+       put(put(base, first_pair + 4, 0, 8), hist_count, 1, 8)},
+      {"bucket indexes out of order", swapped},
+  };
+  for (const auto& [what, bytes] : hostile) {
+    EXPECT_FALSE(DecodeTrace(bytes).ok()) << what;
+  }
 }
 
 TEST(TraceExport, DecodeRejectsAnEventCountThatOverflows) {
-  // Magic and version of a real file, no names or nodes, then 2^59 events
-  // (2^59 * 32 bytes wraps to 0) over 12 bytes of payload.
+  // Magic and version of a real file, no names or nodes, then 2^32 - 1
+  // events over 12 bytes of payload. The decoder reserves at most
+  // kWireReserveCap events for a count read off the wire, so the hostile
+  // count costs no allocation before the file runs out.
   Bytes head = EncodeTrace(TraceData{});
   Writer w;
   w.Raw(head.data(), 6);
   w.U32(0);
   w.U32(0);
-  w.U64(uint64_t{1} << 59);
+  w.U32(0xffffffffu);
   w.Raw(Bytes(12, 0));
-  ASSERT_EQ(w.bytes().size(), 34u);
+  ASSERT_EQ(w.bytes().size(), 30u);
   auto decoded = DecodeTrace(w.bytes());
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.error().code(), ErrorCode::kCorrupt);
+  EXPECT_LE(kWireReserveCap<TraceEvent> * sizeof(TraceEvent), 64u * 1024);
 }
 
 TEST(TraceExport, ChromeJsonGolden) {

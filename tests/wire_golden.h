@@ -12,7 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include "src/baseline/state_signing.h"
+#include "src/broadcast/bft_order.h"
+#include "src/broadcast/total_order.h"
 #include "src/core/messages.h"
+#include "src/merkle/merkle_tree.h"
+#include "src/trace/export.h"
 #include "src/util/bytes.h"
 #include "src/util/serde.h"
 
@@ -129,6 +134,30 @@ inline TobWrite SampleTobWrite(uint8_t salt) {
   return TobWrite{1u + salt, 20u + salt, 30u + salt, SampleBatch()};
 }
 
+inline SignedRoot SampleRoot() {
+  return SignedRoot{Seq(0x10, 3), 5, 1000, Seq(0x20, 4)};
+}
+
+// Names "" and "read", two nodes, one event, one histogram of three
+// recordings in two buckets, nine events dropped.
+inline TraceFile SampleTraceFile() {
+  TraceFile f;
+  f.names = {"", "read"};
+  f.nodes = {{1, TraceRole::kClient, "c1"}, {4, TraceRole::kSlave, ""}};
+  TraceEvent ev;
+  ev.time = 1500;
+  ev.trace_id = 0x100000007ull;
+  ev.value = -2;
+  ev.node = 1;
+  ev.name = 1;
+  ev.type = TraceEventType::kSpanEnd;
+  ev.role = TraceRole::kClient;
+  f.events = {ev};
+  f.histograms = {{1, TraceRole::kClient, 1, 3, 3, 40, 46.0, {{3, 2}, {40, 1}}}};
+  f.dropped = 9;
+  return f;
+}
+
 inline const Bytes& SampleClientNonce() {
   static const Bytes kNonce = Seq(0xc0, 4);
   return kNonce;
@@ -180,7 +209,14 @@ using WireTypes = ::testing::Types<
     ReadReply, WriteRequest, WriteReply, DoubleCheckRequest,
     DoubleCheckReply, Accusation, Reassignment, KeepAlive, SlaveAck,
     AuditSubmit, BadReadNotice, VvExchange, ForkEvidence, PlacementQuery,
-    PlacementReply, StateUpdateBatch, TobWrite, TobWriteBundle, TobGossip>;
+    PlacementReply, StateUpdateBatch, TobWrite, TobWriteBundle, TobGossip,
+    TotalOrderBroadcast::Submit, TotalOrderBroadcast::Ordered,
+    TotalOrderBroadcast::Nack, TotalOrderBroadcast::Heartbeat,
+    TotalOrderBroadcast::NewEpoch, TotalOrderBroadcast::SyncInfo,
+    BftOrderBroadcast::Request, BftOrderBroadcast::PrePrepare,
+    BftOrderBroadcast::Vote, MerkleTree::Proof, SignedRoot, BaselineRead,
+    BaselineReadReply, SsPointRead, SsPointReadReply, SsStateUpdate,
+    TraceFile>;
 
 // ---- Nested types ----------------------------------------------------------
 
@@ -583,6 +619,166 @@ inline std::vector<Golden<TobGossip>> GoldensOf() {
            TobGossip{3, {SampleCert(1)}, {0x101, 0x102}},
            "03000000010000000101000001030000001112130400000021222324"
            "020000000101000002010000",
+           ""}};
+}
+
+// ---- Master-group broadcasts -------------------------------------------
+//
+// Each goes on the wire after its MsgType byte; these are the bodies.
+
+template <>
+inline std::vector<Golden<TotalOrderBroadcast::Submit>> GoldensOf() {
+  return {{"TotalOrderBroadcast::Submit",
+           TotalOrderBroadcast::Submit{0, 3, 2, ToBytes("dddd")},
+           "00000000000000000300000002000000000000000400000064646464",
+           ""}};
+}
+
+template <>
+inline std::vector<Golden<TotalOrderBroadcast::Ordered>> GoldensOf() {
+  return {{"TotalOrderBroadcast::Ordered",
+           TotalOrderBroadcast::Ordered{3, 5, 3, 2, ToBytes("dddd")},
+           "03000000000000000500000000000000030000000200000000000000"
+           "0400000064646464",
+           ""}};
+}
+
+template <>
+inline std::vector<Golden<TotalOrderBroadcast::Nack>> GoldensOf() {
+  return {{"TotalOrderBroadcast::Nack", TotalOrderBroadcast::Nack{3, 4},
+           "03000000000000000400000000000000",
+           ""}};
+}
+
+template <>
+inline std::vector<Golden<TotalOrderBroadcast::Heartbeat>> GoldensOf() {
+  return {{"TotalOrderBroadcast::Heartbeat",
+           TotalOrderBroadcast::Heartbeat{3, 7},
+           "03000000000000000700000000000000",
+           ""}};
+}
+
+template <>
+inline std::vector<Golden<TotalOrderBroadcast::NewEpoch>> GoldensOf() {
+  return {{"TotalOrderBroadcast::NewEpoch", TotalOrderBroadcast::NewEpoch{3},
+           "0300000000000000",
+           ""}};
+}
+
+template <>
+inline std::vector<Golden<TotalOrderBroadcast::SyncInfo>> GoldensOf() {
+  return {{"TotalOrderBroadcast::SyncInfo",
+           TotalOrderBroadcast::SyncInfo{3, 5},
+           "03000000000000000500000000000000",
+           ""}};
+}
+
+template <>
+inline std::vector<Golden<BftOrderBroadcast::Request>> GoldensOf() {
+  return {{"BftOrderBroadcast::Request",
+           BftOrderBroadcast::Request{3, 2, ToBytes("rrr")},
+           "03000000020000000000000003000000727272",
+           ""}};
+}
+
+template <>
+inline std::vector<Golden<BftOrderBroadcast::PrePrepare>> GoldensOf() {
+  return {{"BftOrderBroadcast::PrePrepare",
+           BftOrderBroadcast::PrePrepare{4, 3, 2, ToBytes("rrr")},
+           "040000000000000003000000020000000000000003000000727272",
+           ""}};
+}
+
+template <>
+inline std::vector<Golden<BftOrderBroadcast::Vote>> GoldensOf() {
+  return {{"BftOrderBroadcast::Vote", BftOrderBroadcast::Vote{4},
+           "0400000000000000",
+           ""}};
+}
+
+// ---- Merkle proofs and the baselines ----------------------------------------
+
+template <>
+inline std::vector<Golden<MerkleTree::Proof>> GoldensOf() {
+  using Flags = MerkleTree::StepFlags;
+  return {{"MerkleTree::Proof",
+           MerkleTree::Proof{"k",
+                             "v",
+                             {{Flags::kSiblingOnRight, Seq(0xa0, 2)},
+                              {Flags::kSiblingOnLeft, Seq(0xb0, 1)},
+                              {Flags::kPromoted, {}}}},
+           "010000006b0100000076030000000002000000a0a10101000000b002"
+           "00000000",
+           ""}};
+}
+
+template <>
+inline std::vector<Golden<SignedRoot>> GoldensOf() {
+  return {{"SignedRoot", SampleRoot(),
+           "030000001011120500000000000000e8030000000000000400000020"
+           "212223",
+           "0d0000007364722d7373726f6f742d76310300000010111205000000"
+           "00000000e803000000000000"}};
+}
+
+template <>
+inline std::vector<Golden<BaselineRead>> GoldensOf() {
+  return {{"BaselineRead", BaselineRead{45, SampleQuery()},
+           "2d0000000000000002020000006b310100000061010000007a030000"
+           "00702e2a09000000",
+           ""}};
+}
+
+template <>
+inline std::vector<Golden<BaselineReadReply>> GoldensOf() {
+  return {{"BaselineReadReply",
+           BaselineReadReply{46, SampleResult().Encode()},
+           "2e00000000000000240000000102000000020000006b310200000076"
+           "31020000006b3200000000fbffffffffffffff01",
+           ""}};
+}
+
+template <>
+inline std::vector<Golden<SsPointRead>> GoldensOf() {
+  return {{"SsPointRead", SsPointRead{7, "k3"},
+           "0700000000000000020000006b33",
+           ""}};
+}
+
+template <>
+inline std::vector<Golden<SsPointReadReply>> GoldensOf() {
+  return {{"SsPointReadReply/proof",
+           SsPointReadReply{7, Seq(0xe0, 3), SampleRoot()},
+           "07000000000000000103000000e0e1e2030000001011120500000000"
+           "000000e8030000000000000400000020212223",
+           ""},
+          {"SsPointReadReply/absent",
+           SsPointReadReply{7, std::nullopt, SampleRoot()},
+           "070000000000000000030000001011120500000000000000e8030000"
+           "000000000400000020212223",
+           ""}};
+}
+
+template <>
+inline std::vector<Golden<SsStateUpdate>> GoldensOf() {
+  return {{"SsStateUpdate", SsStateUpdate{SampleRoot(), SampleBatch()},
+           "030000001011120500000000000000e8030000000000000400000020"
+           "2122230300000000010000006b010000007601010000006400000000"
+           "020100000061020000007879",
+           ""}};
+}
+
+// ---- The trace file ----------------------------------------------------------
+
+template <>
+inline std::vector<Golden<TraceFile>> GoldensOf() {
+  return {{"TraceFile", SampleTraceFile(),
+           "53445254020002000000000000000400000072656164020000000100"
+           "00000102000000633104000000020000000001000000dc0500000000"
+           "00000700000001000000feffffffffffffff01000000010001010100"
+           "00000100010100000003000000000000000300000000000000280000"
+           "00000000000000000000004740020000000300000002000000000000"
+           "002800000001000000000000000900000000000000",
            ""}};
 }
 

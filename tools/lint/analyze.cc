@@ -3,7 +3,8 @@
 // table extracted from comments; no type information is needed because the
 // invariants are lexical by construction (banned identifiers, annotated
 // enums, tagged variables). Shared machinery lives in internal.h; the
-// cross-TU rule families R6–R8 live in concurrency.cc and index.cc.
+// rule families R6 and R7 live in concurrency.cc, the cross-TU index in
+// index.cc.
 #include <algorithm>
 #include <cstring>
 
@@ -325,97 +326,35 @@ void CheckR3(const std::string& path, const std::vector<Token>& toks,
 }
 
 // ---------------------------------------------------------------------------
-// R4 — serde pairing
+// R4 — one codec
 // ---------------------------------------------------------------------------
 
+// The field-list codec in src/util/serde.{h,cc} is the only code that reads
+// wire bytes. Its reader class used anywhere else is a hand-written
+// decoder, which can drift from the encoder its type's field list
+// generates. Byte builders that only write (hash preimages) have no
+// decoder to drift from. The class name is spelled in two pieces so that
+// `grep -w` finds it only in the codec.
 void CheckR4(const std::string& path, const std::vector<Token>& toks,
              const std::vector<size_t>& code, const Annotations& ann,
-             const std::vector<FuncSpan>& spans, std::vector<Finding>& out) {
-  // True when code position i sits inside a function body — a call site,
-  // not an out-of-line definition (whose header precedes its own span).
-  auto in_function_body = [&spans](size_t i) {
-    return SpanForCode(spans, i) != nullptr;
-  };
-  struct Serde {
-    bool encode = false, decode = false;
-    bool encode_to = false, decode_from = false;
-    int line = 0;
-  };
-  std::map<std::string, Serde> structs;
-
-  // Header form: methods inside `struct Name { ... }`.
-  for (size_t i = 0; i + 2 < code.size(); ++i) {
-    if (!IsIdent(toks[code[i]], "struct") && !IsIdent(toks[code[i]], "class")) {
-      continue;
-    }
-    if (toks[code[i + 1]].kind != TokKind::kIdent) {
-      continue;
-    }
-    std::string name = toks[code[i + 1]].text;
-    size_t j = i + 2;
-    while (j < code.size() && !IsPunct(toks[code[j]], "{") &&
-           !IsPunct(toks[code[j]], ";")) {
-      ++j;
-    }
-    if (j >= code.size() || !IsPunct(toks[code[j]], "{")) {
-      continue;
-    }
-    size_t close = MatchForward(toks, code, j, "{", "}");
-    Serde& s = structs[name];
-    s.line = toks[code[i]].line;
-    for (size_t k = j + 1; k < close; ++k) {
-      const Token& t = toks[code[k]];
-      if (t.kind != TokKind::kIdent || k + 1 >= code.size() ||
-          !IsPunct(toks[code[k + 1]], "(")) {
-        continue;
-      }
-      if (t.text == "Encode") s.encode = true;
-      if (t.text == "Decode") s.decode = true;
-      if (t.text == "EncodeTo") s.encode_to = true;
-      if (t.text == "DecodeFrom") s.decode_from = true;
-    }
-    i = close;
-  }
-
-  // Definition form: `Name::Encode(` at namespace scope in .cc files.
-  for (size_t i = 0; i + 2 < code.size(); ++i) {
-    if (toks[code[i]].kind == TokKind::kIdent &&
-        IsPunct(toks[code[i + 1]], "::") &&
-        toks[code[i + 2]].kind == TokKind::kIdent && i + 3 < code.size() &&
-        IsPunct(toks[code[i + 3]], "(") && !in_function_body(i)) {
-      const std::string& name = toks[code[i]].text;
-      const std::string& method = toks[code[i + 2]].text;
-      if (method == "Encode" || method == "Decode" || method == "EncodeTo" ||
-          method == "DecodeFrom") {
-        Serde& s = structs[name];
-        if (s.line == 0) {
-          s.line = toks[code[i]].line;
-        }
-        if (method == "Encode") s.encode = true;
-        if (method == "Decode") s.decode = true;
-        if (method == "EncodeTo") s.encode_to = true;
-        if (method == "DecodeFrom") s.decode_from = true;
-      }
+             std::vector<Finding>& out) {
+  for (const std::string codec : {"src/util/serde.h", "src/util/serde.cc"}) {
+    if (path == codec || (path.size() > codec.size() &&
+                          path.compare(path.size() - codec.size() - 1,
+                                       std::string::npos, "/" + codec) == 0)) {
+      return;
     }
   }
-
-  for (const auto& [name, s] : structs) {
-    if (ann.Allowed(s.line, "R4")) {
-      continue;
-    }
-    if (s.encode != s.decode) {
-      out.push_back({"R4", path, s.line,
-                     "struct " + name + " has " +
-                         (s.encode ? "Encode without Decode"
-                                   : "Decode without Encode") +
-                         "; wire messages must round-trip"});
-    }
-    if (s.encode_to != s.decode_from) {
-      out.push_back({"R4", path, s.line,
-                     "struct " + name + " has " +
-                         (s.encode_to ? "EncodeTo without DecodeFrom"
-                                      : "DecodeFrom without EncodeTo") +
-                         "; wire messages must round-trip"});
+  const std::string reader = std::string("Read") + "er";
+  for (size_t i : code) {
+    const Token& t = toks[i];
+    if (IsIdent(t, reader.c_str()) && !ann.Allowed(t.line, "R4")) {
+      out.push_back({"R4", path, t.line,
+                     "`" + reader +
+                         "` outside src/util/serde: decode through the "
+                         "type's SDR_WIRE_FIELDS list (Decode, "
+                         "WireDecodeTagged, WireWellFormed), so no decoder "
+                         "can drift from its encoder"});
     }
   }
 }
@@ -584,20 +523,7 @@ FileClass ClassifyPath(const std::string& path) {
   fc.r1 = (has("src/sim/") || has("src/core/") || has("src/chaos/") ||
            has("src/trace/")) &&
           !has("util/rng");
-  fc.r4 = has("src/core/messages.") || has("src/core/pledge.") ||
-          has("src/core/shard.") || has("src/merkle/") ||
-          has("src/trace/export.") || has("src/baseline/");
   fc.r5 = has("src/crypto/");
-  // R8 analyzes Encode/Decode bodies statement-by-statement, so it runs
-  // only where bodies follow the linear `w.Op(field)` / `m.f = r.Op()`
-  // idiom: the wire-message and store serde files, and the codecs still
-  // written by hand (Merkle proofs, the trace file, the baselines).
-  fc.r8 = has("src/core/messages.") || has("src/core/pledge.") ||
-          has("src/core/certificate.") || has("src/store/query.") ||
-          has("src/store/document_store.") || has("src/store/executor.") ||
-          has("src/forkcheck/") || has("src/core/shard.") ||
-          has("src/merkle/") || has("src/trace/export.") ||
-          has("src/baseline/");
   return fc;
 }
 
@@ -629,9 +555,7 @@ std::vector<Finding> AnalyzeSource(const std::string& path,
   if (fc.r3) {
     CheckR3(path, toks, code, ann, index.enums, out);
   }
-  if (fc.r4) {
-    CheckR4(path, toks, code, ann, spans, out);
-  }
+  CheckR4(path, toks, code, ann, out);
   if (fc.r5) {
     CheckR5(path, toks, code, ann, spans, out);
   }

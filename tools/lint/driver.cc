@@ -70,9 +70,9 @@ int RunTool(const std::vector<std::string>& paths, const RunOptions& opts) {
   }
   const std::vector<std::string> files = CollectFiles(paths);
 
-  // Pass 1: the cross-TU symbol index — protocol enums, annotated members,
-  // and serde body shapes — spans all files, so a switch (or a Decode) in
-  // one translation unit is checked against declarations in another.
+  // Pass 1: the cross-TU symbol index — protocol enums and annotated
+  // members — spans all files, so a switch or a member access in one
+  // translation unit is checked against declarations in another.
   SymbolIndex index;
   std::map<std::string, std::string> contents;
   for (const std::string& f : files) {
@@ -80,15 +80,11 @@ int RunTool(const std::vector<std::string>& paths, const RunOptions& opts) {
     IndexSource(f, contents[f], index);
   }
 
-  // Pass 2: per-file rules, then index-wide rules (R8).
+  // Pass 2: per-file rules.
   std::vector<Finding> findings;
   for (const std::string& f : files) {
     std::vector<Finding> fs =
         AnalyzeSource(f, contents[f], ClassifyPath(f), index);
-    findings.insert(findings.end(), fs.begin(), fs.end());
-  }
-  {
-    std::vector<Finding> fs = AnalyzeIndex(index);
     findings.insert(findings.end(), fs.begin(), fs.end());
   }
   std::sort(findings.begin(), findings.end(),

@@ -1,9 +1,5 @@
 // Pass 1 of the two-pass lint: the cross-translation-unit SymbolIndex —
-// protocol enums, thread-discipline-annotated members, and Encode/Decode
-// body shapes — plus the index-wide R8 serde field-order check that runs
-// after every file has been indexed.
-#include <algorithm>
-
+// protocol enums and thread-discipline-annotated members.
 #include "tools/lint/internal.h"
 #include "tools/lint/lint.h"
 
@@ -215,263 +211,6 @@ void IndexClassMembers(const std::string& path,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Serde bodies (R8)
-// ---------------------------------------------------------------------------
-
-const std::set<std::string>& WireOps() {
-  static const std::set<std::string> kOps = {
-      "U8", "U16", "U32", "U64", "I64", "Bool", "Double", "Blob",
-      "BlobString", "Raw",
-  };
-  return kOps;
-}
-
-std::string NormalizeOp(const std::string& op) {
-  return op == "BlobString" ? "Blob" : op;
-}
-
-// First identifier in [from, to) that names the value being written:
-// casts, std:: qualifiers, and integer-width type names are skipped.
-std::string FirstFieldIdent(const std::vector<Token>& toks,
-                            const std::vector<size_t>& code, size_t from,
-                            size_t to) {
-  static const std::set<std::string> kSkip = {
-      "static_cast", "reinterpret_cast", "const_cast", "dynamic_cast",
-      "std",         "string_view",      "string",     "size_t",
-      "uint8_t",     "uint16_t",         "uint32_t",   "uint64_t",
-      "int8_t",      "int16_t",          "int32_t",    "int64_t",
-  };
-  for (size_t i = from; i < to && i < code.size(); ++i) {
-    const Token& t = toks[code[i]];
-    if (t.kind != TokKind::kIdent || IsTypeish(t.text) ||
-        kSkip.count(t.text) != 0) {
-      continue;
-    }
-    // Walk the member chain (`tw.origin_master` names the field
-    // `origin_master`, matching the decode extractor's lhs member), but
-    // stop before a method call: `msg.Encode()` names `msg`.
-    size_t last = i;
-    while (last + 2 < to && last + 2 < code.size() &&
-           (IsPunct(toks[code[last + 1]], ".") ||
-            IsPunct(toks[code[last + 1]], "->")) &&
-           toks[code[last + 2]].kind == TokKind::kIdent &&
-           !(last + 3 < code.size() && IsPunct(toks[code[last + 3]], "("))) {
-      last += 2;
-    }
-    return toks[code[last]].text;
-  }
-  return "";
-}
-
-// The serde method kind of a function span, or "" when it is not one.
-std::string SerdeMethodOf(const std::string& fn) {
-  if (fn == "Encode" || fn == "Decode" || fn == "EncodeTo" ||
-      fn == "DecodeFrom") {
-    return fn;
-  }
-  return "";
-}
-
-void ExtractEncodeSteps(const std::vector<Token>& toks,
-                        const std::vector<size_t>& code, const FuncSpan& fs,
-                        std::vector<SerdeStep>& steps) {
-  for (size_t k = fs.open_code + 1; k < fs.close_code; ++k) {
-    const Token& t = toks[code[k]];
-    if (t.kind != TokKind::kIdent || k + 1 >= code.size() ||
-        !IsPunct(toks[code[k + 1]], "(")) {
-      continue;
-    }
-    const bool dotted =
-        k > 0 && (IsPunct(toks[code[k - 1]], ".") ||
-                  IsPunct(toks[code[k - 1]], "->"));
-    if (WireOps().count(t.text) != 0 && dotted) {
-      size_t close = MatchForward(toks, code, k + 1, "(", ")");
-      steps.push_back({FirstFieldIdent(toks, code, k + 2, close),
-                       NormalizeOp(t.text), t.line});
-      k = close;
-    } else if (t.text == "EncodeTo") {
-      std::string field;
-      if (dotted && k >= 2 && toks[code[k - 2]].kind == TokKind::kIdent &&
-          !IsTypeish(toks[code[k - 2]].text)) {
-        field = toks[code[k - 2]].text;
-      }
-      steps.push_back({field, "nested", t.line});
-      k = MatchForward(toks, code, k + 1, "(", ")");
-    } else if (t.text.size() > 6 && t.text.compare(0, 6, "Encode") == 0 &&
-               !dotted) {
-      // Helper call `EncodeX(w, field, ...)`: the op is the suffix and the
-      // field is the first plain identifier after the writer argument.
-      size_t close = MatchForward(toks, code, k + 1, "(", ")");
-      size_t arg2 = close;
-      int depth = 0;
-      for (size_t m = k + 2; m < close; ++m) {
-        const Token& u = toks[code[m]];
-        if (IsPunct(u, "(") || IsPunct(u, "[") || IsPunct(u, "{")) {
-          ++depth;
-        } else if (IsPunct(u, ")") || IsPunct(u, "]") || IsPunct(u, "}")) {
-          --depth;
-        } else if (depth == 0 && IsPunct(u, ",")) {
-          arg2 = m + 1;
-          break;
-        }
-      }
-      steps.push_back({FirstFieldIdent(toks, code, arg2, close),
-                       t.text.substr(6), t.line});
-      k = close;
-    }
-  }
-}
-
-void ExtractDecodeSteps(const std::vector<Token>& toks,
-                        const std::vector<size_t>& code, const FuncSpan& fs,
-                        std::vector<SerdeStep>& steps) {
-  // Statement-based: the target field comes from the `lhs = ...` member
-  // chain, the ops from reader calls in the statement.
-  std::vector<size_t> stmt;
-  auto flush = [&]() {
-    if (stmt.empty()) {
-      return;
-    }
-    // Split at a top-level "=" (not "==").
-    size_t eq = stmt.size();
-    int depth = 0;
-    for (size_t x = 0; x < stmt.size(); ++x) {
-      const Token& u = toks[code[stmt[x]]];
-      if (IsPunct(u, "(") || IsPunct(u, "[") || IsPunct(u, "{")) {
-        ++depth;
-      } else if (IsPunct(u, ")") || IsPunct(u, "]") || IsPunct(u, "}")) {
-        --depth;
-      } else if (depth == 0 && IsPunct(u, "=")) {
-        eq = x;
-        break;
-      }
-    }
-    // Field: `obj.field = ...` / `obj->field = ...`; locals yield "".
-    std::string field;
-    if (eq != stmt.size() && eq >= 2) {
-      const Token& lhs = toks[code[stmt[eq - 1]]];
-      const Token& sep = toks[code[stmt[eq - 2]]];
-      if (lhs.kind == TokKind::kIdent &&
-          (IsPunct(sep, ".") || IsPunct(sep, "->"))) {
-        field = lhs.text;
-      }
-    }
-    const size_t rhs = eq == stmt.size() ? 0 : eq + 1;
-    for (size_t x = rhs; x < stmt.size(); ++x) {
-      const Token& t = toks[code[stmt[x]]];
-      if (t.kind != TokKind::kIdent || x + 1 >= stmt.size() ||
-          !IsPunct(toks[code[stmt[x + 1]]], "(")) {
-        continue;
-      }
-      const bool dotted =
-          x > 0 && (IsPunct(toks[code[stmt[x - 1]]], ".") ||
-                    IsPunct(toks[code[stmt[x - 1]]], "->"));
-      if (WireOps().count(t.text) != 0 && dotted) {
-        steps.push_back({field, NormalizeOp(t.text), t.line});
-      } else if (t.text == "DecodeFrom") {
-        steps.push_back({field, "nested", t.line});
-      } else if (t.text.size() > 6 && t.text.compare(0, 6, "Decode") == 0 &&
-                 !dotted) {
-        steps.push_back({field, t.text.substr(6), t.line});
-      }
-    }
-    stmt.clear();
-  };
-  for (size_t k = fs.open_code + 1; k < fs.close_code; ++k) {
-    const Token& t = toks[code[k]];
-    if (t.kind == TokKind::kPunct &&
-        (t.text == ";" || t.text == "{" || t.text == "}")) {
-      flush();
-    } else {
-      stmt.push_back(k);
-    }
-  }
-  flush();
-}
-
-void IndexSerdeBodies(const std::string& path, const std::vector<Token>& toks,
-                      const std::vector<size_t>& code, const Annotations& ann,
-                      const std::vector<FuncSpan>& spans,
-                      const std::vector<ClassSpan>& classes,
-                      SymbolIndex& index) {
-  for (const FuncSpan& fs : spans) {
-    const std::string method = SerdeMethodOf(SpanFuncName(toks, code, fs));
-    if (method.empty()) {
-      continue;
-    }
-    const std::string owner = SpanOwner(toks, code, fs, classes);
-    if (owner.empty()) {
-      continue;  // free Encode/Decode helpers are not paired by R8
-    }
-    const int header_line = toks[code[fs.header_code]].line;
-    SerdeBody body;
-    body.file = path;
-    body.line = header_line;
-    body.allowed = ann.Allowed(header_line, "R8") ||
-                   ann.Allowed(fs.start_line, "R8");
-    if (method == "Encode" || method == "EncodeTo") {
-      ExtractEncodeSteps(toks, code, fs, body.steps);
-    } else {
-      ExtractDecodeSteps(toks, code, fs, body.steps);
-    }
-    SerdeInfo& info = index.serde[owner];
-    if (method == "Encode") {
-      info.encode = body;
-    } else if (method == "Decode") {
-      info.decode = body;
-    } else if (method == "EncodeTo") {
-      info.encode_to = body;
-    } else {
-      info.decode_from = body;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// R8 — serde field-order symmetry over the index
-// ---------------------------------------------------------------------------
-
-void CompareSerdePair(const std::string& owner, const char* pair_name,
-                      const SerdeBody& enc, const SerdeBody& dec,
-                      std::vector<Finding>& out) {
-  if (enc.line == 0 || dec.line == 0 || enc.allowed || dec.allowed) {
-    return;  // missing halves are R4's findings, not R8's
-  }
-  const size_t n = std::min(enc.steps.size(), dec.steps.size());
-  for (size_t i = 0; i < n; ++i) {
-    const SerdeStep& e = enc.steps[i];
-    const SerdeStep& d = dec.steps[i];
-    const bool op_mismatch = e.op != d.op;
-    const bool field_mismatch =
-        !e.field.empty() && !d.field.empty() && e.field != d.field;
-    if (!op_mismatch && !field_mismatch) {
-      continue;
-    }
-    auto describe = [](const SerdeStep& s) {
-      return (s.field.empty() ? std::string("<expr>") : "`" + s.field + "`") +
-             " (" + s.op + ")";
-    };
-    out.push_back(
-        {"R8", dec.file, d.line,
-         owner + " " + pair_name + " disagree at wire field " +
-             std::to_string(i + 1) + ": decode reads " + describe(d) +
-             " where encode writes " + describe(e) + " (" + enc.file + ":" +
-             std::to_string(e.line) +
-             "); reordered or retyped fields corrupt the wire"});
-    return;  // one finding per pair; later steps are all shifted anyway
-  }
-  if (enc.steps.size() != dec.steps.size()) {
-    out.push_back(
-        {"R8", dec.file, dec.line,
-         owner + " " + pair_name + " are asymmetric: encode writes " +
-             std::to_string(enc.steps.size()) + " wire fields but decode reads " +
-             std::to_string(dec.steps.size()) + " (" + enc.file + ":" +
-             std::to_string(enc.line) +
-             "); a skipped field desynchronizes every later read"});
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -487,31 +226,6 @@ void IndexSource(const std::string& path, const std::string& src,
   std::vector<FuncSpan> spans = FunctionSpans(toks, code);
   std::vector<ClassSpan> classes = ClassSpans(toks, code);
   IndexClassMembers(path, toks, code, ann, spans, classes, index);
-  if (ClassifyPath(path).r8) {
-    IndexSerdeBodies(path, toks, code, ann, spans, classes, index);
-  }
-}
-
-std::vector<Finding> AnalyzeIndex(const SymbolIndex& index) {
-  std::vector<Finding> out;
-  for (const auto& [owner, info] : index.serde) {
-    CompareSerdePair(owner, "Encode/Decode", info.encode, info.decode, out);
-    CompareSerdePair(owner, "EncodeTo/DecodeFrom", info.encode_to,
-                     info.decode_from, out);
-  }
-  std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
-    if (a.file != b.file) {
-      return a.file < b.file;
-    }
-    if (a.line != b.line) {
-      return a.line < b.line;
-    }
-    if (a.rule != b.rule) {
-      return a.rule < b.rule;
-    }
-    return a.message < b.message;
-  });
-  return out;
 }
 
 }  // namespace sdr::lint

@@ -3,9 +3,9 @@
 // A self-contained static analyzer (own tokenizer, no libclang) that
 // enforces invariants the compiler cannot check but the paper's guarantees
 // depend on. Since v2 it is a two-pass, repo-wide analyzer: pass 1 builds a
-// cross-translation-unit SymbolIndex (protocol enums, annotated members,
-// Encode/Decode body shapes); pass 2 runs rule families over each file plus
-// index-wide checks. Rules are named and individually suppressible:
+// cross-translation-unit SymbolIndex (protocol enums, annotated members);
+// pass 2 runs the rule families over each file against it. Rules are named
+// and individually suppressible:
 //
 //   R1 determinism      — no ambient nondeterminism (rand, random_device,
 //                         wall clocks, clock_gettime/nanosleep, sockets,
@@ -28,11 +28,12 @@
 //                         enumerator and carry no `default:`, so a new
 //                         message type or fault kind fails the lint instead
 //                         of being silently dropped.
-//   R4 serde pairing    — every hand-written Encode/EncodeTo (the protocol
-//                         files, src/merkle, src/trace/export, src/baseline)
-//                         has a matching Decode/DecodeFrom for the same
-//                         struct in the same file. Wire types declared with
-//                         SDR_WIRE_FIELDS have one codec and nothing to pair.
+//   R4 one codec        — the codec's reader class is named only in
+//                         src/util/serde.{h,cc}: every decoder is a type's
+//                         SDR_WIRE_FIELDS list, whose encoder the same list
+//                         generates, so no hand-written decoder can drift
+//                         from its encoder. Byte builders that only use
+//                         Writer (hash preimages) have no decoder and pass.
 //   R5 constant-time    — in src/crypto, values tagged `// sdrlint:secret`
 //                         must not reach branch conditions, ==/!= compares,
 //                         memcmp, or array subscripts; `// sdrlint:public`
@@ -54,11 +55,9 @@
 //                         taken from temporaries (`MakeX().view()`),
 //                         returned over function-local buffers, or captured
 //                         by reference into deferred callbacks are flagged.
-//   R8 serde symmetry   — extends R4 from name pairing to body analysis:
-//                         the field write sequence in Encode/EncodeTo must
-//                         match the field read sequence in the paired
-//                         Decode/DecodeFrom, so a reordered or skipped
-//                         field fails lint instead of corrupting the wire.
+//
+// R8 (serde field-order symmetry) is retired and its id is not reused: with
+// one codec there is no hand-written encode/decode pair left to compare.
 //
 // Annotation grammar (in any comment, same line or a comment-only line
 // directly above the code it governs):
@@ -111,7 +110,7 @@ std::vector<Token> Tokenize(const std::string& src);
 // ---------------------------------------------------------------------------
 
 struct Finding {
-  std::string rule;  // "R1".."R8"
+  std::string rule;  // "R1".."R7"
   std::string file;
   int line = 0;
   std::string message;
@@ -122,11 +121,10 @@ struct FileClass {
   bool r1 = false;  // determinism domain: src/sim, src/core, src/chaos
   bool r2 = true;   // everywhere
   bool r3 = true;   // everywhere
-  bool r4 = false;  // hand-written serde files; see ClassifyPath
   bool r5 = false;  // src/crypto
   bool r6 = true;   // everywhere (annotation-driven)
   bool r7 = true;   // everywhere (BytesView/Payload lifetime)
-  bool r8 = false;  // serde-body domain; see ClassifyPath
+  // R4 runs everywhere but in the codec itself, src/util/serde.{h,cc}.
 };
 
 FileClass ClassifyPath(const std::string& path);
@@ -157,33 +155,12 @@ struct ClassInfo {
   std::map<std::string, MemberAnn> members;  // annotated members only
 };
 
-// One field access in an Encode/Decode body, in statement order.
-struct SerdeStep {
-  std::string field;  // "" when the field name is not recoverable
-  std::string op;     // "U8", "Blob", "nested", helper suffix, ...
-  int line = 0;
-};
-
-struct SerdeBody {
-  std::string file;
-  int line = 0;  // 0 == absent
-  bool allowed = false;  // sdrlint:allow(R8) on the definition
-  std::vector<SerdeStep> steps;
-};
-
-// The four serde methods of one struct (any may be absent).
-struct SerdeInfo {
-  SerdeBody encode, decode, encode_to, decode_from;
-};
-
 struct SymbolIndex {
   EnumRegistry enums;
   std::map<std::string, ClassInfo> classes;  // class name -> annotations
-  std::map<std::string, SerdeInfo> serde;    // struct name -> bodies
 };
 
-// Pass 1 over one file: protocol enums, annotated members, and (for files
-// in the serde-body domain) Encode/Decode field sequences.
+// Pass 1 over one file: protocol enums and annotated members.
 void IndexSource(const std::string& path, const std::string& src,
                  SymbolIndex& index);
 
@@ -192,10 +169,6 @@ std::vector<Finding> AnalyzeSource(const std::string& path,
                                    const std::string& src,
                                    const FileClass& fc,
                                    const SymbolIndex& index);
-
-// Pass 2, index-wide: rules that need every translation unit at once
-// (R8 serde field-order symmetry). Findings point at the Decode side.
-std::vector<Finding> AnalyzeIndex(const SymbolIndex& index);
 
 // ---------------------------------------------------------------------------
 // Baseline and JSON report

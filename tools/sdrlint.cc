@@ -20,10 +20,9 @@ int main(int argc, char** argv) {
           "  --json=FILE        write a machine-readable findings report\n"
           "  --update_baseline  rewrite --baseline FILE from this run\n"
           "Rules: R1 determinism, R2 ordered-output, R3 switch\n"
-          "exhaustiveness over protocol enums, R4 serde pairing,\n"
-          "R5 constant-time discipline, R6 thread confinement & lock\n"
-          "discipline, R7 BytesView lifetime, R8 serde field-order\n"
-          "symmetry. See docs/ANALYSIS.md.\n");
+          "exhaustiveness over protocol enums, R4 one codec, R5\n"
+          "constant-time discipline, R6 thread confinement & lock\n"
+          "discipline, R7 BytesView lifetime. See docs/ANALYSIS.md.\n");
       return 0;
     }
     if (arg.rfind("--baseline=", 0) == 0) {
