@@ -1,4 +1,4 @@
-#include "src/broadcast/bft_order.h"
+#include "bench/baselines/bft_order.h"
 
 #include <cassert>
 

@@ -13,8 +13,8 @@
 // *common-case* cost, which is what the paper's efficiency argument rests
 // on; a primary crash therefore halts this broadcast (documented
 // limitation, matching the scope of the comparison).
-#ifndef SDR_SRC_BROADCAST_BFT_ORDER_H_
-#define SDR_SRC_BROADCAST_BFT_ORDER_H_
+#ifndef SDR_BENCH_BASELINES_BFT_ORDER_H_
+#define SDR_BENCH_BASELINES_BFT_ORDER_H_
 
 #include <cstdint>
 #include <functional>
@@ -136,4 +136,4 @@ class BftOrderBroadcast {
 
 }  // namespace sdr
 
-#endif  // SDR_SRC_BROADCAST_BFT_ORDER_H_
+#endif  // SDR_BENCH_BASELINES_BFT_ORDER_H_

@@ -1,4 +1,4 @@
-#include "src/merkle/merkle_tree.h"
+#include "bench/baselines/merkle_tree.h"
 
 #include <algorithm>
 

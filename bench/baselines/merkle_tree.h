@@ -6,8 +6,8 @@
 // Leaves are H(0x00 || key || value) in key order; internal nodes are
 // H(0x01 || left || right); an odd node at the end of a level is promoted
 // unchanged. The empty tree has root H(0x02).
-#ifndef SDR_SRC_MERKLE_MERKLE_TREE_H_
-#define SDR_SRC_MERKLE_MERKLE_TREE_H_
+#ifndef SDR_BENCH_BASELINES_MERKLE_TREE_H_
+#define SDR_BENCH_BASELINES_MERKLE_TREE_H_
 
 #include <optional>
 #include <string>
@@ -86,4 +86,4 @@ class MerkleTree {
 
 }  // namespace sdr
 
-#endif  // SDR_SRC_MERKLE_MERKLE_TREE_H_
+#endif  // SDR_BENCH_BASELINES_MERKLE_TREE_H_

@@ -1,8 +1,9 @@
 // Wire messages the two related-work baselines share. Each payload is the
 // baseline's own message-type byte, then one of these field lists
-// (WireEncodeTagged), so the baselines need no codec of their own.
-#ifndef SDR_SRC_BASELINE_MESSAGES_H_
-#define SDR_SRC_BASELINE_MESSAGES_H_
+// (WireEncodeTagged, WireDecodeTagged), so the baselines need no codec of
+// their own.
+#ifndef SDR_BENCH_BASELINES_MESSAGES_H_
+#define SDR_BENCH_BASELINES_MESSAGES_H_
 
 #include <cstdint>
 
@@ -11,6 +12,15 @@
 #include "src/util/serde.h"
 
 namespace sdr {
+
+// The body of a tagged message decoded as T, when its first byte is `tag`.
+template <typename T>
+Result<T> WireDecodeTagged(uint8_t tag, BytesView payload) {
+  if (payload.empty() || payload[0] != tag) {
+    return Error(ErrorCode::kCorrupt, "unexpected message type");
+  }
+  return WireDecode<T>(payload.substr(1));
+}
 
 // A query sent for execution: to the state-signing master (every query but
 // a point read) or to each SMR replica of the quorum.
@@ -29,4 +39,4 @@ struct BaselineReadReply {
 
 }  // namespace sdr
 
-#endif  // SDR_SRC_BASELINE_MESSAGES_H_
+#endif  // SDR_BENCH_BASELINES_MESSAGES_H_

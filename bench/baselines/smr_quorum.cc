@@ -1,4 +1,4 @@
-#include "src/baseline/smr_quorum.h"
+#include "bench/baselines/smr_quorum.h"
 
 namespace sdr {
 

@@ -8,14 +8,14 @@
 //   - each request consumes (2f+1)x the execution resources,
 //   - the client-observed latency is set by the (f+1)-th matching reply,
 //     i.e. effectively by the slower members of the quorum.
-#ifndef SDR_SRC_BASELINE_SMR_QUORUM_H_
-#define SDR_SRC_BASELINE_SMR_QUORUM_H_
+#ifndef SDR_BENCH_BASELINES_SMR_QUORUM_H_
+#define SDR_BENCH_BASELINES_SMR_QUORUM_H_
 
 #include <map>
 #include <memory>
 #include <vector>
 
-#include "src/baseline/messages.h"
+#include "bench/baselines/messages.h"
 #include "src/core/config.h"
 #include "src/core/service_queue.h"
 #include "src/runtime/env.h"
@@ -98,4 +98,4 @@ class QrClient : public Node {
 
 }  // namespace sdr
 
-#endif  // SDR_SRC_BASELINE_SMR_QUORUM_H_
+#endif  // SDR_BENCH_BASELINES_SMR_QUORUM_H_

@@ -1,4 +1,4 @@
-#include "src/baseline/state_signing.h"
+#include "bench/baselines/state_signing.h"
 
 namespace sdr {
 

@@ -12,17 +12,17 @@
 // The node set mirrors the core system so benchmark comparisons are
 // apples-to-apples: one signing master (+ optional peers), slaves serving
 // GETs, clients that route by query class.
-#ifndef SDR_SRC_BASELINE_STATE_SIGNING_H_
-#define SDR_SRC_BASELINE_STATE_SIGNING_H_
+#ifndef SDR_BENCH_BASELINES_STATE_SIGNING_H_
+#define SDR_BENCH_BASELINES_STATE_SIGNING_H_
 
 #include <map>
 #include <memory>
 #include <optional>
 
-#include "src/baseline/messages.h"
+#include "bench/baselines/merkle_tree.h"
+#include "bench/baselines/messages.h"
 #include "src/core/config.h"
 #include "src/core/service_queue.h"
-#include "src/merkle/merkle_tree.h"
 #include "src/runtime/env.h"
 #include "src/store/executor.h"
 #include "src/trace/histogram.h"
@@ -178,4 +178,4 @@ class SsClient : public Node {
 
 }  // namespace sdr
 
-#endif  // SDR_SRC_BASELINE_STATE_SIGNING_H_
+#endif  // SDR_BENCH_BASELINES_STATE_SIGNING_H_

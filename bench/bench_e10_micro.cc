@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/baselines/merkle_tree.h"
 #include "src/core/pledge.h"
 #include "src/crypto/ed25519.h"
 #include "src/crypto/ed25519_kernels.h"
@@ -18,10 +19,10 @@
 #include "src/crypto/sha1.h"
 #include "src/crypto/sha2.h"
 #include "src/crypto/sha_kernels.h"
-#include "src/merkle/merkle_tree.h"
 #include "src/store/executor.h"
 #include "src/util/rng.h"
 #include "src/workload/workload.h"
+#include "tests/crypto_oracle.h"
 
 namespace sdr {
 namespace {
@@ -121,9 +122,9 @@ BENCHMARK_CAPTURE(BM_ShaKernel, sha256_ni, sha_internal::Sha256Ni, true)
     ->Arg(64)->Arg(1024)->Arg(16384);
 #endif
 
-// Ed25519's arithmetic kernels, each beside the naive kernel it replaced
-// (ed25519_kernels.h): a 64-byte hash reduced mod L, S = r + k*a mod L, and
-// a field inversion.
+// Ed25519's arithmetic kernels, each beside the oracle's unoptimized one
+// (ed25519_kernels.h, tests/crypto_oracle.h): a 64-byte hash reduced mod
+// L, S = r + k*a mod L, and a field inversion.
 template <void (*Reduce)(uint8_t*, const uint8_t*, size_t)>
 void BM_ScReduce64(benchmark::State& state) {
   Rng rng(18);
@@ -137,7 +138,7 @@ void BM_ScReduce64(benchmark::State& state) {
 }
 BENCHMARK(BM_ScReduce64<ed25519_internal::ScReduceBytesBarrett>)
     ->Name("BM_ScReduce64_barrett");
-BENCHMARK(BM_ScReduce64<ed25519_internal::ScReduceBytesNaive>)
+BENCHMARK(BM_ScReduce64<crypto_oracle::ScReduceBytesNaive>)
     ->Name("BM_ScReduce64_naive");
 
 template <void (*MulAdd)(uint8_t*, const uint8_t*, const uint8_t*,
@@ -154,7 +155,7 @@ void BM_ScMulAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_ScMulAdd<ed25519_internal::ScMulAddBarrett>)
     ->Name("BM_ScMulAdd_barrett");
-BENCHMARK(BM_ScMulAdd<ed25519_internal::ScMulAddNaive>)
+BENCHMARK(BM_ScMulAdd<crypto_oracle::ScMulAddNaive>)
     ->Name("BM_ScMulAdd_naive");
 
 template <ed25519_internal::Fe (*Invert)(const ed25519_internal::Fe&)>
@@ -169,51 +170,33 @@ void BM_FeInvert(benchmark::State& state) {
 }
 BENCHMARK(BM_FeInvert<ed25519_internal::FeInvertSafegcd>)
     ->Name("BM_FeInvert_safegcd");
-BENCHMARK(BM_FeInvert<ed25519_internal::FeInvertFermat>)
+BENCHMARK(BM_FeInvert<crypto_oracle::FeInvertFermat>)
     ->Name("BM_FeInvert_fermat");
 
-// Runs the body with the Ed25519 fast path toggled to `fast`, restoring the
-// previous setting afterwards. Benchmarks run sequentially, so flipping the
-// process-wide flag around one benchmark is safe.
-class FastPathGuard {
- public:
-  explicit FastPathGuard(bool fast) : saved_(Ed25519FastPathEnabled()) {
-    Ed25519SetFastPath(fast);
-  }
-  ~FastPathGuard() { Ed25519SetFastPath(saved_); }
-
- private:
-  bool saved_;
-};
-
-void KeyGenBody(benchmark::State& state, bool fast) {
-  FastPathGuard guard(fast);
+// Each Ed25519 operation beside the oracle's double-and-add version.
+template <Bytes (*PublicKey)(const Bytes&)>
+void BM_KeyGen(benchmark::State& state) {
   Rng rng(5);
   Bytes seed = rng.NextBytes(32);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Ed25519PublicKey(seed));
+    benchmark::DoNotOptimize(PublicKey(seed));
   }
 }
-void BM_Ed25519KeyGen(benchmark::State& state) { KeyGenBody(state, true); }
-BENCHMARK(BM_Ed25519KeyGen);
-void BM_Ed25519KeyGenNaive(benchmark::State& state) {
-  KeyGenBody(state, false);
-}
-BENCHMARK(BM_Ed25519KeyGenNaive);
+BENCHMARK(BM_KeyGen<Ed25519PublicKey>)->Name("BM_Ed25519KeyGen");
+BENCHMARK(BM_KeyGen<crypto_oracle::PublicKeyNaive>)
+    ->Name("BM_Ed25519KeyGenNaive");
 
-void SignBody(benchmark::State& state, bool fast) {
-  FastPathGuard guard(fast);
+template <Bytes (*Sign)(const Bytes&, const Bytes&)>
+void BM_Sign(benchmark::State& state) {
   Rng rng(6);
   Bytes seed = rng.NextBytes(32);
   Bytes msg = rng.NextBytes(256);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Ed25519Sign(seed, msg));
+    benchmark::DoNotOptimize(Sign(seed, msg));
   }
 }
-void BM_Ed25519Sign(benchmark::State& state) { SignBody(state, true); }
-BENCHMARK(BM_Ed25519Sign);
-void BM_Ed25519SignNaive(benchmark::State& state) { SignBody(state, false); }
-BENCHMARK(BM_Ed25519SignNaive);
+BENCHMARK(BM_Sign<Ed25519Sign>)->Name("BM_Ed25519Sign");
+BENCHMARK(BM_Sign<crypto_oracle::SignNaive>)->Name("BM_Ed25519SignNaive");
 
 // Signing with a pre-expanded key (the Signer's steady state): skips the
 // per-call SHA-512 seed expansion and public-key scalar multiplication.
@@ -228,23 +211,20 @@ void BM_Ed25519SignExpanded(benchmark::State& state) {
 }
 BENCHMARK(BM_Ed25519SignExpanded);
 
-void VerifyBody(benchmark::State& state, bool fast) {
-  FastPathGuard guard(fast);
+template <bool (*Verify)(const Bytes&, const Bytes&, const Bytes&)>
+void BM_Verify(benchmark::State& state) {
   Rng rng(7);
   Bytes seed = rng.NextBytes(32);
   Bytes pub = Ed25519PublicKey(seed);
   Bytes msg = rng.NextBytes(256);
   Bytes sig = Ed25519Sign(seed, msg);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Ed25519Verify(pub, msg, sig));
+    benchmark::DoNotOptimize(Verify(pub, msg, sig));
   }
 }
-void BM_Ed25519Verify(benchmark::State& state) { VerifyBody(state, true); }
-BENCHMARK(BM_Ed25519Verify);
-void BM_Ed25519VerifyNaive(benchmark::State& state) {
-  VerifyBody(state, false);
-}
-BENCHMARK(BM_Ed25519VerifyNaive);
+BENCHMARK(BM_Verify<Ed25519Verify>)->Name("BM_Ed25519Verify");
+BENCHMARK(BM_Verify<crypto_oracle::VerifyNaive>)
+    ->Name("BM_Ed25519VerifyNaive");
 
 // Verification against a prepared key: VerifyCache's miss path once the
 // key's table exists. Compare with BM_Ed25519Verify.

@@ -17,8 +17,8 @@
 //     latency gated by the quorum round trips.
 #include <memory>
 
+#include "bench/baselines/bft_order.h"
 #include "bench/bench_util.h"
-#include "src/broadcast/bft_order.h"
 #include "src/core/cluster.h"
 #include "src/trace/histogram.h"
 

@@ -15,9 +15,9 @@
 // and the same query stream.
 #include <memory>
 
+#include "bench/baselines/smr_quorum.h"
+#include "bench/baselines/state_signing.h"
 #include "bench/bench_util.h"
-#include "src/baseline/smr_quorum.h"
-#include "src/baseline/state_signing.h"
 #include "src/core/cluster.h"
 
 namespace sdr {

@@ -613,87 +613,4 @@ Result<Scenario> ParseScenario(const std::string& text) {
   return scenario;
 }
 
-// ---------------------------------------------------------------------------
-// Builder.
-// ---------------------------------------------------------------------------
-
-ChaosEvent& ScenarioBuilder::Push(ChaosEvent::Type type) {
-  ChaosEvent event;
-  event.at = now_;
-  event.type = type;
-  scenario_.events.push_back(event);
-  return scenario_.events.back();
-}
-
-ScenarioBuilder& ScenarioBuilder::Crash(NodeSelector sel) {
-  Push(ChaosEvent::Type::kCrash).a = sel;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::Restart(NodeSelector sel) {
-  Push(ChaosEvent::Type::kRestart).a = sel;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::Partition(NodeSelector a, NodeSelector b) {
-  ChaosEvent& event = Push(ChaosEvent::Type::kPartition);
-  event.a = a;
-  event.b = b;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::Heal(NodeSelector a, NodeSelector b) {
-  ChaosEvent& event = Push(ChaosEvent::Type::kHeal);
-  event.a = a;
-  event.b = b;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::HealAll() {
-  Push(ChaosEvent::Type::kHealAll);
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::SetLink(NodeSelector a, NodeSelector b,
-                                          LinkModel link) {
-  ChaosEvent& event = Push(ChaosEvent::Type::kSetLink);
-  event.a = a;
-  event.b = b;
-  event.link = link;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::SetBehavior(NodeSelector sel,
-                                              BehaviorPatch patch) {
-  ChaosEvent& event = Push(ChaosEvent::Type::kSetBehavior);
-  event.a = sel;
-  event.patch = patch;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::BurstWrites(NodeSelector clients,
-                                              int count) {
-  ChaosEvent& event = Push(ChaosEvent::Type::kBurstWrites);
-  event.a = clients;
-  event.count = count;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::PauseAuditor(NodeSelector sel) {
-  Push(ChaosEvent::Type::kPauseAuditor).a = sel;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::ResumeAuditor(NodeSelector sel) {
-  Push(ChaosEvent::Type::kResumeAuditor).a = sel;
-  return *this;
-}
-
-Scenario ScenarioBuilder::Build() {
-  std::stable_sort(
-      scenario_.events.begin(), scenario_.events.end(),
-      [](const ChaosEvent& x, const ChaosEvent& y) { return x.at < y.at; });
-  return std::move(scenario_);
-}
-
 }  // namespace sdr

@@ -48,10 +48,6 @@ struct NodeSelector {
   // kIndex: the role-local index; kRandom: how many slaves to draw.
   int arg = 0;
 
-  static NodeSelector Index(Role role, int index) {
-    return {role, Pick::kIndex, index};
-  }
-  static NodeSelector All(Role role) { return {role, Pick::kAll, 0}; }
   static NodeSelector Everything() { return {Role::kAll, Pick::kAll, 0}; }
   static NodeSelector RandomSlaves(int k) {
     return {Role::kSlave, Pick::kRandom, k};
@@ -122,32 +118,6 @@ struct Scenario {
 // Parses the grammar above. Statements may appear out of time order; the
 // returned scenario is sorted. Errors name the offending statement.
 Result<Scenario> ParseScenario(const std::string& text);
-
-// Programmatic construction: b.At(10 * kSecond).Crash(...).At(...)...
-class ScenarioBuilder {
- public:
-  ScenarioBuilder& At(SimTime t) {
-    now_ = t;
-    return *this;
-  }
-  ScenarioBuilder& Crash(NodeSelector sel);
-  ScenarioBuilder& Restart(NodeSelector sel);
-  ScenarioBuilder& Partition(NodeSelector a, NodeSelector b);
-  ScenarioBuilder& Heal(NodeSelector a, NodeSelector b);
-  ScenarioBuilder& HealAll();
-  ScenarioBuilder& SetLink(NodeSelector a, NodeSelector b, LinkModel link);
-  ScenarioBuilder& SetBehavior(NodeSelector sel, BehaviorPatch patch);
-  ScenarioBuilder& BurstWrites(NodeSelector clients, int count);
-  ScenarioBuilder& PauseAuditor(NodeSelector sel);
-  ScenarioBuilder& ResumeAuditor(NodeSelector sel);
-
-  Scenario Build();  // stable-sorts by event time
-
- private:
-  ChaosEvent& Push(ChaosEvent::Type type);
-  SimTime now_ = 0;
-  Scenario scenario_;
-};
 
 // "10s" / "250ms" / "1.5s" — the canonical rendering ParseScenario accepts.
 std::string FormatSimTime(SimTime t);

@@ -2,18 +2,6 @@
 
 namespace sdr {
 
-const char* RoleName(Role role) {
-  switch (role) {
-    case Role::kMaster:
-      return "master";
-    case Role::kSlave:
-      return "slave";
-    case Role::kAuditor:
-      return "auditor";
-  }
-  return "?";
-}
-
 Certificate IssueCertificate(const Signer& issuer, NodeId subject, Role role,
                              const Bytes& subject_public_key) {
   Certificate cert;

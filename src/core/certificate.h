@@ -28,7 +28,6 @@ enum class Role : uint8_t {
   kAuditor = 2,
 };
 
-const char* RoleName(Role role);
 constexpr Role WireEnumLast(Role) { return Role::kAuditor; }
 
 struct Certificate {

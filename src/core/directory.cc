@@ -30,7 +30,6 @@ void Directory::HandleMessage(NodeId from, const Payload& payload) {
       reply.found = true;
       reply.placement = it->second;
     }
-    ++placement_lookups_served_;
     env()->Send(from,
                 WithType(MsgType::kPlacementReply, reply.Encode()));
     return;

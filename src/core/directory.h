@@ -31,15 +31,11 @@ class Directory : public Node {
   void HandleMessage(NodeId from, const Payload& payload) override;
 
   uint64_t lookups_served() const { return lookups_served_; }
-  uint64_t placement_lookups_served() const {
-    return placement_lookups_served_;
-  }
 
  private:
   std::map<Bytes, std::vector<Certificate>> by_content_;
   std::map<Bytes, ShardPlacement> placement_by_content_;
   uint64_t lookups_served_ = 0;
-  uint64_t placement_lookups_served_ = 0;
 };
 
 }  // namespace sdr

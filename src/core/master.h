@@ -74,6 +74,7 @@ class Master : public Node {
     return metrics_;
   }
   const Bytes& public_key() const { return signer_.public_key(); }
+  // sdrlint:allow(R9 tests compare read sets across runtimes)
   std::vector<Certificate> my_slave_certs() const {
     std::vector<Certificate> certs;
     for (const auto& [slave_id, state] : my_slaves_) {
@@ -81,6 +82,7 @@ class Master : public Node {
     }
     return certs;
   }
+  // sdrlint:allow(R9 tests and E9 check slave adoption after failover)
   std::vector<NodeId> my_slave_ids() const {
     std::vector<NodeId> ids;
     for (const auto& [slave_id, state] : my_slaves_) {
@@ -89,8 +91,7 @@ class Master : public Node {
     return ids;
   }
   bool IsExcluded(NodeId slave) const { return excluded_.count(slave) > 0; }
-  const ServiceQueue& service_queue() const { return *queue_; }
-  size_t assigned_clients() const { return client_slaves_.size(); }
+  // sdrlint:allow(R9 tests check failure detection)
   const std::set<NodeId>& dead_masters() const { return dead_masters_; }
 
  private:

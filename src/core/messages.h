@@ -4,8 +4,8 @@
 //
 // To add a message: give it the next free MsgType, declare its fields, and
 // end the struct with SDR_WIRE_FIELDS(Name, field, ...) listing them in
-// wire order (src/util/serde.h). That one line is its Encode, Decode,
-// EncodeTo and DecodeFrom; a signed message adds
+// wire order (src/util/serde.h). That one line is its Encode, Decode and
+// EncodeTo; a signed message adds
 //   Bytes SignedBody() const { return WireSignedBody(*this, "sdr-...-v1"); }
 // with a fresh domain tag, and every listed field but `signature` and
 // `trace_id` is signed. Add the type and a golden instance of it to

@@ -5,6 +5,20 @@
 
 namespace sdr {
 
+namespace {
+
+// One signature check, through the cache when one is given.
+bool VerifyThrough(VerifyCache* cache, SignatureScheme scheme,
+                   const Bytes& public_key, const Bytes& body,
+                   const Bytes& signature) {
+  if (cache == nullptr) {
+    return VerifySignature(scheme, public_key, body, signature);
+  }
+  return cache->Verify(scheme, public_key, body, signature);
+}
+
+}  // namespace
+
 VersionToken MakeVersionToken(const Signer& master_signer, NodeId master,
                               uint64_t version, SimTime now) {
   VersionToken t;
@@ -16,9 +30,9 @@ VersionToken MakeVersionToken(const Signer& master_signer, NodeId master,
 }
 
 bool VerifyVersionToken(SignatureScheme scheme, const Bytes& master_public_key,
-                        const VersionToken& token) {
-  return VerifySignature(scheme, master_public_key, token.SignedBody(),
-                         token.signature);
+                        const VersionToken& token, VerifyCache* cache) {
+  return VerifyThrough(cache, scheme, master_public_key, token.SignedBody(),
+                       token.signature);
 }
 
 bool TokenIsFresh(const VersionToken& token, SimTime now,
@@ -38,28 +52,9 @@ Pledge MakePledge(const Signer& slave_signer, NodeId slave, const Query& query,
 }
 
 bool VerifyPledgeSignature(SignatureScheme scheme,
-                           const Bytes& slave_public_key,
-                           const Pledge& pledge) {
-  return VerifySignature(scheme, slave_public_key, pledge.SignedBody(),
-                         pledge.signature);
-}
-
-bool VerifyVersionToken(SignatureScheme scheme, const Bytes& master_public_key,
-                        const VersionToken& token, VerifyCache* cache) {
-  if (cache == nullptr) {
-    return VerifyVersionToken(scheme, master_public_key, token);
-  }
-  return cache->Verify(scheme, master_public_key, token.SignedBody(),
-                       token.signature);
-}
-
-bool VerifyPledgeSignature(SignatureScheme scheme,
                            const Bytes& slave_public_key, const Pledge& pledge,
                            VerifyCache* cache) {
-  if (cache == nullptr) {
-    return VerifyPledgeSignature(scheme, slave_public_key, pledge);
-  }
-  return cache->Verify(scheme, slave_public_key, pledge.SignedBody(),
+  return VerifyThrough(cache, scheme, slave_public_key, pledge.SignedBody(),
                        pledge.signature);
 }
 
@@ -78,11 +73,7 @@ BatchCommit MakeBatchCommit(const Signer& master_signer, NodeId master,
 
 bool VerifyBatchCommit(SignatureScheme scheme, const Bytes& master_public_key,
                        const BatchCommit& commit, VerifyCache* cache) {
-  if (cache == nullptr) {
-    return VerifySignature(scheme, master_public_key, commit.SignedBody(),
-                           commit.signature);
-  }
-  return cache->Verify(scheme, master_public_key, commit.SignedBody(),
+  return VerifyThrough(cache, scheme, master_public_key, commit.SignedBody(),
                        commit.signature);
 }
 

@@ -40,8 +40,13 @@ struct VersionToken {
 VersionToken MakeVersionToken(const Signer& master_signer, NodeId master,
                               uint64_t version, SimTime now);
 
+// Checks the master's signature over the token. With a cache, repeated
+// verifications of the same bytes (the usual case for version tokens,
+// which masters attach unchanged to every pledge until the next keepalive)
+// cost one lookup.
 bool VerifyVersionToken(SignatureScheme scheme, const Bytes& master_public_key,
-                        const VersionToken& token);
+                        const VersionToken& token,
+                        VerifyCache* cache = nullptr);
 
 // Freshness predicate (Section 3.2): accepted only when the token is no
 // older than max_latency at local time `now`.
@@ -63,22 +68,16 @@ struct Pledge {
   bool operator==(const Pledge&) const = default;
 };
 
+// sdrlint:allow(R9 the one-call constructor tests and E10 build signed pledges
+// with; Slave builds its pledge in place so a memo hit reuses the signature)
 Pledge MakePledge(const Signer& slave_signer, NodeId slave, const Query& query,
                   const Bytes& result_sha1, const VersionToken& token);
 
 // Checks the slave's signature only (token checked separately, since it
-// needs the master key).
-bool VerifyPledgeSignature(SignatureScheme scheme,
-                           const Bytes& slave_public_key, const Pledge& pledge);
-
-// Cache-aware variants: with a non-null cache, repeated verifications of
-// the same bytes (the usual case for version tokens, which masters attach
-// unchanged to every pledge until the next keepalive) cost one lookup.
-bool VerifyVersionToken(SignatureScheme scheme, const Bytes& master_public_key,
-                        const VersionToken& token, VerifyCache* cache);
+// needs the master key), through the cache when one is given.
 bool VerifyPledgeSignature(SignatureScheme scheme,
                            const Bytes& slave_public_key, const Pledge& pledge,
-                           VerifyCache* cache);
+                           VerifyCache* cache = nullptr);
 
 // Verifies both signatures carried by one pledge — the slave's over the
 // pledge body, then the master's over the embedded token — through the

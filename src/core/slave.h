@@ -99,7 +99,6 @@ class Slave : public Node {
     metrics_.sig_cache_keys_prepared = verify_cache_.stats().keys_prepared;
     return metrics_;
   }
-  const ServiceQueue& service_queue() const { return *queue_; }
   const DocumentStore& store() const { return store_; }
 
  private:

@@ -13,8 +13,6 @@ using namespace ed25519_internal;
 
 namespace {
 
-bool g_fast_path = true;
-
 // ---------------------------------------------------------------------------
 // Field arithmetic mod p = 2^255 - 19. Elements are 5 limbs of 51 bits.
 // ---------------------------------------------------------------------------
@@ -180,22 +178,6 @@ void FeFreeze(uint64_t w[4], const Fe& a) {
   w[1] = (t.v[1] >> 13) | (t.v[2] << 38);
   w[2] = (t.v[2] >> 26) | (t.v[3] << 25);
   w[3] = (t.v[3] >> 39) | (t.v[4] << 12);
-}
-
-// base^e where e is given as 32 little-endian bytes.
-Fe FePow(const Fe& base, const uint8_t e[32]) {
-  Fe result = FeOne();
-  bool started = false;
-  for (int bit = 255; bit >= 0; --bit) {
-    if (started) {
-      result = FeSq(result);
-    }
-    if ((e[bit / 8] >> (bit % 8)) & 1) {
-      result = started ? FeMul(result, base) : base;
-      started = true;
-    }
-  }
-  return started ? result : FeOne();
 }
 
 Fe FeSqN(Fe x, int n) {
@@ -387,14 +369,19 @@ void FeToBytes(uint8_t out[32], const Fe& a) {
   }
 }
 
-// a^(p-2) = a^(2^255 - 21), by the generic square-and-multiply: the naive
-// path's inversion, a faithful cost and correctness baseline for safegcd.
-Fe FeInvertFermat(const Fe& a) {
-  static const uint8_t kPrimeMinus2[32] = {
-      0xeb, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f};
-  return FePow(a, kPrimeMinus2);
+Fe FePow(const Fe& base, const uint8_t e[32]) {
+  Fe result = FeOne();
+  bool started = false;
+  for (int bit = 255; bit >= 0; --bit) {
+    if (started) {
+      result = FeSq(result);
+    }
+    if ((e[bit / 8] >> (bit % 8)) & 1) {
+      result = started ? FeMul(result, base) : base;
+      started = true;
+    }
+  }
+  return started ? result : FeOne();
 }
 
 Fe FeInvertSafegcd(const Fe& a /* sdrlint:secret */) {
@@ -458,36 +445,6 @@ Fe FeNeg(const Fe& a) {
   return FeSub(FeZero(), a);
 }
 
-Fe FeInvert(const Fe& a) {
-  return g_fast_path ? FeInvertSafegcd(a) : FeInvertFermat(a);
-}
-
-// a^((p-5)/8) = a^(2^252 - 3), the square root's power in point
-// decompression. The fast path's addition chain (ref10) spends 252
-// squarings and 11 multiplications, against ~500 field operations for the
-// generic FePow: (2^250 - 1) * 2^2 + 1 = 2^252 - 3.
-Fe FePow2523(const Fe& z) {
-  if (!g_fast_path) {
-    static const uint8_t kP58[32] = {
-        0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f};
-    return FePow(z, kP58);
-  }
-  Fe z2 = FeSq(z);
-  Fe z9 = FeMul(FeSq(FeSq(z2)), z);
-  Fe z11 = FeMul(z9, z2);
-  Fe z2_5_0 = FeMul(FeSq(z11), z9);
-  Fe z2_10_0 = FeMul(FeSqN(z2_5_0, 5), z2_5_0);
-  Fe z2_20_0 = FeMul(FeSqN(z2_10_0, 10), z2_10_0);
-  Fe z2_40_0 = FeMul(FeSqN(z2_20_0, 20), z2_20_0);
-  Fe z2_50_0 = FeMul(FeSqN(z2_40_0, 10), z2_10_0);
-  Fe z2_100_0 = FeMul(FeSqN(z2_50_0, 50), z2_50_0);
-  Fe z2_200_0 = FeMul(FeSqN(z2_100_0, 100), z2_100_0);
-  Fe z2_250_0 = FeMul(FeSqN(z2_200_0, 50), z2_50_0);
-  return FeMul(FeSqN(z2_250_0, 2), z);
-}
-
 // Lazily derived curve constants.
 struct Constants {
   Fe d;        // -121665/121666
@@ -507,7 +464,7 @@ const Constants& GetConstants() {
     Constants k;
     Fe num = FeNeg(FeFromU64(121665));
     Fe den = FeFromU64(121666);
-    k.d = FeMul(num, FeInvert(den));
+    k.d = FeMul(num, FeInvertSafegcd(den));
     k.d2 = FeAdd(k.d, k.d);
     FeCarry(k.d2);
     // sqrt(-1) = 2^((p-1)/4), (p-1)/4 = 2^253 - 5.
@@ -526,10 +483,6 @@ const Constants& GetConstants() {
 // T = XY/Z on -x^2 + y^2 = 1 + d x^2 y^2.
 // ---------------------------------------------------------------------------
 
-struct Point {
-  Fe x, y, z, t;
-};
-
 // A point prepared for repeated addition: (Y+X, Y-X, Z, 2dT). Saves the
 // per-addition recomputation of those sums and the 2d multiply.
 struct CachedPoint {
@@ -545,26 +498,6 @@ struct PrecompPoint {
 
 Point PointIdentity() {
   return Point{FeZero(), FeOne(), FeOne(), FeZero()};
-}
-
-// Unified addition (add-2008-hwcd-3); also correct for doubling.
-Point PointAdd(const Point& p, const Point& q) {
-  const Constants& k = GetConstants();
-  Fe a = FeMul(FeSub(p.y, p.x), FeSub(q.y, q.x));
-  Fe b = FeMul(FeAdd(p.y, p.x), FeAdd(q.y, q.x));
-  Fe c = FeMul(FeMul(p.t, k.d2), q.t);
-  Fe zz = FeMul(p.z, q.z);
-  Fe dd = FeAdd(zz, zz);
-  Fe e = FeSub(b, a);
-  Fe f = FeSub(dd, c);
-  Fe g = FeAdd(dd, c);
-  Fe h = FeAdd(b, a);
-  Point r;
-  r.x = FeMul(e, f);
-  r.y = FeMul(g, h);
-  r.t = FeMul(e, h);
-  r.z = FeMul(f, g);
-  return r;
 }
 
 // Dedicated doubling (dbl-2008-hwcd): 4 squarings + 4 multiplications,
@@ -704,24 +637,47 @@ Point PointNeg(const Point& p) {
   return r;
 }
 
-// scalar given as 32 little-endian bytes; plain double-and-add. This is the
-// naive reference ladder, kept as the cross-checking oracle for the
-// precomputed fast path. NOT constant-time: it branches on scalar bits, so
-// it must never see a secret outside the naive reference configuration.
-Point PointScalarMul(const Point& p, const uint8_t scalar[32] /* sdrlint:secret */) {
-  Point r = PointIdentity();
-  for (int bit = 255; bit >= 0; --bit) {
-    r = PointAdd(r, r);
-    // sdrlint:allow(R5) naive reference ladder, non-constant-time by design
-    if ((scalar[bit / 8] >> (bit % 8)) & 1) {
-      r = PointAdd(r, p);
-    }
-  }
+}  // namespace
+
+namespace ed25519_internal {
+
+// ref10's addition chain: 252 squarings and 11 multiplications, against
+// ~500 field operations for the generic FePow. (2^250 - 1) * 2^2 + 1 =
+// 2^252 - 3.
+Fe FePow2523(const Fe& z) {
+  Fe z2 = FeSq(z);
+  Fe z9 = FeMul(FeSq(FeSq(z2)), z);
+  Fe z11 = FeMul(z9, z2);
+  Fe z2_5_0 = FeMul(FeSq(z11), z9);
+  Fe z2_10_0 = FeMul(FeSqN(z2_5_0, 5), z2_5_0);
+  Fe z2_20_0 = FeMul(FeSqN(z2_10_0, 10), z2_10_0);
+  Fe z2_40_0 = FeMul(FeSqN(z2_20_0, 20), z2_20_0);
+  Fe z2_50_0 = FeMul(FeSqN(z2_40_0, 10), z2_10_0);
+  Fe z2_100_0 = FeMul(FeSqN(z2_50_0, 50), z2_50_0);
+  Fe z2_200_0 = FeMul(FeSqN(z2_100_0, 100), z2_100_0);
+  Fe z2_250_0 = FeMul(FeSqN(z2_200_0, 50), z2_50_0);
+  return FeMul(FeSqN(z2_250_0, 2), z);
+}
+
+Point PointAdd(const Point& p, const Point& q) {
+  const Constants& k = GetConstants();
+  Fe a = FeMul(FeSub(p.y, p.x), FeSub(q.y, q.x));
+  Fe b = FeMul(FeAdd(p.y, p.x), FeAdd(q.y, q.x));
+  Fe c = FeMul(FeMul(p.t, k.d2), q.t);
+  Fe zz = FeMul(p.z, q.z);
+  Fe dd = FeAdd(zz, zz);
+  Fe e = FeSub(b, a);
+  Fe f = FeSub(dd, c);
+  Fe g = FeAdd(dd, c);
+  Fe h = FeAdd(b, a);
+  Point r;
+  r.x = FeMul(e, f);
+  r.y = FeMul(g, h);
+  r.t = FeMul(e, h);
+  r.z = FeMul(f, g);
   return r;
 }
 
-// Compression with an externally supplied 1/Z, for sharing one field
-// inversion across several compressions.
 void CompressWithZInv(uint8_t out[32], const Point& p, const Fe& zinv) {
   Fe x = FeMul(p.x, zinv);
   Fe y = FeMul(p.y, zinv);
@@ -731,29 +687,6 @@ void CompressWithZInv(uint8_t out[32], const Point& p, const Fe& zinv) {
   }
 }
 
-void PointCompress(uint8_t out[32], const Point& p) {
-  CompressWithZInv(out, p, FeInvert(p.z));
-}
-
-// True when p is the point r_enc decodes to, without decoding it: compare
-// p's canonical encoding with r_enc after reducing r_enc's y mod p and
-// keeping its sign bit. Decoding r_enc yields y mod p and the x whose
-// parity is the sign bit, and fails when no x exists or the x would be -0
-// (x = 0 with the sign bit set). Both failures make the encodings differ,
-// as does any other point, so the verdict is exactly decode-then-compare's.
-// One inversion replaces decoding's 2^252 - 3 power.
-bool EncodesPoint(const Point& p, const uint8_t r_enc[32]) {
-  uint8_t want[32];
-  FeToBytes(want, FeFromBytes(r_enc));
-  want[31] |= r_enc[31] & 0x80;
-  uint8_t got[32];
-  PointCompress(got, p);
-  // sdrlint:public — canonical encodings of a public point and of the
-  // signature's R.
-  return std::memcmp(got, want, 32) == 0;
-}
-
-// Decompresses a point; returns false for invalid encodings.
 bool PointDecompress(Point& out, const uint8_t in[32]) {
   const Constants& k = GetConstants();
   Fe y = FeFromBytes(in);
@@ -794,7 +727,7 @@ bool PointDecompress(Point& out, const uint8_t in[32]) {
 const Point& BasePoint() {
   static const Point b = [] {
     // y = 4/5, x recovered with even parity.
-    Fe y = FeMul(FeFromU64(4), FeInvert(FeFromU64(5)));
+    Fe y = FeMul(FeFromU64(4), FeInvertSafegcd(FeFromU64(5)));
     uint8_t enc[32];
     FeToBytes(enc, y);  // sign bit 0 => even x
     Point p;
@@ -806,11 +739,42 @@ const Point& BasePoint() {
   return b;
 }
 
+void ClampScalar(uint8_t a[32]) {
+  a[0] &= 248;
+  a[31] &= 127;
+  a[31] |= 64;
+}
+
+}  // namespace ed25519_internal
+
+namespace {
+
+void PointCompress(uint8_t out[32], const Point& p) {
+  CompressWithZInv(out, p, FeInvertSafegcd(p.z));
+}
+
+// True when p is the point r_enc decodes to, without decoding it: compare
+// p's canonical encoding with r_enc after reducing r_enc's y mod p and
+// keeping its sign bit. Decoding r_enc yields y mod p and the x whose
+// parity is the sign bit, and fails when no x exists or the x would be -0
+// (x = 0 with the sign bit set). Both failures make the encodings differ,
+// as does any other point, so the verdict is exactly decode-then-compare's.
+// One inversion replaces decoding's 2^252 - 3 power.
+bool EncodesPoint(const Point& p, const uint8_t r_enc[32]) {
+  uint8_t want[32];
+  FeToBytes(want, FeFromBytes(r_enc));
+  want[31] |= r_enc[31] & 0x80;
+  uint8_t got[32];
+  PointCompress(got, p);
+  // sdrlint:public — canonical encodings of a public point and of the
+  // signature's R.
+  return std::memcmp(got, want, 32) == 0;
+}
+
 // ---------------------------------------------------------------------------
 // Scalar arithmetic mod L = 2^252 + 27742317777372353535851937790883648493.
 // Scalars travel as little-endian byte arrays and are reduced on 64-bit
-// words. The fast path uses Barrett reduction; the naive path keeps the
-// original binary long division as a reference.
+// words by Barrett reduction.
 // ---------------------------------------------------------------------------
 
 struct U256L {
@@ -832,16 +796,6 @@ int CmpL(const U256L& a, const U256L& b) {
     }
   }
   return 0;
-}
-
-void SubL(U256L& a, const U256L& b) {
-  unsigned __int128 borrow = 0;
-  for (int i = 0; i < 4; ++i) {
-    unsigned __int128 d =
-        (unsigned __int128)a.w[i] - b.w[i] - (uint64_t)borrow;
-    a.w[i] = (uint64_t)d;
-    borrow = (d >> 64) & 1;
-  }
 }
 
 // Loads n little-endian 64-bit words from 8n bytes.
@@ -921,29 +875,6 @@ void BarrettReduce(uint8_t out[32], const uint64_t x[8] /* sdrlint:secret */) {
 
 namespace ed25519_internal {
 
-// Binary long division over a 4-limb accumulator.
-void ScReduceBytesNaive(uint8_t out[32], const uint8_t* in, size_t len) {
-  U256L r;
-  for (size_t i = len; i-- > 0;) {
-    for (int bit = 7; bit >= 0; --bit) {
-      // r = r*2 + bit, then conditional subtract.
-      uint64_t carry = 0;
-      for (int w = 0; w < 4; ++w) {
-        uint64_t next_carry = r.w[w] >> 63;
-        r.w[w] = (r.w[w] << 1) | carry;
-        carry = next_carry;
-      }
-      r.w[0] |= (in[i] >> bit) & 1;
-      // After one doubling of a value < L (< 2^253), r < 2^254: no limb
-      // overflow, and at most one subtraction restores r < L.
-      if (carry != 0 || CmpL(r, kOrderL) >= 0) {
-        SubL(r, kOrderL);
-      }
-    }
-  }
-  StoreWords(out, r.w);
-}
-
 void ScReduceBytesBarrett(uint8_t out[32],
                           const uint8_t* in /* sdrlint:secret */,
                           size_t len) {
@@ -955,43 +886,6 @@ void ScReduceBytesBarrett(uint8_t out[32],
   uint64_t x[8];  // sdrlint:secret
   LoadWords(x, padded, 8);
   BarrettReduce(out, x);
-}
-
-// 64-bit limb schoolbook product, then binary reduction.
-void ScMulAddNaive(uint8_t out[32], const uint8_t a[32], const uint8_t b[32],
-                   const uint8_t c[32]) {
-  uint64_t al[4] = {0}, bl[4] = {0};
-  LoadWords(al, a, 4);
-  LoadWords(bl, b, 4);
-  uint64_t prod[8] = {0};
-  for (int i = 0; i < 4; ++i) {
-    unsigned __int128 carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      unsigned __int128 cur =
-          (unsigned __int128)al[i] * bl[j] + prod[i + j] + (uint64_t)carry;
-      prod[i + j] = (uint64_t)cur;
-      carry = cur >> 64;
-    }
-    prod[i + 4] += (uint64_t)carry;
-  }
-  // Add c (256-bit) into the 512-bit product.
-  unsigned __int128 carry = 0;
-  uint64_t cl[4] = {0};
-  LoadWords(cl, c, 4);
-  for (int i = 0; i < 4; ++i) {
-    unsigned __int128 cur = (unsigned __int128)prod[i] + cl[i] + (uint64_t)carry;
-    prod[i] = (uint64_t)cur;
-    carry = cur >> 64;
-  }
-  for (int i = 4; i < 8 && carry != 0; ++i) {
-    unsigned __int128 cur = (unsigned __int128)prod[i] + (uint64_t)carry;
-    prod[i] = (uint64_t)cur;
-    carry = cur >> 64;
-  }
-  uint8_t prod_bytes[64];
-  StoreWords(prod_bytes, prod);
-  StoreWords(prod_bytes + 32, prod + 4);
-  ScReduceBytesNaive(out, prod_bytes, 64);
 }
 
 // a*b + c <= (2^256 - 1)^2 + 2^256 - 1 < 2^512: one Barrett reduction.
@@ -1018,36 +912,11 @@ void ScMulAddBarrett(uint8_t out[32], const uint8_t a[32] /* sdrlint:secret */,
 
 namespace {
 
-// Reduces a little-endian byte string (up to 64 bytes) mod L.
-void ScReduceBytes(uint8_t out[32], const uint8_t* in, size_t len) {
-  if (g_fast_path) {
-    ScReduceBytesBarrett(out, in, len);
-  } else {
-    ScReduceBytesNaive(out, in, len);
-  }
-}
-
-// out = (a*b + c) mod L.
-void ScMulAdd(uint8_t out[32], const uint8_t a[32], const uint8_t b[32],
-              const uint8_t c[32]) {
-  if (g_fast_path) {
-    ScMulAddBarrett(out, a, b, c);
-  } else {
-    ScMulAddNaive(out, a, b, c);
-  }
-}
-
 // True when s (little-endian 32 bytes) < L; rejects malleable signatures.
 bool ScIsCanonical(const uint8_t s[32]) {
   U256L v;
   LoadWords(v.w, s, 4);
   return CmpL(v, kOrderL) < 0;
-}
-
-void ClampScalar(uint8_t a[32]) {
-  a[0] &= 248;
-  a[31] &= 127;
-  a[31] |= 64;
 }
 
 // ---------------------------------------------------------------------------
@@ -1068,7 +937,7 @@ void BatchNormalize(std::vector<Point>& pts) {
     prefix[i] = acc;
     acc = FeMul(acc, pts[i].z);
   }
-  Fe inv = FeInvert(acc);
+  Fe inv = FeInvertSafegcd(acc);
   for (size_t i = n; i-- > 0;) {
     Fe zinv = FeMul(inv, prefix[i]);
     inv = FeMul(inv, pts[i].z);
@@ -1226,7 +1095,7 @@ PrecompPoint SelectBaseDigit(const PrecompPoint row[8],
 }
 
 // a * B via the precomputed table: 64 table additions + 4 doublings instead
-// of the naive 256-double / ~128-add ladder. Constant time in `a`: digit
+// of a 256-double / ~128-add ladder. Constant time in `a`: digit
 // decomposition is pure arithmetic, every table access is a full-row
 // select, and zero digits perform a neutral-element addition rather than
 // skipping. The resulting *point* (a·B — a public key or a signature's R)
@@ -1332,90 +1201,7 @@ Point DoubleScalarMulBaseVartime(const uint8_t a[32], const Point& big_a,
 }
 
 // ---------------------------------------------------------------------------
-// Naive sign/verify (the original reference path).
-// ---------------------------------------------------------------------------
-
-Bytes PublicKeyNaive(const Bytes& seed) {
-  Bytes h = Sha512::Hash(seed);
-  uint8_t a[32];  // sdrlint:secret
-  std::memcpy(a, h.data(), 32);
-  ClampScalar(a);
-  Point p = PointScalarMul(BasePoint(), a);
-  Bytes pub(32);
-  PointCompress(pub.data(), p);
-  return pub;
-}
-
-Bytes SignNaive(const Bytes& seed, const Bytes& message) {
-  Bytes h = Sha512::Hash(seed);
-  uint8_t a[32];  // sdrlint:secret
-  std::memcpy(a, h.data(), 32);
-  ClampScalar(a);
-
-  Bytes pub = PublicKeyNaive(seed);
-
-  // r = SHA512(prefix || M) mod L
-  Sha512 hr;
-  hr.Update(h.data() + 32, 32);
-  hr.Update(message);
-  Bytes r_hash = hr.Final();
-  uint8_t r[32];  // sdrlint:secret
-  ScReduceBytes(r, r_hash.data(), r_hash.size());
-
-  Point rp = PointScalarMul(BasePoint(), r);
-  uint8_t r_enc[32];
-  PointCompress(r_enc, rp);
-
-  // k = SHA512(R || A || M) mod L
-  Sha512 hk;
-  hk.Update(r_enc, 32);
-  hk.Update(pub);
-  hk.Update(message);
-  Bytes k_hash = hk.Final();
-  uint8_t k[32];
-  ScReduceBytes(k, k_hash.data(), k_hash.size());
-
-  // S = (r + k*a) mod L
-  uint8_t s[32];
-  ScMulAdd(s, k, a, r);
-
-  Bytes sig(kEd25519SignatureSize);
-  std::memcpy(sig.data(), r_enc, 32);
-  std::memcpy(sig.data() + 32, s, 32);
-  return sig;
-}
-
-bool VerifyNaive(const Bytes& public_key, const Bytes& message,
-                 const Bytes& signature) {
-  const uint8_t* r_enc = signature.data();
-  const uint8_t* s = signature.data() + 32;
-  Point a_point, r_point;
-  if (!PointDecompress(a_point, public_key.data()) ||
-      !PointDecompress(r_point, r_enc)) {
-    return false;
-  }
-
-  Sha512 hk;
-  hk.Update(r_enc, 32);
-  hk.Update(public_key);
-  hk.Update(message);
-  Bytes k_hash = hk.Final();
-  uint8_t k[32];
-  ScReduceBytes(k, k_hash.data(), k_hash.size());
-
-  // Check [S]B == R + [k]A by comparing compressed encodings.
-  Point sb = PointScalarMul(BasePoint(), s);
-  Point rka = PointAdd(r_point, PointScalarMul(a_point, k));
-  uint8_t e1[32], e2[32];
-  PointCompress(e1, sb);
-  PointCompress(e2, rka);
-  // sdrlint:public — R == R' over canonical point encodings; both sides
-  // derive from the (public) signature and key, not from signing secrets.
-  return std::memcmp(e1, e2, 32) == 0;
-}
-
-// ---------------------------------------------------------------------------
-// Fast sign/verify.
+// Sign/verify.
 // ---------------------------------------------------------------------------
 
 // k = SHA512(R || A || M) mod L.
@@ -1426,13 +1212,13 @@ void ChallengeScalar(uint8_t k[32], const uint8_t r_enc[32], const Bytes& pub,
   hk.Update(pub);
   hk.Update(message);
   Bytes k_hash = hk.Final();
-  ScReduceBytes(k, k_hash.data(), k_hash.size());
+  ScReduceBytesBarrett(k, k_hash.data(), k_hash.size());
 }
 
-// Raw seed-to-signature fast path. Unlike ExpandKey + SignExpanded, the
+// Seed-to-signature signing. Unlike ExpandKey + SignExpanded, the
 // public-key point and the nonce point R share one field inversion for
 // their compressions.
-Bytes SignSeedFast(const Bytes& seed, const Bytes& message) {
+Bytes SignSeed(const Bytes& seed, const Bytes& message) {
   Bytes h = Sha512::Hash(seed);
   uint8_t a[32];  // sdrlint:secret
   std::memcpy(a, h.data(), 32);
@@ -1445,10 +1231,10 @@ Bytes SignSeedFast(const Bytes& seed, const Bytes& message) {
   hr.Update(message);
   Bytes r_hash = hr.Final();
   uint8_t r[32];  // sdrlint:secret
-  ScReduceBytes(r, r_hash.data(), r_hash.size());
+  ScReduceBytesBarrett(r, r_hash.data(), r_hash.size());
   Point r_point = ScalarMulBaseCt(r);
 
-  Fe inv = FeInvert(FeMul(a_point.z, r_point.z));
+  Fe inv = FeInvertSafegcd(FeMul(a_point.z, r_point.z));
   Bytes pub(32);
   CompressWithZInv(pub.data(), a_point, FeMul(inv, r_point.z));
   uint8_t r_enc[32];
@@ -1457,7 +1243,7 @@ Bytes SignSeedFast(const Bytes& seed, const Bytes& message) {
   uint8_t k[32];
   ChallengeScalar(k, r_enc, pub, message);
   uint8_t s[32];
-  ScMulAdd(s, k, a, r);
+  ScMulAddBarrett(s, k, a, r);
   CtDeclassify(s, 32);  // S is published in the signature
 
   Bytes sig(kEd25519SignatureSize);
@@ -1466,35 +1252,8 @@ Bytes SignSeedFast(const Bytes& seed, const Bytes& message) {
   return sig;
 }
 
-Bytes SignExpandedFast(const Ed25519ExpandedKey& key, const Bytes& message) {
-  // r = SHA512(prefix || M) mod L
-  Sha512 hr;
-  hr.Update(key.prefix, 32);
-  hr.Update(message);
-  Bytes r_hash = hr.Final();
-  uint8_t r[32];  // sdrlint:secret
-  ScReduceBytes(r, r_hash.data(), r_hash.size());
-
-  Point rp = ScalarMulBaseCt(r);
-  uint8_t r_enc[32];
-  PointCompress(r_enc, rp);
-
-  uint8_t k[32];
-  ChallengeScalar(k, r_enc, key.public_key, message);
-
-  // S = (r + k*a) mod L
-  uint8_t s[32];
-  ScMulAdd(s, k, key.scalar, r);
-  CtDeclassify(s, 32);  // S is published in the signature
-
-  Bytes sig(kEd25519SignatureSize);
-  std::memcpy(sig.data(), r_enc, 32);
-  std::memcpy(sig.data() + 32, s, 32);
-  return sig;
-}
-
-bool VerifyFast(const Bytes& public_key, const Bytes& message,
-                const Bytes& signature) {
+bool VerifyStraus(const Bytes& public_key, const Bytes& message,
+                  const Bytes& signature) {
   const uint8_t* r_enc = signature.data();
   const uint8_t* s = signature.data() + 32;
   Point a_point;
@@ -1513,14 +1272,6 @@ bool VerifyFast(const Bytes& public_key, const Bytes& message,
 
 }  // namespace
 
-void Ed25519SetFastPath(bool enabled) {
-  g_fast_path = enabled;
-}
-
-bool Ed25519FastPathEnabled() {
-  return g_fast_path;
-}
-
 Ed25519ExpandedKey Ed25519ExpandKey(const Bytes& seed) {
   assert(seed.size() == kEd25519SeedSize);
   Bytes h = Sha512::Hash(seed);
@@ -1528,33 +1279,33 @@ Ed25519ExpandedKey Ed25519ExpandKey(const Bytes& seed) {
   std::memcpy(key.scalar, h.data(), 32);
   ClampScalar(key.scalar);
   std::memcpy(key.prefix, h.data() + 32, 32);
-  Point p = g_fast_path ? ScalarMulBaseCt(key.scalar)
-                        : PointScalarMul(BasePoint(), key.scalar);
+  Point p = ScalarMulBaseCt(key.scalar);
   key.public_key.resize(32);
   PointCompress(key.public_key.data(), p);
   return key;
 }
 
 Bytes Ed25519SignExpanded(const Ed25519ExpandedKey& key, const Bytes& message) {
-  if (g_fast_path) {
-    return SignExpandedFast(key, message);
-  }
-  // The naive path has no expanded-key shortcut; re-derive nothing, just
-  // run the same equations with the reference ladder.
+  // r = SHA512(prefix || M) mod L
   Sha512 hr;
   hr.Update(key.prefix, 32);
   hr.Update(message);
   Bytes r_hash = hr.Final();
-  uint8_t r[32];
-  ScReduceBytes(r, r_hash.data(), r_hash.size());
-  Point rp = PointScalarMul(BasePoint(), r);
+  uint8_t r[32];  // sdrlint:secret
+  ScReduceBytesBarrett(r, r_hash.data(), r_hash.size());
+
+  Point rp = ScalarMulBaseCt(r);
   uint8_t r_enc[32];
   PointCompress(r_enc, rp);
+
   uint8_t k[32];
   ChallengeScalar(k, r_enc, key.public_key, message);
+
+  // S = (r + k*a) mod L
   uint8_t s[32];
-  ScMulAdd(s, k, key.scalar, r);
+  ScMulAddBarrett(s, k, key.scalar, r);
   CtDeclassify(s, 32);  // S is published in the signature
+
   Bytes sig(kEd25519SignatureSize);
   std::memcpy(sig.data(), r_enc, 32);
   std::memcpy(sig.data() + 32, s, 32);
@@ -1563,18 +1314,12 @@ Bytes Ed25519SignExpanded(const Ed25519ExpandedKey& key, const Bytes& message) {
 
 Bytes Ed25519PublicKey(const Bytes& seed) {
   assert(seed.size() == kEd25519SeedSize);
-  if (g_fast_path) {
-    return Ed25519ExpandKey(seed).public_key;
-  }
-  return PublicKeyNaive(seed);
+  return Ed25519ExpandKey(seed).public_key;
 }
 
 Bytes Ed25519Sign(const Bytes& seed, const Bytes& message) {
   assert(seed.size() == kEd25519SeedSize);
-  if (g_fast_path) {
-    return SignSeedFast(seed, message);
-  }
-  return SignNaive(seed, message);
+  return SignSeed(seed, message);
 }
 
 bool Ed25519Verify(const Bytes& public_key, const Bytes& message,
@@ -1586,10 +1331,7 @@ bool Ed25519Verify(const Bytes& public_key, const Bytes& message,
   if (!ScIsCanonical(signature.data() + 32)) {
     return false;
   }
-  if (g_fast_path) {
-    return VerifyFast(public_key, message, signature);
-  }
-  return VerifyNaive(public_key, message, signature);
+  return VerifyStraus(public_key, message, signature);
 }
 
 struct Ed25519PreparedKey {
@@ -1615,9 +1357,6 @@ bool Ed25519VerifyPrepared(const Ed25519PreparedKey& key, const Bytes& message,
   if (signature.size() != kEd25519SignatureSize ||
       !ScIsCanonical(signature.data() + 32)) {
     return false;
-  }
-  if (!g_fast_path) {
-    return VerifyNaive(key.public_key, message, signature);
   }
   const uint8_t* r_enc = signature.data();
   uint8_t k[32];

@@ -1,36 +1,31 @@
 // Ed25519 signatures (RFC 8032), implemented from scratch:
 //   - field arithmetic mod p = 2^255 - 19 (5 x 51-bit limbs, __int128 mul,
-//     dedicated squaring, constant-time safegcd inversion on the fast
-//     path)
+//     dedicated squaring, constant-time safegcd inversion)
 //   - twisted Edwards point arithmetic in extended coordinates with the
 //     unified add-2008-hwcd-3 formulas plus a dedicated doubling and mixed
 //     additions against precomputed (y+x, y-x, 2dxy) points
-//   - scalar arithmetic mod the group order L (Barrett reduction on 64-bit
-//     words on the fast path, binary long division on the reference path;
-//     both kernels of each pair are in ed25519_kernels.h)
+//   - scalar arithmetic mod the group order L by Barrett reduction on
+//     64-bit words
 //   - SHA-512 from src/crypto/sha2.h
 //
-// Two code paths produce bit-identical signatures and verdicts:
-//   - the *fast path* (default): a precomputed signed-radix-16 fixed-base
-//     table for signing/key derivation, Straus/Shamir interleaved
-//     double-scalar multiplication for one-off verification, and per-key
-//     fixed-base tables for verifying repeatedly against a prepared key;
-//   - the *naive path*: the original clarity-first double-and-add ladders,
-//     kept as a cross-checking oracle behind Ed25519SetFastPath(false).
+// Signing and key derivation use a precomputed signed-radix-16 fixed-base
+// table; one-off verification uses Straus/Shamir interleaved
+// double-scalar multiplication, and verifying repeatedly against a
+// prepared key uses per-key fixed-base tables. The tests hold every path
+// to a clarity-first oracle with plain double-and-add ladders
+// (tests/crypto_oracle.h), and each fast kernel to its unoptimized
+// counterpart through ed25519_kernels.h.
 //
 // Curve constants (d, sqrt(-1), the base point) are derived numerically at
 // first use instead of being transcribed, and validated by the RFC 8032
 // test vectors in tests/crypto_test.cc.
 //
-// Constant-time discipline: the *fast-path* signing and key-derivation
-// pipeline (seed hash -> clamp -> radix-16 digits -> fixed-base table
-// multiplication -> S = r + k*a) is branch-free and memory-index-free in
-// the secret, enforced two ways: statically by sdrlint rule R5 over the
+// Constant-time discipline: the signing and key-derivation pipeline (seed
+// hash -> clamp -> radix-16 digits -> fixed-base table multiplication ->
+// S = r + k*a) is branch-free and memory-index-free in the secret,
+// enforced two ways: statically by sdrlint rule R5 over the
 // `sdrlint:secret` annotations in the sources, and dynamically by the
 // MemorySanitizer taint harness `tools/ct_check` (see docs/ANALYSIS.md).
-// The *naive* reference ladders remain variable-time by design and must
-// only see secrets in offline cross-checking, never on a host exposed to
-// timing adversaries.
 #ifndef SDR_SRC_CRYPTO_ED25519_H_
 #define SDR_SRC_CRYPTO_ED25519_H_
 
@@ -60,8 +55,8 @@ bool Ed25519Verify(const Bytes& public_key, const Bytes& message,
 // Precomputed signing state for one seed: the clamped secret scalar, the
 // deterministic-nonce prefix, and the encoded public key. Expanding costs
 // one fixed-base multiplication; signing with the expanded key skips the
-// per-call seed hashing and public-key derivation (the bulk of a naive
-// sign). Signatures are bit-identical to Ed25519Sign on the same seed.
+// per-call seed hashing and public-key derivation. Signatures are
+// bit-identical to Ed25519Sign on the same seed.
 struct Ed25519ExpandedKey {
   uint8_t scalar[32];  // sdrlint:secret
   uint8_t prefix[32];  // sdrlint:secret
@@ -87,12 +82,6 @@ std::shared_ptr<const Ed25519PreparedKey> Ed25519PrepareKey(
 // Same verdict as Ed25519Verify with the key that was prepared.
 bool Ed25519VerifyPrepared(const Ed25519PreparedKey& key, const Bytes& message,
                            const Bytes& signature);
-
-// Test/bench hook: toggles between the precomputed-table fast path and the
-// original naive ladders (both produce identical bytes). Fast is the
-// default; flipping this is global and not thread-safe.
-void Ed25519SetFastPath(bool enabled);
-bool Ed25519FastPathEnabled();
 
 }  // namespace sdr
 

@@ -1,6 +1,5 @@
 // HMAC-SHA256 (RFC 2104). Used by the HmacSigner (cheap symmetric
-// authentication mode for very large simulations) and by channel session
-// authentication in src/sim/channel.h.
+// authentication mode for very large simulations).
 #ifndef SDR_SRC_CRYPTO_HMAC_H_
 #define SDR_SRC_CRYPTO_HMAC_H_
 

@@ -9,18 +9,6 @@
 
 namespace sdr {
 
-const char* SignatureSchemeName(SignatureScheme scheme) {
-  switch (scheme) {
-    case SignatureScheme::kEd25519:
-      return "ed25519";
-    case SignatureScheme::kHmacSha256:
-      return "hmac-sha256";
-    case SignatureScheme::kNull:
-      return "null";
-  }
-  return "?";
-}
-
 KeyPair KeyPair::Generate(SignatureScheme scheme, Rng& rng) {
   KeyPair kp;
   kp.scheme = scheme;

@@ -38,7 +38,6 @@ enum class SignatureScheme : uint8_t {
   kNull = 2,        // no-op; for logic-only tests
 };
 
-const char* SignatureSchemeName(SignatureScheme scheme);
 // The highest scheme a decoder accepts (src/util/serde.h).
 constexpr SignatureScheme WireEnumLast(SignatureScheme) {
   return SignatureScheme::kNull;
@@ -130,6 +129,7 @@ class VerifyCache {
   const Stats& stats() const { return stats_; }
   size_t size() const { return verdicts_.size(); }
   size_t capacity() const { return verdicts_.capacity(); }
+  // sdrlint:allow(R9 tests check the prepared-key table stays bounded)
   size_t prepared_keys() const { return prepared_.size(); }
 
  private:

@@ -35,8 +35,10 @@ struct LinkModel {
   double drop_probability = 0.0;
 
   // Sugar for a LAN-ish link.
+  // sdrlint:allow(R9 link presets tests and benches build networks from)
   static LinkModel Lan() { return {500 * kMicrosecond, 200 * kMicrosecond, 0.0}; }
   // Cross-continent WAN link.
+  // sdrlint:allow(R9 link presets tests and benches build networks from)
   static LinkModel Wan() { return {40 * kMillisecond, 10 * kMillisecond, 0.0}; }
 
   bool operator==(const LinkModel&) const = default;

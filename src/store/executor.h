@@ -74,6 +74,7 @@ class QueryExecutor {
   // unknown kind); missing keys produce an empty result, not an error.
   Result<Outcome> Execute(const DocumentStore& store, const Query& q);
 
+  // sdrlint:allow(R9 tests check the compiled-pattern cache)
   uint64_t regex_cache_hits() const { return regex_cache_hits_; }
 
  private:

@@ -78,18 +78,6 @@ std::shared_ptr<const DocumentStore> OpLog::AdoptSnapshot(
   return built;
 }
 
-Result<std::shared_ptr<const DocumentStore>> OpLog::MaterializeShared(
-    uint64_t version) {
-  if (auto cached = CachedSnapshot(version)) {
-    return cached;
-  }
-  auto store = MaterializeAt(version);
-  if (!store.ok()) {
-    return store.error();
-  }
-  return AdoptSnapshot(version, std::move(store).value());
-}
-
 void OpLog::PruneBelow(uint64_t version) {
   // Keep the newest snapshot at or below `version` so MaterializeAt(version)
   // still works; drop everything older.

@@ -66,15 +66,6 @@ class OpLog {
   std::shared_ptr<const DocumentStore> AdoptSnapshot(uint64_t version,
                                                      DocumentStore store);
 
-  // CachedSnapshot, materializing and caching on miss.
-  Result<std::shared_ptr<const DocumentStore>> MaterializeShared(
-      uint64_t version);
-
-  size_t shared_snapshots() const {
-    std::lock_guard<std::mutex> lock(shared_mu_);
-    return shared_.size();
-  }
-
   // Installs the initial content as version 0 (e.g. the corpus the owner
   // created before replication starts).
   void SetBaseSnapshot(DocumentStore base);
@@ -86,7 +77,7 @@ class OpLog {
   // advances this as it finishes auditing old versions).
   void PruneBelow(uint64_t version);
 
-  size_t retained_batches() const { return batches_.size(); }
+  // sdrlint:allow(R9 tests check pruning bounds the log)
   size_t retained_snapshots() const { return snapshots_.size(); }
 
  private:

@@ -57,6 +57,8 @@ struct Query {
   SDR_WIRE_FIELDS(Query, kind, key, range_lo, range_hi, pattern, limit)
 
   // Human-readable round-trippable text form.
+  // sdrlint:allow(R9 Parse's inverse; tests round-trip and print queries with
+  // it)
   std::string ToText() const;
   static Result<Query> Parse(const std::string& text);
 

@@ -10,22 +10,6 @@ std::string ToString(const Bytes& b) {
   return std::string(b.begin(), b.end());
 }
 
-static constexpr char kHexDigits[] = "0123456789abcdef";
-
-std::string HexEncode(const uint8_t* data, size_t len) {
-  std::string out;
-  out.reserve(len * 2);
-  for (size_t i = 0; i < len; ++i) {
-    out.push_back(kHexDigits[data[i] >> 4]);
-    out.push_back(kHexDigits[data[i] & 0x0f]);
-  }
-  return out;
-}
-
-std::string HexEncode(const Bytes& b) {
-  return HexEncode(b.data(), b.size());
-}
-
 static int HexValue(char c) {
   if (c >= '0' && c <= '9') {
     return c - '0';

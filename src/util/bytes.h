@@ -79,6 +79,8 @@ class Payload {
   }
 
   // A sub-window sharing the same buffer (no copy).
+  // sdrlint:allow(R9 Payload's sharing window, exercised by util_test and
+  // bench_sim_core)
   Payload Slice(size_t pos, size_t count = BytesView::npos) const {
     Payload p;
     if (pos > len_) {
@@ -104,10 +106,6 @@ Bytes ToBytes(std::string_view s);
 
 // Converts Bytes back to a std::string (no encoding applied).
 std::string ToString(const Bytes& b);
-
-// Lower-case hex encoding of `b`.
-std::string HexEncode(const Bytes& b);
-std::string HexEncode(const uint8_t* data, size_t len);
 
 // Decodes a hex string. Returns an empty vector and sets *ok=false when the
 // input has odd length or non-hex characters; *ok may be null.

@@ -32,7 +32,6 @@ class JsonValue {
   // Array append; sets kind to array on first use.
   void Append(JsonValue v);
 
-  bool is_null() const { return kind_ == Kind::kNull; }
 
   // Serializes with sorted object keys. `indent` < 0 means compact
   // single-line output; otherwise pretty-print with that indent step.

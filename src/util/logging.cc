@@ -5,7 +5,7 @@
 namespace sdr {
 
 namespace {
-LogLevel g_level = LogLevel::kWarn;
+constexpr LogLevel kMinLevel = LogLevel::kWarn;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -22,16 +22,12 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_level = level;
-}
-
 LogLevel GetLogLevel() {
-  return g_level;
+  return kMinLevel;
 }
 
 void LogLine(LogLevel level, const std::string& message) {
-  if (level < g_level) {
+  if (level < kMinLevel) {
     return;
   }
   std::fprintf(stderr, "[%s] %s\n", LevelName(level), message.c_str());

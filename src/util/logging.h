@@ -10,9 +10,8 @@ namespace sdr {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-// Global minimum level; messages below it are discarded. Defaults to kWarn
-// so tests and benchmarks stay quiet unless asked.
-void SetLogLevel(LogLevel level);
+// Minimum level; messages below it are discarded. kWarn, so tests and
+// benchmarks stay quiet.
 LogLevel GetLogLevel();
 
 // Emits one line to stderr: "[LEVEL] message".

@@ -74,16 +74,6 @@ double Rng::NextExponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::NextNormal(double mean, double stddev) {
-  double u1 = NextDouble();
-  double u2 = NextDouble();
-  if (u1 <= 0.0) {
-    u1 = 1e-18;
-  }
-  double r = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * r * std::cos(6.283185307179586 * u2);
-}
-
 Bytes Rng::NextBytes(size_t n) {
   Bytes out(n);
   size_t i = 0;

@@ -35,9 +35,6 @@ class Rng {
   // Exponentially distributed value with the given mean (> 0).
   double NextExponential(double mean);
 
-  // Normally distributed value (Box-Muller).
-  double NextNormal(double mean, double stddev);
-
   // `n` pseudo-random bytes (used for deterministic key generation in the
   // simulator).
   Bytes NextBytes(size_t n);

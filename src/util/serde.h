@@ -117,9 +117,9 @@ class Reader {
 //   };
 //
 // That list is the type's wire format. The macro defines Encode(),
-// Decode(BytesView), EncodeTo(Writer&) and DecodeFrom(Reader&), all of
-// which walk the list; WireSignedBody() walks it for SignedBody(). A field
-// is one of:
+// Decode(BytesView) and EncodeTo(Writer&), all of which walk the list, as
+// does WireRead<Type>(Reader&); WireSignedBody() walks it for SignedBody().
+// A field is one of:
 //   - an unsigned integer, int64_t, double (its IEEE-754 bits) or bool (one
 //     byte, 0 or 1): fixed width, little-endian;
 //   - an enum over uint8_t: one byte, range-checked on decode against
@@ -154,10 +154,7 @@ class Reader {
   static ::sdr::Result<Type> Decode(::sdr::BytesView body) {                 \
     return ::sdr::WireDecode<Type>(body);                                    \
   }                                                                          \
-  void EncodeTo(::sdr::Writer& w) const { ::sdr::WirePut(w, *this); }        \
-  static Type DecodeFrom(::sdr::Reader& r) {                                 \
-    return ::sdr::WireRead<Type>(r);                                         \
-  }
+  void EncodeTo(::sdr::Writer& w) const { ::sdr::WirePut(w, *this); }
 
 // Reservation cap for decoded lists of T; raised for write batches and
 // result rows, which run longer (document_store.h, executor.h).
@@ -413,15 +410,6 @@ Bytes WireEncodeTagged(uint8_t tag, const T& v) {
   w.U8(tag);
   WirePut(w, v);
   return w.Take();
-}
-
-// The body of a tagged message decoded as T, when its first byte is `tag`.
-template <typename T>
-Result<T> WireDecodeTagged(uint8_t tag, BytesView payload) {
-  if (payload.empty() || payload[0] != tag) {
-    return Error(ErrorCode::kCorrupt, "unexpected message type");
-  }
-  return WireDecode<T>(payload.substr(1));
 }
 
 // Walks one encoded T without building it: the same checks as WireGet,

@@ -2,8 +2,8 @@
 // point reads, trusted-host dynamic queries) and SMR quorum reads.
 #include <gtest/gtest.h>
 
-#include "src/baseline/smr_quorum.h"
-#include "src/baseline/state_signing.h"
+#include "bench/baselines/smr_quorum.h"
+#include "bench/baselines/state_signing.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
 #include "src/workload/workload.h"

@@ -4,7 +4,7 @@
 
 #include <memory>
 
-#include "src/broadcast/bft_order.h"
+#include "bench/baselines/bft_order.h"
 #include "src/sim/network.h"
 
 namespace sdr {

@@ -20,6 +20,8 @@
 #include "src/util/bytes.h"
 #include "src/util/parallel.h"
 #include "src/util/rng.h"
+#include "tests/crypto_oracle.h"
+#include "tests/hex.h"
 
 namespace sdr {
 namespace {
@@ -493,19 +495,6 @@ struct Rfc8032Vector {
 
 class Ed25519VectorTest : public ::testing::TestWithParam<Rfc8032Vector> {};
 
-// Runs a test body under both the precomputed fast path and the naive
-// reference path, restoring the process-wide setting afterwards.
-class FastPathGuard {
- public:
-  explicit FastPathGuard(bool fast) : saved_(Ed25519FastPathEnabled()) {
-    Ed25519SetFastPath(fast);
-  }
-  ~FastPathGuard() { Ed25519SetFastPath(saved_); }
-
- private:
-  bool saved_;
-};
-
 TEST_P(Ed25519VectorTest, MatchesRfc8032) {
   const auto& v = GetParam();
   Bytes seed = HexDecode(v.seed_hex);
@@ -514,12 +503,12 @@ TEST_P(Ed25519VectorTest, MatchesRfc8032) {
   Bytes sig = HexDecode(v.signature_hex);
 
   // The vectors must hold bit-for-bit through both implementations.
-  for (bool fast : {true, false}) {
-    FastPathGuard guard(fast);
-    EXPECT_EQ(Ed25519PublicKey(seed), pub) << "fast=" << fast;
-    EXPECT_EQ(Ed25519Sign(seed, msg), sig) << "fast=" << fast;
-    EXPECT_TRUE(Ed25519Verify(pub, msg, sig)) << "fast=" << fast;
-  }
+  EXPECT_EQ(Ed25519PublicKey(seed), pub);
+  EXPECT_EQ(Ed25519Sign(seed, msg), sig);
+  EXPECT_TRUE(Ed25519Verify(pub, msg, sig));
+  EXPECT_EQ(crypto_oracle::PublicKeyNaive(seed), pub);
+  EXPECT_EQ(crypto_oracle::SignNaive(seed, msg), sig);
+  EXPECT_TRUE(crypto_oracle::VerifyNaive(pub, msg, sig));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -602,36 +591,25 @@ TEST(Ed25519Test, NonCanonicalScalarRejected) {
 
 TEST(Ed25519Test, FastPathMatchesNaiveOnRandomInputs) {
   // The precomputed-table fixed-base multiplication and the Straus/Shamir
-  // verify loop must agree with the plain double-and-add reference on
-  // random scalars, both for the produced bytes and for the verdicts.
+  // verify loop must agree with the oracle's plain double-and-add ladders
+  // on random scalars, both for the produced bytes and for the verdicts.
   Rng rng(20);
   for (int trial = 0; trial < 12; ++trial) {
     Bytes seed = rng.NextBytes(kEd25519SeedSize);
     Bytes msg = rng.NextBytes(rng.NextBounded(200));
 
-    Bytes pub_fast, sig_fast, pub_naive, sig_naive;
-    {
-      FastPathGuard guard(true);
-      pub_fast = Ed25519PublicKey(seed);
-      sig_fast = Ed25519Sign(seed, msg);
-    }
-    {
-      FastPathGuard guard(false);
-      pub_naive = Ed25519PublicKey(seed);
-      sig_naive = Ed25519Sign(seed, msg);
-    }
-    EXPECT_EQ(pub_fast, pub_naive) << "trial " << trial;
-    EXPECT_EQ(sig_fast, sig_naive) << "trial " << trial;
+    Bytes pub = Ed25519PublicKey(seed);
+    Bytes sig = Ed25519Sign(seed, msg);
+    EXPECT_EQ(pub, crypto_oracle::PublicKeyNaive(seed)) << "trial " << trial;
+    EXPECT_EQ(sig, crypto_oracle::SignNaive(seed, msg)) << "trial " << trial;
 
-    Bytes bad_sig = sig_fast;
+    Bytes bad_sig = sig;
     bad_sig[trial % 32] ^= 0x20;
-    for (bool fast : {true, false}) {
-      FastPathGuard guard(fast);
-      EXPECT_TRUE(Ed25519Verify(pub_fast, msg, sig_fast))
-          << "trial " << trial << " fast=" << fast;
-      EXPECT_FALSE(Ed25519Verify(pub_fast, msg, bad_sig))
-          << "trial " << trial << " fast=" << fast;
-    }
+    EXPECT_TRUE(Ed25519Verify(pub, msg, sig)) << "trial " << trial;
+    EXPECT_TRUE(crypto_oracle::VerifyNaive(pub, msg, sig)) << "trial " << trial;
+    EXPECT_FALSE(Ed25519Verify(pub, msg, bad_sig)) << "trial " << trial;
+    EXPECT_FALSE(crypto_oracle::VerifyNaive(pub, msg, bad_sig))
+        << "trial " << trial;
   }
 }
 
@@ -647,8 +625,9 @@ TEST(Ed25519Test, ExpandedKeySignsIdentically) {
 }
 
 // ---- Kernel oracles ---------------------------------------------------------
-// Each fast Ed25519 kernel against the naive kernel it replaced: the
-// safegcd inversion against Fermat's a^(p-2), and the Barrett scalar
+// Each fast Ed25519 kernel against an unoptimized one: the safegcd
+// inversion against Fermat's a^(p-2), the decompression power's addition
+// chain against the generic square-and-multiply, and the Barrett scalar
 // reductions against binary long division.
 
 using ed25519_internal::Fe;
@@ -688,13 +667,44 @@ TEST(Ed25519KernelTest, SafegcdInverseMatchesFermat) {
   }
   for (size_t i = 0; i < cases.size(); ++i) {
     EXPECT_EQ(FeBytes(ed25519_internal::FeInvertSafegcd(cases[i])),
-              FeBytes(ed25519_internal::FeInvertFermat(cases[i])))
+              FeBytes(crypto_oracle::FeInvertFermat(cases[i])))
         << "case " << i << ": " << HexEncode(FeBytes(cases[i]));
   }
   // 0 has no inverse; both kernels return 0 for it, however it is written.
   for (size_t i : {0, 3, 6}) {
     EXPECT_EQ(FeBytes(ed25519_internal::FeInvertSafegcd(cases[i])),
               Bytes(32, 0));
+  }
+}
+
+// The decompression power z^(2^252 - 3): ref10's addition chain against
+// the generic square-and-multiply over the same exponent.
+TEST(Ed25519KernelTest, Pow2523ChainMatchesGenericPow) {
+  static const uint8_t kP58[32] = {
+      0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f};
+  const uint64_t m = kLimb51;
+  std::vector<Fe> cases = {
+      Fe{{0, 0, 0, 0, 0}},       Fe{{1, 0, 0, 0, 0}},
+      Fe{{2, 0, 0, 0, 0}},       Fe{{m - 19, m, m, m, m}},  // p - 1
+      Fe{{m - 18, m, m, m, m}},  // p
+      Fe{{(1ULL << 54) - 1, (1ULL << 54) - 1, (1ULL << 54) - 1,
+          (1ULL << 54) - 1, (1ULL << 54) - 1}},
+  };
+  Rng rng(33);
+  for (int i = 0; i < 200; ++i) {
+    const uint64_t width = i % 2 == 0 ? 51 : 54;
+    Fe a;
+    for (uint64_t& limb : a.v) {
+      limb = rng.Next() >> (64 - width);
+    }
+    cases.push_back(a);
+  }
+  for (size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(FeBytes(ed25519_internal::FePow2523(cases[i])),
+              FeBytes(ed25519_internal::FePow(cases[i], kP58)))
+        << "case " << i << ": " << HexEncode(FeBytes(cases[i]));
   }
 }
 
@@ -753,8 +763,8 @@ TEST(Ed25519KernelTest, BarrettReductionMatchesLongDivision) {
     uint8_t fast[32], naive[32];
     ed25519_internal::ScReduceBytesBarrett(fast, inputs[i].data(),
                                            inputs[i].size());
-    ed25519_internal::ScReduceBytesNaive(naive, inputs[i].data(),
-                                         inputs[i].size());
+    crypto_oracle::ScReduceBytesNaive(naive, inputs[i].data(),
+                                      inputs[i].size());
     EXPECT_EQ(Bytes(fast, fast + 32), Bytes(naive, naive + 32))
         << "input " << i << ": " << HexEncode(inputs[i]);
   }
@@ -778,30 +788,23 @@ TEST(Ed25519KernelTest, BarrettMulAddMatchesLongDivision) {
     uint8_t fast[32], naive[32];
     ed25519_internal::ScMulAddBarrett(fast, c[0].data(), c[1].data(),
                                       c[2].data());
-    ed25519_internal::ScMulAddNaive(naive, c[0].data(), c[1].data(),
-                                    c[2].data());
+    crypto_oracle::ScMulAddNaive(naive, c[0].data(), c[1].data(),
+                                 c[2].data());
     EXPECT_EQ(Bytes(fast, fast + 32), Bytes(naive, naive + 32))
         << "case " << i << ": " << HexEncode(c[0]) << " * " << HexEncode(c[1])
         << " + " << HexEncode(c[2]);
   }
 }
 
-// The verdict of the naive reference path, after checking that the fast
-// plain verify and the prepared-key verify (under both paths) agree with it.
+// The oracle's verdict, after checking that the plain verify and the
+// prepared-key verify agree with it.
 bool AgreedVerdict(const Bytes& pub, const Bytes& msg, const Bytes& sig) {
   std::shared_ptr<const Ed25519PreparedKey> prepared = Ed25519PrepareKey(pub);
-  bool naive;
-  {
-    FastPathGuard guard(false);
-    naive = Ed25519Verify(pub, msg, sig);
-  }
-  for (bool fast : {true, false}) {
-    FastPathGuard guard(fast);
-    EXPECT_EQ(Ed25519Verify(pub, msg, sig), naive) << "fast=" << fast;
-    EXPECT_EQ(prepared != nullptr && Ed25519VerifyPrepared(*prepared, msg, sig),
-              naive)
-        << "prepared, fast=" << fast;
-  }
+  const bool naive = crypto_oracle::VerifyNaive(pub, msg, sig);
+  EXPECT_EQ(Ed25519Verify(pub, msg, sig), naive);
+  EXPECT_EQ(prepared != nullptr && Ed25519VerifyPrepared(*prepared, msg, sig),
+            naive)
+      << "prepared";
   return naive;
 }
 
@@ -1015,12 +1018,19 @@ TEST(VerifyCacheBatchTest, UndecodableInputsRejected) {
   EXPECT_EQ(FreshBatch(items), (std::vector<bool>{false, false, false, true}));
 }
 
-TEST(VerifyCacheBatchTest, MatchesSingleVerifyOnNaivePath) {
-  FastPathGuard guard(false);
+TEST(VerifyCacheBatchTest, MatchesNaiveVerify) {
   Rng rng(27);
-  auto items = MakeItems(3, rng);
-  items[1].signature[7] ^= 2;
-  EXPECT_EQ(FreshBatch(items), (std::vector<bool>{true, false, true}));
+  auto items = MakeItems(6, rng);
+  items[1].signature[7] ^= 2;         // tampered R
+  items[3].signature[40] ^= 0x10;     // tampered S
+  items[4].message.push_back(0x01);   // tampered message
+  std::vector<bool> naive;
+  for (const VerifyItem& item : items) {
+    naive.push_back(crypto_oracle::VerifyNaive(item.public_key, item.message,
+                                               item.signature));
+  }
+  EXPECT_EQ(naive, (std::vector<bool>{true, false, true, false, false, true}));
+  EXPECT_EQ(FreshBatch(items), naive);
 }
 
 TEST(VerifyCacheTest, DifferentMessagesNeverShareAVerdict) {
@@ -1165,7 +1175,7 @@ TEST(SignerTest, AllSchemesRoundTrip) {
     Bytes msg = ToBytes("read pledge body");
     Bytes sig = signer.Sign(msg);
     EXPECT_TRUE(VerifySignature(scheme, kp.public_key, msg, sig))
-        << SignatureSchemeName(scheme);
+        << "scheme " << static_cast<int>(scheme);
   }
 }
 

@@ -72,7 +72,7 @@ TEST(VersionVectorTest, SerdeRoundTrip) {
   Writer w;
   vv.EncodeTo(w);
   Reader r(w.bytes());
-  VersionVector decoded = VersionVector::DecodeFrom(r);
+  VersionVector decoded = WireRead<VersionVector>(r);
   EXPECT_TRUE(r.Done());
   EXPECT_EQ(decoded.slave, vv.slave);
   EXPECT_EQ(decoded.content_version, 17u);

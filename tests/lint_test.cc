@@ -1,6 +1,7 @@
 // Fixture tests for sdrlint: for each rule, one source that must fire and
 // one that must stay clean, plus suppression-comment handling. Fixtures are
-// inline strings driven straight through AnalyzeSource.
+// inline strings driven straight through AnalyzeSource, or for the
+// repo-wide R9 through IndexSource and CheckReachability.
 #include "tools/lint/lint.h"
 
 #include <fstream>
@@ -268,7 +269,7 @@ TEST(R3, UnannotatedEnumIsIgnored) {
 TEST(R3, RegistrySpansFiles) {
   // Enum annotated in a header; the switch lives in another file.
   SymbolIndex index;
-  CollectProtocolEnums(kEnumDecl, index.enums);
+  IndexSource("src/core/messages.h", kEnumDecl, index);
   auto fs = Lint("src/core/other.cc",
                 "void f(MsgKind k) {\n"
                 "  switch (k) { case MsgKind::kRead: default: break; }\n"
@@ -308,8 +309,9 @@ TEST(R4, FiresOnAHandWrittenDecoder) {
       "  m.seq = r.U32();\n"
       "  return m;\n"
       "}\n";
-  for (const char* path : {"src/core/messages.cc", "src/merkle/merkle.cc",
-                           "src/baseline/state_signing.cc",
+  for (const char* path : {"src/core/messages.cc",
+                           "bench/baselines/merkle_tree.cc",
+                           "bench/baselines/state_signing.cc",
                            "src/trace/export.cc", "tools/sdrtrace.cc"}) {
     auto fs = Lint(path, src);
     ASSERT_EQ(CountRule(fs, "R4"), 1) << path;
@@ -615,6 +617,127 @@ TEST(R7, SuppressedByAllow) {
 }
 
 // ---------------------------------------------------------------------------
+// R9 — production reachability
+// ---------------------------------------------------------------------------
+
+using Files = std::vector<std::pair<std::string, std::string>>;
+
+// R9 as the CLI runs it: index every file, then judge the whole index.
+std::vector<Finding> Reach(const Files& files) {
+  SymbolIndex index;
+  for (const auto& [path, src] : files) {
+    IndexSource(path, src, index);
+  }
+  return CheckReachability(index);
+}
+
+constexpr const char* kHelperHeader =
+    "namespace sdr {\n"
+    "int Helper(int x);\n"
+    "}\n";
+constexpr const char* kHelperCc =
+    "#include \"src/util/helper.h\"\n"
+    "namespace sdr {\n"
+    "int Helper(int x) { return x + 1; }\n"
+    "}\n";
+constexpr const char* kHelperTest =
+    "TEST(Helper, AddsOne) { EXPECT_EQ(Helper(1), 2); }\n";
+
+TEST(R9, FiresOnAFunctionOnlyTestsCall) {
+  auto fs = Reach({{"src/util/helper.h", kHelperHeader},
+                   {"src/util/helper.cc", kHelperCc},
+                   {"tests/helper_test.cc", kHelperTest},
+                   {"bench/bench_helper.cc",
+                    "void BM_Helper() { Helper(3); }\n"}});
+  ASSERT_EQ(CountRule(fs, "R9"), 1);
+  EXPECT_EQ(fs[0].file, "src/util/helper.h");
+  EXPECT_EQ(fs[0].line, 2);
+  EXPECT_NE(fs[0].message.find("`Helper`"), std::string::npos);
+}
+
+TEST(R9, FiresOnAMethodNothingCalls) {
+  // Out-of-line definitions, qualified or behind a template return type,
+  // are not references.
+  auto fs = Reach({{"src/store/thing.h",
+                    "struct Thing {\n"
+                    "  Thing(int v);\n"
+                    "  std::vector<int> Rows() const;\n"
+                    "  static Thing Make(int v);\n"
+                    "  bool operator==(const Thing&) const = default;\n"
+                    "  SDR_WIRE_FIELDS(Thing, v)\n"
+                    "  int v;\n"
+                    "};\n"},
+                   {"src/store/thing.cc",
+                    "std::vector<int> Thing::Rows() const { return {v}; }\n"
+                    "Thing Thing::Make(int v) { return Thing(v); }\n"}});
+  ASSERT_EQ(CountRule(fs, "R9"), 2);
+  EXPECT_NE(fs[0].message.find("`Thing::Rows`"), std::string::npos);
+  EXPECT_NE(fs[1].message.find("`Thing::Make`"), std::string::npos);
+}
+
+TEST(R9, SilentWhenToolsExamplesOrPerfbenchCallIt) {
+  for (const char* caller : {"tools/sdrsim.cc", "examples/quickstart.cpp",
+                             "perfbench/harness.cc"}) {
+    auto fs = Reach({{"src/util/helper.h", kHelperHeader},
+                     {"src/util/helper.cc", kHelperCc},
+                     {"tests/helper_test.cc", kHelperTest},
+                     {caller, "int main() { return Helper(0); }\n"}});
+    EXPECT_EQ(CountRule(fs, "R9"), 0) << caller;
+  }
+  // A call in a namespace-scope initializer is a reference too.
+  auto fs = Reach({{"src/util/helper.h", kHelperHeader},
+                   {"tools/table.cc", "const int kStart = Helper(2);\n"}});
+  EXPECT_EQ(CountRule(fs, "R9"), 0);
+}
+
+TEST(R9, SilentWhenItsOwnCcCallsIt) {
+  auto fs = Reach({{"src/util/helper.h", kHelperHeader},
+                   {"src/util/helper.cc",
+                    std::string(kHelperCc) +
+                        "int Twice(int x) { return Helper(Helper(x)); }\n"},
+                   {"tests/helper_test.cc", kHelperTest}});
+  EXPECT_EQ(CountRule(fs, "R9"), 0);
+}
+
+TEST(R9, SuppressedByAllow) {
+  auto allowed = Reach({{"src/util/helper.h",
+                         "// sdrlint:allow(R9 tests pin the formula)\n"
+                         "int Helper(int x);\n"},
+                        {"tests/helper_test.cc", kHelperTest}});
+  EXPECT_EQ(CountRule(allowed, "R9"), 0);
+  // An allow without a reason does not count.
+  auto bare = Reach({{"src/util/helper.h",
+                      "int Helper(int x);  // sdrlint:allow(R9)\n"},
+                     {"tests/helper_test.cc", kHelperTest}});
+  EXPECT_EQ(CountRule(bare, "R9"), 1);
+}
+
+TEST(R9, BaselineRatchet) {
+  // A baselined finding is suppressed; a second dead function is fresh;
+  // once the first gains a production caller its entry reads as fixed.
+  const Files first = {{"src/util/helper.h", kHelperHeader},
+                       {"tests/helper_test.cc", kHelperTest}};
+  std::map<std::string, int> baseline;
+  for (const Finding& f : Reach(first)) {
+    ++baseline[FindingKey(f)];
+  }
+  ASSERT_EQ(baseline.size(), 1u);
+
+  Files second = first;
+  second[0].second += "int Unused();\n";
+  BaselineDiff grown = DiffAgainstBaseline(Reach(second), baseline);
+  EXPECT_EQ(grown.suppressed.size(), 1u);
+  ASSERT_EQ(grown.fresh.size(), 1u);
+  EXPECT_NE(grown.fresh[0].message.find("`Unused`"), std::string::npos);
+
+  Files third = first;
+  third.push_back({"tools/main.cc", "int main() { return Helper(0); }\n"});
+  BaselineDiff fixed = DiffAgainstBaseline(Reach(third), baseline);
+  EXPECT_TRUE(fixed.fresh.empty());
+  EXPECT_EQ(fixed.fixed.size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
 // Baseline and report
 // ---------------------------------------------------------------------------
 
@@ -623,6 +746,8 @@ TEST(Baseline, FindingKeyExcludesLinesAndNormalizesPaths) {
   Finding b{"R7", "src/store/cache.h", 99, "stored view"};
   EXPECT_EQ(FindingKey(a), FindingKey(b));
   EXPECT_EQ(NormalizeRepoPath("/abs/src/x.h"), "src/x.h");
+  EXPECT_EQ(NormalizeRepoPath("/abs/perfbench/harness.cc"),
+            "perfbench/harness.cc");
   // "src/" must match at a path-component boundary, not mid-word.
   EXPECT_EQ(NormalizeRepoPath("mysrc/x.h"), "mysrc/x.h");
 }

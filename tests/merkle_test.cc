@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "src/merkle/merkle_tree.h"
+#include "bench/baselines/merkle_tree.h"
 #include "src/store/document_store.h"
 #include "src/util/rng.h"
+#include "tests/hex.h"
 
 namespace sdr {
 namespace {

@@ -10,6 +10,7 @@
 #include "src/crypto/sha1.h"
 #include "src/store/executor.h"
 #include "src/util/rng.h"
+#include "tests/hex.h"
 
 namespace sdr {
 namespace {
@@ -73,7 +74,7 @@ TEST(CertificateTest, SerdeRoundTrip) {
   Writer w;
   cert.EncodeTo(w);
   Reader r(w.bytes());
-  Certificate decoded = Certificate::DecodeFrom(r);
+  Certificate decoded = WireRead<Certificate>(r);
   EXPECT_TRUE(r.Done());
   EXPECT_EQ(decoded, cert);
 }

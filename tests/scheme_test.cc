@@ -64,14 +64,16 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeSweep,
                          ::testing::Values(SignatureScheme::kEd25519,
                                            SignatureScheme::kHmacSha256,
                                            SignatureScheme::kNull),
-                         [](const auto& info) {
-                           std::string name = SignatureSchemeName(info.param);
-                           for (char& c : name) {
-                             if (c == '-') {
-                               c = '_';
-                             }
+                         [](const auto& info) -> std::string {
+                           switch (info.param) {
+                             case SignatureScheme::kEd25519:
+                               return "ed25519";
+                             case SignatureScheme::kHmacSha256:
+                               return "hmac_sha256";
+                             case SignatureScheme::kNull:
+                               return "null";
                            }
-                           return name;
+                           return "unknown";
                          });
 
 struct Shape {

@@ -1,11 +1,9 @@
-// Tests for the discrete-event simulator, network model and authenticated
-// channel handshake.
+// Tests for the discrete-event simulator and network model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
-#include "src/sim/channel.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
 #include "src/util/bytes.h"
@@ -420,54 +418,6 @@ TEST(NetworkTest, DeterministicAcrossRuns) {
     return b.received.size();
   };
   EXPECT_EQ(run(7), run(7));
-}
-
-TEST(ChannelTest, HandshakeDerivesMatchingKeyAndAuthenticates) {
-  Rng rng(5);
-  KeyPair server_kp = KeyPair::Generate(SignatureScheme::kEd25519, rng);
-  Signer server(server_kp);
-
-  HandshakeHello hello{rng.NextBytes(16)};
-  Bytes payload = ToBytes("slave-assignment: node 7");
-  HandshakeReply reply = MakeHandshakeReply(server, hello, payload, rng);
-
-  auto key = VerifyHandshakeReply(SignatureScheme::kEd25519,
-                                  server_kp.public_key, hello, reply);
-  ASSERT_TRUE(key.ok());
-
-  Bytes msg = ToBytes("read request 1");
-  Bytes mac = SessionMac(*key, msg);
-  EXPECT_TRUE(CheckSessionMac(*key, msg, mac));
-  EXPECT_FALSE(CheckSessionMac(*key, ToBytes("read request 2"), mac));
-}
-
-TEST(ChannelTest, ForgedReplyRejected) {
-  Rng rng(6);
-  KeyPair server_kp = KeyPair::Generate(SignatureScheme::kEd25519, rng);
-  KeyPair imposter_kp = KeyPair::Generate(SignatureScheme::kEd25519, rng);
-  Signer imposter(imposter_kp);
-
-  HandshakeHello hello{rng.NextBytes(16)};
-  HandshakeReply reply =
-      MakeHandshakeReply(imposter, hello, ToBytes("evil payload"), rng);
-
-  auto key = VerifyHandshakeReply(SignatureScheme::kEd25519,
-                                  server_kp.public_key, hello, reply);
-  EXPECT_FALSE(key.ok());
-  EXPECT_EQ(key.error().code(), ErrorCode::kBadSignature);
-}
-
-TEST(ChannelTest, TamperedPayloadRejected) {
-  Rng rng(7);
-  KeyPair server_kp = KeyPair::Generate(SignatureScheme::kEd25519, rng);
-  Signer server(server_kp);
-  HandshakeHello hello{rng.NextBytes(16)};
-  HandshakeReply reply =
-      MakeHandshakeReply(server, hello, ToBytes("assign slave 3"), rng);
-  reply.payload = ToBytes("assign slave 4");  // man-in-the-middle edit
-  auto key = VerifyHandshakeReply(SignatureScheme::kEd25519,
-                                  server_kp.public_key, hello, reply);
-  EXPECT_FALSE(key.ok());
 }
 
 }  // namespace

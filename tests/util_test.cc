@@ -4,6 +4,7 @@
 #include "src/util/result.h"
 #include "src/util/rng.h"
 #include "src/util/serde.h"
+#include "tests/hex.h"
 
 namespace sdr {
 namespace {

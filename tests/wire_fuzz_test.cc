@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/util/rng.h"
+#include "tests/hex.h"
 #include "tests/mutate.h"
 #include "tests/wire_golden.h"
 

@@ -12,11 +12,11 @@
 
 #include <gtest/gtest.h>
 
-#include "src/baseline/state_signing.h"
-#include "src/broadcast/bft_order.h"
+#include "bench/baselines/bft_order.h"
+#include "bench/baselines/merkle_tree.h"
+#include "bench/baselines/state_signing.h"
 #include "src/broadcast/total_order.h"
 #include "src/core/messages.h"
-#include "src/merkle/merkle_tree.h"
 #include "src/trace/export.h"
 #include "src/util/bytes.h"
 #include "src/util/serde.h"

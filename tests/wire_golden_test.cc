@@ -4,6 +4,7 @@
 // protocol change, never a refactoring.
 #include <gtest/gtest.h>
 
+#include "tests/hex.h"
 #include "tests/wire_golden.h"
 
 namespace sdr::golden {

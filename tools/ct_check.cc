@@ -19,13 +19,14 @@
 //                       are no-ops and the run degrades to a functional
 //                       smoke check; the banner says which one you got.
 //   ct_check --suite    gtest-free crypto suite: RFC 8032 vectors through
-//                       both paths, fast-vs-naive cross-checks, batch
-//                       verification with culprits. Runs under MSan where
-//                       the gtest-based tests cannot (uninstrumented
-//                       libgtest would false-positive).
-//   ct_check --smoke    quick functional pass over both paths, including
-//                       the naive reference ladder; wired into ctest so
-//                       the harness itself cannot rot.
+//                       the fast path and the oracle (tests/crypto_oracle.h),
+//                       fast-vs-oracle cross-checks, batch verification
+//                       with culprits. Runs under MSan where the
+//                       gtest-based tests cannot (uninstrumented libgtest
+//                       would false-positive).
+//   ct_check --smoke    quick functional pass over both implementations,
+//                       including the oracle's reference ladder; wired into
+//                       ctest so the harness itself cannot rot.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -36,6 +37,7 @@
 #include "src/crypto/ed25519_kernels.h"
 #include "src/crypto/signer.h"
 #include "src/util/bytes.h"
+#include "tests/crypto_oracle.h"
 
 using namespace sdr;
 
@@ -74,7 +76,7 @@ Bytes MessageFor(uint8_t tag, size_t len) {
 // the scalar kernels with secrets but hands the inversion only the public
 // Z of a declassified point, so this is where safegcd sees a secret. The
 // outputs must carry the taint (the check is not vacuous) and, once
-// declassified, equal the naive kernels' on the same clean input.
+// declassified, equal the oracle's kernels on the same clean input.
 void TaintKernels(uint8_t round) {
   namespace ei = ed25519_internal;
   const Bytes clean = MessageFor(round, 96);
@@ -83,7 +85,7 @@ void TaintKernels(uint8_t round) {
   CtClassify(wide.data(), wide.size());
   uint8_t got[32], want[32];
   ei::ScReduceBytesBarrett(got, wide.data(), wide.size());
-  ei::ScReduceBytesNaive(want, clean.data(), 64);
+  crypto_oracle::ScReduceBytesNaive(want, clean.data(), 64);
   Check(!CtTaintActive() || CtIsTainted(got, 32), "reduced scalar carries taint");
   CtDeclassify(got, 32);
   Check(Bytes(got, got + 32) == Bytes(want, want + 32), "tainted ScReduceBytes");
@@ -91,7 +93,8 @@ void TaintKernels(uint8_t round) {
   Bytes abc = clean;
   CtClassify(abc.data(), abc.size());
   ei::ScMulAddBarrett(got, abc.data(), abc.data() + 32, abc.data() + 64);
-  ei::ScMulAddNaive(want, clean.data(), clean.data() + 32, clean.data() + 64);
+  crypto_oracle::ScMulAddNaive(want, clean.data(), clean.data() + 32,
+                               clean.data() + 64);
   Check(!CtTaintActive() || CtIsTainted(got, 32), "r + k*a carries taint");
   CtDeclassify(got, 32);
   Check(Bytes(got, got + 32) == Bytes(want, want + 32), "tainted ScMulAdd");
@@ -102,7 +105,7 @@ void TaintKernels(uint8_t round) {
                clean[8 * i + 2]) & ((1ULL << 51) - 1);
   }
   Bytes fe_want(32), fe_got(32);
-  ei::FeToBytes(fe_want.data(), ei::FeInvertFermat(fe));
+  ei::FeToBytes(fe_want.data(), crypto_oracle::FeInvertFermat(fe));
   CtClassify(&fe, sizeof(fe));
   ei::Fe inv = ei::FeInvertSafegcd(fe);
   Check(!CtTaintActive() || CtIsTainted(&inv, sizeof(inv)),
@@ -116,7 +119,6 @@ int RunTaint() {
   std::printf("ct_check: taint harness %s\n",
               CtTaintActive() ? "ACTIVE (MemorySanitizer)"
                               : "inactive (plain build; functional smoke only)");
-  Ed25519SetFastPath(true);
 
   for (uint8_t round = 0; round < 4; ++round) {
     TaintKernels(round);
@@ -197,8 +199,7 @@ constexpr Rfc8032Vector kVectors[] = {
      "18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a"},
 };
 
-void RunVectors(bool fast) {
-  Ed25519SetFastPath(fast);
+void RunVectors() {
   for (const auto& v : kVectors) {
     Bytes seed = HexDecode(v.seed_hex);
     Bytes pub = HexDecode(v.public_hex);
@@ -207,36 +208,41 @@ void RunVectors(bool fast) {
     Check(Ed25519PublicKey(seed) == pub, "RFC 8032 public key");
     Check(Ed25519Sign(seed, msg) == sig, "RFC 8032 signature");
     Check(Ed25519Verify(pub, msg, sig), "RFC 8032 verify");
+    Check(crypto_oracle::PublicKeyNaive(seed) == pub,
+          "RFC 8032 public key (oracle)");
+    Check(crypto_oracle::SignNaive(seed, msg) == sig,
+          "RFC 8032 signature (oracle)");
+    Check(crypto_oracle::VerifyNaive(pub, msg, sig),
+          "RFC 8032 verify (oracle)");
   }
 }
 
 int RunSuite(bool quick) {
   const int rounds = quick ? 2 : 8;
-  RunVectors(true);
-  RunVectors(false);
+  RunVectors();
 
-  // Fast and naive paths must agree bit-for-bit on derived inputs, and the
-  // naive reference ladder itself must round-trip (it is the oracle the
-  // fast path is judged against).
+  // The fast path and the oracle must agree bit-for-bit on derived inputs,
+  // and the oracle's reference ladder itself must round-trip (it is what
+  // the fast path is judged against).
   for (int i = 0; i < rounds; ++i) {
     Bytes seed = SeedFor((uint8_t)(0x40 + i));
     Bytes msg = MessageFor((uint8_t)i, 11 + 29 * (size_t)i);
-    Ed25519SetFastPath(false);
-    Bytes pub_naive = Ed25519PublicKey(seed);
-    Bytes sig_naive = Ed25519Sign(seed, msg);
-    Check(Ed25519Verify(pub_naive, msg, sig_naive), "naive ladder round trip");
-    Ed25519SetFastPath(true);
+    Bytes pub_naive = crypto_oracle::PublicKeyNaive(seed);
+    Bytes sig_naive = crypto_oracle::SignNaive(seed, msg);
+    Check(crypto_oracle::VerifyNaive(pub_naive, msg, sig_naive),
+          "naive ladder round trip");
     Check(Ed25519PublicKey(seed) == pub_naive, "fast/naive public key");
     Check(Ed25519Sign(seed, msg) == sig_naive, "fast/naive signature");
     Check(Ed25519Verify(pub_naive, msg, sig_naive), "fast verify of naive sig");
     Bytes bad = sig_naive;
     bad[40] ^= 1;
     Check(!Ed25519Verify(pub_naive, msg, bad), "tampered signature rejected");
+    Check(!crypto_oracle::VerifyNaive(pub_naive, msg, bad),
+          "tampered signature rejected (oracle)");
   }
 
   // Cached batch verification (through prepared keys) with an embedded
   // culprit.
-  Ed25519SetFastPath(true);
   std::vector<VerifyItem> items;
   for (int i = 0; i < 6; ++i) {
     Bytes seed = SeedFor((uint8_t)(0x80 + i));
@@ -255,7 +261,7 @@ int RunSuite(bool quick) {
   }
 
   if (g_failures == 0) {
-    std::printf("ct_check: %s PASS (%d cross-check rounds, both paths)\n",
+    std::printf("ct_check: %s PASS (%d cross-check rounds, fast and oracle)\n",
                 quick ? "smoke" : "suite", rounds);
   }
   return g_failures == 0 ? 0 : 1;

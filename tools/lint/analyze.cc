@@ -353,7 +353,7 @@ void CheckR4(const std::string& path, const std::vector<Token>& toks,
                      "`" + reader +
                          "` outside src/util/serde: decode through the "
                          "type's SDR_WIRE_FIELDS list (Decode, "
-                         "WireDecodeTagged, WireWellFormed), so no decoder "
+                         "WireDecode, WireWellFormed), so no decoder "
                          "can drift from its encoder"});
     }
   }
@@ -525,14 +525,6 @@ FileClass ClassifyPath(const std::string& path) {
           !has("util/rng");
   fc.r5 = has("src/crypto/");
   return fc;
-}
-
-void CollectProtocolEnums(const std::string& src, EnumRegistry& registry) {
-  SymbolIndex tmp;
-  IndexSource("", src, tmp);
-  for (auto& [name, values] : tmp.enums) {
-    registry[name] = values;
-  }
 }
 
 std::vector<Finding> AnalyzeSource(const std::string& path,

@@ -70,9 +70,10 @@ int RunTool(const std::vector<std::string>& paths, const RunOptions& opts) {
   }
   const std::vector<std::string> files = CollectFiles(paths);
 
-  // Pass 1: the cross-TU symbol index — protocol enums and annotated
-  // members — spans all files, so a switch or a member access in one
-  // translation unit is checked against declarations in another.
+  // Pass 1: the cross-TU symbol index — protocol enums, annotated members,
+  // and R9's declarations and references — spans all files, so a switch,
+  // a member access or a call in one translation unit is checked against
+  // declarations in another.
   SymbolIndex index;
   std::map<std::string, std::string> contents;
   for (const std::string& f : files) {
@@ -80,13 +81,15 @@ int RunTool(const std::vector<std::string>& paths, const RunOptions& opts) {
     IndexSource(f, contents[f], index);
   }
 
-  // Pass 2: per-file rules.
+  // Pass 2: per-file rules, then R9 over the whole index.
   std::vector<Finding> findings;
   for (const std::string& f : files) {
     std::vector<Finding> fs =
         AnalyzeSource(f, contents[f], ClassifyPath(f), index);
     findings.insert(findings.end(), fs.begin(), fs.end());
   }
+  std::vector<Finding> r9 = CheckReachability(index);
+  findings.insert(findings.end(), r9.begin(), r9.end());
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
               if (a.file != b.file) {

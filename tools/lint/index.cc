@@ -1,5 +1,6 @@
 // Pass 1 of the two-pass lint: the cross-translation-unit SymbolIndex —
-// protocol enums and thread-discipline-annotated members.
+// protocol enums, thread-discipline-annotated members, and (through
+// reach.cc) R9's declarations and production references.
 #include "tools/lint/internal.h"
 #include "tools/lint/lint.h"
 
@@ -63,22 +64,6 @@ void CollectEnumsImpl(const std::vector<Token>& toks,
 // Name declared by a member statement: the last identifier directly
 // followed by ";", "=", "{", or "[" — i.e. the declarator, not a type or
 // template argument. Function declarations yield "".
-// SDR_GUARDED_BY(mu_) and friends are attribute macros, not calls: an
-// all-caps identifier followed by "(" inside a member declaration must not
-// make the indexer mistake the member for a method.
-bool IsMacroName(const std::string& s) {
-  bool has_alpha = false;
-  for (char c : s) {
-    if (c >= 'a' && c <= 'z') {
-      return false;
-    }
-    if (c >= 'A' && c <= 'Z') {
-      has_alpha = true;
-    }
-  }
-  return has_alpha;
-}
-
 std::string MemberDeclName(const std::vector<Token>& toks,
                            const std::vector<size_t>& code,
                            const std::vector<size_t>& raw_stmt) {
@@ -226,6 +211,7 @@ void IndexSource(const std::string& path, const std::string& src,
   std::vector<FuncSpan> spans = FunctionSpans(toks, code);
   std::vector<ClassSpan> classes = ClassSpans(toks, code);
   IndexClassMembers(path, toks, code, ann, spans, classes, index);
+  IndexReachability(path, toks, code, ann, spans, classes, index);
 }
 
 }  // namespace sdr::lint

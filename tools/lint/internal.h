@@ -24,6 +24,7 @@ struct LineAnn {
   // guarded_by(mutex_name). (Spelled indirectly here on purpose — a literal
   // marker in this comment would annotate these very members.)
   std::set<std::string> allow;  // rule names from the allow(...) form
+  std::set<std::string> allow_reasoned;  // those that also give a reason
   bool is_public = false;
   bool is_secret = false;
   bool protocol_enum = false;
@@ -79,8 +80,13 @@ inline void ParseMarkers(const std::string& text, LineAnn& ann) {
       if (!inner.empty()) {
         // First whitespace-delimited word is the rule; rest is rationale.
         size_t sp = inner.find_first_of(" \t");
-        ann.allow.insert(sp == std::string::npos ? inner
-                                                 : inner.substr(0, sp));
+        const std::string rule =
+            sp == std::string::npos ? inner : inner.substr(0, sp);
+        ann.allow.insert(rule);
+        if (sp != std::string::npos &&
+            inner.find_first_not_of(" \t", sp) != std::string::npos) {
+          ann.allow_reasoned.insert(rule);
+        }
       }
     }
     pos = word_end;
@@ -138,6 +144,8 @@ class Annotations {
   }
   static void Merge(LineAnn& into, const LineAnn& from) {
     into.allow.insert(from.allow.begin(), from.allow.end());
+    into.allow_reasoned.insert(from.allow_reasoned.begin(),
+                               from.allow_reasoned.end());
     into.is_public |= from.is_public;
     into.is_secret |= from.is_secret;
     into.protocol_enum |= from.protocol_enum;
@@ -519,6 +527,22 @@ inline bool IsTypeish(const std::string& s) {
   return kTypeish.count(s) != 0;
 }
 
+// An all-caps identifier: a macro such as SDR_GUARDED_BY(mu_) or
+// SDR_WIRE_FIELDS(...), which an identifier followed by "(" must not be
+// mistaken for a method or a call.
+inline bool IsMacroName(const std::string& s) {
+  bool has_alpha = false;
+  for (char c : s) {
+    if (c >= 'a' && c <= 'z') {
+      return false;
+    }
+    if (c >= 'A' && c <= 'Z') {
+      has_alpha = true;
+    }
+  }
+  return has_alpha;
+}
+
 // ---------------------------------------------------------------------------
 // Cross-TU rule passes defined in concurrency.cc, called from AnalyzeSource
 // ---------------------------------------------------------------------------
@@ -534,6 +558,16 @@ void CheckR7(const std::string& path, const std::vector<Token>& toks,
              const std::vector<FuncSpan>& spans,
              const std::vector<ClassSpan>& classes,
              std::vector<Finding>& out);
+
+// ---------------------------------------------------------------------------
+// R9's half of pass 1, defined in reach.cc, called from IndexSource
+// ---------------------------------------------------------------------------
+
+void IndexReachability(const std::string& path, const std::vector<Token>& toks,
+                       const std::vector<size_t>& code, const Annotations& ann,
+                       const std::vector<FuncSpan>& spans,
+                       const std::vector<ClassSpan>& classes,
+                       SymbolIndex& index);
 
 }  // namespace sdr::lint::internal
 

@@ -56,6 +56,19 @@
 //                         returned over function-local buffers, or captured
 //                         by reference into deferred callbacks are flagged.
 //
+//   R9 production reachability — a function declared in a src/ header
+//                         must be referenced from production code: src/,
+//                         tools/, examples/ or perfbench/. A reference is
+//                         any occurrence of its name outside a declaration
+//                         or definition; one whose only references are
+//                         under tests/ or bench/ (or nowhere) is reported
+//                         at its declaration. Repo-wide: it judges only the
+//                         files of one run, so the gate scans all four
+//                         production roots. Matching is by name, so a
+//                         shared name can hide dead code, but a live
+//                         function is never reported. Its allow needs a
+//                         reason: `sdrlint:allow(R9 <reason>)`.
+//
 // R8 (serde field-order symmetry) is retired and its id is not reused: with
 // one codec there is no hand-written encode/decode pair left to compare.
 //
@@ -67,7 +80,7 @@
 //   sdrlint:guarded_by(m)     member on this line is protected by mutex `m`
 //   sdrlint:lane_confined     member is a per-lane slot vector; see R6
 //   sdrlint:shared_atomic     member is cross-thread but atomic; see R6
-//   sdrlint:allow(Rn[ reason])  suppress rule Rn here
+//   sdrlint:allow(Rn[ reason])  suppress rule Rn here (R9 needs the reason)
 //
 // See docs/ANALYSIS.md for the full rule catalogue and rationale.
 #ifndef SDR_TOOLS_LINT_LINT_H_
@@ -110,7 +123,7 @@ std::vector<Token> Tokenize(const std::string& src);
 // ---------------------------------------------------------------------------
 
 struct Finding {
-  std::string rule;  // "R1".."R7"
+  std::string rule;  // "R1".."R9"
   std::string file;
   int line = 0;
   std::string message;
@@ -132,10 +145,6 @@ FileClass ClassifyPath(const std::string& path);
 // Protocol-enum registry: enum name (unqualified) -> enumerator names.
 using EnumRegistry = std::map<std::string, std::vector<std::string>>;
 
-// Collects enums annotated `sdrlint:protocol-enum` from one file's source.
-// (Subsumed by IndexSource; kept as the narrow single-purpose entry point.)
-void CollectProtocolEnums(const std::string& src, EnumRegistry& registry);
-
 // ---------------------------------------------------------------------------
 // Cross-translation-unit symbol index (pass 1)
 // ---------------------------------------------------------------------------
@@ -155,14 +164,30 @@ struct ClassInfo {
   std::map<std::string, MemberAnn> members;  // annotated members only
 };
 
+// A function declared in a src/ header (R9).
+struct FuncDecl {
+  std::string name;   // unqualified
+  std::string owner;  // enclosing class, empty at namespace scope
+  std::string file;
+  int line = 0;
+  bool allowed = false;  // under sdrlint:allow(R9 <reason>)
+};
+
 struct SymbolIndex {
   EnumRegistry enums;
   std::map<std::string, ClassInfo> classes;  // class name -> annotations
+  std::vector<FuncDecl> src_functions;       // R9 candidates
+  std::set<std::string> live_references;     // names production code uses
 };
 
-// Pass 1 over one file: protocol enums and annotated members.
+// Pass 1 over one file: protocol enums, annotated members, and R9's
+// declarations and references.
 void IndexSource(const std::string& path, const std::string& src,
                  SymbolIndex& index);
+
+// R9 over a finished index: every src/ header function whose name no
+// production file references, unless allowed with a reason.
+std::vector<Finding> CheckReachability(const SymbolIndex& index);
 
 // Pass 2 over one file: runs all applicable per-file rules.
 std::vector<Finding> AnalyzeSource(const std::string& path,
@@ -175,10 +200,10 @@ std::vector<Finding> AnalyzeSource(const std::string& path,
 // ---------------------------------------------------------------------------
 
 // Stable identity of a finding across checkouts: "Rn|repo-path|message"
-// with the path normalized to start at src/, tools/, tests/, bench/, or
-// examples/ and quotes/backslashes in the message flattened. Line numbers
-// are deliberately excluded so unrelated edits above a baselined finding
-// do not break the gate.
+// with the path normalized to start at src/, tools/, tests/, bench/,
+// examples/ or perfbench/ and quotes/backslashes in the message
+// flattened. Line numbers are deliberately excluded so unrelated edits
+// above a baselined finding do not break the gate.
 std::string FindingKey(const Finding& f);
 
 // Path normalization used by FindingKey (exposed for tests).

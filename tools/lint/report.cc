@@ -34,8 +34,8 @@ std::string NormalizeRepoPath(const std::string& path) {
   // Take the suffix starting at the first repo-root component, so
   // `sdrlint src tools` (relative) and ctest's absolute
   // `${CMAKE_SOURCE_DIR}/src` produce identical keys.
-  static const char* kRoots[] = {"src/", "tools/", "tests/", "bench/",
-                                 "examples/", "docs/"};
+  static const char* kRoots[] = {"src/",      "tools/", "tests/",   "bench/",
+                                 "examples/", "docs/",  "perfbench/"};
   size_t best = std::string::npos;
   for (const char* root : kRoots) {
     size_t pos = path.find(root);

@@ -22,7 +22,9 @@ int main(int argc, char** argv) {
           "Rules: R1 determinism, R2 ordered-output, R3 switch\n"
           "exhaustiveness over protocol enums, R4 one codec, R5\n"
           "constant-time discipline, R6 thread confinement & lock\n"
-          "discipline, R7 BytesView lifetime. See docs/ANALYSIS.md.\n");
+          "discipline, R7 BytesView lifetime, R9 production\n"
+          "reachability (scan src tools examples perfbench together).\n"
+          "See docs/ANALYSIS.md.\n");
       return 0;
     }
     if (arg.rfind("--baseline=", 0) == 0) {
