@@ -1,7 +1,9 @@
 #include "src/runtime/deployment.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <sstream>
+#include <type_traits>
 
 #include "src/util/logging.h"
 
@@ -315,6 +317,33 @@ bool SplitHostPort(const std::string& s, std::string* host, uint16_t* port) {
   return !host->empty();
 }
 
+// Reads one value into `field`: a duration (unit != 1) as a whole number
+// of units, anything else as the field's own type.
+template <typename T>
+bool ReadValue(std::istream& in, T& field, SimTime unit) {
+  if (unit == 1) {
+    return static_cast<bool>(in >> field);
+  }
+  int64_t units;
+  if (!(in >> units)) {
+    return false;
+  }
+  field = static_cast<T>(units * unit);
+  return true;
+}
+
+// The text ReadValue reads back to `field`: doubles in the shortest form
+// that round-trips, durations in whole units.
+template <typename T>
+std::string FormatValue(T field, SimTime unit) {
+  if constexpr (std::is_floating_point_v<T>) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, field).ptr);
+  } else {
+    return std::to_string(field / static_cast<T>(unit));
+  }
+}
+
 }  // namespace
 
 Result<NodeConfig> ParseNodeConfig(const std::string& text) {
@@ -341,63 +370,14 @@ Result<NodeConfig> ParseNodeConfig(const std::string& text) {
       uint32_t v;
       if (!(ls >> v)) return fail("node_id needs an integer");
       config.node_id = v;
-    } else if (key == "seed") {
-      if (!(ls >> config.deployment.seed)) return fail("seed needs an integer");
-    } else if (key == "masters") {
-      if (!(ls >> config.deployment.num_masters)) return fail("bad masters");
-    } else if (key == "auditors") {
-      if (!(ls >> config.deployment.num_auditors)) return fail("bad auditors");
-    } else if (key == "slaves_per_master") {
-      if (!(ls >> config.deployment.slaves_per_master)) {
-        return fail("bad slaves_per_master");
-      }
-    } else if (key == "clients") {
-      if (!(ls >> config.deployment.num_clients)) return fail("bad clients");
-    } else if (key == "items") {
-      if (!(ls >> config.deployment.corpus.n_items)) return fail("bad items");
-    } else if (key == "max_latency_ms") {
-      int64_t ms;
-      if (!(ls >> ms)) return fail("bad max_latency_ms");
-      config.deployment.params.max_latency = ms * kMillisecond;
-    } else if (key == "keepalive_ms") {
-      int64_t ms;
-      if (!(ls >> ms)) return fail("bad keepalive_ms");
-      config.deployment.params.keepalive_period = ms * kMillisecond;
-    } else if (key == "audit_slack_ms") {
-      int64_t ms;
-      if (!(ls >> ms)) return fail("bad audit_slack_ms");
-      config.deployment.params.audit_slack = ms * kMillisecond;
-    } else if (key == "commit_batch") {
-      if (!(ls >> config.deployment.params.commit_batch)) {
-        return fail("bad commit_batch");
-      }
-    } else if (key == "commit_window_us") {
-      int64_t us;
-      if (!(ls >> us)) return fail("bad commit_window_us");
-      config.deployment.params.commit_window = us * kMicrosecond;
-    } else if (key == "double_check_p") {
-      if (!(ls >> config.deployment.params.double_check_probability)) {
-        return fail("bad double_check_p");
-      }
-    } else if (key == "think_ms") {
-      int64_t ms;
-      if (!(ls >> ms)) return fail("bad think_ms");
-      config.deployment.client_think_time = ms * kMillisecond;
-    } else if (key == "write_fraction") {
-      if (!(ls >> config.deployment.client_write_fraction)) {
-        return fail("bad write_fraction");
-      }
-    } else if (key == "audit_jobs") {
-      if (!(ls >> config.deployment.audit_jobs)) return fail("bad audit_jobs");
-    } else if (key == "liar_index") {
-      if (!(ls >> config.liar_index)) return fail("bad liar_index");
-    } else if (key == "lie_probability") {
-      if (!(ls >> config.lie_probability)) return fail("bad lie_probability");
-    } else if (key == "epoch_us") {
-      if (!(ls >> config.epoch_us)) return fail("bad epoch_us");
-    } else if (key == "start_delay_ms") {
-      if (!(ls >> config.start_delay_ms)) return fail("bad start_delay_ms");
-    } else if (key == "listen") {
+    }
+#define SDR_PARSE_KEY(name, field, unit)                                     \
+    else if (key == #name) {                                                 \
+      if (!ReadValue(ls, config.field, unit)) return fail("bad " #name);     \
+    }
+    SDR_NODE_CONFIG_KEYS(SDR_PARSE_KEY)
+#undef SDR_PARSE_KEY
+    else if (key == "listen") {
       std::string addr;
       if (!(ls >> addr) ||
           !SplitHostPort(addr, &config.listen_host, &config.listen_port)) {
@@ -424,31 +404,10 @@ Result<NodeConfig> ParseNodeConfig(const std::string& text) {
 std::string FormatNodeConfig(const NodeConfig& config) {
   std::ostringstream out;
   out << "node_id " << config.node_id << "\n";
-  out << "seed " << config.deployment.seed << "\n";
-  out << "masters " << config.deployment.num_masters << "\n";
-  out << "auditors " << config.deployment.num_auditors << "\n";
-  out << "slaves_per_master " << config.deployment.slaves_per_master << "\n";
-  out << "clients " << config.deployment.num_clients << "\n";
-  out << "items " << config.deployment.corpus.n_items << "\n";
-  out << "max_latency_ms "
-      << config.deployment.params.max_latency / kMillisecond << "\n";
-  out << "keepalive_ms "
-      << config.deployment.params.keepalive_period / kMillisecond << "\n";
-  out << "audit_slack_ms "
-      << config.deployment.params.audit_slack / kMillisecond << "\n";
-  out << "commit_batch " << config.deployment.params.commit_batch << "\n";
-  out << "commit_window_us "
-      << config.deployment.params.commit_window / kMicrosecond << "\n";
-  out << "double_check_p " << config.deployment.params.double_check_probability
-      << "\n";
-  out << "think_ms " << config.deployment.client_think_time / kMillisecond
-      << "\n";
-  out << "write_fraction " << config.deployment.client_write_fraction << "\n";
-  out << "audit_jobs " << config.deployment.audit_jobs << "\n";
-  out << "liar_index " << config.liar_index << "\n";
-  out << "lie_probability " << config.lie_probability << "\n";
-  out << "epoch_us " << config.epoch_us << "\n";
-  out << "start_delay_ms " << config.start_delay_ms << "\n";
+#define SDR_FORMAT_KEY(name, field, unit)                                    \
+  out << #name " " << FormatValue(config.field, unit) << "\n";
+  SDR_NODE_CONFIG_KEYS(SDR_FORMAT_KEY)
+#undef SDR_FORMAT_KEY
   out << "listen " << config.listen_host << ":" << config.listen_port << "\n";
   for (const auto& peer : config.peers) {
     out << "peer " << peer.id << " " << peer.host << ":" << peer.port << "\n";

@@ -191,16 +191,40 @@ PlanNode BuildPlanNode(const DeploymentPlan& plan, NodeId id,
 //
 // Line-oriented `key value...` pairs; '#' starts a comment. Keys:
 //   node_id N            this process's node id (required)
-//   seed N               deployment seed (required)
-//   masters N / auditors N / slaves_per_master N / clients N
-//   items N              corpus size
-//   max_latency_ms N / keepalive_ms N / double_check_p X / think_ms N
-//   write_fraction X / lie_probability X (slaves pick it up by index)
-//   liar_index N         global slave index that lies (-1 = none)
-//   epoch_us N           shared cluster epoch (CLOCK_REALTIME microseconds)
-//   start_delay_ms N     defer this node's Start() after its env comes up
+//   each key of SDR_NODE_CONFIG_KEYS below, with one value
 //   listen HOST:PORT     this node's listen address
 //   peer ID HOST:PORT    one line per peer this node talks to
+// FormatNodeConfig writes them in that order.
+//
+// SDR_NODE_CONFIG_KEYS declares every other key once, as
+// X(key, NodeConfig field, unit). A duration field (SimTime) is written as
+// a whole number of `unit`s, so `max_latency_ms 2000` is 2 s; every other
+// field has unit 1. Doubles are written at full round-trip precision.
+#define SDR_NODE_CONFIG_KEYS(X)                                              \
+  X(seed, deployment.seed, 1)                                                \
+  X(masters, deployment.num_masters, 1)                                      \
+  X(auditors, deployment.num_auditors, 1)                                    \
+  X(slaves_per_master, deployment.slaves_per_master, 1)                      \
+  X(clients, deployment.num_clients, 1)                                      \
+  X(items, deployment.corpus.n_items, 1)                                     \
+  X(max_latency_ms, deployment.params.max_latency, kMillisecond)             \
+  X(keepalive_ms, deployment.params.keepalive_period, kMillisecond)          \
+  X(audit_slack_ms, deployment.params.audit_slack, kMillisecond)             \
+  X(commit_batch, deployment.params.commit_batch, 1)                         \
+  X(commit_window_us, deployment.params.commit_window, kMicrosecond)         \
+  X(double_check_p, deployment.params.double_check_probability, 1)           \
+  X(think_ms, deployment.client_think_time, kMillisecond)                    \
+  X(write_fraction, deployment.client_write_fraction, 1)                     \
+  X(audit_jobs, deployment.audit_jobs, 1)                                    \
+  /* global slave index that lies (-1 = none) */                             \
+  X(liar_index, liar_index, 1)                                               \
+  /* the lying slave's lie rate (slaves pick it up by index) */              \
+  X(lie_probability, lie_probability, 1)                                     \
+  /* shared cluster epoch (CLOCK_REALTIME microseconds) */                   \
+  X(epoch_us, epoch_us, 1)                                                   \
+  /* defer this node's Start() after its env comes up */                     \
+  X(start_delay_ms, start_delay_ms, 1)
+
 struct NodeConfig {
   NodeId node_id = kInvalidNode;
   DeploymentConfig deployment;

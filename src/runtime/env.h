@@ -10,6 +10,11 @@
 //   RealEnv — an epoll-based single-threaded event loop with TCP transport
 //             and a monotonic wall clock, for running roles as processes.
 //
+// Both keep their timers in one EventQueue (src/runtime/event_queue.h), so
+// the order timers fire in and what Cancel does are the same on both:
+// earliest deadline first, equal deadlines in schedule order, and Cancel
+// of a fired, cancelled or unknown id is a no-op.
+//
 // Time is SimTime microseconds on both substrates: virtual on SimEnv,
 // monotonic-since-start on RealEnv. Role code must express all deadlines as
 // durations relative to Now() — never as absolute epochs — so the same
@@ -59,8 +64,9 @@ class Node;
 // position for a real transport — a process cannot pick its source address.
 class Env : public Clock {
  public:
-  // Schedules `fn` at absolute time `t` (clamped to Now()). The returned id
-  // stays valid for Cancel until the event fires.
+  // Schedules `fn` at absolute time `t`. A past `t` is clamped to the
+  // current instant, so the timer fires after those already due. The
+  // returned id stays valid for Cancel until the event fires.
   virtual EventId ScheduleAt(SimTime t, InlineFunction<void()> fn) = 0;
 
   // Schedules `fn` to run `delay` from now.

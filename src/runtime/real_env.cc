@@ -148,7 +148,11 @@ void RealEnv::AddPeer(NodeId id, const std::string& host, uint16_t port) {
 SimTime RealEnv::Now() const { return NowMonotonicUs() - mono_epoch_us_; }
 
 EventId RealEnv::ScheduleAt(SimTime t, InlineFunction<void()> fn) {
-  return timers_.Schedule(std::max(t, Now()), std::move(fn));
+  // Inside the timer sweep a past deadline clamps to the sweep's clock
+  // reading, so the timer fires in that sweep after those already due, as
+  // a past event joins the simulator's current instant.
+  return timers_.Push(std::max(t, sweeping_ ? sweep_now_ : Now()),
+                      std::move(fn));
 }
 
 void RealEnv::Cancel(EventId id) { timers_.Cancel(id); }
@@ -293,7 +297,7 @@ void RealEnv::ScheduleRedial(Peer& peer) {
   ++peer.attempts;
   ++reconnects_;
   NodeId id = peer.id;
-  peer.redial_timer = timers_.Schedule(Now() + delay, [this, id] {
+  peer.redial_timer = timers_.Push(Now() + delay, [this, id] {
     auto it = peers_.find(id);
     if (it != peers_.end() && it->second.fd < 0) {
       DialPeer(it->second);
@@ -385,7 +389,7 @@ int RealEnv::TimeoutUntilNextTimer() const {
   if (timers_.empty()) {
     return 1000;  // wake periodically anyway; costs nothing
   }
-  SimTime until = timers_.next_deadline() - Now();
+  SimTime until = timers_.next_time() - Now();
   if (until <= 0) {
     return 0;
   }
@@ -460,14 +464,21 @@ void RealEnv::Run() {
   }
   if (node_ != nullptr) {
     if (options_.start_delay > 0) {
-      timers_.Schedule(Now() + options_.start_delay, [this] { node_->Start(); });
+      timers_.Push(Now() + options_.start_delay, [this] { node_->Start(); });
     } else {
       node_->Start();
     }
   }
   while (!stop_.load(std::memory_order_acquire)) {
     PumpEpoll(TimeoutUntilNextTimer());
-    timers_.RunDue(Now());
+    // One clock reading bounds the sweep: every timer due by then fires,
+    // in (deadline, schedule order), including timers the callbacks add.
+    sweep_now_ = Now();
+    sweeping_ = true;
+    while (!timers_.empty() && timers_.next_time() <= sweep_now_) {
+      timers_.Pop()();
+    }
+    sweeping_ = false;
   }
   running_ = false;
 }

@@ -5,7 +5,8 @@
 //   - one outbound TCP connection per configured peer, redialed with
 //     exponential backoff while down (messages to a down peer drop, which
 //     is the same best-effort contract the simulated network gives),
-//   - a wall-clock timer queue with the simulator's exact Cancel semantics,
+//   - wall-clock timers in the simulator's own EventQueue, so both
+//     substrates share one order rule and one Cancel,
 //   - a self-pipe so RequestStop() is safe from signal handlers and other
 //     threads.
 //
@@ -32,7 +33,7 @@
 #include <vector>
 
 #include "src/runtime/env.h"
-#include "src/runtime/timer_queue.h"
+#include "src/runtime/event_queue.h"
 #include "src/util/bytes.h"
 #include "src/util/rng.h"
 
@@ -155,7 +156,10 @@ class RealEnv final : public Env {
   uint16_t bound_port_ = 0;
   int64_t mono_epoch_us_ = 0;  // Now() = mono_us - mono_epoch_us_
 
-  TimerQueue timers_;
+  EventQueue timers_;
+  // The Run loop's clock reading for the timer sweep in progress.
+  SimTime sweep_now_ = 0;
+  bool sweeping_ = false;
   std::map<NodeId, Peer> peers_;
   std::map<int, Inbound> inbound_;  // by fd
   // sdrlint:shared_atomic — set by Stop() from signal/other threads,

@@ -1,20 +1,17 @@
-// Deterministic discrete-event simulator: a virtual clock and an event
-// queue. All protocol timing (keep-alives, max_latency freshness windows,
-// audit lag, detection latency) is measured in virtual time, so runs are
-// exactly reproducible from a seed.
-//
-// The queue is an index-tracked binary heap: every pending event owns a
-// slot in a side table that records its heap position, so Cancel is a true
-// O(log n) removal instead of the former lazy tombstone scan. EventIds are
-// (generation << 32 | slot), which makes double-cancel and cancel-after-
-// fire exact no-ops — a stale id's generation no longer matches.
+// Deterministic discrete-event simulator: a virtual clock over the shared
+// EventQueue (src/runtime/event_queue.h), the same timer store RealEnv
+// fires wall-clock timers from. All protocol timing (keep-alives,
+// max_latency freshness windows, audit lag, detection latency) is measured
+// in virtual time, so runs are exactly reproducible from a seed.
 #ifndef SDR_SRC_SIM_SIMULATOR_H_
 #define SDR_SRC_SIM_SIMULATOR_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <vector>
+#include <utility>
 
 #include "src/runtime/env.h"
+#include "src/runtime/event_queue.h"
 #include "src/util/inline_function.h"
 #include "src/util/rng.h"
 
@@ -32,7 +29,9 @@ class Simulator final : public Clock {
   Rng& rng() { return rng_; }
 
   // Schedules `fn` to run at absolute virtual time `t` (clamped to Now()).
-  EventId ScheduleAt(SimTime t, InlineFunction<void()> fn);
+  EventId ScheduleAt(SimTime t, InlineFunction<void()> fn) {
+    return queue_.Push(std::max(t, now_), std::move(fn));
+  }
 
   // Schedules `fn` to run `delay` from now.
   EventId ScheduleAfter(SimTime delay, InlineFunction<void()> fn) {
@@ -41,7 +40,7 @@ class Simulator final : public Clock {
 
   // Cancels a pending event. Safe to call on already-fired, already-
   // cancelled, or invalid ids (no-op), any number of times.
-  void Cancel(EventId id);
+  void Cancel(EventId id) { queue_.Cancel(id); }
 
   // Runs the next event, if any. Returns false when the queue is empty.
   bool Step();
@@ -53,7 +52,7 @@ class Simulator final : public Clock {
   // guard). Returns the number of events processed.
   size_t RunUntilIdle(size_t max_events = SIZE_MAX);
 
-  size_t pending_events() const { return heap_.size(); }
+  size_t pending_events() const { return queue_.size(); }
 
   // Total events dispatched since construction (perf instrumentation).
   size_t events_processed() const { return events_processed_; }
@@ -65,32 +64,10 @@ class Simulator final : public Clock {
   TraceSink* trace() const { return trace_; }
 
  private:
-  struct Slot {
-    uint32_t generation = 1;  // bumped on retire; never 0, so id != 0
-    int32_t heap_pos = -1;    // -1: not pending
-  };
-  struct HeapEntry {
-    SimTime time;
-    uint64_t seq;   // schedule order; ties at equal time fire in this order
-    uint32_t slot;
-    InlineFunction<void()> fn;
-  };
-
-  bool Before(const HeapEntry& a, const HeapEntry& b) const {
-    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
-  }
-  void SiftUp(size_t pos);
-  void SiftDown(size_t pos);
-  void Place(size_t pos, HeapEntry entry);
-  // Removes the root, retiring its slot; returns its callback.
-  InlineFunction<void()> PopTop();
   void Dispatch(InlineFunction<void()>& fn);
 
   SimTime now_ = 0;
-  uint64_t next_seq_ = 0;
-  std::vector<HeapEntry> heap_;
-  std::vector<Slot> slots_;
-  std::vector<uint32_t> free_slots_;
+  EventQueue queue_;
   size_t events_processed_ = 0;
   Rng rng_;
   TraceSink* trace_ = nullptr;

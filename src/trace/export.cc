@@ -153,9 +153,6 @@ JsonValue ChromeTraceJson(const TraceData& data) {
         j["ph"] = "i";
         j["s"] = "t";
         break;
-      case TraceEventType::kCounter:
-        j["ph"] = "C";
-        break;
     }
     j["name"] = data.Name(ev.name);
     j["cat"] = TraceRoleName(ev.role);
@@ -166,9 +163,7 @@ JsonValue ChromeTraceJson(const TraceData& data) {
     if (ev.trace_id != kNoTrace) {
       args["trace_id"] = HexTraceId(ev.trace_id);
     }
-    if (ev.type == TraceEventType::kCounter) {
-      args["value"] = ev.value;
-    } else if (ev.value != 0) {
+    if (ev.value != 0) {
       args["value"] = ev.value;
     }
     j["args"] = std::move(args);

@@ -30,8 +30,6 @@ const char* EventTypeGlyph(TraceEventType type) {
       return "]";
     case TraceEventType::kInstant:
       return "*";
-    case TraceEventType::kCounter:
-      return "#";
   }
   return "?";
 }

@@ -85,11 +85,6 @@ void TraceSink::Instant(TraceRole role, uint32_t node, const char* name,
   Emit(TraceEventType::kInstant, role, node, name, trace_id, value);
 }
 
-void TraceSink::Counter(TraceRole role, uint32_t node, const char* name,
-                        int64_t value, TraceId trace_id) {
-  Emit(TraceEventType::kCounter, role, node, name, trace_id, value);
-}
-
 LatencyHistogram& TraceSink::Hist(TraceRole role, uint32_t node,
                                   const char* name) {
   HistKey key{InternName(name), static_cast<uint8_t>(role), node};

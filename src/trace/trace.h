@@ -42,10 +42,9 @@ enum class TraceEventType : uint8_t {
   kSpanBegin = 0,
   kSpanEnd = 1,
   kInstant = 2,
-  kCounter = 3,
 };
 constexpr TraceEventType WireEnumLast(TraceEventType) {
-  return TraceEventType::kCounter;
+  return TraceEventType::kInstant;
 }
 
 enum class TraceRole : uint8_t {
@@ -65,7 +64,7 @@ const char* TraceRoleName(TraceRole role);
 struct TraceEvent {
   SimTime time = 0;
   TraceId trace_id = kNoTrace;
-  // Payload: span end duration hint, counter sample, or event-specific
+  // Payload: span end duration hint, or event-specific
   // detail (e.g. the excluded slave's id on "master.exclude").
   int64_t value = 0;
   uint32_t node = 0;
@@ -107,10 +106,6 @@ class TraceSink {
                TraceId trace_id = kNoTrace, int64_t value = 0);
   void Instant(TraceRole role, uint32_t node, const char* name,
                TraceId trace_id = kNoTrace, int64_t value = 0);
-  // sdrlint:allow(R9 the trace format's counter event, pinned by the
-  // Chrome-export golden)
-  void Counter(TraceRole role, uint32_t node, const char* name,
-               int64_t value, TraceId trace_id = kNoTrace);
 
   // Per-node histogram for `name` (e.g. "read_rtt_us"); created on first
   // use. Callers Record() into the returned reference.

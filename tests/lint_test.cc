@@ -93,7 +93,7 @@ TEST(R1, RealTransportRuntimeDomainIsExempt) {
   // src/runtime/ and the deployment tools own real clocks and sockets by
   // design; R1 must not fire there.
   EXPECT_FALSE(ClassifyPath("src/runtime/real_env.cc").r1);
-  EXPECT_FALSE(ClassifyPath("src/runtime/timer_queue.cc").r1);
+  EXPECT_FALSE(ClassifyPath("src/runtime/deployment.cc").r1);
   EXPECT_FALSE(ClassifyPath("tools/sdrnode.cc").r1);
   EXPECT_FALSE(ClassifyPath("tools/sdrcluster.cc").r1);
   auto fs = Lint("src/runtime/real_env.cc",

@@ -1,9 +1,9 @@
-// Unit tests for the runtime subsystem: TimerQueue semantics (which must
-// mirror the simulator's event queue exactly), the reconnect backoff
-// schedule, the node-config grammar, deployment provisioning (and the
-// simulator's Cluster being built from it), and RealEnv
-// itself on loopback TCP — including the shared-epoch clock that makes
-// freshness timestamps comparable across processes.
+// Unit tests for the runtime subsystem: the EventQueue both substrates fire
+// their timers from (swept as RealEnv's loop sweeps it), the reconnect
+// backoff schedule, the node-config grammar, deployment provisioning (and
+// the simulator's Cluster being built from it), and RealEnv itself on
+// loopback TCP — including the shared-epoch clock that makes freshness
+// timestamps comparable across processes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,8 +15,8 @@
 #include "src/core/messages.h"
 #include "src/forkcheck/fork.h"
 #include "src/runtime/deployment.h"
+#include "src/runtime/event_queue.h"
 #include "src/runtime/real_env.h"
-#include "src/runtime/timer_queue.h"
 
 namespace sdr {
 namespace {
@@ -27,49 +27,60 @@ int64_t RealtimeUs() {
   return static_cast<int64_t>(ts.tv_sec) * 1000000 + ts.tv_nsec / 1000;
 }
 
-// --- TimerQueue ---
+// --- EventQueue ---
 
-TEST(TimerQueueTest, FiresInDeadlineOrder) {
-  TimerQueue q;
+// Fires every event due by `now`, including events the callbacks push at or
+// before it, the way RealEnv's loop sweeps its timers. Returns the count.
+size_t RunDue(EventQueue& q, SimTime now) {
+  size_t fired = 0;
+  while (!q.empty() && q.next_time() <= now) {
+    q.Pop()();
+    ++fired;
+  }
+  return fired;
+}
+
+TEST(EventQueueTest, FiresInDeadlineOrder) {
+  EventQueue q;
   std::vector<int> order;
-  q.Schedule(30, [&] { order.push_back(3); });
-  q.Schedule(10, [&] { order.push_back(1); });
-  q.Schedule(20, [&] { order.push_back(2); });
-  EXPECT_EQ(q.next_deadline(), 10);
-  EXPECT_EQ(q.RunDue(25), 2u);
+  q.Push(30, [&] { order.push_back(3); });
+  q.Push(10, [&] { order.push_back(1); });
+  q.Push(20, [&] { order.push_back(2); });
+  EXPECT_EQ(q.next_time(), 10);
+  EXPECT_EQ(RunDue(q, 25), 2u);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(q.RunDue(30), 1u);
+  EXPECT_EQ(RunDue(q, 30), 1u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_TRUE(q.empty());
 }
 
-TEST(TimerQueueTest, SameDeadlineFiresInScheduleOrder) {
-  TimerQueue q;
+TEST(EventQueueTest, SameDeadlineFiresInScheduleOrder) {
+  EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
-    q.Schedule(100, [&order, i] { order.push_back(i); });
+    q.Push(100, [&order, i] { order.push_back(i); });
   }
-  q.RunDue(100);
+  RunDue(q, 100);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(TimerQueueTest, CancelPendingTimerPreventsFiring) {
-  TimerQueue q;
+TEST(EventQueueTest, CancelPendingTimerPreventsFiring) {
+  EventQueue q;
   bool fired = false;
-  EventId id = q.Schedule(10, [&] { fired = true; });
+  EventId id = q.Push(10, [&] { fired = true; });
   EXPECT_TRUE(q.Cancel(id));
-  EXPECT_EQ(q.RunDue(100), 0u);
+  EXPECT_EQ(RunDue(q, 100), 0u);
   EXPECT_FALSE(fired);
   // Cancelling twice is a no-op that reports failure.
   EXPECT_FALSE(q.Cancel(id));
 }
 
-TEST(TimerQueueTest, CancelOnFiredTimerIsNoOp) {
-  TimerQueue q;
+TEST(EventQueueTest, CancelOnFiredTimerIsNoOp) {
+  EventQueue q;
   int fires = 0;
-  EventId a = q.Schedule(10, [&] { ++fires; });
-  EventId b = q.Schedule(20, [&] { ++fires; });
-  EXPECT_EQ(q.RunDue(10), 1u);
+  EventId a = q.Push(10, [&] { ++fires; });
+  EventId b = q.Push(20, [&] { ++fires; });
+  EXPECT_EQ(RunDue(q, 10), 1u);
   EXPECT_FALSE(q.Cancel(a));       // already fired
   EXPECT_FALSE(q.Cancel(999999));  // never existed
   EXPECT_FALSE(q.Cancel(0));       // invalid id
@@ -79,18 +90,18 @@ TEST(TimerQueueTest, CancelOnFiredTimerIsNoOp) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(TimerQueueTest, CallbackMayScheduleAndCancelWithinWindow) {
-  TimerQueue q;
+TEST(EventQueueTest, CallbackMayScheduleAndCancelWithinWindow) {
+  EventQueue q;
   std::vector<int> order;
-  EventId victim = q.Schedule(30, [&] { order.push_back(99); });
-  q.Schedule(10, [&] {
+  EventId victim = q.Push(30, [&] { order.push_back(99); });
+  q.Push(10, [&] {
     order.push_back(1);
-    // Within-window insert fires in the same RunDue sweep...
-    q.Schedule(15, [&] { order.push_back(2); });
+    // Within-window insert fires in the same sweep...
+    q.Push(15, [&] { order.push_back(2); });
     // ...and a within-window cancel suppresses a due timer.
     q.Cancel(victim);
   });
-  EXPECT_EQ(q.RunDue(30), 2u);
+  EXPECT_EQ(RunDue(q, 30), 2u);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
@@ -109,17 +120,26 @@ TEST(ReconnectDelayTest, ExponentialWithCap) {
 
 // --- Node config grammar ---
 
+// Every key set away from its default. 0.1 + 0.2 needs all 17 significant
+// digits to come back as the same double.
 TEST(NodeConfigTest, FormatParseRoundTrip) {
   NodeConfig config;
   config.node_id = 7;
   config.deployment.seed = 42;
   config.deployment.num_masters = 2;
-  config.deployment.num_auditors = 1;
+  config.deployment.num_auditors = 2;
   config.deployment.slaves_per_master = 3;
   config.deployment.num_clients = 4;
   config.deployment.corpus.n_items = 111;
   config.deployment.params.max_latency = 1500 * kMillisecond;
+  config.deployment.params.keepalive_period = 300 * kMillisecond;
+  config.deployment.params.audit_slack = 700 * kMillisecond;
+  config.deployment.params.commit_batch = 8;
+  config.deployment.params.commit_window = 2500 * kMicrosecond;
+  config.deployment.params.double_check_probability = 0.1 + 0.2;
+  config.deployment.client_think_time = 25 * kMillisecond;
   config.deployment.client_write_fraction = 0.25;
+  config.deployment.audit_jobs = 3;
   config.liar_index = 2;
   config.lie_probability = 0.75;
   config.epoch_us = 1234567890;
@@ -129,26 +149,43 @@ TEST(NodeConfigTest, FormatParseRoundTrip) {
   config.peers.push_back({1, "127.0.0.1", 9001});
   config.peers.push_back({2, "10.0.0.2", 9002});
 
-  auto parsed = ParseNodeConfig(FormatNodeConfig(config));
+  const std::string text = FormatNodeConfig(config);
+  EXPECT_NE(text.find("\ndouble_check_p 0.30000000000000004\n"),
+            std::string::npos)
+      << text;
+  auto parsed = ParseNodeConfig(text);
   ASSERT_TRUE(parsed.ok()) << parsed.error().message();
   const NodeConfig& r = *parsed;
   EXPECT_EQ(r.node_id, 7u);
   EXPECT_EQ(r.deployment.seed, 42u);
   EXPECT_EQ(r.deployment.num_masters, 2);
+  EXPECT_EQ(r.deployment.num_auditors, 2);
   EXPECT_EQ(r.deployment.slaves_per_master, 3);
   EXPECT_EQ(r.deployment.num_clients, 4);
   EXPECT_EQ(r.deployment.corpus.n_items, 111u);
   EXPECT_EQ(r.deployment.params.max_latency, 1500 * kMillisecond);
-  EXPECT_DOUBLE_EQ(r.deployment.client_write_fraction, 0.25);
+  EXPECT_EQ(r.deployment.params.keepalive_period, 300 * kMillisecond);
+  EXPECT_EQ(r.deployment.params.audit_slack, 700 * kMillisecond);
+  EXPECT_EQ(r.deployment.params.commit_batch, 8u);
+  EXPECT_EQ(r.deployment.params.commit_window, 2500 * kMicrosecond);
+  EXPECT_EQ(r.deployment.params.double_check_probability, 0.1 + 0.2);
+  EXPECT_EQ(r.deployment.client_think_time, 25 * kMillisecond);
+  EXPECT_EQ(r.deployment.client_write_fraction, 0.25);
+  EXPECT_EQ(r.deployment.audit_jobs, 3);
   EXPECT_EQ(r.liar_index, 2);
-  EXPECT_DOUBLE_EQ(r.lie_probability, 0.75);
+  EXPECT_EQ(r.lie_probability, 0.75);
   EXPECT_EQ(r.epoch_us, 1234567890);
   EXPECT_EQ(r.start_delay_ms, 250);
+  EXPECT_EQ(r.listen_host, "127.0.0.1");
   EXPECT_EQ(r.listen_port, 9000);
   ASSERT_EQ(r.peers.size(), 2u);
+  EXPECT_EQ(r.peers[0].id, 1u);
+  EXPECT_EQ(r.peers[0].port, 9001);
   EXPECT_EQ(r.peers[1].id, 2u);
   EXPECT_EQ(r.peers[1].host, "10.0.0.2");
   EXPECT_EQ(r.peers[1].port, 9002);
+  // Formatting what was parsed gives the same text back.
+  EXPECT_EQ(FormatNodeConfig(r), text);
 }
 
 TEST(NodeConfigTest, CommentsAndBlankLinesIgnored) {
@@ -604,6 +641,69 @@ TEST(RealEnvTest, ScheduleAndCancelMirrorSimulatorSemantics) {
   env.ScheduleAfter(20 * kMillisecond, [&] { env.RequestStop(); });
   env.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(RealEnvTest, EqualDeadlinesFireInScheduleOrder) {
+  RealEnv env((RealEnv::Options()));
+  PingNode node(0);
+  env.Attach(&node, 1);
+
+  std::vector<int> order;
+  const SimTime t = env.Now() + 5 * kMillisecond;
+  for (int i = 0; i < 8; ++i) {
+    // A later deadline between each pair makes the heap reorder entries.
+    env.ScheduleAt(t + kMillisecond, [&order, i] { order.push_back(100 + i); });
+    env.ScheduleAt(t, [&order, i] { order.push_back(i); });
+  }
+  env.ScheduleAt(t + 10 * kMillisecond, [&] { env.RequestStop(); });
+  env.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 100, 101, 102,
+                                     103, 104, 105, 106, 107}));
+}
+
+// A timer a callback schedules in the past fires in the same sweep, after
+// the timers already due. The first callback asks the loop to stop, and the
+// loop only checks between sweeps, so a later sweep would never run it.
+TEST(RealEnvTest, PastTimerScheduledByCallbackFiresInSameSweep) {
+  RealEnv env((RealEnv::Options()));
+  PingNode node(0);
+  env.Attach(&node, 1);
+
+  std::vector<int> order;
+  const SimTime t = env.Now() + 2 * kMillisecond;
+  env.ScheduleAt(t, [&] {
+    order.push_back(1);
+    env.RequestStop();
+    env.ScheduleAt(0, [&] { order.push_back(3); });
+  });
+  env.ScheduleAt(t, [&] { order.push_back(2); });
+  env.ScheduleAt(t + kSecond, [&] { order.push_back(99); });
+  env.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+// After a timer fires, its id is dead. A timer scheduled inside its callback
+// takes over its slot, and a Cancel with the stale id must not touch it.
+TEST(RealEnvTest, StaleIdDoesNotCancelTimerInReusedSlot) {
+  RealEnv env((RealEnv::Options()));
+  PingNode node(0);
+  env.Attach(&node, 1);
+
+  EventId a = 0;
+  EventId b = 0;
+  bool b_fired = false;
+  a = env.ScheduleAfter(kMillisecond, [&] {
+    b = env.ScheduleAfter(kMillisecond, [&] {
+      b_fired = true;
+      env.RequestStop();
+    });
+    env.Cancel(a);
+  });
+  env.ScheduleAfter(2 * kSecond, [&] { env.RequestStop(); });
+  env.Run();
+  EXPECT_NE(a, b);
+  EXPECT_EQ(static_cast<uint32_t>(a), static_cast<uint32_t>(b));  // same slot
+  EXPECT_TRUE(b_fired);
 }
 
 }  // namespace

@@ -281,6 +281,10 @@ TEST(TraceExport, DecodeRejectsCorruptInput) {
     entry.hist.Record(v);  // two buckets: 3 (count 2), then 40's (count 1)
   }
   small.histograms = {entry};
+  TraceEvent event;
+  event.node = 1;
+  event.name = 1;
+  small.events = {event};
   const Bytes base = EncodeTrace(small);
   ASSERT_TRUE(DecodeTrace(base).ok());
   auto put = [](Bytes b, size_t at, uint64_t v, size_t width) {
@@ -292,6 +296,10 @@ TEST(TraceExport, DecodeRejectsCorruptInput) {
   // Header, then the names "" and "read", then the node count.
   const size_t first_node = 6 + 4 + 4 + 8 + 4;
   const size_t node_size = 4 + 1 + 5;  // id, role, label "a"
+  // After both nodes, the event count; the event's type byte follows its
+  // time, trace id, value, node and name.
+  const size_t event_type = first_node + 2 * node_size + 4 + 30;
+  ASSERT_EQ(base[event_type], static_cast<uint8_t>(TraceEventType::kInstant));
   // From the end: dropped (8), then the last histogram's two
   // (index u32, count u64) pairs, the pair count, sum, max, min and count.
   const size_t end = base.size();
@@ -304,6 +312,7 @@ TEST(TraceExport, DecodeRejectsCorruptInput) {
   const std::pair<const char*, Bytes> hostile[] = {
       {"duplicate node id", put(base, first_node + node_size, 1, 4)},
       {"role byte 200", put(base, first_node + 4, 200, 1)},
+      {"event type 3", put(base, event_type, 3, 1)},
       {"bucket with count 0",
        put(put(base, first_pair + 4, 0, 8), hist_count, 1, 8)},
       {"bucket indexes out of order", swapped},
@@ -333,8 +342,8 @@ TEST(TraceExport, DecodeRejectsAnEventCountThatOverflows) {
 }
 
 TEST(TraceExport, ChromeJsonGolden) {
-  // A hand-built sink with one span, one instant, and one counter must
-  // serialize to exactly this document (byte-stable contract).
+  // A hand-built sink with one span and one instant must serialize to
+  // exactly this document (byte-stable contract).
   Simulator sim(1);
   TraceSink sink(&sim, TraceSink::Options{16, false});
   sink.RegisterNode(1, TraceRole::kClient, "client 0");
@@ -344,7 +353,6 @@ TEST(TraceExport, ChromeJsonGolden) {
   sim.ScheduleAt(25, [&] {
     sink.SpanEnd(TraceRole::kClient, 1, "read", MintTraceId(1, 7), 1);
     sink.Instant(TraceRole::kClient, 1, "note");
-    sink.Counter(TraceRole::kClient, 1, "inflight", 3);
   });
   sim.RunUntil(100);
 
@@ -358,9 +366,7 @@ TEST(TraceExport, ChromeJsonGolden) {
       "\"cat\":\"client\",\"name\":\"read\",\"ph\":\"E\",\"pid\":1,"
       "\"tid\":1,\"ts\":25},"
       "{\"args\":{},\"cat\":\"client\",\"name\":\"note\",\"ph\":\"i\","
-      "\"pid\":1,\"s\":\"t\",\"tid\":1,\"ts\":25},"
-      "{\"args\":{\"value\":3},\"cat\":\"client\",\"name\":\"inflight\","
-      "\"ph\":\"C\",\"pid\":1,\"tid\":1,\"ts\":25}]}";
+      "\"pid\":1,\"s\":\"t\",\"tid\":1,\"ts\":25}]}";
   EXPECT_EQ(ChromeTraceJson(sink).Dump(), kGolden);
 }
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <string>
 
 #include "src/util/bytes.h"
+#include "src/util/file.h"
 #include "src/util/result.h"
 #include "src/util/rng.h"
 #include "src/util/serde.h"
@@ -207,6 +211,37 @@ TEST(ResultTest, StatusOkAndError) {
   Status err = Error(ErrorCode::kBadSignature, "pledge");
   EXPECT_FALSE(err.ok());
   EXPECT_EQ(err.error().code(), ErrorCode::kBadSignature);
+}
+
+TEST(FileTest, WriteThenReadRoundTrips) {
+  const std::string path = testing::TempDir() + "util_test_file_roundtrip";
+  const Bytes data = {0x00, 0x01, 0x0a, 0xff, 0x00, 0x7f};
+  ASSERT_TRUE(WriteFile(path, data).ok());
+  Result<std::string> read = ReadFile(path);
+  ASSERT_TRUE(read.ok()) << read.error().ToString();
+  EXPECT_EQ(Bytes(read->begin(), read->end()), data);
+  // A shorter write truncates; an empty one leaves an empty file.
+  ASSERT_TRUE(WriteFile(path, std::string("ab")).ok());
+  EXPECT_EQ(*ReadFile(path), "ab");
+  ASSERT_TRUE(WriteFile(path, std::string()).ok());
+  EXPECT_EQ(*ReadFile(path), "");
+  unlink(path.c_str());
+}
+
+TEST(FileTest, WriteFailsWhenTheDeviceIsFull) {
+  if (access("/dev/full", W_OK) != 0) {
+    GTEST_SKIP() << "no writable /dev/full";
+  }
+  // fwrite buffers these bytes and reports all of them written; only
+  // fclose's flush fails with ENOSPC.
+  Status written = WriteFile("/dev/full", std::string("hello"));
+  EXPECT_FALSE(written.ok());
+}
+
+TEST(FileTest, ReadFailsOnADirectoryAndAMissingFile) {
+  // fopen succeeds on a directory; the first fread fails with EISDIR.
+  EXPECT_FALSE(ReadFile(testing::TempDir()).ok());
+  EXPECT_FALSE(ReadFile(testing::TempDir() + "util_test_no_such_file").ok());
 }
 
 }  // namespace

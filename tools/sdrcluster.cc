@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "src/runtime/deployment.h"
+#include "src/util/file.h"
 #include "src/util/flags.h"
 #include "src/util/json.h"
 
@@ -82,30 +83,6 @@ uint16_t ProbeFreePort() {
   }
   close(fd);
   return port;
-}
-
-bool WriteFileString(const std::string& path, const std::string& data) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return false;
-  }
-  size_t n = data.empty() ? 0 : std::fwrite(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  return n == data.size();
-}
-
-bool ReadFileToString(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return false;
-  }
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    out->append(buf, n);
-  }
-  std::fclose(f);
-  return true;
 }
 
 // util/json is a writer, not a parser; the reports are byte-stable
@@ -295,9 +272,10 @@ int main(int argc, char** argv) {
         workdir + "/node" + std::to_string(id) + ".conf";
     child.report_path =
         workdir + "/node" + std::to_string(id) + ".json";
-    if (!WriteFileString(child.config_path, FormatNodeConfig(nc))) {
-      std::fprintf(stderr, "sdrcluster: cannot write %s\n",
-                   child.config_path.c_str());
+    if (Status written = WriteFile(child.config_path, FormatNodeConfig(nc));
+        !written.ok()) {
+      std::fprintf(stderr, "sdrcluster: %s\n",
+                   written.error().message().c_str());
       return 1;
     }
     children.push_back(std::move(child));
@@ -403,8 +381,9 @@ int main(int argc, char** argv) {
   for (Child& child : children) {
     bool clean = child.exited && WIFEXITED(child.status) &&
                  WEXITSTATUS(child.status) == 0;
-    std::string report;
-    bool have_report = ReadFileToString(child.report_path, &report);
+    Result<std::string> read = ReadFile(child.report_path);
+    const bool have_report = read.ok();
+    const std::string report = have_report ? *read : std::string();
     if (!clean || !have_report) {
       std::fprintf(stderr, "sdrcluster: node %u (%s): %s\n", child.node_id,
                    child.role.c_str(),

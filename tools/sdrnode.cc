@@ -36,6 +36,7 @@
 #include "src/runtime/deployment.h"
 #include "src/runtime/real_env.h"
 #include "src/trace/export.h"
+#include "src/util/file.h"
 #include "src/util/flags.h"
 #include "src/util/json.h"
 
@@ -51,32 +52,6 @@ void OnSignal(int) {
   if (g_env != nullptr) {
     g_env->RequestStop();
   }
-}
-
-bool ReadFileToString(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return false;
-  }
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    out->append(buf, n);
-  }
-  std::fclose(f);
-  return true;
-}
-
-bool WriteFileString(const std::string& path, const std::string& data) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "sdrnode: cannot open %s for writing\n",
-                 path.c_str());
-    return false;
-  }
-  size_t n = data.empty() ? 0 : std::fwrite(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  return n == data.size();
 }
 
 // Single-node report in the sdrsim --json shape: the same top-level
@@ -188,12 +163,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "sdrnode: --config is required\n");
     return 1;
   }
-  std::string config_text;
-  if (!ReadFileToString(config_path, &config_text)) {
-    std::fprintf(stderr, "sdrnode: cannot read %s\n", config_path.c_str());
+  Result<std::string> config_text = ReadFile(config_path);
+  if (!config_text.ok()) {
+    std::fprintf(stderr, "sdrnode: %s\n",
+                 config_text.error().message().c_str());
     return 1;
   }
-  auto parsed = ParseNodeConfig(config_text);
+  auto parsed = ParseNodeConfig(*config_text);
   if (!parsed.ok()) {
     std::fprintf(stderr, "sdrnode: %s: %s\n", config_path.c_str(),
                  parsed.error().message().c_str());
@@ -276,7 +252,8 @@ int main(int argc, char** argv) {
   const std::string out_path = flags.GetString("out");
   if (out_path.empty()) {
     std::printf("%s", dump.c_str());
-  } else if (!WriteFileString(out_path, dump)) {
+  } else if (Status written = WriteFile(out_path, dump); !written.ok()) {
+    std::fprintf(stderr, "sdrnode: %s\n", written.error().message().c_str());
     return 1;
   }
   return 0;

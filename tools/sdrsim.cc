@@ -17,6 +17,7 @@
 #include "src/chaos/runner.h"
 #include "src/core/cluster.h"
 #include "src/trace/export.h"
+#include "src/util/file.h"
 #include "src/util/flags.h"
 #include "src/util/json.h"
 
@@ -24,23 +25,12 @@ using namespace sdr;
 
 namespace {
 
-bool WriteFileBytes(const std::string& path, const Bytes& data) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
+// Prints a failed write's error on stderr; returns whether it succeeded.
+bool Written(const Status& status) {
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.error().message().c_str());
   }
-  size_t n = data.empty() ? 0 : std::fwrite(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  if (n != data.size()) {
-    std::fprintf(stderr, "short write to %s\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
-bool WriteFileString(const std::string& path, const std::string& data) {
-  return WriteFileBytes(path, Bytes(data.begin(), data.end()));
+  return status.ok();
 }
 
 // The highest version any master of shard `shard` has committed.
@@ -514,12 +504,12 @@ int main(int argc, char** argv) {
     // with each other on the same run.
     TraceData data = Snapshot(*cluster.trace());
     if (!trace_out.empty() &&
-        !WriteFileBytes(trace_out, EncodeTrace(data))) {
+        !Written(WriteFile(trace_out, EncodeTrace(data)))) {
       return 1;
     }
     if (!trace_chrome.empty() &&
-        !WriteFileString(trace_chrome,
-                         ChromeTraceJson(data).Dump() + "\n")) {
+        !Written(WriteFile(trace_chrome,
+                           ChromeTraceJson(data).Dump() + "\n"))) {
       return 1;
     }
   }
@@ -529,7 +519,7 @@ int main(int argc, char** argv) {
     bundle.scheme = config.params.scheme;
     bundle.content_public_key = cluster.content().content_public_key;
     bundle.chains = cluster.fork_evidence();
-    if (!WriteFileBytes(evidence_out, bundle.Encode())) {
+    if (!Written(WriteFile(evidence_out, bundle.Encode()))) {
       return 1;
     }
     if (!emit_json) {

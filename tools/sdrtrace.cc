@@ -25,31 +25,12 @@
 #include "src/forkcheck/fork.h"
 #include "src/trace/export.h"
 #include "src/trace/query.h"
+#include "src/util/file.h"
 #include "src/util/flags.h"
 
 using namespace sdr;
 
 namespace {
-
-bool ReadFileBytes(const std::string& path, Bytes* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "sdrtrace: cannot open %s\n", path.c_str());
-    return false;
-  }
-  out->clear();
-  uint8_t buf[65536];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->insert(out->end(), buf, buf + n);
-  }
-  bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) {
-    std::fprintf(stderr, "sdrtrace: error reading %s\n", path.c_str());
-  }
-  return ok;
-}
 
 const char* SchemeName(SignatureScheme scheme) {
   switch (scheme) {
@@ -66,7 +47,7 @@ const char* SchemeName(SignatureScheme scheme) {
 // --evidence mode: the positional file is an EvidenceBundle, not a trace.
 // The point of the exercise is that this verification needs nothing from
 // the run — only the bundle and the content owner's public key inside it.
-int VerifyEvidenceBundle(const std::string& path, const Bytes& raw) {
+int VerifyEvidenceBundle(const std::string& path, BytesView raw) {
   auto decoded = EvidenceBundle::Decode(raw);
   if (!decoded.ok()) {
     std::fprintf(stderr, "sdrtrace: %s is not an evidence bundle: %s\n",
@@ -131,10 +112,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  Bytes raw;
-  if (!ReadFileBytes(flags.positional()[0], &raw)) {
+  Result<std::string> file = ReadFile(flags.positional()[0]);
+  if (!file.ok()) {
+    std::fprintf(stderr, "sdrtrace: %s\n", file.error().message().c_str());
     return 1;
   }
+  const BytesView raw(reinterpret_cast<const uint8_t*>(file->data()),
+                      file->size());
   if (flags.GetBool("evidence")) {
     return VerifyEvidenceBundle(flags.positional()[0], raw);
   }
@@ -181,18 +165,12 @@ int main(int argc, char** argv) {
     did_something = true;
   }
   if (!flags.GetString("chrome").empty()) {
-    std::string json = ChromeTraceJson(data).Dump() + "\n";
-    std::FILE* f = std::fopen(flags.GetString("chrome").c_str(), "wb");
-    if (f == nullptr ||
-        std::fwrite(json.data(), 1, json.size(), f) != json.size()) {
-      std::fprintf(stderr, "sdrtrace: cannot write %s\n",
-                   flags.GetString("chrome").c_str());
-      if (f != nullptr) {
-        std::fclose(f);
-      }
+    Status written = WriteFile(flags.GetString("chrome"),
+                               ChromeTraceJson(data).Dump() + "\n");
+    if (!written.ok()) {
+      std::fprintf(stderr, "sdrtrace: %s\n", written.error().message().c_str());
       return 1;
     }
-    std::fclose(f);
     did_something = true;
   }
 
