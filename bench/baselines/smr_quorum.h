@@ -82,7 +82,8 @@ class QrClient : public Node {
     SimTime issued = 0;
     int quorum_size = 0;
     int replies = 0;
-    std::map<Bytes, std::pair<int, QueryResult>> votes;  // hash -> count
+    // hash -> count
+    std::map<Bytes, std::pair<int, QueryResult>, BytesLess> votes;
     Callback cb;
     bool done = false;
   };

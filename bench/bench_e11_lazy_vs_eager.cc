@@ -73,7 +73,8 @@ EagerResult RunEager(int n, uint64_t seed) {
   LatencyHistogram latency;
   for (int i = 0; i < kWrites; ++i) {
     SimTime start = sim.Now();
-    members[1]->bcast().Broadcast(ToBytes("w" + std::to_string(i)));
+    members[1]->bcast().Broadcast(
+        ToBytes(std::string("w").append(std::to_string(i))));
     // Run until every member delivered this write.
     uint64_t want = static_cast<uint64_t>(i + 1);
     while (true) {
@@ -146,7 +147,7 @@ LazyResult RunLazy(int masters, int slaves_total, uint64_t seed) {
     SimTime start = cluster.sim().Now();
     bool committed = false;
     cluster.client(0).IssueWrite(
-        {WriteOp::Put("k" + std::to_string(i), "v")},
+        {WriteOp::Put(std::string("k").append(std::to_string(i)), "v")},
         [&](bool ok, uint64_t) { committed = ok; });
     while (!committed && cluster.sim().Step()) {
     }

@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
 
   // Full auditor: result cache keyed by query encoding (one version).
   QueryExecutor cached_exec(/*cache_regex=*/true);
-  std::map<Bytes, Bytes> result_cache;
+  std::map<Bytes, Bytes, BytesLess> result_cache;
   uint64_t hits = 0;
   double cache_secs = MeasureRealSeconds([&] {
     for (const Query& q : stream.queries) {

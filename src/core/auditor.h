@@ -241,7 +241,7 @@ class Auditor : public Node {
   // Cross-version memo: canonical query encoding -> validity-interval
   // entries (newest last, at most two per query — current interval plus
   // the one a racing in-flight version may still need).
-  std::map<Bytes, std::vector<MemoEntry>> memo_;
+  std::map<Bytes, std::vector<MemoEntry>, BytesLess> memo_;
 
   std::map<NodeId, Certificate> known_slave_certs_;
   std::map<NodeId, NodeId> slave_owner_;

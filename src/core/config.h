@@ -111,6 +111,11 @@ struct ProtocolParams {
 // execute + hash + *sign* per read, the auditor only execute + hash (and can
 // cache), masters pay execute + hash per double-check.
 //
+// It is the simulator's price list only: a ServiceQueue charges these times
+// under SimEnv, and under RealEnv (Env::ModelsServiceTime is false) a job
+// runs when the event loop reaches it, so the CPU it spends is its service
+// time and wall-clock numbers measure the code, not this model.
+//
 // sign_us tracks bench_e10_micro on the reference machine: with the
 // precomputed-table fast path a full Ed25519Sign measures ~32 us and the
 // Signer's steady state (pre-expanded key) ~21 us; the naive ladder it

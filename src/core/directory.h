@@ -33,8 +33,8 @@ class Directory : public Node {
   uint64_t lookups_served() const { return lookups_served_; }
 
  private:
-  std::map<Bytes, std::vector<Certificate>> by_content_;
-  std::map<Bytes, ShardPlacement> placement_by_content_;
+  std::map<Bytes, std::vector<Certificate>, BytesLess> by_content_;
+  std::map<Bytes, ShardPlacement, BytesLess> placement_by_content_;
   uint64_t lookups_served_ = 0;
 };
 

@@ -10,22 +10,33 @@ ServiceQueue::ServiceQueue(Env* env, double speed)
   assert(speed_ > 0);
 }
 
-SimTime ServiceQueue::busy_until() const {
-  return std::max(busy_until_, env_->Now());
+void ServiceQueue::RecordWait(SimTime wait) {
+  if (trace_role_ != TraceRole::kNone) {
+    if (TraceSink* t = env_->trace()) {
+      t->Hist(trace_role_, trace_node_, "queue_wait_us").Record(wait);
+    }
+  }
 }
 
 void ServiceQueue::Enqueue(SimTime service_time, InlineFunction<void()> done) {
+  ++depth_;
+  const SimTime now = env_->Now();
+  if (!env_->ModelsServiceTime()) {
+    // The job runs when the event loop reaches it, after the handler that
+    // enqueued it returns; the CPU it spends is its service time, and its
+    // wait is measured from here to its start.
+    env_->ScheduleAt(now, [this, now, done = std::move(done)]() mutable {
+      --depth_;
+      RecordWait(env_->Now() - now);
+      done();
+    });
+    return;
+  }
   SimTime scaled = std::max<SimTime>(
       1, static_cast<SimTime>(static_cast<double>(service_time) / speed_));
-  SimTime start = busy_until();
-  if (trace_role_ != TraceRole::kNone) {
-    if (TraceSink* t = env_->trace()) {
-      t->Hist(trace_role_, trace_node_, "queue_wait_us")
-          .Record(start - env_->Now());
-    }
-  }
+  SimTime start = std::max(busy_until_, now);
+  RecordWait(start - now);
   busy_until_ = start + scaled;
-  ++depth_;
   env_->ScheduleAt(busy_until_, [this, done = std::move(done)]() mutable {
     --depth_;
     done();

@@ -1,8 +1,15 @@
-// A single-server FIFO work queue in environment time. Servers (slaves,
-// masters, the auditor) push jobs with a service time from the CostModel;
-// completions fire in order once the (simulated or real) CPU gets to them.
-// This is what makes load arguments measurable: utilization, queueing
-// delay, and backlog all emerge from job costs.
+// A single-server FIFO work queue. Servers (slaves, masters, the auditor)
+// push jobs with a service time from the CostModel, and completions fire in
+// order. Whether that time is charged is the Env's call
+// (Env::ModelsServiceTime):
+//
+//   SimEnv  — each job completes a modelled service time after the server
+//             frees up, so utilization, queueing delay and backlog all
+//             emerge from job costs in simulated time.
+//   RealEnv — the service time is ignored: each job is scheduled at Now()
+//             and runs in the event loop's next timer sweep, after the
+//             handler that enqueued it returns. The CPU the job spends is
+//             its service time.
 #ifndef SDR_SRC_CORE_SERVICE_QUEUE_H_
 #define SDR_SRC_CORE_SERVICE_QUEUE_H_
 
@@ -20,8 +27,10 @@ class ServiceQueue {
   ServiceQueue(Env* env, double speed = 1.0);
 
   // Attributes this queue's wait-time samples ("queue_wait_us") to the
-  // owning node. Until called (or when the sim has no trace sink), no
-  // samples are recorded.
+  // owning node. Until called (or when the env has no trace sink), no
+  // samples are recorded. Under SimEnv a sample is the modelled wait,
+  // recorded at enqueue; under RealEnv it is the measured wait from
+  // enqueue to the job's start.
   void BindTrace(TraceRole role, uint32_t node) {
     trace_role_ = role;
     trace_node_ = node;
@@ -33,14 +42,14 @@ class ServiceQueue {
   // Jobs accepted but not yet completed.
   size_t depth() const { return depth_; }
 
-  // Earliest time a new job could start.
-  SimTime busy_until() const;
-
  private:
+  void RecordWait(SimTime wait);
+
   Env* env_;
   double speed_;
   TraceRole trace_role_ = TraceRole::kNone;
   uint32_t trace_node_ = 0;
+  // When the modelled server frees up (SimEnv only).
   SimTime busy_until_ = 0;
   size_t depth_ = 0;
 };

@@ -348,6 +348,7 @@ std::string FormatValue(T field, SimTime unit) {
 
 Result<NodeConfig> ParseNodeConfig(const std::string& text) {
   NodeConfig config;
+  bool has_seed = false;
   std::istringstream in(text);
   std::string line;
   int lineno = 0;
@@ -366,6 +367,7 @@ Result<NodeConfig> ParseNodeConfig(const std::string& text) {
       return Error(ErrorCode::kParseError,
                    "config line " + std::to_string(lineno) + ": " + why);
     };
+    has_seed = has_seed || key == "seed";
     if (key == "node_id") {
       uint32_t v;
       if (!(ls >> v)) return fail("node_id needs an integer");
@@ -397,6 +399,11 @@ Result<NodeConfig> ParseNodeConfig(const std::string& text) {
   }
   if (config.node_id == kInvalidNode) {
     return Error(ErrorCode::kParseError, "config missing node_id");
+  }
+  // Every process derives the roster, keys and corpus from the seed, so a
+  // default would silently diverge from the peers'.
+  if (!has_seed) {
+    return Error(ErrorCode::kParseError, "config missing seed");
   }
   return config;
 }

@@ -191,7 +191,8 @@ PlanNode BuildPlanNode(const DeploymentPlan& plan, NodeId id,
 //
 // Line-oriented `key value...` pairs; '#' starts a comment. Keys:
 //   node_id N            this process's node id (required)
-//   each key of SDR_NODE_CONFIG_KEYS below, with one value
+//   each key of SDR_NODE_CONFIG_KEYS below, with one value (seed is
+//                        required; the others default)
 //   listen HOST:PORT     this node's listen address
 //   peer ID HOST:PORT    one line per peer this node talks to
 // FormatNodeConfig writes them in that order.

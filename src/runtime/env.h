@@ -95,6 +95,13 @@ class Env : public Clock {
   // sdrnode's signal handlers use.
   virtual void RequestStop() {}
 
+  // Whether a ServiceQueue charges its jobs the CostModel's modelled
+  // service time. Only SimEnv does: simulated time passes only when an
+  // event says so, so the cost model is what makes servers busy there.
+  // Under RealEnv the job's own CPU is its service time, and a job runs
+  // as soon as the event loop reaches it.
+  virtual bool ModelsServiceTime() const { return false; }
+
  protected:
   // Substrate wiring: implementations bind themselves to their node.
   static void BindNode(Node* node, NodeId id, Env* env);

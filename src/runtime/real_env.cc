@@ -62,10 +62,7 @@ RealEnv::RealEnv(Options options)
     wake_pipe_[0] = wake_pipe_[1] = -1;
   }
   if (epoll_fd_ >= 0 && wake_pipe_[0] >= 0) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = wake_pipe_[0];
-    epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_pipe_[0], &ev);
+    EpollCtl(EPOLL_CTL_ADD, wake_pipe_[0], EPOLLIN);
   }
   SetupListener();
 }
@@ -125,10 +122,7 @@ void RealEnv::SetupListener() {
   if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
     bound_port_ = ntohs(bound.sin_port);
   }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
+  EpollCtl(EPOLL_CTL_ADD, listen_fd_, EPOLLIN);
 }
 
 void RealEnv::Attach(Node* node, NodeId id) {
@@ -196,6 +190,7 @@ void RealEnv::Send(NodeId to, Payload payload) {
 
 void RealEnv::FlushPeer(Peer& peer) {
   while (peer.out_off < peer.out.size()) {
+    ++send_calls_;
     ssize_t n = ::send(peer.fd, peer.out.data() + peer.out_off,
                        peer.out.size() - peer.out_off, MSG_NOSIGNAL);
     if (n > 0) {
@@ -221,15 +216,21 @@ void RealEnv::FlushPeer(Peer& peer) {
   UpdateEpollOut(peer);
 }
 
+void RealEnv::EpollCtl(int op, int fd, uint32_t events) {
+  ++epoll_ctl_calls_;
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.fd = fd;
+  epoll_ctl(epoll_fd_, op, fd, &ev);
+}
+
 void RealEnv::UpdateEpollOut(Peer& peer) {
   const bool want = peer.connecting || peer.out_off < peer.out.size();
   if (peer.fd < 0 || want == peer.epoll_out) {
     return;
   }
-  epoll_event ev{};
-  ev.events = EPOLLIN | (want ? static_cast<uint32_t>(EPOLLOUT) : 0u);
-  ev.data.fd = peer.fd;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, peer.fd, &ev);
+  EpollCtl(EPOLL_CTL_MOD, peer.fd,
+           EPOLLIN | (want ? static_cast<uint32_t>(EPOLLOUT) : 0u));
   peer.epoll_out = want;
 }
 
@@ -259,10 +260,8 @@ void RealEnv::DialPeer(Peer& peer) {
     ScheduleRedial(peer);
     return;
   }
-  epoll_event ev{};
-  ev.events = EPOLLIN | (peer.connecting ? static_cast<uint32_t>(EPOLLOUT) : 0u);
-  ev.data.fd = fd;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+  EpollCtl(EPOLL_CTL_ADD, fd,
+           EPOLLIN | (peer.connecting ? static_cast<uint32_t>(EPOLLOUT) : 0u));
   peer.epoll_out = peer.connecting;
   if (!peer.connecting) {
     OnDialResult(peer, true);
@@ -277,7 +276,7 @@ void RealEnv::OnDialResult(Peer& peer, bool ok) {
     return;
   }
   if (peer.fd >= 0) {
-    epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, peer.fd, nullptr);
+    EpollCtl(EPOLL_CTL_DEL, peer.fd, 0);
     close(peer.fd);
     peer.fd = -1;
   }
@@ -317,10 +316,7 @@ void RealEnv::AcceptPending() {
     Inbound conn;
     conn.fd = fd;
     inbound_[fd] = std::move(conn);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+    EpollCtl(EPOLL_CTL_ADD, fd, EPOLLIN);
   }
 }
 
@@ -352,6 +348,7 @@ bool RealEnv::DrainFrames(Bytes& buf) {
 void RealEnv::ReadInbound(Inbound& conn) {
   uint8_t chunk[64 * 1024];
   for (;;) {
+    ++recv_calls_;
     ssize_t n = recv(conn.fd, chunk, sizeof(chunk), 0);
     if (n > 0) {
       conn.in.insert(conn.in.end(), chunk, chunk + n);
@@ -367,7 +364,7 @@ void RealEnv::ReadInbound(Inbound& conn) {
       }
     }
     if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {
-      epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd, nullptr);
+      EpollCtl(EPOLL_CTL_DEL, conn.fd, 0);
       close(conn.fd);
       inbound_.erase(conn.fd);
     }
@@ -401,6 +398,7 @@ int RealEnv::TimeoutUntilNextTimer() const {
 void RealEnv::PumpEpoll(int timeout_ms) {
   epoll_event events[64];
   int n = epoll_wait(epoll_fd_, events, 64, timeout_ms);
+  ++loop_wakeups_;
   for (int i = 0; i < n; ++i) {
     int fd = events[i].data.fd;
     uint32_t mask = events[i].events;
@@ -445,6 +443,7 @@ void RealEnv::PumpEpoll(int timeout_ms) {
       // Peers never send on our outbound connection; a read event here is
       // EOF (peer restarted). Redial.
       uint8_t probe[256];
+      ++recv_calls_;
       ssize_t r = recv(fd, probe, sizeof(probe), 0);
       if (r == 0 || (r < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {
         OnDialResult(*peer, false);

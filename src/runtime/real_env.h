@@ -108,6 +108,12 @@ class RealEnv final : public Env {
   uint64_t messages_dropped() const { return messages_dropped_; }
   uint64_t bytes_sent() const { return bytes_sent_; }
   uint64_t reconnects() const { return reconnects_; }
+  // System calls and wake-ups the transport cost: epoll_wait returns,
+  // and send, recv and epoll_ctl calls.
+  uint64_t loop_wakeups() const { return loop_wakeups_; }
+  uint64_t send_calls() const { return send_calls_; }
+  uint64_t recv_calls() const { return recv_calls_; }
+  uint64_t epoll_ctl_calls() const { return epoll_ctl_calls_; }
 
  private:
   struct Peer {
@@ -138,6 +144,8 @@ class RealEnv final : public Env {
   // Consumes complete frames from `buf`, delivering each to the node.
   // Returns false when the stream is corrupt (oversized frame).
   bool DrainFrames(Bytes& buf);
+  // epoll_ctl on this env's epoll set, counted.
+  void EpollCtl(int op, int fd, uint32_t events);
   // Registers EPOLLOUT interest exactly while a connect is in flight or
   // bytes wait in `out`; issues EPOLL_CTL_MOD only when that changes.
   void UpdateEpollOut(Peer& peer);
@@ -172,6 +180,10 @@ class RealEnv final : public Env {
   uint64_t messages_dropped_ = 0;
   uint64_t bytes_sent_ = 0;
   uint64_t reconnects_ = 0;
+  uint64_t loop_wakeups_ = 0;
+  uint64_t send_calls_ = 0;
+  uint64_t recv_calls_ = 0;
+  uint64_t epoll_ctl_calls_ = 0;
 };
 
 }  // namespace sdr

@@ -28,6 +28,7 @@ class SimEnv final : public Env {
   void Send(NodeId to, Payload payload) override;
   Rng& rng() override { return sim_->rng(); }
   TraceSink* trace() const override { return sim_->trace(); }
+  bool ModelsServiceTime() const override { return true; }
 
  private:
   Simulator* sim_;

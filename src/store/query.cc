@@ -83,21 +83,26 @@ std::string Star(const std::string& s) {
 
 std::string Query::ToText() const {
   std::string out = QueryKindName(kind);
+  auto field = [&out](const std::string& s) { out.append(" ").append(s); };
   switch (kind) {
     case QueryKind::kGet:
-      out += " " + key;
+      field(key);
       break;
     case QueryKind::kScan:
-      out += " " + Star(range_lo) + " " + Star(range_hi);
+      field(Star(range_lo));
+      field(Star(range_hi));
       if (limit > 0) {
-        out += " " + std::to_string(limit);
+        field(std::to_string(limit));
       }
       break;
     case QueryKind::kGrep:
-      out += " " + pattern + " " + Star(range_lo) + " " + Star(range_hi);
+      field(pattern);
+      field(Star(range_lo));
+      field(Star(range_hi));
       break;
     default:
-      out += " " + Star(range_lo) + " " + Star(range_hi);
+      field(Star(range_lo));
+      field(Star(range_hi));
       break;
   }
   return out;

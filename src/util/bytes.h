@@ -2,6 +2,7 @@
 #ifndef SDR_SRC_UTIL_BYTES_H_
 #define SDR_SRC_UTIL_BYTES_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -15,6 +16,16 @@ namespace sdr {
 // The universal wire/byte-string type used for messages, keys, hashes and
 // signatures throughout the library.
 using Bytes = std::vector<uint8_t>;
+
+// The order std::less<Bytes> gives, for map keys. std::less goes through
+// vector's operator<=>, which GCC 12 at -O3 misreads as a memcmp of up to
+// SIZE_MAX bytes (-Wstringop-overread) once a map insert is inlined.
+struct BytesLess {
+  bool operator()(const Bytes& a, const Bytes& b) const {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  }
+};
 
 // A non-owning view over a byte range (the Bytes analogue of
 // std::string_view). Decoders take BytesView so a sub-range of a received

@@ -101,7 +101,8 @@ TEST(BftOrderTest, ToleratesFCrashedReplicas) {
 TEST(BftOrderTest, SurvivesMessageLossViaRetransmission) {
   BftHarness h(4, 4, LinkModel{5 * kMillisecond, 2 * kMillisecond, 0.15});
   for (int i = 0; i < 5; ++i) {
-    h.members[i % 4]->bcast().Broadcast(ToBytes("m" + std::to_string(i)));
+    h.members[i % 4]->bcast().Broadcast(
+        ToBytes(std::string("m").append(std::to_string(i))));
   }
   h.sim.RunUntil(60 * kSecond);
   // The request retransmission recovers lost requests/pre-prepares for the
@@ -120,7 +121,8 @@ TEST(BftOrderTest, QuadraticMessageComplexity) {
     BftHarness h(n, 5, LinkModel{5 * kMillisecond, 0, 0.0});
     const int kWrites = 10;
     for (int i = 0; i < kWrites; ++i) {
-      h.members[1]->bcast().Broadcast(ToBytes("w" + std::to_string(i)));
+      h.members[1]->bcast().Broadcast(
+          ToBytes(std::string("w").append(std::to_string(i))));
     }
     h.sim.RunUntil(30 * kSecond);
     uint64_t total = 0;

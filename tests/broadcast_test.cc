@@ -111,7 +111,8 @@ TEST(BroadcastTest, ConcurrentSubmissionsTotallyOrdered) {
   Harness h(4, 2, LinkModel{10 * kMillisecond, 8 * kMillisecond, 0.0});
   for (int round = 0; round < 5; ++round) {
     for (auto& m : h.members) {
-      m->bcast().Broadcast(ToBytes("m" + std::to_string(round)));
+      m->bcast().Broadcast(
+          ToBytes(std::string("m").append(std::to_string(round))));
     }
   }
   h.sim.RunUntil(5 * kSecond);
@@ -236,7 +237,8 @@ TEST(BroadcastTest, DeterministicUnderSeed) {
   auto run = [](uint64_t seed) {
     Harness h(4, seed, LinkModel{8 * kMillisecond, 5 * kMillisecond, 0.1});
     for (int i = 0; i < 8; ++i) {
-      h.members[i % 4]->bcast().Broadcast(ToBytes("x" + std::to_string(i)));
+      h.members[i % 4]->bcast().Broadcast(
+          ToBytes(std::string("x").append(std::to_string(i))));
     }
     h.sim.RunUntil(20 * kSecond);
     std::string transcript;

@@ -96,7 +96,7 @@ TEST(ClusterTest, WritesAreSpacedAtLeastMaxLatencyApart) {
   std::vector<SimTime> commit_times;
   for (int i = 0; i < 4; ++i) {
     cluster.client(0).IssueWrite(
-        {WriteOp::Put("k" + std::to_string(i), "v")},
+        {WriteOp::Put(std::string("k").append(std::to_string(i)), "v")},
         [&, i](bool ok, uint64_t) {
           ASSERT_TRUE(ok) << i;
           commit_times.push_back(cluster.sim().Now());

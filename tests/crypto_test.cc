@@ -872,7 +872,8 @@ TEST(Ed25519PreparedTest, AgreesOnSmallOrderAndNonCanonicalPoints) {
   for (int i = 0; i < 16; ++i) {
     Bytes sig = identity;
     sig.resize(kEd25519SignatureSize, 0);
-    seen.insert(AgreedVerdict(order_two, ToBytes("m" + std::to_string(i)), sig));
+    seen.insert(AgreedVerdict(
+        order_two, ToBytes(std::string("m").append(std::to_string(i))), sig));
   }
   EXPECT_EQ(seen.size(), 2u);
   // A small-order R under a real key is rejected.
@@ -898,7 +899,7 @@ TEST(Ed25519PreparedTest, AgreesOnSmallOrderAndNonCanonicalPoints) {
       r[0] = static_cast<uint8_t>(0xed + j);  // y = p + j
       r[31] |= sign;
       for (int m = 0; m < 4; ++m) {
-        const Bytes msg = ToBytes("m" + std::to_string(m));
+        const Bytes msg = ToBytes(std::string("m").append(std::to_string(m)));
         Bytes zero_s = r;
         zero_s.resize(kEd25519SignatureSize, 0);
         const bool identity_ok = AgreedVerdict(identity, msg, zero_s);

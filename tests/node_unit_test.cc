@@ -221,7 +221,8 @@ TEST(MasterUnitTest, StalledCatchUpIsOneCertifiedRun) {
   MasterHarness h;
   const ProtocolParams& params = h.plan.config.params;
   for (uint64_t i = 1; i <= 3; ++i) {
-    h.Write(i, {WriteOp::Put("k" + std::to_string(i), "v")});
+    h.Write(i,
+            {WriteOp::Put(std::string("k").append(std::to_string(i)), "v")});
   }
   h.Run(2 * params.max_latency + 50 * kMillisecond);
   ASSERT_EQ(h.master->version(), 3u);
@@ -296,9 +297,11 @@ TEST(SlaveRobustness, MutatedStateUpdatesNeverCorruptTheStore) {
   const ProtocolParams& params = h.plan.config.params;
   for (uint64_t i = 1; i <= 6; ++i) {
     WriteBatch batch = {
-        WriteOp::Put("k" + std::to_string(i), std::string(i, 'v'))};
+        WriteOp::Put(std::string("k").append(std::to_string(i)),
+                     std::string(i, 'v'))};
     if (i > 2) {
-      batch.push_back(WriteOp::Delete("k" + std::to_string(i - 2)));
+      batch.push_back(
+          WriteOp::Delete(std::string("k").append(std::to_string(i - 2))));
     }
     h.Write(i, std::move(batch));
   }
@@ -594,7 +597,9 @@ class MemoOracle {
 
  private:
   static constexpr int kKeys = 6;
-  static std::string Key(uint64_t i) { return "k" + std::to_string(i); }
+  static std::string Key(uint64_t i) {
+    return std::string("k").append(std::to_string(i));
+  }
   static const std::vector<Query>& Queries() {
     static const std::vector<Query> kQueries = {
         Query::Get("k0"),

@@ -202,6 +202,7 @@ TEST(NodeConfigTest, CommentsAndBlankLinesIgnored) {
 TEST(NodeConfigTest, RejectsUnknownKeysAndMissingNodeId) {
   EXPECT_FALSE(ParseNodeConfig("node_id 1\nbogus_key 5\n").ok());
   EXPECT_FALSE(ParseNodeConfig("seed 1\n").ok());
+  EXPECT_FALSE(ParseNodeConfig("node_id 3\n").ok());
   EXPECT_FALSE(ParseNodeConfig("node_id 1\nlisten nocolon\n").ok());
 }
 
@@ -502,6 +503,15 @@ TEST(RealEnvTest, LoopbackRoundTripBetweenTwoProcsWorthOfEnvs) {
   EXPECT_GE(env1.messages_sent(), static_cast<uint64_t>(kPings));
   EXPECT_GE(env2.messages_delivered(), static_cast<uint64_t>(kPings));
   EXPECT_GT(env1.bytes_sent(), 0u);
+  // The transport counts its own cost: each env woke at least once per
+  // ping, sent and received, and registered its wake pipe, listener,
+  // outbound peer and accepted inbound connection with epoll.
+  for (const RealEnv* env : {&env1, &env2}) {
+    EXPECT_GE(env->loop_wakeups(), static_cast<uint64_t>(kPings));
+    EXPECT_GE(env->send_calls(), 1u);
+    EXPECT_GE(env->recv_calls(), 1u);
+    EXPECT_GE(env->epoll_ctl_calls(), 4u);
+  }
 }
 
 // Records every payload it is handed, in arrival order.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -118,9 +119,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Shape{1, 1, 1}, Shape{1, 4, 8}, Shape{3, 1, 3},
                       Shape{3, 3, 9}, Shape{5, 2, 6}),
     [](const auto& info) {
-      return "m" + std::to_string(info.param.masters) + "s" +
-             std::to_string(info.param.slaves_per_master) + "c" +
-             std::to_string(info.param.clients);
+      std::ostringstream name;
+      name << "m" << info.param.masters << "s"
+           << info.param.slaves_per_master << "c" << info.param.clients;
+      return name.str();
     });
 
 // Property: decoders must reject every truncation of every message type

@@ -349,7 +349,8 @@ TEST(OpLogTest, PruneKeepsEveryVersionAboveFloorReachable) {
 TEST(OpLogTest, SnapshotIntervalBoundsReplay) {
   OpLog log(/*snapshot_interval=*/2);
   for (uint64_t v = 1; v <= 9; ++v) {
-    log.Append(v, {WriteOp::Put("k" + std::to_string(v), "v")});
+    log.Append(v,
+               {WriteOp::Put(std::string("k").append(std::to_string(v)), "v")});
   }
   // Snapshots at 0, 2, 4, 6, 8.
   EXPECT_EQ(log.retained_snapshots(), 5u);

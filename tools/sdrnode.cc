@@ -129,6 +129,10 @@ JsonValue NodeReport(const RealEnv& env, const DeploymentPlan& plan,
   net["bytes_sent"] = env.bytes_sent();
   net["messages_dropped"] = env.messages_dropped();
   net["reconnects"] = env.reconnects();
+  net["loop_wakeups"] = env.loop_wakeups();
+  net["send_calls"] = env.send_calls();
+  net["recv_calls"] = env.recv_calls();
+  net["epoll_ctl_calls"] = env.epoll_ctl_calls();
 
   if (sink != nullptr) {
     root["histograms"] = HistogramSummaryJson(sink->MergedHistograms());
