@@ -84,7 +84,7 @@ void Auditor::GossipAndFinalizeTick() {
   }
   TobGossip gossip;
   gossip.master = id();
-  broadcast_->Broadcast(WithTobType(TobPayloadType::kGossip, gossip.Encode()));
+  broadcast_->Broadcast(EncodeTyped(TobPayloadType::kGossip, gossip));
   if (!paused_) {
     TryFinalizeVersions();
   }
@@ -377,8 +377,7 @@ void Auditor::ReconcileVv(const VersionVector& vv, const Pledge& pledge,
   ForkEvidence msg;
   msg.trace_id = trace_id;
   msg.chain = std::move(chain);
-  env()->Send(owner->second,
-              WithType(MsgType::kForkEvidence, msg.Encode()));
+  env()->Send(owner->second, EncodeTyped(MsgType::kForkEvidence, msg));
 }
 
 const Auditor::MemoEntry* Auditor::MemoLookup(const Bytes& query_key,
@@ -713,8 +712,7 @@ void Auditor::RaiseAccusation(const Pledge& pledge, uint64_t trace_id) {
   Accusation msg;
   msg.trace_id = trace_id;
   msg.pledge = pledge;
-  env()->Send(owner->second,
-              WithType(MsgType::kAccusation, msg.Encode()));
+  env()->Send(owner->second, EncodeTyped(MsgType::kAccusation, msg));
 }
 
 void Auditor::NotifyVictim(NodeId client, const Pledge& pledge,
@@ -730,8 +728,7 @@ void Auditor::NotifyVictim(NodeId client, const Pledge& pledge,
   notice.trace_id = trace_id;
   notice.pledge = pledge;
   notice.correct_sha1 = correct_sha1;
-  env()->Send(client,
-              WithType(MsgType::kBadReadNotice, notice.Encode()));
+  env()->Send(client, EncodeTyped(MsgType::kBadReadNotice, notice));
 }
 
 void Auditor::TryFinalizeVersions() {

@@ -53,7 +53,7 @@ void Client::BeginSetup() {
   DirectoryLookup lookup;
   lookup.content_public_key = options_.content.content_public_key;
   env()->Send(options_.directory,
-              WithType(MsgType::kDirectoryLookup, lookup.Encode()));
+              EncodeTyped(MsgType::kDirectoryLookup, lookup));
   env()->Cancel(setup_timeout_);
   setup_timeout_ = env()->ScheduleAfter(options_.params.client_timeout, [this] {
     if (phase_ != Phase::kReady) {
@@ -112,7 +112,7 @@ void Client::HandleDirectoryReply(BytesView body) {
     PlacementQuery query;
     query.content_public_key = options_.content.content_public_key;
     env()->Send(options_.directory,
-                WithType(MsgType::kPlacementQuery, query.Encode()));
+                EncodeTyped(MsgType::kPlacementQuery, query));
     return;
   }
 
@@ -182,7 +182,7 @@ void Client::OpenLanes(const std::vector<std::vector<NodeId>>& candidates) {
   for (const Lane& lane : lanes_) {
     ClientHello hello;
     hello.client_nonce = lane.nonce;
-    env()->Send(lane.master, WithType(MsgType::kClientHello, hello.Encode()));
+    env()->Send(lane.master, EncodeTyped(MsgType::kClientHello, hello));
   }
 }
 
@@ -377,7 +377,7 @@ void Client::GossipVvs() {
     (void)slave;
     msg.entries.push_back(avv);
   }
-  Bytes encoded = WithType(MsgType::kVvExchange, msg.Encode());
+  Bytes encoded = EncodeTyped(MsgType::kVvExchange, msg);
   size_t fanout = std::min<size_t>(options_.params.vv_gossip_fanout,
                                    peers.size());
   // Partial Fisher-Yates: `fanout` distinct peers, uniform without bias.
@@ -474,7 +474,7 @@ void Client::EmitForkEvidence(const ForkDetector::Conflict& conflict,
   msg.trace_id = trace_id;
   msg.chain = std::move(chain);
   env()->Send(conflict.first.token.master,
-              WithType(MsgType::kForkEvidence, msg.Encode()));
+              EncodeTyped(MsgType::kForkEvidence, msg));
 }
 
 void Client::MasterSuspect() {
@@ -582,7 +582,7 @@ void Client::StartAttempt(uint64_t request_id, PendingRead& read) {
   msg.request_id = request_id;
   msg.trace_id = read.trace_id;
   msg.query = read.query;
-  const Payload wire = WithType(MsgType::kReadRequest, msg.Encode());
+  const Payload wire = EncodeTyped(MsgType::kReadRequest, msg);
   for (const AssignedSlave& slave : LaneFor(read.shard).slaves) {
     env()->Send(slave.cert.subject, wire);
   }
@@ -729,8 +729,7 @@ std::optional<QueryResult> Client::CheckReply(PendingRead& read,
       submit.pledge = pledge;
       submit.vv = msg.vv;
       ++metrics_.pledges_forwarded;
-      env()->Send(slave.auditor,
-                  WithType(MsgType::kAuditSubmit, submit.Encode()));
+      env()->Send(slave.auditor, EncodeTyped(MsgType::kAuditSubmit, submit));
     }
     ++metrics_.reads_rejected_stale;
     if (t != nullptr) {
@@ -799,8 +798,7 @@ void Client::SettleRead(uint64_t request_id, PendingRead& read,
     if (TraceSink* t = env()->trace()) {
       t->Instant(TraceRole::kClient, id(), "pledge.forward", read.trace_id);
     }
-    env()->Send(answer.auditor,
-                WithType(MsgType::kAuditSubmit, submit.Encode()));
+    env()->Send(answer.auditor, EncodeTyped(MsgType::kAuditSubmit, submit));
   }
   AcceptRead(request_id, answer.result, answer.pledge);
 }
@@ -816,7 +814,7 @@ void Client::SendDoubleCheck(uint64_t request_id, PendingRead& read) {
   dc.trace_id = read.trace_id;
   dc.pledge = read.held[0].pledge;
   env()->Send(LaneFor(read.shard).master,
-              WithType(MsgType::kDoubleCheckRequest, dc.Encode()));
+              EncodeTyped(MsgType::kDoubleCheckRequest, dc));
   env()->Cancel(read.timeout);
   read.timeout =
       env()->ScheduleAfter(options_.params.client_timeout, [this, request_id] {
@@ -903,7 +901,7 @@ void Client::HandleDoubleCheckReply(BytesView body) {
         accusation.trace_id = msg->trace_id;
         accusation.pledge = pledge;
         env()->Send(LaneFor(read.shard).master,
-                    WithType(MsgType::kAccusation, accusation.Encode()));
+                    EncodeTyped(MsgType::kAccusation, accusation));
       }
     }
   }
@@ -1163,7 +1161,7 @@ void Client::SendWrite(uint64_t request_id) {
   msg.request_id = request_id;
   msg.batch = write.batch;
   env()->Send(LaneFor(write.shard).master,
-              WithType(MsgType::kWriteRequest, msg.Encode()));
+              EncodeTyped(MsgType::kWriteRequest, msg));
   env()->Cancel(write.timeout);
   write.timeout =
       env()->ScheduleAfter(options_.params.client_timeout, [this, request_id] {

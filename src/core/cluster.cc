@@ -213,12 +213,13 @@ void Cluster::ValidateAcceptedRead(const Query& query, uint64_t version,
     ++accepted_uncheckable_;
     return;
   }
-  auto at_version = log->MaterializeAt(version);
+  DocumentStore scratch;
+  auto at_version = log->ReadAt(version, &scratch);
   if (!at_version.ok()) {
     ++accepted_uncheckable_;
     return;
   }
-  auto outcome = truth_executor_.Execute(*at_version, query);
+  auto outcome = truth_executor_.Execute(**at_version, query);
   if (!outcome.ok()) {
     ++accepted_uncheckable_;
     return;

@@ -30,8 +30,7 @@ void Directory::HandleMessage(NodeId from, const Payload& payload) {
       reply.found = true;
       reply.placement = it->second;
     }
-    env()->Send(from,
-                WithType(MsgType::kPlacementReply, reply.Encode()));
+    env()->Send(from, EncodeTyped(MsgType::kPlacementReply, reply));
     return;
   }
   if (*type != MsgType::kDirectoryLookup) {
@@ -47,8 +46,7 @@ void Directory::HandleMessage(NodeId from, const Payload& payload) {
     reply.master_certs = it->second;
   }
   ++lookups_served_;
-  env()->Send(from,
-              WithType(MsgType::kDirectoryLookupReply, reply.Encode()));
+  env()->Send(from, EncodeTyped(MsgType::kDirectoryLookupReply, reply));
 }
 
 }  // namespace sdr

@@ -172,8 +172,7 @@ void Master::HandleClientHello(NodeId from, BytesView body) {
   reply.slaves = AssignmentOf(set);
   reply.signature = signer_.Sign(reply.SignedBody(msg->client_nonce));
   client_slaves_[from] = std::move(set);
-  env()->Send(from,
-              WithType(MsgType::kClientHelloReply, reply.Encode()));
+  env()->Send(from, EncodeTyped(MsgType::kClientHelloReply, reply));
 }
 
 // ---------------------------------------------------------------------------
@@ -192,8 +191,7 @@ void Master::HandleWriteRequest(NodeId from, BytesView body) {
     reply.request_id = msg->request_id;
     reply.ok = false;
     reply.error_code = static_cast<uint8_t>(ErrorCode::kPermissionDenied);
-    env()->Send(from,
-                WithType(MsgType::kWriteReply, reply.Encode()));
+    env()->Send(from, EncodeTyped(MsgType::kWriteReply, reply));
     return;
   }
   auto key = std::make_pair(from, msg->request_id);
@@ -204,8 +202,7 @@ void Master::HandleWriteRequest(NodeId from, BytesView body) {
     reply.request_id = msg->request_id;
     reply.ok = true;
     reply.committed_version = done->second;
-    env()->Send(from,
-                WithType(MsgType::kWriteReply, reply.Encode()));
+    env()->Send(from, EncodeTyped(MsgType::kWriteReply, reply));
     return;
   }
   if (!pending_writes_.insert(key).second) {
@@ -235,8 +232,7 @@ void Master::FlushBundle() {
   TobWriteBundle bundle;
   bundle.writes = std::move(bundle_);
   bundle_.clear();
-  broadcast_->Broadcast(
-      WithTobType(TobPayloadType::kWriteBundle, bundle.Encode()));
+  broadcast_->Broadcast(EncodeTyped(TobPayloadType::kWriteBundle, bundle));
 }
 
 void Master::OnDelivered(uint64_t /*seq*/, NodeId /*origin*/,
@@ -308,8 +304,7 @@ void Master::CommitBundle(const std::vector<TobWrite>& writes) {
       reply.request_id = write.request_id;
       reply.ok = true;
       reply.committed_version = version;
-      env()->Send(write.client,
-                  WithType(MsgType::kWriteReply, reply.Encode()));
+      env()->Send(write.client, EncodeTyped(MsgType::kWriteReply, reply));
     }
     ++version;
   }
@@ -339,7 +334,7 @@ Payload Master::CertifiedRun(uint64_t first_version, uint64_t last_version) {
   update.commit = MakeBatchCommit(signer_, id(), first_version, last_version,
                                   update.BatchesSha1(), env()->Now());
   metrics_.commit_signatures += 2;
-  return WithType(MsgType::kStateUpdateBatch, update.Encode());
+  return EncodeTyped(MsgType::kStateUpdateBatch, update);
 }
 
 void Master::PushRun(NodeId slave, SlaveState& state, const Payload& wire,
@@ -388,7 +383,7 @@ void Master::SendKeepAlives() {
   KeepAlive msg;
   msg.token = CurrentToken();
   // One shared buffer for the whole fan-out: each Send bumps a refcount.
-  Payload wire = WithType(MsgType::kKeepAlive, msg.Encode());
+  Payload wire = EncodeTyped(MsgType::kKeepAlive, msg);
   for (const auto& [slave_id, state] : my_slaves_) {
     ++metrics_.keepalives_sent;
     env()->Send(slave_id, wire);
@@ -414,8 +409,7 @@ void Master::GossipTick() {
   std::set_union(excluded_.begin(), excluded_.end(), peer_excluded_.begin(),
                  peer_excluded_.end(),
                  std::back_inserter(gossip.excluded_slaves));
-  broadcast_->Broadcast(
-      WithTobType(TobPayloadType::kGossip, gossip.Encode()));
+  broadcast_->Broadcast(EncodeTyped(TobPayloadType::kGossip, gossip));
   CheckPeerLiveness();
 }
 
@@ -517,8 +511,7 @@ void Master::AdoptOrphanedSlaves(NodeId dead_master) {
     // Wake the adopted slave: keep-alive + ack-driven catch-up.
     KeepAlive ka;
     ka.token = CurrentToken();
-    env()->Send(orphans[i],
-                WithType(MsgType::kKeepAlive, ka.Encode()));
+    env()->Send(orphans[i], EncodeTyped(MsgType::kKeepAlive, ka));
   }
   if (adopted_any) {
     ++metrics_.slave_sets_adopted;
@@ -565,24 +558,22 @@ void Master::HandleDoubleCheck(NodeId from, BytesView body) {
   if (!AllowDoubleCheck(from)) {
     ++metrics_.double_checks_throttled;
     reply.served = false;
-    env()->Send(from,
-                WithType(MsgType::kDoubleCheckReply, reply.Encode()));
+    env()->Send(from, EncodeTyped(MsgType::kDoubleCheckReply, reply));
     return;
   }
 
   const Pledge pledge = msg->pledge;
-  auto at_version = oplog_.MaterializeAt(pledge.token.content_version);
+  DocumentStore scratch;
+  auto at_version = oplog_.ReadAt(pledge.token.content_version, &scratch);
   if (!at_version.ok()) {
     reply.served = false;
-    env()->Send(from,
-                WithType(MsgType::kDoubleCheckReply, reply.Encode()));
+    env()->Send(from, EncodeTyped(MsgType::kDoubleCheckReply, reply));
     return;
   }
-  auto outcome = executor_.Execute(*at_version, pledge.query);
+  auto outcome = executor_.Execute(**at_version, pledge.query);
   if (!outcome.ok()) {
     reply.served = false;
-    env()->Send(from,
-                WithType(MsgType::kDoubleCheckReply, reply.Encode()));
+    env()->Send(from, EncodeTyped(MsgType::kDoubleCheckReply, reply));
     return;
   }
   metrics_.work_units_executed += outcome->cost;
@@ -603,8 +594,7 @@ void Master::HandleDoubleCheck(NodeId from, BytesView body) {
     reply.served = true;
     reply.matches = matches;
     reply.correct_result = std::move(result);
-    env()->Send(from,
-                WithType(MsgType::kDoubleCheckReply, reply.Encode()));
+    env()->Send(from, EncodeTyped(MsgType::kDoubleCheckReply, reply));
     if (!matches) {
       ++metrics_.double_check_lies_found;
       if (TraceSink* t = env()->trace()) {
@@ -677,8 +667,7 @@ void Master::HandleForkEvidence(NodeId /*from*/, BytesView body) {
   }
   auto owner = slave_owner_.find(slave);
   if (owner != slave_owner_.end() && owner->second != id()) {
-    env()->Send(owner->second,
-                WithType(MsgType::kForkEvidence, msg->Encode()));
+    env()->Send(owner->second, EncodeTyped(MsgType::kForkEvidence, *msg));
   }
 }
 
@@ -704,11 +693,12 @@ Master::Incrimination Master::ProcessIncriminatingPledge(
     return Incrimination::kUnfounded;
   }
   // 3. Re-execute at the pledged version and compare.
-  auto at_version = oplog_.MaterializeAt(pledge.token.content_version);
+  DocumentStore scratch;
+  auto at_version = oplog_.ReadAt(pledge.token.content_version, &scratch);
   if (!at_version.ok()) {
     return Incrimination::kUnfounded;
   }
-  auto outcome = executor_.Execute(*at_version, pledge.query);
+  auto outcome = executor_.Execute(**at_version, pledge.query);
   if (!outcome.ok()) {
     return Incrimination::kUnfounded;
   }
@@ -732,8 +722,7 @@ Master::Incrimination Master::ProcessIncriminatingPledge(
     Accusation fwd;
     fwd.trace_id = trace_id;
     fwd.pledge = pledge;
-    env()->Send(owner->second,
-                WithType(MsgType::kAccusation, fwd.Encode()));
+    env()->Send(owner->second, EncodeTyped(MsgType::kAccusation, fwd));
     return Incrimination::kConfirmed;
   }
   return Incrimination::kUnfounded;
@@ -785,8 +774,7 @@ void Master::RemoveSlaveAndReassignClients(NodeId slave, bool excluded,
     } else {
       client_slaves_[client] = std::move(set);
     }
-    env()->Send(client,
-                WithType(MsgType::kReassignment, msg.Encode()));
+    env()->Send(client, EncodeTyped(MsgType::kReassignment, msg));
   }
 }
 

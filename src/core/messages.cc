@@ -31,14 +31,6 @@ Result<TobPayloadType> PeekTobType(BytesView payload) {
   return static_cast<TobPayloadType>(payload[0]);
 }
 
-Bytes WithTobType(TobPayloadType type, const Bytes& body) {
-  Bytes out;
-  out.reserve(body.size() + 1);
-  out.push_back(static_cast<uint8_t>(type));
-  Append(out, body);
-  return out;
-}
-
 Bytes StateUpdateBatch::BatchesSha1() const {
   Sha1 digest;
   for (const WriteBatch& batch : batches) {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/certificate.h"
@@ -88,8 +89,19 @@ enum class TobPayloadType : uint8_t {
 // Returns the MsgType of a payload, or kCorrupt error when empty.
 Result<MsgType> PeekType(BytesView payload);
 
-// Prepends the type byte.
+// Prepends the type byte to a body that is already encoded: a broadcast
+// envelope's payload, or bytes a test made by hand.
 Bytes WithType(MsgType type, const Bytes& body);
+
+// `msg` as a payload: its type byte (a MsgType, or a TobPayloadType inside
+// the total-order broadcast), then its encoding, written once into one
+// buffer of 1 + WireSize(msg) bytes.
+template <typename Type, typename T>
+  requires std::is_same_v<Type, MsgType> ||
+           std::is_same_v<Type, TobPayloadType>
+Bytes EncodeTyped(Type type, const T& msg) {
+  return WireEncodeTagged(static_cast<uint8_t>(type), msg);
+}
 
 // ---- Message structs -------------------------------------------------------
 
@@ -303,7 +315,6 @@ struct StateUpdateBatch {
 // ---- Total-order broadcast inner payloads ----------------------------------
 
 Result<TobPayloadType> PeekTobType(BytesView payload);
-Bytes WithTobType(TobPayloadType type, const Bytes& body);
 
 struct TobWrite {
   NodeId origin_master = kInvalidNode;  // the master that accepted the write

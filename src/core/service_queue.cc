@@ -19,16 +19,15 @@ void ServiceQueue::RecordWait(SimTime wait) {
 }
 
 void ServiceQueue::Enqueue(SimTime service_time, InlineFunction<void()> done) {
-  ++depth_;
+  pending_.push_back(std::move(done));
   const SimTime now = env_->Now();
   if (!env_->ModelsServiceTime()) {
     // The job runs when the event loop reaches it, after the handler that
     // enqueued it returns; the CPU it spends is its service time, and its
     // wait is measured from here to its start.
-    env_->ScheduleAt(now, [this, now, done = std::move(done)]() mutable {
-      --depth_;
+    env_->ScheduleAt(now, [this, now] {
       RecordWait(env_->Now() - now);
-      done();
+      RunFront();
     });
     return;
   }
@@ -37,10 +36,13 @@ void ServiceQueue::Enqueue(SimTime service_time, InlineFunction<void()> done) {
   SimTime start = std::max(busy_until_, now);
   RecordWait(start - now);
   busy_until_ = start + scaled;
-  env_->ScheduleAt(busy_until_, [this, done = std::move(done)]() mutable {
-    --depth_;
-    done();
-  });
+  env_->ScheduleAt(busy_until_, [this] { RunFront(); });
+}
+
+void ServiceQueue::RunFront() {
+  InlineFunction<void()> done = std::move(pending_.front());
+  pending_.pop_front();
+  done();
 }
 
 }  // namespace sdr

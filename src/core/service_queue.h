@@ -14,6 +14,7 @@
 #define SDR_SRC_CORE_SERVICE_QUEUE_H_
 
 #include <cstdint>
+#include <deque>
 
 #include "src/runtime/env.h"
 #include "src/trace/trace.h"
@@ -40,10 +41,12 @@ class ServiceQueue {
   void Enqueue(SimTime service_time, InlineFunction<void()> done);
 
   // Jobs accepted but not yet completed.
-  size_t depth() const { return depth_; }
+  size_t depth() const { return pending_.size(); }
 
  private:
   void RecordWait(SimTime wait);
+  // Runs the oldest pending completion.
+  void RunFront();
 
   Env* env_;
   double speed_;
@@ -51,7 +54,12 @@ class ServiceQueue {
   uint32_t trace_node_ = 0;
   // When the modelled server frees up (SimEnv only).
   SimTime busy_until_ = 0;
-  size_t depth_ = 0;
+  // Completions not yet run, oldest first. Jobs complete in enqueue order
+  // on both Envs: SimEnv's completion times strictly increase, and RealEnv
+  // schedules each at Now(), where equal times fire in insertion order. So
+  // each scheduled event runs the front completion and captures no more
+  // than `this` and a time, which fits InlineFunction's inline buffer.
+  std::deque<InlineFunction<void()>> pending_;
 };
 
 }  // namespace sdr

@@ -159,7 +159,7 @@ void Slave::HandleKeepAlive(NodeId from, BytesView body) {
 void Slave::AckTo(NodeId master) {
   SlaveAck ack;
   ack.applied_version = applied_version_;
-  env()->Send(master, WithType(MsgType::kSlaveAck, ack.Encode()));
+  env()->Send(master, EncodeTyped(MsgType::kSlaveAck, ack));
 }
 
 bool Slave::TokenFresh() const {
@@ -189,8 +189,7 @@ void Slave::HandleReadRequest(NodeId from, BytesView body) {
     reply.request_id = msg->request_id;
     reply.trace_id = msg->trace_id;
     reply.ok = false;
-    env()->Send(from,
-                WithType(MsgType::kReadReply, reply.Encode()));
+    env()->Send(from, EncodeTyped(MsgType::kReadReply, reply));
     return;
   }
 
@@ -252,8 +251,7 @@ void Slave::HandleReadRequest(NodeId from, BytesView body) {
       reply.request_id = msg->request_id;
       reply.trace_id = msg->trace_id;
       reply.ok = false;
-      env()->Send(from,
-                  WithType(MsgType::kReadReply, reply.Encode()));
+      env()->Send(from, EncodeTyped(MsgType::kReadReply, reply));
       return;
     }
     served.result = outcome->result.Encode();
@@ -380,7 +378,7 @@ void Slave::HandleReadRequest(NodeId from, BytesView body) {
     }
     ++metrics_.reads_served;
     metrics_.pledge_signatures_reused += reused ? 1 : 0;
-    Payload payload = WithType(MsgType::kReadReply, reply.Encode());
+    Payload payload = EncodeTyped(MsgType::kReadReply, reply);
     SimTime now = env()->Now();
     if (hold_until > now) {
       env()->ScheduleAfter(hold_until - now,

@@ -1,31 +1,40 @@
 #include "src/crypto/hmac.h"
 
+#include <algorithm>
+
 #include "src/crypto/sha2.h"
 
 namespace sdr {
 
 Bytes HmacSha256(const Bytes& key, const Bytes& message) {
   constexpr size_t kBlock = Sha256::kBlockSize;
-  Bytes k = key;
-  if (k.size() > kBlock) {
-    k = Sha256::Hash(k);
+  // The key block, the pad and the inner digest live on the stack: the
+  // returned tag is the only allocation.
+  uint8_t k[kBlock] = {};
+  if (key.size() > kBlock) {
+    Sha256 h;
+    h.Update(key);
+    h.Final(k);
+  } else {
+    std::copy(key.begin(), key.end(), k);
   }
-  k.resize(kBlock, 0);
 
-  Bytes ipad(kBlock), opad(kBlock);
+  uint8_t pad[kBlock];
   for (size_t i = 0; i < kBlock; ++i) {
-    ipad[i] = k[i] ^ 0x36;
-    opad[i] = k[i] ^ 0x5c;
+    pad[i] = k[i] ^ 0x36;
   }
-
   Sha256 inner;
-  inner.Update(ipad);
+  inner.Update(pad, kBlock);
   inner.Update(message);
-  Bytes inner_digest = inner.Final();
+  uint8_t inner_digest[Sha256::kDigestSize];
+  inner.Final(inner_digest);
 
+  for (size_t i = 0; i < kBlock; ++i) {
+    pad[i] = k[i] ^ 0x5c;
+  }
   Sha256 outer;
-  outer.Update(opad);
-  outer.Update(inner_digest);
+  outer.Update(pad, kBlock);
+  outer.Update(inner_digest, sizeof(inner_digest));
   return outer.Final();
 }
 

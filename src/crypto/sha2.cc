@@ -230,19 +230,23 @@ void Sha256::Update(const uint8_t* data, size_t len) {
 }
 
 Bytes Sha256::Final() {
+  Bytes digest(kDigestSize);
+  Final(digest.data());
+  return digest;
+}
+
+void Sha256::Final(uint8_t out[kDigestSize]) {
   const sha_internal::Sha256Kernel compress = sha_internal::Sha256Compress();
   sha_internal::Pad<8>(buffer_, buffer_len_, total_len_,
                        [this, compress](const uint8_t* blocks, size_t n) {
                          compress(h_, blocks, n);
                        });
-  Bytes digest(kDigestSize);
   for (int i = 0; i < 8; ++i) {
-    digest[4 * i] = static_cast<uint8_t>(h_[i] >> 24);
-    digest[4 * i + 1] = static_cast<uint8_t>(h_[i] >> 16);
-    digest[4 * i + 2] = static_cast<uint8_t>(h_[i] >> 8);
-    digest[4 * i + 3] = static_cast<uint8_t>(h_[i]);
+    out[4 * i] = static_cast<uint8_t>(h_[i] >> 24);
+    out[4 * i + 1] = static_cast<uint8_t>(h_[i] >> 16);
+    out[4 * i + 2] = static_cast<uint8_t>(h_[i] >> 8);
+    out[4 * i + 3] = static_cast<uint8_t>(h_[i]);
   }
-  return digest;
 }
 
 Bytes Sha256::Hash(const Bytes& data) {

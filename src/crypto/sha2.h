@@ -30,6 +30,8 @@ class Sha256 {
   }
 
   Bytes Final();
+  // Writes the digest to `out`, for callers that keep it off the heap.
+  void Final(uint8_t out[kDigestSize]);
 
   static Bytes Hash(const Bytes& data);
   static Bytes Hash(std::string_view data);

@@ -57,6 +57,19 @@ Result<DocumentStore> OpLog::MaterializeAt(uint64_t version) const {
   return store;
 }
 
+Result<const DocumentStore*> OpLog::ReadAt(uint64_t version,
+                                          DocumentStore* scratch) const {
+  if (version == head_version_) {
+    return &head_store_;
+  }
+  auto store = MaterializeAt(version);
+  if (!store.ok()) {
+    return store.error();
+  }
+  *scratch = std::move(store).value();
+  return scratch;
+}
+
 std::shared_ptr<const DocumentStore> OpLog::CachedSnapshot(
     uint64_t version) const {
   std::lock_guard<std::mutex> lock(shared_mu_);

@@ -45,6 +45,15 @@ class OpLog {
   // while lanes materialize).
   Result<DocumentStore> MaterializeAt(uint64_t version) const;
 
+  // The store at `version`, for re-executing a query against it. At the
+  // head this is the live store by const reference, so nothing is copied;
+  // an older version is materialized into `*scratch`, which must outlive
+  // the returned pointer. Fails as MaterializeAt does. Masters never prune
+  // their log, so a double-check or an accusation that names the head
+  // costs one execution and no copy.
+  Result<const DocumentStore*> ReadAt(uint64_t version,
+                                      DocumentStore* scratch) const;
+
   // Shared-snapshot cache: committed versions are immutable, so the store
   // at a version can be materialized once and handed out by reference to
   // every re-execution against it, instead of a full map copy per query

@@ -1,9 +1,9 @@
 // A move-only callable with small-buffer optimization, used on the
 // simulator hot path. The common event capture — a node pointer plus a
-// shared payload view, or a service-queue completion wrapping another
-// InlineFunction — fits in the 64-byte inline buffer, so scheduling
-// an event never touches the allocator; larger captures fall back to one
-// heap cell, matching std::function's behavior.
+// shared payload view, or a service queue's `this` and a time — fits in the
+// 64-byte inline buffer, so scheduling such an event never touches the
+// allocator; larger captures fall back to one heap cell, matching
+// std::function's behavior.
 #ifndef SDR_SRC_UTIL_INLINE_FUNCTION_H_
 #define SDR_SRC_UTIL_INLINE_FUNCTION_H_
 

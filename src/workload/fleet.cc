@@ -92,7 +92,7 @@ void ClientFleet::IssueFleetRead(Rng& op_rng) {
     ReadRequest msg;
     msg.request_id = sub_id;
     msg.query = leg.query;
-    env()->Send(slave, WithType(MsgType::kReadRequest, msg.Encode()));
+    env()->Send(slave, EncodeTyped(MsgType::kReadRequest, msg));
     subreads_[sub_id] = SubRead{op_id, shard, slave};
     op.subs.push_back(sub_id);
     ++metrics_.subreads_sent;
@@ -132,7 +132,7 @@ void ClientFleet::IssueFleetWrite(Rng& op_rng) {
     WriteRequest msg;
     msg.request_id = sub_id;
     msg.batch = std::move(sub_batch);
-    env()->Send(master, WithType(MsgType::kWriteRequest, msg.Encode()));
+    env()->Send(master, EncodeTyped(MsgType::kWriteRequest, msg));
     subwrites_[sub_id] = op_id;
     op.subs.push_back(sub_id);
   }
@@ -173,7 +173,7 @@ void ClientFleet::HandleReadReply(NodeId from, BytesView body) {
     AuditSubmit submit;
     submit.pledge = pledge;
     ++metrics_.pledges_forwarded;
-    env()->Send(auditor, WithType(MsgType::kAuditSubmit, submit.Encode()));
+    env()->Send(auditor, EncodeTyped(MsgType::kAuditSubmit, submit));
   }
   subreads_.erase(sit);
   auto oit = ops_.find(op_id);

@@ -184,7 +184,7 @@ class ForgedSubmitTest : public ::testing::Test {
     msg.trace_id = trace_id;
     msg.pledge = pledge;
     cluster_->net().Send(cluster_->client(0).id(), cluster_->auditor().id(),
-                         WithType(MsgType::kAuditSubmit, msg.Encode()));
+                         EncodeTyped(MsgType::kAuditSubmit, msg));
     cluster_->RunFor(1 * kSecond);
     return cluster_->auditor().metrics();
   }

@@ -4,6 +4,8 @@
 // recovery.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "src/core/cluster.h"
 
 namespace sdr {
@@ -175,6 +177,72 @@ TEST(ClusterTest, LyingSlaveEventuallyCaughtByAuditor) {
   EXPECT_EQ(cluster.accepted_wrong(), wrong_at_exclusion);
 }
 
+// The ground-truth check against a MaterializeAt oracle: with writes
+// flowing and a liar that is never caught, every accepted read's verdict
+// (checked, wrong) is what executing its query against a materialized copy
+// of the pledged version gives. Reads pledged at the master's head are
+// re-executed in place, older ones against a materialized version; slow
+// state propagation makes both common.
+TEST(ClusterTest, GroundTruthMatchesAMaterializedCopy) {
+  ClusterConfig config = SmallConfig(8);
+  config.corpus.n_items = 10;
+  config.client_write_fraction = 0.2;
+  config.params.double_check_probability = 0.0;
+  config.params.exclusion_enabled = false;
+  config.slave_behavior = [](int index) {
+    Slave::Behavior b;
+    if (index == 0) {
+      b.lie_probability = 0.3;
+    }
+    return b;
+  };
+  Cluster cluster(config);
+  for (int m = 0; m < cluster.num_masters(); ++m) {
+    for (int s = 0; s < cluster.num_slaves(); ++s) {
+      cluster.net().SetLink(cluster.master(m).id(), cluster.slave(s).id(),
+                            LinkModel{300 * kMillisecond, 0, 0.0});
+    }
+  }
+  std::optional<bool> expect_wrong;  // nullopt: no log holds the version
+  uint64_t at_head = 0, older = 0, wrong = 0;
+  QueryExecutor oracle;
+  for (int c = 0; c < cluster.num_clients(); ++c) {
+    Client& client = cluster.client(c);
+    client.on_accept = [&, inner = std::move(client.on_accept)](
+                           const Query& q, const Pledge& pledge,
+                           const QueryResult& result) {
+      const uint64_t version = pledge.token.content_version;
+      expect_wrong.reset();
+      for (int m = 0; m < config.num_masters; ++m) {
+        const OpLog& log = cluster.master(m).oplog();
+        if (!cluster.master(m).up() || log.head_version() < version) {
+          continue;
+        }
+        ++(version == log.head_version() ? at_head : older);
+        auto copy = log.MaterializeAt(version);
+        ASSERT_TRUE(copy.ok());
+        auto outcome = oracle.Execute(*copy, q);
+        ASSERT_TRUE(outcome.ok());
+        expect_wrong = !(outcome->result == result);
+        break;
+      }
+      inner(q, pledge, result);
+    };
+  }
+  cluster.on_accepted_read = [&](const Cluster::AcceptedRead& record) {
+    EXPECT_EQ(record.checked, expect_wrong.has_value());
+    EXPECT_EQ(record.wrong, expect_wrong.value_or(false));
+    wrong += record.wrong ? 1 : 0;
+  };
+  cluster.RunFor(120 * kSecond);
+
+  EXPECT_GT(at_head, 0u);
+  EXPECT_GT(older, 0u);
+  EXPECT_GT(wrong, 0u);
+  EXPECT_EQ(cluster.accepted_wrong(), wrong);
+  EXPECT_EQ(cluster.accepted_checked(), at_head + older);
+}
+
 TEST(ClusterTest, InconsistentLieRejectedAtClientHashCheck) {
   ClusterConfig config = SmallConfig(7);
   config.num_clients = 1;
@@ -280,7 +348,7 @@ TEST(ClusterTest, ForgedAccusationCannotFrameInnocentSlave) {
   Accusation accusation;
   accusation.pledge = forged;
   cluster.net().Send(cluster.client(0).id(), cluster.client(0).master(),
-                     WithType(MsgType::kAccusation, accusation.Encode()));
+                     EncodeTyped(MsgType::kAccusation, accusation));
   cluster.RunFor(5 * kSecond);
 
   uint64_t unfounded = 0, excluded = 0;

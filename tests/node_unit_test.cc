@@ -71,7 +71,7 @@ struct SlaveHarness {
     msg.commit = MakeBatchCommit(Signer(master_key), master_stub.id(), first,
                                  first + msg.batches.size() - 1,
                                  msg.BatchesSha1(), sim.Now());
-    return WithType(MsgType::kStateUpdateBatch, msg.Encode());
+    return EncodeTyped(MsgType::kStateUpdateBatch, msg);
   }
 
   void SendFrame(NodeId from, const Bytes& frame) {
@@ -88,7 +88,7 @@ struct SlaveHarness {
     KeepAlive ka;
     ka.token = Token(version);
     net.Send(master_stub.id(), slave->id(),
-             WithType(MsgType::kKeepAlive, ka.Encode()));
+             EncodeTyped(MsgType::kKeepAlive, ka));
     sim.RunUntilIdle();
   }
 
@@ -96,8 +96,7 @@ struct SlaveHarness {
     ReadRequest msg;
     msg.request_id = 7;
     msg.query = query;
-    net.Send(client.id(), slave->id(),
-             WithType(MsgType::kReadRequest, msg.Encode()));
+    net.Send(client.id(), slave->id(), EncodeTyped(MsgType::kReadRequest, msg));
   }
 
   // Issues a read from `client` and returns the decoded reply.
@@ -157,14 +156,14 @@ struct MasterHarness {
     msg.request_id = request_id;
     msg.batch = std::move(batch);
     net.Send(client_stub.id(), master->id(),
-             WithType(MsgType::kWriteRequest, msg.Encode()));
+             EncodeTyped(MsgType::kWriteRequest, msg));
   }
 
   void Ack(uint64_t applied_version) {
     SlaveAck ack;
     ack.applied_version = applied_version;
     net.Send(slave_stub.id(), master->id(),
-             WithType(MsgType::kSlaveAck, ack.Encode()));
+             EncodeTyped(MsgType::kSlaveAck, ack));
   }
 
   // Every state-update frame the slave stub has received, in order.
@@ -265,8 +264,7 @@ TEST(MasterUnitTest, AccusationsAreConfirmedRepeatedOrUnfounded) {
   MasterHarness h;
   auto accuse = [&h](const Signer& signer) {
     h.net.Send(h.auditor_stub.id(), h.master->id(),
-               WithType(MsgType::kAccusation,
-                        ForgedAccusation(h, signer).Encode()));
+               EncodeTyped(MsgType::kAccusation, ForgedAccusation(h, signer)));
     h.Run(50 * kMillisecond);
   };
   const Signer slave(h.plan.slave_keys[0]);
@@ -284,6 +282,107 @@ TEST(MasterUnitTest, AccusationsAreConfirmedRepeatedOrUnfounded) {
   EXPECT_EQ(m.accusations_repeat, 2u);
   EXPECT_EQ(m.accusations_unfounded, 1u);
   EXPECT_EQ(m.slaves_excluded, 1u);
+}
+
+// The re-execution oracle for the master's two checks. Over seeded write
+// streams, a double-check and an accusation at the head (read in place),
+// at every older version (materialized) and one version past the head
+// (unserved) judge a pledge exactly as executing the query against a
+// MaterializeAt copy does. A lie carries another version's true hash, so a
+// check that ran at the wrong version would pass it.
+TEST(MasterUnitTest, ReExecutionMatchesAMaterializedCopy) {
+  constexpr size_t kItems = 30;
+  constexpr uint64_t kHead = 5;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    DeploymentConfig config;
+    config.seed = seed;
+    config.corpus.n_items = kItems;
+    MasterHarness h(config);
+    Rng rng(seed);
+    WriteGen writes;
+    writes.n_items = kItems;
+    for (uint64_t i = 1; i <= kHead; ++i) {
+      h.Write(i, writes.Generate(rng));
+    }
+    h.Run(kHead * h.plan.config.params.max_latency + 50 * kMillisecond);
+    ASSERT_EQ(h.master->version(), kHead);
+
+    const Signer slave(h.plan.slave_keys[0]);
+    const Signer master(h.plan.master_keys[0]);
+    auto pledge = [&](uint64_t version, const Query& q, const Bytes& sha1) {
+      return MakePledge(slave, h.slave_stub.id(), q, sha1,
+                        MakeVersionToken(master, h.plan.master_ids[0],
+                                         version, h.sim.Now()));
+    };
+    auto double_check = [&](const Pledge& p) {
+      DoubleCheckRequest dc;
+      dc.pledge = p;
+      h.client_stub.received.clear();
+      h.net.Send(h.client_stub.id(), h.master->id(),
+                 EncodeTyped(MsgType::kDoubleCheckRequest, dc));
+      h.Run(50 * kMillisecond);
+      for (const auto& [from, frame] : h.client_stub.received) {
+        auto type = PeekType(frame);
+        if (type.ok() && *type == MsgType::kDoubleCheckReply) {
+          auto reply = DoubleCheckReply::Decode(BytesView(frame).substr(1));
+          EXPECT_TRUE(reply.ok());
+          return reply.ok() ? *reply : DoubleCheckReply{};
+        }
+      }
+      ADD_FAILURE() << "no double-check reply";
+      return DoubleCheckReply{};
+    };
+    // True when the master found the accused pledge unfounded.
+    auto unfounded = [&](const Pledge& p) {
+      const uint64_t before = h.master->metrics().accusations_unfounded;
+      Accusation accusation;
+      accusation.pledge = p;
+      h.net.Send(h.auditor_stub.id(), h.master->id(),
+                 EncodeTyped(MsgType::kAccusation, accusation));
+      h.Run(50 * kMillisecond);
+      return h.master->metrics().accusations_unfounded == before + 1;
+    };
+
+    QueryMix mix;
+    mix.n_items = kItems;
+    QueryExecutor oracle;
+    auto truth = [&](uint64_t version, const Query& q) {
+      auto copy = h.master->oplog().MaterializeAt(version);
+      if (!copy.ok()) {
+        return Bytes(20, 0);
+      }
+      auto outcome = oracle.Execute(*copy, q);
+      EXPECT_TRUE(outcome.ok());
+      return outcome->result.Sha1Digest();
+    };
+    for (uint64_t v = 0; v <= kHead + 1; ++v) {
+      const bool served = v <= kHead;
+      for (int i = 0; i < 8; ++i) {
+        const Query q = mix.Generate(rng);
+        const Bytes sha1 = truth(v, q);
+        DoubleCheckReply reply = double_check(pledge(v, q, sha1));
+        EXPECT_EQ(reply.served, served) << seed << " v" << v;
+        if (served) {
+          EXPECT_TRUE(reply.matches) << seed << " v" << v;
+          EXPECT_EQ(Sha1::Hash(reply.correct_result), sha1);
+        }
+        EXPECT_TRUE(unfounded(pledge(v, q, sha1))) << seed << " v" << v;
+        if (!served) {
+          continue;
+        }
+        const Bytes lie = truth(v == kHead ? v - 1 : kHead, q);
+        if (lie == sha1) {
+          continue;
+        }
+        reply = double_check(pledge(v, q, lie));
+        EXPECT_TRUE(reply.served);
+        EXPECT_FALSE(reply.matches) << seed << " v" << v;
+        EXPECT_EQ(Sha1::Hash(reply.correct_result), sha1);
+        EXPECT_FALSE(unfounded(pledge(v, q, lie))) << seed << " v" << v;
+      }
+    }
+    EXPECT_TRUE(h.master->IsExcluded(h.slave_stub.id())) << seed;
+  }
 }
 
 // Certified runs captured from a plan-built master (six commits, then two
@@ -419,7 +518,7 @@ TEST(SlaveUnitTest, RejectsTokenFromUnknownMaster) {
   KeepAlive ka;
   ka.token = MakeVersionToken(rogue_signer, h.master_stub.id(), 0, h.sim.Now());
   h.net.Send(h.master_stub.id(), h.slave->id(),
-             WithType(MsgType::kKeepAlive, ka.Encode()));
+             EncodeTyped(MsgType::kKeepAlive, ka));
   h.sim.RunUntilIdle();
   auto reply = h.Read(Query::Get("x"));
   ASSERT_TRUE(reply.ok());
@@ -476,7 +575,7 @@ TEST(SlaveUnitTest, UncertifiedUpdatesNeverTouchTheStore) {
     auto msg = StateUpdateBatch::Decode(BytesView(genuine).substr(1));
     ASSERT_TRUE(msg.ok());
     msg->batches[0] = {WriteOp::Put("x", "forged")};
-    h.SendFrame(attacker, WithType(MsgType::kStateUpdateBatch, msg->Encode()));
+    h.SendFrame(attacker, EncodeTyped(MsgType::kStateUpdateBatch, *msg));
     untouched("spliced batch");
   }
   // A well-formed run certified by a key the slave does not know.
@@ -490,7 +589,7 @@ TEST(SlaveUnitTest, UncertifiedUpdatesNeverTouchTheStore) {
         MakeVersionToken(rogue, h.master_stub.id(), 1, h.sim.Now());
     msg.commit = MakeBatchCommit(rogue, h.master_stub.id(), 1, 1,
                                  msg.BatchesSha1(), h.sim.Now());
-    h.SendFrame(attacker, WithType(MsgType::kStateUpdateBatch, msg.Encode()));
+    h.SendFrame(attacker, EncodeTyped(MsgType::kStateUpdateBatch, msg));
     untouched("unknown key");
   }
   // The master's genuine version-1 token is useless to a slave at
@@ -842,7 +941,7 @@ class NonCanonicalSlave : public Node {
       reply.pledge = MakePledge(signer_, id(), msg->query, Sha1::Hash(bytes),
                                 *token_);
       reply.result = std::move(bytes);
-      env()->Send(from, WithType(MsgType::kReadReply, reply.Encode()));
+      env()->Send(from, EncodeTyped(MsgType::kReadReply, reply));
     }
   }
 
@@ -996,7 +1095,7 @@ CapturedAssignments CaptureAssignments() {
                    Query::Get(ItemKey(0)), Bytes(20, 0xee), token);
     capture.received.clear();
     world.net.Send(capture.id(), master.id(),
-                   WithType(MsgType::kAccusation, accusation.Encode()));
+                   EncodeTyped(MsgType::kAccusation, accusation));
     world.Run();
     EXPECT_TRUE(master.IsExcluded(liar));
     c.moves.push_back(FirstFrameOfType(capture, MsgType::kReassignment));
@@ -1121,7 +1220,7 @@ struct ReadDriver {
                          0, world.sim.Now()));
     reply.result = bytes;
     world.net.Send(slave, world.client.id(),
-                   WithType(MsgType::kReadReply, reply.Encode()));
+                   EncodeTyped(MsgType::kReadReply, reply));
     world.Run();
   }
 
@@ -1132,7 +1231,7 @@ struct ReadDriver {
     reply.served = true;
     reply.matches = matches;
     reply.correct_result = correct.Encode();
-    world.Deliver(WithType(MsgType::kDoubleCheckReply, reply.Encode()));
+    world.Deliver(EncodeTyped(MsgType::kDoubleCheckReply, reply));
   }
 
   size_t double_checks() const {

@@ -314,11 +314,14 @@ TEST(MessagesTest, TypedPayloadRoundTrips) {
   Signer slave_signer(k.slave);
 
   // Spot-check a representative subset of messages through their full
-  // encode -> WithType -> PeekType -> Decode path.
+  // EncodeTyped -> PeekType -> Decode path.
   ReadRequest rr;
   rr.request_id = 42;
   rr.query = Query::Grep("a.*b", "lo", "hi");
-  Bytes wire = WithType(MsgType::kReadRequest, rr.Encode());
+  Bytes wire = EncodeTyped(MsgType::kReadRequest, rr);
+  // One buffer, the same bytes as the type byte before the body.
+  EXPECT_EQ(wire, WithType(MsgType::kReadRequest, rr.Encode()));
+  EXPECT_EQ(wire.capacity(), wire.size());
   auto type = PeekType(wire);
   ASSERT_TRUE(type.ok());
   EXPECT_EQ(*type, MsgType::kReadRequest);

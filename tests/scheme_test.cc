@@ -279,7 +279,7 @@ TEST(MessageRobustness, MutatedReadRepliesNeverPassUnparsable) {
       req.request_id = request_id++;
       req.query = mix.Generate(rng);
       cluster.net().Send(sink.id(), cluster.slave(s).id(),
-                         WithType(MsgType::kReadRequest, req.Encode()));
+                         EncodeTyped(MsgType::kReadRequest, req));
     }
   }
   cluster.RunFor(500 * kMillisecond);
@@ -296,7 +296,7 @@ TEST(MessageRobustness, MutatedReadRepliesNeverPassUnparsable) {
     dc.request_id = request_id++;
     dc.pledge = pledges[i];
     cluster.net().Send(sink.id(), cluster.master(i % 2).id(),
-                       WithType(MsgType::kDoubleCheckRequest, dc.Encode()));
+                       EncodeTyped(MsgType::kDoubleCheckRequest, dc));
   }
   cluster.RunFor(500 * kMillisecond);
 

@@ -6,6 +6,7 @@
 #include "src/store/oplog.h"
 #include "src/store/query.h"
 #include "src/util/rng.h"
+#include "src/workload/workload.h"
 
 namespace sdr {
 namespace {
@@ -343,6 +344,53 @@ TEST(OpLogTest, PruneKeepsEveryVersionAboveFloorReachable) {
     auto s = log.MaterializeAt(v);
     ASSERT_TRUE(s.ok()) << v;
     EXPECT_EQ(s->Get("k"), std::to_string(v));
+  }
+}
+
+// Re-execution in place against a MaterializeAt oracle: over seeded
+// corpora and write streams, a query run against ReadAt gives the result a
+// materialized copy gives at every version. The head is read in place, an
+// older version is materialized into the scratch store, and a version past
+// the head fails as MaterializeAt does.
+TEST(OpLogTest, ReadAtMatchesAMaterializedCopy) {
+  constexpr size_t kItems = 40;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    CorpusConfig corpus;
+    corpus.n_items = kItems;
+    OpLog log(/*snapshot_interval=*/4);
+    log.SetBaseSnapshot(BuildCatalogCorpus(corpus, rng));
+    WriteGen writes;
+    writes.n_items = kItems;
+    for (uint64_t v = 1; v <= 10; ++v) {
+      log.Append(v, writes.Generate(rng));
+    }
+    QueryMix mix;
+    mix.n_items = kItems;
+    QueryExecutor in_place_exec, copy_exec;
+    for (uint64_t v = 0; v <= log.head_version() + 1; ++v) {
+      DocumentStore scratch;
+      auto in_place = log.ReadAt(v, &scratch);
+      auto copy = log.MaterializeAt(v);
+      ASSERT_EQ(in_place.ok(), copy.ok()) << seed << " v" << v;
+      if (!copy.ok()) {
+        EXPECT_GT(v, log.head_version());
+        continue;
+      }
+      EXPECT_EQ(*in_place,
+                v == log.head_version() ? &log.head() : &scratch);
+      for (int i = 0; i < 20; ++i) {
+        const Query q = mix.Generate(rng);
+        auto a = in_place_exec.Execute(**in_place, q);
+        auto b = copy_exec.Execute(*copy, q);
+        ASSERT_EQ(a.ok(), b.ok());
+        if (a.ok()) {
+          EXPECT_EQ(a->result.Sha1Digest(), b->result.Sha1Digest())
+              << seed << " v" << v;
+          EXPECT_EQ(a->cost, b->cost);
+        }
+      }
+    }
   }
 }
 

@@ -179,7 +179,7 @@ TEST(ReadFanoutTest, MalformedDoubleCheckResultFailsTheReadAndAccusesNoOne) {
   reply.served = true;
   reply.correct_result.push_back(0);
   h.cluster->net().Send(master.id(), client.id(),
-                        WithType(MsgType::kDoubleCheckReply, reply.Encode()));
+                        EncodeTyped(MsgType::kDoubleCheckReply, reply));
   h.cluster->RunFor(200 * kMillisecond);
   EXPECT_EQ(failed, 1);
   EXPECT_EQ(client.metrics().reads_accepted, 0u);
